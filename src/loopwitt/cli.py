@@ -115,8 +115,8 @@ def cmd_module_info(args) -> int:
     cfg = _load_config(args.config, args.seed)
     module = cfg.build_module()
     doc = {
-        "slices": [{"m": list(m), "dim": d}
-                   for m, d in sorted(module.weight_decomposition().items())],
+        "slices": [{"m": list(m), "dim": module.d}
+                   for m in module.window.slices()],
         "alpha": [str(a) for a in cfg.alpha],
         "mu": list(cfg.mu),
         "c": str(cfg.c),

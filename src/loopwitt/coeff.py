@@ -234,8 +234,9 @@ class BElem:
         return self + (-other)
 
     def __mul__(self, other) -> "BElem":
-        if isinstance(other, (int, GaussRat)):
-            return self.scale(GaussRat._coerce(other))
+        if not isinstance(other, BElem):
+            c = GaussRat._coerce(other)
+            return NotImplemented if c is NotImplemented else self.scale(c)
         self._check(other)
         k = self.pres.kind
         if k == "trivial":

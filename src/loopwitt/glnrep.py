@@ -15,8 +15,8 @@ from fractions import Fraction
 from itertools import product
 from typing import List, Sequence, Tuple
 
-from .linalg import (Mat, SpanBasis, commutator, identity, mat_eq, mat_mul,
-                     mat_scale, mat_sub, mat_is_zero, zeros)
+from .linalg import (Mat, SpanBasis, commutator, identity, mat_add, mat_mul,
+                     mat_sub, mat_is_zero, zeros)
 from .scalars import GaussRat, ONE, ZERO
 
 DIM_CAP = 64
@@ -58,8 +58,7 @@ class Irrep:
         if j == k:
             res = mat_sub(res, self.E(i, l))
         if l == i:
-            res = [[x + y for x, y in zip(r1, r2)]
-                   for r1, r2 in zip(res, self.E(k, j))]
+            res = mat_add(res, self.E(k, j))
         return res
 
     def all_relations_hold(self) -> bool:
@@ -70,8 +69,7 @@ class Irrep:
     def trace_part(self) -> Mat:
         out = zeros(self.d, self.d)
         for i in range(1, self.n + 1):
-            out = [[x + y for x, y in zip(r1, r2)]
-                   for r1, r2 in zip(out, self.E(i, i))]
+            out = mat_add(out, self.E(i, i))
         return out
 
     def weight_table(self) -> List[Tuple[Tuple[GaussRat, ...], int]]:

@@ -31,10 +31,6 @@ def mat_sub(a: Mat, b: Mat) -> Mat:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(c: GaussRat, a: Mat) -> Mat:
-    return [[c * x for x in row] for row in a]
-
-
 def mat_mul(a: Mat, b: Mat) -> Mat:
     n, k = len(a), len(b)
     m = len(b[0]) if b else 0
@@ -53,27 +49,12 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return out
 
 
-def mat_vec(a: Mat, v: Vec) -> Vec:
-    out = []
-    for row in a:
-        s = ZERO
-        for c, x in zip(row, v):
-            if c and x:
-                s = s + c * x
-        out.append(s)
-    return out
-
-
 def mat_is_zero(a: Mat) -> bool:
     return all(not x for row in a for x in row)
 
 
 def vec_is_zero(v: Vec) -> bool:
     return all(not x for x in v)
-
-
-def mat_eq(a: Mat, b: Mat) -> bool:
-    return mat_is_zero(mat_sub(a, b))
 
 
 def commutator(a: Mat, b: Mat) -> Mat:

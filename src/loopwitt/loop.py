@@ -14,7 +14,7 @@ from math import comb
 from typing import Dict, List, Sequence, Tuple
 
 from .coeff import BElem, BPresentation
-from .scalars import GaussRat, ZERO
+from .scalars import GaussRat
 
 Degree = Tuple[int, ...]
 Key = Tuple[str, int, Degree]  # kind, direction index (0 for "t"), degree

@@ -15,16 +15,17 @@ residuals by applying operator combinations to slice basis vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from functools import reduce
+from operator import mul
+from typing import List, Sequence, Tuple
 
 from .coeff import BElem
 from .glnrep import burnside_dim
-from .linalg import Mat, SpanBasis, mat_sub, zeros
-from .loop import Degree, LoopElem, diff_derivation, poly_derivation
-from .scalars import GaussRat, ZERO
-from .tensmod import ModVector, TensorModule, act
-
-Op = Callable[[ModVector], ModVector]
+from .linalg import Mat, SpanBasis
+from .loop import (Degree, LoopElem, _add_deg, diff_derivation,
+                   poly_derivation)
+from .scalars import GaussRat, ONE, ZERO
+from .tensmod import ModVector, Op, TensorModule, act, op_matrix
 
 
 @dataclass(frozen=True)
@@ -52,10 +53,6 @@ def _neg_deg(r: Degree) -> Degree:
     return tuple(-a for a in r)
 
 
-def _add_deg(r: Degree, s: Degree) -> Degree:
-    return tuple(a + b for a, b in zip(r, s))
-
-
 def as_operator(spec: OpSpec, module: TensorModule) -> Op:
     n = module.n
     pres = module.pres
@@ -73,159 +70,84 @@ def as_operator(spec: OpSpec, module: TensorModule) -> Op:
     return lambda v: act(d_elem, v).scale(p1) - act(zero_mode, v)
 
 
-def op_matrix_of(spec: OpSpec, module: TensorModule,
-                 slices: Sequence[Degree]) -> Mat:
-    """Matrix of the operator on the span of the given slices; raises if
-    the image leaves them (the product family is weight preserving, so a
-    single slice suffices there)."""
-    op = as_operator(spec, module)
-    slices = [tuple(m) for m in slices]
-    index = {m: k for k, m in enumerate(slices)}
-    d = module.d
-    out = zeros(len(slices) * d, len(slices) * d)
-    for cs, m in enumerate(slices):
-        for k in range(d):
-            w = op(module.basis_vector(m, k))
-            col = cs * d + k
-            for mm, vec in w.data.items():
-                if mm not in index:
-                    raise ValueError(f"operator leaves the slice set at {mm}")
-                base = index[mm] * d
-                for row in range(d):
-                    out[base + row][col] = vec[row]
-    return out
+# One row per bracket identity: the X family of the left-hand side, the Y
+# family of the right-hand side, and the (b1, b2) placement of each of the
+# three right-hand terms Y(w, r1+r2), Y(u2, r2), Y(u1, r1).  Digits k
+# stand for the B coefficient b_k of the operands X(u1,r1,b1,b2) and
+# X(u2,r2,b3,b4).  The placements are invisible on the module: every
+# family scales by psi(b1) psi(b2), and each row's placements multiply to
+# b1 b2 b3 b4, so swapping rows of placements makes no check fail.
+_PRODUCT_PLACES = (("13", "24"), ("123", "4"), ("134", "2"))
+_SHIFTED_PLACES = (("13", "24"), ("3", "124"), ("1", "234"))
+BRACKET_ROWS = {
+    "product": ("product", "product", _PRODUCT_PLACES),
+    "reduced": ("reduced", "reduced", _SHIFTED_PLACES),
+    "evaluated": ("evaluated", "evaluated", _SHIFTED_PLACES),
+    "product-to-reduced": ("product", "reduced", _PRODUCT_PLACES),
+    "scaled-product": ("product", "product", (("13", "24"),) * 3),
+}
 
 
-def _residual_matrix(op: Op, module: TensorModule,
-                     base: Degree = None) -> Mat:
-    """Apply an operator combination to every basis vector of one slice
-    and collect the (should-be-zero) results as a matrix block."""
-    base = base if base is not None else (0,) * module.n
-    d = module.d
-    cols = []
-    for k in range(d):
-        w = op(module.basis_vector(base, k))
-        cols.append(w)
-    rows_support = sorted({m for w in cols for m in w.data})
-    out = zeros(max(1, len(rows_support)) * d, d)
-    for k, w in enumerate(cols):
-        for mm, vec in w.data.items():
-            basei = rows_support.index(mm) * d
-            for row in range(d):
-                out[basei + row][k] = vec[row]
-    return out
+def bracket_identity(name: str, s1: OpSpec, s2: OpSpec,
+                     module: TensorModule) -> Mat:
+    """Residual of the bracket identity of row ``name`` on the bottom slice:
+    [X(u1,r1), X(u2,r2)] - Y(w, r1+r2) + (u1,r2) Y(u2,r2) - (u2,r1) Y(u1,r1)
+    with w = (u1,r2) u2 - (u2,r1) u1.  The family fields of s1 and s2 are
+    ignored; the row names the families."""
+    x_family, y_family, placements = BRACKET_ROWS[name]
+    u1, r1, u2, r2 = s1.u, s1.r, s2.u, s2.r
+    c12 = _pair(u1, r2)
+    c21 = _pair(u2, r1)
+    w = tuple(c12 * b - c21 * a for a, b in zip(u1, u2))
+    bs = {"1": s1.b1, "2": s1.b2, "3": s2.b1, "4": s2.b2}
 
+    def place(digits: str) -> BElem:
+        return reduce(mul, (bs[k] for k in digits))
 
-def _commutator_op(a: Op, b: Op) -> Op:
-    return lambda v: a(b(v)) - b(a(v))
+    x1 = as_operator(OpSpec(x_family, u1, r1, s1.b1, s1.b2), module)
+    x2 = as_operator(OpSpec(x_family, u2, r2, s2.b1, s2.b2), module)
+    rhs = [(-ONE, w, _add_deg(r1, r2)), (c12, u2, r2), (-c21, u1, r1)]
+    ys = [(c, as_operator(OpSpec(y_family, u, r, place(p1), place(p2)),
+                          module))
+          for (c, u, r), (p1, p2) in zip(rhs, placements)]
 
-
-def _combine(*terms: Tuple[GaussRat, Op]) -> Op:
-    def run(v: ModVector) -> ModVector:
-        out = None
-        for c, op in terms:
-            w = op(v).scale(GaussRat._coerce(c))
-            out = w if out is None else out + w
+    def residual(v: ModVector) -> ModVector:
+        out = x1(x2(v)) - x2(x1(v))
+        for c, y in ys:
+            out = out + y(v).scale(c)
         return out
-    return run
+
+    return op_matrix(residual, module, [(0,) * module.n])
 
 
 def product_bracket_residual(s1: OpSpec, s2: OpSpec,
                              module: TensorModule) -> Mat:
-    """[P(u,r,b1,b2), P(v,s,b3,b4)] minus
-    P(w,r+s,b1b3,b2b4) - (u,s) P(v,s,b1b2b3,b4) + (v,r) P(u,r,b1b3b4,b2)
-    with w = (u,s)v - (v,r)u."""
-    u, r, b1, b2 = s1.u, s1.r, s1.b1, s1.b2
-    v, s, b3, b4 = s2.u, s2.r, s2.b1, s2.b2
-    us = _pair(u, s)
-    vr = _pair(v, r)
-    w = tuple(us * y - vr * x for x, y in zip(u, v))
-    lhs = _commutator_op(as_operator(s1, module), as_operator(s2, module))
-    rhs = _combine(
-        (GaussRat(1), as_operator(OpSpec("product", w, _add_deg(r, s),
-                                         b1 * b3, b2 * b4), module)),
-        (-us, as_operator(OpSpec("product", v, s, b1 * b2 * b3, b4), module)),
-        (vr, as_operator(OpSpec("product", u, r, b1 * b3 * b4, b2), module)),
-    )
-    return _residual_matrix(lambda x: lhs(x) - rhs(x), module)
-
-
-def _shifted_bracket_residual(family: str, s1: OpSpec, s2: OpSpec,
-                              module: TensorModule) -> Mat:
-    """Common form of the reduced/evaluated family brackets:
-    [X(u,r,b1,b2), X(v,s,b3,b4)] = X(w,r+s,b1b3,b2b4)
-    - (u,s) X(v,s,b3,b1b2b4) + (v,r) X(u,r,b1,b2b3b4)."""
-    u, r, b1, b2 = s1.u, s1.r, s1.b1, s1.b2
-    v, s, b3, b4 = s2.u, s2.r, s2.b1, s2.b2
-    us = _pair(u, s)
-    vr = _pair(v, r)
-    w = tuple(us * y - vr * x for x, y in zip(u, v))
-    lhs = _commutator_op(
-        as_operator(OpSpec(family, u, r, b1, b2), module),
-        as_operator(OpSpec(family, v, s, b3, b4), module))
-    rhs = _combine(
-        (GaussRat(1), as_operator(OpSpec(family, w, _add_deg(r, s),
-                                         b1 * b3, b2 * b4), module)),
-        (-us, as_operator(OpSpec(family, v, s, b3, b1 * b2 * b4), module)),
-        (vr, as_operator(OpSpec(family, u, r, b1, b2 * b3 * b4), module)),
-    )
-    return _residual_matrix(lambda x: lhs(x) - rhs(x), module)
+    return bracket_identity("product", s1, s2, module)
 
 
 def reduced_bracket_residual(s1: OpSpec, s2: OpSpec,
                              module: TensorModule) -> Mat:
-    return _shifted_bracket_residual("reduced", s1, s2, module)
+    return bracket_identity("reduced", s1, s2, module)
 
 
 def evaluated_bracket_residual(s1: OpSpec, s2: OpSpec,
                                module: TensorModule) -> Mat:
-    return _shifted_bracket_residual("evaluated", s1, s2, module)
+    return bracket_identity("evaluated", s1, s2, module)
 
 
 def product_to_reduced_residual(s1: OpSpec, s2: OpSpec,
                                 module: TensorModule) -> Mat:
-    """[P, P] re-expressed through the reduced family:
-    [P(u,r,b1,b2), P(v,s,b3,b4)] = R(w,r+s,b1b3,b2b4)
-    - (u,s) R(v,s,b1b2b3,b4) + (v,r) R(u,r,b1b3b4,b2)."""
-    u, r, b1, b2 = s1.u, s1.r, s1.b1, s1.b2
-    v, s, b3, b4 = s2.u, s2.r, s2.b1, s2.b2
-    us = _pair(u, s)
-    vr = _pair(v, r)
-    w = tuple(us * y - vr * x for x, y in zip(u, v))
-    lhs = _commutator_op(
-        as_operator(OpSpec("product", u, r, b1, b2), module),
-        as_operator(OpSpec("product", v, s, b3, b4), module))
-    rhs = _combine(
-        (GaussRat(1), as_operator(OpSpec("reduced", w, _add_deg(r, s),
-                                         b1 * b3, b2 * b4), module)),
-        (-us, as_operator(OpSpec("reduced", v, s, b1 * b2 * b3, b4), module)),
-        (vr, as_operator(OpSpec("reduced", u, r, b1 * b3 * b4, b2), module)),
-    )
-    return _residual_matrix(lambda x: lhs(x) - rhs(x), module)
+    return bracket_identity("product-to-reduced", s1, s2, module)
 
 
 def scaled_product_bracket_residual(v: Tuple[GaussRat, ...], s: Degree,
                                     b: BElem, u: Tuple[GaussRat, ...],
                                     r: Degree, b2: BElem,
                                     module: TensorModule) -> Mat:
-    """With P(u,r)b := P(u,r,1,b):
-    [P(v,s)b, P(u,r)b'] = P(w,r+s)bb' + (u,s) P(v,s)bb' - (v,r) P(u,r)bb'
-    with w = (v,r)u - (u,s)v."""
+    """[P(v,s,1,b), P(u,r,1,b2)] through the scaled-product row."""
     one = module.pres.one()
-    us = _pair(u, s)
-    vr = _pair(v, r)
-    w = tuple(vr * x - us * y for x, y in zip(u, v))
-    lhs = _commutator_op(
-        as_operator(OpSpec("product", v, s, one, b), module),
-        as_operator(OpSpec("product", u, r, one, b2), module))
-    bb = b * b2
-    rhs = _combine(
-        (GaussRat(1), as_operator(OpSpec("product", w, _add_deg(r, s),
-                                         one, bb), module)),
-        (us, as_operator(OpSpec("product", v, s, one, bb), module)),
-        (-vr, as_operator(OpSpec("product", u, r, one, bb), module)),
-    )
-    return _residual_matrix(lambda x: lhs(x) - rhs(x), module)
+    return bracket_identity("scaled-product", OpSpec("product", v, s, one, b),
+                            OpSpec("product", u, r, one, b2), module)
 
 
 def zero_mode_scalar_residual(u: Tuple[GaussRat, ...], b: BElem,
@@ -238,7 +160,7 @@ def zero_mode_scalar_residual(u: Tuple[GaussRat, ...], b: BElem,
     def op(v: ModVector) -> ModVector:
         return act(x, v) - v.scale(scal)
 
-    return _residual_matrix(op, module)
+    return op_matrix(op, module, [(0,) * n])
 
 
 def coefficient_collapse_residual(u: Tuple[GaussRat, ...], r: Degree,
@@ -252,7 +174,7 @@ def coefficient_collapse_residual(u: Tuple[GaussRat, ...], r: Degree,
     def op(v: ModVector) -> ModVector:
         return act(xb, v) - act(x1, v).scale(pb)
 
-    return _residual_matrix(op, module)
+    return op_matrix(op, module, [(0,) * n])
 
 
 class ShiftDifferenceBasis:
@@ -349,8 +271,9 @@ def bottom_slice_algebra_dim(module: TensorModule,
                              specs: Sequence[OpSpec]) -> int:
     """Burnside dimension of the algebra generated by weight-preserving
     product operators on the bottom slice; equals d^2 iff irreducible."""
-    zero = (0,) * module.n
-    mats = [op_matrix_of(spec, module, [zero]) for spec in specs]
+    zero = [(0,) * module.n]
+    mats = [op_matrix(as_operator(spec, module), module, zero, zero)
+            for spec in specs]
     return burnside_dim(mats)
 
 

@@ -17,6 +17,8 @@ class GaussRat:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
+        if isinstance(re, float) or isinstance(im, float):
+            raise TypeError("GaussRat parts must be exact, not float")
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im))
 
@@ -103,7 +105,8 @@ class GaussRat:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes like the equal int or Fraction
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
@@ -129,7 +132,7 @@ ZERO = GaussRat(0)
 ONE = GaussRat(1)
 I = GaussRat(0, 1)
 
-_NUM = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_NUM = re.compile(r"^[+-]?\d+(?:/0*[1-9]\d*)?$")  # nonzero denominator
 
 
 def _frac(s: str) -> Fraction:

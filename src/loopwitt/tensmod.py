@@ -6,19 +6,18 @@ Z^n and truncated to the box |m_i| <= R.  The loop-algebra action is
     D(u,r)b . v(x)t^m = psi(b) { (u, m+alpha) v + sum_ij u_i r_j E_ji v } (x) t^(m+r)
     t^r b  . v(x)t^m = psi(b) v (x) t^(m+r)
 
-extended linearly.  Strict mode raises when a produced degree leaves
-the window; truncate mode silently drops such terms and exists only for
-exploratory output, never for identity checks.
+extended linearly.  The action raises OutOfWindowError when a produced
+degree leaves the window, so it never silently truncates.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .coeff import BElem, BPresentation
 from .glnrep import Irrep
-from .linalg import Mat, mat_vec, zeros
+from .linalg import Mat, zeros
 from .loop import Degree, LoopElem
 from .scalars import GaussRat, ZERO
 
@@ -45,10 +44,6 @@ class Window:
     def interior(self, margin) -> List[Degree]:
         return [m for m in self.slices() if self.contains(m, margin)]
 
-    def __eq__(self, other):
-        return (isinstance(other, Window) and self.n == other.n
-                and self.radius == other.radius)
-
 
 class TensorModule:
     def __init__(self, rep: Irrep, alpha: Sequence[GaussRat],
@@ -72,9 +67,6 @@ class TensorModule:
         vec = [ZERO] * self.d
         vec[k] = GaussRat(1)
         return ModVector(self, {tuple(m): vec})
-
-    def weight_decomposition(self) -> Dict[Degree, int]:
-        return {m: self.d for m in self.window.slices()}
 
     def cartan_eigenvalue(self, i: int, m: Degree) -> GaussRat:
         """Eigenvalue of D(e_i, 0) on the degree-m slice."""
@@ -128,14 +120,9 @@ class ModVector:
             out = [a + b for a, b in zip(out, v)]
         return out
 
-    def support(self) -> List[Degree]:
-        return sorted(self.data)
 
-
-def act(x: LoopElem, v: ModVector, mode: str = "strict") -> ModVector:
+def act(x: LoopElem, v: ModVector) -> ModVector:
     """Action of a loop-algebra element on a module vector."""
-    if mode not in ("strict", "truncate"):
-        raise ValueError(f"unknown mode {mode!r}")
     module = v.module
     if x.n != module.n:
         raise ValueError("rank mismatch")
@@ -148,9 +135,7 @@ def act(x: LoopElem, v: ModVector, mode: str = "strict") -> ModVector:
         if not any(vec):
             return
         if not module.window.contains(m):
-            if mode == "strict":
-                raise OutOfWindowError(f"action leaves the window at {m}")
-            return
+            raise OutOfWindowError(f"action leaves the window at {m}")
         if m in acc:
             acc[m] = [a + b for a, b in zip(acc[m], vec)]
         else:
@@ -205,24 +190,26 @@ def assoc_unital_residuals(r: Degree, s: Degree, b: BElem, b2: BElem,
     return assoc, unit
 
 
-def op_matrix(x: LoopElem, module: TensorModule, src: Iterable[Degree],
-              dst: Iterable[Degree]) -> Mat:
-    """Matrix of the action of x between the given slice sets, columns in
-    (src slice, basis index) order, rows in (dst slice, basis index) order."""
-    src = [tuple(m) for m in src]
-    dst = [tuple(m) for m in dst]
+Op = Callable[[ModVector], ModVector]
+
+
+def op_matrix(op: Op, module: TensorModule, src: Iterable[Degree],
+              dst: Optional[Iterable[Degree]] = None) -> Mat:
+    """Matrix of a linear operator on module vectors, applied to the basis
+    vectors of the src slices: columns in (src slice, basis index) order,
+    rows in (dst slice, basis index) order.  dst=None takes the sorted
+    support of the images; an image outside dst raises OutOfWindowError."""
     d = module.d
-    dst_index = {m: k for k, m in enumerate(dst)}
-    out = zeros(len(dst) * d, len(src) * d)
-    for cs, m in enumerate(src):
-        for k in range(d):
-            w = act(x, module.basis_vector(m, k), mode="strict")
-            col = cs * d + k
-            for mm, vec in w.data.items():
-                if mm not in dst_index:
-                    raise OutOfWindowError(
-                        f"action maps {m} outside the destination slices")
-                base = dst_index[mm] * d
-                for row in range(d):
-                    out[base + row][col] = vec[row]
+    cols = [op(module.basis_vector(m, k)) for m in src for k in range(d)]
+    if dst is None:
+        dst = sorted({m for w in cols for m in w.data})
+    dst_index = {tuple(m): k for k, m in enumerate(dst)}
+    out = zeros(len(dst_index) * d, len(cols))
+    for col, w in enumerate(cols):
+        for m, vec in w.data.items():
+            if m not in dst_index:
+                raise OutOfWindowError(
+                    f"operator maps into slice {m}, outside the destination")
+            for row, x in enumerate(vec, start=dst_index[m] * d):
+                out[row][col] = x
     return out

@@ -115,6 +115,25 @@ class TestVerifyAll:
         code = main(["verify-all", "--config", cfg])
         assert code == EXIT_CONFIG_ERROR
 
+    @pytest.mark.parametrize("doc,message", [
+        ([1, 2], "JSON objects"),
+        ({"B": "trivial"}, "JSON objects"),
+        ({"suites": "module-axiom"}, "'suites' must be a JSON array"),
+        ({"c": "1/0"}, "cannot parse rational: '1/0'"),
+        ({"mu": "1"}, "'mu' must be a JSON array"),
+        ({"alpha": "1/2"}, "'alpha' must be a JSON array"),
+        ({"B": {"kind": "polyquot", "modulus": "1", "eval_point": "0"}},
+         "'modulus' must be a JSON array"),
+    ])
+    def test_config_shape_errors_are_config_errors(self, tmp_path, capsys,
+                                                   doc, message):
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(doc))
+        code = main(["verify-all", "--config", str(path)])
+        assert code == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+
     def test_seed_override(self, tmp_path, capsys):
         cfg = write_config(tmp_path, cases_per_suite=5)
         code = main(["verify-all", "--config", cfg, "--json", "--seed", "7"])

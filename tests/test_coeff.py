@@ -80,6 +80,17 @@ class TestRingStructure:
         b = any_pres.one() * GaussRat(3)
         assert b.psi() == GaussRat(3)
 
+    def test_fraction_multiple(self, any_pres):
+        half = Fraction(1, 2)
+        for b in pool(any_pres):
+            want = b * GaussRat(half)
+            assert b * half == want
+            assert half * b == want
+
+    def test_float_multiple_rejected(self, any_pres):
+        with pytest.raises(TypeError):
+            any_pres.one() * 0.5
+
 
 class TestEvaluation:
     def test_trivial_is_identity(self, trivial):

@@ -8,7 +8,7 @@ from loopwitt.glnrep import build_irrep
 from loopwitt.linalg import mat_is_zero, rank
 from loopwitt.opcheck import OpSpec, ShiftDifferenceBasis
 from loopwitt.scalars import GaussRat, ZERO
-from loopwitt.tensmod import TensorModule, Window
+from loopwitt.tensmod import TensorModule, Window, op_matrix
 
 HALF = GaussRat(Fraction(1, 2))
 
@@ -25,6 +25,11 @@ def e(n, i):
 
 def deg(n, j, val=1):
     return tuple(val if t == j else 0 for t in range(n))
+
+
+def bottom_block(spec, module):
+    zero = [(0,) * module.n]
+    return op_matrix(opcheck.as_operator(spec, module), module, zero, zero)
 
 
 def sample_specs(pres, n, rng, count, family="product"):
@@ -53,16 +58,16 @@ class TestOperatorFamilies:
         module = make_module(trivial)
         spec = OpSpec("product", e(2, 0), (1, -1), trivial.one(),
                       trivial.one())
-        # op_matrix_of on a single slice succeeds only if the operator
-        # maps the slice to itself
-        m = opcheck.op_matrix_of(spec, module, [(0, 0)])
+        # a single-slice block succeeds only if the operator maps the
+        # slice to itself
+        m = bottom_block(spec, module)
         assert len(m) == module.d
 
     def test_product_zero_shift_is_pairing_scalar(self, trivial):
         module = make_module(trivial)
         u = (GaussRat(2), GaussRat(1))
         spec = OpSpec("product", u, (0, 0), trivial.one(), trivial.one())
-        got = opcheck.op_matrix_of(spec, module, [(0, 0)])
+        got = bottom_block(spec, module)
         scal = GaussRat(2) * HALF + HALF  # (u, alpha)
         want = [[scal if i == j else ZERO for j in range(module.d)]
                 for i in range(module.d)]
@@ -72,7 +77,7 @@ class TestOperatorFamilies:
         module = make_module(trivial)
         spec = OpSpec("reduced", e(2, 0), (0, 0), trivial.one(),
                       trivial.one())
-        assert mat_is_zero(opcheck.op_matrix_of(spec, module, [(0, 0)]))
+        assert mat_is_zero(bottom_block(spec, module))
 
 
 class TestBracketIdentities:
@@ -225,3 +230,42 @@ class TestRankOne:
             opcheck.rank_one_commutation_check(module)
         with pytest.raises(ValueError):
             opcheck.rank_one_quotient_annihilation_check(module)
+
+
+BRACKET_CHECKS = {"product-bracket", "reduced-bracket", "evaluated-bracket",
+                  "product-to-reduced", "scaled-product-bracket"}
+
+
+def operator_suite_failures(n, mu, pres):
+    from loopwitt.suites import RunConfig, run_operator_suite
+    cfg = RunConfig(n=n, mu=mu, bpres=pres, seed=42, cases_per_suite=6,
+                    suites=("operator-suite",))
+    return {f["check"] for f in run_operator_suite(cfg).failures}
+
+
+class TestNegativeControls:
+    """Planted defects that the operator suite must report."""
+
+    @pytest.mark.parametrize("n,mu,pres", [(1, (), "trivial"),
+                                           (2, (1,), "polyquot")])
+    def test_dropped_last_rhs_term_fails_every_bracket(self, n, mu, pres,
+                                                       request, monkeypatch):
+        for name, (x, y, places) in list(opcheck.BRACKET_ROWS.items()):
+            monkeypatch.setitem(opcheck.BRACKET_ROWS, name,
+                                (x, y, places[:2]))
+        got = operator_suite_failures(n, mu, request.getfixturevalue(pres))
+        assert BRACKET_CHECKS <= got
+
+    def test_negated_off_diagonal_irrep_fails_every_bracket(self, trivial,
+                                                            monkeypatch):
+        # at n = 2 this is conjugation by diag(1, -1), an automorphism,
+        # so the control needs n = 3
+        from loopwitt.glnrep import Irrep
+        E = Irrep.E
+        monkeypatch.setattr(
+            Irrep, "E", lambda self, i, j: E(self, i, j) if i == j
+            else [[-x for x in row] for row in E(self, i, j)])
+        assert BRACKET_CHECKS <= operator_suite_failures(3, (1, 0), trivial)
+
+    def test_clean_run_has_no_failures(self, trivial):
+        assert operator_suite_failures(3, (1, 0), trivial) == set()

@@ -70,6 +70,20 @@ class TestArithmetic:
     def test_hash_consistency(self, a):
         assert hash(a) == hash(GaussRat(a.re, a.im))
 
+    @given(rationals)
+    def test_real_value_hashes_like_rational(self, q):
+        assert hash(GaussRat(q)) == hash(q)
+        assert len({GaussRat(q), q}) == 1
+
+    def test_equal_int_collapses_in_set(self):
+        assert {GaussRat(1), 1} == {1}
+        assert len({GaussRat(0), 0, ZERO}) == 1
+
+    @pytest.mark.parametrize("re,im", [(0.1, 0), (0, 0.5), (1.0, 0)])
+    def test_floats_rejected(self, re, im):
+        with pytest.raises(TypeError):
+            GaussRat(re, im)
+
 
 class TestParsing:
     @pytest.mark.parametrize("text,value", [
@@ -85,7 +99,8 @@ class TestParsing:
     def test_parse_examples(self, text, value):
         assert parse_gauss(text) == value
 
-    @pytest.mark.parametrize("bad", ["", "x", "1..2", "1+", "i i", "1/2/3"])
+    @pytest.mark.parametrize("bad", ["", "x", "1..2", "1+", "i i", "1/2/3",
+                                     "1/0", "1/00", "1+2/0 i"])
     def test_parse_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
             parse_gauss(bad)
@@ -99,3 +114,5 @@ class TestParsing:
         assert str(GaussRat(0)) == "0/1"
         assert str(GaussRat(1, 1)) == "1/1+1/1 i"
         assert str(GaussRat(1, -1)) == "1/1-1/1 i"
+        assert str(GaussRat(Fraction(-3, 4), Fraction(5, 6))) == "-3/4+5/6 i"
+        assert str(parse_gauss("2/04")) == "1/2"

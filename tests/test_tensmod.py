@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from loopwitt.glnrep import build_irrep
-from loopwitt.linalg import identity, mat_vec
+from loopwitt.linalg import identity
 from loopwitt.loop import LoopElem
 from loopwitt.scalars import GaussRat, ZERO
 from loopwitt.tensmod import (ModVector, OutOfWindowError, TensorModule,
@@ -46,12 +46,6 @@ class TestModuleShape:
         with pytest.raises(ValueError):
             TensorModule(rep, [HALF], trivial, Window(2, 2))
 
-    def test_weight_decomposition_dimensions(self, trivial):
-        module = make_module(trivial, radius=2)
-        decomp = module.weight_decomposition()
-        assert len(decomp) == 25
-        assert set(decomp.values()) == {2}
-
     def test_diagonal_eigenvalue(self, trivial):
         module = make_module(trivial)
         assert module.cartan_eigenvalue(1, (2, -1)) == GaussRat(2) + HALF
@@ -90,9 +84,7 @@ class TestAction:
             got = act(x, v)
             coords = [ZERO] * module.d
             coords[k] = HALF
-            ev = mat_vec(module.rep.E(2, 1),
-                         [GaussRat(1) if i == k else ZERO
-                          for i in range(module.d)])
+            ev = [row[k] for row in module.rep.E(2, 1)]  # column k
             coords = [a + b for a, b in zip(coords, ev)]
             assert got == ModVector(module, {(0, 1): coords})
 
@@ -101,19 +93,7 @@ class TestAction:
         x = LoopElem.t_part(2, trivial, (1, 0))
         v = module.basis_vector((1, 0), 0)
         with pytest.raises(OutOfWindowError):
-            act(x, v, mode="strict")
-
-    def test_truncate_mode_drops_escaping_terms(self, trivial):
-        module = make_module(trivial, radius=1)
-        x = LoopElem.t_part(2, trivial, (1, 0))
-        v = module.basis_vector((1, 0), 0)
-        assert act(x, v, mode="truncate").is_zero()
-
-    def test_unknown_mode_rejected(self, trivial):
-        module = make_module(trivial)
-        with pytest.raises(ValueError):
-            act(LoopElem.t_part(2, trivial, (0, 0)),
-                module.basis_vector((0, 0), 0), mode="float")
+            act(x, v)
 
     def test_presentation_mismatch_rejected(self, trivial, laurent):
         module = make_module(trivial)
@@ -175,17 +155,22 @@ class TestModuleAxioms:
         assert unit.is_zero()
 
 
+def acting(x):
+    return lambda v: act(x, v)
+
+
 class TestOperatorMatrices:
     def test_unit_function_is_identity_block(self, trivial):
         module = make_module(trivial)
         x = LoopElem.t_part(2, trivial, (0, 0))
-        assert op_matrix(x, module, [(0, 0)], [(0, 0)]) == identity(module.d)
+        assert (op_matrix(acting(x), module, [(0, 0)], [(0, 0)])
+                == identity(module.d))
 
     def test_zero_mode_block_is_scalar(self, trivial):
         module = make_module(trivial)
         x = LoopElem.d_part(2, trivial, 1, (0, 0))
         m = (2, -1)
-        got = op_matrix(x, module, [m], [m])
+        got = op_matrix(acting(x), module, [m], [m])
         scal = GaussRat(2) + HALF
         want = [[scal if i == j else ZERO for j in range(module.d)]
                 for i in range(module.d)]
@@ -194,7 +179,7 @@ class TestOperatorMatrices:
     def test_shift_block_is_identity(self, trivial):
         module = make_module(trivial)
         x = LoopElem.t_part(2, trivial, (1, 1))
-        got = op_matrix(x, module, [(0, 0)], [(1, 1)])
+        got = op_matrix(acting(x), module, [(0, 0)], [(1, 1)])
         assert got == identity(module.d)
 
     def test_coefficient_factors_through_evaluation(self, polyquot):
@@ -205,8 +190,8 @@ class TestOperatorMatrices:
         xb = LoopElem.d_vec(2, polyquot, u, (1, 0), x)
         x1 = LoopElem.d_vec(2, polyquot, u, (1, 0))
         src, dst = [(0, 0)], [(1, 0)]
-        got = op_matrix(xb, module, src, dst)
-        base = op_matrix(x1, module, src, dst)
+        got = op_matrix(acting(xb), module, src, dst)
+        base = op_matrix(acting(x1), module, src, dst)
         want = [[GaussRat(2) * v for v in row] for row in base]
         assert got == want
 
@@ -214,4 +199,25 @@ class TestOperatorMatrices:
         module = make_module(trivial)
         x = LoopElem.t_part(2, trivial, (1, 0))
         with pytest.raises(OutOfWindowError):
-            op_matrix(x, module, [(0, 0)], [(0, 0)])
+            op_matrix(acting(x), module, [(0, 0)], [(0, 0)])
+
+    def test_default_destination_is_sorted_image_support(self, trivial):
+        module = make_module(trivial)
+        x = (LoopElem.t_part(2, trivial, (1, 0))
+             + LoopElem.t_part(2, trivial, (-1, 0)))
+        got = op_matrix(acting(x), module, [(0, 0)])
+        # rows: slice (-1, 0) first, then (1, 0)
+        assert got == identity(module.d) + identity(module.d)
+        assert op_matrix(lambda v: v - v, module, [(0, 0)]) == []
+
+    def test_columns_follow_source_slice_order(self, trivial):
+        module = make_module(trivial)
+        x = LoopElem.t_part(2, trivial, (0, 1))
+        got = op_matrix(acting(x), module, [(0, 0), (1, 0)],
+                        [(1, 1), (0, 1)])
+        d = module.d
+        for row in range(2 * d):
+            for col in range(2 * d):
+                # (0,0) -> (0,1) is the second dst block, (1,0) -> (1,1) the first
+                want = 1 if (row + d) % (2 * d) == col else 0
+                assert got[row][col] == GaussRat(want)
