@@ -8,7 +8,9 @@ Subcommands:
 * module-info -- weight table of the truncated tensor-field module
 * export      -- write every suite report as JSON into a directory
 
-Exit codes: 0 success, 1 suite failure, 2 configuration error.
+Exit codes: 0 success, 1 suite failure, 2 configuration error, 3
+internal error (an unexpected exception, reported on one stderr line, so
+that a crash never reads as a suite failure).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .suites import ConfigError, IdentityReport, RunConfig, run_suites
 EXIT_OK = 0
 EXIT_SUITE_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
+EXIT_INTERNAL_ERROR = 3
 
 
 def _load_config(path: Optional[str], seed: Optional[int]) -> RunConfig:
@@ -198,6 +201,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except Exception as exc:
+        msg = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {msg}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -97,9 +97,9 @@ class BPresentation:
         self.modulus = None
         self.eval_point = eval_point if eval_point is not None else ZERO
         if kind == "polyquot":
-            if modulus is None or len(modulus) < 2:
+            modulus = poly_trim(list(modulus or []))
+            if len(modulus) < 2:
                 raise ValueError("polyquot needs a modulus of degree >= 1")
-            modulus = poly_trim(list(modulus))
             if modulus[-1] != ONE:
                 raise ValueError("modulus must be monic")
             if poly_eval(modulus, self.eval_point):

@@ -23,11 +23,17 @@ DIM_CAP = 64
 SIZE_CAP = 6  # cap on |lambda|, the tensor power used
 
 
+def partition(mu: Sequence[int]) -> List[int]:
+    """Fundamental-weight coordinates mu as a partition lambda with
+    len(mu) + 1 parts; |lambda| is the tensor power V(mu) is built in."""
+    return [sum(mu[i:]) for i in range(len(mu))] + [0]
+
+
 def weyl_dim(mu: Sequence[int], n: int) -> int:
     """Dimension of V(mu) by the Weyl formula."""
     if len(mu) != n - 1 or any(m < 0 for m in mu):
         raise ValueError("mu must be n-1 nonnegative integers")
-    lam = [sum(mu[i:]) for i in range(n - 1)] + [0]
+    lam = partition(mu)
     out = Fraction(1)
     for i in range(n):
         for j in range(i + 1, n):
@@ -111,7 +117,7 @@ def build_irrep(mu: Sequence[int], c: GaussRat, n: int) -> Irrep:
     d_expected = weyl_dim(mu, n)
     if d_expected > DIM_CAP:
         raise ValueError(f"dimension {d_expected} exceeds cap {DIM_CAP}")
-    lam = [sum(mu[i:]) for i in range(n - 1)] + [0]
+    lam = partition(mu)
     k = sum(lam)
     if k > SIZE_CAP:
         raise ValueError(f"tensor power {k} exceeds cap {SIZE_CAP}")

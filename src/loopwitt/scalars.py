@@ -1,131 +1,186 @@
 """Exact Gaussian-rational scalars.
 
-A GaussRat is a + b*i with a, b Python Fractions, so all arithmetic is
-exact and equality is structural (Fraction already normalizes to lowest
-terms with positive denominator).  The string form used everywhere in
-configs and reports is "p/q" for real values and "p/q+r/s i" (or
-"p/q-r/s i") when the imaginary part is nonzero.
+A GaussRat is (a + b*i)/q for Python ints a, b and q, always kept in one
+canonical form: q > 0, gcd(a, b, q) = 1, and zero is (0, 0, 1).  So all
+arithmetic is exact integer arithmetic and equality is structural.
+Every result passes through ``_norm``, which skips the gcd when q = 1;
+sums over a common denominator and products with a real factor take
+shorter paths.  ``re`` and ``im`` read the parts back as Fractions.  The
+string form used everywhere in configs and reports is "p/q" for real
+values and "p/q+r/s i" (or "p/q-r/s i") when the imaginary part is
+nonzero, each part in lowest terms.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
+
+
+def _coerce(x):
+    cls = x.__class__
+    if cls is GaussRat:
+        return x
+    if cls is int:
+        return _norm(x, 0, 1)
+    if isinstance(x, (int, Fraction)):
+        return _norm(x.numerator, 0, x.denominator)
+    return NotImplemented
 
 
 class GaussRat:
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_q")
 
-    def __init__(self, re=0, im=0):
+    def __new__(cls, re=0, im=0):
+        if re.__class__ is int and im.__class__ is int:
+            return _norm(re, im, 1)
         if isinstance(re, float) or isinstance(im, float):
             raise TypeError("GaussRat parts must be exact, not float")
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        re, im = Fraction(re), Fraction(im)
+        return _norm(re.numerator * im.denominator,
+                     im.numerator * re.denominator,
+                     re.denominator * im.denominator)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRat is immutable")
 
-    @classmethod
-    def _new(cls, re: Fraction, im: Fraction) -> "GaussRat":
-        # fast internal constructor for parts that are already Fractions
-        out = object.__new__(cls)
-        object.__setattr__(out, "re", re)
-        object.__setattr__(out, "im", im)
-        return out
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._q)
 
-    # -- coercion -----------------------------------------------------
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._q)
 
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, GaussRat):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return GaussRat(x)
-        return NotImplemented
+    _coerce = staticmethod(_coerce)
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussRat._new(self.re + other.re, self.im + other.im)
+        if other.__class__ is not GaussRat:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        q, r = self._q, other._q
+        if q == r:
+            return _norm(self._a + other._a, self._b + other._b, q)
+        return _norm(self._a * r + other._a * q, self._b * r + other._b * q,
+                     q * r)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussRat._new(-self.re, -self.im)
+        return _norm(-self._a, -self._b, self._q)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussRat._new(self.re - other.re, self.im - other.im)
+        if other.__class__ is not GaussRat:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        q, r = self._q, other._q
+        if q == r:
+            return _norm(self._a - other._a, self._b - other._b, q)
+        return _norm(self._a * r - other._a * q, self._b * r - other._b * q,
+                     q * r)
 
     def __rsub__(self, other):
         return -self + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not self.im and not other.im:
-            return GaussRat._new(self.re * other.re, self.im)
-        return GaussRat._new(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if other.__class__ is not GaussRat:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b, c, d = self._a, self._b, other._a, other._b
+        if not d:
+            return _norm(a * c, b * c, self._q * other._q)
+        if not b:
+            return _norm(a * c, a * d, self._q * other._q)
+        return _norm(a * c - b * d, a * d + b * c, self._q * other._q)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussRat":
-        n = self.re * self.re + self.im * self.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero GaussRat")
-        return GaussRat._new(self.re / n, -self.im / n)
+        # q / (a + b i) = q (a - b i) / (a^2 + b^2)
+        a, b, q = self._a, self._b, self._q
+        if not b:
+            if not a:
+                raise ZeroDivisionError("division by zero GaussRat")
+            return _norm(q, 0, a) if a > 0 else _norm(-q, 0, -a)
+        return _norm(q * a, -q * b, a * a + b * b)
 
     def __truediv__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self.inverse()
 
     def conj(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
+        return _norm(self._a, -self._b, self._q)
 
     # -- comparison / hashing -----------------------------------------
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if other.__class__ is not GaussRat:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return (self._a == other._a and self._b == other._b
+                and self._q == other._q)
 
     def __hash__(self):
         # a real value hashes like the equal int or Fraction
-        return hash((self.re, self.im)) if self.im else hash(self.re)
+        return hash((self.re, self.im)) if self._b else hash(self.re)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self._a != 0 or self._b != 0
 
     def is_zero(self) -> bool:
-        return not self
+        return self._a == 0 and self._b == 0
 
     # -- formatting ---------------------------------------------------
 
     def __str__(self):
-        re_s = f"{self.re.numerator}/{self.re.denominator}"
-        if self.im == 0:
+        a, b, q = self._a, self._b, self._q
+        g = gcd(a, q)
+        re_s = f"{a // g}/{q // g}"
+        if not b:
             return re_s
-        sign = "+" if self.im >= 0 else "-"
-        a = abs(self.im)
-        return f"{re_s}{sign}{a.numerator}/{a.denominator} i"
+        g = gcd(b, q)
+        sign = "+" if b > 0 else "-"
+        return f"{re_s}{sign}{abs(b) // g}/{q // g} i"
 
     def __repr__(self):
         return f"GaussRat({self})"
+
+
+_new = object.__new__
+_set_a = GaussRat._a.__set__
+_set_b = GaussRat._b.__set__
+_set_q = GaussRat._q.__set__
+
+
+def _norm(a: int, b: int, q: int) -> GaussRat:
+    """GaussRat (a + b i)/q for q > 0, reduced to canonical form; every
+    GaussRat is made here."""
+    if q != 1:
+        g = gcd(a, b, q)
+        if g != 1:
+            a //= g
+            b //= g
+            q //= g
+    out = _new(GaussRat)
+    _set_a(out, a)
+    _set_b(out, b)
+    _set_q(out, q)
+    return out
 
 
 ZERO = GaussRat(0)

@@ -16,7 +16,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import opcheck
 from .coeff import BElem, BPresentation
-from .glnrep import build_irrep, burnside_dim, weyl_dim
+from .glnrep import (DIM_CAP, SIZE_CAP, build_irrep, burnside_dim,
+                     partition, weyl_dim)
 from .linalg import mat_is_zero
 from .loop import (LoopElem, diff_derivation_bracket_residual,
                    poly_derivation_bracket_residual)
@@ -40,6 +41,24 @@ SUITE_NAMES = [
     "irreducibility",
 ]
 
+# bound on |r_i| of every degree the module suites sample
+SHIFT_BOUND = 1
+
+# Smallest window radius each suite runs in.  module-axiom and
+# assoc-unital move a vector by two sampled degrees r and s, and the
+# operator suite composes two operators of such degrees, so each needs
+# room for |r_i| + |s_i| <= 2 * SHIFT_BOUND.  rank-one (n = 1 only)
+# reaches degree -4 in its commutation check and keeps its bound of 5.
+MIN_RADIUS = {
+    "bracket-soundness": 1,
+    "gl-relations": 1,
+    "module-axiom": 2 * SHIFT_BOUND,
+    "assoc-unital": 2 * SHIFT_BOUND,
+    "operator-suite": 2 * SHIFT_BOUND,
+    "rank-one": 5,
+    "irreducibility": 1,
+}
+
 
 @dataclass
 class RunConfig:
@@ -60,6 +79,14 @@ class RunConfig:
             raise ConfigError("mu must have length n-1")
         if any(m < 0 for m in self.mu):
             raise ConfigError("mu entries must be nonnegative")
+        d = weyl_dim(self.mu, self.n)
+        if d > DIM_CAP:
+            raise ConfigError(f"mu {list(self.mu)} gives dimension {d}, "
+                              f"above the cap {DIM_CAP}")
+        k = sum(partition(self.mu))
+        if k > SIZE_CAP:
+            raise ConfigError(f"mu {list(self.mu)} needs tensor power {k}, "
+                              f"above the cap {SIZE_CAP}")
         if not self.alpha:
             self.alpha = tuple(GaussRat(Fraction(1, 2)) for _ in range(self.n))
         if len(self.alpha) != self.n:
@@ -71,20 +98,19 @@ class RunConfig:
         for s in self.suites:
             if s not in SUITE_NAMES:
                 raise ConfigError(f"unknown suite {s!r}")
-        if "rank-one" in self.suites:
-            if self.n != 1:
-                raise ConfigError("rank-one suite requires n = 1")
-            if self.window_radius < 5:
-                raise ConfigError("rank-one suite requires window_radius >= 5")
+            if self.window_radius < MIN_RADIUS[s]:
+                raise ConfigError(f"{s} suite requires window_radius >= "
+                                  f"{MIN_RADIUS[s]}")
+        if "rank-one" in self.suites and self.n != 1:
+            raise ConfigError("rank-one suite requires n = 1")
         if self.cases_per_suite < 1:
             raise ConfigError("cases_per_suite must be >= 1")
 
     def default_suites(self) -> List[str]:
-        out = ["bracket-soundness", "gl-relations", "module-axiom",
-               "assoc-unital", "operator-suite", "irreducibility"]
-        if self.n == 1 and self.window_radius >= 5:
-            out.insert(5, "rank-one")
-        return out
+        """Every suite the rank and the window radius allow."""
+        return [s for s in SUITE_NAMES
+                if self.window_radius >= MIN_RADIUS[s]
+                and (s != "rank-one" or self.n == 1)]
 
     # -- serialization ------------------------------------------------
 
@@ -225,7 +251,8 @@ def sample_loop_elem(rng: random.Random, n: int, pres: BPresentation,
 
 def sample_homogeneous(rng: random.Random, n: int, pres: BPresentation,
                        pool: Sequence[BElem],
-                       bound: int = 1) -> Tuple[LoopElem, Tuple[int, ...]]:
+                       bound: int = SHIFT_BOUND
+                       ) -> Tuple[LoopElem, Tuple[int, ...]]:
     deg = sample_deg(rng, n, bound)
     b = sample_b(rng, pool)
     if rng.random() < 0.4:
@@ -339,8 +366,8 @@ def run_assoc_unital(cfg: RunConfig) -> IdentityReport:
     module = cfg.build_module()
     failures = []
     for case in range(cfg.cases_per_suite):
-        r = sample_deg(rng, cfg.n, 1)
-        s = sample_deg(rng, cfg.n, 1)
+        r = sample_deg(rng, cfg.n, SHIFT_BOUND)
+        s = sample_deg(rng, cfg.n, SHIFT_BOUND)
         b = sample_b(rng, pool)
         b2 = sample_b(rng, pool)
         margin = tuple(abs(a) + abs(c) for a, c in zip(r, s))
@@ -372,8 +399,8 @@ def run_operator_suite(cfg: RunConfig) -> IdentityReport:
     for case in range(cfg.cases_per_suite):
         u = sample_u(rng, cfg.n)
         v = sample_u(rng, cfg.n)
-        r = sample_deg(rng, cfg.n, 1)
-        s = sample_deg(rng, cfg.n, 1)
+        r = sample_deg(rng, cfg.n, SHIFT_BOUND)
+        s = sample_deg(rng, cfg.n, SHIFT_BOUND)
         b1, b2, b3, b4 = (sample_b(rng, pool) for _ in range(4))
         s1 = opcheck.OpSpec("product", u, r, b1, b2)
         s2 = opcheck.OpSpec("product", v, s, b3, b4)
@@ -402,7 +429,8 @@ def run_operator_suite(cfg: RunConfig) -> IdentityReport:
     sub_specs = []
     for _ in range(5):
         sub_specs.append(opcheck.OpSpec(
-            "evaluated", sample_u(rng, cfg.n), sample_deg(rng, cfg.n, 1),
+            "evaluated", sample_u(rng, cfg.n),
+            sample_deg(rng, cfg.n, SHIFT_BOUND),
             sample_b(rng, pool), sample_b(rng, pool)))
     for k, spec in enumerate(sub_specs):
         cases += 1

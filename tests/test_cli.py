@@ -1,9 +1,12 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from loopwitt.cli import (EXIT_CONFIG_ERROR, EXIT_OK, EXIT_SUITE_FAILURE,
-                          main)
+from loopwitt import suites
+from loopwitt.cli import (EXIT_CONFIG_ERROR, EXIT_INTERNAL_ERROR, EXIT_OK,
+                          EXIT_SUITE_FAILURE, main)
+from loopwitt.glnrep import DIM_CAP, SIZE_CAP
 
 
 def write_config(tmp_path, name="config.json", **over):
@@ -124,6 +127,8 @@ class TestVerifyAll:
         ({"alpha": "1/2"}, "'alpha' must be a JSON array"),
         ({"B": {"kind": "polyquot", "modulus": "1", "eval_point": "0"}},
          "'modulus' must be a JSON array"),
+        ({"B": {"kind": "polyquot", "modulus": ["0", "0"]}},
+         "modulus of degree >= 1"),
     ])
     def test_config_shape_errors_are_config_errors(self, tmp_path, capsys,
                                                    doc, message):
@@ -167,3 +172,104 @@ class TestExportAndDeterminism:
             return json.dumps(docs, sort_keys=True)
 
         assert run_once() == run_once()
+
+
+class TestConfigLimits:
+    def test_mu_above_size_cap_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, mu=[9], suites=["gl-relations"])
+        code = main(["verify-all", "--config", cfg])
+        assert code == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "tensor power 9" in err and f"cap {SIZE_CAP}" in err
+
+    def test_mu_above_dim_cap_is_config_error(self, tmp_path, capsys):
+        # the fourth exterior power of C^8: dimension 70, tensor power 4
+        cfg = write_config(tmp_path, n=8, mu=[0, 0, 0, 1, 0, 0, 0])
+        code = main(["irrep-info", "--config", cfg])
+        assert code == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "dimension 70" in err and f"cap {DIM_CAP}" in err
+
+    @pytest.mark.parametrize("suite",
+                             ["module-axiom", "assoc-unital", "operator-suite"])
+    def test_radius_below_suite_minimum_is_config_error(self, tmp_path,
+                                                        capsys, suite):
+        cfg = write_config(tmp_path, window_radius=1, suites=[suite],
+                           cases_per_suite=50)
+        code = main(["verify-all", "--config", cfg])
+        assert code == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert f"{suite} suite requires window_radius >= 2" in err
+
+    @pytest.mark.parametrize("suite",
+                             ["module-axiom", "assoc-unital", "operator-suite"])
+    def test_suite_runs_at_its_minimum_radius(self, tmp_path, capsys, suite):
+        cfg = write_config(tmp_path, window_radius=2, suites=[suite],
+                           cases_per_suite=3)
+        assert main(["verify-all", "--config", cfg]) == EXIT_OK
+
+    def test_default_suites_follow_the_radius(self, tmp_path, capsys):
+        path = tmp_path / "no-suites.json"
+        path.write_text(json.dumps({"n": 2, "mu": [1], "window_radius": 1,
+                                    "cases_per_suite": 2}))
+        code = main(["verify-all", "--config", str(path), "--json"])
+        assert code == EXIT_OK
+        docs = json.loads(capsys.readouterr().out)
+        assert [d["suite"] for d in docs] == [
+            "bracket-soundness", "gl-relations", "irreducibility"]
+
+
+class TestInternalErrors:
+    def test_crash_exits_3_without_traceback(self, tmp_path, capsys,
+                                             monkeypatch):
+        def broken(cfg):
+            raise RuntimeError("planted\nfault")
+
+        monkeypatch.setitem(suites.RUNNERS, "bracket-soundness", broken)
+        cfg = write_config(tmp_path)
+        code = main(["verify-all", "--config", cfg])
+        assert code == EXIT_INTERNAL_ERROR == 3
+        err = capsys.readouterr().err
+        assert err == "internal error: RuntimeError: planted fault\n"
+
+
+# random small config documents: every one must run or be rejected
+# up front, never crash
+_SCALARS = ["0", "1", "-1", "1/2", "3/2", "-2/3", "2", "i", "1/2-1/3 i",
+            "1/0", "x"]
+_B_DOCS = st.one_of(
+    st.just({"kind": "trivial"}),
+    st.fixed_dictionaries({"kind": st.just("polyquot")}, optional={
+        "modulus": st.lists(st.sampled_from(_SCALARS), max_size=4),
+        "eval_point": st.sampled_from(_SCALARS)}),
+    st.fixed_dictionaries({"kind": st.just("laurent")}, optional={
+        "eval_point": st.sampled_from(_SCALARS)}),
+    st.just({"kind": "cyclic"}),
+)
+_CONFIG_DOCS = st.fixed_dictionaries({
+    # kept small: a config without it runs 200 cases per suite
+    "cases_per_suite": st.integers(0, 2),
+}, optional={
+    "n": st.integers(-1, 2),
+    "mu": st.lists(st.integers(-1, 9), max_size=2),
+    "c": st.sampled_from(_SCALARS),
+    "alpha": st.lists(st.sampled_from(_SCALARS), max_size=3),
+    "B": _B_DOCS,
+    "window_radius": st.integers(0, 3),
+    "seed": st.integers(0, 10 ** 6),
+    "suites": st.lists(st.sampled_from(suites.SUITE_NAMES), max_size=3,
+                       unique=True),
+})
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_CONFIG_DOCS,
+       command=st.sampled_from(["verify-all", "module-info", "irrep-info"]))
+def test_config_fuzz_never_crashes(tmp_path, capsys, doc, command):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    code = main([command, "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code in (EXIT_OK, EXIT_SUITE_FAILURE, EXIT_CONFIG_ERROR), err
+    assert "Traceback" not in err

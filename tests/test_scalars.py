@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +10,43 @@ from loopwitt.scalars import GaussRat, I, ONE, ZERO, parse_gauss
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20)
 gauss = st.builds(GaussRat, rationals, rationals)
+
+# parts with numerators and denominators up to 10^30, so that the
+# big-integer path is exercised; zero parts (real and pure imaginary
+# values) and denominator 1 come up about half the time each
+BIG = 10 ** 30
+big_parts = st.builds(Fraction, st.just(0) | st.integers(-BIG, BIG),
+                      st.just(1) | st.integers(1, BIG))
+ref_pairs = st.tuples(big_parts, big_parts)
+
+
+def ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def ref_inverse(x):
+    n = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / n, -x[1] / n)
+
+
+def ref_str(x):
+    re_s = f"{x[0].numerator}/{x[0].denominator}"
+    if not x[1]:
+        return re_s
+    sign = "+" if x[1] > 0 else "-"
+    return f"{re_s}{sign}{abs(x[1]).numerator}/{x[1].denominator} i"
+
+
+def check(g, x):
+    """g is the canonical GaussRat of the Fraction pair x."""
+    assert (g.re, g.im) == x
+    assert type(g.re) is Fraction and type(g.im) is Fraction
+    a, b, q = g._a, g._b, g._q
+    assert q > 0 and gcd(a, b, q) == 1
+    if x == (0, 0):
+        assert (a, b, q) == (0, 0, 1)
+    assert str(g) == ref_str(x)
+    assert hash(g) == (hash(x) if x[1] else hash(x[0]))
 
 
 class TestArithmetic:
@@ -83,6 +121,68 @@ class TestArithmetic:
     def test_floats_rejected(self, re, im):
         with pytest.raises(TypeError):
             GaussRat(re, im)
+
+
+class TestAgainstFractionPairs:
+    """Differential tests: GaussRat against a pair of Fractions."""
+
+    @given(ref_pairs)
+    def test_construction_and_conj(self, x):
+        g = GaussRat(*x)
+        check(g, x)
+        check(g.conj(), (x[0], -x[1]))
+        check(-g, (-x[0], -x[1]))
+
+    @given(ref_pairs, ref_pairs)
+    def test_add_sub_mul(self, x, y):
+        g, h = GaussRat(*x), GaussRat(*y)
+        check(g + h, (x[0] + y[0], x[1] + y[1]))
+        check(g - h, (x[0] - y[0], x[1] - y[1]))
+        check(g * h, ref_mul(x, y))
+
+    @given(ref_pairs, ref_pairs)
+    def test_inverse_and_division(self, x, y):
+        g, h = GaussRat(*x), GaussRat(*y)
+        if any(y):
+            check(h.inverse(), ref_inverse(y))
+            check(g / h, ref_mul(x, ref_inverse(y)))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                h.inverse()
+
+    @given(ref_pairs, ref_pairs)
+    def test_equality(self, x, y):
+        g, h = GaussRat(*x), GaussRat(*y)
+        assert (g == h) == (x == y)
+        assert g == GaussRat(*x) and hash(g) == hash(GaussRat(*x))
+
+    @given(ref_pairs, big_parts, st.integers(-BIG, BIG))
+    def test_mixed_operands(self, x, f, k):
+        g = GaussRat(*x)
+        for c in (f, k):
+            check(g + c, (x[0] + c, x[1]))
+            check(c + g, (x[0] + c, x[1]))
+            check(g - c, (x[0] - c, x[1]))
+            check(c - g, (c - x[0], -x[1]))
+            check(g * c, (x[0] * c, x[1] * c))
+            check(c * g, (x[0] * c, x[1] * c))
+            assert (g == c) == (x == (c, 0))
+            if c:
+                check(g / c, (x[0] / c, x[1] / c))
+            if any(x):
+                check(c / g, (c * ref_inverse(x)[0], c * ref_inverse(x)[1]))
+
+    def test_zero_is_one_triple(self):
+        for z in (ZERO, GaussRat(Fraction(0, 7), 0), ONE - ONE,
+                  GaussRat(Fraction(1, 3)) - GaussRat(Fraction(1, 3)),
+                  I * 0, GaussRat(Fraction(2, 3), Fraction(5, 6)) * ZERO):
+            assert (z._a, z._b, z._q) == (0, 0, 1)
+
+    def test_common_factor_of_all_three_cancels(self):
+        # (1+i)/2 * (1+i) = 2i/2 = i: the gcd of the three entries, not
+        # the content of a + b i alone, is divided out
+        x = GaussRat(Fraction(1, 2), Fraction(1, 2)) * GaussRat(1, 1)
+        assert (x._a, x._b, x._q) == (0, 1, 1)
 
 
 class TestParsing:
