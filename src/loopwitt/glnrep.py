@@ -1,31 +1,32 @@
 """Finite dimensional irreducible gl(n) modules with explicit exact matrices.
 
-The module V(mu, c) is built inside a tensor power of the natural
-representation: convert the fundamental-weight coordinates mu to a
-partition, solve exactly for a singular vector of that weight, close
-under the lowering operators while maintaining an echelon basis with
-coordinate tracking, and read off every E_ij in the resulting basis.
-Finally the diagonal part is shifted so the identity matrix acts by the
-scalar c.  Everything stays in GaussRat arithmetic.
+The module V(mu, c) is built on its Gelfand-Tsetlin basis: one basis
+vector per pattern with top row lambda = partition(mu), the highest
+weight pattern first.  E_kk, E_k,k+1 and E_k+1,k act by the explicit
+rational formulas of Molev, "Gelfand-Tsetlin bases for classical Lie
+algebras" (arXiv:math/0211289, Thm 2.3); every other E_ij is a
+commutator of those.  Finally the diagonal part is shifted so the
+identity matrix acts by the scalar c.  Everything stays in GaussRat
+arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import prod
 from typing import List, Sequence, Tuple
 
 from .linalg import (Mat, SpanBasis, commutator, identity, mat_add, mat_mul,
                      mat_sub, mat_is_zero, zeros)
-from .scalars import GaussRat, ONE, ZERO
+from .scalars import GaussRat
 
 DIM_CAP = 64
-SIZE_CAP = 6  # cap on |lambda|, the tensor power used
 
 
 def partition(mu: Sequence[int]) -> List[int]:
     """Fundamental-weight coordinates mu as a partition lambda with
-    len(mu) + 1 parts; |lambda| is the tensor power V(mu) is built in."""
+    len(mu) + 1 parts, the top row of the Gelfand-Tsetlin patterns."""
     return [sum(mu[i:]) for i in range(len(mu))] + [0]
 
 
@@ -81,7 +82,7 @@ class Irrep:
     def weight_table(self) -> List[Tuple[Tuple[GaussRat, ...], int]]:
         """Joint diagonal eigenvalue tuples with multiplicities.
 
-        The construction basis consists of joint eigenvectors of the
+        The Gelfand-Tsetlin basis consists of joint eigenvectors of the
         E_ii, so the eigenvalues can be read off the diagonal matrices.
         """
         counts = {}
@@ -91,25 +92,34 @@ class Irrep:
         return sorted(counts.items(), key=lambda kv: [str(x) for x in kv[0]])
 
 
-def _tensor_basis(n: int, k: int) -> List[Tuple[int, ...]]:
-    return list(product(range(n), repeat=k))
+Pattern = Tuple[Tuple[int, ...], ...]
 
 
-def _apply_Eij(i: int, j: int, vec: List[GaussRat],
-               basis: List[Tuple[int, ...]], index: dict) -> List[GaussRat]:
-    """E_ij (0-based indices) acting on the k-fold tensor power of the
-    natural representation, summed over tensor factors."""
-    out = [ZERO] * len(vec)
-    for pos, c in enumerate(vec):
-        if not c:
-            continue
-        tup = basis[pos]
-        for slot, a in enumerate(tup):
-            if a == j:
-                target = tup[:slot] + (i,) + tup[slot + 1:]
-                t = index[target]
-                out[t] = out[t] + c
+def gt_patterns(lam: Sequence[int]) -> List[Pattern]:
+    """Gelfand-Tsetlin patterns with top row lam.  Row k (k = 1..n) of a
+    pattern p is p[k], with k entries; p[0] is the empty row.  Entries
+    interlace, lambda_k,i >= lambda_k-1,i >= lambda_k,i+1.  Patterns come
+    in decreasing lexicographic order of rows n-1, ..., 1, so the highest
+    weight pattern, whose rows are prefixes of lam, is first."""
+    out = []
+
+    def extend(rows):
+        top = rows[0]
+        if not top:
+            out.append(tuple(rows))
+            return
+        for row in product(*(range(top[i], top[i + 1] - 1, -1)
+                             for i in range(len(top) - 1))):
+            extend([row] + rows)
+
+    extend([tuple(lam)])
     return out
+
+
+def _moved(p: Pattern, k: int, i: int, step: int) -> Pattern:
+    row = list(p[k])
+    row[i] += step
+    return p[:k] + (tuple(row),) + p[k + 1:]
 
 
 def build_irrep(mu: Sequence[int], c: GaussRat, n: int) -> Irrep:
@@ -118,113 +128,48 @@ def build_irrep(mu: Sequence[int], c: GaussRat, n: int) -> Irrep:
     if d_expected > DIM_CAP:
         raise ValueError(f"dimension {d_expected} exceeds cap {DIM_CAP}")
     lam = partition(mu)
-    k = sum(lam)
-    if k > SIZE_CAP:
-        raise ValueError(f"tensor power {k} exceeds cap {SIZE_CAP}")
-
-    basis = _tensor_basis(n, k)
-    index = {tup: pos for pos, tup in enumerate(basis)}
-    N = len(basis)
-
-    def weight(tup: Tuple[int, ...]) -> List[int]:
-        w = [0] * n
-        for a in tup:
-            w[a] += 1
-        return w
-
-    # weight-lambda slots, in lexicographic tuple order
-    slots = [pos for pos, tup in enumerate(basis) if weight(tup) == lam]
-    if not slots:
-        raise AssertionError("empty weight space for the highest weight")
-
-    # rows of the raising-operator system restricted to the lambda slots
-    hw_coords = _solve_singular_vector(n, lam, basis, index, slots)
-    hw_vec = [ZERO] * N
-    for pos, coeff in zip(slots, hw_coords):
-        hw_vec[pos] = coeff
-
-    # close under lowering operators, tracking coordinates so the E_ij
-    # can be expressed in the generated (insertion-order) basis
-    span = SpanBasis(N, track_coords=True)
-    span.insert(hw_vec)
-    generated = [hw_vec]
-    frontier = [hw_vec]
-    while frontier:
-        new_frontier = []
-        for v in frontier:
-            for i in range(n - 1):
-                w = _apply_Eij(i + 1, i, v, basis, index)
-                if any(w) and span.insert(w):
-                    generated.append(w)
-                    new_frontier.append(w)
-        frontier = new_frontier
-    d = len(generated)
+    patterns = gt_patterns(lam)
+    d = len(patterns)
     if d != d_expected:
         raise AssertionError(
-            f"closure dimension {d} != Weyl dimension {d_expected}")
-
-    matrices: List[List[Mat]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            m = zeros(d, d)
-            for col, v in enumerate(generated):
-                w = _apply_Eij(i, j, v, basis, index)
-                coords = span.coords(w)
-                for row in range(d):
-                    m[row][col] = coords[row]
-            matrices[i][j] = m
+            f"{d} Gelfand-Tsetlin patterns != Weyl dimension {d_expected}")
+    index = {p: col for col, p in enumerate(patterns)}
 
     # make the identity matrix act by c instead of by |lambda|
-    shift = (GaussRat._coerce(c) - k) * GaussRat(Fraction(1, n))
-    for i in range(n):
-        for r in range(d):
-            matrices[i][i][r][r] = matrices[i][i][r][r] + shift
+    c = GaussRat._coerce(c)
+    shift = (c - sum(lam)) * GaussRat(Fraction(1, n))
+    E: List[List[Mat]] = [[None] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        E[k - 1][k - 1] = m = zeros(d, d)
+        for col, p in enumerate(patterns):
+            m[col][col] = GaussRat(sum(p[k]) - sum(p[k - 1])) + shift
 
-    return Irrep(n, mu, GaussRat._coerce(c), d, matrices, hw_index=0)
+    # Molev's formulas in l_ki = lambda_ki - i + 1 (here i is 0-based):
+    # E_k,k+1 moves lambda_ki up, E_k+1,k moves it down
+    for k in range(1, n):
+        up, down = zeros(d, d), zeros(d, d)
+        for col, p in enumerate(patterns):
+            l = [[x - i for i, x in enumerate(row)] for row in p]
+            for i, x in enumerate(l[k]):
+                den = prod(x - y for j, y in enumerate(l[k]) if j != i)
+                target = index.get(_moved(p, k, i, 1))
+                if target is not None:
+                    num = -prod(x - y for y in l[k + 1])
+                    up[target][col] = GaussRat(Fraction(num, den))
+                target = index.get(_moved(p, k, i, -1))
+                if target is not None:
+                    num = prod(x - y for y in l[k - 1])
+                    down[target][col] = GaussRat(Fraction(num, den))
+        E[k - 1][k], E[k][k - 1] = up, down
 
+    # E_ij = [E_i,j-1, E_j-1,j] for j > i+1, and its mirror for i > j+1
+    for gap in range(2, n):
+        for i in range(n - gap):
+            j = i + gap
+            E[i][j] = commutator(E[i][j - 1], E[j - 1][j])
+            E[j][i] = commutator(E[j][j - 1], E[j - 1][i])
 
-def _solve_singular_vector(n, lam, basis, index, slots) -> List[GaussRat]:
-    """Exact solution of E_{i,i+1} v = 0 on the lambda weight space; the
-    deterministic choice is the null-space vector whose leading free
-    coordinate comes first in lexicographic slot order."""
-    N = len(basis)
-    rows = []
-    for i in range(n - 1):
-        # image coordinates of E_{i,i+1} applied to each slot
-        images = []
-        support = set()
-        for pos in slots:
-            e = [ZERO] * N
-            e[pos] = ONE
-            img = _apply_Eij(i, i + 1, e, basis, index)
-            images.append(img)
-            support.update(p for p, x in enumerate(img) if x)
-        for p in sorted(support):
-            rows.append([img[p] for img in images])
-    if not rows:
-        return [ONE] + [ZERO] * (len(slots) - 1)
-
-    # null space via echelon form of the constraint matrix
-    m = len(slots)
-    span = SpanBasis(m)
-    for r in rows:
-        span.insert(r)
-    pivots = set(span.pivots)
-    free = [j for j in range(m) if j not in pivots]
-    if not free:
-        raise AssertionError("no singular vector in the weight space")
-    # back-substitute for the first free variable
-    f = free[0]
-    sol = [ZERO] * m
-    sol[f] = ONE
-    for row, piv in sorted(zip(span.rows, span.pivots),
-                           key=lambda rp: -rp[1]):
-        s = ZERO
-        for j in range(piv + 1, m):
-            if row[j] and sol[j]:
-                s = s + row[j] * sol[j]
-        sol[piv] = -s
-    return sol
+    return Irrep(n, mu, c, d, E, hw_index=0)
 
 
 def burnside_dim(mats: List[Mat]) -> int:

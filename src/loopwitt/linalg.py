@@ -64,81 +64,55 @@ def commutator(a: Mat, b: Mat) -> Mat:
 class SpanBasis:
     """Incremental echelon basis of a subspace of GaussRat^N.
 
-    Rows are kept in echelon form with leading coefficient 1.  With
-    ``track_coords`` every echelon row also records its expression in
-    the vectors inserted so far, so ``coords`` can express a member of
-    the span as a combination of the original insertions.
+    Rows are kept in echelon form with leading coefficient 1, in
+    insertion order; each row is zero at the pivots of the rows before
+    it.
     """
 
-    def __init__(self, length: int, track_coords: bool = False):
+    def __init__(self, length: int):
         self.length = length
         self.rows: List[Vec] = []
         self.pivots: List[int] = []
-        self.track = track_coords
-        self.combos: List[Vec] = []
-        self.n_inserted = 0
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, v: Vec):
+    def _reduce(self, v: Vec, coeffs: Optional[dict] = None) -> Vec:
+        """v minus the combination of the rows that clears every pivot;
+        each nonzero coefficient goes into coeffs, keyed by the pivot."""
         v = list(v)
-        combo = [ZERO] * self.n_inserted if self.track else None
-        for row, piv, rc in zip(self.rows, self.pivots, self.combos or [None] * len(self.rows)):
+        for row, piv in zip(self.rows, self.pivots):
             c = v[piv]
             if not c:
                 continue
+            if coeffs is not None:
+                coeffs[piv] = c
             for j in range(piv, self.length):
                 if row[j]:
                     v[j] = v[j] - c * row[j]
-            if combo is not None:
-                for j in range(len(rc)):
-                    if rc[j]:
-                        combo[j] = combo[j] - c * rc[j]
-        return v, combo
+        return v
 
     def insert(self, v: Sequence[GaussRat]) -> bool:
-        """Insert a vector; returns True if it enlarged the span.
-
-        With coordinate tracking, a dependent vector is not counted as
-        an insertion, so coordinate indices match the successfully
-        inserted vectors only.
-        """
-        if self.track:
-            self.n_inserted += 1
-            for c in self.combos:
-                c.append(ZERO)
-        red, combo = self._reduce(v)
+        """Insert a vector; returns True if it enlarged the span."""
+        red = self._reduce(v)
         piv = next((j for j, x in enumerate(red) if x), None)
         if piv is None:
-            if self.track:
-                self.n_inserted -= 1
-                for c in self.combos:
-                    c.pop()
             return False
         inv = red[piv].inverse()
-        red = [inv * x for x in red]
-        if self.track:
-            combo[self.n_inserted - 1] = combo[self.n_inserted - 1] + ONE
-            combo = [inv * x for x in combo]
-            self.combos.append(combo)
-        self.rows.append(red)
+        self.rows.append([inv * x for x in red])
         self.pivots.append(piv)
         return True
 
     def contains(self, v: Sequence[GaussRat]) -> bool:
-        red, _ = self._reduce(v)
-        return vec_is_zero(red)
+        return vec_is_zero(self._reduce(v))
 
     def coords(self, v: Sequence[GaussRat]) -> Vec:
-        """Express v in terms of the inserted vectors (requires tracking)."""
-        if not self.track:
-            raise ValueError("SpanBasis built without coordinate tracking")
-        red, combo = self._reduce(v)
-        if not vec_is_zero(red):
+        """Coordinates of v in the echelon rows."""
+        coeffs = {}
+        if not vec_is_zero(self._reduce(v, coeffs)):
             raise ValueError("vector is not in the span")
-        return [-c for c in combo]
+        return [coeffs.get(piv, ZERO) for piv in self.pivots]
 
 
 def rank(vectors: Iterable[Sequence[GaussRat]], length: Optional[int] = None) -> int:

@@ -45,6 +45,10 @@ class GaussRat:
     def __setattr__(self, name, value):
         raise AttributeError("GaussRat is immutable")
 
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the normaliser
+        return _norm, (self._a, self._b, self._q)
+
     @property
     def re(self) -> Fraction:
         return Fraction(self._a, self._q)

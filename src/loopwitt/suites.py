@@ -16,8 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import opcheck
 from .coeff import BElem, BPresentation
-from .glnrep import (DIM_CAP, SIZE_CAP, build_irrep, burnside_dim,
-                     partition, weyl_dim)
+from .glnrep import DIM_CAP, build_irrep, burnside_dim, weyl_dim
 from .linalg import mat_is_zero
 from .loop import (LoopElem, diff_derivation_bracket_residual,
                    poly_derivation_bracket_residual)
@@ -83,10 +82,6 @@ class RunConfig:
         if d > DIM_CAP:
             raise ConfigError(f"mu {list(self.mu)} gives dimension {d}, "
                               f"above the cap {DIM_CAP}")
-        k = sum(partition(self.mu))
-        if k > SIZE_CAP:
-            raise ConfigError(f"mu {list(self.mu)} needs tensor power {k}, "
-                              f"above the cap {SIZE_CAP}")
         if not self.alpha:
             self.alpha = tuple(GaussRat(Fraction(1, 2)) for _ in range(self.n))
         if len(self.alpha) != self.n:

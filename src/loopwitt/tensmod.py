@@ -34,15 +34,19 @@ class Window:
         self.radius = radius
 
     def contains(self, m: Sequence[int], margin=0) -> bool:
-        margins = [margin] * self.n if isinstance(margin, int) else list(margin)
-        return all(abs(mi) <= self.radius - g for mi, g in zip(m, margins))
+        """|m_i| <= radius - margin_i, for an int margin or one per axis."""
+        if isinstance(margin, int):
+            return max(map(abs, m), default=0) <= self.radius - margin
+        return all(abs(mi) <= self.radius - g for mi, g in zip(m, margin))
 
     def slices(self) -> List[Degree]:
-        rng = range(-self.radius, self.radius + 1)
-        return [tuple(m) for m in product(rng, repeat=self.n)]
+        return self.interior(0)
 
     def interior(self, margin) -> List[Degree]:
-        return [m for m in self.slices() if self.contains(m, margin)]
+        """The slices contains(m, margin) accepts, in lexicographic order."""
+        margins = [margin] * self.n if isinstance(margin, int) else margin
+        R = self.radius
+        return list(product(*(range(-R + g, R - g + 1) for g in margins)))
 
 
 class TensorModule:

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from loopwitt import suites
 from loopwitt.cli import (EXIT_CONFIG_ERROR, EXIT_INTERNAL_ERROR, EXIT_OK,
                           EXIT_SUITE_FAILURE, main)
-from loopwitt.glnrep import DIM_CAP, SIZE_CAP
+from loopwitt.glnrep import DIM_CAP
 
 
 def write_config(tmp_path, name="config.json", **over):
@@ -175,12 +175,11 @@ class TestExportAndDeterminism:
 
 
 class TestConfigLimits:
-    def test_mu_above_size_cap_is_config_error(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, mu=[9], suites=["gl-relations"])
-        code = main(["verify-all", "--config", cfg])
-        assert code == EXIT_CONFIG_ERROR
-        err = capsys.readouterr().err
-        assert "tensor power 9" in err and f"cap {SIZE_CAP}" in err
+    def test_mu_with_large_partition_runs(self, tmp_path, capsys):
+        # |lambda| = 9, d = 10: only the dimension is capped
+        cfg = write_config(tmp_path, mu=[9])
+        assert main(["verify-all", "--config", cfg,
+                     "--suite", "gl-relations"]) == EXIT_OK
 
     def test_mu_above_dim_cap_is_config_error(self, tmp_path, capsys):
         # the fourth exterior power of C^8: dimension 70, tensor power 4

@@ -3,7 +3,8 @@ from itertools import permutations, product
 
 import pytest
 
-from loopwitt.glnrep import build_irrep, burnside_dim, weyl_dim
+from loopwitt.glnrep import (build_irrep, burnside_dim, gt_patterns,
+                             partition, weyl_dim)
 from loopwitt.linalg import identity, mat_is_zero, mat_mul
 from loopwitt.scalars import GaussRat, ONE, ZERO
 
@@ -109,9 +110,37 @@ class TestConstruction:
             for p in permutations(w):
                 assert table.get(tuple(p)) == mult
 
-    def test_size_cap_enforced(self):
-        with pytest.raises(ValueError):
-            build_irrep((7,), GaussRat(0), 2)
+    def test_highest_weight_column_has_shifted_weight(self, built):
+        # E_ii v_hw = (lambda_i + (c - |lambda|)/n) v_hw
+        for (mu, n, _), rep in built.items():
+            lam = partition(mu)
+            shift = (rep.c - sum(lam)) * GaussRat(Fraction(1, n))
+            for i in range(1, n + 1):
+                assert rep.E(i, i)[rep.hw_index][rep.hw_index] == \
+                    lam[i - 1] + shift
+
+    def test_gelfand_tsetlin_patterns(self):
+        # V(2) of gl(2): the patterns (2,0 / 2), (2,0 / 1), (2,0 / 0)
+        assert gt_patterns([2, 0]) == [((), (2,), (2, 0)),
+                                       ((), (1,), (2, 0)),
+                                       ((), (0,), (2, 0))]
+        assert len(gt_patterns([2, 1, 0])) == 8
+        assert gt_patterns([2, 1, 0])[0] == ((), (2,), (2, 1), (2, 1, 0))
+
+
+SMALL_MODULES = [(mu, n) for n in range(1, 5)
+                 for mu in product(range(15), repeat=n - 1)
+                 if weyl_dim(mu, n) <= 15]
+
+
+@pytest.mark.parametrize("mu,n", SMALL_MODULES,
+                         ids=[f"n{n}-mu{list(mu)}" for mu, n in SMALL_MODULES])
+def test_every_small_module(mu, n):
+    rep = build_irrep(mu, GaussRat(Fraction(3, 2), 1), n)
+    assert rep.d == weyl_dim(mu, n)
+    assert rep.all_relations_hold()
+    mats = [rep.E(i, j) for i, j in product(range(1, n + 1), repeat=2)]
+    assert burnside_dim(mats) == rep.d ** 2
 
 
 class TestBurnside:

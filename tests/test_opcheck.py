@@ -236,11 +236,27 @@ BRACKET_CHECKS = {"product-bracket", "reduced-bracket", "evaluated-bracket",
                   "product-to-reduced", "scaled-product-bracket"}
 
 
+def suite_failures(suite, n, mu, **over):
+    """Checks failing in one suite run at seed 42 with 6 cases."""
+    from loopwitt.suites import RUNNERS, RunConfig
+    cfg = RunConfig(n=n, mu=mu, seed=42, cases_per_suite=6, suites=(suite,),
+                    **over)
+    return {f["check"] for f in RUNNERS[suite](cfg).failures}
+
+
 def operator_suite_failures(n, mu, pres):
-    from loopwitt.suites import RunConfig, run_operator_suite
-    cfg = RunConfig(n=n, mu=mu, bpres=pres, seed=42, cases_per_suite=6,
-                    suites=("operator-suite",))
-    return {f["check"] for f in run_operator_suite(cfg).failures}
+    return suite_failures("operator-suite", n, mu, bpres=pres)
+
+
+def drop_e_terms(monkeypatch, keep_diagonal):
+    """Plant a defect in act's sum_ij u_i r_j E_ji term: act reads E_ji
+    through Irrep.E, and no other reader runs in the suites below."""
+    from loopwitt.glnrep import Irrep
+    from loopwitt.linalg import zeros
+    E = Irrep.E
+    monkeypatch.setattr(
+        Irrep, "E", lambda self, i, j: E(self, i, j)
+        if keep_diagonal and i == j else zeros(self.d, self.d))
 
 
 class TestNegativeControls:
@@ -269,3 +285,44 @@ class TestNegativeControls:
 
     def test_clean_run_has_no_failures(self, trivial):
         assert operator_suite_failures(3, (1, 0), trivial) == set()
+
+    def test_dropped_off_diagonal_e_terms_fail(self, monkeypatch):
+        # the diagonal part of a gl(n) representation is not one
+        drop_e_terms(monkeypatch, keep_diagonal=True)
+        assert suite_failures("module-axiom", 3, (1, 0)) == {"module-axiom"}
+        assert BRACKET_CHECKS <= suite_failures("operator-suite", 3, (1, 0))
+
+    def test_dropped_e_terms_fail_irreducibility_and_rank_one(self,
+                                                              monkeypatch):
+        # with every E_ji term gone the action is that of the density
+        # module tensored with the trivial module C^d: still a module, so
+        # module-axiom and operator-suite pass, but it is reducible and
+        # the identity no longer acts by c
+        drop_e_terms(monkeypatch, keep_diagonal=False)
+        assert suite_failures("module-axiom", 3, (1, 0)) == set()
+        assert suite_failures("operator-suite", 3, (1, 0)) == set()
+        assert suite_failures("irreducibility", 2, (1,)) == {
+            "bottom-slice-burnside"}
+        assert suite_failures("rank-one", 1, (), window_radius=5) == {
+            "scalar-shift"}
+
+    def test_diagonal_shift_off_by_one_over_n_fails_identity_scalar(
+            self, monkeypatch):
+        # adding 1/n to every diagonal entry of E_11..E_nn keeps every
+        # commutation relation, the dimension, Burnside and the highest
+        # weight; only the identity then acts by c + 1
+        from loopwitt import suites
+        build = suites.build_irrep
+
+        def shifted(mu, c, n):
+            rep = build(mu, c, n)
+            for i in range(1, n + 1):
+                m = rep.E(i, i)
+                for k in range(rep.d):
+                    m[k][k] = m[k][k] + GaussRat(Fraction(1, n))
+            return rep
+
+        monkeypatch.setattr(suites, "build_irrep", shifted)
+        for n, mu in ((1, ()), (2, (1,)), (3, (1, 1))):
+            assert suite_failures("gl-relations", n, mu) == {
+                "identity-scalar"}

@@ -1,0 +1,134 @@
+"""Reports pinned by sha256 digest.
+
+A refactor must leave the reports byte-identical, with only `wall_time`
+stripped.  The digests below pin the CLI output at seed 42:
+
+* `verify-all --json` (default suites, 5 cases) and `module-info --json`
+  on the 9-config grid n in {1, 2, 3} x {trivial, polyquot (x-2)^3 @ 2,
+  laurent @ 3};
+* `irrep-info --json` (no `--matrices`, so basis-independent) for the
+  five modules of the gl-build benchmark workload, with c = 3/2.
+
+They were computed with the tensor-power construction of `build_irrep`,
+before it was replaced by the Gelfand-Tsetlin one.  To print the
+digests of the current code: `python3 tests/test_reports_pinned.py`.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+
+import pytest
+
+from loopwitt.cli import main
+
+GRID_MU = {1: [], 2: [1], 3: [1, 0]}
+B_SPECS = {
+    "trivial": {"kind": "trivial"},
+    "polyquot": {"kind": "polyquot",
+                 "modulus": ["-8/1", "12/1", "-6/1", "1/1"],
+                 "eval_point": "2/1"},
+    "laurent": {"kind": "laurent", "eval_point": "3/1"},
+}
+GL_BUILD_MODULES = [(3, [2, 2]), (3, [4, 1]), (4, [2, 1, 0]),
+                    (4, [1, 1, 1]), (5, [1, 1, 0, 0])]
+
+
+def _calls():
+    """name -> (CLI arguments without --config, config document)."""
+    out = {}
+    for n in GRID_MU:
+        for kind, b in B_SPECS.items():
+            doc = {"n": n, "mu": GRID_MU[n], "B": b, "seed": 42,
+                   "cases_per_suite": 5}
+            out[f"verify-all/{n}/{kind}"] = (["verify-all", "--json"], doc)
+            out[f"module-info/{n}/{kind}"] = (["module-info", "--json"], doc)
+    for n, mu in GL_BUILD_MODULES:
+        out[f"irrep-info/{n}/{mu}"] = (["irrep-info", "--json"],
+                                       {"n": n, "mu": mu, "c": "3/2"})
+    return out
+
+
+CALLS = _calls()
+
+
+def report_digest(args, doc, tmp_dir) -> str:
+    path = tmp_dir / "config.json"
+    path.write_text(json.dumps(doc))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(args + ["--config", str(path)])
+    assert code == 0
+    text = buf.getvalue()
+    if args[0] == "verify-all":
+        body = [{k: v for k, v in r.items() if k != "wall_time"}
+                for r in json.loads(text)]
+        text = json.dumps(body, sort_keys=True, indent=2)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+PINNED = {
+    "irrep-info/3/[2, 2]":
+        "9989c5981f19a769227aeb9a5dc1987117fb46ba5eec6fb1f6c97bfd25d9a731",
+    "irrep-info/3/[4, 1]":
+        "245e622ee8ad4f89cdd730183564ad4d721d9172d514d03194458610ae2952e1",
+    "irrep-info/4/[1, 1, 1]":
+        "8e21b2752efd58baccdc9f154a387d31dcbc7c318fe9e2fd83ade6f5af2ffa92",
+    "irrep-info/4/[2, 1, 0]":
+        "c071819e4591785b02e70172a4b563ffe26b03754c5b6e12d540df780470601a",
+    "irrep-info/5/[1, 1, 0, 0]":
+        "6e4a8690f7e481135c63c237a65f0350f884aaf460ed7786b16cb1721700122d",
+    "module-info/1/laurent":
+        "b331ee1d575ab40bb858a2858afd07bd3eadb5b6b1028704daabe8517231fbe8",
+    "module-info/1/polyquot":
+        "9b8f0454d4898e9c1be76e07526bef235d84ff8d2ce5c058198c77e118ac3b3d",
+    "module-info/1/trivial":
+        "b6ad4988875566ed0ab76b6c07a81e155696ddfb89ede90d0aa1cf13f7a7e1cf",
+    "module-info/2/laurent":
+        "f9e78be677823f29f5dc6c7324993416ab326c69e68c4cda8cce6287f9db8ba2",
+    "module-info/2/polyquot":
+        "3ea4401475e0eaaeba946f46221eb434fc9abc8db22e05290e69540338f5597a",
+    "module-info/2/trivial":
+        "c0e19f7d1e4ce88bdbc2df56d197369dcdf857427c1be1c6e487593dccc2fc92",
+    "module-info/3/laurent":
+        "a06fb3adfa5097c0bb480a3216abf6c13c2488a3db60c9b51d76010a448af05b",
+    "module-info/3/polyquot":
+        "373956fd803e3beaa3e4b59aa0c61038f18b96e033eb19138ca65b1690770141",
+    "module-info/3/trivial":
+        "eac7088eacf2e2ba6b4737c97ed6474ec7b93465a1dbc99fd7826b198ec69759",
+    "verify-all/1/laurent":
+        "8347a7c294a516692352a0d7dafd0ad8ef3c72fe4c9fa68ebdc3028e32a52708",
+    "verify-all/1/polyquot":
+        "5a2a7e38ffaaa827e3eb48261e495a9baa83e40eb3f8f42c1e78e39fd3923888",
+    "verify-all/1/trivial":
+        "b48e68a42f11a6f8f304084be18774f40e9e2a46d5c2850c26aa3783e63df28c",
+    "verify-all/2/laurent":
+        "3e803a06e7f12817bab05e464be6b8c8dae6f34127c7723cd2296a61cbcfc6e9",
+    "verify-all/2/polyquot":
+        "7799d548d9be683e6a9808b3100f2007730e9c3662a2523b2f2d9d2514459d85",
+    "verify-all/2/trivial":
+        "5860391e8e535d562c05f34a1d01cf6f7d3fe94049908625a024e41b516b82bf",
+    "verify-all/3/laurent":
+        "13b5358efa3a9590faeac7ce643fdb919e042517a2964afa08e8fc1a2678e7fc",
+    "verify-all/3/polyquot":
+        "9842418bf5896b7a1cb96b0ceb765ba2bd16de3cde8480b3d2cce65c6d30956e",
+    "verify-all/3/trivial":
+        "ca41e93597e5b2772682a6bc5801d4404cf140fbb18097d5c40517cf3763393e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_report_matches_pinned_digest(name, tmp_path):
+    args, doc = CALLS[name]
+    assert report_digest(args, doc, tmp_path) == PINNED[name]
+
+
+if __name__ == "__main__":
+    import tempfile
+    from pathlib import Path
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(CALLS):
+            digest = report_digest(*CALLS[name], Path(tmp))
+            print(f'    "{name}":\n        "{digest}",', file=sys.stdout)

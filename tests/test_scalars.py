@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from math import gcd
 
@@ -121,6 +123,19 @@ class TestArithmetic:
     def test_floats_rejected(self, re, im):
         with pytest.raises(TypeError):
             GaussRat(re, im)
+
+    @pytest.mark.parametrize("value", [
+        ZERO, GaussRat(-7), GaussRat(Fraction(3, 4)), I,
+        GaussRat(Fraction(-5, 6), Fraction(7, 4)),
+        GaussRat(Fraction(BIG + 1, 3), BIG)])
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy,
+        lambda x: pickle.loads(pickle.dumps(x))],
+        ids=["copy", "deepcopy", "pickle"])
+    def test_copy_and_pickle(self, value, clone):
+        got = clone(value)
+        assert got == value and hash(got) == hash(value)
+        assert str(got) == str(value)
 
 
 class TestAgainstFractionPairs:
