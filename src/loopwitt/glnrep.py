@@ -8,6 +8,10 @@ algebras" (arXiv:math/0211289, Thm 2.3); every other E_ij is a
 commutator of those.  Finally the diagonal part is shifted so the
 identity matrix acts by the scalar c.  Everything stays in GaussRat
 arithmetic.
+
+Irreducibility is certified by Norton's test, `norton_irreducible`,
+O(g d^3) for g generators; when it does not decide, the Burnside
+closure `burnside_dim`, O(g d^6), gives the dimension of the algebra.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from math import prod
 from typing import List, Sequence, Tuple
 
 from .linalg import (Mat, SpanBasis, commutator, identity, mat_add, mat_mul,
-                     mat_sub, mat_is_zero, zeros)
+                     mat_sub, mat_is_zero, null_space, spin, transpose,
+                     zeros)
 from .scalars import GaussRat
 
 DIM_CAP = 64
@@ -203,3 +208,43 @@ def burnside_dim(mats: List[Mat]) -> int:
                     new_frontier.append(p)
         frontier = new_frontier
     return span.dim
+
+
+def highest_weight_theta(diagonals: Sequence[Mat], hw: int) -> Mat:
+    """Norton's theta for a highest weight module, from the matrices by
+    which E_11, ..., E_nn act, each up to an added scalar:
+    sum_i (n - i) E_ii minus its diagonal entry at the highest weight
+    vector hw times I.  Every positive root e_i - e_j (i < j) pairs to
+    j - i > 0 with (n - 1, ..., 0), so on V(mu) the highest weight is the
+    unique maximiser and ker theta is the one-dimensional highest weight
+    space.  theta lies in the unital algebra the diagonals generate."""
+    n, d = len(diagonals), len(diagonals[0])
+    theta = zeros(d, d)
+    for i, m in enumerate(diagonals):
+        w = GaussRat(n - 1 - i)
+        theta = mat_add(theta, [[w * x for x in row] for row in m])
+    top = theta[hw][hw]
+    for k in range(d):
+        theta[k][k] = theta[k][k] - top
+    return theta
+
+
+def norton_irreducible(mats: List[Mat], theta: Mat) -> bool:
+    """Norton's irreducibility test (Parker 1984; Holt and Rees, "Testing
+    modules for irreducibility", 1994), for theta in the unital algebra A
+    generated by mats.
+
+    True proves that A is all of M_d(Q(i)), i.e. burnside_dim(mats) ==
+    d^2: ker theta is one-dimensional, spanned by v; v spins to the whole
+    space under mats; and a kernel vector of theta^T spins to the whole
+    space under the transposes.  A nonzero proper submodule U either
+    meets ker theta, and then contains v, or theta is invertible on U,
+    and then the annihilator of U in the dual meets ker theta^T.  The
+    endomorphism division algebra acts on the one-dimensional ker theta,
+    so it is Q(i).  False decides nothing."""
+    d = len(theta)
+    kernel = null_space(theta)
+    if len(kernel) != 1 or spin(kernel[0], mats).dim != d:
+        return False
+    [co_vector] = null_space(transpose(theta))
+    return spin(co_vector, [transpose(m) for m in mats]).dim == d

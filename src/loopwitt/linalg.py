@@ -49,6 +49,21 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return out
 
 
+def mat_vec(a: Mat, v: Sequence[GaussRat]) -> Vec:
+    out = []
+    for row in a:
+        acc = ZERO
+        for x, y in zip(row, v):
+            if x and y:
+                acc = acc + x * y
+        out.append(acc)
+    return out
+
+
+def transpose(a: Mat) -> Mat:
+    return [list(col) for col in zip(*a)]
+
+
 def mat_is_zero(a: Mat) -> bool:
     return all(not x for row in a for x in row)
 
@@ -113,6 +128,37 @@ class SpanBasis:
         if not vec_is_zero(self._reduce(v, coeffs)):
             raise ValueError("vector is not in the span")
         return [coeffs.get(piv, ZERO) for piv in self.pivots]
+
+
+def null_space(a: Mat) -> List[Vec]:
+    """A basis of {x : a x = 0}.
+
+    Column j of a, followed by the unit vector e_j, goes into one
+    SpanBasis.  An echelon row whose pivot falls in the unit part is
+    sum_j x_j (column j, e_j) with a x = 0, so its unit part is a kernel
+    vector; there are as many such rows as columns minus the rank."""
+    m = len(a)
+    cols = len(a[0]) if a else 0
+    span = SpanBasis(m + cols)
+    for j in range(cols):
+        unit = [ZERO] * cols
+        unit[j] = ONE
+        span.insert([row[j] for row in a] + unit)
+    return [row[m:] for row, piv in zip(span.rows, span.pivots) if piv >= m]
+
+
+def spin(v: Sequence[GaussRat], mats: Sequence[Mat]) -> SpanBasis:
+    """The smallest subspace that contains v and is invariant under every
+    matrix of mats; the search stops once it fills the whole space."""
+    span = SpanBasis(len(v))
+    frontier = [v] if span.insert(v) else []
+    while frontier and span.dim < span.length:
+        w = frontier.pop()
+        for m in mats:
+            image = mat_vec(m, w)
+            if span.insert(image):
+                frontier.append(image)
+    return span
 
 
 def rank(vectors: Iterable[Sequence[GaussRat]], length: Optional[int] = None) -> int:

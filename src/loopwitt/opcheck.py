@@ -20,8 +20,8 @@ from operator import mul
 from typing import List, Sequence, Tuple
 
 from .coeff import BElem
-from .glnrep import burnside_dim
-from .linalg import Mat, SpanBasis
+from .glnrep import burnside_dim, highest_weight_theta, norton_irreducible
+from .linalg import Mat, SpanBasis, zeros
 from .loop import (Degree, LoopElem, _add_deg, diff_derivation,
                    poly_derivation)
 from .scalars import GaussRat, ONE, ZERO
@@ -270,10 +270,25 @@ def quotient_intertwining_check(specs: Sequence[OpSpec],
 def bottom_slice_algebra_dim(module: TensorModule,
                              specs: Sequence[OpSpec]) -> int:
     """Burnside dimension of the algebra generated by weight-preserving
-    product operators on the bottom slice; equals d^2 iff irreducible."""
-    zero = [(0,) * module.n]
+    product operators on the bottom slice; equals d^2 iff irreducible.
+
+    Norton's test decides the d^2 case first.  On the bottom slice
+    P(e_i, e_i, 1, 1) acts as alpha_i I + E_ii, so theta is built from
+    those generator matrices, never from the irrep, and lies in the
+    generated algebra; a generator missing from specs counts as zero."""
+    n, d = module.n, module.d
+    zero = [(0,) * n]
     mats = [op_matrix(as_operator(spec, module), module, zero, zero)
             for spec in specs]
+    by_shift = {(spec.u, spec.r): m for spec, m in zip(specs, mats)}
+    diagonals = []
+    for i in range(n):
+        r = tuple(int(t == i) for t in range(n))
+        diagonals.append(by_shift.get((tuple(map(GaussRat, r)), r),
+                                      zeros(d, d)))
+    theta = highest_weight_theta(diagonals, module.rep.hw_index)
+    if norton_irreducible(mats, theta):
+        return d * d
     return burnside_dim(mats)
 
 

@@ -16,7 +16,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import opcheck
 from .coeff import BElem, BPresentation
-from .glnrep import DIM_CAP, build_irrep, burnside_dim, weyl_dim
+from .glnrep import (DIM_CAP, build_irrep, burnside_dim, highest_weight_theta,
+                     norton_irreducible, weyl_dim)
 from .linalg import mat_is_zero
 from .loop import (LoopElem, diff_derivation_bracket_residual,
                    poly_derivation_bracket_residual)
@@ -321,7 +322,10 @@ def run_gl_relations(cfg: RunConfig) -> IdentityReport:
     if tp != want:
         failures.append({"check": "identity-scalar"})
     cases += 1
-    bd = burnside_dim([rep.E(i, j) for i in rng4 for j in rng4])
+    mats = [rep.E(i, j) for i in rng4 for j in rng4]
+    theta = highest_weight_theta([rep.E(i, i) for i in rng4], rep.hw_index)
+    bd = (rep.d * rep.d if norton_irreducible(mats, theta)
+          else burnside_dim(mats))
     if bd != rep.d * rep.d:
         failures.append({"check": "burnside", "got": bd,
                          "want": rep.d * rep.d})
@@ -480,16 +484,9 @@ def run_irreducibility(cfg: RunConfig) -> IdentityReport:
     module = cfg.build_module()
     specs = opcheck.default_irreducibility_specs(module)
     dim = opcheck.bottom_slice_algebra_dim(module, specs)
-    generic = all(a.re.denominator != 1 or a.im for a in module.alpha)
     if dim != module.d ** 2:
-        entry = {"check": "bottom-slice-burnside", "got": dim,
-                 "want": module.d ** 2}
-        if generic:
-            failures.append(entry)
-        else:
-            # integral alpha may genuinely reduce the algebra; reported,
-            # not failed
-            entry["note"] = "non-generic alpha"
+        failures.append({"check": "bottom-slice-burnside", "got": dim,
+                         "want": module.d ** 2})
     return IdentityReport("irreducibility", cfg.to_dict(), 1, failures,
                           cfg.seed, time.perf_counter() - t0)
 

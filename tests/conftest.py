@@ -53,3 +53,19 @@ def any_pres(request):
     if request.param == "polyquot":
         return make_polyquot_cube()
     return make_laurent()
+
+
+def direct_sum_irrep(a, b):
+    """The block-diagonal gl(n) module a (+) b, labelled like a; its
+    highest weight vector is a's."""
+    from loopwitt.glnrep import Irrep
+    from loopwitt.linalg import zeros
+    n, d = a.n, a.d + b.d
+    E = [[zeros(d, d) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for r, row in enumerate(a.E(i + 1, j + 1)):
+                E[i][j][r][:a.d] = row
+            for r, row in enumerate(b.E(i + 1, j + 1)):
+                E[i][j][a.d + r][a.d:] = row
+    return Irrep(n, a.mu, a.c, d, E, a.hw_index)

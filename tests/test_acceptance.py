@@ -5,7 +5,7 @@ every scalar involved is a Gaussian rational."""
 import json
 import time
 
-from loopwitt.glnrep import build_irrep
+from loopwitt.glnrep import DIM_CAP, build_irrep
 from loopwitt.scalars import parse_gauss
 from loopwitt.suites import RunConfig, run_suites
 
@@ -73,8 +73,23 @@ def test_criterion_2_gl_certification():
             (report,) = run_suites(cfg)
             ok = ok and report.passed
     elapsed = time.perf_counter() - t0
-    emit(2, "gl(n) relations, dimensions, scalar trace and Burnside "
+    emit(2, "gl(n) relations, dimensions, scalar trace and irreducibility "
             "over 4 weights x 3 scalars", ok, elapsed, 30)
+
+
+def test_criterion_2_at_dim_cap():
+    # the largest module the config accepts, d = 64 = DIM_CAP
+    t0 = time.perf_counter()
+    cfg = RunConfig.from_dict({
+        "n": 4, "mu": [1, 1, 1], "c": "1/1", "B": {"kind": "trivial"},
+        "suites": ["gl-relations", "irreducibility"]})
+    reports = run_suites(cfg)
+    elapsed = time.perf_counter() - t0
+    ok = (cfg.build_module().d == DIM_CAP
+          and [r.suite for r in reports] == ["gl-relations", "irreducibility"]
+          and all(r.passed for r in reports))
+    emit(2, f"gl(n) relations and irreducibility at d = {DIM_CAP}",
+         ok, elapsed, 30)
 
 
 def test_criterion_3_module_axiom():

@@ -3,9 +3,11 @@ from itertools import permutations, product
 
 import pytest
 
+from conftest import direct_sum_irrep
 from loopwitt.glnrep import (build_irrep, burnside_dim, gt_patterns,
+                             highest_weight_theta, norton_irreducible,
                              partition, weyl_dim)
-from loopwitt.linalg import identity, mat_is_zero, mat_mul
+from loopwitt.linalg import identity, mat_is_zero, mat_mul, zeros
 from loopwitt.scalars import GaussRat, ONE, ZERO
 
 
@@ -139,8 +141,75 @@ def test_every_small_module(mu, n):
     rep = build_irrep(mu, GaussRat(Fraction(3, 2), 1), n)
     assert rep.d == weyl_dim(mu, n)
     assert rep.all_relations_hold()
-    mats = [rep.E(i, j) for i, j in product(range(1, n + 1), repeat=2)]
+    mats, theta = gl_generators(rep)
     assert burnside_dim(mats) == rep.d ** 2
+    # Norton certifies exactly when Burnside finds the full algebra
+    assert norton_irreducible(mats, theta)
+
+
+def gl_generators(rep):
+    """Every E_ij of rep, and Norton's theta built from the E_ii."""
+    rng = range(1, rep.n + 1)
+    mats = [rep.E(i, j) for i, j in product(rng, repeat=2)]
+    return mats, highest_weight_theta([rep.E(i, i) for i in rng],
+                                      rep.hw_index)
+
+
+class TestNorton:
+    """norton_irreducible returns True only when burnside_dim == d^2."""
+
+    def test_identity_alone_is_not_certified(self):
+        # the algebra is the scalars, dimension 1; every theta is c I
+        for theta in (zeros(3, 3), identity(3)):
+            assert not norton_irreducible([identity(3)], theta)
+
+    def test_single_diagonal_matrix_is_not_certified(self):
+        # Burnside finds dimension 2 (TestBurnside)
+        m = [[GaussRat(1), ZERO], [ZERO, GaussRat(2)]]
+        theta = [[ZERO, ZERO], [ZERO, ONE]]   # m - I
+        assert not norton_irreducible([m], theta)
+
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_triangular_family(self, lower):
+        # lower triangular 2 x 2: e1 spins to everything, but span(e2) is
+        # a submodule missing ker theta, which only the transposed spin
+        # sees; upper triangular: ker theta = span(e1) is a submodule
+        m = [[GaussRat(1), ZERO], [ZERO, GaussRat(2)]]
+        nil = [[ZERO, ZERO], [ONE, ZERO]] if lower else [[ZERO, ONE],
+                                                         [ZERO, ZERO]]
+        theta = [[ZERO, ZERO], [ZERO, ONE]]   # m - I
+        assert not norton_irreducible([m, nil], theta)
+        assert burnside_dim([m, nil]) == 3
+
+    def test_irreducible_but_not_absolutely_irreducible(self):
+        # multiplication by sqrt 2 on Q(i)(sqrt 2): irreducible over Q(i)
+        # with a two-dimensional algebra; every theta in it is 0 or
+        # invertible, so ker theta is never one-dimensional
+        s = [[ZERO, GaussRat(2)], [ONE, ZERO]]
+        assert not norton_irreducible([s], zeros(2, 2))
+        assert burnside_dim([s]) == 2
+
+    @pytest.mark.parametrize("n,mu,mu2", [
+        (2, (1,), (2,)), (2, (1,), (0,)), (3, (1, 0), (0, 1)),
+        (3, (1, 0), (1, 0))])
+    def test_direct_sum_is_not_certified(self, n, mu, mu2):
+        c = GaussRat(Fraction(3, 2))
+        a, b = build_irrep(mu, c, n), build_irrep(mu2, c, n)
+        mats, theta = gl_generators(direct_sum_irrep(a, b))
+        assert not norton_irreducible(mats, theta)
+        want = a.d ** 2 + b.d ** 2 if mu != mu2 else a.d ** 2
+        assert burnside_dim(mats) == want
+
+    def test_kernel_above_one_dimension_decides_nothing(self):
+        # the natural module of gl(3) is irreducible, but theta = 0 and
+        # theta = E_22 - (its highest weight entry) I have kernels of
+        # dimension 3 and 2
+        rep = build_irrep((1, 0), GaussRat(1), 3)
+        mats, _ = gl_generators(rep)
+        z = zeros(3, 3)
+        for theta in (z, highest_weight_theta([z, rep.E(2, 2), z],
+                                               rep.hw_index)):
+            assert not norton_irreducible(mats, theta)
 
 
 class TestBurnside:

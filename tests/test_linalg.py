@@ -1,6 +1,7 @@
 import pytest
 
-from loopwitt.linalg import SpanBasis
+from loopwitt.linalg import (SpanBasis, mat_vec, null_space, rank, spin,
+                             transpose, vec_is_zero)
 from loopwitt.scalars import GaussRat, I, ZERO
 
 
@@ -25,3 +26,37 @@ class TestSpanBasis:
         span.insert(vec(1, 1))
         with pytest.raises(ValueError):
             span.coords(vec(1, 0))
+
+
+class TestNullSpaceAndSpin:
+    def test_mat_vec_and_transpose(self):
+        a = [vec(1, 2, 0), vec(0, I, 3)]
+        assert mat_vec(a, vec(1, 1, 1)) == vec(3, 3 + I)
+        assert transpose(a) == [vec(1, 0), vec(2, I), vec(0, 3)]
+
+    @pytest.mark.parametrize("a,dim", [
+        ([vec(1, 2), vec(3, 4)], 0),
+        ([vec(1, 2, 3), vec(2, 4, 6)], 2),
+        ([vec(0, 0), vec(0, 0)], 2),
+        ([vec(1, I, 0), vec(0, 1, 1), vec(1, 1 + I, 1)], 1),
+    ])
+    def test_null_space(self, a, dim):
+        kernel = null_space(a)
+        assert len(kernel) == dim == len(a[0]) - rank(a)
+        assert rank(kernel) == dim
+        for x in kernel:
+            assert vec_is_zero(mat_vec(a, x))
+
+    def test_spin_of_a_cyclic_vector_fills_the_space(self):
+        shift = [vec(0, 0, 0), vec(1, 0, 0), vec(0, 1, 0)]
+        assert spin(vec(1, 0, 0), [shift]).dim == 3
+
+    def test_spin_stays_in_an_invariant_subspace(self):
+        shift = [vec(0, 0, 0), vec(1, 0, 0), vec(0, 1, 0)]
+        diag = [vec(1, 0, 0), vec(0, 2, 0), vec(0, 0, 3)]
+        span = spin(vec(0, 1, 0), [shift, diag])
+        assert span.dim == 2
+        assert span.contains(vec(0, 5, I)) and not span.contains(vec(1, 0, 0))
+
+    def test_spin_of_zero_is_zero(self):
+        assert spin(vec(0, 0), [[vec(1, 1), vec(0, 1)]]).dim == 0

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import direct_sum_irrep
 from loopwitt import opcheck
 from loopwitt.glnrep import build_irrep
 from loopwitt.linalg import mat_is_zero, rank
@@ -201,6 +202,21 @@ class TestIrreducibility:
         specs = opcheck.default_irreducibility_specs(module)
         assert opcheck.bottom_slice_algebra_dim(module, specs) == 1
 
+    @pytest.mark.parametrize("n,mu", [(1, ()), (2, (3,)), (3, (1, 1)),
+                                      (4, (1, 0, 1))])
+    def test_irreducible_modules_are_certified_without_burnside(
+            self, n, mu, monkeypatch):
+        # Norton's test decides every irreducible module, in both suites
+        from loopwitt import suites
+
+        def refuse(mats):
+            raise AssertionError("Burnside called")
+        monkeypatch.setattr(suites, "burnside_dim", refuse)
+        monkeypatch.setattr(opcheck, "burnside_dim", refuse)
+        cfg = suites.RunConfig(n=n, mu=mu, cases_per_suite=1,
+                               suites=("gl-relations", "irreducibility"))
+        assert all(r.passed for r in suites.run_suites(cfg))
+
 
 class TestRankOne:
     @pytest.mark.parametrize("c", [GaussRat(0), GaussRat(1),
@@ -305,6 +321,50 @@ class TestNegativeControls:
             "bottom-slice-burnside"}
         assert suite_failures("rank-one", 1, (), window_radius=5) == {
             "scalar-shift"}
+
+    @pytest.mark.parametrize("alpha", [(Fraction(1, 2), Fraction(1, 2)),
+                                       (1, 2), (0, 0)])
+    def test_dropped_off_diagonal_e_terms_fail_irreducibility_at_any_alpha(
+            self, alpha, monkeypatch):
+        # on the bottom slice the generators act as alpha_i I + E_ji, and
+        # their unital algebra does not depend on alpha, integral or not
+        drop_e_terms(monkeypatch, keep_diagonal=True)
+        assert suite_failures("irreducibility", 2, (1,),
+                              alpha=tuple(map(GaussRat, alpha))) == {
+            "bottom-slice-burnside"}
+
+    @pytest.mark.parametrize("n,mu,mu2,got", [(2, (1,), (2,), 13),
+                                              (3, (1, 0), (1, 0), 9)])
+    def test_direct_sum_reports_its_burnside_dimension(self, n, mu, mu2, got,
+                                                       monkeypatch):
+        # a reducible "irrep" V(mu) + V(mu2) keeps every relation; Norton's
+        # test cannot certify it (at mu2 = mu ker theta is two-dimensional),
+        # so both suites call Burnside and report the dimension of the
+        # algebra, d1^2 + d2^2 or d1^2
+        from loopwitt import suites
+        build, burnside = suites.build_irrep, suites.burnside_dim
+        calls = []
+
+        def counted(mats):
+            calls.append(len(mats[0]))
+            return burnside(mats)
+
+        monkeypatch.setattr(suites, "build_irrep", lambda mu_, c, n_:
+                            direct_sum_irrep(build(mu_, c, n_),
+                                             build(mu2, c, n_)))
+        monkeypatch.setattr(suites, "burnside_dim", counted)
+        monkeypatch.setattr(opcheck, "burnside_dim", counted)
+        cfg = suites.RunConfig(n=n, mu=mu, c=GaussRat(Fraction(3, 2)),
+                               seed=42, cases_per_suite=1,
+                               suites=("gl-relations", "irreducibility"))
+        gl, irr = suites.run_suites(cfg)
+        d = build(mu, cfg.c, n).d + build(mu2, cfg.c, n).d
+        assert gl.failures == [
+            {"check": "weyl-dimension", "got": d},
+            {"check": "burnside", "got": got, "want": d * d}]
+        assert irr.failures == [
+            {"check": "bottom-slice-burnside", "got": got, "want": d * d}]
+        assert calls == [d, d]
 
     def test_diagonal_shift_off_by_one_over_n_fails_identity_scalar(
             self, monkeypatch):

@@ -7,11 +7,15 @@ stripped.  The digests below pin the CLI output at seed 42:
   on the 9-config grid n in {1, 2, 3} x {trivial, polyquot (x-2)^3 @ 2,
   laurent @ 3};
 * `irrep-info --json` (no `--matrices`, so basis-independent) for the
-  five modules of the gl-build benchmark workload, with c = 3/2.
+  five modules of the gl-build benchmark workload, with c = 3/2;
+* `verify-all --json` with gl-relations and irreducibility for the
+  d = 8..15 modules of the gl-cert benchmark ladder, with c = 3/2.
 
-They were computed with the tensor-power construction of `build_irrep`,
-before it was replaced by the Gelfand-Tsetlin one.  To print the
-digests of the current code: `python3 tests/test_reports_pinned.py`.
+The grid and gl-build digests were computed with the tensor-power
+construction of `build_irrep`, before it was replaced by the
+Gelfand-Tsetlin one; the gl-cert digests with the Burnside closure as
+the only irreducibility certificate, before Norton's test.  To print
+the digests of the current code: `python3 tests/test_reports_pinned.py`.
 """
 
 import contextlib
@@ -34,6 +38,9 @@ B_SPECS = {
 }
 GL_BUILD_MODULES = [(3, [2, 2]), (3, [4, 1]), (4, [2, 1, 0]),
                     (4, [1, 1, 1]), (5, [1, 1, 0, 0])]
+# d = 8, 10, 15, 10, 15
+GL_CERT_MODULES = [(3, [1, 1]), (3, [3, 0]), (3, [2, 1]), (4, [2, 0, 0]),
+                   (4, [1, 0, 1])]
 
 
 def _calls():
@@ -48,6 +55,11 @@ def _calls():
     for n, mu in GL_BUILD_MODULES:
         out[f"irrep-info/{n}/{mu}"] = (["irrep-info", "--json"],
                                        {"n": n, "mu": mu, "c": "3/2"})
+    for n, mu in GL_CERT_MODULES:
+        out[f"gl-cert/{n}/{mu}"] = (
+            ["verify-all", "--json"],
+            {"n": n, "mu": mu, "c": "3/2", "seed": 42, "cases_per_suite": 1,
+             "suites": ["gl-relations", "irreducibility"]})
     return out
 
 
@@ -70,6 +82,16 @@ def report_digest(args, doc, tmp_dir) -> str:
 
 
 PINNED = {
+    "gl-cert/3/[1, 1]":
+        "9e8145f8f8eb353ea205e82a6171e1455ea9cf413c84d9ed9d159198364bc0a5",
+    "gl-cert/3/[2, 1]":
+        "2fd4257ca581772f853129ee7338bfdb99335e1866eef26584b74049c23c4e50",
+    "gl-cert/3/[3, 0]":
+        "061d551ee7bef9d067cbd6fb082170e0e0316f5db6ace35a70222abd6a45296f",
+    "gl-cert/4/[1, 0, 1]":
+        "e3ff7172e043134bd17224ffeaefa0c01b4c93e4d38b4c16dbe58a28c04d4def",
+    "gl-cert/4/[2, 0, 0]":
+        "c7a5c334f3076da3407114bf8d99995690c7705143d2b6a4c6e5a6302e37975a",
     "irrep-info/3/[2, 2]":
         "9989c5981f19a769227aeb9a5dc1987117fb46ba5eec6fb1f6c97bfd25d9a731",
     "irrep-info/3/[4, 1]":
