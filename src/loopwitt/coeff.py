@@ -1,4 +1,4 @@
-"""The commutative coefficient algebra B, its evaluation map and ideal powers.
+"""The commutative coefficient algebra B and its evaluation map.
 
 Three concrete presentations are supported:
 
@@ -7,17 +7,13 @@ Three concrete presentations are supported:
 * laurent  -- B = F[x, x^-1], evaluation at a nonzero point a.
 
 Elements carry a canonical representative (reduced polynomial, finite
-Laurent polynomial, or scalar) so equality is structural.  The maximal
-ideal M is the kernel of the evaluation map; membership in M^k is
-decided by exact linear algebra (polyquot) or by exact division by
-(x - a)^k (laurent).
+Laurent polynomial, or scalar) so equality is structural.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from .linalg import SpanBasis
 from .scalars import GaussRat, ONE, ZERO
 
 Poly = List[GaussRat]  # coefficients, low to high, no trailing zeros
@@ -78,14 +74,6 @@ def poly_eval(p: Poly, x: GaussRat) -> GaussRat:
     return acc
 
 
-def poly_pow_linear(a: GaussRat, k: int) -> Poly:
-    """(x - a)^k as a coefficient list."""
-    out: Poly = [ONE]
-    for _ in range(k):
-        out = poly_mul(out, [-a, ONE])
-    return out
-
-
 class BPresentation:
     """A fixed presentation of B together with its evaluation point."""
 
@@ -108,10 +96,6 @@ class BPresentation:
         elif kind == "laurent":
             if not self.eval_point:
                 raise ValueError("laurent eval_point must be nonzero")
-
-    @property
-    def degree(self) -> int:
-        return len(self.modulus) - 1 if self.modulus else 0
 
     def __eq__(self, other):
         return (isinstance(other, BPresentation)
@@ -165,29 +149,6 @@ class BPresentation:
                 term = BElem(self, mono) * self.from_scalar(c)
             out = out + term
         return out
-
-    def nilpotency_index(self) -> Optional[int]:
-        """Smallest k with M^k = 0, or None if no power of M vanishes."""
-        if self.kind == "trivial":
-            return 1
-        if self.kind == "laurent":
-            return None
-        d = self.degree
-        if self.modulus == poly_pow_linear(self.eval_point, d):
-            return d
-        return None
-
-    def _ideal_power_span(self, k: int) -> SpanBasis:
-        # column span of multiplication by (x-a)^k on the quotient basis
-        d = self.degree
-        g = poly_mod(poly_pow_linear(self.eval_point, k), self.modulus)
-        span = SpanBasis(d)
-        mono: Poly = [ONE]
-        for _ in range(d):
-            col = poly_mod(poly_mul(g, mono), self.modulus)
-            span.insert(col + [ZERO] * (d - len(col)))
-            mono = [ZERO] + mono
-        return span
 
 
 class BElem:
@@ -301,57 +262,46 @@ class BElem:
             acc = acc + term
         return acc
 
-    def in_ideal_power(self, k: int) -> bool:
-        """Membership in M^k for M = ker(psi)."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        kind = self.pres.kind
-        if kind == "trivial":
-            return self.is_zero()
-        if self.is_zero():
-            return True
-        a = self.pres.eval_point
-        if kind == "polyquot":
-            d = self.pres.degree
-            span = self.pres._ideal_power_span(k)
-            vec = list(self.rep) + [ZERO] * (d - len(self.rep))
-            return span.contains(vec)
-        # laurent: clear the unit power of x, then divide by (x-a) k times
-        lo = min(self.rep)
-        p = [ZERO] * (max(self.rep) - lo + 1)
-        for e, c in self.rep.items():
-            p[e - lo] = c
-        for _ in range(k):
-            if not p:
-                break
-            # synthetic division by (x - a); exact iff p(a) = 0
-            q = [ZERO] * (len(p) - 1)
-            acc = ZERO
-            for j in range(len(p) - 1, 0, -1):
-                acc = p[j] + a * acc
-                q[j - 1] = acc
-            if p[0] + a * acc:
-                return False
-            p = poly_trim(q)
-        return True
-
     def __str__(self):
+        """The form printed in bracket output and report witnesses: a bare
+        real scalar, or a parenthesised sum of c*x^e terms, from x^0 up
+        (polyquot) or from the top exponent down (laurent)."""
         k = self.pres.kind
         if k == "trivial":
-            return str(self.rep)
+            return _format_scalar(self.rep)
         if k == "polyquot":
             items = [(e, c) for e, c in enumerate(self.rep) if c]
         else:
-            items = sorted(self.rep.items())
+            items = sorted(self.rep.items(), reverse=True)
         if not items:
             return "0"
+        if len(items) == 1 and items[0][0] == 0:
+            return _format_scalar(items[0][1])
         parts = []
         for e, c in items:
-            if e == 0:
-                parts.append(f"({c})")
+            mono = "" if e == 0 else ("x" if e == 1 else f"x^{e}")
+            cs = _format_scalar(c)
+            if mono and cs == "1":
+                piece = mono
+            elif mono and cs == "-1":
+                piece = f"-{mono}"
+            elif mono:
+                piece = f"{cs}*{mono}"
             else:
-                parts.append(f"({c})*x^{e}" if e != 1 else f"({c})*x")
-        return " + ".join(parts)
+                piece = cs
+            parts.append(piece)
+        out = parts[0]
+        for piece in parts[1:]:
+            out += piece if piece.startswith("-") else f"+{piece}"
+        return f"({out})"
 
     def __repr__(self):
         return f"BElem({self})"
+
+
+def _format_scalar(c: GaussRat) -> str:
+    """Short scalar form for printing: omit unit denominators."""
+    if c.im == 0:
+        f = c.re
+        return str(f.numerator) if f.denominator == 1 else f"{f}"
+    return f"({c})"

@@ -22,8 +22,7 @@ from math import prod
 from typing import List, Sequence, Tuple
 
 from .linalg import (Mat, SpanBasis, commutator, identity, mat_add, mat_mul,
-                     mat_sub, mat_is_zero, null_space, spin, transpose,
-                     zeros)
+                     mat_sub, null_space, spin, transpose, zeros)
 from .scalars import GaussRat
 
 DIM_CAP = 64
@@ -72,11 +71,6 @@ class Irrep:
         if l == i:
             res = mat_add(res, self.E(k, j))
         return res
-
-    def all_relations_hold(self) -> bool:
-        rng = range(1, self.n + 1)
-        return all(mat_is_zero(self.relation_residual(i, j, k, l))
-                   for i, j, k, l in product(rng, rng, rng, rng))
 
     def trace_part(self) -> Mat:
         out = zeros(self.d, self.d)

@@ -7,7 +7,7 @@ to be clever about pivoting or sparsity.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .scalars import GaussRat, ONE, ZERO
 
@@ -24,11 +24,13 @@ def identity(n: int) -> Mat:
 
 
 def mat_add(a: Mat, b: Mat) -> Mat:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[x + y if y else x for x, y in zip(ra, rb)]
+            for ra, rb in zip(a, b)]
 
 
 def mat_sub(a: Mat, b: Mat) -> Mat:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[x - y if y else x for x, y in zip(ra, rb)]
+            for ra, rb in zip(a, b)]
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -119,9 +121,6 @@ class SpanBasis:
         self.pivots.append(piv)
         return True
 
-    def contains(self, v: Sequence[GaussRat]) -> bool:
-        return vec_is_zero(self._reduce(v))
-
     def coords(self, v: Sequence[GaussRat]) -> Vec:
         """Coordinates of v in the echelon rows."""
         coeffs = {}
@@ -160,12 +159,3 @@ def spin(v: Sequence[GaussRat], mats: Sequence[Mat]) -> SpanBasis:
                 frontier.append(image)
     return span
 
-
-def rank(vectors: Iterable[Sequence[GaussRat]], length: Optional[int] = None) -> int:
-    vectors = list(vectors)
-    if not vectors:
-        return 0
-    basis = SpanBasis(length if length is not None else len(vectors[0]))
-    for v in vectors:
-        basis.insert(v)
-    return basis.dim

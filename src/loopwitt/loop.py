@@ -144,22 +144,6 @@ class LoopElem:
                 + y.bracket(z.bracket(self))
                 + z.bracket(self.bracket(y)))
 
-    def ad_weight(self) -> Degree:
-        """Common degree of a homogeneous element, checked against the
-        defining bracket with the zero-mode basis derivations."""
-        if self.is_zero():
-            raise ValueError("zero element has no ad-weight")
-        degrees = {key[2] for key in self.terms}
-        if len(degrees) != 1:
-            raise ValueError("element is not homogeneous")
-        (m,) = degrees
-        zero_deg = (0,) * self.n
-        for i in range(1, self.n + 1):
-            h = LoopElem.d_part(self.n, self.pres, i, zero_deg)
-            if h.bracket(self) != self.scale(m[i - 1]):
-                raise AssertionError("ad-weight check failed")
-        return m
-
     # -- deterministic ordering / printing ----------------------------
 
     def sorted_terms(self) -> List[Tuple[Key, BElem]]:

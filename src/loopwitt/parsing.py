@@ -154,45 +154,6 @@ def _parse_int_vec(s: str, n: int) -> Tuple[int, ...]:
 # -- printing ---------------------------------------------------------
 
 
-def _format_gauss_factor(c: GaussRat) -> str:
-    """Short scalar form for printing: omit unit denominators."""
-    if c.im == 0:
-        f = c.re
-        return str(f.numerator) if f.denominator == 1 else f"{f}"
-    return f"({c})"
-
-
-def format_b_elem(b: BElem) -> str:
-    pres = b.pres
-    if pres.kind == "trivial":
-        return _format_gauss_factor(b.rep)
-    if pres.kind == "polyquot":
-        items = [(e, c) for e, c in enumerate(b.rep) if c]
-    else:
-        items = sorted(b.rep.items(), reverse=True)
-    if not items:
-        return "0"
-    if len(items) == 1 and items[0][0] == 0:
-        return _format_gauss_factor(items[0][1])
-    parts = []
-    for e, c in items:
-        mono = "" if e == 0 else ("x" if e == 1 else f"x^{e}")
-        cs = _format_gauss_factor(c)
-        if mono and cs == "1":
-            piece = mono
-        elif mono and cs == "-1":
-            piece = f"-{mono}"
-        elif mono:
-            piece = f"{cs}*{mono}"
-        else:
-            piece = cs
-        parts.append(piece)
-    out = parts[0]
-    for piece in parts[1:]:
-        out += piece if piece.startswith("-") else f"+{piece}"
-    return f"({out})"
-
-
 def format_loop_elem(x: LoopElem) -> str:
     if x.is_zero():
         return "0"
@@ -204,25 +165,14 @@ def format_loop_elem(x: LoopElem) -> str:
         else:
             u = ",".join("1" if j == i else "0" for j in range(1, x.n + 1))
             head = f"D({u};{deg})"
-        bs = format_b_elem(b)
-        if bs.startswith("(") or bs in ("0",) or not _is_plain_scalar(bs):
+        bs = str(b)
+        if bs.startswith("("):
             pieces.append(f"{head}*{bs}")
-        elif bs == "1":
-            pieces.append(f"{head}*1")
-        elif bs.startswith("-"):
-            pieces.append(f"{bs}*{head}*1" if bs != "-1" else f"-{head}*1")
         else:
-            pieces.append(f"{bs}*{head}*1")
+            # a real scalar becomes a prefix factor
+            prefix = {"1": "", "-1": "-"}.get(bs, f"{bs}*")
+            pieces.append(f"{prefix}{head}*1")
     out = pieces[0]
     for p in pieces[1:]:
         out += f" {p}" if p.startswith("-") else f" + {p}"
-    if out.startswith("-") is False and out.startswith(" "):
-        out = out.lstrip()
     return out
-
-
-_PLAIN = re.compile(r"^-?\d+(/\d+)?$")
-
-
-def _is_plain_scalar(s: str) -> bool:
-    return bool(_PLAIN.match(s))

@@ -33,20 +33,17 @@ class Window:
         self.n = n
         self.radius = radius
 
-    def contains(self, m: Sequence[int], margin=0) -> bool:
-        """|m_i| <= radius - margin_i, for an int margin or one per axis."""
-        if isinstance(margin, int):
-            return max(map(abs, m), default=0) <= self.radius - margin
-        return all(abs(mi) <= self.radius - g for mi, g in zip(m, margin))
+    def contains(self, m: Sequence[int]) -> bool:
+        return max(map(abs, m), default=0) <= self.radius
 
     def slices(self) -> List[Degree]:
-        return self.interior(0)
+        return self.interior((0,) * self.n)
 
-    def interior(self, margin) -> List[Degree]:
-        """The slices contains(m, margin) accepts, in lexicographic order."""
-        margins = [margin] * self.n if isinstance(margin, int) else margin
+    def interior(self, margin: Sequence[int]) -> List[Degree]:
+        """The slices with |m_i| <= radius - margin_i, in lexicographic
+        order."""
         R = self.radius
-        return list(product(*(range(-R + g, R - g + 1) for g in margins)))
+        return list(product(*(range(-R + g, R - g + 1) for g in margin)))
 
 
 class TensorModule:
@@ -71,10 +68,6 @@ class TensorModule:
         vec = [ZERO] * self.d
         vec[k] = GaussRat(1)
         return ModVector(self, {tuple(m): vec})
-
-    def cartan_eigenvalue(self, i: int, m: Degree) -> GaussRat:
-        """Eigenvalue of D(e_i, 0) on the degree-m slice."""
-        return self.alpha[i - 1] + m[i - 1]
 
 
 class ModVector:
@@ -118,7 +111,16 @@ class ModVector:
         return isinstance(other, ModVector) and (self - other).is_zero()
 
     def slice_sum(self) -> List[GaussRat]:
-        """Sum of all slice coordinate vectors (the quotient-by-shifts image)."""
+        """Sum of all slice coordinate vectors: the image of v in the
+        quotient of the window by the shift differences
+        v_k(x)t^m - v_k(x)t^0, m != 0, as bottom-slice coordinates.
+
+        Order the coordinates with the nonzero slices first and slice 0
+        last.  Then the differences are a reduced echelon basis: each has
+        its pivot at (m, k) and its only other entry at (0, k).  Reducing
+        v clears every nonzero-slice component and leaves the slice sum
+        at slice 0, so v lies in the span of the differences iff its
+        slice sum is zero, and the quotient has dimension d."""
         out = [ZERO] * self.module.d
         for v in self.data.values():
             out = [a + b for a, b in zip(out, v)]

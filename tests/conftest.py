@@ -69,3 +69,67 @@ def direct_sum_irrep(a, b):
             for r, row in enumerate(b.E(i + 1, j + 1)):
                 E[i][j][a.d + r][a.d:] = row
     return Irrep(n, a.mu, a.c, d, E, a.hw_index)
+
+
+# -- oracles the library itself does not need --------------------------
+
+
+def rank(vectors):
+    """Rank of a list of equal-length GaussRat vectors."""
+    from loopwitt.linalg import SpanBasis
+    vectors = list(vectors)
+    if not vectors:
+        return 0
+    basis = SpanBasis(len(vectors[0]))
+    for v in vectors:
+        basis.insert(v)
+    return basis.dim
+
+
+def all_relations_hold(rep):
+    """[E_ij, E_kl] = delta_jk E_il - delta_li E_kj for all i, j, k, l."""
+    from itertools import product
+    from loopwitt.linalg import mat_is_zero
+    rng = range(1, rep.n + 1)
+    return all(mat_is_zero(rep.relation_residual(i, j, k, l))
+               for i, j, k, l in product(rng, rng, rng, rng))
+
+
+def cartan_eigenvalue(module, i, m):
+    """Eigenvalue of D(e_i, 0) on the degree-m slice: alpha_i + m_i."""
+    return module.alpha[i - 1] + m[i - 1]
+
+
+def ad_weight(x):
+    """Common degree of a homogeneous loop element, checked against the
+    defining bracket with the zero-mode basis derivations."""
+    from loopwitt.loop import LoopElem
+    if x.is_zero():
+        raise ValueError("zero element has no ad-weight")
+    degrees = {key[2] for key in x.terms}
+    if len(degrees) != 1:
+        raise ValueError("element is not homogeneous")
+    (m,) = degrees
+    for i in range(1, x.n + 1):
+        h = LoopElem.d_part(x.n, x.pres, i, (0,) * x.n)
+        if h.bracket(x) != x.scale(m[i - 1]):
+            raise AssertionError("ad-weight check failed")
+    return m
+
+
+def shift_difference_generators(module):
+    """The d * (slices - 1) generators v_k(x)t^m - v_k(x)t^0, m != 0, of
+    the shift-difference subspace, as module vectors."""
+    zero = (0,) * module.n
+    return [module.basis_vector(m, k) - module.basis_vector(zero, k)
+            for m in module.window.slices() if m != zero
+            for k in range(module.d)]
+
+
+def dense(v):
+    """Coordinates of a module vector over every window slice, in slice
+    order."""
+    from loopwitt.scalars import ZERO
+    d = v.module.d
+    return [x for m in v.module.window.slices()
+            for x in v.data.get(m, [ZERO] * d)]

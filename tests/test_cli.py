@@ -50,6 +50,25 @@ class TestBracketCommand:
         assert code == EXIT_OK
         assert "t(2,0)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("b,x,y,want", [
+        ({"kind": "polyquot", "modulus": ["-8", "12", "-6", "1"],
+          "eval_point": "2"},
+         "D(1;1)*(x^2 - 3)", "(1/2+1 i)*t(2)*x + D(1;-1)*(x-2)",
+         "D(1;0)*(-28+30*x-8*x^2) + t(3)*((8/1+16/1 i)+(-15/1-30/1 i)*x"
+         "+(6/1+12/1 i)*x^2)"),
+        ({"kind": "laurent", "eval_point": "3"},
+         "D(1;1)*(2*x - 1/3)", "t(2)*(x^3+x)",
+         "t(3)*(4*x^4-2/3*x^3+4*x^2-2/3*x)"),
+        ({"kind": "trivial"}, "D(1;2)*(1/2+1 i)", "-3/2*D(1;-1)*1 + t(1)*1",
+         "D(1;1)*(9/4+9/2 i) + t(3)*(1/2+1/1 i)"),
+        ({"kind": "trivial"}, "D(1;2)*1", "-3/2*D(1;-1)*1 + t(-1)*1",
+         "9/2*D(1;1)*1 -t(1)*1"),
+    ])
+    def test_printed_coefficients(self, tmp_path, capsys, b, x, y, want):
+        cfg = write_config(tmp_path, n=1, mu=[], B=b)
+        assert main(["bracket", "--config", cfg, x, y]) == EXIT_OK
+        assert capsys.readouterr().out == want + "\n"
+
     def test_parse_error_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, n=1, mu=[])
         code = main(["bracket", "--config", cfg, "garbage", "D(1;0)*1"])

@@ -113,68 +113,7 @@ class TestEvaluation:
             assert (a + b).psi() == a.psi() + b.psi()
 
 
-class TestIdealPowers:
-    def test_explicit_square_is_in_second_power(self, polyquot):
-        x = polyquot.generator()
-        two = polyquot.from_scalar(GaussRat(2))
-        assert ((x - two) * (x - two)).in_ideal_power(2)
-
-    def test_linear_term_not_in_second_power(self, polyquot):
-        x = polyquot.generator()
-        two = polyquot.from_scalar(GaussRat(2))
-        assert (x - two).in_ideal_power(1)
-        assert not (x - two).in_ideal_power(2)
-
-    def test_laurent_membership_at_one(self):
-        pres = make_laurent(a=1)
-        t = pres.generator()
-        assert (t - pres.one()).in_ideal_power(1)
-        assert not (t - pres.one()).in_ideal_power(2)
-
-    def test_trivial_membership(self, trivial):
-        assert trivial.zero().in_ideal_power(1)
-        assert not trivial.one().in_ideal_power(1)
-
-    def test_first_power_iff_evaluation_vanishes(self, any_pres):
-        for b in pool(any_pres):
-            assert b.in_ideal_power(1) == (not b.psi())
-
-    def test_membership_is_multiplicative(self, any_pres):
-        if any_pres.kind == "trivial":
-            # the ideal is zero, so every power contains only zero
-            zero = any_pres.zero()
-            assert (zero * zero).in_ideal_power(2)
-            return
-        x = any_pres.generator()
-        a = any_pres.from_scalar(any_pres.eval_point)
-        m = x - a
-        sample = [(m, 1), (m * m, 2), (m * m * m, 3)]
-        for (b, k), (b2, l) in product(sample, repeat=2):
-            assert (b * b2).in_ideal_power(k + l)
-
-    def test_bad_power_rejected(self, trivial):
-        with pytest.raises(ValueError):
-            trivial.one().in_ideal_power(0)
-
-
 class TestNilpotency:
-    def test_cubed_linear_modulus(self, polyquot):
-        assert polyquot.nilpotency_index() == 3
-
-    def test_laurent_never_nilpotent(self, laurent):
-        assert laurent.nilpotency_index() is None
-
-    def test_trivial_immediately_nilpotent(self, trivial):
-        assert trivial.nilpotency_index() == 1
-
-    def test_non_power_modulus_has_no_index(self):
-        # x^2 - 3x + 2 = (x-1)(x-2): the ideal at 2 is not nilpotent
-        pres = BPresentation(
-            "polyquot",
-            modulus=[GaussRat(2), GaussRat(-3), GaussRat(1)],
-            eval_point=GaussRat(2))
-        assert pres.nilpotency_index() is None
-
     def test_index_matches_vanishing_power(self, polyquot):
         x = polyquot.generator()
         two = polyquot.from_scalar(GaussRat(2))

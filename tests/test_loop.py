@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import ad_weight
 from loopwitt.loop import (LoopElem, diff_derivation,
                            diff_derivation_bracket_residual, poly_derivation,
                            poly_derivation_bracket_residual)
@@ -111,26 +112,26 @@ class TestLieAxioms:
             y = LoopElem.d_part(2, trivial, rng.randint(1, 2), s)
             br = x.bracket(y)
             if not br.is_zero():
-                assert br.ad_weight() == tuple(a + b for a, b in zip(r, s))
+                assert ad_weight(br) == tuple(a + b for a, b in zip(r, s))
 
 
 class TestAdWeight:
     def test_function_part_weight(self, trivial):
         x = LoopElem.t_part(2, trivial, (1, 2))
-        assert x.ad_weight() == (1, 2)
+        assert ad_weight(x) == (1, 2)
 
     def test_zero_mode_weight(self, trivial):
-        assert d(trivial, 0).ad_weight() == (0,)
+        assert ad_weight(d(trivial, 0)) == (0,)
 
     def test_mixed_degrees_rejected(self, trivial):
         x = (LoopElem.t_part(2, trivial, (1, 0))
              + LoopElem.t_part(2, trivial, (0, 1)))
         with pytest.raises(ValueError):
-            x.ad_weight()
+            ad_weight(x)
 
     def test_zero_element_rejected(self, trivial):
         with pytest.raises(ValueError):
-            LoopElem.zero(1, trivial).ad_weight()
+            ad_weight(LoopElem.zero(1, trivial))
 
 
 class TestRankOneElements:

@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import direct_sum_irrep
+from conftest import (dense, direct_sum_irrep, rank,
+                      shift_difference_generators)
 from loopwitt import opcheck
 from loopwitt.glnrep import build_irrep
-from loopwitt.linalg import mat_is_zero, rank
-from loopwitt.opcheck import OpSpec, ShiftDifferenceBasis
+from loopwitt.linalg import mat_is_zero
+from loopwitt.opcheck import OpSpec
 from loopwitt.scalars import GaussRat, ZERO
-from loopwitt.tensmod import TensorModule, Window, op_matrix
+from loopwitt.tensmod import ModVector, TensorModule, Window, op_matrix
 
 HALF = GaussRat(Fraction(1, 2))
 
@@ -141,33 +142,43 @@ class TestScalarAndCollapse:
 
 
 class TestShiftDifferences:
+    # the generators v_k(x)t^m - v_k(x)t^0 stand in for the subspace;
+    # ModVector.slice_sum is the projection onto the quotient
+
     def test_rank_one_scalar_dimensions(self, trivial):
         module = make_module(trivial, n=1, mu=(), radius=1)
-        W = ShiftDifferenceBasis(module)
-        assert W.dim == 2   # differences of 3 slices
-        assert W.codim == 1
+        gens = shift_difference_generators(module)
+        assert len(gens) == rank(map(dense, gens)) == 2  # 3 slices
+        assert rank([module.basis_vector((0,), 0).slice_sum()]) == 1
 
     def test_rank_two_dimensions(self, trivial):
         module = make_module(trivial, radius=1)
-        W = ShiftDifferenceBasis(module)
-        assert W.dim == 16  # 2 * (9 - 1)
-        assert W.codim == 2
-        assert rank(W.explicit_rows()) == 16
+        gens = shift_difference_generators(module)
+        assert len(gens) == rank(map(dense, gens)) == 16  # 2 * (9 - 1)
+        assert all(not any(g.slice_sum()) for g in gens)
+        assert rank(module.basis_vector((0, 0), k).slice_sum()
+                    for k in range(2)) == 2
 
     def test_membership_is_slice_sum_vanishing(self, trivial):
         module = make_module(trivial, radius=1)
-        W = ShiftDifferenceBasis(module)
-        diff = (module.basis_vector((1, 0), 0)
-                - module.basis_vector((0, 0), 0))
-        assert W.contains(diff)
-        assert not W.contains(module.basis_vector((1, 0), 0))
+        gens = shift_difference_generators(module)
+        rows = [dense(g) for g in gens]
+        rng = random.Random(3)
+        for _ in range(12):
+            # a combination of generators, plus a basis vector half the time
+            v = gens[rng.randrange(16)] + gens[rng.randrange(16)].scale(
+                GaussRat(rng.randint(-2, 2), 1))
+            if rng.random() < 0.5:
+                m = rng.choice(module.window.slices())
+                v = v + module.basis_vector(m, rng.randrange(2))
+            in_span = rank(rows + [dense(v)]) == len(rows)
+            assert in_span == (not any(v.slice_sum()))
 
     def test_quotient_representative(self, trivial):
         module = make_module(trivial, radius=1)
-        W = ShiftDifferenceBasis(module)
         v = (module.basis_vector((1, 0), 0).scale(GaussRat(2))
              + module.basis_vector((0, 1), 1))
-        assert W.quotient_rep(v) == [GaussRat(2), GaussRat(1)]
+        assert v.slice_sum() == [GaussRat(2), GaussRat(1)]
 
     def test_evaluated_family_preserves_differences(self, any_pres):
         module = make_module(any_pres)
@@ -223,8 +234,7 @@ class TestRankOne:
                                    GaussRat(Fraction(3, 2))])
     def test_scalar_shift(self, c, any_pres):
         module = make_module(any_pres, n=1, mu=(), c=c, radius=5)
-        assert opcheck.rank_one_scalar_shift_check(
-            module, range(-3, 4)) == []
+        assert opcheck.rank_one_scalar_shift_check(module) == []
 
     @pytest.mark.parametrize("c", [GaussRat(0), GaussRat(1),
                                    GaussRat(Fraction(3, 2))])
@@ -241,7 +251,7 @@ class TestRankOne:
     def test_rank_guard(self, trivial):
         module = make_module(trivial, n=2, mu=(1,))
         with pytest.raises(ValueError):
-            opcheck.rank_one_scalar_shift_check(module, range(2))
+            opcheck.rank_one_scalar_shift_check(module)
         with pytest.raises(ValueError):
             opcheck.rank_one_commutation_check(module)
         with pytest.raises(ValueError):
@@ -301,6 +311,19 @@ class TestNegativeControls:
 
     def test_clean_run_has_no_failures(self, trivial):
         assert operator_suite_failures(3, (1, 0), trivial) == set()
+
+    def test_zeroed_slice_sum_coordinate_fails_difference_codimension(
+            self, monkeypatch):
+        # the bottom slice then maps onto a quotient of dimension d - 1
+        slice_sum = ModVector.slice_sum
+
+        def broken(self):
+            out = slice_sum(self)
+            out[0] = ZERO
+            return out
+        monkeypatch.setattr(ModVector, "slice_sum", broken)
+        assert "difference-codimension" in suite_failures(
+            "operator-suite", 2, (1,))
 
     def test_dropped_off_diagonal_e_terms_fail(self, monkeypatch):
         # the diagonal part of a gl(n) representation is not one

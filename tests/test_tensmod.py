@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import cartan_eigenvalue
 from loopwitt.glnrep import build_irrep
 from loopwitt.linalg import identity
 from loopwitt.loop import LoopElem
@@ -28,10 +29,11 @@ class TestWindow:
     def test_interior_margins(self):
         w = Window(2, 2)
         assert (2, 0) in w.slices()
-        assert w.contains((2, 0))
-        assert not w.contains((2, 0), margin=1)
-        assert w.contains((1, 0), margin=(1, 2))
-        assert not w.contains((1, 1), margin=(1, 2))
+        assert w.contains((2, 0)) and not w.contains((3, 0))
+        assert (2, 0) not in w.interior((1, 1))
+        assert (1, 0) in w.interior((1, 2))
+        assert (1, 1) not in w.interior((1, 2))
+        assert w.interior((1, 2)) == sorted(w.interior((1, 2)))
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
@@ -48,8 +50,14 @@ class TestModuleShape:
 
     def test_diagonal_eigenvalue(self, trivial):
         module = make_module(trivial)
-        assert module.cartan_eigenvalue(1, (2, -1)) == GaussRat(2) + HALF
-        assert module.cartan_eigenvalue(2, (2, -1)) == GaussRat(-1) + HALF
+        assert cartan_eigenvalue(module, 1, (2, -1)) == GaussRat(2) + HALF
+        assert cartan_eigenvalue(module, 2, (2, -1)) == GaussRat(-1) + HALF
+        for i in (1, 2):
+            h = LoopElem.d_part(2, trivial, i, (0, 0))
+            for k in range(module.d):
+                v = module.basis_vector((2, -1), k)
+                assert act(h, v) == v.scale(
+                    cartan_eigenvalue(module, i, (2, -1)))
 
     def test_vectors_outside_window_rejected(self, trivial):
         module = make_module(trivial, radius=1)
@@ -137,7 +145,7 @@ class TestModuleAxioms:
         module = make_module(any_pres, n=n, mu=mu)
         rng = random.Random(11 * n)
         pool = b_pool(any_pres)
-        interior = module.window.interior(2)
+        interior = module.window.interior((2,) * n)
         for _ in range(30):
             x, r = random_homogeneous(rng, n, any_pres, pool)
             y, s = random_homogeneous(rng, n, any_pres, pool)
