@@ -22,18 +22,20 @@ class ParseError(ValueError):
 
 
 def _split_top(s: str, seps: str) -> List[str]:
-    """Split on separators not nested in parentheses, keeping signs."""
+    """Split on separators not nested in parentheses, keeping signs; a
+    sign right after ``^`` belongs to the exponent."""
     parts = []
     depth = 0
     cur = ""
-    for k, ch in enumerate(s):
+    for ch in s:
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
             if depth < 0:
                 raise ParseError("unbalanced parentheses")
-        if depth == 0 and ch in seps and cur.strip():
+        if (depth == 0 and ch in seps and cur.strip()
+                and not cur.rstrip().endswith("^")):
             parts.append(cur)
             cur = ch if ch in "+-" else ""
             continue
@@ -75,8 +77,10 @@ def parse_b_elem(s: str, pres: BPresentation) -> BElem:
                 coeff = coeff * parse_gauss(factor)
             except ValueError as exc:
                 raise ParseError(f"bad coefficient factor {factor!r}") from exc
-        term = pres.from_poly({mono_exp: coeff * sign})
-        out = out + term
+        try:
+            out = out + pres.from_poly({mono_exp: coeff * sign})
+        except ValueError as exc:  # e.g. x in trivial B, x^-1 in polyquot
+            raise ParseError(str(exc)) from exc
     return out
 
 

@@ -146,9 +146,6 @@ class GaussRat:
     def __bool__(self):
         return self._a != 0 or self._b != 0
 
-    def is_zero(self) -> bool:
-        return self._a == 0 and self._b == 0
-
     # -- formatting ---------------------------------------------------
 
     def __str__(self):

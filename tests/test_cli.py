@@ -69,6 +69,25 @@ class TestBracketCommand:
         assert main(["bracket", "--config", cfg, x, y]) == EXIT_OK
         assert capsys.readouterr().out == want + "\n"
 
+    def test_negative_exponent_syntax(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, B={"kind": "laurent", "eval_point": "3"})
+        code = main(["bracket", "--config", cfg,
+                     "D(1,0;1,0)*x^-1", "t(1,0)*(x^-2 + 3)"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == "t(2,0)*(3*x^-1+x^-3)\n"
+
+    @pytest.mark.parametrize("b,x", [
+        ({"kind": "trivial"}, "D(1,0;1,0)*x"),
+        ({"kind": "polyquot", "modulus": ["-8", "12", "-6", "1"],
+          "eval_point": "2"}, "D(1,0;1,0)*x^-1"),
+    ], ids=["x-in-trivial", "inverse-in-polyquot"])
+    def test_coefficient_outside_b_is_config_error(self, tmp_path, capsys,
+                                                    b, x):
+        cfg = write_config(tmp_path, B=b)
+        code = main(["bracket", "--config", cfg, x, "t(1,0)*1"])
+        assert code == EXIT_CONFIG_ERROR
+        assert "expression error" in capsys.readouterr().err
+
     def test_parse_error_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, n=1, mu=[])
         code = main(["bracket", "--config", cfg, "garbage", "D(1;0)*1"])

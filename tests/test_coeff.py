@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from sympy import I as SYM_I, Poly, QQ_I, Rational, expand, symbols
 
 from loopwitt.coeff import BPresentation
 from loopwitt.scalars import GaussRat
@@ -120,3 +122,89 @@ class TestNilpotency:
         m = x - two
         assert not (m * m).is_zero()
         assert (m * m * m).is_zero()
+
+
+# -- differential test against sympy ------------------------------------
+
+X = symbols("x")
+
+
+def to_sym(c):
+    return (Rational(c.re.numerator, c.re.denominator)
+            + SYM_I * Rational(c.im.numerator, c.im.denominator))
+
+
+def from_qqi(c):
+    return GaussRat(Fraction(int(c.x.numerator), int(c.x.denominator)),
+                    Fraction(int(c.y.numerator), int(c.y.denominator)))
+
+
+def from_sym(expr):
+    return from_qqi(QQ_I.from_sympy(expand(expr)))
+
+
+def random_gauss(rng):
+    return GaussRat(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                    Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+
+
+def random_coeffs(rng, exponents):
+    picks = rng.sample(exponents, rng.randint(0, min(4, len(exponents))))
+    return {e: random_gauss(rng) for e in picks}
+
+
+# kind, modulus, evaluation point, exponent range of the random inputs
+SYMPY_CASES = {
+    "trivial": ("trivial", None, 0, [0]),
+    "laurent-at-3": ("laurent", None, 3, list(range(-3, 6))),
+    "(x-2)^2": ("polyquot", (X - 2) ** 2, 2, list(range(6))),
+    "(x-2)^3": ("polyquot", (X - 2) ** 3, 2, list(range(8))),
+    "x-2": ("polyquot", X - 2, 2, list(range(4))),
+    "(x-i)(x-2)-at-i": ("polyquot", (X - SYM_I) * (X - 2), SYM_I,
+                        list(range(6))),
+}
+
+
+class TestAgainstSympy:
+    """+, -, *, scalar * and psi against sympy Poly over QQ_I.  A laurent
+    element b is compared through the polynomial x^3 * b, a polyquot
+    result through the remainder modulo m."""
+
+    @pytest.fixture(params=list(SYMPY_CASES), ids=list(SYMPY_CASES))
+    def case(self, request):
+        kind, m, a, exponents = SYMPY_CASES[request.param]
+        mod = None if m is None else Poly(m, X, domain=QQ_I)
+        modulus = (None if mod is None
+                   else [from_sym(c) for c in reversed(mod.all_coeffs())])
+        pres = BPresentation(kind, modulus=modulus, eval_point=from_sym(a))
+        shift = 3 if kind == "laurent" else 0
+        return pres, mod, a, shift, exponents
+
+    def test_operations_match_sympy(self, case):
+        pres, mod, a, shift, exponents = case
+
+        def lift(coeffs):  # x^shift * b as a sympy polynomial
+            return Poly(sum((to_sym(c) * X ** (e + shift)
+                             for e, c in coeffs.items()), 0),
+                        X, domain=QQ_I)
+
+        def back(poly, k):  # the B element x^(-k*shift) * poly
+            if mod is not None:
+                poly = poly.rem(mod)
+            return pres.from_poly({e - k * shift: from_qqi(c) for (e,), c
+                                   in poly.as_dict(native=True).items()})
+
+        rng = random.Random(11)
+        for _ in range(25):
+            p = random_coeffs(rng, exponents)
+            q = random_coeffs(rng, exponents)
+            c = random_gauss(rng)
+            x, y = pres.from_poly(p), pres.from_poly(q)
+            P, Q = lift(p), lift(q)
+            assert x == back(P, 1)
+            assert x + y == back(P + Q, 1)
+            assert x - y == back(P - Q, 1)
+            assert -x == back(-P, 1)
+            assert x * y == back(P * Q, 2)
+            assert x * c == c * x == back(P * to_sym(c), 1)
+            assert x.psi() == from_sym(P.as_expr().subs(X, a) / a ** shift)

@@ -89,8 +89,8 @@ class TestArithmetic:
     def test_truthiness(self):
         assert not ZERO
         assert GaussRat(0, 1)
-        assert ZERO.is_zero()
-        assert not ONE.is_zero()
+        assert bool(ZERO) is False
+        assert bool(ONE) is True
 
     @given(gauss, gauss, gauss)
     def test_distributivity(self, a, b, c):
