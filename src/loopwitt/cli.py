@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
@@ -68,8 +69,10 @@ def _print_reports(reports: List[IdentityReport], as_json: bool):
 
 def cmd_verify_all(args) -> int:
     cfg = _load_config(args.config, args.seed)
-    names = args.suite if args.suite else None
-    reports = run_suites(cfg, names)
+    if args.suite:
+        # rebuilt, so that the suites are validated with the rest
+        cfg = replace(cfg, suites=tuple(args.suite))
+    reports = run_suites(cfg)
     _print_reports(reports, args.json)
     if args.out:
         _write_reports(reports, Path(args.out))

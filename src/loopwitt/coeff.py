@@ -53,10 +53,10 @@ class BPresentation:
                 raise ValueError("laurent eval_point must be nonzero")
 
     def __eq__(self, other):
-        return (isinstance(other, BPresentation)
-                and self.kind == other.kind
-                and self.modulus == other.modulus
-                and self.eval_point == other.eval_point)
+        return other is self or (isinstance(other, BPresentation)
+                                 and self.kind == other.kind
+                                 and self.modulus == other.modulus
+                                 and self.eval_point == other.eval_point)
 
     def __repr__(self):
         return f"BPresentation({self.kind!r})"

@@ -1,8 +1,9 @@
 """Dense exact linear algebra over GaussRat.
 
 Matrices are lists of row lists.  Everything here is elementary
-Gaussian elimination; sizes stay small (d <= 64) so no attempt is made
-to be clever about pivoting or sparsity.
+Gaussian elimination with no pivoting strategy (sizes stay small,
+d <= 64).  Storage is dense, but the arithmetic skips zero entries: a
+zero costs one truth test, never a GaussRat operation.
 """
 
 from __future__ import annotations

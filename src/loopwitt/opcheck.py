@@ -21,7 +21,7 @@ from typing import List, Sequence, Tuple
 
 from .coeff import BElem
 from .glnrep import burnside_dim, highest_weight_theta, norton_irreducible
-from .linalg import Mat, zeros
+from .linalg import Mat
 from .loop import (Degree, LoopElem, _add_deg, diff_derivation,
                    poly_derivation)
 from .scalars import GaussRat, ONE, ZERO
@@ -30,15 +30,10 @@ from .tensmod import ModVector, Op, TensorModule, act, op_matrix
 
 @dataclass(frozen=True)
 class OpSpec:
-    family: str  # "product", "reduced" or "evaluated"
     u: Tuple[GaussRat, ...]
     r: Degree
     b1: BElem
     b2: BElem
-
-    def __post_init__(self):
-        if self.family not in ("product", "reduced", "evaluated"):
-            raise ValueError(f"unknown operator family {self.family!r}")
 
 
 def _pair(u: Sequence[GaussRat], s: Sequence[int]) -> GaussRat:
@@ -53,21 +48,21 @@ def _neg_deg(r: Degree) -> Degree:
     return tuple(-a for a in r)
 
 
-def as_operator(spec: OpSpec, module: TensorModule) -> Op:
+def as_operator(family, spec: OpSpec, module: TensorModule) -> Op:
+    """The operator of family "product", "reduced" or "evaluated"."""
     n = module.n
     pres = module.pres
     d_elem = LoopElem.d_vec(n, pres, spec.u, spec.r, spec.b2)
-    zero_deg = (0,) * n
-    zero_mode = LoopElem.d_vec(n, pres, spec.u, zero_deg, spec.b1 * spec.b2)
-    if spec.family == "product":
-        shift_back = LoopElem.t_part(n, pres, _neg_deg(spec.r), spec.b1)
+    zero_mode = LoopElem.d_vec(n, pres, spec.u, (0,) * n, spec.b1 * spec.b2)
+    if family == "evaluated":
+        p1 = spec.b1.psi()
+        return lambda v: act(d_elem, v).scale(p1) - act(zero_mode, v)
+    shift_back = LoopElem.t_part(n, pres, _neg_deg(spec.r), spec.b1)
+    if family == "product":
         return lambda v: act(shift_back, act(d_elem, v))
-    if spec.family == "reduced":
-        shift_back = LoopElem.t_part(n, pres, _neg_deg(spec.r), spec.b1)
-        return lambda v: (act(shift_back, act(d_elem, v))
-                          - act(zero_mode, v))
-    p1 = spec.b1.psi()
-    return lambda v: act(d_elem, v).scale(p1) - act(zero_mode, v)
+    if family == "reduced":
+        return lambda v: act(shift_back, act(d_elem, v)) - act(zero_mode, v)
+    raise ValueError(f"unknown operator family {family!r}")
 
 
 # One row per bracket identity: the X family of the left-hand side, the Y
@@ -92,8 +87,7 @@ def bracket_identity(name: str, s1: OpSpec, s2: OpSpec,
                      module: TensorModule) -> Mat:
     """Residual of the bracket identity of row ``name`` on the bottom slice:
     [X(u1,r1), X(u2,r2)] - Y(w, r1+r2) + (u1,r2) Y(u2,r2) - (u2,r1) Y(u1,r1)
-    with w = (u1,r2) u2 - (u2,r1) u1.  The family fields of s1 and s2 are
-    ignored; the row names the families."""
+    with w = (u1,r2) u2 - (u2,r1) u1; the row names the families X and Y."""
     x_family, y_family, placements = BRACKET_ROWS[name]
     u1, r1, u2, r2 = s1.u, s1.r, s2.u, s2.r
     c12 = _pair(u1, r2)
@@ -104,10 +98,10 @@ def bracket_identity(name: str, s1: OpSpec, s2: OpSpec,
     def place(digits: str) -> BElem:
         return reduce(mul, (bs[k] for k in digits))
 
-    x1 = as_operator(OpSpec(x_family, u1, r1, s1.b1, s1.b2), module)
-    x2 = as_operator(OpSpec(x_family, u2, r2, s2.b1, s2.b2), module)
+    x1 = as_operator(x_family, s1, module)
+    x2 = as_operator(x_family, s2, module)
     rhs = [(-ONE, w, _add_deg(r1, r2)), (c12, u2, r2), (-c21, u1, r1)]
-    ys = [(c, as_operator(OpSpec(y_family, u, r, place(p1), place(p2)),
+    ys = [(c, as_operator(y_family, OpSpec(u, r, place(p1), place(p2)),
                           module))
           for (c, u, r), (p1, p2) in zip(rhs, placements)]
 
@@ -146,8 +140,8 @@ def scaled_product_bracket_residual(v: Tuple[GaussRat, ...], s: Degree,
                                     module: TensorModule) -> Mat:
     """[P(v,s,1,b), P(u,r,1,b2)] through the scaled-product row."""
     one = module.pres.one()
-    return bracket_identity("scaled-product", OpSpec("product", v, s, one, b),
-                            OpSpec("product", u, r, one, b2), module)
+    return bracket_identity("scaled-product", OpSpec(v, s, one, b),
+                            OpSpec(u, r, one, b2), module)
 
 
 def zero_mode_scalar_residual(u: Tuple[GaussRat, ...], b: BElem,
@@ -179,21 +173,21 @@ def coefficient_collapse_residual(u: Tuple[GaussRat, ...], r: Degree,
 
 def evaluated_preserves_differences(spec: OpSpec,
                                     module: TensorModule) -> bool:
-    """The evaluated family maps shift differences into the
-    shift-difference subspace, i.e. to vectors of slice sum zero (on
-    generators whose image stays in the window)."""
-    if spec.family != "evaluated":
-        raise ValueError("expected an evaluated-family operator")
-    op = as_operator(spec, module)
+    """The evaluated operator Q of ``spec`` maps each shift difference
+    e_k t^m - e_k t^0 (m != 0, image in the window) to slice sum zero.
+    act is exactly linear and handles each source slice on its own, so
+    Q(e_k t^m - e_k t^0) = Q(e_k t^m) - Q(e_k t^0), and every interior
+    slice m is checked against the slice sums of Q(e_k t^0)."""
+    op = as_operator("evaluated", spec, module)
     margin = tuple(abs(a) for a in spec.r)
     zero = (0,) * module.n
+    bottom = [op(module.basis_vector(zero, k)).slice_sum()
+              for k in range(module.d)]
     for m in module.window.interior(margin):
         if m == zero:
             continue
         for k in range(module.d):
-            diff = (module.basis_vector(m, k)
-                    - module.basis_vector(zero, k))
-            if any(op(diff).slice_sum()):
+            if op(module.basis_vector(m, k)).slice_sum() != bottom[k]:
                 return False
     return True
 
@@ -205,10 +199,8 @@ def quotient_intertwining_check(specs: Sequence[OpSpec],
     evaluated family on the quotient."""
     zero = (0,) * module.n
     for spec in specs:
-        red = as_operator(OpSpec("reduced", spec.u, spec.r,
-                                 spec.b1, spec.b2), module)
-        ev = as_operator(OpSpec("evaluated", spec.u, spec.r,
-                                spec.b1, spec.b2), module)
+        red = as_operator("reduced", spec, module)
+        ev = as_operator("evaluated", spec, module)
         for k in range(module.d):
             v = module.basis_vector(zero, k)
             if red(v).slice_sum() != ev(v).slice_sum():
@@ -216,45 +208,27 @@ def quotient_intertwining_check(specs: Sequence[OpSpec],
     return True
 
 
-def bottom_slice_algebra_dim(module: TensorModule,
-                             specs: Sequence[OpSpec]) -> int:
-    """Burnside dimension of the algebra generated by weight-preserving
-    product operators on the bottom slice; equals d^2 iff irreducible.
+def bottom_slice_algebra_dim(module: TensorModule) -> int:
+    """Burnside dimension of the algebra generated on the bottom slice by
+    the weight-preserving product operators P(e_i, e_j, 1, 1) for all
+    i, j and the zero mode P(e_1, 0, 1, 1); equals d^2 iff irreducible.
 
     Norton's test decides the d^2 case first.  On the bottom slice
-    P(e_i, e_i, 1, 1) acts as alpha_i I + E_ii, so theta is built from
-    those generator matrices, never from the irrep, and lies in the
-    generated algebra; a generator missing from specs counts as zero."""
+    P(e_i, e_i, 1, 1), generator i(n+1), acts as alpha_i I + E_ii, so
+    theta is built from those generator matrices, never from the irrep,
+    and lies in the generated algebra."""
     n, d = module.n, module.d
-    zero = [(0,) * n]
-    mats = [op_matrix(as_operator(spec, module), module, zero, zero)
-            for spec in specs]
-    by_shift = {(spec.u, spec.r): m for spec, m in zip(specs, mats)}
-    diagonals = []
-    for i in range(n):
-        r = tuple(int(t == i) for t in range(n))
-        diagonals.append(by_shift.get((tuple(map(GaussRat, r)), r),
-                                      zeros(d, d)))
-    theta = highest_weight_theta(diagonals, module.rep.hw_index)
+    one = module.pres.one()
+    zero = (0,) * n
+    units = [tuple(int(t == i) for t in range(n)) for i in range(n)]
+    gens = [(ei, ej) for ei in units for ej in units] + [(units[0], zero)]
+    specs = [OpSpec(tuple(map(GaussRat, u)), r, one, one) for u, r in gens]
+    mats = [op_matrix(as_operator("product", spec, module), module,
+                      [zero], [zero]) for spec in specs]
+    theta = highest_weight_theta(mats[:n * n:n + 1], module.rep.hw_index)
     if norton_irreducible(mats, theta):
         return d * d
     return burnside_dim(mats)
-
-
-def default_irreducibility_specs(module: TensorModule) -> List[OpSpec]:
-    """Documented generator sample: P(e_i, e_j, 1, 1) for all i, j plus
-    the zero-mode P(e_1, 0, 1, 1)."""
-    n = module.n
-    one = module.pres.one()
-    specs = []
-    for i in range(n):
-        u = tuple(GaussRat(1 if t == i else 0) for t in range(n))
-        for j in range(n):
-            r = tuple(1 if t == j else 0 for t in range(n))
-            specs.append(OpSpec("product", u, r, one, one))
-    e1 = tuple(GaussRat(1 if t == 0 else 0) for t in range(n))
-    specs.append(OpSpec("product", e1, (0,) * n, one, one))
-    return specs
 
 
 # -- rank-one checks --------------------------------------------------

@@ -8,11 +8,12 @@ identical reports (up to the wall-time field).
 
 from __future__ import annotations
 
+import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import opcheck
 from .coeff import BElem, BPresentation
@@ -119,9 +120,15 @@ class RunConfig:
                          (b, "modulus")):
             if not isinstance(obj.get(key, []), list):
                 raise ConfigError(f"{key!r} must be a JSON array")
+        ints = [(k, doc[k]) for k in ("n", "window_radius", "seed",
+                                      "cases_per_suite") if k in doc]
+        for key, x in ints + [("mu", x) for x in doc.get("mu", [])]:
+            if type(x) is not int:  # JSON true and false load as bool
+                raise ConfigError(f"{key!r} must hold JSON integers, "
+                                  f"got {json.dumps(x)}")
         try:
-            n = int(doc.get("n", 2))
-            mu = tuple(int(x) for x in doc.get("mu", [1] * max(0, n - 1)))
+            n = doc.get("n", 2)
+            mu = tuple(doc.get("mu", [1] * max(0, n - 1)))
             c = parse_gauss(str(doc.get("c", "1/1")))
             alpha = tuple(parse_gauss(str(a)) for a in doc.get("alpha", []))
             kind = b.get("kind", "trivial")
@@ -132,10 +139,10 @@ class RunConfig:
             pres = BPresentation(kind, modulus=modulus, eval_point=eval_point)
             return RunConfig(
                 n=n, mu=mu, c=c, alpha=alpha, bpres=pres,
-                window_radius=int(doc.get("window_radius", 3)),
-                seed=int(doc.get("seed", 42)),
+                window_radius=doc.get("window_radius", 3),
+                seed=doc.get("seed", 42),
                 suites=tuple(doc.get("suites", [])),
-                cases_per_suite=int(doc.get("cases_per_suite", 200)),
+                cases_per_suite=doc.get("cases_per_suite", 200),
             )
         except ConfigError:
             raise
@@ -182,14 +189,7 @@ class IdentityReport:
         return not self.failures
 
     def to_dict(self) -> Dict:
-        return {
-            "suite": self.suite,
-            "config": self.config,
-            "cases": self.cases,
-            "failures": self.failures,
-            "seed": self.seed,
-            "wall_time": self.wall_time,
-        }
+        return asdict(self)
 
 
 # -- deterministic sampling -------------------------------------------
@@ -387,12 +387,9 @@ def run_operator_suite(cfg: RunConfig) -> IdentityReport:
     failures = []
     cases = 0
 
-    def record(check: str, mat, case: int, extra: Dict = None):
+    def record(check: str, mat, case: int):
         if not mat_is_zero(mat):
-            entry = {"case": case, "check": check}
-            if extra:
-                entry.update(extra)
-            failures.append(entry)
+            failures.append({"case": case, "check": check})
 
     for case in range(cfg.cases_per_suite):
         u = sample_u(rng, cfg.n)
@@ -400,8 +397,8 @@ def run_operator_suite(cfg: RunConfig) -> IdentityReport:
         r = sample_deg(rng, cfg.n, SHIFT_BOUND)
         s = sample_deg(rng, cfg.n, SHIFT_BOUND)
         b1, b2, b3, b4 = (sample_b(rng, pool) for _ in range(4))
-        s1 = opcheck.OpSpec("product", u, r, b1, b2)
-        s2 = opcheck.OpSpec("product", v, s, b3, b4)
+        s1 = opcheck.OpSpec(u, r, b1, b2)
+        s2 = opcheck.OpSpec(v, s, b3, b4)
         record("product-bracket",
                opcheck.product_bracket_residual(s1, s2, module), case)
         record("reduced-bracket",
@@ -428,20 +425,16 @@ def run_operator_suite(cfg: RunConfig) -> IdentityReport:
     if quotient.dim != module.d:
         failures.append({"check": "difference-codimension",
                          "got": quotient.dim})
-    sub_specs = []
-    for _ in range(5):
-        sub_specs.append(opcheck.OpSpec(
-            "evaluated", sample_u(rng, cfg.n),
-            sample_deg(rng, cfg.n, SHIFT_BOUND),
-            sample_b(rng, pool), sample_b(rng, pool)))
+    sub_specs = [opcheck.OpSpec(sample_u(rng, cfg.n),
+                                sample_deg(rng, cfg.n, SHIFT_BOUND),
+                                sample_b(rng, pool), sample_b(rng, pool))
+                 for _ in range(5)]
     for k, spec in enumerate(sub_specs):
         cases += 1
         if not opcheck.evaluated_preserves_differences(spec, module):
             failures.append({"check": "difference-submodule", "spec": k})
     cases += 1
-    inter = [opcheck.OpSpec("product", sp.u, sp.r, sp.b1, sp.b2)
-             for sp in sub_specs]
-    if not opcheck.quotient_intertwining_check(inter, module):
+    if not opcheck.quotient_intertwining_check(sub_specs, module):
         failures.append({"check": "quotient-intertwiner"})
     return IdentityReport("operator-suite", cfg.to_dict(), cases, failures,
                           cfg.seed, time.perf_counter() - t0)
@@ -485,8 +478,7 @@ def run_irreducibility(cfg: RunConfig) -> IdentityReport:
     t0 = time.perf_counter()
     failures = []
     module = cfg.build_module()
-    specs = opcheck.default_irreducibility_specs(module)
-    dim = opcheck.bottom_slice_algebra_dim(module, specs)
+    dim = opcheck.bottom_slice_algebra_dim(module)
     if dim != module.d ** 2:
         failures.append({"check": "bottom-slice-burnside", "got": dim,
                          "want": module.d ** 2})
@@ -505,10 +497,6 @@ RUNNERS = {
 }
 
 
-def run_suites(cfg: RunConfig,
-               names: Optional[Sequence[str]] = None) -> List[IdentityReport]:
-    names = list(names) if names else list(cfg.suites)
-    for name in names:
-        if name not in RUNNERS:
-            raise ConfigError(f"unknown suite {name!r}")
-    return [RUNNERS[name](cfg) for name in names]
+def run_suites(cfg: RunConfig) -> List[IdentityReport]:
+    """Run the configured suites, which RunConfig has validated."""
+    return [RUNNERS[name](cfg) for name in cfg.suites]

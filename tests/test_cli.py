@@ -139,6 +139,21 @@ class TestVerifyAll:
         assert code == EXIT_OK
         docs = json.loads(capsys.readouterr().out)
         assert [d["suite"] for d in docs] == ["gl-relations"]
+        # the report echoes the suites that ran, not the config's list
+        assert docs[0]["config"]["suites"] == ["gl-relations"]
+
+    @pytest.mark.parametrize("over,suite,message", [
+        ({"window_radius": 5}, "rank-one", "rank-one suite requires n = 1"),
+        ({"window_radius": 1}, "module-axiom",
+         "module-axiom suite requires window_radius >= 2"),
+        ({}, "nope", "unknown suite 'nope'"),
+    ])
+    def test_suite_flag_is_validated_like_the_config(self, tmp_path, capsys,
+                                                      over, suite, message):
+        cfg = write_config(tmp_path, **over)
+        code = main(["verify-all", "--config", cfg, "--suite", suite])
+        assert code == EXIT_CONFIG_ERROR
+        assert message in capsys.readouterr().err
 
     def test_missing_config_is_config_error(self, tmp_path, capsys):
         code = main(["verify-all", "--config", str(tmp_path / "nope.json")])
@@ -167,6 +182,14 @@ class TestVerifyAll:
          "'modulus' must be a JSON array"),
         ({"B": {"kind": "polyquot", "modulus": ["0", "0"]}},
          "modulus of degree >= 1"),
+        ({"n": 2.9}, "'n' must hold JSON integers, got 2.9"),
+        ({"n": 2.0}, "'n' must hold JSON integers, got 2.0"),
+        ({"mu": [1.5]}, "'mu' must hold JSON integers, got 1.5"),
+        ({"window_radius": 2.5},
+         "'window_radius' must hold JSON integers, got 2.5"),
+        ({"seed": True}, "'seed' must hold JSON integers, got true"),
+        ({"cases_per_suite": "3"},
+         "'cases_per_suite' must hold JSON integers, got \"3\""),
     ])
     def test_config_shape_errors_are_config_errors(self, tmp_path, capsys,
                                                    doc, message):
@@ -283,30 +306,51 @@ _B_DOCS = st.one_of(
         "eval_point": st.sampled_from(_SCALARS)}),
     st.just({"kind": "cyclic"}),
 )
+# JSON values that an integer field must reject
+_NON_INTEGERS = [2.0, 2.5, -0.5, True, False, "2"]
+_INT_FIELDS = ("n", "window_radius", "seed", "cases_per_suite")
+
+
+def _int_field(lo, hi):
+    """An integer in [lo, hi] or a non-integer JSON value."""
+    return st.integers(lo, hi) | st.sampled_from(_NON_INTEGERS)
+
+
 _CONFIG_DOCS = st.fixed_dictionaries({
     # kept small: a config without it runs 200 cases per suite
     "cases_per_suite": st.integers(0, 2),
 }, optional={
-    "n": st.integers(-1, 2),
-    "mu": st.lists(st.integers(-1, 9), max_size=2),
+    "n": _int_field(-1, 2),
+    "mu": st.lists(_int_field(-1, 9), max_size=2),
     "c": st.sampled_from(_SCALARS),
     "alpha": st.lists(st.sampled_from(_SCALARS), max_size=3),
     "B": _B_DOCS,
-    "window_radius": st.integers(0, 3),
-    "seed": st.integers(0, 10 ** 6),
+    "window_radius": _int_field(0, 3),
+    "seed": _int_field(0, 10 ** 6),
     "suites": st.lists(st.sampled_from(suites.SUITE_NAMES), max_size=3,
                        unique=True),
 })
 
 
-@settings(max_examples=200, deadline=None,
+# a command and its flags; verify-all may select suites with --suite
+_COMMANDS = (st.sampled_from([["module-info"], ["irrep-info"]])
+             | st.lists(st.sampled_from(suites.SUITE_NAMES + ["nope"]),
+                        max_size=2).map(lambda names: ["verify-all"] + [
+                            a for name in names for a in ("--suite", name)]))
+
+
+# about one document in ten is a valid config, and a --suite flag is
+# checked against the config only on those
+@settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(doc=_CONFIG_DOCS,
-       command=st.sampled_from(["verify-all", "module-info", "irrep-info"]))
+@given(doc=_CONFIG_DOCS, command=_COMMANDS)
 def test_config_fuzz_never_crashes(tmp_path, capsys, doc, command):
     path = tmp_path / "fuzz.json"
     path.write_text(json.dumps(doc))
-    code = main([command, "--config", str(path)])
+    code = main(command + ["--config", str(path)])
     err = capsys.readouterr().err
     assert code in (EXIT_OK, EXIT_SUITE_FAILURE, EXIT_CONFIG_ERROR), err
     assert "Traceback" not in err
+    values = [doc[k] for k in _INT_FIELDS if k in doc] + doc.get("mu", [])
+    if any(type(x) is not int for x in values):
+        assert code == EXIT_CONFIG_ERROR, (doc, err)

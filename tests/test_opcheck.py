@@ -29,12 +29,13 @@ def deg(n, j, val=1):
     return tuple(val if t == j else 0 for t in range(n))
 
 
-def bottom_block(spec, module):
+def bottom_block(family, spec, module):
     zero = [(0,) * module.n]
-    return op_matrix(opcheck.as_operator(spec, module), module, zero, zero)
+    return op_matrix(opcheck.as_operator(family, spec, module), module, zero,
+                     zero)
 
 
-def sample_specs(pres, n, rng, count, family="product"):
+def sample_specs(pres, n, rng, count):
     pool = [pres.one(), pres.one() * GaussRat(2)]
     if pres.kind != "trivial":
         pool.append(pres.generator())
@@ -46,30 +47,30 @@ def sample_specs(pres, n, rng, count, family="product"):
         r = tuple(rng.randint(-1, 1) for _ in range(n))
         b1 = pool[rng.randrange(len(pool))]
         b2 = pool[rng.randrange(len(pool))]
-        out.append(OpSpec(family, u, r, b1, b2))
+        out.append(OpSpec(u, r, b1, b2))
     return out
 
 
 class TestOperatorFamilies:
     def test_unknown_family_rejected(self, trivial):
+        module = make_module(trivial)
+        spec = OpSpec(e(2, 0), (0, 0), trivial.one(), trivial.one())
         with pytest.raises(ValueError):
-            OpSpec("twisted", (GaussRat(1),), (0,), trivial.one(),
-                   trivial.one())
+            opcheck.as_operator("twisted", spec, module)
 
     def test_product_family_preserves_weight(self, trivial):
         module = make_module(trivial)
-        spec = OpSpec("product", e(2, 0), (1, -1), trivial.one(),
-                      trivial.one())
+        spec = OpSpec(e(2, 0), (1, -1), trivial.one(), trivial.one())
         # a single-slice block succeeds only if the operator maps the
         # slice to itself
-        m = bottom_block(spec, module)
+        m = bottom_block("product", spec, module)
         assert len(m) == module.d
 
     def test_product_zero_shift_is_pairing_scalar(self, trivial):
         module = make_module(trivial)
         u = (GaussRat(2), GaussRat(1))
-        spec = OpSpec("product", u, (0, 0), trivial.one(), trivial.one())
-        got = bottom_block(spec, module)
+        spec = OpSpec(u, (0, 0), trivial.one(), trivial.one())
+        got = bottom_block("product", spec, module)
         scal = GaussRat(2) * HALF + HALF  # (u, alpha)
         want = [[scal if i == j else ZERO for j in range(module.d)]
                 for i in range(module.d)]
@@ -77,9 +78,8 @@ class TestOperatorFamilies:
 
     def test_reduced_zero_shift_vanishes(self, trivial):
         module = make_module(trivial)
-        spec = OpSpec("reduced", e(2, 0), (0, 0), trivial.one(),
-                      trivial.one())
-        assert mat_is_zero(bottom_block(spec, module))
+        spec = OpSpec(e(2, 0), (0, 0), trivial.one(), trivial.one())
+        assert mat_is_zero(bottom_block("reduced", spec, module))
 
 
 class TestBracketIdentities:
@@ -109,8 +109,8 @@ class TestBracketIdentities:
         # two zero-shift operators are scalars on every slice, so their
         # bracket relation degenerates
         module = make_module(trivial)
-        s1 = OpSpec("product", e(2, 0), (0, 0), trivial.one(), trivial.one())
-        s2 = OpSpec("product", e(2, 1), (0, 0), trivial.one(), trivial.one())
+        s1 = OpSpec(e(2, 0), (0, 0), trivial.one(), trivial.one())
+        s2 = OpSpec(e(2, 1), (0, 0), trivial.one(), trivial.one())
         assert mat_is_zero(opcheck.product_bracket_residual(s1, s2, module))
 
 
@@ -183,15 +183,8 @@ class TestShiftDifferences:
     def test_evaluated_family_preserves_differences(self, any_pres):
         module = make_module(any_pres)
         rng = random.Random(5)
-        for spec in sample_specs(any_pres, 2, rng, 4, family="evaluated"):
+        for spec in sample_specs(any_pres, 2, rng, 4):
             assert opcheck.evaluated_preserves_differences(spec, module)
-
-    def test_family_guard(self, trivial):
-        module = make_module(trivial)
-        spec = OpSpec("product", e(2, 0), (0, 0), trivial.one(),
-                      trivial.one())
-        with pytest.raises(ValueError):
-            opcheck.evaluated_preserves_differences(spec, module)
 
     def test_quotient_intertwines_reduced_and_evaluated(self, any_pres):
         module = make_module(any_pres)
@@ -205,13 +198,11 @@ class TestIrreducibility:
         (1, (), 1), (2, (1,), 4), (3, (1, 0), 9)])
     def test_bottom_slice_algebra_is_full(self, n, mu, want, trivial):
         module = make_module(trivial, n=n, mu=mu)
-        specs = opcheck.default_irreducibility_specs(module)
-        assert opcheck.bottom_slice_algebra_dim(module, specs) == want
+        assert opcheck.bottom_slice_algebra_dim(module) == want
 
     def test_trivial_weight_gives_scalar_algebra(self, trivial):
         module = make_module(trivial, n=2, mu=(0,))
-        specs = opcheck.default_irreducibility_specs(module)
-        assert opcheck.bottom_slice_algebra_dim(module, specs) == 1
+        assert opcheck.bottom_slice_algebra_dim(module) == 1
 
     @pytest.mark.parametrize("n,mu", [(1, ()), (2, (3,)), (3, (1, 1)),
                                       (4, (1, 0, 1))])
@@ -285,8 +276,40 @@ def drop_e_terms(monkeypatch, keep_diagonal):
         if keep_diagonal and i == j else zeros(self.d, self.d))
 
 
+def double_d_terms_on_slice(monkeypatch, first):
+    """Plant a defect in act that touches one source slice only: the
+    derivation terms act twice on slice (first, 0, ..., 0).  The operator
+    suite reaches act through its binding in opcheck."""
+    from loopwitt.loop import LoopElem
+    act = opcheck.act
+
+    def broken(x, v):
+        out = act(x, v)
+        p = (first,) + (0,) * (v.module.n - 1)
+        if p in v.data:
+            d_terms = LoopElem(x.n, x.pres, {key: b for key, b in
+                                             x.terms.items() if key[0] == "d"})
+            out = out + act(d_terms, ModVector(v.module, {p: v.data[p]}))
+        return out
+    monkeypatch.setattr(opcheck, "act", broken)
+
+
 class TestNegativeControls:
     """Planted defects that the operator suite must report."""
+
+    @pytest.mark.parametrize("first", [1, 2])
+    @pytest.mark.parametrize("n,mu", [(1, ()), (2, (1,)), (3, (1, 0))])
+    def test_single_slice_defect_fails_difference_submodule(self, n, mu, first,
+                                                            monkeypatch):
+        # an evaluated operator moves the bottom slice by some r with
+        # |r_i| <= 1 before the next one acts, so the evaluated bracket may
+        # see a defect on slice (1, 0, ...); on (2, 0, ...) only the sweep
+        # over every interior slice does
+        double_d_terms_on_slice(monkeypatch, first)
+        got = suite_failures("operator-suite", n, mu)
+        assert "difference-submodule" in got
+        if first == 2:
+            assert got == {"difference-submodule"}
 
     @pytest.mark.parametrize("n,mu,pres", [(1, (), "trivial"),
                                            (2, (1,), "polyquot")])
