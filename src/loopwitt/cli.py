@@ -24,7 +24,7 @@ from typing import List, Optional
 
 from .glnrep import build_irrep
 from .parsing import ParseError, format_loop_elem, parse_loop_expr
-from .suites import ConfigError, IdentityReport, RunConfig, run_suites
+from .suites import ConfigError, RunConfig, run_suites
 
 EXIT_OK = 0
 EXIT_SUITE_FAILURE = 1
@@ -32,7 +32,7 @@ EXIT_CONFIG_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
 
 
-def _load_config(path: Optional[str], seed: Optional[int]) -> RunConfig:
+def _load_config(path: Optional[str], seed: Optional[int] = None) -> RunConfig:
     if path is None:
         cfg = RunConfig()
     else:
@@ -44,27 +44,12 @@ def _load_config(path: Optional[str], seed: Optional[int]) -> RunConfig:
             raise ConfigError(
                 f"config parse error at line {exc.lineno}, column {exc.colno}: "
                 f"{exc.msg}")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}")
         cfg = RunConfig.from_dict(doc)
     if seed is not None:
         cfg.seed = seed
     return cfg
-
-
-def _report_json(rep: IdentityReport) -> str:
-    return json.dumps(rep.to_dict(), sort_keys=True, indent=2)
-
-
-def _print_reports(reports: List[IdentityReport], as_json: bool):
-    if as_json:
-        print(json.dumps([r.to_dict() for r in reports], sort_keys=True,
-                         indent=2))
-        return
-    for rep in reports:
-        status = "PASS" if rep.passed else "FAIL"
-        print(f"[{status}] {rep.suite}: {rep.cases} cases, "
-              f"{len(rep.failures)} failures ({rep.wall_time:.2f}s)")
-        for f in rep.failures[:10]:
-            print(f"    failure: {json.dumps(f, sort_keys=True)}")
 
 
 def cmd_verify_all(args) -> int:
@@ -73,14 +58,21 @@ def cmd_verify_all(args) -> int:
         # rebuilt, so that the suites are validated with the rest
         cfg = replace(cfg, suites=tuple(args.suite))
     reports = run_suites(cfg)
-    _print_reports(reports, args.json)
-    if args.out:
-        _write_reports(reports, Path(args.out))
+    if args.json:
+        print(json.dumps([r.to_dict() for r in reports], sort_keys=True,
+                         indent=2))
+    else:
+        for rep in reports:
+            status = "PASS" if rep.passed else "FAIL"
+            print(f"[{status}] {rep.suite}: {rep.cases} cases, "
+                  f"{len(rep.failures)} failures ({rep.wall_time:.2f}s)")
+            for f in rep.failures[:10]:
+                print(f"    failure: {json.dumps(f, sort_keys=True)}")
     return EXIT_OK if all(r.passed for r in reports) else EXIT_SUITE_FAILURE
 
 
 def cmd_bracket(args) -> int:
-    cfg = _load_config(args.config, args.seed)
+    cfg = _load_config(args.config)
     try:
         x = parse_loop_expr(args.x, cfg.n, cfg.bpres)
         y = parse_loop_expr(args.y, cfg.n, cfg.bpres)
@@ -91,7 +83,7 @@ def cmd_bracket(args) -> int:
 
 
 def cmd_irrep_info(args) -> int:
-    cfg = _load_config(args.config, args.seed)
+    cfg = _load_config(args.config)
     rep = build_irrep(cfg.mu, cfg.c, cfg.n)
     doc = {
         "n": cfg.n,
@@ -118,7 +110,7 @@ def cmd_irrep_info(args) -> int:
 
 
 def cmd_module_info(args) -> int:
-    cfg = _load_config(args.config, args.seed)
+    cfg = _load_config(args.config)
     module = cfg.build_module()
     doc = {
         "slices": [{"m": list(m), "dim": module.d}
@@ -138,16 +130,17 @@ def cmd_module_info(args) -> int:
     return EXIT_OK
 
 
-def _write_reports(reports: List[IdentityReport], out_dir: Path):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for rep in reports:
-        (out_dir / f"{rep.suite}.json").write_text(_report_json(rep) + "\n")
-
-
 def cmd_export(args) -> int:
     cfg = _load_config(args.config, args.seed)
+    out_dir = Path(args.out)
+    try:  # before the run, so that a bad --out costs no suite time
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create report directory {args.out}: {exc}")
     reports = run_suites(cfg)
-    _write_reports(reports, Path(args.out))
+    for rep in reports:
+        (out_dir / f"{rep.suite}.json").write_text(
+            json.dumps(rep.to_dict(), sort_keys=True, indent=2) + "\n")
     print(f"wrote {len(reports)} reports to {args.out}")
     return EXIT_OK if all(r.passed for r in reports) else EXIT_SUITE_FAILURE
 
@@ -160,45 +153,44 @@ def build_parser() -> argparse.ArgumentParser:
                     "derivations, and their tensor-field modules.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--config", help="JSON config path")
-        sp.add_argument("--seed", type=int, help="override the config seed")
-        sp.add_argument("--json", action="store_true",
-                        help="emit machine-readable JSON")
+    flags = {
+        "--seed": dict(type=int, help="override the config seed"),
+        "--json": dict(action="store_true", help="emit machine-readable JSON"),
+    }
 
-    sp = sub.add_parser("verify-all", help="run identity suites")
-    common(sp)
+    def command(name, func, summary, *shared):
+        sp = sub.add_parser(name, help=summary)
+        sp.add_argument("--config", help="JSON config path")
+        for flag in shared:
+            sp.add_argument(flag, **flags[flag])
+        sp.set_defaults(func=func)
+        return sp
+
+    sp = command("verify-all", cmd_verify_all, "run identity suites",
+                 "--seed", "--json")
     sp.add_argument("--suite", action="append",
                     help="run only this suite (repeatable)")
-    sp.add_argument("--out", help="also write reports to this directory")
-    sp.set_defaults(func=cmd_verify_all)
 
-    sp = sub.add_parser("bracket", help="bracket of two elements")
-    common(sp)
+    sp = command("bracket", cmd_bracket, "bracket of two elements")
     sp.add_argument("x")
     sp.add_argument("y")
-    sp.set_defaults(func=cmd_bracket)
 
-    sp = sub.add_parser("irrep-info", help="inspect the gl(n) module")
-    common(sp)
+    sp = command("irrep-info", cmd_irrep_info, "inspect the gl(n) module",
+                 "--json")
     sp.add_argument("--matrices", action="store_true",
                     help="include the E_ij matrices")
-    sp.set_defaults(func=cmd_irrep_info)
 
-    sp = sub.add_parser("module-info", help="inspect the tensor-field module")
-    common(sp)
-    sp.set_defaults(func=cmd_module_info)
+    command("module-info", cmd_module_info, "inspect the tensor-field module",
+            "--json")
 
-    sp = sub.add_parser("export", help="write all reports to a directory")
-    common(sp)
+    sp = command("export", cmd_export, "write all reports to a directory",
+                 "--seed")
     sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_export)
     return p
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -1,9 +1,10 @@
 """Suite orchestration: configuration, deterministic sampling, reports.
 
-Each suite takes a RunConfig, runs its checks under the configured seed
-and returns an IdentityReport.  All sampling goes through one
-random.Random instance seeded per suite, so identical configs produce
-identical reports (up to the wall-time field).
+Each suite runner takes a RunConfig, runs its checks under the
+configured seed and returns its case count and failures; run_suites
+times each runner and wraps the result in an IdentityReport.  All
+sampling goes through one random.Random instance seeded per suite, so
+identical configs produce identical reports (up to the wall-time field).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import random
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import opcheck
 from .coeff import BElem, BPresentation
@@ -22,6 +23,7 @@ from .glnrep import (DIM_CAP, build_irrep, burnside_dim, highest_weight_theta,
 from .linalg import SpanBasis, mat_is_zero
 from .loop import (LoopElem, diff_derivation_bracket_residual,
                    poly_derivation_bracket_residual)
+from .parsing import format_loop_elem
 from .scalars import GaussRat, parse_gauss
 # act is unused here; perfbench's test checks its trace wrapper binds here
 from .tensmod import (ModVector, TensorModule, Window, act,  # noqa: F401
@@ -31,16 +33,6 @@ from .tensmod import (ModVector, TensorModule, Window, act,  # noqa: F401
 class ConfigError(ValueError):
     pass
 
-
-SUITE_NAMES = [
-    "bracket-soundness",
-    "gl-relations",
-    "module-axiom",
-    "assoc-unital",
-    "operator-suite",
-    "rank-one",
-    "irreducibility",
-]
 
 # bound on |r_i| of every degree the module suites sample
 SHIFT_BOUND = 1
@@ -59,6 +51,15 @@ MIN_RADIUS = {
     "rank-one": 5,
     "irreducibility": 1,
 }
+
+
+def _ruled_out(suite: str, n: int, radius: int) -> Optional[str]:
+    """Why the suite cannot run at rank n in this window, or None."""
+    if radius < MIN_RADIUS[suite]:
+        return f"{suite} suite requires window_radius >= {MIN_RADIUS[suite]}"
+    if suite == "rank-one" and n != 1:
+        return "rank-one suite requires n = 1"
+    return None
 
 
 @dataclass
@@ -93,21 +94,17 @@ class RunConfig:
         if not self.suites:
             self.suites = tuple(self.default_suites())
         for s in self.suites:
-            if s not in SUITE_NAMES:
+            if s not in RUNNERS:
                 raise ConfigError(f"unknown suite {s!r}")
-            if self.window_radius < MIN_RADIUS[s]:
-                raise ConfigError(f"{s} suite requires window_radius >= "
-                                  f"{MIN_RADIUS[s]}")
-        if "rank-one" in self.suites and self.n != 1:
-            raise ConfigError("rank-one suite requires n = 1")
+            if reason := _ruled_out(s, self.n, self.window_radius):
+                raise ConfigError(reason)
         if self.cases_per_suite < 1:
             raise ConfigError("cases_per_suite must be >= 1")
 
     def default_suites(self) -> List[str]:
         """Every suite the rank and the window radius allow."""
-        return [s for s in SUITE_NAMES
-                if self.window_radius >= MIN_RADIUS[s]
-                and (s != "rank-one" or self.n == 1)]
+        return [s for s in RUNNERS
+                if _ruled_out(s, self.n, self.window_radius) is None]
 
     # -- serialization ------------------------------------------------
 
@@ -267,16 +264,12 @@ def sample_interior_vector(rng: random.Random, module: TensorModule,
     return ModVector(module, data)
 
 
-def _describe_loop(x: LoopElem) -> str:
-    from .parsing import format_loop_elem
-    return format_loop_elem(x)
-
-
 # -- suite runners ----------------------------------------------------
 
+Outcome = Tuple[int, List[Dict]]  # the case count and the failures of a run
 
-def run_bracket_soundness(cfg: RunConfig) -> IdentityReport:
-    t0 = time.perf_counter()
+
+def run_bracket_soundness(cfg: RunConfig) -> Outcome:
     rng = random.Random(cfg.seed)
     pool = coefficient_pool(cfg.bpres)
     failures = []
@@ -288,17 +281,14 @@ def run_bracket_soundness(cfg: RunConfig) -> IdentityReport:
         jac = x.jacobi_residual(y, z)
         if not anti.is_zero():
             failures.append({"case": case, "check": "antisymmetry",
-                             "witness": _describe_loop(anti)})
+                             "witness": format_loop_elem(anti)})
         if not jac.is_zero():
             failures.append({"case": case, "check": "jacobi",
-                             "witness": _describe_loop(jac)})
-    return IdentityReport("bracket-soundness", cfg.to_dict(),
-                          cfg.cases_per_suite, failures, cfg.seed,
-                          time.perf_counter() - t0)
+                             "witness": format_loop_elem(jac)})
+    return cfg.cases_per_suite, failures
 
 
-def run_gl_relations(cfg: RunConfig) -> IdentityReport:
-    t0 = time.perf_counter()
+def run_gl_relations(cfg: RunConfig) -> Outcome:
     failures = []
     rep = build_irrep(cfg.mu, cfg.c, cfg.n)
     cases = 0
@@ -334,12 +324,10 @@ def run_gl_relations(cfg: RunConfig) -> IdentityReport:
         col = [rep.E(i, i + 1)[row][hw] for row in range(rep.d)]
         if any(col):
             failures.append({"check": "highest-weight", "raising": i})
-    return IdentityReport("gl-relations", cfg.to_dict(), cases, failures,
-                          cfg.seed, time.perf_counter() - t0)
+    return cases, failures
 
 
-def run_module_axiom(cfg: RunConfig) -> IdentityReport:
-    t0 = time.perf_counter()
+def run_module_axiom(cfg: RunConfig) -> Outcome:
     rng = random.Random(cfg.seed + 1)
     pool = coefficient_pool(cfg.bpres)
     module = cfg.build_module()
@@ -352,13 +340,12 @@ def run_module_axiom(cfg: RunConfig) -> IdentityReport:
         res = module_axiom_residual(x, y, v)
         if not res.is_zero():
             failures.append({"case": case, "check": "module-axiom",
-                             "x": _describe_loop(x), "y": _describe_loop(y)})
-    return IdentityReport("module-axiom", cfg.to_dict(), cfg.cases_per_suite,
-                          failures, cfg.seed, time.perf_counter() - t0)
+                             "x": format_loop_elem(x),
+                             "y": format_loop_elem(y)})
+    return cfg.cases_per_suite, failures
 
 
-def run_assoc_unital(cfg: RunConfig) -> IdentityReport:
-    t0 = time.perf_counter()
+def run_assoc_unital(cfg: RunConfig) -> Outcome:
     rng = random.Random(cfg.seed + 2)
     pool = coefficient_pool(cfg.bpres)
     module = cfg.build_module()
@@ -375,12 +362,10 @@ def run_assoc_unital(cfg: RunConfig) -> IdentityReport:
             failures.append({"case": case, "check": "associativity"})
         if not unit.is_zero():
             failures.append({"case": case, "check": "unit"})
-    return IdentityReport("assoc-unital", cfg.to_dict(), cfg.cases_per_suite,
-                          failures, cfg.seed, time.perf_counter() - t0)
+    return cfg.cases_per_suite, failures
 
 
-def run_operator_suite(cfg: RunConfig) -> IdentityReport:
-    t0 = time.perf_counter()
+def run_operator_suite(cfg: RunConfig) -> Outcome:
     rng = random.Random(cfg.seed + 3)
     pool = coefficient_pool(cfg.bpres)
     module = cfg.build_module()
@@ -436,12 +421,10 @@ def run_operator_suite(cfg: RunConfig) -> IdentityReport:
     cases += 1
     if not opcheck.quotient_intertwining_check(sub_specs, module):
         failures.append({"check": "quotient-intertwiner"})
-    return IdentityReport("operator-suite", cfg.to_dict(), cases, failures,
-                          cfg.seed, time.perf_counter() - t0)
+    return cases, failures
 
 
-def run_rank_one(cfg: RunConfig) -> IdentityReport:
-    t0 = time.perf_counter()
+def run_rank_one(cfg: RunConfig) -> Outcome:
     failures = []
     cases = 0
     pres = cfg.bpres
@@ -470,22 +453,20 @@ def run_rank_one(cfg: RunConfig) -> IdentityReport:
     for msg in opcheck.rank_one_quotient_annihilation_check(module):
         failures.append({"check": "quotient-annihilation", "witness": msg})
     cases += 3
-    return IdentityReport("rank-one", cfg.to_dict(), cases, failures,
-                          cfg.seed, time.perf_counter() - t0)
+    return cases, failures
 
 
-def run_irreducibility(cfg: RunConfig) -> IdentityReport:
-    t0 = time.perf_counter()
+def run_irreducibility(cfg: RunConfig) -> Outcome:
     failures = []
     module = cfg.build_module()
     dim = opcheck.bottom_slice_algebra_dim(module)
     if dim != module.d ** 2:
         failures.append({"check": "bottom-slice-burnside", "got": dim,
                          "want": module.d ** 2})
-    return IdentityReport("irreducibility", cfg.to_dict(), 1, failures,
-                          cfg.seed, time.perf_counter() - t0)
+    return 1, failures
 
 
+# every suite, in the order a config without "suites" runs them
 RUNNERS = {
     "bracket-soundness": run_bracket_soundness,
     "gl-relations": run_gl_relations,
@@ -498,5 +479,12 @@ RUNNERS = {
 
 
 def run_suites(cfg: RunConfig) -> List[IdentityReport]:
-    """Run the configured suites, which RunConfig has validated."""
-    return [RUNNERS[name](cfg) for name in cfg.suites]
+    """Run the configured suites, which RunConfig has validated, and
+    report each with the wall time of its runner."""
+    reports = []
+    for name in cfg.suites:
+        t0 = time.perf_counter()
+        cases, failures = RUNNERS[name](cfg)
+        reports.append(IdentityReport(name, cfg.to_dict(), cases, failures,
+                                      cfg.seed, time.perf_counter() - t0))
+    return reports

@@ -159,6 +159,21 @@ class TestVerifyAll:
         code = main(["verify-all", "--config", str(tmp_path / "nope.json")])
         assert code == EXIT_CONFIG_ERROR
 
+    def test_directory_config_is_config_error(self, tmp_path, capsys):
+        code = main(["verify-all", "--config", str(tmp_path)])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith(
+            f"config error: cannot read config file {tmp_path}")
+
+    def test_undecodable_config_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff{}")
+        code = main(["verify-all", "--config", str(path)])
+        assert code == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config file {path}")
+        assert "can't decode byte 0xff" in err
+
     def test_invalid_json_reports_location(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -221,6 +236,20 @@ class TestExportAndDeterminism:
         doc = json.loads((out_dir / "bracket-soundness.json").read_text())
         assert doc["failures"] == []
 
+    def test_out_naming_a_file_fails_before_the_run(self, tmp_path, capsys,
+                                                     monkeypatch):
+        def never(cfg):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setitem(suites.RUNNERS, "bracket-soundness", never)
+        cfg = write_config(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code = main(["export", "--config", cfg, "--out", str(taken)])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith(
+            f"config error: cannot create report directory {taken}")
+
     def test_identical_runs_identical_reports(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, suites=["bracket-soundness", "module-axiom"],
@@ -233,6 +262,26 @@ class TestExportAndDeterminism:
             return json.dumps(docs, sort_keys=True)
 
         assert run_once() == run_once()
+
+
+# flags that no command reads, or (verify-all --out) that did the
+# same as export
+@pytest.mark.parametrize("argv", [
+    ["bracket", "--seed", "1", "t(1,0)*1", "t(0,1)*1"],
+    ["bracket", "--json", "t(1,0)*1", "t(0,1)*1"],
+    ["irrep-info", "--seed", "1"],
+    ["module-info", "--seed", "1"],
+    ["export", "--json", "--out", "d"],
+    ["verify-all", "--out", "d"],
+])
+def test_flag_a_command_does_not_read_is_usage_error(tmp_path, capsys,
+                                                     monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG_ERROR
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 class TestConfigLimits:
@@ -294,16 +343,27 @@ class TestInternalErrors:
 
 
 # random small config documents: every one must run or be rejected
-# up front, never crash
-_SCALARS = ["0", "1", "-1", "1/2", "3/2", "-2/3", "2", "i", "1/2-1/3 i",
-            "1/0", "x"]
+# up front, never crash.  n is drawn first, so that mu and alpha match
+# it, and about one document in four then takes one invalid field.
+_SCALARS = ["0", "1", "-1", "1/2", "3/2", "-2/3", "2", "i", "1/2-1/3 i"]
+_BAD_SCALARS = ["1/0", "x"]
 _B_DOCS = st.one_of(
     st.just({"kind": "trivial"}),
+    st.sampled_from([
+        {"kind": "polyquot", "modulus": ["-8", "12", "-6", "1"],
+         "eval_point": "2"},
+        {"kind": "polyquot", "modulus": ["1", "0", "1"], "eval_point": "i"},
+        {"kind": "polyquot", "modulus": ["0", "0", "1"]}]),
+    st.fixed_dictionaries({"kind": st.just("laurent"),
+                           "eval_point": st.sampled_from(_SCALARS[1:])}),
+)
+_BAD_B_DOCS = st.one_of(
     st.fixed_dictionaries({"kind": st.just("polyquot")}, optional={
-        "modulus": st.lists(st.sampled_from(_SCALARS), max_size=4),
-        "eval_point": st.sampled_from(_SCALARS)}),
+        "modulus": st.lists(st.sampled_from(_SCALARS + _BAD_SCALARS),
+                            max_size=4),
+        "eval_point": st.sampled_from(_SCALARS + _BAD_SCALARS)}),
     st.fixed_dictionaries({"kind": st.just("laurent")}, optional={
-        "eval_point": st.sampled_from(_SCALARS)}),
+        "eval_point": st.sampled_from(["0"] + _BAD_SCALARS)}),
     st.just({"kind": "cyclic"}),
 )
 # JSON values that an integer field must reject
@@ -311,39 +371,64 @@ _NON_INTEGERS = [2.0, 2.5, -0.5, True, False, "2"]
 _INT_FIELDS = ("n", "window_radius", "seed", "cases_per_suite")
 
 
-def _int_field(lo, hi):
-    """An integer in [lo, hi] or a non-integer JSON value."""
-    return st.integers(lo, hi) | st.sampled_from(_NON_INTEGERS)
+def _one_invalid_field(n):
+    """A dict that makes a valid config document of rank n invalid."""
+    field = st.fixed_dictionaries
+    return st.one_of(
+        st.sampled_from(_INT_FIELDS).flatmap(
+            lambda k: field({k: st.sampled_from(_NON_INTEGERS)})),
+        field({"n": st.integers(-1, 0)}),
+        field({"window_radius": st.just(0)}),
+        field({"cases_per_suite": st.just(0)}),
+        field({"mu": st.lists(st.integers(-1, 9), max_size=2).filter(
+            lambda mu: len(mu) != n - 1 or -1 in mu)}),
+        field({"mu": st.lists(st.sampled_from(_NON_INTEGERS),
+                              min_size=1, max_size=1)}),
+        field({"alpha": st.lists(st.sampled_from(_SCALARS), min_size=1,
+                                 max_size=3).filter(lambda a: len(a) != n)}),
+        field({"alpha": st.just(_BAD_SCALARS[:1] * n)}),
+        field({"c": st.sampled_from(_BAD_SCALARS)}),
+        field({"B": _BAD_B_DOCS}),
+        field({"suites": st.just(["rank-one"])}),  # needs n = 1, radius 5
+    )
 
 
-_CONFIG_DOCS = st.fixed_dictionaries({
-    # kept small: a config without it runs 200 cases per suite
-    "cases_per_suite": st.integers(0, 2),
-}, optional={
-    "n": _int_field(-1, 2),
-    "mu": st.lists(_int_field(-1, 9), max_size=2),
-    "c": st.sampled_from(_SCALARS),
-    "alpha": st.lists(st.sampled_from(_SCALARS), max_size=3),
-    "B": _B_DOCS,
-    "window_radius": _int_field(0, 3),
-    "seed": _int_field(0, 10 ** 6),
-    "suites": st.lists(st.sampled_from(suites.SUITE_NAMES), max_size=3,
-                       unique=True),
-})
+@st.composite
+def _config_docs(draw):
+    n = draw(st.integers(1, 2))
+    radius = draw(st.integers(1, 3))
+    runnable = [s for s in suites.RUNNERS
+                if s != "rank-one" and suites.MIN_RADIUS[s] <= radius]
+    doc = {"n": n, "window_radius": radius,
+           # kept small: a config without it runs 200 cases per suite
+           "cases_per_suite": draw(st.integers(1, 2))}
+    doc.update(draw(st.fixed_dictionaries({}, optional={
+        "mu": st.lists(st.integers(0, 9), min_size=n - 1, max_size=n - 1),
+        "c": st.sampled_from(_SCALARS),
+        "alpha": st.lists(st.sampled_from(_SCALARS), min_size=n,
+                          max_size=n),
+        "B": _B_DOCS,
+        "seed": st.integers(0, 10 ** 6),
+        "suites": st.lists(st.sampled_from(runnable), max_size=3,
+                           unique=True),
+    })))
+    if draw(st.integers(0, 3)) == 0:
+        doc.update(draw(_one_invalid_field(n)))
+    return doc
 
 
 # a command and its flags; verify-all may select suites with --suite
 _COMMANDS = (st.sampled_from([["module-info"], ["irrep-info"]])
-             | st.lists(st.sampled_from(suites.SUITE_NAMES + ["nope"]),
+             | st.lists(st.sampled_from(list(suites.RUNNERS) + ["nope"]),
                         max_size=2).map(lambda names: ["verify-all"] + [
                             a for name in names for a in ("--suite", name)]))
 
 
-# about one document in ten is a valid config, and a --suite flag is
-# checked against the config only on those
+# most documents are valid configs, and a --suite flag is checked
+# against the config only on those
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(doc=_CONFIG_DOCS, command=_COMMANDS)
+@given(doc=_config_docs(), command=_COMMANDS)
 def test_config_fuzz_never_crashes(tmp_path, capsys, doc, command):
     path = tmp_path / "fuzz.json"
     path.write_text(json.dumps(doc))

@@ -255,10 +255,11 @@ BRACKET_CHECKS = {"product-bracket", "reduced-bracket", "evaluated-bracket",
 
 def suite_failures(suite, n, mu, **over):
     """Checks failing in one suite run at seed 42 with 6 cases."""
-    from loopwitt.suites import RUNNERS, RunConfig
+    from loopwitt.suites import RunConfig, run_suites
     cfg = RunConfig(n=n, mu=mu, seed=42, cases_per_suite=6, suites=(suite,),
                     **over)
-    return {f["check"] for f in RUNNERS[suite](cfg).failures}
+    (report,) = run_suites(cfg)
+    return {f["check"] for f in report.failures}
 
 
 def operator_suite_failures(n, mu, pres):

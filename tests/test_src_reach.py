@@ -31,9 +31,6 @@ NOT_REACHED = {
         "the benchmark tracer wraps it by name; tests use it as an oracle",
     "linalg.vec_is_zero": "only SpanBasis.coords calls it",
     "linalg.identity": "only burnside_dim calls it",
-    "suites._describe_loop":
-        "formats the witness of a failing bracket-soundness or module-axiom "
-        "case; every run here passes",
     "loop.LoopElem.__eq__": "value equality for library users",
     "coeff.BElem.__eq__": "value equality; LoopElem.__eq__ compares terms",
     "scalars.GaussRat.__truediv__": "field API for library users",

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from loopwitt.suites import (ConfigError, RunConfig, SUITE_NAMES, run_suites)
+from loopwitt.suites import (MIN_RADIUS, RUNNERS, ConfigError, RunConfig,
+                             run_suites)
 
 
 def small_config(**over):
@@ -25,8 +26,12 @@ class TestConfigValidation:
         assert cfg.window_radius == 3
         assert cfg.seed == 42
         assert cfg.cases_per_suite == 200
-        assert all(s in SUITE_NAMES for s in cfg.suites)
+        assert all(s in RUNNERS for s in cfg.suites)
         assert len(cfg.alpha) == cfg.n
+
+    def test_one_suite_table(self):
+        # RUNNERS orders the default suites; every suite has a radius
+        assert list(RUNNERS) == list(MIN_RADIUS)
 
     def test_bad_rank(self):
         with pytest.raises(ConfigError):
