@@ -26,7 +26,8 @@ from .loop import (LoopElem, diff_derivation_bracket_residual,
 from .parsing import format_loop_elem
 from .scalars import GaussRat, parse_gauss
 # act is unused here; perfbench's test checks its trace wrapper binds here
-from .tensmod import (ModVector, TensorModule, Window, act,  # noqa: F401
+from .tensmod import (WINDOW_CAP, ModVector, TensorModule, Window,
+                      act,  # noqa: F401
                       assoc_unital_residuals, module_axiom_residual)
 
 
@@ -91,6 +92,10 @@ class RunConfig:
             raise ConfigError("alpha must have length n")
         if self.window_radius < 1:
             raise ConfigError("window_radius must be >= 1")
+        if (2 * self.window_radius + 1) ** self.n > WINDOW_CAP:
+            raise ConfigError(f"window_radius {self.window_radius} at n = "
+                              f"{self.n} gives (2R+1)^n slices, above the "
+                              f"cap {WINDOW_CAP}")
         if not self.suites:
             self.suites = tuple(self.default_suites())
         for s in self.suites:
@@ -254,10 +259,11 @@ def sample_homogeneous(rng: random.Random, n: int, pres: BPresentation,
 
 def sample_interior_vector(rng: random.Random, module: TensorModule,
                            margin: Sequence[int]) -> ModVector:
-    interior = module.window.interior(tuple(margin))
+    window = module.window
     data = {}
     for _ in range(rng.randint(1, 2)):
-        m = interior[rng.randrange(len(interior))]
+        m = window.interior_slice(
+            margin, rng.randrange(window.interior_count(margin)))
         vec = [_SCALAR_POOL[rng.randrange(len(_SCALAR_POOL))]
                for _ in range(module.d)]
         data[m] = [a + b for a, b in zip(data.get(m, [GaussRat(0)] * module.d), vec)]

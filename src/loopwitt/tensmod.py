@@ -6,13 +6,25 @@ Z^n and truncated to the box |m_i| <= R.  The loop-algebra action is
     D(u,r)b . v(x)t^m = psi(b) { (u, m+alpha) v + sum_ij u_i r_j E_ji v } (x) t^(m+r)
     t^r b  . v(x)t^m = psi(b) v (x) t^(m+r)
 
-extended linearly.  The action raises OutOfWindowError when a produced
-degree leaves the window, so it never silently truncates.
+extended linearly.  Only the scalar (u, m+alpha) depends on the source
+slice m, so act compiles each element once per module into a plan: for
+each degree r, the constant kappa_r = sum psi(b) of the t-parts plus
+sum_i psi_i alpha_i, the pairs (i, psi_i) of the derivation terms, and
+the sparse columns of M_r = sum_ij psi_i r_j E_ji.  On slice m it then
+computes (kappa_r + sum_i psi_i m_i) v + M_r v.  The plans, keyed by
+element identity, and the sparse columns of each E_ji, read through
+Irrep.E when first needed, live on the TensorModule and are freed with
+it; it keeps the newest PLAN_CACHE_SIZE plans.  act sums every degree
+before it looks at the window, and raises OutOfWindowError exactly when
+a source slice has a nonzero image outside the window, so it never
+silently truncates.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from math import prod
+from operator import add
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .coeff import BElem, BPresentation
@@ -24,6 +36,21 @@ from .scalars import GaussRat, ZERO
 
 class OutOfWindowError(ValueError):
     pass
+
+
+# sparse matrix column: its nonzero (row, entry) pairs
+Column = List[Tuple[int, GaussRat]]
+# one degree r of a compiled element: r, kappa_r, the pairs (i - 1, psi_i)
+# of its derivation terms, and the sparse columns of M_r (None if zero)
+DegreePlan = Tuple[Degree, GaussRat, List[Tuple[int, GaussRat]],
+                   Optional[List[Column]]]
+
+
+# bound on the slice count (2R+1)^n of a configured window
+WINDOW_CAP = 10 ** 6
+# plans a module keeps; the oldest goes first, so that elements acted
+# with once do not pile up over a long suite
+PLAN_CACHE_SIZE = 64
 
 
 class Window:
@@ -45,6 +72,19 @@ class Window:
         R = self.radius
         return list(product(*(range(-R + g, R - g + 1) for g in margin)))
 
+    def interior_count(self, margin: Sequence[int]) -> int:
+        """len(interior(margin)), without listing the slices."""
+        return prod(max(0, 2 * (self.radius - g) + 1) for g in margin)
+
+    def interior_slice(self, margin: Sequence[int], index: int) -> Degree:
+        """interior(margin)[index], without listing the slices: the index
+        read in mixed radix, the last coordinate fastest."""
+        out = []
+        for g in reversed(margin):
+            index, q = divmod(index, 2 * (self.radius - g) + 1)
+            out.append(q - self.radius + g)
+        return tuple(reversed(out))
+
 
 class TensorModule:
     def __init__(self, rep: Irrep, alpha: Sequence[GaussRat],
@@ -55,6 +95,9 @@ class TensorModule:
         self.alpha = [GaussRat._coerce(a) for a in alpha]
         self.pres = pres
         self.window = window
+        # what act compiles: E_ji columns by (j, i), plans by id(x)
+        self._e_columns: Dict[Tuple[int, int], List[Column]] = {}
+        self._plans: Dict[int, Tuple[LoopElem, List[DegreePlan]]] = {}
 
     @property
     def n(self) -> int:
@@ -68,6 +111,63 @@ class TensorModule:
         vec = [ZERO] * self.d
         vec[k] = GaussRat(1)
         return ModVector(self, {tuple(m): vec})
+
+    def e_columns(self, j: int, i: int) -> List[Column]:
+        """The sparse columns of E_ji, read through rep.E on first use."""
+        cols = self._e_columns.get((j, i))
+        if cols is None:
+            cols = self._e_columns[j, i] = [
+                [(row, e) for row, e in enumerate(col) if e]
+                for col in zip(*self.rep.E(j, i))]
+        return cols
+
+    def plan(self, x: LoopElem) -> List[DegreePlan]:
+        """x compiled for act, once per module while its entry is kept.
+        The entry holds x, so its id is not reused while the entry
+        exists."""
+        entry = self._plans.get(id(x))
+        if entry is None:
+            if len(self._plans) >= PLAN_CACHE_SIZE:
+                del self._plans[next(iter(self._plans))]
+            entry = self._plans[id(x)] = (x, self._compile(x))
+        return entry[1]
+
+    def _compile(self, x: LoopElem) -> List[DegreePlan]:
+        if x.n != self.n:
+            raise ValueError("rank mismatch")
+        if x.pres != self.pres:
+            raise ValueError("B presentation mismatch")
+        kappa: Dict[Degree, GaussRat] = {}
+        # every degree with a term, t-only degrees with no d-terms
+        d_terms: Dict[Degree, List[Tuple[int, GaussRat]]] = {}
+        for (kind, i, r), b in x.terms.items():
+            pb = b.psi()
+            if not pb:
+                continue
+            terms = d_terms.setdefault(r, [])
+            if kind == "d":
+                terms.append((i - 1, pb))
+                pb = pb * self.alpha[i - 1]
+            kappa[r] = kappa[r] + pb if r in kappa else pb
+        return [(r, kappa[r], terms, self._m_columns(r, terms))
+                for r, terms in d_terms.items()]
+
+    def _m_columns(self, r: Degree, d_terms: List[Tuple[int, GaussRat]]
+                   ) -> Optional[List[Column]]:
+        """The sparse columns of M_r = sum_ij psi_i r_j E_ji, or None when
+        M_r is zero."""
+        cols: List[Dict[int, GaussRat]] = [{} for _ in range(self.d)]
+        for i, pb in d_terms:
+            for j, rj in enumerate(r):
+                if not rj:
+                    continue
+                w = pb * rj
+                for out, col in zip(cols, self.e_columns(j + 1, i + 1)):
+                    for row, e in col:
+                        t = w * e
+                        out[row] = out[row] + t if row in out else t
+        sparse = [[(row, e) for row, e in col.items() if e] for col in cols]
+        return sparse if any(sparse) else None
 
 
 class ModVector:
@@ -128,50 +228,32 @@ class ModVector:
 
 
 def act(x: LoopElem, v: ModVector) -> ModVector:
-    """Action of a loop-algebra element on a module vector."""
+    """Action of a loop-algebra element on a module vector, through the
+    module's plan of x."""
     module = v.module
-    if x.n != module.n:
-        raise ValueError("rank mismatch")
-    if x.pres != module.pres:
-        raise ValueError("B presentation mismatch")
-    rep = module.rep
+    blank = [ZERO] * module.d
     acc: Dict[Degree, List[GaussRat]] = {}
-
-    def put(m: Degree, vec: List[GaussRat]):
-        if not any(vec):
-            return
-        if not module.window.contains(m):
-            raise OutOfWindowError(f"action leaves the window at {m}")
-        if m in acc:
-            acc[m] = [a + b for a, b in zip(acc[m], vec)]
-        else:
-            acc[m] = vec
-
-    d = module.d
-    for (kind, i, r), b in x.terms.items():
-        pb = b.psi()
-        if not pb:
-            continue
+    for r, kappa, d_terms, cols in module.plan(x):
         for m, vec in v.data.items():
-            target = tuple(a + b2 for a, b2 in zip(m, r))
-            if kind == "t":
-                put(target, [pb * c if c else ZERO for c in vec])
+            s = kappa
+            for i, pb in d_terms:
+                if m[i]:
+                    s = s + pb * m[i]
+            out = [s * c if c else ZERO for c in vec] if s else list(blank)
+            if cols is not None:
+                for col, c in zip(cols, vec):
+                    if c:
+                        for row, e in col:
+                            out[row] = out[row] + e * c
+            if not any(out):
                 continue
-            scal = pb * (module.alpha[i - 1] + m[i - 1])
-            out = [scal * c if c else ZERO for c in vec]
-            nonzero = [(k, c) for k, c in enumerate(vec) if c]
-            for j in range(1, module.n + 1):
-                rj = r[j - 1]
-                if not rj:
-                    continue
-                mat = rep.E(j, i)
-                for k, c in nonzero:
-                    w = pb * rj * c
-                    for row in range(d):
-                        e = mat[row][k]
-                        if e:
-                            out[row] = out[row] + e * w
-            put(target, out)
+            target = tuple(map(add, m, r))
+            if not module.window.contains(target):
+                raise OutOfWindowError(f"action leaves the window at {target}")
+            if target in acc:
+                acc[target] = list(map(add, acc[target], out))
+            else:
+                acc[target] = out
     return ModVector(module, acc)
 
 

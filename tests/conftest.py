@@ -133,3 +133,55 @@ def dense(v):
     d = v.module.d
     return [x for m in v.module.window.slices()
             for x in v.data.get(m, [ZERO] * d)]
+
+
+def reference_act(x, v):
+    """The action term by term, straight from the formula: each term of
+    x on each source slice, psi(b) read per term and E_ji per entry.
+    Raises OutOfWindowError on any single term that leaves the window."""
+    from loopwitt.scalars import ZERO
+    from loopwitt.tensmod import ModVector, OutOfWindowError
+    module = v.module
+    if x.n != module.n:
+        raise ValueError("rank mismatch")
+    if x.pres != module.pres:
+        raise ValueError("B presentation mismatch")
+    rep = module.rep
+    acc = {}
+
+    def put(m, vec):
+        if not any(vec):
+            return
+        if not module.window.contains(m):
+            raise OutOfWindowError(f"action leaves the window at {m}")
+        if m in acc:
+            acc[m] = [a + b for a, b in zip(acc[m], vec)]
+        else:
+            acc[m] = vec
+
+    d = module.d
+    for (kind, i, r), b in x.terms.items():
+        pb = b.psi()
+        if not pb:
+            continue
+        for m, vec in v.data.items():
+            target = tuple(a + b2 for a, b2 in zip(m, r))
+            if kind == "t":
+                put(target, [pb * c if c else ZERO for c in vec])
+                continue
+            scal = pb * (module.alpha[i - 1] + m[i - 1])
+            out = [scal * c if c else ZERO for c in vec]
+            nonzero = [(k, c) for k, c in enumerate(vec) if c]
+            for j in range(1, module.n + 1):
+                rj = r[j - 1]
+                if not rj:
+                    continue
+                mat = rep.E(j, i)
+                for k, c in nonzero:
+                    w = pb * rj * c
+                    for row in range(d):
+                        e = mat[row][k]
+                        if e:
+                            out[row] = out[row] + e * w
+            put(target, out)
+    return ModVector(module, acc)

@@ -7,6 +7,7 @@ from loopwitt import suites
 from loopwitt.cli import (EXIT_CONFIG_ERROR, EXIT_INTERNAL_ERROR, EXIT_OK,
                           EXIT_SUITE_FAILURE, main)
 from loopwitt.glnrep import DIM_CAP
+from loopwitt.tensmod import WINDOW_CAP
 
 
 def write_config(tmp_path, name="config.json", **over):
@@ -299,6 +300,32 @@ class TestConfigLimits:
         err = capsys.readouterr().err
         assert "dimension 70" in err and f"cap {DIM_CAP}" in err
 
+    @pytest.mark.parametrize("command", [["verify-all"], ["module-info"]])
+    @pytest.mark.parametrize("doc", [
+        {"n": 12, "mu": [0] * 11, "cases_per_suite": 1},  # 7^12 slices
+        {"n": 3, "mu": [1, 0], "window_radius": 100000}])
+    def test_window_above_cap_is_config_error(self, tmp_path, capsys,
+                                              monkeypatch, command, doc):
+        # rejected before any irrep or window is built
+        def never(*args):
+            raise AssertionError("built past the config check")
+
+        monkeypatch.setattr(suites, "build_irrep", never)
+        monkeypatch.setattr(suites, "Window", never)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        assert main(command + ["--config", str(path)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert f"above the cap {WINDOW_CAP}" in err
+
+    @pytest.mark.parametrize("n,radius", [(1, 499999), (3, 49)])
+    def test_window_cap_is_on_the_slice_count(self, n, radius):
+        # (2R+1)^n = 999999 and 970299 are accepted, the next radius not
+        doc = {"n": n, "mu": [0] * (n - 1), "suites": ["gl-relations"]}
+        assert suites.RunConfig.from_dict(dict(doc, window_radius=radius))
+        with pytest.raises(suites.ConfigError, match="above the cap"):
+            suites.RunConfig.from_dict(dict(doc, window_radius=radius + 1))
+
     @pytest.mark.parametrize("suite",
                              ["module-axiom", "assoc-unital", "operator-suite"])
     def test_radius_below_suite_minimum_is_config_error(self, tmp_path,
@@ -379,6 +406,8 @@ def _one_invalid_field(n):
             lambda k: field({k: st.sampled_from(_NON_INTEGERS)})),
         field({"n": st.integers(-1, 0)}),
         field({"window_radius": st.just(0)}),
+        # radius over the cap: (2R+1)^n > WINDOW_CAP already at n = 1
+        field({"window_radius": st.integers(WINDOW_CAP // 2, WINDOW_CAP)}),
         field({"cases_per_suite": st.just(0)}),
         field({"mu": st.lists(st.integers(-1, 9), max_size=2).filter(
             lambda mu: len(mu) != n - 1 or -1 in mu)}),
@@ -437,5 +466,6 @@ def test_config_fuzz_never_crashes(tmp_path, capsys, doc, command):
     assert code in (EXIT_OK, EXIT_SUITE_FAILURE, EXIT_CONFIG_ERROR), err
     assert "Traceback" not in err
     values = [doc[k] for k in _INT_FIELDS if k in doc] + doc.get("mu", [])
-    if any(type(x) is not int for x in values):
+    if (any(type(x) is not int for x in values)
+            or (2 * doc["window_radius"] + 1) ** doc["n"] > WINDOW_CAP):
         assert code == EXIT_CONFIG_ERROR, (doc, err)

@@ -3,14 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cartan_eigenvalue
+from conftest import cartan_eigenvalue, make_polyquot_cube, reference_act
 from loopwitt.glnrep import build_irrep
 from loopwitt.linalg import identity
 from loopwitt.loop import LoopElem
 from loopwitt.scalars import GaussRat, ZERO
-from loopwitt.tensmod import (ModVector, OutOfWindowError, TensorModule,
-                              Window, act, assoc_unital_residuals,
-                              module_axiom_residual, op_matrix)
+from loopwitt.tensmod import (PLAN_CACHE_SIZE, ModVector, OutOfWindowError,
+                              TensorModule, Window, act,
+                              assoc_unital_residuals, module_axiom_residual,
+                              op_matrix)
 
 HALF = GaussRat(Fraction(1, 2))
 
@@ -34,6 +35,17 @@ class TestWindow:
         assert (1, 0) in w.interior((1, 2))
         assert (1, 1) not in w.interior((1, 2))
         assert w.interior((1, 2)) == sorted(w.interior((1, 2)))
+
+    @pytest.mark.parametrize("n,radius,margin", [
+        (1, 3, (0,)), (1, 2, (2,)), (2, 2, (0, 1)), (2, 3, (2, 0)),
+        (3, 2, (1, 0, 2)), (3, 3, (0, 2, 1))])
+    def test_interior_slice_decodes_the_listed_index(self, n, radius,
+                                                     margin):
+        w = Window(n, radius)
+        listed = w.interior(margin)
+        assert w.interior_count(margin) == len(listed)
+        assert [w.interior_slice(margin, k)
+                for k in range(len(listed))] == listed
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
@@ -103,11 +115,112 @@ class TestAction:
         with pytest.raises(OutOfWindowError):
             act(x, v)
 
+    def test_cancelling_terms_may_end_outside_the_window(self, trivial):
+        # on v t^3, D(1;1) gives (3 + alpha + c) v t^4 and kappa t(1) gives
+        # kappa v t^4: the image is zero, so nothing leaves the window
+        alpha, c = GaussRat(Fraction(1, 3)), GaussRat(Fraction(3, 2))
+        module = make_module(trivial, n=1, mu=(), c=c, radius=3,
+                             alpha=[alpha])
+        d_elem = LoopElem.d_part(1, trivial, 1, (1,))
+        kappa = -(GaussRat(3) + alpha + c)
+        x = d_elem + LoopElem.t_part(1, trivial, (1,),
+                                     trivial.from_scalar(kappa))
+        v = module.basis_vector((3,), 0)
+        assert act(x, v).is_zero()
+        with pytest.raises(OutOfWindowError):
+            reference_act(x, v)  # term by term, each term leaves it
+        with pytest.raises(OutOfWindowError):
+            act(d_elem, v)
+
     def test_presentation_mismatch_rejected(self, trivial, laurent):
         module = make_module(trivial)
         with pytest.raises(ValueError):
             act(LoopElem.t_part(2, laurent, (0, 0)),
                 module.basis_vector((0, 0), 0))
+
+
+ORACLE_ALPHAS = [GaussRat(Fraction(1, 3)), GaussRat(0), GaussRat(1),
+                 GaussRat(-2)]
+ORACLE_SCALARS = [ZERO, GaussRat(1), GaussRat(-2), GaussRat(Fraction(1, 2)),
+                  GaussRat(0, 1)]
+
+
+def oracle_pool(pres):
+    """Coefficients with psi(b) = 0 next to units, for every kind of B."""
+    out = [pres.one(), pres.from_scalar(GaussRat(Fraction(-1, 2), 1))]
+    if pres.kind != "trivial":
+        x = pres.generator()
+        zero_psi = x - pres.from_scalar(pres.eval_point)  # x - 2 at 2
+        assert zero_psi.psi() == ZERO and not zero_psi.is_zero()
+        out += [x, x * x, zero_psi, zero_psi * x]
+    return out
+
+
+def oracle_elem(rng, n, pres, pool):
+    """One to three degrees |r_i| <= 1, each with a t-term, derivation
+    terms or both."""
+    x = LoopElem.zero(n, pres)
+    for _ in range(rng.randint(1, 3)):
+        r = tuple(rng.randint(-1, 1) for _ in range(n))
+        if rng.random() < 0.6:
+            x = x + LoopElem.t_part(n, pres, r, rng.choice(pool))
+        for i in range(1, n + 1):
+            if rng.random() < 0.6:
+                x = x + LoopElem.d_part(n, pres, i, r, rng.choice(pool))
+    return x
+
+
+def oracle_vector(rng, module):
+    """One to three slices of the radius-1 interior, some coordinates
+    zero."""
+    interior = module.window.interior((1,) * module.n)
+    return ModVector(module, {
+        rng.choice(interior): [rng.choice(ORACLE_SCALARS)
+                               for _ in range(module.d)]
+        for _ in range(rng.randint(1, 3))})
+
+
+class TestActOracle:
+    """act against reference_act, the action applied term by term."""
+
+    @pytest.mark.parametrize("shift", range(len(ORACLE_ALPHAS)))
+    @pytest.mark.parametrize("n,mu", [(1, ()), (2, (1,)), (3, (1, 0))])
+    def test_matches_term_by_term_action(self, n, mu, shift, any_pres):
+        alpha = [ORACLE_ALPHAS[(shift + i) % len(ORACLE_ALPHAS)]
+                 for i in range(n)]
+        module = make_module(any_pres, n=n, mu=mu, alpha=alpha)
+        rng = random.Random(100 * n + shift)
+        pool = oracle_pool(any_pres)
+        for _ in range(12):
+            x = oracle_elem(rng, n, any_pres, pool)
+            for _ in range(2):  # the second vector reuses x's plan
+                v = oracle_vector(rng, module)
+                assert act(x, v) == reference_act(x, v)
+
+    def test_no_plan_leaks_between_modules(self):
+        pres = make_polyquot_cube()
+        third = GaussRat(Fraction(1, 3))
+        modules = [make_module(pres, alpha=[third, GaussRat(0)]),
+                   make_module(pres, alpha=[GaussRat(1), GaussRat(-2)]),
+                   make_module(pres, mu=(2,), alpha=[third, GaussRat(0)])]
+        rng = random.Random(7)
+        pool = oracle_pool(pres)
+        for _ in range(10):
+            x = oracle_elem(rng, 2, pres, pool)
+            for module in modules + modules:
+                v = oracle_vector(rng, module)
+                assert act(x, v) == reference_act(x, v)
+
+    def test_plan_cache_keeps_the_newest_elements(self, laurent):
+        module = make_module(laurent)
+        rng = random.Random(3)
+        pool = oracle_pool(laurent)
+        elems = [oracle_elem(rng, 2, laurent, pool)
+                 for _ in range(PLAN_CACHE_SIZE + 5)]
+        for x in elems + elems[:5]:  # the first five were dropped
+            v = oracle_vector(rng, module)
+            assert act(x, v) == reference_act(x, v)
+        assert len(module._plans) == PLAN_CACHE_SIZE
 
 
 def random_homogeneous(rng, n, pres, pool):
