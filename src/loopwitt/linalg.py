@@ -1,19 +1,29 @@
-"""Dense exact linear algebra over GaussRat.
+"""Exact linear algebra over GaussRat.
 
-Matrices are lists of row lists.  Everything here is elementary
-Gaussian elimination with no pivoting strategy (sizes stay small,
-d <= 64).  Storage is dense, but the arithmetic skips zero entries: a
-zero costs one truth test, never a GaussRat operation.
+A dense matrix, Mat, is a list of row lists; the gl(n) matrices are
+kept dense for printing and the Burnside closure.  Everything that runs
+on them in a loop uses a sparse column view instead: Columns lists, per
+column, its nonzero (row, entry) pairs, made from a Mat by `columns`.
+A sum of sparse products is collected as Entries, the nonzero entries
+keyed by (row, col), so a zero matrix is the empty dict.  Elimination
+is elementary Gaussian elimination with no pivoting strategy (sizes
+stay small, d <= 64) on dense vectors that skip zero entries: a zero
+costs one truth test, never a GaussRat operation.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .scalars import GaussRat, ONE, ZERO
 
 Vec = List[GaussRat]
 Mat = List[List[GaussRat]]
+# a sparse column: its nonzero (row, entry) pairs, rows increasing
+Column = List[Tuple[int, GaussRat]]
+Columns = List[Column]
+Entry = Tuple[Tuple[int, int], GaussRat]
+Entries = Dict[Tuple[int, int], GaussRat]
 
 
 def zeros(rows: int, cols: int) -> Mat:
@@ -22,16 +32,6 @@ def zeros(rows: int, cols: int) -> Mat:
 
 def identity(n: int) -> Mat:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return [[x + y if y else x for x, y in zip(ra, rb)]
-            for ra, rb in zip(a, b)]
-
-
-def mat_sub(a: Mat, b: Mat) -> Mat:
-    return [[x - y if y else x for x, y in zip(ra, rb)]
-            for ra, rb in zip(a, b)]
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -52,19 +52,9 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return out
 
 
-def mat_vec(a: Mat, v: Sequence[GaussRat]) -> Vec:
-    out = []
-    for row in a:
-        acc = ZERO
-        for x, y in zip(row, v):
-            if x and y:
-                acc = acc + x * y
-        out.append(acc)
-    return out
-
-
-def transpose(a: Mat) -> Mat:
-    return [list(col) for col in zip(*a)]
+def commutator(a: Mat, b: Mat) -> Mat:
+    return [[x - y if y else x for x, y in zip(ra, rb)]
+            for ra, rb in zip(mat_mul(a, b), mat_mul(b, a))]
 
 
 def mat_is_zero(a: Mat) -> bool:
@@ -75,8 +65,68 @@ def vec_is_zero(v: Vec) -> bool:
     return all(not x for x in v)
 
 
-def commutator(a: Mat, b: Mat) -> Mat:
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+def columns(a: Mat) -> Columns:
+    """The sparse column view of a dense matrix."""
+    return [[(row, x) for row, x in enumerate(col) if x] for col in zip(*a)]
+
+
+def transposed(a: Columns, rows: int) -> Columns:
+    """The column view of the transpose of a, which has `rows` rows."""
+    out: Columns = [[] for _ in range(rows)]
+    for col, pairs in enumerate(a):
+        for row, x in pairs:
+            out[row].append((col, x))
+    return out
+
+
+def entries(a: Columns) -> Iterator[Entry]:
+    """The nonzero entries of a, keyed (row, col)."""
+    for col, pairs in enumerate(a):
+        for row, x in pairs:
+            yield (row, col), x
+
+
+def product_entries(a: Columns, b: Columns) -> Iterator[Entry]:
+    """The terms of the product a b, keyed (row, col).  Column c of a b is
+    sum_t b[t][c] (column t of a), so no zero is ever visited."""
+    for col, b_col in enumerate(b):
+        for t, x in b_col:
+            for row, y in a[t]:
+                yield (row, col), y * x
+
+
+def sparse_sum(plus: Iterable[Entry], minus: Iterable[Entry] = ()) -> Entries:
+    """The terms of plus minus the terms of minus, collected by key, with
+    the entries that cancel dropped."""
+    out: Entries = {}
+    for key, x in plus:
+        out[key] = out[key] + x if key in out else x
+    for key, x in minus:
+        out[key] = out[key] - x if key in out else -x
+    return {key: x for key, x in out.items() if x}
+
+
+def col_apply(a: Columns, v: Sequence[GaussRat]) -> Vec:
+    """a v for a square a: the sum of v[c] times column c."""
+    out = [ZERO] * len(v)
+    for col, x in zip(a, v):
+        if x:
+            for row, e in col:
+                out[row] = out[row] + e * x if out[row] else e * x
+    return out
+
+
+def col_apply_transpose(a: Columns, v: Sequence[GaussRat]) -> Vec:
+    """a^T v for a square a: entry c is column c of a dotted with v."""
+    out = []
+    for col in a:
+        acc = ZERO
+        for row, e in col:
+            x = v[row]
+            if x:
+                acc = acc + e * x if acc else e * x
+        out.append(acc)
+    return out
 
 
 class SpanBasis:
@@ -118,7 +168,7 @@ class SpanBasis:
         if piv is None:
             return False
         inv = red[piv].inverse()
-        self.rows.append([inv * x for x in red])
+        self.rows.append([inv * x if x else ZERO for x in red])
         self.pivots.append(piv)
         return True
 
@@ -130,33 +180,37 @@ class SpanBasis:
         return [coeffs.get(piv, ZERO) for piv in self.pivots]
 
 
-def null_space(a: Mat) -> List[Vec]:
-    """A basis of {x : a x = 0}.
+def null_space(a: Columns, rows: int) -> List[Vec]:
+    """A basis of {x : a x = 0}, for a with `rows` rows.
 
     Column j of a, followed by the unit vector e_j, goes into one
     SpanBasis.  An echelon row whose pivot falls in the unit part is
     sum_j x_j (column j, e_j) with a x = 0, so its unit part is a kernel
     vector; there are as many such rows as columns minus the rank."""
-    m = len(a)
-    cols = len(a[0]) if a else 0
-    span = SpanBasis(m + cols)
-    for j in range(cols):
-        unit = [ZERO] * cols
-        unit[j] = ONE
-        span.insert([row[j] for row in a] + unit)
-    return [row[m:] for row, piv in zip(span.rows, span.pivots) if piv >= m]
+    cols = len(a)
+    span = SpanBasis(rows + cols)
+    for j, col in enumerate(a):
+        v = [ZERO] * (rows + cols)
+        for row, x in col:
+            v[row] = x
+        v[rows + j] = ONE
+        span.insert(v)
+    return [row[rows:] for row, piv in zip(span.rows, span.pivots)
+            if piv >= rows]
 
 
-def spin(v: Sequence[GaussRat], mats: Sequence[Mat]) -> SpanBasis:
+def spin(v: Sequence[GaussRat], mats: Sequence[Columns],
+         transpose: bool = False) -> SpanBasis:
     """The smallest subspace that contains v and is invariant under every
-    matrix of mats; the search stops once it fills the whole space."""
+    square matrix of mats, or under their transposes if transpose is
+    set; the search stops once it fills the whole space."""
+    apply = col_apply_transpose if transpose else col_apply
     span = SpanBasis(len(v))
     frontier = [v] if span.insert(v) else []
     while frontier and span.dim < span.length:
         w = frontier.pop()
         for m in mats:
-            image = mat_vec(m, w)
+            image = apply(m, w)
             if span.insert(image):
                 frontier.append(image)
     return span
-

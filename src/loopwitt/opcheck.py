@@ -21,7 +21,7 @@ from typing import List, Sequence, Tuple
 
 from .coeff import BElem
 from .glnrep import burnside_dim, highest_weight_theta, norton_irreducible
-from .linalg import Mat
+from .linalg import Mat, columns
 from .loop import (Degree, LoopElem, _add_deg, diff_derivation,
                    poly_derivation)
 from .scalars import GaussRat, ONE, ZERO
@@ -225,8 +225,9 @@ def bottom_slice_algebra_dim(module: TensorModule) -> int:
     specs = [OpSpec(tuple(map(GaussRat, u)), r, one, one) for u, r in gens]
     mats = [op_matrix(as_operator("product", spec, module), module,
                       [zero], [zero]) for spec in specs]
-    theta = highest_weight_theta(mats[:n * n:n + 1], module.rep.hw_index)
-    if norton_irreducible(mats, theta):
+    cols = [columns(m) for m in mats]
+    theta = highest_weight_theta(cols[:n * n:n + 1], module.rep.hw_index)
+    if norton_irreducible(cols, theta):
         return d * d
     return burnside_dim(mats)
 

@@ -304,31 +304,28 @@ def run_gl_relations(cfg: RunConfig) -> Outcome:
             for k in rng4:
                 for l in rng4:
                     cases += 1
-                    if not mat_is_zero(rep.relation_residual(i, j, k, l)):
+                    if rep.relation_residual(i, j, k, l):
                         failures.append({"check": "gl-relation",
                                          "indices": [i, j, k, l]})
     cases += 1
     if rep.d != weyl_dim(cfg.mu, cfg.n):
         failures.append({"check": "weyl-dimension", "got": rep.d})
     cases += 1
-    tp = rep.trace_part()
-    want = [[cfg.c if i == j else GaussRat(0) for j in range(rep.d)]
-            for i in range(rep.d)]
-    if tp != want:
+    want = {(k, k): cfg.c for k in range(rep.d)} if cfg.c else {}
+    if rep.trace_part() != want:
         failures.append({"check": "identity-scalar"})
     cases += 1
-    mats = [rep.E(i, j) for i in rng4 for j in rng4]
-    theta = highest_weight_theta([rep.E(i, i) for i in rng4], rep.hw_index)
+    mats = [rep.columns(i, j) for i in rng4 for j in rng4]
+    theta = highest_weight_theta([rep.columns(i, i) for i in rng4],
+                                 rep.hw_index)
     bd = (rep.d * rep.d if norton_irreducible(mats, theta)
-          else burnside_dim(mats))
+          else burnside_dim([rep.E(i, j) for i in rng4 for j in rng4]))
     if bd != rep.d * rep.d:
         failures.append({"check": "burnside", "got": bd,
                          "want": rep.d * rep.d})
     cases += 1
-    hw = rep.hw_index
     for i in range(1, cfg.n):
-        col = [rep.E(i, i + 1)[row][hw] for row in range(rep.d)]
-        if any(col):
+        if rep.columns(i, i + 1)[rep.hw_index]:
             failures.append({"check": "highest-weight", "raising": i})
     return cases, failures
 

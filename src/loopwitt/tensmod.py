@@ -10,11 +10,11 @@ extended linearly.  Only the scalar (u, m+alpha) depends on the source
 slice m, so act compiles each element once per module into a plan: for
 each degree r, the constant kappa_r = sum psi(b) of the t-parts plus
 sum_i psi_i alpha_i, the pairs (i, psi_i) of the derivation terms, and
-the sparse columns of M_r = sum_ij psi_i r_j E_ji.  On slice m it then
-computes (kappa_r + sum_i psi_i m_i) v + M_r v.  The plans, keyed by
-element identity, and the sparse columns of each E_ji, read through
-Irrep.E when first needed, live on the TensorModule and are freed with
-it; it keeps the newest PLAN_CACHE_SIZE plans.  act sums every degree
+the sparse columns of M_r = sum_ij psi_i r_j E_ji, summed from the
+irrep's column views Irrep.columns.  On slice m it then computes
+(kappa_r + sum_i psi_i m_i) v + M_r v.  The plans, keyed by element
+identity, live on the TensorModule and are freed with it; it keeps the
+newest PLAN_CACHE_SIZE plans.  act sums every degree
 before it looks at the window, and raises OutOfWindowError exactly when
 a source slice has a nonzero image outside the window, so it never
 silently truncates.
@@ -29,7 +29,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .coeff import BElem, BPresentation
 from .glnrep import Irrep
-from .linalg import Mat, zeros
+from .linalg import Columns, Mat, zeros
 from .loop import Degree, LoopElem
 from .scalars import GaussRat, ZERO
 
@@ -38,12 +38,10 @@ class OutOfWindowError(ValueError):
     pass
 
 
-# sparse matrix column: its nonzero (row, entry) pairs
-Column = List[Tuple[int, GaussRat]]
 # one degree r of a compiled element: r, kappa_r, the pairs (i - 1, psi_i)
 # of its derivation terms, and the sparse columns of M_r (None if zero)
 DegreePlan = Tuple[Degree, GaussRat, List[Tuple[int, GaussRat]],
-                   Optional[List[Column]]]
+                   Optional[Columns]]
 
 
 # bound on the slice count (2R+1)^n of a configured window
@@ -95,8 +93,7 @@ class TensorModule:
         self.alpha = [GaussRat._coerce(a) for a in alpha]
         self.pres = pres
         self.window = window
-        # what act compiles: E_ji columns by (j, i), plans by id(x)
-        self._e_columns: Dict[Tuple[int, int], List[Column]] = {}
+        # what act compiles, by id(x)
         self._plans: Dict[int, Tuple[LoopElem, List[DegreePlan]]] = {}
 
     @property
@@ -111,15 +108,6 @@ class TensorModule:
         vec = [ZERO] * self.d
         vec[k] = GaussRat(1)
         return ModVector(self, {tuple(m): vec})
-
-    def e_columns(self, j: int, i: int) -> List[Column]:
-        """The sparse columns of E_ji, read through rep.E on first use."""
-        cols = self._e_columns.get((j, i))
-        if cols is None:
-            cols = self._e_columns[j, i] = [
-                [(row, e) for row, e in enumerate(col) if e]
-                for col in zip(*self.rep.E(j, i))]
-        return cols
 
     def plan(self, x: LoopElem) -> List[DegreePlan]:
         """x compiled for act, once per module while its entry is kept.
@@ -153,7 +141,7 @@ class TensorModule:
                 for r, terms in d_terms.items()]
 
     def _m_columns(self, r: Degree, d_terms: List[Tuple[int, GaussRat]]
-                   ) -> Optional[List[Column]]:
+                   ) -> Optional[Columns]:
         """The sparse columns of M_r = sum_ij psi_i r_j E_ji, or None when
         M_r is zero."""
         cols: List[Dict[int, GaussRat]] = [{} for _ in range(self.d)]
@@ -162,7 +150,7 @@ class TensorModule:
                 if not rj:
                     continue
                 w = pb * rj
-                for out, col in zip(cols, self.e_columns(j + 1, i + 1)):
+                for out, col in zip(cols, self.rep.columns(j + 1, i + 1)):
                     for row, e in col:
                         t = w * e
                         out[row] = out[row] + t if row in out else t

@@ -89,10 +89,49 @@ def rank(vectors):
 def all_relations_hold(rep):
     """[E_ij, E_kl] = delta_jk E_il - delta_li E_kj for all i, j, k, l."""
     from itertools import product
-    from loopwitt.linalg import mat_is_zero
     rng = range(1, rep.n + 1)
-    return all(mat_is_zero(rep.relation_residual(i, j, k, l))
-               for i, j, k, l in product(rng, rng, rng, rng))
+    return not any(rep.relation_residual(i, j, k, l)
+                   for i, j, k, l in product(rng, rng, rng, rng))
+
+
+def mat_vec(a, v):
+    from loopwitt.scalars import ZERO
+    return [sum((x * y for x, y in zip(row, v)), ZERO) for row in a]
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def from_columns(cols, rows):
+    """The dense matrix of a sparse column view with `rows` rows."""
+    from loopwitt.linalg import zeros
+    out = zeros(rows, len(cols))
+    for c, col in enumerate(cols):
+        for r, x in col:
+            out[r][c] = x
+    return out
+
+
+def dense_relation_residual(rep, i, j, k, l):
+    """[E_ij, E_kl] - delta_jk E_il + delta_li E_kj from the dense E_ij,
+    by dense products; the oracle of Irrep.relation_residual."""
+    from loopwitt.linalg import mat_mul
+    a, b = rep.E(i, j), rep.E(k, l)
+    res = mat_sub(mat_mul(a, b), mat_mul(b, a))
+    if j == k:
+        res = mat_sub(res, rep.E(i, l))
+    if l == i:
+        res = mat_add(res, rep.E(k, j))
+    return res
 
 
 def cartan_eigenvalue(module, i, m):

@@ -3,12 +3,25 @@ from itertools import permutations, product
 
 import pytest
 
-from conftest import all_relations_hold, direct_sum_irrep
+from conftest import (all_relations_hold, dense_relation_residual,
+                      direct_sum_irrep, from_columns)
+from loopwitt import glnrep
 from loopwitt.glnrep import (build_irrep, burnside_dim, gt_patterns,
-                             highest_weight_theta, norton_irreducible,
                              partition, weyl_dim)
-from loopwitt.linalg import identity, mat_is_zero, mat_mul, zeros
+from loopwitt.linalg import columns, identity, mat_is_zero, mat_mul, zeros
 from loopwitt.scalars import GaussRat, ONE, ZERO
+
+
+def norton_irreducible(mats, theta):
+    """Norton's test on dense matrices, through their column views."""
+    return glnrep.norton_irreducible([columns(m) for m in mats],
+                                     columns(theta))
+
+
+def highest_weight_theta(diagonals, hw):
+    """Norton's theta from dense diagonals, as a dense matrix."""
+    return from_columns(glnrep.highest_weight_theta(
+        [columns(m) for m in diagonals], hw), len(diagonals[0]))
 
 
 class TestWeylDimension:
@@ -87,7 +100,7 @@ class TestConstruction:
             for i in range(rep.d):
                 for j in range(rep.d):
                     want = rep.c if i == j else ZERO
-                    assert tp[i][j] == want
+                    assert tp.get((i, j), ZERO) == want
 
     def test_highest_weight_vector_killed_by_raising(self, built):
         for (mu, n, _), rep in built.items():
@@ -128,6 +141,36 @@ class TestConstruction:
                                        ((), (0,), (2, 0))]
         assert len(gt_patterns([2, 1, 0])) == 8
         assert gt_patterns([2, 1, 0])[0] == ((), (2,), (2, 1), (2, 1, 0))
+
+
+def sparse_view_cases():
+    c = GaussRat(Fraction(3, 2), 1)
+    out = {f"n{n}-mu{list(mu)}": lambda n=n, mu=mu: build_irrep(mu, c, n)
+           for n, mu in [(3, (2, 1)), (4, (1, 0, 1)), (4, (1, 1, 1))]}
+    out["direct-sum"] = lambda: direct_sum_irrep(build_irrep((1, 0), c, 3),
+                                                 build_irrep((0, 1), c, 3))
+    return out
+
+
+SPARSE_VIEW_CASES = sparse_view_cases()
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE_VIEW_CASES))
+def test_sparse_view_matches_dense(name):
+    """The column view equals rep.E entry by entry, and every sparse
+    relation residual equals the dense-commutator oracle."""
+    rep = SPARSE_VIEW_CASES[name]()
+    rng = range(1, rep.n + 1)
+    for i, j in product(rng, repeat=2):
+        cols = rep.columns(i, j)
+        assert from_columns(cols, rep.d) == rep.E(i, j)
+        assert all(x for col in cols for _, x in col)
+    for i, j, k, l in product(rng, repeat=4):
+        res = rep.relation_residual(i, j, k, l)
+        assert [[res.get((r, c), ZERO) for c in range(rep.d)]
+                for r in range(rep.d)] == dense_relation_residual(
+                    rep, i, j, k, l)
+        assert ZERO not in res.values()
 
 
 SMALL_MODULES = [(mu, n) for n in range(1, 5)

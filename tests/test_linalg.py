@@ -1,8 +1,9 @@
 import pytest
 
-from conftest import rank
-from loopwitt.linalg import (SpanBasis, mat_vec, null_space, spin, transpose,
-                             vec_is_zero)
+from conftest import from_columns, mat_vec, rank, transpose
+from loopwitt.linalg import (SpanBasis, col_apply, col_apply_transpose,
+                             columns, entries, null_space, product_entries,
+                             sparse_sum, spin, transposed, vec_is_zero)
 from loopwitt.scalars import GaussRat, I, ZERO
 
 
@@ -29,8 +30,40 @@ class TestSpanBasis:
             span.coords(vec(1, 0))
 
 
+class TestColumnView:
+    def test_columns_keep_the_nonzero_entries(self):
+        a = [vec(1, 2, 0), vec(0, I, 3)]
+        assert columns(a) == [[(0, GaussRat(1))], [(0, GaussRat(2)), (1, I)],
+                              [(1, GaussRat(3))]]
+        assert from_columns(columns(a), 2) == a
+        assert from_columns(transposed(columns(a), 2), 3) == transpose(a)
+        assert dict(entries(columns(a))) == {
+            (r, c): x for r, row in enumerate(a) for c, x in enumerate(row)
+            if x}
+
+    def test_products_and_sums_match_the_dense_oracle(self):
+        a = [vec(1, 2, 0), vec(0, I, 3), vec(0, 0, 1)]
+        b = [vec(0, 1, 0), vec(1, 0, 0), vec(0, 0, 0)]
+        ab = [[sum((x * y for x, y in zip(row, col)), ZERO)
+               for col in zip(*b)] for row in a]
+        got = sparse_sum(product_entries(columns(a), columns(b)))
+        assert [[got.get((r, c), ZERO) for c in range(3)]
+                for r in range(3)] == ab
+        assert ZERO not in got.values()
+        # a b - a b cancels to the empty result
+        assert sparse_sum(product_entries(columns(a), columns(b)),
+                          product_entries(columns(a), columns(b))) == {}
+
+    def test_square_apply_and_its_transpose(self):
+        a = [vec(1, 2, 0), vec(0, I, 3), vec(4, 0, 0)]
+        v = vec(1, 1 + I, 0)
+        assert col_apply(columns(a), v) == mat_vec(a, v)
+        assert col_apply_transpose(columns(a), v) == mat_vec(transpose(a), v)
+
+
 class TestNullSpaceAndSpin:
     def test_mat_vec_and_transpose(self):
+        # the dense oracles the sparse view is checked against
         a = [vec(1, 2, 0), vec(0, I, 3)]
         assert mat_vec(a, vec(1, 1, 1)) == vec(3, 3 + I)
         assert transpose(a) == [vec(1, 0), vec(2, I), vec(0, 3)]
@@ -42,23 +75,26 @@ class TestNullSpaceAndSpin:
         ([vec(1, I, 0), vec(0, 1, 1), vec(1, 1 + I, 1)], 1),
     ])
     def test_null_space(self, a, dim):
-        kernel = null_space(a)
+        kernel = null_space(columns(a), len(a))
         assert len(kernel) == dim == len(a[0]) - rank(a)
         assert rank(kernel) == dim
         for x in kernel:
             assert vec_is_zero(mat_vec(a, x))
 
     def test_spin_of_a_cyclic_vector_fills_the_space(self):
-        shift = [vec(0, 0, 0), vec(1, 0, 0), vec(0, 1, 0)]
+        shift = columns([vec(0, 0, 0), vec(1, 0, 0), vec(0, 1, 0)])
         assert spin(vec(1, 0, 0), [shift]).dim == 3
+        # the transpose shifts the other way
+        assert spin(vec(1, 0, 0), [shift], transpose=True).dim == 1
+        assert spin(vec(0, 0, 1), [shift], transpose=True).dim == 3
 
     def test_spin_stays_in_an_invariant_subspace(self):
-        shift = [vec(0, 0, 0), vec(1, 0, 0), vec(0, 1, 0)]
-        diag = [vec(1, 0, 0), vec(0, 2, 0), vec(0, 0, 3)]
+        shift = columns([vec(0, 0, 0), vec(1, 0, 0), vec(0, 1, 0)])
+        diag = columns([vec(1, 0, 0), vec(0, 2, 0), vec(0, 0, 3)])
         span = spin(vec(0, 1, 0), [shift, diag])
         assert span.dim == 2
         assert rank(span.rows + [vec(0, 5, I)]) == 2
         assert rank(span.rows + [vec(1, 0, 0)]) == 3
 
     def test_spin_of_zero_is_zero(self):
-        assert spin(vec(0, 0), [[vec(1, 1), vec(0, 1)]]).dim == 0
+        assert spin(vec(0, 0), [columns([vec(1, 1), vec(0, 1)])]).dim == 0

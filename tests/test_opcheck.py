@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (dense, direct_sum_irrep, rank,
-                      shift_difference_generators)
+from conftest import (dense, dense_relation_residual, direct_sum_irrep,
+                      rank, shift_difference_generators)
 from loopwitt import opcheck
 from loopwitt.glnrep import build_irrep
 from loopwitt.linalg import mat_is_zero
@@ -433,3 +433,33 @@ class TestNegativeControls:
         for n, mu in ((1, ()), (2, (1,)), (3, (1, 1))):
             assert suite_failures("gl-relations", n, mu) == {
                 "identity-scalar"}
+
+    @pytest.mark.parametrize("mu", [(1, 0), (2, 1)])
+    def test_changed_off_diagonal_entry_fails_gl_relations(self, mu,
+                                                           monkeypatch):
+        # one off-diagonal entry of E_12 at n = 3, changed through
+        # Irrep.E: gl-relations reports exactly the relations whose dense
+        # commutator residual is nonzero
+        from itertools import product
+        from loopwitt import suites
+        from loopwitt.glnrep import Irrep
+        E = Irrep.E
+
+        def changed(self, i, j):
+            m = E(self, i, j)
+            if (i, j) != (1, 2):
+                return m
+            m = [list(row) for row in m]
+            m[1][0] = m[1][0] + 1
+            return m
+
+        monkeypatch.setattr(Irrep, "E", changed)
+        cfg = suites.RunConfig(n=3, mu=mu, seed=42, cases_per_suite=1,
+                               suites=("gl-relations",))
+        (report,) = suites.run_suites(cfg)
+        got = [f["indices"] for f in report.failures
+               if f["check"] == "gl-relation"]
+        rep = build_irrep(mu, cfg.c, 3)
+        want = [list(idx) for idx in product(range(1, 4), repeat=4)
+                if not mat_is_zero(dense_relation_residual(rep, *idx))]
+        assert want and got == want

@@ -53,6 +53,8 @@ CONFIG = {"n": 2, "mu": [1], "B": {"kind": "polyquot",
 RANK_ONE = {"n": 1, "mu": [], "window_radius": 5, "cases_per_suite": 1,
             "suites": ["rank-one"]}
 LAURENT = {"n": 2, "mu": [1], "B": {"kind": "laurent", "eval_point": "3"}}
+# at n >= 3 build_irrep makes the E_ij with |i - j| >= 2 as commutators
+GL3 = {"n": 3, "mu": [1, 0]}
 
 
 def defined_functions():
@@ -80,6 +82,8 @@ def entered_functions(tmp_path, capsys):
     rank_one.write_text(json.dumps(RANK_ONE))
     laurent = tmp_path / "laurent.json"
     laurent.write_text(json.dumps(LAURENT))
+    gl3 = tmp_path / "gl3.json"
+    gl3.write_text(json.dumps(GL3))
     runs = [
         ["verify-all", "--config", str(cfg)],
         ["verify-all", "--config", str(rank_one)],
@@ -88,6 +92,7 @@ def entered_functions(tmp_path, capsys):
         ["bracket", "--config", str(laurent), "D(1,0;1,0)*(x^2 - 3)",
          "(1/2+1 i)*t(0,1)*x + t(1,0)*(1/2+1 i)"],
         ["irrep-info", "--config", str(cfg), "--matrices"],
+        ["irrep-info", "--config", str(gl3)],
         ["module-info", "--config", str(cfg)],
         ["export", "--config", str(cfg), "--out", str(tmp_path / "out")],
     ]
