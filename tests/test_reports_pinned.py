@@ -8,13 +8,16 @@ stripped.  The digests below pin the CLI output at seed 42:
   laurent @ 3};
 * `irrep-info --json` (no `--matrices`, so basis-independent) for the
   five modules of the gl-build benchmark workload, with c = 3/2;
+* `irrep-info --matrices --json`, every E_ij in the Gelfand-Tsetlin
+  basis, for the gl-build and gl-cert modules, with c = 3/2;
 * `verify-all --json` with gl-relations and irreducibility for the
   d = 8..15 modules of the gl-cert benchmark ladder, with c = 3/2.
 
 The grid and gl-build digests were computed with the tensor-power
 construction of `build_irrep`, before it was replaced by the
 Gelfand-Tsetlin one; the gl-cert digests with the Burnside closure as
-the only irreducibility certificate, before Norton's test.  To print
+the only irreducibility certificate, before Norton's test; the
+`--matrices` digests with every E_ij built as a dense list.  To print
 the digests of the current code: `python3 tests/test_reports_pinned.py`.
 """
 
@@ -55,6 +58,9 @@ def _calls():
     for n, mu in GL_BUILD_MODULES:
         out[f"irrep-info/{n}/{mu}"] = (["irrep-info", "--json"],
                                        {"n": n, "mu": mu, "c": "3/2"})
+    for n, mu in GL_BUILD_MODULES + GL_CERT_MODULES:
+        out[f"matrices/{n}/{mu}"] = (["irrep-info", "--matrices", "--json"],
+                                     {"n": n, "mu": mu, "c": "3/2"})
     for n, mu in GL_CERT_MODULES:
         out[f"gl-cert/{n}/{mu}"] = (
             ["verify-all", "--json"],
@@ -102,6 +108,26 @@ PINNED = {
         "c071819e4591785b02e70172a4b563ffe26b03754c5b6e12d540df780470601a",
     "irrep-info/5/[1, 1, 0, 0]":
         "6e4a8690f7e481135c63c237a65f0350f884aaf460ed7786b16cb1721700122d",
+    "matrices/3/[1, 1]":
+        "f0c85aa802d6d3bdb52aaa30b5bc6cc887a63413500eefd827c808e0e59128da",
+    "matrices/3/[2, 1]":
+        "7e3556865cb1d72695ef418980449ed156a4f833abc0b39834086bab7e38b037",
+    "matrices/3/[2, 2]":
+        "cb39f7355673be0f349f3b28aa85117000fad133fc0a1af7a1edf815f6b7cadb",
+    "matrices/3/[3, 0]":
+        "dcbe1e4f4e63e80c3ee2dd0b190ab71bed79fe88068b4dd23be2a93e8a1f7e1f",
+    "matrices/3/[4, 1]":
+        "2c5e5e9ebf7466ba6e6735b725eaedd721b6fb9633b9840596891ae23cfa58af",
+    "matrices/4/[1, 0, 1]":
+        "cc41cf9e135b195e17e17ac1bf54cd0213cd9eb806fcde74f993c3efa675d91b",
+    "matrices/4/[1, 1, 1]":
+        "16eb3ba0803a9fb4006044e7d712b07e87df0ee62d52c78cfc8136edcffb1149",
+    "matrices/4/[2, 0, 0]":
+        "9496adda71ff62411fc5b27092a881c343036f9909e54ba30f0aae96d1bffb8a",
+    "matrices/4/[2, 1, 0]":
+        "f7673774917732a8efe1e64559998774aa22d8c79f0989bd940041411bb7193e",
+    "matrices/5/[1, 1, 0, 0]":
+        "045adce78a9745d19b50cd453bd6a44b0c4ee8711bb4e9d9dff9605422bf0bbc",
     "module-info/1/laurent":
         "b331ee1d575ab40bb858a2858afd07bd3eadb5b6b1028704daabe8517231fbe8",
     "module-info/1/polyquot":
