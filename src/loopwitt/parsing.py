@@ -100,8 +100,11 @@ _HEAD = re.compile(r"^(D|t)\((.*)\)$")
 
 
 def parse_loop_expr(s: str, n: int, pres: BPresentation) -> LoopElem:
+    parts = _split_top(s, "+-")
+    if not parts:
+        raise ParseError("empty expression")
     out = LoopElem.zero(n, pres)
-    for part in _split_top(s, "+-"):
+    for part in parts:
         sign = 1
         part = part.strip()
         while part and part[0] in "+-":
@@ -137,7 +140,10 @@ def parse_loop_expr(s: str, n: int, pres: BPresentation) -> LoopElem:
             if ";" not in body:
                 raise ParseError("D head needs the form D(u;r)")
             u_s, r_s = body.split(";", 1)
-            u = [parse_gauss(x) for x in u_s.split(",")]
+            try:
+                u = [parse_gauss(x) for x in u_s.split(",")]
+            except ValueError as exc:
+                raise ParseError(f"bad direction {u_s!r}") from exc
             if len(u) != n:
                 raise ParseError(f"u must have {n} components")
             r = _parse_int_vec(r_s, n)

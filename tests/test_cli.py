@@ -89,9 +89,12 @@ class TestBracketCommand:
         assert code == EXIT_CONFIG_ERROR
         assert "expression error" in capsys.readouterr().err
 
-    def test_parse_error_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("x", ["garbage", "D(a;0)*1", "", "   "],
+                             ids=["garbage", "non-numeric-direction",
+                                  "empty", "blank"])
+    def test_parse_error_is_config_error(self, tmp_path, capsys, x):
         cfg = write_config(tmp_path, n=1, mu=[])
-        code = main(["bracket", "--config", cfg, "garbage", "D(1;0)*1"])
+        code = main(["bracket", "--config", cfg, x, "D(1;0)*1"])
         assert code == EXIT_CONFIG_ERROR
         assert "error" in capsys.readouterr().err
 
