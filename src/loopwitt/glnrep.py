@@ -5,16 +5,15 @@ vector per pattern with top row lambda = partition(mu), the highest
 weight pattern first.  E_kk, E_k,k+1 and E_k+1,k act by the explicit
 rational formulas of Molev, "Gelfand-Tsetlin bases for classical Lie
 algebras" (arXiv:math/0211289, Thm 2.3); every other E_ij is a
-commutator of those.  Finally the diagonal part is shifted so the
-identity matrix acts by the scalar c.  Everything stays in GaussRat
-arithmetic.
+commutator of those.  The diagonal part is shifted so the identity
+matrix acts by the scalar c.  Everything stays in GaussRat arithmetic.
 
-The E_ij stay dense, Irrep.E, for printing and for the Burnside
-closure.  The checks run on one sparse column view of each E_ij,
-Irrep.columns, read through Irrep.E on first use: the commutation
-relations as sparse products, the identity scalar as a sparse sum and
-Norton's spins as sparse matrix-vector products.  The E_ij of V(mu)
-are very sparse in this basis, about 1.5 % nonzero at d = 64.
+Every E_ij is built and kept as Columns, Irrep.columns, and the checks
+run on them: the commutation relations as sparse products, the identity
+scalar as a sparse sum and Norton's spins as sparse matrix-vector
+products.  The E_ij of V(mu) are very sparse in this basis, about 1.5 %
+nonzero at d = 64.  Irrep.E densifies one for printing, and the
+Burnside closure takes dense matrices.
 
 Irreducibility is certified by Norton's test, `norton_irreducible`,
 O(g d^3) for g generators; when it does not decide, the Burnside
@@ -26,11 +25,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, product
 from math import prod
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .linalg import (Columns, Entries, Mat, SpanBasis, columns, commutator,
-                     entries, identity, mat_mul, null_space, product_entries,
-                     sparse_sum, spin, transposed, zeros)
+from .linalg import (Columns, Entries, Mat, SpanBasis, dense, entries,
+                     identity, mat_mul, null_space, product_entries,
+                     sparse_sum, spin, to_columns, transposed)
 from .scalars import GaussRat, ZERO
 
 DIM_CAP = 64
@@ -56,28 +55,24 @@ def weyl_dim(mu: Sequence[int], n: int) -> int:
 
 
 class Irrep:
-    """V(mu, c): dimension d, matrices E[i][j] (1-based via E(i, j)),
-    scalar c and the index of the highest weight vector."""
+    """V(mu, c): dimension d, the Columns of every E_ij (1-based via
+    columns(i, j)), scalar c and the index of the highest weight vector."""
 
     def __init__(self, n: int, mu: Tuple[int, ...], c: GaussRat, d: int,
-                 matrices: List[List[Mat]], hw_index: int):
+                 matrices: List[List[Columns]], hw_index: int):
         self.n = n
         self.mu = mu
         self.c = c
         self.d = d
-        self._E = matrices
+        self._columns = matrices
         self.hw_index = hw_index
-        self._columns: Dict[Tuple[int, int], Columns] = {}
-
-    def E(self, i: int, j: int) -> Mat:
-        return self._E[i - 1][j - 1]
 
     def columns(self, i: int, j: int) -> Columns:
-        """The sparse column view of E_ij, read through E on first use."""
-        cols = self._columns.get((i, j))
-        if cols is None:
-            cols = self._columns[i, j] = columns(self.E(i, j))
-        return cols
+        return self._columns[i - 1][j - 1]
+
+    def E(self, i: int, j: int) -> Mat:
+        """E_ij as a dense matrix, for printing and Burnside."""
+        return dense(self.columns(i, j), self.d)
 
     def relation_residual(self, i: int, j: int, k: int, l: int) -> Entries:
         """The nonzero entries of [E_ij, E_kl] - delta_jk E_il + delta_li
@@ -101,9 +96,10 @@ class Irrep:
         The Gelfand-Tsetlin basis consists of joint eigenvectors of the
         E_ii, so the eigenvalues can be read off the diagonal matrices.
         """
+        diagonals = [self.columns(i, i) for i in range(1, self.n + 1)]
         counts = {}
         for k in range(self.d):
-            w = tuple(self.E(i, i)[k][k] for i in range(1, self.n + 1))
+            w = tuple(dict(m[k]).get(k, ZERO) for m in diagonals)
             counts[w] = counts.get(w, 0) + 1
         return sorted(counts.items(), key=lambda kv: [str(x) for x in kv[0]])
 
@@ -154,36 +150,47 @@ def build_irrep(mu: Sequence[int], c: GaussRat, n: int) -> Irrep:
     # make the identity matrix act by c instead of by |lambda|
     c = GaussRat._coerce(c)
     shift = (c - sum(lam)) * GaussRat(Fraction(1, n))
-    E: List[List[Mat]] = [[None] * n for _ in range(n)]
+    E: List[List[Columns]] = [[None] * n for _ in range(n)]
     for k in range(1, n + 1):
-        E[k - 1][k - 1] = m = zeros(d, d)
-        for col, p in enumerate(patterns):
-            m[col][col] = GaussRat(sum(p[k]) - sum(p[k - 1])) + shift
+        diagonal = (GaussRat(sum(p[k]) - sum(p[k - 1])) + shift
+                    for p in patterns)
+        E[k - 1][k - 1] = [[(col, x)] if x else []
+                           for col, x in enumerate(diagonal)]
 
     # Molev's formulas in l_ki = lambda_ki - i + 1 (here i is 0-based):
-    # E_k,k+1 moves lambda_ki up, E_k+1,k moves it down
+    # E_k,k+1 moves lambda_ki up, E_k+1,k moves it down.  The moved
+    # patterns of one column are distinct, and the numerator vanishes
+    # only where the move breaks interlacing, so each column is its
+    # targets with nonzero entries, sorted
     for k in range(1, n):
-        up, down = zeros(d, d), zeros(d, d)
-        for col, p in enumerate(patterns):
+        up, down = [], []
+        for p in patterns:
             l = [[x - i for i, x in enumerate(row)] for row in p]
+            up_col, down_col = [], []
             for i, x in enumerate(l[k]):
                 den = prod(x - y for j, y in enumerate(l[k]) if j != i)
                 target = index.get(_moved(p, k, i, 1))
                 if target is not None:
                     num = -prod(x - y for y in l[k + 1])
-                    up[target][col] = GaussRat(Fraction(num, den))
+                    up_col.append((target, GaussRat(Fraction(num, den))))
                 target = index.get(_moved(p, k, i, -1))
                 if target is not None:
                     num = prod(x - y for y in l[k - 1])
-                    down[target][col] = GaussRat(Fraction(num, den))
+                    down_col.append((target, GaussRat(Fraction(num, den))))
+            up.append(sorted(up_col))
+            down.append(sorted(down_col))
         E[k - 1][k], E[k][k - 1] = up, down
 
     # E_ij = [E_i,j-1, E_j-1,j] for j > i+1, and its mirror for i > j+1
+    def bracket(a: Columns, b: Columns) -> Columns:
+        return to_columns(
+            sparse_sum(product_entries(a, b), product_entries(b, a)), d)
+
     for gap in range(2, n):
         for i in range(n - gap):
             j = i + gap
-            E[i][j] = commutator(E[i][j - 1], E[j - 1][j])
-            E[j][i] = commutator(E[j][j - 1], E[j - 1][i])
+            E[i][j] = bracket(E[i][j - 1], E[j - 1][j])
+            E[j][i] = bracket(E[j][j - 1], E[j - 1][i])
 
     return Irrep(n, mu, c, d, E, hw_index=0)
 
@@ -195,29 +202,13 @@ def burnside_dim(mats: List[Mat]) -> int:
     d = len(mats[0])
     span = SpanBasis(d * d)
 
-    def flat(m: Mat) -> List[GaussRat]:
-        return [x for row in m for x in row]
+    def grows(m: Mat) -> bool:
+        return span.insert([x for row in m for x in row])
 
-    members: List[Mat] = []
-
-    def insert(m: Mat) -> bool:
-        if span.insert(flat(m)):
-            members.append(m)
-            return True
-        return False
-
-    insert(identity(d))
-    for m in mats:
-        insert(m)
-    frontier = list(members)
+    frontier = [m for m in [identity(d), *mats] if grows(m)]
     while frontier:
-        new_frontier = []
-        for f in frontier:
-            for g in mats:
-                p = mat_mul(f, g)
-                if insert(p):
-                    new_frontier.append(p)
-        frontier = new_frontier
+        frontier = [p for p in (mat_mul(f, g) for f in frontier for g in mats)
+                    if grows(p)]
     return span.dim
 
 
@@ -237,10 +228,7 @@ def highest_weight_theta(diagonals: Sequence[Columns], hw: int) -> Columns:
     top = theta.get((hw, hw), ZERO)
     if top:
         theta = sparse_sum(theta.items(), (((k, k), top) for k in range(d)))
-    out: Columns = [[] for _ in range(d)]
-    for row, col in sorted(theta):
-        out[col].append((row, theta[row, col]))
-    return out
+    return to_columns(theta, d)
 
 
 def norton_irreducible(mats: Sequence[Columns], theta: Columns) -> bool:

@@ -1,14 +1,15 @@
 """Exact linear algebra over GaussRat.
 
-A dense matrix, Mat, is a list of row lists; the gl(n) matrices are
-kept dense for printing and the Burnside closure.  Everything that runs
-on them in a loop uses a sparse column view instead: Columns lists, per
-column, its nonzero (row, entry) pairs, made from a Mat by `columns`.
-A sum of sparse products is collected as Entries, the nonzero entries
-keyed by (row, col), so a zero matrix is the empty dict.  Elimination
-is elementary Gaussian elimination with no pivoting strategy (sizes
-stay small, d <= 64) on dense vectors that skip zero entries: a zero
-costs one truth test, never a GaussRat operation.
+Columns is the one matrix format: per column, its nonzero (row, entry)
+pairs, rows increasing.  The gl(n) matrices and the operator matrices
+are built in it and checked in it.  A sum of sparse products is
+collected as Entries, the nonzero entries keyed by (row, col), so a zero
+matrix is the empty dict, and `to_columns` turns it back into Columns.
+A dense Mat, a list of row lists, comes only from `dense`, for two uses:
+printing the E_ij and the Burnside closure.  Elimination is elementary
+Gaussian elimination with no pivoting strategy (sizes stay small,
+d <= 64) on dense vectors that skip zero entries: a zero costs one truth
+test, never a GaussRat operation.
 """
 
 from __future__ import annotations
@@ -52,22 +53,17 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return out
 
 
-def commutator(a: Mat, b: Mat) -> Mat:
-    return [[x - y if y else x for x, y in zip(ra, rb)]
-            for ra, rb in zip(mat_mul(a, b), mat_mul(b, a))]
-
-
-def mat_is_zero(a: Mat) -> bool:
-    return all(not x for row in a for x in row)
-
-
 def vec_is_zero(v: Vec) -> bool:
     return all(not x for x in v)
 
 
-def columns(a: Mat) -> Columns:
-    """The sparse column view of a dense matrix."""
-    return [[(row, x) for row, x in enumerate(col) if x] for col in zip(*a)]
+def dense(a: Columns, rows: int) -> Mat:
+    """The dense matrix of a, which has `rows` rows."""
+    out = zeros(rows, len(a))
+    for col, pairs in enumerate(a):
+        for row, x in pairs:
+            out[row][col] = x
+    return out
 
 
 def transposed(a: Columns, rows: int) -> Columns:
@@ -104,6 +100,14 @@ def sparse_sum(plus: Iterable[Entry], minus: Iterable[Entry] = ()) -> Entries:
     for key, x in minus:
         out[key] = out[key] - x if key in out else -x
     return {key: x for key, x in out.items() if x}
+
+
+def to_columns(a: Entries, cols: int) -> Columns:
+    """The Columns of the matrix whose nonzero entries are a."""
+    out: Columns = [[] for _ in range(cols)]
+    for row, col in sorted(a):
+        out[col].append((row, a[row, col]))
+    return out
 
 
 def col_apply(a: Columns, v: Sequence[GaussRat]) -> Vec:

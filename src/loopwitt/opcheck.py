@@ -10,6 +10,8 @@ Every bracket identity among them, the scalar action of the zero modes,
 the collapse of B coefficients through psi, the shift-difference
 subspace and the rank-one identities are checked as exact zero
 residuals by applying operator combinations to slice basis vectors.
+A residual is the Columns of op_matrix, zero when no column has an
+entry; only the Burnside fallback densifies.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import List, Sequence, Tuple
 
 from .coeff import BElem
 from .glnrep import burnside_dim, highest_weight_theta, norton_irreducible
-from .linalg import Mat, columns
+from .linalg import Columns, dense
 from .loop import (Degree, LoopElem, _add_deg, diff_derivation,
                    poly_derivation)
 from .scalars import GaussRat, ONE, ZERO
@@ -84,7 +86,7 @@ BRACKET_ROWS = {
 
 
 def bracket_identity(name: str, s1: OpSpec, s2: OpSpec,
-                     module: TensorModule) -> Mat:
+                     module: TensorModule) -> Columns:
     """Residual of the bracket identity of row ``name`` on the bottom slice:
     [X(u1,r1), X(u2,r2)] - Y(w, r1+r2) + (u1,r2) Y(u2,r2) - (u2,r1) Y(u1,r1)
     with w = (u1,r2) u2 - (u2,r1) u1; the row names the families X and Y."""
@@ -115,29 +117,29 @@ def bracket_identity(name: str, s1: OpSpec, s2: OpSpec,
 
 
 def product_bracket_residual(s1: OpSpec, s2: OpSpec,
-                             module: TensorModule) -> Mat:
+                             module: TensorModule) -> Columns:
     return bracket_identity("product", s1, s2, module)
 
 
 def reduced_bracket_residual(s1: OpSpec, s2: OpSpec,
-                             module: TensorModule) -> Mat:
+                             module: TensorModule) -> Columns:
     return bracket_identity("reduced", s1, s2, module)
 
 
 def evaluated_bracket_residual(s1: OpSpec, s2: OpSpec,
-                               module: TensorModule) -> Mat:
+                               module: TensorModule) -> Columns:
     return bracket_identity("evaluated", s1, s2, module)
 
 
 def product_to_reduced_residual(s1: OpSpec, s2: OpSpec,
-                                module: TensorModule) -> Mat:
+                                module: TensorModule) -> Columns:
     return bracket_identity("product-to-reduced", s1, s2, module)
 
 
 def scaled_product_bracket_residual(v: Tuple[GaussRat, ...], s: Degree,
                                     b: BElem, u: Tuple[GaussRat, ...],
                                     r: Degree, b2: BElem,
-                                    module: TensorModule) -> Mat:
+                                    module: TensorModule) -> Columns:
     """[P(v,s,1,b), P(u,r,1,b2)] through the scaled-product row."""
     one = module.pres.one()
     return bracket_identity("scaled-product", OpSpec(v, s, one, b),
@@ -145,7 +147,7 @@ def scaled_product_bracket_residual(v: Tuple[GaussRat, ...], s: Degree,
 
 
 def zero_mode_scalar_residual(u: Tuple[GaussRat, ...], b: BElem,
-                              module: TensorModule) -> Mat:
+                              module: TensorModule) -> Columns:
     """D(u,0)b on the degree-zero slice minus psi(b)(u,alpha) Id."""
     n = module.n
     x = LoopElem.d_vec(n, module.pres, u, (0,) * n, b)
@@ -158,7 +160,7 @@ def zero_mode_scalar_residual(u: Tuple[GaussRat, ...], b: BElem,
 
 
 def coefficient_collapse_residual(u: Tuple[GaussRat, ...], r: Degree,
-                                  b: BElem, module: TensorModule) -> Mat:
+                                  b: BElem, module: TensorModule) -> Columns:
     """D(u,r)b minus psi(b) D(u,r) as operators; must vanish."""
     n = module.n
     xb = LoopElem.d_vec(n, module.pres, u, r, b)
@@ -225,11 +227,10 @@ def bottom_slice_algebra_dim(module: TensorModule) -> int:
     specs = [OpSpec(tuple(map(GaussRat, u)), r, one, one) for u, r in gens]
     mats = [op_matrix(as_operator("product", spec, module), module,
                       [zero], [zero]) for spec in specs]
-    cols = [columns(m) for m in mats]
-    theta = highest_weight_theta(cols[:n * n:n + 1], module.rep.hw_index)
-    if norton_irreducible(cols, theta):
+    theta = highest_weight_theta(mats[:n * n:n + 1], module.rep.hw_index)
+    if norton_irreducible(mats, theta):
         return d * d
-    return burnside_dim(mats)
+    return burnside_dim([dense(m, d) for m in mats])
 
 
 # -- rank-one checks --------------------------------------------------

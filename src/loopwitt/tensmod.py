@@ -10,14 +10,15 @@ extended linearly.  Only the scalar (u, m+alpha) depends on the source
 slice m, so act compiles each element once per module into a plan: for
 each degree r, the constant kappa_r = sum psi(b) of the t-parts plus
 sum_i psi_i alpha_i, the pairs (i, psi_i) of the derivation terms, and
-the sparse columns of M_r = sum_ij psi_i r_j E_ji, summed from the
-irrep's column views Irrep.columns.  On slice m it then computes
+the Columns of M_r = sum_ij psi_i r_j E_ji, summed from the irrep's
+Irrep.columns.  On slice m it then computes
 (kappa_r + sum_i psi_i m_i) v + M_r v.  The plans, keyed by element
 identity, live on the TensorModule and are freed with it; it keeps the
 newest PLAN_CACHE_SIZE plans.  act sums every degree
 before it looks at the window, and raises OutOfWindowError exactly when
 a source slice has a nonzero image outside the window, so it never
-silently truncates.
+silently truncates.  op_matrix gives the matrix of any operator on
+module vectors as Columns, the one matrix format of linalg.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .coeff import BElem, BPresentation
 from .glnrep import Irrep
-from .linalg import Columns, Mat, zeros
+from .linalg import Columns, entries, sparse_sum, to_columns
 from .loop import Degree, LoopElem
 from .scalars import GaussRat, ZERO
 
@@ -142,20 +143,12 @@ class TensorModule:
 
     def _m_columns(self, r: Degree, d_terms: List[Tuple[int, GaussRat]]
                    ) -> Optional[Columns]:
-        """The sparse columns of M_r = sum_ij psi_i r_j E_ji, or None when
-        M_r is zero."""
-        cols: List[Dict[int, GaussRat]] = [{} for _ in range(self.d)]
-        for i, pb in d_terms:
-            for j, rj in enumerate(r):
-                if not rj:
-                    continue
-                w = pb * rj
-                for out, col in zip(cols, self.rep.columns(j + 1, i + 1)):
-                    for row, e in col:
-                        t = w * e
-                        out[row] = out[row] + t if row in out else t
-        sparse = [[(row, e) for row, e in col.items() if e] for col in cols]
-        return sparse if any(sparse) else None
+        """The Columns of M_r = sum_ij psi_i r_j E_ji, or None when M_r is
+        zero."""
+        m = sparse_sum((key, pb * rj * e) for i, pb in d_terms
+                       for j, rj in enumerate(r) if rj
+                       for key, e in entries(self.rep.columns(j + 1, i + 1)))
+        return to_columns(m, self.d) if m else None
 
 
 class ModVector:
@@ -270,22 +263,23 @@ Op = Callable[[ModVector], ModVector]
 
 
 def op_matrix(op: Op, module: TensorModule, src: Iterable[Degree],
-              dst: Optional[Iterable[Degree]] = None) -> Mat:
-    """Matrix of a linear operator on module vectors, applied to the basis
+              dst: Optional[Iterable[Degree]] = None) -> Columns:
+    """Columns of a linear operator on module vectors, applied to the basis
     vectors of the src slices: columns in (src slice, basis index) order,
     rows in (dst slice, basis index) order.  dst=None takes the sorted
     support of the images; an image outside dst raises OutOfWindowError."""
     d = module.d
-    cols = [op(module.basis_vector(m, k)) for m in src for k in range(d)]
+    images = [op(module.basis_vector(m, k)) for m in src for k in range(d)]
     if dst is None:
-        dst = sorted({m for w in cols for m in w.data})
-    dst_index = {tuple(m): k for k, m in enumerate(dst)}
-    out = zeros(len(dst_index) * d, len(cols))
-    for col, w in enumerate(cols):
-        for m, vec in w.data.items():
-            if m not in dst_index:
+        dst = sorted({m for w in images for m in w.data})
+    offset = {tuple(m): k * d for k, m in enumerate(dst)}
+    out: Columns = []
+    for w in images:
+        for m in w.data:
+            if m not in offset:
                 raise OutOfWindowError(
                     f"operator maps into slice {m}, outside the destination")
-            for row, x in enumerate(vec, start=dst_index[m] * d):
-                out[row][col] = x
+        out.append([(offset[m] + row, x)
+                    for m in sorted(w.data, key=offset.__getitem__)
+                    for row, x in enumerate(w.data[m]) if x])
     return out

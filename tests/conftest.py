@@ -57,18 +57,14 @@ def any_pres(request):
 
 def direct_sum_irrep(a, b):
     """The block-diagonal gl(n) module a (+) b, labelled like a; its
-    highest weight vector is a's."""
+    highest weight vector is a's.  The columns of b follow those of a,
+    with their rows offset by a.d."""
     from loopwitt.glnrep import Irrep
-    from loopwitt.linalg import zeros
-    n, d = a.n, a.d + b.d
-    E = [[zeros(d, d) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for r, row in enumerate(a.E(i + 1, j + 1)):
-                E[i][j][r][:a.d] = row
-            for r, row in enumerate(b.E(i + 1, j + 1)):
-                E[i][j][a.d + r][a.d:] = row
-    return Irrep(n, a.mu, a.c, d, E, a.hw_index)
+    rng = range(1, a.n + 1)
+    E = [[a.columns(i, j) + [[(r + a.d, x) for r, x in col]
+                             for col in b.columns(i, j)]
+          for j in rng] for i in rng]
+    return Irrep(a.n, a.mu, a.c, a.d + b.d, E, a.hw_index)
 
 
 # -- oracles the library itself does not need --------------------------
@@ -111,14 +107,13 @@ def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def from_columns(cols, rows):
-    """The dense matrix of a sparse column view with `rows` rows."""
-    from loopwitt.linalg import zeros
-    out = zeros(rows, len(cols))
-    for c, col in enumerate(cols):
-        for r, x in col:
-            out[r][c] = x
-    return out
+def columns(a):
+    """The Columns of a dense matrix: the oracle of linalg.dense."""
+    return [[(row, x) for row, x in enumerate(col) if x] for col in zip(*a)]
+
+
+def mat_is_zero(a):
+    return all(not x for row in a for x in row)
 
 
 def dense_relation_residual(rep, i, j, k, l):
@@ -165,7 +160,7 @@ def shift_difference_generators(module):
             for k in range(module.d)]
 
 
-def dense(v):
+def window_coords(v):
     """Coordinates of a module vector over every window slice, in slice
     order."""
     from loopwitt.scalars import ZERO

@@ -1,9 +1,10 @@
 import pytest
 
-from conftest import from_columns, mat_vec, rank, transpose
+from conftest import columns, mat_vec, rank, transpose
 from loopwitt.linalg import (SpanBasis, col_apply, col_apply_transpose,
-                             columns, entries, null_space, product_entries,
-                             sparse_sum, spin, transposed, vec_is_zero)
+                             dense, entries, null_space, product_entries,
+                             sparse_sum, spin, to_columns, transposed,
+                             vec_is_zero)
 from loopwitt.scalars import GaussRat, I, ZERO
 
 
@@ -35,11 +36,15 @@ class TestColumnView:
         a = [vec(1, 2, 0), vec(0, I, 3)]
         assert columns(a) == [[(0, GaussRat(1))], [(0, GaussRat(2)), (1, I)],
                               [(1, GaussRat(3))]]
-        assert from_columns(columns(a), 2) == a
-        assert from_columns(transposed(columns(a), 2), 3) == transpose(a)
+        assert dense(columns(a), 2) == a
+        assert dense(transposed(columns(a), 2), 3) == transpose(a)
         assert dict(entries(columns(a))) == {
             (r, c): x for r, row in enumerate(a) for c, x in enumerate(row)
             if x}
+        # back from entries in any order, rows sorted in every column
+        assert to_columns(dict(reversed(list(entries(columns(a))))),
+                          3) == columns(a)
+        assert to_columns({}, 2) == [[], []]
 
     def test_products_and_sums_match_the_dense_oracle(self):
         a = [vec(1, 2, 0), vec(0, I, 3), vec(0, 0, 1)]

@@ -25,12 +25,14 @@ NOT_REACHED = {
     "glnrep.burnside_dim":
         "the fallback when Norton's test does not certify; only reducible "
         "modules reach it, and the benchmark tracer binds it by name",
-    "glnrep.burnside_dim.<locals>.flat": "inside burnside_dim",
-    "glnrep.burnside_dim.<locals>.insert": "inside burnside_dim",
+    "glnrep.burnside_dim.<locals>.grows": "inside burnside_dim",
     "linalg.SpanBasis.coords":
         "the benchmark tracer wraps it by name; tests use it as an oracle",
     "linalg.vec_is_zero": "only SpanBasis.coords calls it",
     "linalg.identity": "only burnside_dim calls it",
+    "linalg.mat_mul":
+        "only burnside_dim calls it, and the benchmark tracer counts it by "
+        "name",
     "loop.LoopElem.__eq__": "value equality for library users",
     "coeff.BElem.__eq__": "value equality; LoopElem.__eq__ compares terms",
     "scalars.GaussRat.__truediv__": "field API for library users",
@@ -53,7 +55,8 @@ CONFIG = {"n": 2, "mu": [1], "B": {"kind": "polyquot",
 RANK_ONE = {"n": 1, "mu": [], "window_radius": 5, "cases_per_suite": 1,
             "suites": ["rank-one"]}
 LAURENT = {"n": 2, "mu": [1], "B": {"kind": "laurent", "eval_point": "3"}}
-# at n >= 3 build_irrep makes the E_ij with |i - j| >= 2 as commutators
+# at n >= 3 build_irrep makes the E_ij with |i - j| >= 2 as sparse
+# commutators, collected back into columns by linalg.to_columns
 GL3 = {"n": 3, "mu": [1, 0]}
 
 

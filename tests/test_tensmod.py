@@ -5,7 +5,7 @@ import pytest
 
 from conftest import cartan_eigenvalue, make_polyquot_cube, reference_act
 from loopwitt.glnrep import build_irrep
-from loopwitt.linalg import identity
+from loopwitt.linalg import dense, identity
 from loopwitt.loop import LoopElem
 from loopwitt.scalars import GaussRat, ZERO
 from loopwitt.tensmod import (PLAN_CACHE_SIZE, ModVector, OutOfWindowError,
@@ -284,8 +284,8 @@ class TestOperatorMatrices:
     def test_unit_function_is_identity_block(self, trivial):
         module = make_module(trivial)
         x = LoopElem.t_part(2, trivial, (0, 0))
-        assert (op_matrix(acting(x), module, [(0, 0)], [(0, 0)])
-                == identity(module.d))
+        assert (dense(op_matrix(acting(x), module, [(0, 0)], [(0, 0)]),
+                      module.d) == identity(module.d))
 
     def test_zero_mode_block_is_scalar(self, trivial):
         module = make_module(trivial)
@@ -295,13 +295,13 @@ class TestOperatorMatrices:
         scal = GaussRat(2) + HALF
         want = [[scal if i == j else ZERO for j in range(module.d)]
                 for i in range(module.d)]
-        assert got == want
+        assert dense(got, module.d) == want
 
     def test_shift_block_is_identity(self, trivial):
         module = make_module(trivial)
         x = LoopElem.t_part(2, trivial, (1, 1))
         got = op_matrix(acting(x), module, [(0, 0)], [(1, 1)])
-        assert got == identity(module.d)
+        assert dense(got, module.d) == identity(module.d)
 
     def test_coefficient_factors_through_evaluation(self, polyquot):
         # the matrix of D(u,r) b is psi(b) times the matrix of D(u,r)
@@ -313,8 +313,8 @@ class TestOperatorMatrices:
         src, dst = [(0, 0)], [(1, 0)]
         got = op_matrix(acting(xb), module, src, dst)
         base = op_matrix(acting(x1), module, src, dst)
-        want = [[GaussRat(2) * v for v in row] for row in base]
-        assert got == want
+        assert got == [[(row, GaussRat(2) * v) for row, v in col]
+                       for col in base]
 
     def test_destination_mismatch_raises(self, trivial):
         module = make_module(trivial)
@@ -327,9 +327,13 @@ class TestOperatorMatrices:
         x = (LoopElem.t_part(2, trivial, (1, 0))
              + LoopElem.t_part(2, trivial, (-1, 0)))
         got = op_matrix(acting(x), module, [(0, 0)])
-        # rows: slice (-1, 0) first, then (1, 0)
-        assert got == identity(module.d) + identity(module.d)
-        assert op_matrix(lambda v: v - v, module, [(0, 0)]) == []
+        # rows: slice (-1, 0) first, then (1, 0), increasing in each column
+        d = module.d
+        assert [[row for row, _ in col] for col in got] == [
+            [k, d + k] for k in range(d)]
+        assert dense(got, 2 * d) == identity(d) + identity(d)
+        empty = op_matrix(lambda v: v - v, module, [(0, 0)])
+        assert empty == [[] for _ in range(d)]
 
     def test_columns_follow_source_slice_order(self, trivial):
         module = make_module(trivial)
@@ -337,6 +341,7 @@ class TestOperatorMatrices:
         got = op_matrix(acting(x), module, [(0, 0), (1, 0)],
                         [(1, 1), (0, 1)])
         d = module.d
+        got = dense(got, 2 * d)
         for row in range(2 * d):
             for col in range(2 * d):
                 # (0,0) -> (0,1) is the second dst block, (1,0) -> (1,1) the first
