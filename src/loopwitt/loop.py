@@ -4,13 +4,23 @@ An element is a sparse map from basis keys to B coefficients.  Keys are
 ("t", 0, r) for the function part t^r and ("d", i, r) for the basis
 derivation carrying e_i at degree r; a general derivation with direction
 vector u at degree r is stored as the n entries with coefficients u_i.
-Zero coefficients are pruned after every operation so equality to zero
-is structural.
+Zero coefficients are pruned, so equality to zero is structural.
+
+A bracket is one pass over the term pairs.  Each pair reads its
+structure constants first and costs no B product when they all vanish;
+otherwise the product b b' is formed once, unreduced, and added with
+each integer constant into one accumulator, a map from output key to
+exponent to coefficient.  Each output key's coefficient is reduced
+modulo the polyquot modulus once, at the end.  That is exact: the
+remainder modulo a monic m is linear and unique, so reducing the sum
+equals summing the reduced products.  ``jacobi_residual`` adds its
+three outer brackets into one such accumulator.
 """
 
 from __future__ import annotations
 
 from math import comb
+from operator import add
 from typing import Dict, List, Sequence, Tuple
 
 from .coeff import BElem, BPresentation
@@ -21,7 +31,7 @@ Key = Tuple[str, int, Degree]  # kind, direction index (0 for "t"), degree
 
 
 def _add_deg(r: Degree, s: Degree) -> Degree:
-    return tuple(a + b for a, b in zip(r, s))
+    return tuple(map(add, r, s))
 
 
 class LoopElem:
@@ -108,47 +118,68 @@ class LoopElem:
 
     def bracket(self, other: "LoopElem") -> "LoopElem":
         self._check(other)
-        out = LoopElem.zero(self.n, self.pres)
-        acc: Dict[Key, BElem] = {}
-
-        def put(key: Key, coeff: BElem):
-            if key in acc:
-                acc[key] = acc[key] + coeff
-            else:
-                acc[key] = coeff
-
-        for (k1, i, r), b1 in self.terms.items():
-            for (k2, j, s), b2 in other.terms.items():
-                bb = b1 * b2
-                if bb.is_zero():
-                    continue
-                rs = _add_deg(r, s)
-                if k1 == "d" and k2 == "d":
-                    # [D(e_i,r), D(e_j,s)] = s_i D(e_j,r+s) - r_j D(e_i,r+s)
-                    if s[i - 1]:
-                        put(("d", j, rs), bb * s[i - 1])
-                    if r[j - 1]:
-                        put(("d", i, rs), bb * (-r[j - 1]))
-                elif k1 == "d" and k2 == "t":
-                    if s[i - 1]:
-                        put(("t", 0, rs), bb * s[i - 1])
-                elif k1 == "t" and k2 == "d":
-                    if r[j - 1]:
-                        put(("t", 0, rs), bb * (-r[j - 1]))
-                # [t^r, t^s] = 0
-        out.terms = {k: c for k, c in acc.items() if not c.is_zero()}
-        return out
+        acc: Acc = {}
+        _accumulate(acc, self.terms, other.terms)
+        return _collect(self.n, self.pres, acc)
 
     def jacobi_residual(self, y: "LoopElem", z: "LoopElem") -> "LoopElem":
-        return (self.bracket(y.bracket(z))
-                + y.bracket(z.bracket(self))
-                + z.bracket(self.bracket(y)))
+        """[x, [y, z]] + [y, [z, x]] + [z, [x, y]], the three outer
+        brackets summed in one accumulator and reduced once."""
+        self._check(y)
+        self._check(z)
+        acc: Acc = {}
+        for a, b, c in ((self, y, z), (y, z, self), (z, self, y)):
+            _accumulate(acc, a.terms, b.bracket(c).terms)
+        return _collect(self.n, self.pres, acc)
 
     # -- deterministic ordering / printing ----------------------------
 
     def sorted_terms(self) -> List[Tuple[Key, BElem]]:
         return sorted(self.terms.items(),
                       key=lambda kv: (kv[0][0], kv[0][1], kv[0][2]))
+
+
+Acc = Dict[Key, Dict[int, GaussRat]]  # key -> exponent -> unreduced coeff
+
+
+def _accumulate(acc: Acc, xs: Dict[Key, BElem], ys: Dict[Key, BElem]):
+    """Add the bracket of the term maps xs and ys to acc, unreduced:
+    [D(e_i,r), D(e_j,s)] = s_i D(e_j,r+s) - r_j D(e_i,r+s),
+    [D(e_i,r), t^s] = s_i t^(r+s), [t^r, D(e_j,s)] = -r_j t^(r+s) and
+    [t^r, t^s] = 0, each tensored with b b'."""
+    for (k1, i, r), b1 in xs.items():
+        for (k2, j, s), b2 in ys.items():
+            if k1 == "d":
+                if k2 == "d":
+                    outs = (("d", j, s[i - 1]), ("d", i, -r[j - 1]))
+                else:
+                    outs = (("t", 0, s[i - 1]),)
+            elif k2 == "d":
+                outs = (("t", 0, -r[j - 1]),)
+            else:
+                continue
+            prod = None
+            for kind, idx, k in outs:
+                if not k:
+                    continue
+                if prod is None:
+                    rs = _add_deg(r, s)
+                    prod = [(e1 + e2, c1 * c2)
+                            for e1, c1 in b1.rep.items()
+                            for e2, c2 in b2.rep.items()]
+                key = (kind, idx, rs)
+                p = acc.get(key)
+                if p is None:
+                    p = acc[key] = {}
+                for e, c in prod:
+                    c = c * k
+                    p[e] = p[e] + c if e in p else c
+
+
+def _collect(n: int, pres: BPresentation, acc: Acc) -> LoopElem:
+    """The element with acc's coefficients, each reduced once."""
+    return LoopElem(n, pres, {key: BElem(pres, pres._reduce(p))
+                              for key, p in acc.items()})
 
 
 # -- rank-one special elements ---------------------------------------

@@ -4,8 +4,8 @@ A GaussRat is (a + b*i)/q for Python ints a, b and q, always kept in one
 canonical form: q > 0, gcd(a, b, q) = 1, and zero is (0, 0, 1).  So all
 arithmetic is exact integer arithmetic and equality is structural.
 Every result passes through ``_norm``, which skips the gcd when q = 1;
-sums over a common denominator and products with a real factor take
-shorter paths.  ``re`` and ``im`` read the parts back as Fractions.  The
+sums over a common denominator and products with a real factor or an
+int take shorter paths.  ``re`` and ``im`` read the parts back as Fractions.  The
 string form used everywhere in configs and reports is "p/q" for real
 values and "p/q+r/s i" (or "p/q-r/s i") when the imaginary part is
 nonzero, each part in lowest terms.
@@ -92,7 +92,10 @@ class GaussRat:
         return -self + other
 
     def __mul__(self, other):
-        if other.__class__ is not GaussRat:
+        cls = other.__class__
+        if cls is not GaussRat:
+            if cls is int:
+                return _norm(self._a * other, self._b * other, self._q)
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented

@@ -129,6 +129,47 @@ def dense_relation_residual(rep, i, j, k, l):
     return res
 
 
+def reference_bracket(x, y):
+    """The bracket term pair by term pair: each product b b' is a reduced
+    B element, scaled by its structure constant and added to its output
+    key as it comes; the oracle of LoopElem.bracket."""
+    from loopwitt.loop import LoopElem
+    x._check(y)
+    acc = {}
+
+    def put(key, coeff):
+        acc[key] = acc[key] + coeff if key in acc else coeff
+
+    for (k1, i, r), b1 in x.terms.items():
+        for (k2, j, s), b2 in y.terms.items():
+            bb = b1 * b2
+            if bb.is_zero():
+                continue
+            rs = tuple(a + b for a, b in zip(r, s))
+            if k1 == "d" and k2 == "d":
+                # [D(e_i,r), D(e_j,s)] = s_i D(e_j,r+s) - r_j D(e_i,r+s)
+                if s[i - 1]:
+                    put(("d", j, rs), bb * s[i - 1])
+                if r[j - 1]:
+                    put(("d", i, rs), bb * (-r[j - 1]))
+            elif k1 == "d" and k2 == "t":
+                if s[i - 1]:
+                    put(("t", 0, rs), bb * s[i - 1])
+            elif k1 == "t" and k2 == "d":
+                if r[j - 1]:
+                    put(("t", 0, rs), bb * (-r[j - 1]))
+            # [t^r, t^s] = 0
+    return LoopElem(x.n, x.pres, acc)
+
+
+def reference_jacobi(x, y, z):
+    """[x, [y, z]] + [y, [z, x]] + [z, [x, y]] as a sum of three
+    reference brackets; the oracle of LoopElem.jacobi_residual."""
+    return (reference_bracket(x, reference_bracket(y, z))
+            + reference_bracket(y, reference_bracket(z, x))
+            + reference_bracket(z, reference_bracket(x, y)))
+
+
 def cartan_eigenvalue(module, i, m):
     """Eigenvalue of D(e_i, 0) on the degree-m slice: alpha_i + m_i."""
     return module.alpha[i - 1] + m[i - 1]

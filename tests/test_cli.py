@@ -7,6 +7,7 @@ from loopwitt import suites
 from loopwitt.cli import (EXIT_CONFIG_ERROR, EXIT_INTERNAL_ERROR, EXIT_OK,
                           EXIT_SUITE_FAILURE, main)
 from loopwitt.glnrep import DIM_CAP
+from loopwitt.parsing import EXPONENT_CAP
 from loopwitt.tensmod import WINDOW_CAP
 
 
@@ -88,6 +89,36 @@ class TestBracketCommand:
         code = main(["bracket", "--config", cfg, x, "t(1,0)*1"])
         assert code == EXIT_CONFIG_ERROR
         assert "expression error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("b", [
+        {"kind": "polyquot", "modulus": ["-8", "12", "-6", "1"],
+         "eval_point": "2"},
+        {"kind": "laurent", "eval_point": "3"}], ids=["polyquot", "laurent"])
+    @pytest.mark.parametrize("x", [
+        "t(0)*x^99999999999", f"t(0)*x^{EXPONENT_CAP + 1}",
+        f"t(0)*(x^{EXPONENT_CAP}*x)", f"t(0)*x^{'9' * 5000}"],
+        ids=["huge", "cap-plus-one", "cap-by-product", "too-many-digits"])
+    def test_exponent_beyond_cap_is_config_error(self, tmp_path, capsys,
+                                                 b, x):
+        # once a polyquot run that never finished
+        cfg = write_config(tmp_path, n=1, mu=[], B=b)
+        code = main(["bracket", "--config", cfg, x, "D(1;1)*1"])
+        assert code == EXIT_CONFIG_ERROR
+        assert "beyond the cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("b,want", [
+        ({"kind": "polyquot", "modulus": ["0", "-1", "1"],
+          "eval_point": "1"}, "t(1)*(-x)\n"),
+        ({"kind": "laurent", "eval_point": "3"},
+         f"t(1)*(-x^{EXPONENT_CAP})\n"),
+    ], ids=["polyquot", "laurent"])
+    def test_exponent_at_cap_runs(self, tmp_path, capsys, b, want):
+        # in F[x]/(x^2 - x), x^k = x for every k >= 1
+        cfg = write_config(tmp_path, n=1, mu=[], B=b)
+        code = main(["bracket", "--config", cfg, f"t(1)*x^{EXPONENT_CAP}",
+                     "D(1;0)*1"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == want
 
     @pytest.mark.parametrize("x", ["garbage", "D(a;0)*1", "", "   "],
                              ids=["garbage", "non-numeric-direction",

@@ -1,9 +1,13 @@
+import inspect
 import random
+import textwrap
 from fractions import Fraction
 
 import pytest
 
-from conftest import ad_weight
+from conftest import (ad_weight, make_laurent, make_polyquot_cube,
+                      reference_bracket, reference_jacobi)
+from loopwitt import loop, suites
 from loopwitt.loop import (LoopElem, diff_derivation,
                            diff_derivation_bracket_residual, poly_derivation,
                            poly_derivation_bracket_residual)
@@ -113,6 +117,159 @@ class TestLieAxioms:
             br = x.bracket(y)
             if not br.is_zero():
                 assert ad_weight(br) == tuple(a + b for a, b in zip(r, s))
+
+
+class TestAgainstReference:
+    """The one-pass bracket against the term-by-term oracle."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bracket_and_jacobi_match(self, n, any_pres):
+        rng = random.Random(300 + n)
+        pool = suites.coefficient_pool(any_pres)
+        outer_nonzero = 0
+        for _ in range(30):
+            x, y, z = (suites.sample_loop_elem(rng, n, any_pres, pool)
+                       for _ in range(3))
+            assert x.bracket(y) == reference_bracket(x, y)
+            assert x.jacobi_residual(y, z) == reference_jacobi(x, y, z)
+            outer_nonzero += not reference_bracket(
+                x, reference_bracket(y, z)).is_zero()
+        # the three outer brackets cancel in the shared accumulator
+        assert outer_nonzero > 10
+
+    def test_equal_direction_constants_cancel(self, any_pres):
+        # [D(e_1,r), D(e_1,s)] = (s_1 - r_1) D(e_1,r+s): zero at r_1 = s_1
+        x = LoopElem.d_part(2, any_pres, 1, (1, 0))
+        y = LoopElem.d_part(2, any_pres, 1, (1, 2), any_pres.one().scale(
+            GaussRat(3)))
+        assert x.bracket(y).is_zero() and not x.bracket(y).terms
+        assert reference_bracket(x, y).is_zero()
+        y2 = LoopElem.d_part(2, any_pres, 1, (2, 2))
+        assert x.bracket(y2) == reference_bracket(x, y2) == (
+            LoopElem.d_part(2, any_pres, 1, (3, 2)))
+
+    @pytest.mark.parametrize("b2_scale", [-1, 1])
+    def test_two_pairs_on_one_output_key(self, any_pres, b2_scale):
+        # [t^r, D(e_j,s)] = -r_j t^(r+s): both pairs land on t^(1,1)
+        one = any_pres.one()
+        x = (LoopElem.t_part(2, any_pres, (1, 0))
+             + LoopElem.t_part(2, any_pres, (0, 1), one.scale(
+                 GaussRat(b2_scale))))
+        y = (LoopElem.d_part(2, any_pres, 1, (0, 1))
+             + LoopElem.d_part(2, any_pres, 2, (1, 0)))
+        got = x.bracket(y)
+        assert got == reference_bracket(x, y)
+        if b2_scale == -1:
+            assert got.is_zero()
+        else:
+            assert got == LoopElem.t_part(2, any_pres, (1, 1)).scale(-2)
+
+    def test_polyquot_product_reducing_to_zero(self):
+        # (x-2) (x-2)^2 = 0 in F[x]/((x-2)^3), though both factors are not
+        pres = make_polyquot_cube()
+        u = pres.generator() - pres.from_scalar(GaussRat(2))
+        x = LoopElem.d_part(1, pres, 1, (1,), u)
+        y = LoopElem.t_part(1, pres, (1,), u * u)
+        assert x.bracket(y).is_zero() and not x.bracket(y).terms
+        assert reference_bracket(x, y).is_zero()
+        z = LoopElem.d_part(1, pres, 1, (2,), u * u)
+        assert x.bracket(z) == reference_bracket(x, z)
+        assert x.bracket(z).is_zero()
+
+    def test_polyquot_unreduced_sum_reduces_once(self):
+        # x^2 x^2 and x x^3 both exceed deg m; their sum is reduced once
+        pres = make_polyquot_cube()
+        gen = pres.generator()
+        x = (LoopElem.t_part(1, pres, (1,), gen * gen)
+             + LoopElem.t_part(1, pres, (2,), gen))
+        y = (LoopElem.d_part(1, pres, 1, (1,), gen * gen)
+             + LoopElem.d_part(1, pres, 1, (0,), gen * gen * gen))
+        got = x.bracket(y)
+        assert got == reference_bracket(x, y)
+        assert all(max(b.rep) < 3 for b in got.terms.values())
+
+    def test_laurent_inverse_pair(self):
+        # [D(e_1,1) x, t^1 x^-1] = t^2 (x x^-1) = t^2
+        pres = make_laurent()
+        x = LoopElem.d_part(1, pres, 1, (1,), pres.generator())
+        y = LoopElem.t_part(1, pres, (1,), pres.from_poly({-1: 1}))
+        assert x.bracket(y) == reference_bracket(x, y) == (
+            LoopElem.t_part(1, pres, (2,)))
+
+
+def mutant(fn, old: str, new: str):
+    """fn recompiled from its source with the one occurrence of old
+    replaced by new, in fn's module namespace."""
+    src = textwrap.dedent(inspect.getsource(fn))
+    assert src.count(old) == 1, f"{old!r} not found once in {fn.__name__}"
+    ns = {}
+    exec(compile(src.replace(old, new), inspect.getsourcefile(fn), "exec"),
+         vars(inspect.getmodule(fn)), ns)
+    return ns[fn.__name__]
+
+
+GRID_MU = {1: [], 2: [1], 3: [1, 0]}
+GRID_B = {
+    "trivial": {"kind": "trivial"},
+    "polyquot": {"kind": "polyquot",
+                 "modulus": ["-8/1", "12/1", "-6/1", "1/1"],
+                 "eval_point": "2/1"},
+    "laurent": {"kind": "laurent", "eval_point": "3/1"},
+}
+
+
+def soundness_failures():
+    """Failed checks of bracket-soundness per 9-grid config, seed 42."""
+    out = {}
+    for n, mu in GRID_MU.items():
+        for kind, b in GRID_B.items():
+            cfg = suites.RunConfig.from_dict(
+                {"n": n, "mu": mu, "B": b, "seed": 42,
+                 "cases_per_suite": 20})
+            _, failures = suites.run_bracket_soundness(cfg)
+            out[n, kind] = {f["check"] for f in failures}
+    return out
+
+
+class TestPlantedBracketDefects:
+    """Negative controls for bracket-soundness, planted in the shared
+    accumulation routine that bracket and jacobi_residual both run.
+
+    A global sign flip of the bracket passes both identities, since each
+    is homogeneous in the bracket; module-axiom catches it
+    (perfbench/test_perfbench.py::test_bracket_sign_flip_fails_checks)."""
+
+    def test_unplanted_grid_passes(self):
+        assert not any(soundness_failures().values())
+
+    @pytest.mark.parametrize("old,new", [
+        # drop the -r_j D(e_i) term of [D(e_i,r), D(e_j,s)]
+        ('("d", i, -r[j - 1])', '("d", i, 0)'),
+        # flip the sign of [t^r, D(e_j,s)]
+        ('outs = (("t", 0, -r[j - 1]),)', 'outs = (("t", 0, r[j - 1]),)'),
+    ], ids=["drop-rj-term", "flip-t-d-sign"])
+    def test_structure_constant_defect_fails_everywhere(
+            self, old, new, monkeypatch):
+        monkeypatch.setattr(loop, "_accumulate",
+                            mutant(loop._accumulate, old, new))
+        failed = soundness_failures()
+        assert all(failed.values()), failed
+        assert all(checks <= {"antisymmetry", "jacobi"}
+                   for checks in failed.values())
+
+    def test_skipped_reduction_is_caught_by_the_oracle(self, monkeypatch):
+        # Without the final reduction every coefficient is the exact
+        # product in F[x], where both identities hold too; reduction is a
+        # ring homomorphism onto B.  So bracket-soundness cannot see this
+        # defect; the term-by-term oracle does.
+        monkeypatch.setattr(loop, "_collect", mutant(
+            loop._collect, "BElem(pres, pres._reduce(p))", "BElem(pres, p)"))
+        assert not any(soundness_failures().values())
+        pres = make_polyquot_cube()
+        gen = pres.generator()
+        x = LoopElem.d_part(1, pres, 1, (1,), gen * gen)
+        y = LoopElem.t_part(1, pres, (1,), gen * gen)
+        assert x.bracket(y) != reference_bracket(x, y)
 
 
 class TestAdWeight:

@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+from loopwitt import scalars
 from loopwitt.scalars import GaussRat, I, ONE, ZERO, parse_gauss
 
 
@@ -186,6 +187,27 @@ class TestAgainstFractionPairs:
                 check(g / c, (x[0] / c, x[1] / c))
             if any(x):
                 check(c / g, (c * ref_inverse(x)[0], c * ref_inverse(x)[1]))
+
+    @given(ref_pairs, st.sampled_from([0, 1, -1, 2 ** 64 + 1, -(2 ** 70)])
+           | st.integers(-BIG, BIG))
+    def test_int_factor_fast_path(self, x, k):
+        # x * k and k * x skip the coercion of k; x * GaussRat(k) does not
+        g = GaussRat(*x)
+        want = g * GaussRat(k)
+        check(want, (x[0] * k, x[1] * k))
+        for got in (g * k, k * g):
+            assert (got._a, got._b, got._q) == (want._a, want._b, want._q)
+
+    def test_bool_factor_takes_the_coerce_path(self, monkeypatch):
+        seen = []
+        coerce = scalars._coerce
+        monkeypatch.setattr(scalars, "_coerce",
+                            lambda v: seen.append(v) or coerce(v))
+        g = GaussRat(Fraction(3, 4), 5)
+        assert g * True == g and True * g == g
+        assert g * False == ZERO
+        assert seen == [True, True, False]
+        assert g * 3 == GaussRat(Fraction(9, 4), 15) and len(seen) == 3
 
     def test_zero_is_one_triple(self):
         for z in (ZERO, GaussRat(Fraction(0, 7), 0), ONE - ONE,
