@@ -61,7 +61,7 @@ class BPresentation:
     def __repr__(self):
         return f"BPresentation({self.kind!r})"
 
-    def _reduce(self, p: Dict[int, GaussRat]) -> Dict[int, GaussRat]:
+    def reduce(self, p: Dict[int, GaussRat]) -> Dict[int, GaussRat]:
         """p modulo the monic modulus, in place (p itself if there is none)."""
         m = self.modulus
         if m is None:
@@ -102,7 +102,7 @@ class BPresentation:
             if e < 0 and self.kind != "laurent":
                 raise ValueError("negative exponents need the laurent presentation")
             rep[e] = c if isinstance(c, GaussRat) else GaussRat(c)
-        return BElem(self, self._reduce(rep))
+        return BElem(self, self.reduce(rep))
 
 
 class BElem:
@@ -143,7 +143,7 @@ class BElem:
             for e2, c2 in other.rep.items():
                 e, c = e1 + e2, c1 * c2
                 out[e] = out[e] + c if e in out else c
-        return BElem(self.pres, self.pres._reduce(out))
+        return BElem(self.pres, self.pres.reduce(out))
 
     __rmul__ = __mul__
 

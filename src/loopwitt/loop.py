@@ -125,8 +125,6 @@ class LoopElem:
     def jacobi_residual(self, y: "LoopElem", z: "LoopElem") -> "LoopElem":
         """[x, [y, z]] + [y, [z, x]] + [z, [x, y]], the three outer
         brackets summed in one accumulator and reduced once."""
-        self._check(y)
-        self._check(z)
         acc: Acc = {}
         for a, b, c in ((self, y, z), (y, z, self), (z, self, y)):
             _accumulate(acc, a.terms, b.bracket(c).terms)
@@ -178,7 +176,7 @@ def _accumulate(acc: Acc, xs: Dict[Key, BElem], ys: Dict[Key, BElem]):
 
 def _collect(n: int, pres: BPresentation, acc: Acc) -> LoopElem:
     """The element with acc's coefficients, each reduced once."""
-    return LoopElem(n, pres, {key: BElem(pres, pres._reduce(p))
+    return LoopElem(n, pres, {key: BElem(pres, pres.reduce(p))
                               for key, p in acc.items()})
 
 

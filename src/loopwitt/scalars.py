@@ -5,10 +5,10 @@ canonical form: q > 0, gcd(a, b, q) = 1, and zero is (0, 0, 1).  So all
 arithmetic is exact integer arithmetic and equality is structural.
 Every result passes through ``_norm``, which skips the gcd when q = 1;
 sums over a common denominator and products with a real factor or an
-int take shorter paths.  ``re`` and ``im`` read the parts back as Fractions.  The
-string form used everywhere in configs and reports is "p/q" for real
-values and "p/q+r/s i" (or "p/q-r/s i") when the imaginary part is
-nonzero, each part in lowest terms.
+int take shorter paths.  ``re`` and ``im`` read the parts back as
+Fractions.  The string form used everywhere in configs and reports is
+"p/q" for real values and "p/q+r/s i" (or "p/q-r/s i") when the
+imaginary part is nonzero, each part in lowest terms.
 """
 
 from __future__ import annotations
