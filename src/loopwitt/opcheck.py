@@ -9,7 +9,8 @@ Three operator families are materialized through the module action:
 Every bracket identity among them, the scalar action of the zero modes,
 the collapse of B coefficients through psi, the shift-difference
 subspace and the rank-one identities are checked as exact zero
-residuals by applying operator combinations to slice basis vectors.
+residuals by applying operator combinations to slice basis blocks, all
+d basis vectors of a slice in one call (tensmod.TensorModule.basis_block).
 A residual is the Columns of op_matrix, zero when no column has an
 entry; only the Burnside fallback densifies.
 """
@@ -178,20 +179,15 @@ def evaluated_preserves_differences(spec: OpSpec,
     """The evaluated operator Q of ``spec`` maps each shift difference
     e_k t^m - e_k t^0 (m != 0, image in the window) to slice sum zero.
     act is exactly linear and handles each source slice on its own, so
-    Q(e_k t^m - e_k t^0) = Q(e_k t^m) - Q(e_k t^0), and every interior
-    slice m is checked against the slice sums of Q(e_k t^0)."""
+    Q(e_k t^m - e_k t^0) = Q(e_k t^m) - Q(e_k t^0), and the slice sums
+    of Q on each interior slice's basis block, one column per k, are
+    checked against those of the bottom slice's."""
     op = as_operator("evaluated", spec, module)
     margin = tuple(abs(a) for a in spec.r)
     zero = (0,) * module.n
-    bottom = [op(module.basis_vector(zero, k)).slice_sum()
-              for k in range(module.d)]
-    for m in module.window.interior(margin):
-        if m == zero:
-            continue
-        for k in range(module.d):
-            if op(module.basis_vector(m, k)).slice_sum() != bottom[k]:
-                return False
-    return True
+    bottom = op(module.basis_block(zero)).slice_sum()
+    return all(op(module.basis_block(m)).slice_sum() == bottom
+               for m in module.window.interior(margin) if m != zero)
 
 
 def quotient_intertwining_check(specs: Sequence[OpSpec],
@@ -200,13 +196,12 @@ def quotient_intertwining_check(specs: Sequence[OpSpec],
     intertwines the reduced family on the bottom slice with the
     evaluated family on the quotient."""
     zero = (0,) * module.n
+    v = module.basis_block(zero)
     for spec in specs:
         red = as_operator("reduced", spec, module)
         ev = as_operator("evaluated", spec, module)
-        for k in range(module.d):
-            v = module.basis_vector(zero, k)
-            if red(v).slice_sum() != ev(v).slice_sum():
-                return False
+        if red(v).slice_sum() != ev(v).slice_sum():
+            return False
     return True
 
 
@@ -296,10 +291,11 @@ def rank_one_quotient_annihilation_check(module: TensorModule) -> List[str]:
     if module.n != 1:
         raise ValueError("rank-one check needs n = 1")
     failures = []
+    d = module.d
+    v = module.basis_block((0,))
     for i in (-1, 0, 1):
-        x = poly_derivation(module.pres, 2, i)
-        for k in range(module.d):
-            v = module.basis_vector((0,), k)
-            if any(act(x, v).slice_sum()):
+        sums = act(poly_derivation(module.pres, 2, i), v).slice_sum()
+        for k in range(0, d * d, d):
+            if any(sums[k:k + d]):
                 failures.append(f"(t-1)^2 t^{i} d image not in differences")
     return failures

@@ -6,19 +6,27 @@ Z^n and truncated to the box |m_i| <= R.  The loop-algebra action is
     D(u,r)b . v(x)t^m = psi(b) { (u, m+alpha) v + sum_ij u_i r_j E_ji v } (x) t^(m+r)
     t^r b  . v(x)t^m = psi(b) v (x) t^(m+r)
 
-extended linearly.  Only the scalar (u, m+alpha) depends on the source
-slice m, so act compiles each element once per module into a plan: for
-each degree r, the constant kappa_r = sum psi(b) of the t-parts plus
+extended linearly.  A ModVector holds a block of w module vectors over
+the same slices: each slice m keeps one flat coordinate list of length
+w d, whose chunk k, vec[k*d:(k+1)*d], is the slice-m part of column k.
+An ordinary vector is a block of width 1; TensorModule.basis_block(m)
+is the d x d identity on slice m.  Sums, scaling and slice sums act on
+the flat lists entry by entry, so they act on each column.
+
+Only the scalar (u, m+alpha) depends on the source slice m, so act
+compiles each element once per module into a plan: for each degree r,
+the constant kappa_r = sum psi(b) of the t-parts plus
 sum_i psi_i alpha_i, the pairs (i, psi_i) of the derivation terms, and
 the Columns of M_r = sum_ij psi_i r_j E_ji, summed from the irrep's
-Irrep.columns.  On slice m it then computes
-(kappa_r + sum_i psi_i m_i) v + M_r v.  The plans, keyed by element
-identity, live on the TensorModule and are freed with it; it keeps the
-newest PLAN_CACHE_SIZE plans.  act sums every degree
+Irrep.columns.  On slice m it computes s = kappa_r + sum_i psi_i m_i
+once and then s v + M_r v on each chunk v of the block.  The plans,
+keyed by element identity, live on the TensorModule and are freed with
+it; it keeps the newest PLAN_CACHE_SIZE plans.  act sums every degree
 before it looks at the window, and raises OutOfWindowError exactly when
-a source slice has a nonzero image outside the window, so it never
-silently truncates.  op_matrix gives the matrix of any operator on
-module vectors as Columns, the one matrix format of linalg.
+a source slice has a nonzero image, in any column, outside the window,
+so it never silently truncates.  op_matrix gives the matrix of any
+operator on module vectors as Columns, the one matrix format of linalg,
+applying the operator once per source slice to its basis block.
 """
 
 from __future__ import annotations
@@ -110,6 +118,16 @@ class TensorModule:
         vec[k] = GaussRat(1)
         return ModVector(self, {tuple(m): vec})
 
+    def basis_block(self, m: Degree) -> "ModVector":
+        """The d basis vectors of slice m as one block: column k is
+        v_k (x) t^m."""
+        d = self.d
+        one = GaussRat(1)
+        vec = [ZERO] * (d * d)
+        for k in range(d):
+            vec[k * d + k] = one
+        return ModVector(self, {tuple(m): vec}, d)
+
     def plan(self, x: LoopElem) -> List[DegreePlan]:
         """x compiled for act, once per module while its entry is kept.
         The entry holds x, so its id is not reused while the entry
@@ -152,13 +170,21 @@ class TensorModule:
 
 
 class ModVector:
-    """Sparse element of a truncated module: degree -> coordinate list."""
+    """Sparse block of width w of a truncated module: degree -> flat
+    coordinate list of length w d, chunk k holding column k.  The width
+    is read from the data when not given; an empty block is of width 1
+    unless given."""
 
-    __slots__ = ("module", "data")
+    __slots__ = ("module", "data", "width")
 
-    def __init__(self, module: TensorModule, data: Dict[Degree, List[GaussRat]] = None):
+    def __init__(self, module: TensorModule,
+                 data: Dict[Degree, List[GaussRat]] = None,
+                 width: Optional[int] = None):
         self.module = module
         self.data = {}
+        if width is None:
+            width = len(next(iter(data.values()))) // module.d if data else 1
+        self.width = width
         for m, vec in (data or {}).items():
             if any(vec):
                 if not module.window.contains(m):
@@ -172,18 +198,20 @@ class ModVector:
                 out[m] = [a + b for a, b in zip(out[m], v)]
             else:
                 out[m] = list(v)
-        return ModVector(self.module, out)
+        return ModVector(self.module, out, self.width)
 
     def __neg__(self) -> "ModVector":
         return ModVector(self.module,
-                         {m: [-x for x in v] for m, v in self.data.items()})
+                         {m: [-x for x in v] for m, v in self.data.items()},
+                         self.width)
 
     def __sub__(self, other: "ModVector") -> "ModVector":
         return self + (-other)
 
     def scale(self, c: GaussRat) -> "ModVector":
         return ModVector(self.module,
-                         {m: [c * x for x in v] for m, v in self.data.items()})
+                         {m: [c * x for x in v] for m, v in self.data.items()},
+                         self.width)
 
     def is_zero(self) -> bool:
         return not self.data
@@ -194,7 +222,8 @@ class ModVector:
     def slice_sum(self) -> List[GaussRat]:
         """Sum of all slice coordinate vectors: the image of v in the
         quotient of the window by the shift differences
-        v_k(x)t^m - v_k(x)t^0, m != 0, as bottom-slice coordinates.
+        v_k(x)t^m - v_k(x)t^0, m != 0, as bottom-slice coordinates; for
+        a block, the w column images side by side.
 
         Order the coordinates with the nonzero slices first and slice 0
         last.  Then the differences are a reduced echelon basis: each has
@@ -202,17 +231,19 @@ class ModVector:
         v clears every nonzero-slice component and leaves the slice sum
         at slice 0, so v lies in the span of the differences iff its
         slice sum is zero, and the quotient has dimension d."""
-        out = [ZERO] * self.module.d
+        out = [ZERO] * (self.width * self.module.d)
         for v in self.data.values():
             out = [a + b for a, b in zip(out, v)]
         return out
 
 
 def act(x: LoopElem, v: ModVector) -> ModVector:
-    """Action of a loop-algebra element on a module vector, through the
-    module's plan of x."""
+    """Action of a loop-algebra element on a block of module vectors,
+    column by column, through the module's plan of x."""
     module = v.module
-    blank = [ZERO] * module.d
+    d = module.d
+    width = v.width * d
+    blank = [ZERO] * width
     acc: Dict[Degree, List[GaussRat]] = {}
     for r, kappa, d_terms, cols in module.plan(x):
         for m, vec in v.data.items():
@@ -222,10 +253,12 @@ def act(x: LoopElem, v: ModVector) -> ModVector:
                     s = s + pb * m[i]
             out = [s * c if c else ZERO for c in vec] if s else list(blank)
             if cols is not None:
-                for col, c in zip(cols, vec):
-                    if c:
-                        for row, e in col:
-                            out[row] = out[row] + e * c
+                for base in range(0, width, d):
+                    for col, c in zip(cols, vec[base:base + d]):
+                        if c:
+                            for row, e in col:
+                                row += base
+                                out[row] = out[row] + e * c
             if not any(out):
                 continue
             target = tuple(map(add, m, r))
@@ -235,7 +268,7 @@ def act(x: LoopElem, v: ModVector) -> ModVector:
                 acc[target] = list(map(add, acc[target], out))
             else:
                 acc[target] = out
-    return ModVector(module, acc)
+    return ModVector(module, acc, v.width)
 
 
 def module_axiom_residual(x: LoopElem, y: LoopElem, v: ModVector) -> ModVector:
@@ -264,12 +297,13 @@ Op = Callable[[ModVector], ModVector]
 
 def op_matrix(op: Op, module: TensorModule, src: Iterable[Degree],
               dst: Optional[Iterable[Degree]] = None) -> Columns:
-    """Columns of a linear operator on module vectors, applied to the basis
-    vectors of the src slices: columns in (src slice, basis index) order,
-    rows in (dst slice, basis index) order.  dst=None takes the sorted
-    support of the images; an image outside dst raises OutOfWindowError."""
+    """Columns of a linear operator on module vectors, applied once per
+    src slice to its basis block: columns in (src slice, basis index)
+    order, rows in (dst slice, basis index) order.  dst=None takes the
+    sorted support of the images; an image outside dst raises
+    OutOfWindowError."""
     d = module.d
-    images = [op(module.basis_vector(m, k)) for m in src for k in range(d)]
+    images = [op(module.basis_block(m)) for m in src]
     if dst is None:
         dst = sorted({m for w in images for m in w.data})
     offset = {tuple(m): k * d for k, m in enumerate(dst)}
@@ -279,7 +313,9 @@ def op_matrix(op: Op, module: TensorModule, src: Iterable[Degree],
             if m not in offset:
                 raise OutOfWindowError(
                     f"operator maps into slice {m}, outside the destination")
-        out.append([(offset[m] + row, x)
-                    for m in sorted(w.data, key=offset.__getitem__)
-                    for row, x in enumerate(w.data[m]) if x])
+        rows = [(offset[m], w.data[m])
+                for m in sorted(w.data, key=offset.__getitem__)]
+        for base in range(0, d * d, d):
+            out.append([(off + row, x) for off, vec in rows
+                        for row, x in enumerate(vec[base:base + d]) if x])
     return out

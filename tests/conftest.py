@@ -260,3 +260,33 @@ def reference_act(x, v):
                             out[row] = out[row] + e * w
             put(target, out)
     return ModVector(module, acc)
+
+
+def reference_op_matrix(op, module, src, dst=None):
+    """Columns of op applied to each basis vector of the src slices, one
+    call per column: the oracle of tensmod.op_matrix, which applies op
+    once per slice to its basis block."""
+    from loopwitt.tensmod import OutOfWindowError
+    d = module.d
+    images = [op(module.basis_vector(m, k)) for m in src for k in range(d)]
+    if dst is None:
+        dst = sorted({m for w in images for m in w.data})
+    offset = {tuple(m): k * d for k, m in enumerate(dst)}
+    out = []
+    for w in images:
+        for m in w.data:
+            if m not in offset:
+                raise OutOfWindowError(
+                    f"operator maps into slice {m}, outside the destination")
+        out.append([(offset[m] + row, x)
+                    for m in sorted(w.data, key=offset.__getitem__)
+                    for row, x in enumerate(w.data[m]) if x])
+    return out
+
+
+def block_column(v, k):
+    """Column k of a block of module vectors, as a module vector."""
+    from loopwitt.tensmod import ModVector
+    d = v.module.d
+    return ModVector(v.module, {m: vec[k * d:(k + 1) * d]
+                                for m, vec in v.data.items()}, 1)

@@ -120,6 +120,34 @@ class TestLieAxioms:
                 assert ad_weight(br) == tuple(a + b for a, b in zip(r, s))
 
 
+def noncanonical_results(pres, n, seed, cases=30):
+    """How many of bracket and jacobi_residual on sample_loop_elem
+    triples have a coefficient exponent outside 0 .. deg m - 1."""
+    deg = len(pres.modulus) - 1
+    rng = random.Random(seed)
+    pool = suites.coefficient_pool(pres)
+    bad = 0
+    for _ in range(cases):
+        x, y, z = (suites.sample_loop_elem(rng, n, pres, pool)
+                   for _ in range(3))
+        for elem in (x.bracket(y), x.jacobi_residual(y, z)):
+            bad += any(not 0 <= e < deg for b in elem.terms.values()
+                       for e in b.rep)
+    return bad
+
+
+class TestCanonicalCoefficients:
+    """bracket and jacobi_residual return reduced polyquot coefficients;
+    bracket-soundness cannot see an unreduced one, since both identities
+    also hold over F[x]."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_exponent_is_below_the_modulus_degree(self, n, polyquot,
+                                                        polyquot_square):
+        assert noncanonical_results(polyquot, n, 700 + n) == 0
+        assert noncanonical_results(polyquot_square, n, 710 + n) == 0
+
+
 class TestAgainstReference:
     """The one-pass bracket against the term-by-term oracle."""
 
@@ -256,6 +284,7 @@ class TestPlantedBracketDefects:
             loop._collect, "BElem(pres, pres.reduce(p))", "BElem(pres, p)"))
         assert not any(soundness_failures().values())
         pres = make_polyquot_cube()
+        assert noncanonical_results(pres, 2, 702) > 0
         gen = pres.generator()
         x = LoopElem.d_part(1, pres, 1, (1,), gen * gen)
         y = LoopElem.t_part(1, pres, (1,), gen * gen)

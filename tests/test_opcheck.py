@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 from conftest import (columns, dense_relation_residual, direct_sum_irrep,
-                      mat_is_zero, rank, shift_difference_generators,
+                      make_laurent, make_polyquot_cube, mat_is_zero, rank,
+                      reference_op_matrix, shift_difference_generators,
                       window_coords)
 from loopwitt import opcheck
 from loopwitt.glnrep import build_irrep
 from loopwitt.linalg import dense
 from loopwitt.opcheck import OpSpec
+from loopwitt.coeff import BPresentation
 from loopwitt.scalars import GaussRat, ZERO
 from loopwitt.tensmod import ModVector, TensorModule, Window, op_matrix
 
@@ -50,6 +52,58 @@ def sample_specs(pres, n, rng, count):
         b2 = pool[rng.randrange(len(pool))]
         out.append(OpSpec(u, r, b1, b2))
     return out
+
+
+PRESENTATIONS = {"trivial": lambda: BPresentation("trivial"),
+                 "polyquot": make_polyquot_cube, "laurent": make_laurent}
+
+
+class TestBlockOpMatrix:
+    """op_matrix, one operator call per source slice on its basis block,
+    against reference_op_matrix, one call per basis vector."""
+
+    @pytest.mark.parametrize("kind", sorted(PRESENTATIONS))
+    @pytest.mark.parametrize("n,mu", [(1, ()), (2, (2,)), (3, (1, 0))])
+    def test_operator_families_match_the_reference(self, n, mu, kind):
+        pres = PRESENTATIONS[kind]()
+        module = make_module(pres, n=n, mu=mu, radius=2)
+        zero = (0,) * n
+        src = [zero, (1,) + zero[1:]]
+        dst = list(reversed(module.window.slices()))
+        for spec in sample_specs(pres, n, random.Random(n), 3):
+            for family in ("product", "reduced", "evaluated"):
+                op = opcheck.as_operator(family, spec, module)
+                for to in (None, dst):
+                    got = op_matrix(op, module, src, to)
+                    assert len(got) == 2 * module.d
+                    assert got == reference_op_matrix(op, module, src, to)
+
+    @pytest.mark.parametrize("kind", sorted(PRESENTATIONS))
+    @pytest.mark.parametrize("n,mu", [(1, ()), (2, (2,)), (3, (1, 0))])
+    def test_residual_operators_match_the_reference(self, n, mu, kind,
+                                                    monkeypatch):
+        # every op_matrix call the residuals make, with its own dst and
+        # with dst=None, against the reference on the same operator
+        pres = PRESENTATIONS[kind]()
+        module = make_module(pres, n=n, mu=mu, radius=2)
+        calls = []
+
+        def checked(op, module, src, dst=None):
+            got = op_matrix(op, module, src, dst)
+            assert got == reference_op_matrix(op, module, src, dst)
+            assert (op_matrix(op, module, src)
+                    == reference_op_matrix(op, module, src))
+            calls.append(len(got))
+            return got
+
+        monkeypatch.setattr(opcheck, "op_matrix", checked)
+        s1, s2 = sample_specs(pres, n, random.Random(7 * n), 2)
+        b = pres.generator() if kind != "trivial" else pres.one()
+        opcheck.zero_mode_scalar_residual(s1.u, b, module)
+        opcheck.coefficient_collapse_residual(s1.u, s1.r, b, module)
+        opcheck.reduced_bracket_residual(s1, s2, module)
+        opcheck.bottom_slice_algebra_dim(module)
+        assert calls == [module.d] * (3 + n * n + 1)
 
 
 class TestOperatorFamilies:
@@ -295,6 +349,28 @@ def double_d_terms_on_slice(monkeypatch, first):
     monkeypatch.setattr(opcheck, "act", broken)
 
 
+def double_d_terms_on_last_basis_vector(monkeypatch):
+    """Plant a defect in act that touches one basis vector only: the
+    derivation terms act twice on v_(d-1) (x) t^(2, 0, ..., 0).  On a
+    block that is the last coordinate of each column on that slice, so
+    on a basis block only chunk d - 1 changes."""
+    from loopwitt.loop import LoopElem
+    act = opcheck.act
+
+    def broken(x, v):
+        out = act(x, v)
+        p = (2,) + (0,) * (v.module.n - 1)
+        d = v.module.d
+        last = [c if j % d == d - 1 else ZERO
+                for j, c in enumerate(v.data.get(p, ()))]
+        if any(last):
+            d_terms = LoopElem(x.n, x.pres, {key: b for key, b in
+                                             x.terms.items() if key[0] == "d"})
+            out = out + act(d_terms, ModVector(v.module, {p: last}, v.width))
+        return out
+    monkeypatch.setattr(opcheck, "act", broken)
+
+
 class TestNegativeControls:
     """Planted defects that the operator suite must report."""
 
@@ -311,6 +387,15 @@ class TestNegativeControls:
         assert "difference-submodule" in got
         if first == 2:
             assert got == {"difference-submodule"}
+
+    @pytest.mark.parametrize("n,mu", [(2, (1,)), (3, (1, 0))])
+    def test_last_basis_vector_defect_fails_difference_submodule(
+            self, n, mu, monkeypatch):
+        # only column d - 1 of the basis block of slice (2, 0, ...) is
+        # wrong, so the sweep must compare every chunk of the slice sums
+        double_d_terms_on_last_basis_vector(monkeypatch)
+        assert suite_failures("operator-suite", n, mu) == {
+            "difference-submodule"}
 
     @pytest.mark.parametrize("n,mu,pres", [(1, (), "trivial"),
                                            (2, (1,), "polyquot")])

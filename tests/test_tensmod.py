@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cartan_eigenvalue, make_polyquot_cube, reference_act
+from conftest import (block_column, cartan_eigenvalue, make_polyquot_cube,
+                      reference_act)
 from loopwitt.glnrep import build_irrep
 from loopwitt.linalg import dense, identity
 from loopwitt.loop import LoopElem
@@ -221,6 +222,94 @@ class TestActOracle:
             v = oracle_vector(rng, module)
             assert act(x, v) == reference_act(x, v)
         assert len(module._plans) == PLAN_CACHE_SIZE
+
+
+def oracle_block(rng, module, width, zero_column=None):
+    """A block of the given width on one to three slices of the radius-1
+    interior; column zero_column, if given, is zero."""
+    interior = module.window.interior((1,) * module.n)
+    d = module.d
+    data = {}
+    for _ in range(rng.randint(1, 3)):
+        data[rng.choice(interior)] = [
+            ZERO if j // d == zero_column else rng.choice(ORACLE_SCALARS)
+            for j in range(width * d)]
+    return ModVector(module, data, width)
+
+
+class TestBlockAction:
+    """act on a block of w columns against act and reference_act on each
+    column."""
+
+    @pytest.mark.parametrize("n,mu", [(1, ()), (2, (1,)), (2, (2,)),
+                                      (3, (1, 0))])
+    def test_block_matches_each_column(self, n, mu, any_pres):
+        module = make_module(any_pres, n=n, mu=mu,
+                             alpha=ORACLE_ALPHAS[:n])
+        rng = random.Random(500 + 10 * n + module.d)
+        pool = oracle_pool(any_pres)
+        for width in (1, 2, module.d, 4):
+            for _ in range(4):
+                x = oracle_elem(rng, n, any_pres, pool)
+                v = oracle_block(rng, module, width,
+                                 zero_column=rng.choice([None, width - 1]))
+                got = act(x, v)
+                assert got.width == width
+                assert len(got.slice_sum()) == width * module.d
+                for k in range(width):
+                    col = block_column(v, k)
+                    assert block_column(got, k) == act(x, col)
+                    assert block_column(got, k) == reference_act(x, col)
+
+    def test_zero_column_stays_zero(self, polyquot):
+        module = make_module(polyquot, mu=(2,))
+        x = (LoopElem.d_part(2, polyquot, 1, (0, 1))
+             + LoopElem.t_part(2, polyquot, (1, 0), polyquot.generator()))
+        v = oracle_block(random.Random(4), module, 3, zero_column=1)
+        got = act(x, v)
+        assert block_column(v, 1).is_zero()
+        assert block_column(got, 1).is_zero()
+        assert not block_column(got, 0).is_zero()
+        assert block_column(got, 2) == reference_act(x, block_column(v, 2))
+
+    def test_width_one_is_an_ordinary_vector(self, laurent):
+        module = make_module(laurent)
+        v = module.basis_vector((1, -1), 1)
+        assert v.width == 1
+        x = LoopElem.d_part(2, laurent, 2, (-1, 1), laurent.generator())
+        got = act(x, v)
+        assert got.width == 1 and got == reference_act(x, v)
+        assert act(x, v - v).slice_sum() == [ZERO] * module.d
+
+    def test_basis_block_columns_are_the_basis_vectors(self, trivial):
+        module = make_module(trivial, n=3, mu=(1, 0))
+        block = module.basis_block((1, 0, -1))
+        assert block.width == module.d
+        for k in range(module.d):
+            assert block_column(block, k) == module.basis_vector(
+                (1, 0, -1), k)
+
+    def test_zero_image_keeps_the_width(self, trivial):
+        module = make_module(trivial, mu=(2,))
+        x = LoopElem.t_part(2, trivial, (0, 1), trivial.from_scalar(ZERO))
+        got = act(x, module.basis_block((0, 0)))
+        assert got.is_zero()
+        assert got.slice_sum() == [ZERO] * (module.d * module.d)
+
+    def test_only_the_last_column_leaving_raises(self, trivial):
+        module = make_module(trivial, mu=(2,), radius=2)
+        d = module.d
+        x = LoopElem.t_part(2, trivial, (1, 0))
+        edge = [ZERO] * (d * d)
+        edge[d * d - 1] = GaussRat(1)
+        v = ModVector(module, {(2, 0): edge, (0, 0): [GaussRat(1)] * (d * d)})
+        with pytest.raises(OutOfWindowError):
+            act(x, v)
+        for k in range(d - 1):
+            assert act(x, block_column(v, k)) == reference_act(
+                x, block_column(v, k))
+        with pytest.raises(OutOfWindowError):
+            act(x, block_column(v, d - 1))
 
 
 def random_homogeneous(rng, n, pres, pool):
