@@ -242,23 +242,28 @@ def act(x: LoopElem, v: ModVector) -> ModVector:
     column by column, through the module's plan of x."""
     module = v.module
     d = module.d
-    width = v.width * d
-    blank = [ZERO] * width
+    blank = [ZERO] * (v.width * d)
+    # per source slice, its nonzero entries (j, c); entry j is coordinate
+    # j % d of column j // d, and M_r maps it into that column's chunk
+    nonzero = [(m, [(j, c) for j, c in enumerate(vec) if c])
+               for m, vec in v.data.items()]
     acc: Dict[Degree, List[GaussRat]] = {}
     for r, kappa, d_terms, cols in module.plan(x):
-        for m, vec in v.data.items():
+        for m, entries in nonzero:
             s = kappa
             for i, pb in d_terms:
                 if m[i]:
                     s = s + pb * m[i]
-            out = [s * c if c else ZERO for c in vec] if s else list(blank)
+            out = list(blank)
+            if s:
+                for j, c in entries:
+                    out[j] = s * c
             if cols is not None:
-                for base in range(0, width, d):
-                    for col, c in zip(cols, vec[base:base + d]):
-                        if c:
-                            for row, e in col:
-                                row += base
-                                out[row] = out[row] + e * c
+                for j, c in entries:
+                    k = j % d
+                    for row, e in cols[k]:
+                        row += j - k
+                        out[row] = out[row] + e * c
             if not any(out):
                 continue
             target = tuple(map(add, m, r))
