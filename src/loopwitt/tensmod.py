@@ -122,10 +122,8 @@ class TensorModule:
         """The d basis vectors of slice m as one block: column k is
         v_k (x) t^m."""
         d = self.d
-        one = GaussRat(1)
         vec = [ZERO] * (d * d)
-        for k in range(d):
-            vec[k * d + k] = one
+        vec[::d + 1] = [GaussRat(1)] * d
         return ModVector(self, {tuple(m): vec}, d)
 
     def plan(self, x: LoopElem) -> List[DegreePlan]:
