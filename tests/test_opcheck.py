@@ -4,14 +4,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import (columns, dense_relation_residual, direct_sum_irrep,
-                      make_laurent, make_polyquot_cube, mat_is_zero, rank,
-                      reference_op_matrix, shift_difference_generators,
-                      window_coords)
+                      mat_is_zero, rank, reference_op_matrix,
+                      shift_difference_generators, window_coords)
 from loopwitt import opcheck
 from loopwitt.glnrep import build_irrep
 from loopwitt.linalg import dense
 from loopwitt.opcheck import OpSpec
-from loopwitt.coeff import BPresentation
 from loopwitt.scalars import GaussRat, ZERO
 from loopwitt.tensmod import ModVector, TensorModule, Window, op_matrix
 
@@ -54,18 +52,13 @@ def sample_specs(pres, n, rng, count):
     return out
 
 
-PRESENTATIONS = {"trivial": lambda: BPresentation("trivial"),
-                 "polyquot": make_polyquot_cube, "laurent": make_laurent}
-
-
 class TestBlockOpMatrix:
     """op_matrix, one operator call per source slice on its basis block,
     against reference_op_matrix, one call per basis vector."""
 
-    @pytest.mark.parametrize("kind", sorted(PRESENTATIONS))
     @pytest.mark.parametrize("n,mu", [(1, ()), (2, (2,)), (3, (1, 0))])
-    def test_operator_families_match_the_reference(self, n, mu, kind):
-        pres = PRESENTATIONS[kind]()
+    def test_operator_families_match_the_reference(self, n, mu, any_pres):
+        pres = any_pres
         module = make_module(pres, n=n, mu=mu, radius=2)
         zero = (0,) * n
         src = [zero, (1,) + zero[1:]]
@@ -78,13 +71,12 @@ class TestBlockOpMatrix:
                     assert len(got) == 2 * module.d
                     assert got == reference_op_matrix(op, module, src, to)
 
-    @pytest.mark.parametrize("kind", sorted(PRESENTATIONS))
     @pytest.mark.parametrize("n,mu", [(1, ()), (2, (2,)), (3, (1, 0))])
-    def test_residual_operators_match_the_reference(self, n, mu, kind,
+    def test_residual_operators_match_the_reference(self, n, mu, any_pres,
                                                     monkeypatch):
         # every op_matrix call the residuals make, with its own dst and
         # with dst=None, against the reference on the same operator
-        pres = PRESENTATIONS[kind]()
+        pres = any_pres
         module = make_module(pres, n=n, mu=mu, radius=2)
         calls = []
 
@@ -98,7 +90,7 @@ class TestBlockOpMatrix:
 
         monkeypatch.setattr(opcheck, "op_matrix", checked)
         s1, s2 = sample_specs(pres, n, random.Random(7 * n), 2)
-        b = pres.generator() if kind != "trivial" else pres.one()
+        b = pres.one() if pres.kind == "trivial" else pres.generator()
         opcheck.zero_mode_scalar_residual(s1.u, b, module)
         opcheck.coefficient_collapse_residual(s1.u, s1.r, b, module)
         opcheck.reduced_bracket_residual(s1, s2, module)
