@@ -11,12 +11,15 @@ stripped.  The digests below pin the CLI output at seed 42:
 * `irrep-info --matrices --json`, every E_ij in the Gelfand-Tsetlin
   basis, for the gl-build and gl-cert modules, with c = 3/2;
 * `verify-all --json` with gl-relations and irreducibility for the
-  d = 8..15 modules of the gl-cert benchmark ladder, with c = 3/2.
+  d = 8..15 modules of the gl-cert benchmark ladder, with c = 3/2;
+* the same for the d = 27..64 modules of the gl-build workload, up to
+  `DIM_CAP`, where the null spaces and Norton spins are largest.
 
 The grid and gl-build digests were computed with the tensor-power
 construction of `build_irrep`, before it was replaced by the
 Gelfand-Tsetlin one; the gl-cert digests with the Burnside closure as
-the only irreducibility certificate, before Norton's test; the
+the only irreducibility certificate, before Norton's test; the gl-build
+`verify-all` digests before elimination moved to sparse vectors; the
 `--matrices` digests with every E_ij built as a dense list.  To print
 the digests of the current code: `python3 tests/test_reports_pinned.py`.
 """
@@ -39,6 +42,7 @@ B_SPECS = {
                  "eval_point": "2/1"},
     "laurent": {"kind": "laurent", "eval_point": "3/1"},
 }
+# d = 27, 35, 45, 64, 40
 GL_BUILD_MODULES = [(3, [2, 2]), (3, [4, 1]), (4, [2, 1, 0]),
                     (4, [1, 1, 1]), (5, [1, 1, 0, 0])]
 # d = 8, 10, 15, 10, 15
@@ -61,11 +65,14 @@ def _calls():
     for n, mu in GL_BUILD_MODULES + GL_CERT_MODULES:
         out[f"matrices/{n}/{mu}"] = (["irrep-info", "--matrices", "--json"],
                                      {"n": n, "mu": mu, "c": "3/2"})
-    for n, mu in GL_CERT_MODULES:
-        out[f"gl-cert/{n}/{mu}"] = (
-            ["verify-all", "--json"],
-            {"n": n, "mu": mu, "c": "3/2", "seed": 42, "cases_per_suite": 1,
-             "suites": ["gl-relations", "irreducibility"]})
+    for label, modules in (("gl-cert", GL_CERT_MODULES),
+                           ("gl-build", GL_BUILD_MODULES)):
+        for n, mu in modules:
+            out[f"{label}/{n}/{mu}"] = (
+                ["verify-all", "--json"],
+                {"n": n, "mu": mu, "c": "3/2", "seed": 42,
+                 "cases_per_suite": 1,
+                 "suites": ["gl-relations", "irreducibility"]})
     return out
 
 
@@ -88,6 +95,16 @@ def report_digest(args, doc, tmp_dir) -> str:
 
 
 PINNED = {
+    "gl-build/3/[2, 2]":
+        "c8a4e3a27a1fdcaa01d4cbfcd4b8c188e1e223c6bc72172c2526e797926e269b",
+    "gl-build/3/[4, 1]":
+        "3350cb09a1bff6ac0af3af287e7d251acdf367758294364a8f254aee5511b181",
+    "gl-build/4/[1, 1, 1]":
+        "2a4f03e7b393d6665c4b5c08d671c6fcef91ea4b7a7d94dfd09fae8601bd2b1f",
+    "gl-build/4/[2, 1, 0]":
+        "f78725dae9982e970dc10da8040eba306577e86505fdb59a6dae63078142c665",
+    "gl-build/5/[1, 1, 0, 0]":
+        "2bf4776e6d8aac44482868f758009acbd923973ede2bf500db53122bb83f9a78",
     "gl-cert/3/[1, 1]":
         "9e8145f8f8eb353ea205e82a6171e1455ea9cf413c84d9ed9d159198364bc0a5",
     "gl-cert/3/[2, 1]":
