@@ -203,7 +203,7 @@ def burnside_dim(mats: List[Mat]) -> int:
     span = SpanBasis(d * d)
 
     def grows(m: Mat) -> bool:
-        return span.insert([x for row in m for x in row])
+        return span.insert({k: x for k, x in enumerate(chain(*m)) if x})
 
     frontier = [m for m in [identity(d), *mats] if grows(m)]
     while frontier:

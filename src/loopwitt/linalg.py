@@ -1,24 +1,27 @@
 """Exact linear algebra over GaussRat.
 
-Columns is the one matrix format: per column, its nonzero (row, entry)
-pairs, rows increasing.  The gl(n) matrices and the operator matrices
-are built in it and checked in it.  A sum of sparse products is
-collected as Entries, the nonzero entries keyed by (row, col), so a zero
-matrix is the empty dict, and `to_columns` turns it back into Columns.
-A dense Mat, a list of row lists, comes only from `dense`, for two uses:
-printing the E_ij and the Burnside closure.  Elimination is elementary
-Gaussian elimination with no pivoting strategy (sizes stay small,
-d <= 64) on dense vectors that skip zero entries: a zero costs one truth
-test, never a GaussRat operation.
+Vec is the one vector format: a dict from index to entry that holds the
+nonzero entries only, so a zero vector is the empty dict.  Columns is
+the one matrix format: per column, its nonzero (row, entry) pairs, rows
+increasing.  The gl(n) matrices and the operator matrices are built in
+it and checked in it.  A sum of sparse terms, vector or matrix entries,
+is collected by `sparse_sum`, so a matrix sum is Entries, the nonzero
+entries keyed by (row, col), and `to_columns` turns it back into
+Columns.  A dense Mat, a list of row lists, comes only from `dense`, for
+two uses: printing the E_ij and the Burnside closure.  Elimination is
+elementary Gaussian elimination with no pivoting strategy (sizes stay
+small, d <= 64) on sparse vectors, so a zero is never visited.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Dict, Hashable, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple, TypeVar)
 
 from .scalars import GaussRat, ONE, ZERO
 
-Vec = List[GaussRat]
+# a sparse vector: index -> nonzero entry
+Vec = Dict[int, GaussRat]
 Mat = List[List[GaussRat]]
 # a sparse column: its nonzero (row, entry) pairs, rows increasing
 Column = List[Tuple[int, GaussRat]]
@@ -51,10 +54,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
                 if brow[j]:
                     orow[j] = orow[j] + c * brow[j]
     return out
-
-
-def vec_is_zero(v: Vec) -> bool:
-    return all(not x for x in v)
 
 
 def dense(a: Columns, rows: int) -> Mat:
@@ -91,10 +90,16 @@ def product_entries(a: Columns, b: Columns) -> Iterator[Entry]:
                 yield (row, col), y * x
 
 
-def sparse_sum(plus: Iterable[Entry], minus: Iterable[Entry] = ()) -> Entries:
+Key = TypeVar("Key", bound=Hashable)
+
+
+def sparse_sum(plus: Iterable[Tuple[Key, GaussRat]],
+               minus: Iterable[Tuple[Key, GaussRat]] = ()
+               ) -> Dict[Key, GaussRat]:
     """The terms of plus minus the terms of minus, collected by key, with
-    the entries that cancel dropped."""
-    out: Entries = {}
+    the entries that cancel dropped: a Vec for int keys, Entries for
+    (row, col) keys."""
+    out: Dict[Key, GaussRat] = {}
     for key, x in plus:
         out[key] = out[key] + x if key in out else x
     for key, x in minus:
@@ -110,35 +115,23 @@ def to_columns(a: Entries, cols: int) -> Columns:
     return out
 
 
-def col_apply(a: Columns, v: Sequence[GaussRat]) -> Vec:
-    """a v for a square a: the sum of v[c] times column c."""
-    out = [ZERO] * len(v)
-    for col, x in zip(a, v):
-        if x:
-            for row, e in col:
-                out[row] = out[row] + e * x if out[row] else e * x
-    return out
+def col_apply(a: Columns, v: Vec) -> Vec:
+    """a v: the sum of v[c] times column c."""
+    return sparse_sum((row, e * x) for c, x in v.items() for row, e in a[c])
 
 
-def col_apply_transpose(a: Columns, v: Sequence[GaussRat]) -> Vec:
-    """a^T v for a square a: entry c is column c of a dotted with v."""
-    out = []
-    for col in a:
-        acc = ZERO
-        for row, e in col:
-            x = v[row]
-            if x:
-                acc = acc + e * x if acc else e * x
-        out.append(acc)
-    return out
+def col_apply_transpose(a: Columns, v: Vec) -> Vec:
+    """a^T v: entry c is column c of a dotted with v."""
+    return sparse_sum((c, e * v[row]) for c, col in enumerate(a)
+                      for row, e in col if row in v)
 
 
 class SpanBasis:
     """Incremental echelon basis of a subspace of GaussRat^N.
 
-    Rows are kept in echelon form with leading coefficient 1, in
+    Rows are sparse, kept in echelon form with leading coefficient 1, in
     insertion order; each row is zero at the pivots of the rows before
-    it.
+    it.  A row's pivot is its lowest index.
     """
 
     def __init__(self, length: int):
@@ -153,35 +146,42 @@ class SpanBasis:
     def _reduce(self, v: Vec, coeffs: Optional[dict] = None) -> Vec:
         """v minus the combination of the rows that clears every pivot;
         each nonzero coefficient goes into coeffs, keyed by the pivot."""
-        v = list(v)
+        v = dict(v)
         for row, piv in zip(self.rows, self.pivots):
-            c = v[piv]
-            if not c:
+            c = v.get(piv)
+            if c is None:
                 continue
             if coeffs is not None:
                 coeffs[piv] = c
-            for j in range(piv, self.length):
-                if row[j]:
-                    v[j] = v[j] - c * row[j]
+            for j, x in row.items():
+                if j in v:
+                    y = v[j] - c * x
+                    if y:
+                        v[j] = y
+                    else:
+                        del v[j]
+                else:
+                    v[j] = -c * x
         return v
 
-    def insert(self, v: Sequence[GaussRat]) -> bool:
+    def insert(self, v: Vec) -> bool:
         """Insert a vector; returns True if it enlarged the span."""
         red = self._reduce(v)
-        piv = next((j for j, x in enumerate(red) if x), None)
-        if piv is None:
+        if not red:
             return False
+        piv = min(red)
         inv = red[piv].inverse()
-        self.rows.append([inv * x if x else ZERO for x in red])
+        self.rows.append({j: inv * x for j, x in red.items()})
         self.pivots.append(piv)
         return True
 
-    def coords(self, v: Sequence[GaussRat]) -> Vec:
-        """Coordinates of v in the echelon rows."""
+    def coords(self, v: Vec) -> Vec:
+        """Coordinates of v in the echelon rows, keyed by row index."""
         coeffs = {}
-        if not vec_is_zero(self._reduce(v, coeffs)):
+        if self._reduce(v, coeffs):
             raise ValueError("vector is not in the span")
-        return [coeffs.get(piv, ZERO) for piv in self.pivots]
+        return {k: coeffs[piv] for k, piv in enumerate(self.pivots)
+                if piv in coeffs}
 
 
 def null_space(a: Columns, rows: int) -> List[Vec]:
@@ -191,25 +191,20 @@ def null_space(a: Columns, rows: int) -> List[Vec]:
     SpanBasis.  An echelon row whose pivot falls in the unit part is
     sum_j x_j (column j, e_j) with a x = 0, so its unit part is a kernel
     vector; there are as many such rows as columns minus the rank."""
-    cols = len(a)
-    span = SpanBasis(rows + cols)
+    span = SpanBasis(rows + len(a))
     for j, col in enumerate(a):
-        v = [ZERO] * (rows + cols)
-        for row, x in col:
-            v[row] = x
-        v[rows + j] = ONE
-        span.insert(v)
-    return [row[rows:] for row, piv in zip(span.rows, span.pivots)
-            if piv >= rows]
+        span.insert(dict([*col, (rows + j, ONE)]))
+    return [{j - rows: x for j, x in row.items() if j >= rows}
+            for row, piv in zip(span.rows, span.pivots) if piv >= rows]
 
 
-def spin(v: Sequence[GaussRat], mats: Sequence[Columns],
-         transpose: bool = False) -> SpanBasis:
+def spin(v: Vec, mats: Sequence[Columns], transpose: bool = False
+         ) -> SpanBasis:
     """The smallest subspace that contains v and is invariant under every
     square matrix of mats, or under their transposes if transpose is
     set; the search stops once it fills the whole space."""
     apply = col_apply_transpose if transpose else col_apply
-    span = SpanBasis(len(v))
+    span = SpanBasis(len(mats[0]))
     frontier = [v] if span.insert(v) else []
     while frontier and span.dim < span.length:
         w = frontier.pop()

@@ -14,13 +14,14 @@ import random
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import opcheck
 from .coeff import BElem, BPresentation
 from .glnrep import (DIM_CAP, build_irrep, burnside_dim, highest_weight_theta,
                      norton_irreducible, weyl_dim)
-from .linalg import SpanBasis
+from .linalg import SpanBasis, sparse_sum, to_columns
 from .loop import (LoopElem, diff_derivation_bracket_residual,
                    poly_derivation_bracket_residual)
 from .parsing import format_loop_elem
@@ -264,9 +265,9 @@ def sample_interior_vector(rng: random.Random, module: TensorModule,
     for _ in range(rng.randint(1, 2)):
         m = window.interior_slice(
             margin, rng.randrange(window.interior_count(margin)))
-        vec = [_SCALAR_POOL[rng.randrange(len(_SCALAR_POOL))]
-               for _ in range(module.d)]
-        data[m] = [a + b for a, b in zip(data.get(m, [GaussRat(0)] * module.d), vec)]
+        vec = [(k, _SCALAR_POOL[rng.randrange(len(_SCALAR_POOL))])
+               for k in range(module.d)]
+        data[m] = sparse_sum(chain(data.get(m, {}).items(), vec))
     return ModVector(module, data)
 
 
@@ -410,8 +411,8 @@ def run_operator_suite(cfg: RunConfig) -> Outcome:
     d = module.d
     quotient = SpanBasis(d)
     sums = module.basis_block((0,) * cfg.n).slice_sum()
-    for k in range(0, d * d, d):
-        quotient.insert(sums[k:k + d])
+    for col in to_columns({(j % d, j // d): x for j, x in sums.items()}, d):
+        quotient.insert(dict(col))
     if quotient.dim != module.d:
         failures.append({"check": "difference-codimension",
                          "got": quotient.dim})

@@ -6,12 +6,12 @@ Z^n and truncated to the box |m_i| <= R.  The loop-algebra action is
     D(u,r)b . v(x)t^m = psi(b) { (u, m+alpha) v + sum_ij u_i r_j E_ji v } (x) t^(m+r)
     t^r b  . v(x)t^m = psi(b) v (x) t^(m+r)
 
-extended linearly.  A ModVector holds a block of w module vectors over
-the same slices: each slice m keeps one flat coordinate list of length
-w d, whose chunk k, vec[k*d:(k+1)*d], is the slice-m part of column k.
-An ordinary vector is a block of width 1; TensorModule.basis_block(m)
-is the d x d identity on slice m.  Sums, scaling and slice sums act on
-the flat lists entry by entry, so they act on each column.
+extended linearly.  A ModVector holds a block of module vectors over
+the same slices: each slice m keeps one sparse linalg.Vec, whose entry
+k d + i is coordinate i of column k.  An ordinary vector is a block
+whose only column is column 0; TensorModule.basis_block(m) is the d x d
+identity on slice m.  Sums, scaling and slice sums act on the stored
+entries, so they act on each column, and no zero is ever stored.
 
 Only the scalar (u, m+alpha) depends on the source slice m, so act
 compiles each element once per module into a plan: for each degree r,
@@ -19,28 +19,30 @@ the constant kappa_r = sum psi(b) of the t-parts plus
 sum_i psi_i alpha_i, the pairs (i, psi_i) of the derivation terms, and
 the Columns of M_r = sum_ij psi_i r_j E_ji, summed from the irrep's
 Irrep.columns.  On slice m it computes s = kappa_r + sum_i psi_i m_i
-once and then s v + M_r v on each chunk v of the block.  The plans,
-keyed by element identity, live on the TensorModule and are freed with
-it; it keeps the newest PLAN_CACHE_SIZE plans.  act sums every degree
-before it looks at the window, and raises OutOfWindowError exactly when
-a source slice has a nonzero image, in any column, outside the window,
-so it never silently truncates.  op_matrix gives the matrix of any
-operator on module vectors as Columns, the one matrix format of linalg,
-applying the operator once per source slice to its basis block.
+once and then s v + M_r v, mapping each stored entry k d + i through
+column i of M_r into column k.  The plans, keyed by element identity,
+live on the TensorModule and are freed with it; it keeps the newest
+PLAN_CACHE_SIZE plans.  act sums every degree before it looks at the
+window, and raises OutOfWindowError exactly when a source slice has a
+nonzero image, in any column, outside the window, so it never silently
+truncates.  op_matrix gives the matrix of any operator on module
+vectors as Columns, the one matrix format of linalg, applying the
+operator once per source slice to its basis block.  Both visit only the
+stored entries of a block.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product
 from math import prod
 from operator import add
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .coeff import BElem, BPresentation
 from .glnrep import Irrep
-from .linalg import Columns, entries, sparse_sum, to_columns
+from .linalg import Columns, Vec, entries, sparse_sum, to_columns
 from .loop import Degree, LoopElem
-from .scalars import GaussRat, ZERO
+from .scalars import GaussRat, ONE
 
 
 class OutOfWindowError(ValueError):
@@ -114,17 +116,13 @@ class TensorModule:
         return self.rep.d
 
     def basis_vector(self, m: Degree, k: int) -> "ModVector":
-        vec = [ZERO] * self.d
-        vec[k] = GaussRat(1)
-        return ModVector(self, {tuple(m): vec})
+        return ModVector(self, {tuple(m): {k: ONE}})
 
     def basis_block(self, m: Degree) -> "ModVector":
         """The d basis vectors of slice m as one block: column k is
         v_k (x) t^m."""
-        d = self.d
-        vec = [ZERO] * (d * d)
-        vec[::d + 1] = [GaussRat(1)] * d
-        return ModVector(self, {tuple(m): vec}, d)
+        return ModVector(self, {tuple(m): {k * (self.d + 1): ONE
+                                           for k in range(self.d)}})
 
     def plan(self, x: LoopElem) -> List[DegreePlan]:
         """x compiled for act, once per module while its entry is kept.
@@ -168,48 +166,41 @@ class TensorModule:
 
 
 class ModVector:
-    """Sparse block of width w of a truncated module: degree -> flat
-    coordinate list of length w d, chunk k holding column k.  The width
-    is read from the data when not given; an empty block is of width 1
-    unless given."""
+    """Sparse block of a truncated module: degree -> Vec, whose entry
+    k d + i is coordinate i of column k.  Only nonzero entries and
+    nonempty slices are kept."""
 
-    __slots__ = ("module", "data", "width")
+    __slots__ = ("module", "data")
 
-    def __init__(self, module: TensorModule,
-                 data: Dict[Degree, List[GaussRat]] = None,
-                 width: Optional[int] = None):
+    def __init__(self, module: TensorModule, data: Dict[Degree, Vec] = None):
         self.module = module
         self.data = {}
-        if width is None:
-            width = len(next(iter(data.values()))) // module.d if data else 1
-        self.width = width
         for m, vec in (data or {}).items():
-            if any(vec):
+            vec = {j: x for j, x in vec.items() if x}
+            if vec:
                 if not module.window.contains(m):
                     raise OutOfWindowError(f"degree {m} outside window")
-                self.data[m] = list(vec)
+                self.data[m] = vec
 
     def __add__(self, other: "ModVector") -> "ModVector":
-        out = {m: list(v) for m, v in self.data.items()}
+        out = dict(self.data)
         for m, v in other.data.items():
             if m in out:
-                out[m] = [a + b for a, b in zip(out[m], v)]
+                out[m] = sparse_sum(chain(out[m].items(), v.items()))
             else:
-                out[m] = list(v)
-        return ModVector(self.module, out, self.width)
+                out[m] = v
+        return ModVector(self.module, out)
 
     def __neg__(self) -> "ModVector":
-        return ModVector(self.module,
-                         {m: [-x for x in v] for m, v in self.data.items()},
-                         self.width)
+        return self.scale(-ONE)
 
     def __sub__(self, other: "ModVector") -> "ModVector":
         return self + (-other)
 
     def scale(self, c: GaussRat) -> "ModVector":
         return ModVector(self.module,
-                         {m: [c * x for x in v] for m, v in self.data.items()},
-                         self.width)
+                         {m: {j: c * x for j, x in v.items()}
+                          for m, v in self.data.items()})
 
     def is_zero(self) -> bool:
         return not self.data
@@ -217,11 +208,11 @@ class ModVector:
     def __eq__(self, other):
         return isinstance(other, ModVector) and (self - other).is_zero()
 
-    def slice_sum(self) -> List[GaussRat]:
+    def slice_sum(self) -> Vec:
         """Sum of all slice coordinate vectors: the image of v in the
         quotient of the window by the shift differences
         v_k(x)t^m - v_k(x)t^0, m != 0, as bottom-slice coordinates; for
-        a block, the w column images side by side.
+        a block, entry k d + i is coordinate i of column k's image.
 
         Order the coordinates with the nonzero slices first and slice 0
         last.  Then the differences are a reduced echelon basis: each has
@@ -229,10 +220,8 @@ class ModVector:
         v clears every nonzero-slice component and leaves the slice sum
         at slice 0, so v lies in the span of the differences iff its
         slice sum is zero, and the quotient has dimension d."""
-        out = [ZERO] * (self.width * self.module.d)
-        for v in self.data.values():
-            out = [a + b for a, b in zip(out, v)]
-        return out
+        return sparse_sum(chain.from_iterable(
+            v.items() for v in self.data.values()))
 
 
 def act(x: LoopElem, v: ModVector) -> ModVector:
@@ -240,38 +229,31 @@ def act(x: LoopElem, v: ModVector) -> ModVector:
     column by column, through the module's plan of x."""
     module = v.module
     d = module.d
-    blank = [ZERO] * (v.width * d)
-    # per source slice, its nonzero entries (j, c); entry j is coordinate
-    # j % d of column j // d, and M_r maps it into that column's chunk
-    nonzero = [(m, [(j, c) for j, c in enumerate(vec) if c])
-               for m, vec in v.data.items()]
-    acc: Dict[Degree, List[GaussRat]] = {}
+    acc: Dict[Degree, Vec] = {}
     for r, kappa, d_terms, cols in module.plan(x):
-        for m, entries in nonzero:
+        for m, vec in v.data.items():
             s = kappa
             for i, pb in d_terms:
                 if m[i]:
                     s = s + pb * m[i]
-            out = list(blank)
-            if s:
-                for j, c in entries:
-                    out[j] = s * c
+            out = {j: s * c for j, c in vec.items()} if s else {}
             if cols is not None:
-                for j, c in entries:
-                    k = j % d
-                    for row, e in cols[k]:
-                        row += j - k
-                        out[row] = out[row] + e * c
-            if not any(out):
+                # entry j is coordinate j % d of column j // d, and M_r
+                # maps it into that column
+                out = sparse_sum(chain(out.items(), (
+                    (j - j % d + row, e * c) for j, c in vec.items()
+                    for row, e in cols[j % d])))
+            if not out:
                 continue
             target = tuple(map(add, m, r))
             if not module.window.contains(target):
                 raise OutOfWindowError(f"action leaves the window at {target}")
             if target in acc:
-                acc[target] = list(map(add, acc[target], out))
+                acc[target] = sparse_sum(chain(acc[target].items(),
+                                               out.items()))
             else:
                 acc[target] = out
-    return ModVector(module, acc, v.width)
+    return ModVector(module, acc)
 
 
 def module_axiom_residual(x: LoopElem, y: LoopElem, v: ModVector) -> ModVector:
@@ -316,9 +298,7 @@ def op_matrix(op: Op, module: TensorModule, src: Iterable[Degree],
             if m not in offset:
                 raise OutOfWindowError(
                     f"operator maps into slice {m}, outside the destination")
-        rows = [(offset[m], w.data[m])
-                for m in sorted(w.data, key=offset.__getitem__)]
-        for base in range(0, d * d, d):
-            out.append([(off + row, x) for off, vec in rows
-                        for row, x in enumerate(vec[base:base + d]) if x])
+        out += to_columns({(offset[m] + j % d, j // d): x
+                           for m, vec in w.data.items()
+                           for j, x in vec.items()}, d)
     return out

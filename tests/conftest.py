@@ -70,16 +70,37 @@ def direct_sum_irrep(a, b):
 # -- oracles the library itself does not need --------------------------
 
 
+def sparse(v):
+    """The sparse Vec of a dense list: its nonzero entries by index."""
+    return {j: x for j, x in enumerate(v) if x}
+
+
+def to_sympy(x):
+    """A GaussRat as an exact sympy number."""
+    import sympy
+    return (sympy.Rational(x.re.numerator, x.re.denominator) + sympy.I
+            * sympy.Rational(x.im.numerator, x.im.denominator))
+
+
+def domain_matrix(vectors, length):
+    """The sympy DomainMatrix over Q(i) whose rows are the given vectors,
+    sparse Vecs or dense lists, each of the given length."""
+    import sympy
+    from sympy import QQ_I
+    from sympy.polys.matrices import DomainMatrix
+    rows = [v if isinstance(v, dict) else sparse(v) for v in vectors]
+    return DomainMatrix.from_Matrix(sympy.Matrix(
+        len(rows), length, lambda r, c: to_sympy(rows[r][c])
+        if c in rows[r] else 0)).convert_to(QQ_I)
+
+
 def rank(vectors):
-    """Rank of a list of equal-length GaussRat vectors."""
-    from loopwitt.linalg import SpanBasis
-    vectors = list(vectors)
-    if not vectors:
-        return 0
-    basis = SpanBasis(len(vectors[0]))
-    for v in vectors:
-        basis.insert(v)
-    return basis.dim
+    """Rank of a list of GaussRat vectors, sparse Vecs or dense lists, by
+    sympy's exact elimination over Q(i), which shares no code with
+    linalg."""
+    rows = [v if isinstance(v, dict) else sparse(v) for v in vectors]
+    length = 1 + max((j for v in rows for j in v), default=-1)
+    return domain_matrix(rows, length).rank() if length else 0
 
 
 def all_relations_hold(rep):
@@ -202,18 +223,19 @@ def shift_difference_generators(module):
 
 
 def window_coords(v):
-    """Coordinates of a module vector over every window slice, in slice
-    order."""
-    from loopwitt.scalars import ZERO
+    """Coordinates of a module vector, a block whose only column is
+    column 0, over every window slice, in slice order, as a sparse Vec."""
     d = v.module.d
-    return [x for m in v.module.window.slices()
-            for x in v.data.get(m, [ZERO] * d)]
+    assert all(j < d for vec in v.data.values() for j in vec)
+    return {s * d + j: x for s, m in enumerate(v.module.window.slices())
+            for j, x in v.data.get(m, {}).items()}
 
 
 def reference_act(x, v):
     """The action term by term, straight from the formula: each term of
-    x on each source slice, psi(b) read per term and E_ji per entry.
-    Raises OutOfWindowError on any single term that leaves the window."""
+    x on each source slice, psi(b) read per term and the dense E_ji per
+    entry.  Raises OutOfWindowError on any single term that leaves the
+    window."""
     from loopwitt.scalars import ZERO
     from loopwitt.tensmod import ModVector, OutOfWindowError
     module = v.module
@@ -225,14 +247,13 @@ def reference_act(x, v):
     acc = {}
 
     def put(m, vec):
-        if not any(vec):
+        if not any(vec.values()):
             return
         if not module.window.contains(m):
             raise OutOfWindowError(f"action leaves the window at {m}")
-        if m in acc:
-            acc[m] = [a + b for a, b in zip(acc[m], vec)]
-        else:
-            acc[m] = vec
+        out = acc.setdefault(m, {})
+        for j, c in vec.items():
+            out[j] = out.get(j, ZERO) + c
 
     d = module.d
     for (kind, i, r), b in x.terms.items():
@@ -242,22 +263,24 @@ def reference_act(x, v):
         for m, vec in v.data.items():
             target = tuple(a + b2 for a, b2 in zip(m, r))
             if kind == "t":
-                put(target, [pb * c if c else ZERO for c in vec])
+                put(target, {j: pb * c for j, c in vec.items()})
                 continue
             scal = pb * (module.alpha[i - 1] + m[i - 1])
-            out = [scal * c if c else ZERO for c in vec]
-            nonzero = [(k, c) for k, c in enumerate(vec) if c]
+            out = {j: scal * c for j, c in vec.items()}
             for j in range(1, module.n + 1):
                 rj = r[j - 1]
                 if not rj:
                     continue
                 mat = rep.E(j, i)
-                for k, c in nonzero:
+                # entry idx is coordinate k of column idx // d
+                for idx, c in vec.items():
+                    k = idx % d
                     w = pb * rj * c
                     for row in range(d):
                         e = mat[row][k]
                         if e:
-                            out[row] = out[row] + e * w
+                            key = idx - k + row
+                            out[key] = out.get(key, ZERO) + e * w
             put(target, out)
     return ModVector(module, acc)
 
@@ -280,7 +303,7 @@ def reference_op_matrix(op, module, src, dst=None):
                     f"operator maps into slice {m}, outside the destination")
         out.append([(offset[m] + row, x)
                     for m in sorted(w.data, key=offset.__getitem__)
-                    for row, x in enumerate(w.data[m]) if x])
+                    for row, x in sorted(w.data[m].items())])
     return out
 
 
@@ -288,5 +311,6 @@ def block_column(v, k):
     """Column k of a block of module vectors, as a module vector."""
     from loopwitt.tensmod import ModVector
     d = v.module.d
-    return ModVector(v.module, {m: vec[k * d:(k + 1) * d]
-                                for m, vec in v.data.items()}, 1)
+    return ModVector(v.module, {m: {j - k * d: x for j, x in vec.items()
+                                    if j // d == k}
+                                for m, vec in v.data.items()})

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (block_column, cartan_eigenvalue, make_polyquot_cube,
                       reference_act)
@@ -75,7 +76,7 @@ class TestModuleShape:
     def test_vectors_outside_window_rejected(self, trivial):
         module = make_module(trivial, radius=1)
         with pytest.raises(OutOfWindowError):
-            ModVector(module, {(2, 0): [GaussRat(1), ZERO]})
+            ModVector(module, {(2, 0): {0: GaussRat(1)}})
 
 
 class TestAction:
@@ -107,7 +108,7 @@ class TestAction:
             coords[k] = HALF
             ev = [row[k] for row in module.rep.E(2, 1)]  # column k
             coords = [a + b for a, b in zip(coords, ev)]
-            assert got == ModVector(module, {(0, 1): coords})
+            assert got == ModVector(module, {(0, 1): dict(enumerate(coords))})
 
     def test_strict_mode_raises_at_boundary(self, trivial):
         module = make_module(trivial, radius=1)
@@ -176,8 +177,8 @@ def oracle_vector(rng, module):
     zero."""
     interior = module.window.interior((1,) * module.n)
     return ModVector(module, {
-        rng.choice(interior): [rng.choice(ORACLE_SCALARS)
-                               for _ in range(module.d)]
+        rng.choice(interior): {k: rng.choice(ORACLE_SCALARS)
+                               for k in range(module.d)}
         for _ in range(rng.randint(1, 3))})
 
 
@@ -226,15 +227,16 @@ class TestActOracle:
 
 def oracle_block(rng, module, width, zero_column=None):
     """A block of the given width on one to three slices of the radius-1
-    interior; column zero_column, if given, is zero."""
+    interior, some coordinates zero; column zero_column, if given, is
+    zero."""
     interior = module.window.interior((1,) * module.n)
     d = module.d
     data = {}
     for _ in range(rng.randint(1, 3)):
-        data[rng.choice(interior)] = [
-            ZERO if j // d == zero_column else rng.choice(ORACLE_SCALARS)
-            for j in range(width * d)]
-    return ModVector(module, data, width)
+        data[rng.choice(interior)] = {
+            j: rng.choice(ORACLE_SCALARS) for j in range(width * d)
+            if j // d != zero_column}
+    return ModVector(module, data)
 
 
 class TestBlockAction:
@@ -254,8 +256,11 @@ class TestBlockAction:
                 v = oracle_block(rng, module, width,
                                  zero_column=rng.choice([None, width - 1]))
                 got = act(x, v)
-                assert got.width == width
-                assert len(got.slice_sum()) == width * module.d
+                # every stored entry, and every slice sum, lies in the
+                # first width columns
+                assert all(j < width * module.d
+                           for vec in [*got.data.values(), got.slice_sum()]
+                           for j in vec)
                 for k in range(width):
                     col = block_column(v, k)
                     assert block_column(got, k) == act(x, col)
@@ -275,34 +280,38 @@ class TestBlockAction:
     def test_width_one_is_an_ordinary_vector(self, laurent):
         module = make_module(laurent)
         v = module.basis_vector((1, -1), 1)
-        assert v.width == 1
+        assert v.data == {(1, -1): {1: GaussRat(1)}}
         x = LoopElem.d_part(2, laurent, 2, (-1, 1), laurent.generator())
         got = act(x, v)
-        assert got.width == 1 and got == reference_act(x, v)
-        assert act(x, v - v).slice_sum() == [ZERO] * module.d
+        assert all(j < module.d for vec in got.data.values() for j in vec)
+        assert got == reference_act(x, v)
+        assert act(x, v - v).slice_sum() == {}
 
     def test_basis_block_columns_are_the_basis_vectors(self, trivial):
         module = make_module(trivial, n=3, mu=(1, 0))
         block = module.basis_block((1, 0, -1))
-        assert block.width == module.d
+        d = module.d
+        # only the d diagonal entries are stored
+        assert block.data == {(1, 0, -1): {k * (d + 1): GaussRat(1)
+                                           for k in range(d)}}
         for k in range(module.d):
             assert block_column(block, k) == module.basis_vector(
                 (1, 0, -1), k)
 
-    def test_zero_image_keeps_the_width(self, trivial):
+    def test_zero_image_stores_nothing(self, trivial):
         module = make_module(trivial, mu=(2,))
         x = LoopElem.t_part(2, trivial, (0, 1), trivial.from_scalar(ZERO))
         got = act(x, module.basis_block((0, 0)))
-        assert got.is_zero()
-        assert got.slice_sum() == [ZERO] * (module.d * module.d)
+        assert got.is_zero() and got.data == {}
+        assert got.slice_sum() == {}
 
     def test_only_the_last_column_leaving_raises(self, trivial):
         module = make_module(trivial, mu=(2,), radius=2)
         d = module.d
         x = LoopElem.t_part(2, trivial, (1, 0))
-        edge = [ZERO] * (d * d)
-        edge[d * d - 1] = GaussRat(1)
-        v = ModVector(module, {(2, 0): edge, (0, 0): [GaussRat(1)] * (d * d)})
+        edge = {d * d - 1: GaussRat(1)}
+        v = ModVector(module, {(2, 0): edge,
+                               (0, 0): {j: GaussRat(1) for j in range(d * d)}})
         with pytest.raises(OutOfWindowError):
             act(x, v)
         for k in range(d - 1):
@@ -310,6 +319,83 @@ class TestBlockAction:
                 x, block_column(v, k))
         with pytest.raises(OutOfWindowError):
             act(x, block_column(v, d - 1))
+
+
+def no_zero_stored(v):
+    """Every slice of v holds an entry and every stored entry is
+    nonzero."""
+    return all(vec and all(vec.values()) for vec in v.data.values())
+
+
+@st.composite
+def cancelling_blocks(draw, module):
+    """Blocks v and w of one width on two or three slices of the
+    radius-1 interior, some coordinates zero, and the set of cancelling
+    columns: w is -v on those columns, so they vanish from v + w, and
+    on v's last slice they are minus the sum over its other slices, so
+    their slice sums vanish."""
+    d = module.d
+    width = draw(st.integers(1, 3))
+    interior = module.window.interior((1,) * module.n)
+    slices = draw(st.lists(st.sampled_from(interior), min_size=2,
+                           max_size=3, unique=True))
+    cancel = draw(st.sets(st.integers(0, width - 1)))
+    scalar = st.sampled_from(ORACLE_SCALARS)
+    v = {m: {j: draw(scalar) for j in range(width * d)} for m in slices}
+    for j in range(width * d):
+        if j // d in cancel:
+            v[slices[-1]][j] = -sum((v[m][j] for m in slices[:-1]), ZERO)
+    w = {m: {j: -x if j // d in cancel else draw(scalar)
+             for j, x in vec.items()} for m, vec in v.items()}
+    return ModVector(module, v), ModVector(module, w), cancel
+
+
+class TestModVectorContract:
+    def test_constructor_drops_zero_entries_and_empty_slices(self, trivial):
+        module = make_module(trivial, radius=1)
+        data = {(0, 0): {0: ZERO, 1: GaussRat(2)}, (1, 0): {0: ZERO},
+                (0, 1): {}}
+        v = ModVector(module, data)
+        assert v.data == {(0, 0): {1: GaussRat(2)}}
+        # the data is copied, not shared
+        data[(0, 0)][0] = GaussRat(1)
+        assert v.data == {(0, 0): {1: GaussRat(2)}}
+        assert ModVector(module, {(1, 1): {0: ZERO, 3: ZERO}}).is_zero()
+        assert ModVector(module).data == {}
+
+    def test_constructor_rejects_a_slice_outside_the_window(self, trivial):
+        module = make_module(trivial, radius=1)
+        with pytest.raises(OutOfWindowError):
+            ModVector(module, {(0, 0): {0: GaussRat(1)},
+                               (0, 2): {3: GaussRat(1)}})
+        # a slice with nothing stored is dropped before the window check,
+        # as act drops an image that cancels
+        assert ModVector(module, {(0, 2): {3: ZERO}}).is_zero()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_no_result_stores_a_zero(self, data):
+        pres = make_polyquot_cube()
+        module = make_module(pres, mu=(2,), alpha=ORACLE_ALPHAS[:2])
+        d = module.d
+        v, w, cancel = data.draw(cancelling_blocks(module))
+        x = oracle_elem(random.Random(data.draw(st.integers(0, 10 ** 6))),
+                        2, pres, oracle_pool(pres))
+        if data.draw(st.booleans()):
+            # D(e_1, 0) - (alpha_1 + m_1) kills slice m of v
+            m = next(iter(v.data), (0, 0))
+            x = x + LoopElem.d_part(2, pres, 1, (0, 0)) - LoopElem.t_part(
+                2, pres, (0, 0), pres.from_scalar(cartan_eigenvalue(
+                    module, 1, m)))
+        c = data.draw(st.sampled_from(ORACLE_SCALARS))
+        results = [v + w, v - w, v - v, -v, v.scale(c), act(x, v),
+                   act(x, v + w)]
+        assert all(no_zero_stored(r) for r in results)
+        assert all(all(r.slice_sum().values()) for r in results + [v, w])
+        assert (v - v).data == {} and v.scale(ZERO).data == {}
+        assert all(j // d not in cancel
+                   for vec in (v + w).data.values() for j in vec)
+        assert all(j // d not in cancel for j in v.slice_sum())
 
 
 def random_homogeneous(rng, n, pres, pool):
