@@ -48,6 +48,21 @@ def _split_top(s: str, seps: str) -> List[str]:
     return parts
 
 
+def _signed_terms(s: str) -> List[Tuple[int, str]]:
+    """The top-level + and - terms of s, each as its sign and its text
+    with the leading signs stripped."""
+    out = []
+    for part in _split_top(s, "+-"):
+        sign = 1
+        part = part.strip()
+        while part and part[0] in "+-":
+            if part[0] == "-":
+                sign = -sign
+            part = part[1:].strip()
+        out.append((sign, part))
+    return out
+
+
 _MONO = re.compile(r"^\s*x(?:\^(-?\d+))?\s*$")
 
 # Reducing x^k modulo a polyquot modulus takes k steps on coefficients
@@ -65,13 +80,7 @@ def parse_b_elem(s: str, pres: BPresentation) -> BElem:
     if s.startswith("(") and s.endswith(")") and _balanced(s[1:-1]):
         s = s[1:-1]
     out = pres.zero()
-    for part in _split_top(s, "+-"):
-        sign = 1
-        part = part.strip()
-        while part and part[0] in "+-":
-            if part[0] == "-":
-                sign = -sign
-            part = part[1:].strip()
+    for sign, part in _signed_terms(s):
         coeff = GaussRat(1)
         mono_exp = 0
         for factor in _split_top(part, "*"):
@@ -114,17 +123,11 @@ _HEAD = re.compile(r"^(D|t)\((.*)\)$")
 
 
 def parse_loop_expr(s: str, n: int, pres: BPresentation) -> LoopElem:
-    parts = _split_top(s, "+-")
-    if not parts:
+    terms = _signed_terms(s)
+    if not terms:
         raise ParseError("empty expression")
     out = LoopElem.zero(n, pres)
-    for part in parts:
-        sign = 1
-        part = part.strip()
-        while part and part[0] in "+-":
-            if part[0] == "-":
-                sign = -sign
-            part = part[1:].strip()
+    for sign, part in terms:
         head = None
         b = pres.one()
         scalar = GaussRat(sign)
