@@ -6,13 +6,14 @@ Three operator families are materialized through the module action:
 * reduced    R(u,r,b1,b2) = P(u,r,b1,b2) - D(u,0) b1 b2
 * evaluated  Q(u,r,b1,b2) = psi(b1) D(u,r) b2 - D(u,0) b1 b2
 
-Every bracket identity among them, the scalar action of the zero modes,
-the collapse of B coefficients through psi, the shift-difference
-subspace and the rank-one identities are checked as exact zero
-residuals by applying operator combinations to slice basis blocks, all
-d basis vectors of a slice in one call (tensmod.TensorModule.basis_block).
-A residual is the Columns of op_matrix, zero when no column has an
-entry; only the Burnside fallback densifies.
+Q is one loop element, so each application is one act.  Every bracket
+identity among them, the scalar action of the zero modes, the collapse
+of B coefficients through psi, the shift-difference subspace and the
+rank-one identities are checked as exact zero residuals by applying
+operator combinations to slice basis blocks, all d basis vectors of a
+slice in one call (tensmod.TensorModule.basis_block).  A residual is the
+Columns of op_matrix, zero when no column has an entry; only the
+Burnside fallback densifies.
 """
 
 from __future__ import annotations
@@ -52,14 +53,15 @@ def _neg_deg(r: Degree) -> Degree:
 
 
 def as_operator(family, spec: OpSpec, module: TensorModule) -> Op:
-    """The operator of family "product", "reduced" or "evaluated"."""
+    """The operator of family "product", "reduced" or "evaluated"; the
+    evaluated one is a single loop element, so it acts once."""
     n = module.n
     pres = module.pres
     d_elem = LoopElem.d_vec(n, pres, spec.u, spec.r, spec.b2)
     zero_mode = LoopElem.d_vec(n, pres, spec.u, (0,) * n, spec.b1 * spec.b2)
     if family == "evaluated":
-        p1 = spec.b1.psi()
-        return lambda v: act(d_elem, v).scale(p1) - act(zero_mode, v)
+        q = d_elem.scale(spec.b1.psi()) - zero_mode
+        return lambda v: act(q, v)
     shift_back = LoopElem.t_part(n, pres, _neg_deg(spec.r), spec.b1)
     if family == "product":
         return lambda v: act(shift_back, act(d_elem, v))

@@ -5,10 +5,10 @@ canonical form: q > 0, gcd(a, b, q) = 1, and zero is (0, 0, 1).  So all
 arithmetic is exact integer arithmetic and equality is structural.
 Every result passes through ``_norm``, which skips the gcd when q = 1;
 sums over a common denominator and products with a real factor or an
-int take shorter paths.  ``re`` and ``im`` read the parts back as
-Fractions.  The string form used everywhere in configs and reports is
-"p/q" for real values and "p/q+r/s i" (or "p/q-r/s i") when the
-imaginary part is nonzero, each part in lowest terms.
+int take shorter paths, and x * ONE and ONE * x are x itself.  ``re``
+and ``im`` read the parts back as Fractions.  Configs and reports write
+"p/q" for real values and "p/q+r/s i" (or "p/q-r/s i") otherwise, each
+part in lowest terms.
 """
 
 from __future__ import annotations
@@ -99,6 +99,10 @@ class GaussRat:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
+        if other is ONE:
+            return self
+        if self is ONE:
+            return other
         a, b, c, d = self._a, self._b, other._a, other._b
         if not d:
             return _norm(a * c, b * c, self._q * other._q)

@@ -285,6 +285,20 @@ def reference_act(x, v):
     return ModVector(module, acc)
 
 
+def reference_evaluated(spec, module):
+    """The evaluated operator Q(u,r,b1,b2) = psi(b1) D(u,r)b2 - D(u,0)b1b2
+    as two actions, a scale and a subtraction: the oracle of
+    opcheck.as_operator("evaluated"), which acts once with one loop
+    element."""
+    from loopwitt.loop import LoopElem
+    from loopwitt.tensmod import act
+    n, pres = module.n, module.pres
+    d_elem = LoopElem.d_vec(n, pres, spec.u, spec.r, spec.b2)
+    zero_mode = LoopElem.d_vec(n, pres, spec.u, (0,) * n, spec.b1 * spec.b2)
+    p1 = spec.b1.psi()
+    return lambda v: act(d_elem, v).scale(p1) - act(zero_mode, v)
+
+
 def reference_op_matrix(op, module, src, dst=None):
     """Columns of op applied to each basis vector of the src slices, one
     call per column: the oracle of tensmod.op_matrix, which applies op

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import (columns, dense_relation_residual, direct_sum_irrep,
-                      mat_is_zero, rank, reference_op_matrix,
-                      shift_difference_generators, window_coords)
+                      mat_is_zero, rank, reference_evaluated,
+                      reference_op_matrix, shift_difference_generators,
+                      window_coords)
 from loopwitt import opcheck
 from loopwitt.glnrep import build_irrep
 from loopwitt.linalg import dense
@@ -127,6 +128,77 @@ class TestOperatorFamilies:
         module = make_module(trivial)
         spec = OpSpec(e(2, 0), (0, 0), trivial.one(), trivial.one())
         assert not any(bottom_block("reduced", spec, module))
+
+
+def random_block(module, margin, rng, width=2):
+    """A block of ``width`` random columns on up to three slices whose
+    images under a degree-r operator, |r_i| <= margin_i, stay in the
+    window."""
+    slices = module.window.interior(margin)
+    size = width * module.d
+    return ModVector(module, {
+        m: {j: GaussRat(Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
+                        rng.randint(-1, 1))
+            for j in range(size) if rng.random() < 0.6}
+        for m in rng.sample(slices, min(3, len(slices)))})
+
+
+class TestEvaluatedElement:
+    """as_operator("evaluated") acts once with the one loop element
+    psi(b1) D(u,r)b2 - D(u,0)b1b2; reference_evaluated acts twice."""
+
+    @staticmethod
+    def assert_matches(spec, module, rng, blocks=3):
+        got = opcheck.as_operator("evaluated", spec, module)
+        want = reference_evaluated(spec, module)
+        margin = tuple(map(abs, spec.r))
+        for _ in range(blocks):
+            v = random_block(module, margin, rng)
+            assert got(v).data == want(v).data
+        return got
+
+    @pytest.mark.parametrize("n,mu", [(1, ()), (2, (1,)), (3, (1, 0))])
+    def test_matches_two_actions_on_random_blocks(self, n, mu, any_pres):
+        module = make_module(any_pres, n=n, mu=mu, radius=2)
+        rng = random.Random(31 * n)
+        for spec in sample_specs(any_pres, n, rng, 5):
+            self.assert_matches(spec, module, rng)
+
+    @pytest.mark.parametrize("n,mu", [(1, ()), (2, (1,)), (3, (1, 0))])
+    def test_zero_shift_merges_the_keys(self, n, mu, any_pres):
+        # at r = 0 both parts sit on the keys ("d", i, 0) and are added
+        # before the module sees them; with b1 = x the sums psi(x) 2 - 2x
+        # are nonzero in B but psi kills them, so Q acts by zero
+        module = make_module(any_pres, n=n, mu=mu, radius=2)
+        rng = random.Random(37 * n)
+        two = any_pres.one() * GaussRat(2)
+        b1 = two if any_pres.kind == "trivial" else any_pres.generator()
+        spec = OpSpec(tuple(GaussRat(k + 1) for k in range(n)), (0,) * n,
+                      b1, two)
+        op = self.assert_matches(spec, module, rng)
+        assert op(module.basis_block((0,) * n)).is_zero()
+
+    @pytest.mark.parametrize("pres", ["polyquot", "laurent"])
+    def test_b1_in_the_kernel_of_psi(self, pres, request):
+        # psi(x - a) = 0, so only the zero mode is left and it acts by
+        # psi(b1 b2) = 0 as well
+        pres = request.getfixturevalue(pres)
+        module = make_module(pres, radius=2)
+        b1 = pres.generator() - pres.one() * pres.eval_point
+        assert not b1.is_zero() and not b1.psi()
+        spec = OpSpec((GaussRat(1), GaussRat(-2)), (1, -1), b1,
+                      pres.generator())
+        op = self.assert_matches(spec, module, random.Random(41))
+        assert op(module.basis_block((0, 0))).is_zero()
+
+    def test_folded_element_is_zero(self, trivial):
+        # trivial B, r = 0, b1 = 1: D(u,0)b2 - D(u,0)b2 = 0
+        module = make_module(trivial, radius=2)
+        one = trivial.one()
+        spec = OpSpec((GaussRat(2), GaussRat(-1)), (0, 0), one,
+                      one * GaussRat(3))
+        op = self.assert_matches(spec, module, random.Random(43))
+        assert op(module.basis_block((1, 0))).is_zero()
 
 
 class TestBracketIdentities:
@@ -397,6 +469,19 @@ class TestNegativeControls:
                                 (x, y, places[:2]))
         got = operator_suite_failures(n, mu, request.getfixturevalue(pres))
         assert BRACKET_CHECKS <= got
+
+    @pytest.mark.parametrize("n,mu", [(1, ()), (2, (1,)), (3, (1, 0))])
+    def test_first_degree_only_plan_fails_the_evaluated_checks(
+            self, n, mu, monkeypatch):
+        # the evaluated family is one loop element with terms at degrees
+        # r and 0; a plan that keeps only its first degree loses the zero
+        # mode whenever r != 0, while every other operator has one degree
+        plan = TensorModule.plan
+        monkeypatch.setattr(TensorModule, "plan",
+                            lambda self, x: plan(self, x)[:1])
+        assert suite_failures("operator-suite", n, mu) == {
+            "difference-submodule", "evaluated-bracket",
+            "quotient-intertwiner"}
 
     def test_negated_off_diagonal_irrep_fails_every_bracket(self, trivial,
                                                             monkeypatch):

@@ -209,6 +209,36 @@ class TestAgainstFractionPairs:
         assert seen == [True, True, False]
         assert g * 3 == GaussRat(Fraction(9, 4), 15) and len(seen) == 3
 
+    def test_product_with_one_returns_the_other_factor(self):
+        x = GaussRat(Fraction(3, 4), -5)
+        assert x * ONE is x
+        assert ONE * x is x
+        assert ONE * ONE is ONE
+
+    @pytest.mark.parametrize("k", [3, Fraction(1, 2), True])
+    def test_product_of_one_and_a_number_is_a_gauss_rat(self, k):
+        # the shortcut runs after k is coerced, so it never hands back k
+        for got in (ONE * k, k * ONE):
+            assert type(got) is GaussRat
+            assert got == GaussRat(k)
+
+    def test_product_of_one_and_a_string_raises(self):
+        with pytest.raises(TypeError):
+            ONE * "a"
+        with pytest.raises(TypeError):
+            "a" * ONE
+
+    @given(ref_pairs)
+    def test_product_with_one_matches_the_general_path(self, x):
+        # GaussRat(1) equals ONE but is another object, so x * GaussRat(1)
+        # takes the general product
+        g = GaussRat(*x)
+        assert GaussRat(1) is not ONE
+        for got in (g * ONE, ONE * g):
+            want = g * GaussRat(1)
+            assert (got._a, got._b, got._q) == (want._a, want._b, want._q)
+            check(got, x)
+
     def test_zero_is_one_triple(self):
         for z in (ZERO, GaussRat(Fraction(0, 7), 0), ONE - ONE,
                   GaussRat(Fraction(1, 3)) - GaussRat(Fraction(1, 3)),
