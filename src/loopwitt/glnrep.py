@@ -225,10 +225,19 @@ def highest_weight_theta(diagonals: Sequence[Columns], hw: int) -> Columns:
     theta = sparse_sum((key, GaussRat(n - 1 - i) * x)
                        for i, m in enumerate(diagonals)
                        for key, x in entries(m))
-    top = theta.get((hw, hw), ZERO)
-    if top:
-        theta = sparse_sum(theta.items(), (((k, k), top) for k in range(d)))
-    return to_columns(theta, d)
+    return hw_shifted(to_columns(theta, d), hw)
+
+
+def hw_shifted(a: Columns, hw: int) -> Columns:
+    """a minus its diagonal entry at the highest weight vector hw times I;
+    a square column view.  A subspace is invariant under a exactly when
+    it is invariant under a - cI, so both spin any vector alike."""
+    top = dict(a[hw]).get(hw)
+    if not top:
+        return a
+    d = len(a)
+    return to_columns(sparse_sum(entries(a), (((k, k), top)
+                                              for k in range(d))), d)
 
 
 def norton_irreducible(mats: Sequence[Columns], theta: Columns) -> bool:
@@ -243,7 +252,11 @@ def norton_irreducible(mats: Sequence[Columns], theta: Columns) -> bool:
     meets ker theta, and then contains v, or theta is invertible on U,
     and then the annihilator of U in the dual meets ker theta^T.  The
     endomorphism division algebra acts on the one-dimensional ker theta,
-    so it is Q(i).  False decides nothing."""
+    so it is Q(i).  False decides nothing.
+
+    Shifting each matrix by a scalar, m - cI, changes neither A, which
+    is unital, nor any spin, so theta built from the unshifted matrices
+    also lies in the unital algebra of the shifted ones (`hw_shifted`)."""
     d = len(theta)
     kernel = null_space(theta, d)
     if len(kernel) != 1 or spin(kernel[0], mats).dim != d:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from math import comb
 from operator import add
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coeff import BElem, BPresentation
 from .scalars import GaussRat
@@ -122,12 +122,17 @@ class LoopElem:
         _accumulate(acc, self.terms, other.terms)
         return _collect(self.n, self.pres, acc)
 
-    def jacobi_residual(self, y: "LoopElem", z: "LoopElem") -> "LoopElem":
+    def jacobi_residual(self, y: "LoopElem", z: "LoopElem",
+                        xy: Optional["LoopElem"] = None) -> "LoopElem":
         """[x, [y, z]] + [y, [z, x]] + [z, [x, y]], the three outer
-        brackets summed in one accumulator and reduced once."""
+        brackets summed in one accumulator and reduced once; xy, when
+        given, must be [x, y] and is not computed again."""
+        if xy is None:
+            xy = self.bracket(y)
         acc: Acc = {}
-        for a, b, c in ((self, y, z), (y, z, self), (z, self, y)):
-            _accumulate(acc, a.terms, b.bracket(c).terms)
+        for a, inner in ((self, y.bracket(z)), (y, z.bracket(self)),
+                         (z, xy)):
+            _accumulate(acc, a.terms, inner.terms)
         return _collect(self.n, self.pres, acc)
 
     # -- deterministic ordering / printing ----------------------------

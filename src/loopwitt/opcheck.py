@@ -24,7 +24,8 @@ from operator import mul
 from typing import List, Sequence, Tuple
 
 from .coeff import BElem
-from .glnrep import burnside_dim, highest_weight_theta, norton_irreducible
+from .glnrep import (burnside_dim, highest_weight_theta, hw_shifted,
+                     norton_irreducible)
 from .linalg import Columns, dense
 from .loop import (Degree, LoopElem, _add_deg, diff_derivation,
                    poly_derivation)
@@ -213,9 +214,14 @@ def bottom_slice_algebra_dim(module: TensorModule) -> int:
     i, j and the zero mode P(e_1, 0, 1, 1); equals d^2 iff irreducible.
 
     Norton's test decides the d^2 case first.  On the bottom slice
-    P(e_i, e_i, 1, 1), generator i(n+1), acts as alpha_i I + E_ii, so
-    theta is built from those generator matrices, never from the irrep,
-    and lies in the generated algebra."""
+    P(e_i, e_j, 1, 1) acts as alpha_i I + E_ji, so theta is built from
+    the generators i(n+1), alpha_i I + E_ii, never from the irrep, and
+    lies in the generated algebra.  Norton spins under each generator
+    minus its diagonal entry at the highest weight vector times I: the
+    weight-homogeneous E_ji, the E_ii shifted by a scalar, and a zero
+    matrix for the zero mode (every one is zero when d = 1).  The spins,
+    and the unital algebra that theta lies in, are those of the
+    unshifted generators; Burnside still gets the unshifted matrices."""
     n, d = module.n, module.d
     one = module.pres.one()
     zero = (0,) * n
@@ -224,8 +230,9 @@ def bottom_slice_algebra_dim(module: TensorModule) -> int:
     specs = [OpSpec(tuple(map(GaussRat, u)), r, one, one) for u, r in gens]
     mats = [op_matrix(as_operator("product", spec, module), module,
                       [zero], [zero]) for spec in specs]
-    theta = highest_weight_theta(mats[:n * n:n + 1], module.rep.hw_index)
-    if norton_irreducible(mats, theta):
+    hw = module.rep.hw_index
+    theta = highest_weight_theta(mats[:n * n:n + 1], hw)
+    if norton_irreducible([hw_shifted(m, hw) for m in mats], theta):
         return d * d
     return burnside_dim([dense(m, d) for m in mats])
 

@@ -254,6 +254,20 @@ class TestNorton:
                                                rep.hw_index)):
             assert not norton_irreducible(mats, theta)
 
+    @pytest.mark.parametrize("hw", [0, 2])
+    def test_hw_shifted_subtracts_the_hw_diagonal_entry(self, hw):
+        a = [[GaussRat(2), ONE, ZERO], [ZERO, GaussRat(0, 1), ZERO],
+             [ONE, ZERO, GaussRat(5)]]
+        top = a[hw][hw]
+        want = [[x - top if r == k else x for k, x in enumerate(row)]
+                for r, row in enumerate(a)]
+        assert glnrep.hw_shifted(columns(a), hw) == columns(want)
+        # a zero entry leaves the matrix itself; a scalar matrix goes to
+        # zero and keeps its d empty columns
+        b = columns([[ZERO, ONE], [ONE, ZERO]])
+        assert glnrep.hw_shifted(b, 1) is b
+        assert glnrep.hw_shifted(columns(identity(3)), hw) == [[], [], []]
+
 
 class TestBurnside:
     def test_identity_alone_spans_scalars(self):

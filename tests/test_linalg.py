@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (columns, domain_matrix, mat_vec, rank, sparse,
                       transpose)
@@ -187,4 +187,41 @@ class TestEliminationAgainstSympy:
         if got.dim:
             # the two spans are one: together they have the same rank
             both = want.hstack(domain_matrix(got.rows, d).transpose())
+            assert both.rank() == got.dim
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda d: st.tuples(
+        st.lists(st.tuples(sparse_matrix(d, d), GAUSS_INT, st.booleans()),
+                 min_size=1, max_size=3),
+        sparse_matrix(1, d))), st.booleans())
+    @example(([([[GaussRat(2)]], GaussRat(2), False)], [[GaussRat(1)]]),
+             False)
+    @example(([([[ZERO]], I, True), ([[I]], ZERO, False)], [[GaussRat(3)]]),
+             True)
+    def test_spin_is_unchanged_by_scalar_shifts(self, shifts_and_v,
+                                                transpose):
+        # spin(v, [M_k - c_k I]) = spin(v, [M_k]): each generator is drawn
+        # with a shift c_k, and where the flag is set it is c_k I itself,
+        # which the shift makes zero; d = 1 is the first example
+        shifts, [v] = shifts_and_v
+        d = len(v)
+        mats, shifted = [], []
+        for a, c, scalar in shifts:
+            if scalar:
+                a = [[c if r == k else ZERO for k in range(d)]
+                     for r in range(d)]
+            mats.append(a)
+            shifted.append([[x - c if r == k else x
+                             for k, x in enumerate(row)]
+                            for r, row in enumerate(a)])
+        got = spin(sparse(v), [columns(a) for a in shifted], transpose)
+        plain = spin(sparse(v), [columns(a) for a in mats], transpose)
+        gens = [domain_matrix(a, d) for a in mats]
+        if transpose:
+            gens = [m.transpose() for m in gens]
+        want = krylov_span(domain_matrix([v], d).transpose(), gens)
+        assert got.dim == plain.dim == want.shape[1]
+        if got.dim:
+            both = want.hstack(domain_matrix(got.rows + plain.rows,
+                                             d).transpose())
             assert both.rank() == got.dim

@@ -166,6 +166,17 @@ class TestAgainstReference:
         # the three outer brackets cancel in the shared accumulator
         assert outer_nonzero > 10
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_jacobi_with_the_given_xy_matches(self, n, any_pres):
+        # bracket-soundness passes its [x, y] in, so it is computed once
+        rng = random.Random(320 + n)
+        pool = suites.coefficient_pool(any_pres)
+        for _ in range(20):
+            x, y, z = (suites.sample_loop_elem(rng, n, any_pres, pool)
+                       for _ in range(3))
+            assert (x.jacobi_residual(y, z, x.bracket(y))
+                    == x.jacobi_residual(y, z) == reference_jacobi(x, y, z))
+
     def test_equal_direction_constants_cancel(self, any_pres):
         # [D(e_1,r), D(e_1,s)] = (s_1 - r_1) D(e_1,r+s): zero at r_1 = s_1
         x = LoopElem.d_part(2, any_pres, 1, (1, 0))

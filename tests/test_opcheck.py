@@ -323,10 +323,20 @@ class TestIrreducibility:
         module = make_module(trivial, n=2, mu=(0,))
         assert opcheck.bottom_slice_algebra_dim(module) == 1
 
-    @pytest.mark.parametrize("n,mu", [(1, ()), (2, (3,)), (3, (1, 1)),
-                                      (4, (1, 0, 1))])
+    # (n, mu, c, alpha); None keeps the RunConfig default.  gl(4)
+    # mu = (1, 1, 1) at alpha = 1/3 is d = 64 with alpha != 0, where the
+    # unshifted generators alpha_i I + E_ji filled Norton's spins; at
+    # n = 2, mu = (0,), d = 1 and every shifted generator is zero
+    CERTIFIED = [(1, (), None, None), (2, (3,), None, None),
+                 (3, (1, 1), None, None), (4, (1, 0, 1), None, None),
+                 (4, (1, 1, 1), Fraction(3, 2), Fraction(1, 3)),
+                 (2, (0,), None, None)]
+
+    @pytest.mark.parametrize(
+        "n,mu,c,alpha", CERTIFIED,
+        ids=[f"{n}-mu{k}" for k, (n, *_) in enumerate(CERTIFIED)])
     def test_irreducible_modules_are_certified_without_burnside(
-            self, n, mu, monkeypatch):
+            self, n, mu, c, alpha, monkeypatch):
         # Norton's test decides every irreducible module, in both suites
         from loopwitt import suites
 
@@ -334,8 +344,12 @@ class TestIrreducibility:
             raise AssertionError("Burnside called")
         monkeypatch.setattr(suites, "burnside_dim", refuse)
         monkeypatch.setattr(opcheck, "burnside_dim", refuse)
+        over = {}
+        if c is not None:
+            over = {"c": GaussRat(c), "alpha": (GaussRat(alpha),) * n}
         cfg = suites.RunConfig(n=n, mu=mu, cases_per_suite=1,
-                               suites=("gl-relations", "irreducibility"))
+                               suites=("gl-relations", "irreducibility"),
+                               **over)
         assert all(r.passed for r in suites.run_suites(cfg))
 
 
@@ -599,12 +613,13 @@ class TestNegativeControls:
             assert suite_failures("gl-relations", n, mu) == {
                 "identity-scalar"}
 
-    @pytest.mark.parametrize("mu", [(1, 0), (2, 1)])
+    @pytest.mark.parametrize("mu", [(1, 0), (2, 1), (1,), (2,), (1, 0, 0)])
     def test_changed_off_diagonal_entry_fails_gl_relations(self, mu,
                                                            monkeypatch):
-        # one off-diagonal entry of E_12 at n = 3, changed through
-        # Irrep.columns: gl-relations reports exactly the relations whose
-        # dense commutator residual is nonzero
+        # one off-diagonal entry of E_12 at n = len(mu) + 1, changed
+        # through Irrep.columns: gl-relations reports exactly the
+        # relations whose dense commutator residual is nonzero, both
+        # orders of each failing pair, in lexicographic order
         from itertools import product
         from loopwitt import suites
         from loopwitt.glnrep import Irrep
@@ -618,12 +633,36 @@ class TestNegativeControls:
             return columns(m)
 
         monkeypatch.setattr(Irrep, "columns", changed)
-        cfg = suites.RunConfig(n=3, mu=mu, seed=42, cases_per_suite=1,
+        n = len(mu) + 1
+        cfg = suites.RunConfig(n=n, mu=mu, seed=42, cases_per_suite=1,
                                suites=("gl-relations",))
         (report,) = suites.run_suites(cfg)
         got = [f["indices"] for f in report.failures
                if f["check"] == "gl-relation"]
-        rep = build_irrep(mu, cfg.c, 3)
-        want = [list(idx) for idx in product(range(1, 4), repeat=4)
+        rep = build_irrep(mu, cfg.c, n)
+        want = [list(idx) for idx in product(range(1, n + 1), repeat=4)
                 if not mat_is_zero(dense_relation_residual(rep, *idx))]
         assert want and got == want
+
+
+class TestGlRelationsSuite:
+    @pytest.mark.parametrize("mu", [(), (1,), (1, 0), (1, 0, 0)])
+    def test_each_generator_pair_is_evaluated_once(self, mu, monkeypatch):
+        # [E_kl, E_ij] residual = -[E_ij, E_kl] residual, so gl-relations
+        # evaluates n^2 (n^2 + 1) / 2 residuals for its n^4 relation cases
+        from loopwitt import suites
+        from loopwitt.glnrep import Irrep
+        residual = Irrep.relation_residual
+        calls = []
+
+        def counted(self, *idx):
+            calls.append(idx)
+            return residual(self, *idx)
+
+        monkeypatch.setattr(Irrep, "relation_residual", counted)
+        n = len(mu) + 1
+        cfg = suites.RunConfig(n=n, mu=mu, seed=42, cases_per_suite=1,
+                               suites=("gl-relations",))
+        (report,) = suites.run_suites(cfg)
+        assert report.passed and report.cases == n ** 4 + 4
+        assert len(calls) == len(set(calls)) == n * n * (n * n + 1) // 2

@@ -98,6 +98,22 @@ class TestSuiteRuns:
         (rep,) = run_suites(cfg)
         assert rep.passed, rep.failures
 
+    def test_bracket_soundness_brackets_x_and_y_once(self, monkeypatch):
+        # [x, y] and [y, x] for antisymmetry, then [y, z] and [z, x]: the
+        # Jacobi residual reuses [x, y]
+        from loopwitt.loop import LoopElem
+        bracket = LoopElem.bracket
+        calls = []
+
+        def counted(self, other):
+            calls.append(1)
+            return bracket(self, other)
+
+        monkeypatch.setattr(LoopElem, "bracket", counted)
+        cfg = small_config(suites=["bracket-soundness"], cases_per_suite=7)
+        (rep,) = run_suites(cfg)
+        assert rep.passed and len(calls) == 4 * 7
+
     def test_unknown_suite_name_rejected_at_run(self):
         # verify-all --suite rebuilds the config, so it is validated
         cfg = small_config()
