@@ -62,10 +62,38 @@ class BPresentation:
         return f"BPresentation({self.kind!r})"
 
     def reduce(self, p: Dict[int, GaussRat]) -> Dict[int, GaussRat]:
-        """p modulo the monic modulus, in place (p itself if there is none)."""
+        """p modulo the monic modulus, in place (p itself if there is none).
+        A term c x^e with e >= 2 deg m adds c (x^e mod m), found by
+        square-and-multiply; the rest is reduced one degree at a time,
+        from the top."""
         m = self.modulus
         if m is None:
             return p
+        d = len(m) - 1
+        for e in [e for e in p if e >= 2 * d]:
+            c = p.pop(e)
+            for k, x in self._power(e).items():
+                p[k] = p[k] + c * x if k in p else c * x
+        return self._reduce_low(p)
+
+    def _power(self, e: int) -> Dict[int, GaussRat]:
+        """x^e modulo the modulus, e >= 0: O(log e) products of
+        polynomials of degree below deg m."""
+        out = {0: ONE}
+        for bit in bin(e)[2:]:
+            sq: Dict[int, GaussRat] = {}
+            for e1, c1 in out.items():
+                for e2, c2 in out.items():
+                    c = c1 * c2
+                    sq[e1 + e2] = sq[e1 + e2] + c if e1 + e2 in sq else c
+            if bit == "1":
+                sq = {k + 1: c for k, c in sq.items()}
+            out = {k: c for k, c in self._reduce_low(sq).items() if c}
+        return out
+
+    def _reduce_low(self, p: Dict[int, GaussRat]) -> Dict[int, GaussRat]:
+        """p modulo the modulus, in place, one degree at a time."""
+        m = self.modulus
         d = len(m) - 1
         for top in range(max(p, default=0), d - 1, -1):
             c = p.pop(top, ZERO)

@@ -13,8 +13,11 @@ each integer constant into one accumulator, a map from output key to
 exponent to coefficient.  Each output key's coefficient is reduced
 modulo the polyquot modulus once, at the end.  That is exact: the
 remainder modulo a monic m is linear and unique, so reducing the sum
-equals summing the reduced products.  ``jacobi_residual`` adds its
-three outer brackets into one such accumulator.
+equals summing the reduced products.  ``bracket_sum`` adds several
+brackets, and optionally a start element, into one such accumulator:
+``jacobi_residual`` sums its three outer brackets that way, and the
+antisymmetry residual [x, y] + [y, x] adds [y, x] to [x, y] without
+collecting [y, x] on its own.
 """
 
 from __future__ import annotations
@@ -117,10 +120,7 @@ class LoopElem:
     # -- Lie structure ------------------------------------------------
 
     def bracket(self, other: "LoopElem") -> "LoopElem":
-        self._check(other)
-        acc: Acc = {}
-        _accumulate(acc, self.terms, other.terms)
-        return _collect(self.n, self.pres, acc)
+        return bracket_sum([(self, other)])
 
     def jacobi_residual(self, y: "LoopElem", z: "LoopElem",
                         xy: Optional["LoopElem"] = None) -> "LoopElem":
@@ -129,11 +129,8 @@ class LoopElem:
         given, must be [x, y] and is not computed again."""
         if xy is None:
             xy = self.bracket(y)
-        acc: Acc = {}
-        for a, inner in ((self, y.bracket(z)), (y, z.bracket(self)),
-                         (z, xy)):
-            _accumulate(acc, a.terms, inner.terms)
-        return _collect(self.n, self.pres, acc)
+        return bracket_sum([(self, y.bracket(z)), (y, z.bracket(self)),
+                            (z, xy)])
 
     # -- deterministic ordering / printing ----------------------------
 
@@ -143,6 +140,21 @@ class LoopElem:
 
 
 Acc = Dict[Key, Dict[int, GaussRat]]  # key -> exponent -> unreduced coeff
+
+
+def bracket_sum(pairs: Sequence[Tuple[LoopElem, LoopElem]],
+                start: Optional[LoopElem] = None) -> LoopElem:
+    """start + the sum of [a, b] over the (nonempty) pairs, added into one
+    accumulator and reduced once."""
+    first = pairs[0][0]
+    acc: Acc = {}
+    if start is not None:
+        first._check(start)
+        acc = {key: dict(b.rep) for key, b in start.terms.items()}
+    for a, b in pairs:
+        a._check(b)
+        _accumulate(acc, a.terms, b.terms)
+    return _collect(first.n, first.pres, acc)
 
 
 def _accumulate(acc: Acc, xs: Dict[Key, BElem], ys: Dict[Key, BElem]):

@@ -6,9 +6,13 @@ Three operator families are materialized through the module action:
 * reduced    R(u,r,b1,b2) = P(u,r,b1,b2) - D(u,0) b1 b2
 * evaluated  Q(u,r,b1,b2) = psi(b1) D(u,r) b2 - D(u,0) b1 b2
 
-Q is one loop element, so each application is one act.  Every bracket
-identity among them, the scalar action of the zero modes, the collapse
-of B coefficients through psi, the shift-difference subspace and the
+Each family gives its image of v as terms (c, x, w) of a
+tensmod.signed_sum: P is t^(-r) b1 acting on the built image D(u,r)b2 . v,
+R adds -D(u,0)b1b2 acting on v, and Q is one loop element acting on v.
+Every bracket identity among them, the scalar action of the zero modes
+and the collapse of B coefficients through psi is one signed sum of
+such terms, with only the inner images of the brackets built, so each
+residual is pruned once.  These, the shift-difference subspace and the
 rank-one identities are checked as exact zero residuals by applying
 operator combinations to slice basis blocks, all d basis vectors of a
 slice in one call (tensmod.TensorModule.basis_block).  A residual is the
@@ -21,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import mul
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from .coeff import BElem
 from .glnrep import (burnside_dim, highest_weight_theta, hw_shifted,
@@ -30,7 +34,11 @@ from .linalg import Columns, dense
 from .loop import (Degree, LoopElem, _add_deg, diff_derivation,
                    poly_derivation)
 from .scalars import GaussRat, ONE, ZERO
-from .tensmod import ModVector, Op, TensorModule, act, op_matrix
+from .tensmod import (ModVector, Op, Term, TensorModule, act, op_matrix,
+                      signed_sum)
+
+# an operator giving its image of v as the terms of a signed sum
+TermOp = Callable[[ModVector], List[Term]]
 
 
 @dataclass(frozen=True)
@@ -53,22 +61,34 @@ def _neg_deg(r: Degree) -> Degree:
     return tuple(-a for a in r)
 
 
-def as_operator(family, spec: OpSpec, module: TensorModule) -> Op:
-    """The operator of family "product", "reduced" or "evaluated"; the
-    evaluated one is a single loop element, so it acts once."""
+def operator_terms(family, spec: OpSpec, module: TensorModule) -> TermOp:
+    """The operator of family "product", "reduced" or "evaluated", giving
+    its image as terms: the outer actions are left to the signed sum, and
+    the evaluated operator is a single loop element, so it acts once."""
     n = module.n
     pres = module.pres
     d_elem = LoopElem.d_vec(n, pres, spec.u, spec.r, spec.b2)
     zero_mode = LoopElem.d_vec(n, pres, spec.u, (0,) * n, spec.b1 * spec.b2)
     if family == "evaluated":
         q = d_elem.scale(spec.b1.psi()) - zero_mode
-        return lambda v: act(q, v)
+        return lambda v: [(ONE, q, v)]
     shift_back = LoopElem.t_part(n, pres, _neg_deg(spec.r), spec.b1)
     if family == "product":
-        return lambda v: act(shift_back, act(d_elem, v))
+        return lambda v: [(ONE, shift_back, act(d_elem, v))]
     if family == "reduced":
-        return lambda v: act(shift_back, act(d_elem, v)) - act(zero_mode, v)
+        return lambda v: [(ONE, shift_back, act(d_elem, v)),
+                          (-ONE, zero_mode, v)]
     raise ValueError(f"unknown operator family {family!r}")
+
+
+def as_operator(family, spec: OpSpec, module: TensorModule) -> Op:
+    """The operator of ``family`` on module vectors: its terms summed."""
+    terms = operator_terms(family, spec, module)
+    return lambda v: signed_sum(module, terms(v))
+
+
+def _scaled(c: GaussRat, terms: List[Term]) -> List[Term]:
+    return [(c * a, x, w) for a, x, w in terms]
 
 
 # One row per bracket identity: the X family of the left-hand side, the Y
@@ -104,18 +124,19 @@ def bracket_identity(name: str, s1: OpSpec, s2: OpSpec,
     def place(digits: str) -> BElem:
         return reduce(mul, (bs[k] for k in digits))
 
-    x1 = as_operator(x_family, s1, module)
-    x2 = as_operator(x_family, s2, module)
+    x1 = operator_terms(x_family, s1, module)
+    x2 = operator_terms(x_family, s2, module)
     rhs = [(-ONE, w, _add_deg(r1, r2)), (c12, u2, r2), (-c21, u1, r1)]
-    ys = [(c, as_operator(y_family, OpSpec(u, r, place(p1), place(p2)),
-                          module))
+    ys = [(c, operator_terms(y_family, OpSpec(u, r, place(p1), place(p2)),
+                             module))
           for (c, u, r), (p1, p2) in zip(rhs, placements)]
 
     def residual(v: ModVector) -> ModVector:
-        out = x1(x2(v)) - x2(x1(v))
+        terms = (x1(signed_sum(module, x2(v)))
+                 + _scaled(-ONE, x2(signed_sum(module, x1(v)))))
         for c, y in ys:
-            out = out + y(v).scale(c)
-        return out
+            terms += _scaled(c, y(v))
+        return signed_sum(module, terms)
 
     return op_matrix(residual, module, [(0,) * module.n])
 
@@ -158,7 +179,7 @@ def zero_mode_scalar_residual(u: Tuple[GaussRat, ...], b: BElem,
     scal = b.psi() * _pair(u, module.alpha)
 
     def op(v: ModVector) -> ModVector:
-        return act(x, v) - v.scale(scal)
+        return signed_sum(module, [(ONE, x, v), (-scal, None, v)])
 
     return op_matrix(op, module, [(0,) * n])
 
@@ -172,7 +193,7 @@ def coefficient_collapse_residual(u: Tuple[GaussRat, ...], r: Degree,
     pb = b.psi()
 
     def op(v: ModVector) -> ModVector:
-        return act(xb, v) - act(x1, v).scale(pb)
+        return signed_sum(module, [(ONE, xb, v), (-pb, x1, v)])
 
     return op_matrix(op, module, [(0,) * n])
 

@@ -13,22 +13,29 @@ whose only column is column 0; TensorModule.basis_block(m) is the d x d
 identity on slice m.  Sums, scaling and slice sums act on the stored
 entries, so they act on each column, and no zero is ever stored.
 
-Only the scalar (u, m+alpha) depends on the source slice m, so act
-compiles each element once per module into a plan: for each degree r,
-the constant kappa_r = sum psi(b) of the t-parts plus
+Only the scalar (u, m+alpha) depends on the source slice m, so the
+action compiles each element once per module into a plan: for each
+degree r, the constant kappa_r = sum psi(b) of the t-parts plus
 sum_i psi_i alpha_i, the pairs (i, psi_i) of the derivation terms, and
 the Columns of M_r = sum_ij psi_i r_j E_ji, summed from the irrep's
 Irrep.columns.  On slice m it computes s = kappa_r + sum_i psi_i m_i
 once and then s v + M_r v, mapping each stored entry k d + i through
 column i of M_r into column k.  The plans, keyed by element identity,
-live on the TensorModule and are freed with it; it keeps the newest
-PLAN_CACHE_SIZE plans.  act sums every degree before it looks at the
-window, and raises OutOfWindowError exactly when a source slice has a
-nonzero image, in any column, outside the window, so it never silently
-truncates.  op_matrix gives the matrix of any operator on module
+live on the TensorModule and are freed with it; it keeps the
+PLAN_CACHE_SIZE most recently used plans.
+
+The action has one core, act_into(acc, x, v, c), which adds c (x . v)
+into an accumulator, a map from degree to an unpruned Vec.  It raises
+OutOfWindowError exactly when the image of one degree of x on one
+source slice of v is nonzero and lands outside the window, whatever c,
+so it never silently truncates.  act is that core plus one prune, and
+signed_sum adds the terms (c, x, w), c (x . w) or c w when x is None,
+into one accumulator and prunes once: the module residuals below sum
+their outer actions that way, with only the inner images built as
+ModVectors.  op_matrix gives the matrix of any operator on module
 vectors as Columns, the one matrix format of linalg, applying the
-operator once per source slice to its basis block.  Both visit only the
-stored entries of a block.
+operator once per source slice to its basis block.  All of them visit
+only the stored entries of a block.
 """
 
 from __future__ import annotations
@@ -57,8 +64,8 @@ DegreePlan = Tuple[Degree, GaussRat, List[Tuple[int, GaussRat]],
 
 # bound on the slice count (2R+1)^n of a configured window
 WINDOW_CAP = 10 ** 6
-# plans a module keeps; the oldest goes first, so that elements acted
-# with once do not pile up over a long suite
+# plans a module keeps; the least recently used goes first, so that
+# elements acted with once do not pile up over a long suite
 PLAN_CACHE_SIZE = 64
 
 
@@ -104,7 +111,9 @@ class TensorModule:
         self.alpha = [GaussRat._coerce(a) for a in alpha]
         self.pres = pres
         self.window = window
-        # what act compiles, by id(x)
+        # t^0, the unit of the function part, whose plan stays cached
+        self.unit = LoopElem.t_part(rep.n, pres, (0,) * rep.n)
+        # what act_into compiles, by id(x), least recently used first
         self._plans: Dict[int, Tuple[LoopElem, List[DegreePlan]]] = {}
 
     @property
@@ -125,14 +134,15 @@ class TensorModule:
                                            for k in range(self.d)}})
 
     def plan(self, x: LoopElem) -> List[DegreePlan]:
-        """x compiled for act, once per module while its entry is kept.
-        The entry holds x, so its id is not reused while the entry
+        """x compiled for act_into, once per module while its entry is
+        kept.  The entry holds x, so its id is not reused while the entry
         exists."""
-        entry = self._plans.get(id(x))
+        entry = self._plans.pop(id(x), None)
         if entry is None:
             if len(self._plans) >= PLAN_CACHE_SIZE:
                 del self._plans[next(iter(self._plans))]
-            entry = self._plans[id(x)] = (x, self._compile(x))
+            entry = (x, self._compile(x))
+        self._plans[id(x)] = entry
         return entry[1]
 
     def _compile(self, x: LoopElem) -> List[DegreePlan]:
@@ -224,56 +234,109 @@ class ModVector:
             v.items() for v in self.data.values()))
 
 
-def act(x: LoopElem, v: ModVector) -> ModVector:
-    """Action of a loop-algebra element on a block of module vectors,
-    column by column, through the module's plan of x."""
+# degree -> Vec, unpruned: an entry or a slice may hold zeros
+Acc = Dict[Degree, Vec]
+# c (x . w), or c w when x is None
+Term = Tuple[GaussRat, Optional[LoopElem], ModVector]
+
+
+def _add_image(out: Vec, s: GaussRat, cols: Optional[Columns], vec: Vec,
+               d: int):
+    """Add s vec + M vec into out, unpruned; cols are M's Columns, or
+    None for M = 0."""
+    if s:
+        for j, y in vec.items():
+            y = s * y
+            out[j] = out[j] + y if j in out else y
+    if cols is not None:
+        # entry j is coordinate j % d of column j // d, and M maps it
+        # into that column
+        for j, y in vec.items():
+            base = j - j % d
+            for row, e in cols[j % d]:
+                k = base + row
+                e = e * y
+                out[k] = out[k] + e if k in out else e
+
+
+def act_into(acc: Acc, x: LoopElem, v: ModVector, c: GaussRat = ONE):
+    """Add c (x . v) into acc, unpruned, through the module's plan of x.
+    The image of one degree of x on one source slice of v raises
+    OutOfWindowError when it leaves the window and is nonzero, whatever
+    c; with c = 0 nothing else is computed."""
     module = v.module
     d = module.d
-    acc: Dict[Degree, Vec] = {}
+    radius = module.window.radius
+    # (m, the slice, the slice scaled by c or None when c = 0)
+    if c is ONE or c == ONE:
+        slices = [(m, vec, vec) for m, vec in v.data.items()]
+    else:
+        slices = [(m, vec, {j: c * y for j, y in vec.items()} if c else None)
+                  for m, vec in v.data.items()]
     for r, kappa, d_terms, cols in module.plan(x):
-        for m, vec in v.data.items():
+        for m, vec, cvec in slices:
             s = kappa
             for i, pb in d_terms:
                 if m[i]:
                     s = s + pb * m[i]
-            out = {j: s * c for j, c in vec.items()} if s else {}
-            if cols is not None:
-                # entry j is coordinate j % d of column j // d, and M_r
-                # maps it into that column
-                out = sparse_sum(chain(out.items(), (
-                    (j - j % d + row, e * c) for j, c in vec.items()
-                    for row, e in cols[j % d])))
-            if not out:
-                continue
             target = tuple(map(add, m, r))
-            if not module.window.contains(target):
-                raise OutOfWindowError(f"action leaves the window at {target}")
-            if target in acc:
-                acc[target] = sparse_sum(chain(acc[target].items(),
-                                               out.items()))
-            else:
-                acc[target] = out
+            if max(map(abs, target)) > radius:
+                image: Vec = {}
+                _add_image(image, s, cols, vec, d)
+                if any(image.values()):
+                    raise OutOfWindowError(
+                        f"action leaves the window at {target}")
+            elif cvec is not None:
+                out = acc.get(target)
+                if out is None:
+                    out = acc[target] = {}
+                _add_image(out, s, cols, cvec, d)
+
+
+def act(x: LoopElem, v: ModVector) -> ModVector:
+    """Action of a loop-algebra element on a block of module vectors,
+    column by column: act_into and one prune."""
+    acc: Acc = {}
+    act_into(acc, x, v)
+    return ModVector(v.module, acc)
+
+
+def signed_sum(module: TensorModule, terms: Iterable[Term]) -> ModVector:
+    """The sum of the terms (c, x, w), each c (x . w) or, when x is None,
+    c w, added into one accumulator and pruned once."""
+    acc: Acc = {}
+    for c, x, w in terms:
+        if x is not None:
+            act_into(acc, x, w, c)
+        elif c:
+            for m, vec in w.data.items():
+                out = acc.get(m)
+                if out is None:
+                    out = acc[m] = {}
+                _add_image(out, c, None, vec, module.d)
     return ModVector(module, acc)
 
 
 def module_axiom_residual(x: LoopElem, y: LoopElem, v: ModVector) -> ModVector:
-    """act([x,y], v) - act(x, act(y, v)) + act(y, act(x, v)); must vanish."""
-    return (act(x.bracket(y), v)
-            - act(x, act(y, v))
-            + act(y, act(x, v)))
+    """[x,y] . v - x . (y . v) + y . (x . v); must vanish.  The inner
+    images y . v and x . v are built, the three outer actions summed."""
+    return signed_sum(v.module, [(ONE, x.bracket(y), v),
+                                 (-ONE, x, act(y, v)),
+                                 (ONE, y, act(x, v))])
 
 
 def assoc_unital_residuals(r: Degree, s: Degree, b: BElem, b2: BElem,
                            v: ModVector) -> Tuple[ModVector, ModVector]:
-    """Associativity of the function-part action and the unit law."""
+    """Associativity of the function-part action and the unit law:
+    t^r b . (t^s b2 . v) - t^(r+s) b b2 . v and t^0 . v - v."""
     module = v.module
     n = module.n
     xr = LoopElem.t_part(n, module.pres, r, b)
     xs = LoopElem.t_part(n, module.pres, s, b2)
     xrs = LoopElem.t_part(n, module.pres,
                           tuple(a + c for a, c in zip(r, s)), b * b2)
-    assoc = act(xr, act(xs, v)) - act(xrs, v)
-    unit = act(LoopElem.t_part(n, module.pres, (0,) * n), v) - v
+    assoc = signed_sum(module, [(ONE, xr, act(xs, v)), (-ONE, xrs, v)])
+    unit = signed_sum(module, [(ONE, module.unit, v), (-ONE, None, v)])
     return assoc, unit
 
 

@@ -328,3 +328,84 @@ def block_column(v, k):
     return ModVector(v.module, {m: {j - k * d: x for j, x in vec.items()
                                     if j // d == k}
                                 for m, vec in v.data.items()})
+
+
+# -- the residuals in ModVector arithmetic --------------------------------
+#
+# Every residual below is built the way tensmod and opcheck built it
+# before their signed sums: each action a separate ModVector, from
+# reference_act, combined by ModVector +, - and scale.  They are the
+# oracles of the signed-sum residuals.
+
+
+def reference_module_axiom(x, y, v):
+    """[x,y] . v - x . (y . v) + y . (x . v)."""
+    act = reference_act
+    return (act(reference_bracket(x, y), v) - act(x, act(y, v))
+            + act(y, act(x, v)))
+
+
+def reference_assoc_unital(r, s, b, b2, v):
+    """t^r b . (t^s b2 . v) - t^(r+s) b b2 . v, and t^0 . v - v."""
+    from loopwitt.loop import LoopElem
+    act = reference_act
+    module = v.module
+    n, pres = module.n, module.pres
+    rs = tuple(a + c for a, c in zip(r, s))
+    assoc = (act(LoopElem.t_part(n, pres, r, b),
+                 act(LoopElem.t_part(n, pres, s, b2), v))
+             - act(LoopElem.t_part(n, pres, rs, b * b2), v))
+    unit = act(LoopElem.t_part(n, pres, (0,) * n), v) - v
+    return assoc, unit
+
+
+def reference_operator(family, spec, module):
+    """The product, reduced or evaluated operator as separate actions:
+    P = t^(-r) b1 . (D(u,r)b2 . v), R = P - D(u,0)b1b2 . v and
+    Q = psi(b1) D(u,r)b2 . v - D(u,0)b1b2 . v."""
+    from loopwitt.loop import LoopElem
+    act = reference_act
+    n, pres = module.n, module.pres
+    d_elem = LoopElem.d_vec(n, pres, spec.u, spec.r, spec.b2)
+    zero_mode = LoopElem.d_vec(n, pres, spec.u, (0,) * n, spec.b1 * spec.b2)
+    shift_back = LoopElem.t_part(n, pres, tuple(-a for a in spec.r), spec.b1)
+    if family == "evaluated":
+        return lambda v: (act(d_elem, v).scale(spec.b1.psi())
+                          - act(zero_mode, v))
+    if family == "product":
+        return lambda v: act(shift_back, act(d_elem, v))
+    return lambda v: act(shift_back, act(d_elem, v)) - act(zero_mode, v)
+
+
+def reference_bracket_identity(name, s1, s2, module):
+    """[X(u1,r1), X(u2,r2)] - Y(w, r1+r2) + (u1,r2) Y(u2,r2)
+    - (u2,r1) Y(u1,r1) on the bottom slice, one basis vector at a time."""
+    from functools import reduce
+    from operator import mul
+    from loopwitt.opcheck import BRACKET_ROWS, OpSpec
+    from loopwitt.scalars import ZERO
+    x_family, y_family, placements = BRACKET_ROWS[name]
+
+    def pair(u, s):
+        return sum((a * b for a, b in zip(u, s)), ZERO)
+
+    c12, c21 = pair(s1.u, s2.r), pair(s2.u, s1.r)
+    w = tuple(c12 * b - c21 * a for a, b in zip(s1.u, s2.u))
+    rs = tuple(a + b for a, b in zip(s1.r, s2.r))
+    bs = {"1": s1.b1, "2": s1.b2, "3": s2.b1, "4": s2.b2}
+    x1 = reference_operator(x_family, s1, module)
+    x2 = reference_operator(x_family, s2, module)
+    ys = [(c, reference_operator(y_family, OpSpec(
+              u, r, reduce(mul, (bs[k] for k in p1)),
+              reduce(mul, (bs[k] for k in p2))), module))
+          for (c, u, r), (p1, p2) in zip(
+              [(-1, w, rs), (c12, s2.u, s2.r), (-c21, s1.u, s1.r)],
+              placements)]
+
+    def residual(v):
+        out = x1(x2(v)) - x2(x1(v))
+        for c, y in ys:
+            out = out + y(v).scale(c)
+        return out
+
+    return reference_op_matrix(residual, module, [(0,) * module.n])

@@ -3,10 +3,11 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy import I as SYM_I, Poly, QQ_I, Rational, expand, symbols
 
 from loopwitt.coeff import BPresentation
-from loopwitt.scalars import GaussRat
+from loopwitt.scalars import GaussRat, ZERO
 
 from conftest import make_laurent, make_polyquot_cube, make_polyquot_square
 
@@ -208,3 +209,72 @@ class TestAgainstSympy:
             assert x * y == back(P * Q, 2)
             assert x * c == c * x == back(P * to_sym(c), 1)
             assert x.psi() == from_sym(P.as_expr().subs(X, a) / a ** shift)
+
+
+# -- square-and-multiply reduction against the one-degree loop ------------
+
+
+def naive_reduce(modulus, p):
+    """p modulo the monic modulus, one degree at a time from the top,
+    with the zero entries dropped: the oracle of BPresentation.reduce."""
+    d = len(modulus) - 1
+    for top in range(max(p, default=0), d - 1, -1):
+        c = p.pop(top, ZERO)
+        if c:
+            for k in range(d):
+                if modulus[k]:
+                    p[top - d + k] = p.get(top - d + k, ZERO) - c * modulus[k]
+    return {e: c for e, c in p.items() if c}
+
+
+def poly_mul(a, b):
+    out = {}
+    for e1, c1 in enumerate(a):
+        for e2, c2 in enumerate(b):
+            out[e1 + e2] = out.get(e1 + e2, ZERO) + c1 * c2
+    return [out[e] for e in range(len(a) + len(b) - 1)]
+
+
+SMALL_GAUSS = st.builds(GaussRat, st.integers(-3, 3), st.integers(-2, 2))
+
+
+@st.composite
+def moduli(draw):
+    """A monic (x - a) q(x) of degree 1 to 4, with its root a."""
+    a = draw(SMALL_GAUSS)
+    q = draw(st.lists(SMALL_GAUSS, max_size=3)) + [GaussRat(1)]
+    return poly_mul([-a, GaussRat(1)], q), a
+
+
+class TestReduction:
+    @settings(max_examples=80, deadline=None)
+    @given(moduli(), st.dictionaries(st.integers(0, 300), SMALL_GAUSS,
+                                     max_size=5))
+    def test_matches_the_one_degree_loop(self, modulus_root, p):
+        modulus, a = modulus_root
+        pres = BPresentation("polyquot", modulus=modulus, eval_point=a)
+        got = {e: c for e, c in pres.reduce(dict(p)).items() if c}
+        assert got == naive_reduce(pres.modulus, dict(p))
+
+    def test_products_at_the_exponent_cap_are_logarithmic(self, monkeypatch):
+        # x^cap modulo (x - 10^6)^6: the one-degree loop makes 6 products
+        # per degree, about 6 * cap; square-and-multiply makes at most
+        # 2 d^2 per bit of the exponent
+        from loopwitt.parsing import EXPONENT_CAP
+        a = GaussRat(10 ** 6)
+        modulus = [GaussRat(1)]
+        for _ in range(6):
+            modulus = poly_mul(modulus, [-a, GaussRat(1)])
+        pres = BPresentation("polyquot", modulus=modulus, eval_point=a)
+        mul = GaussRat.__mul__
+        count = [0]
+
+        def counted(self, other):
+            count[0] += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(GaussRat, "__mul__", counted)
+        b = pres.from_poly({EXPONENT_CAP: GaussRat(1)})
+        assert 0 < count[0] <= 2 * 6 ** 2 * EXPONENT_CAP.bit_length()
+        monkeypatch.undo()
+        assert b.psi() == GaussRat(10 ** (6 * EXPONENT_CAP))

@@ -7,11 +7,11 @@ from conftest import (columns, dense_relation_residual, direct_sum_irrep,
                       mat_is_zero, rank, reference_evaluated,
                       reference_op_matrix, shift_difference_generators,
                       window_coords)
-from loopwitt import opcheck
+from loopwitt import opcheck, tensmod
 from loopwitt.glnrep import build_irrep
 from loopwitt.linalg import dense
 from loopwitt.opcheck import OpSpec
-from loopwitt.scalars import GaussRat, ZERO
+from loopwitt.scalars import GaussRat, ONE, ZERO
 from loopwitt.tensmod import ModVector, TensorModule, Window, op_matrix
 
 HALF = GaussRat(Fraction(1, 2))
@@ -410,42 +410,40 @@ def drop_e_terms(monkeypatch, keep_diagonal):
 
 
 def double_d_terms_on_slice(monkeypatch, first):
-    """Plant a defect in act that touches one source slice only: the
-    derivation terms act twice on slice (first, 0, ..., 0).  The operator
-    suite reaches act through its binding in opcheck."""
+    """Plant a defect in the action that touches one source slice only:
+    the derivation terms act twice on slice (first, 0, ..., 0).  Every
+    action, act and each term of a signed sum, runs tensmod.act_into."""
     from loopwitt.loop import LoopElem
-    act = opcheck.act
+    act_into = tensmod.act_into
 
-    def broken(x, v):
-        out = act(x, v)
+    def broken(acc, x, v, c=ONE):
+        act_into(acc, x, v, c)
         p = (first,) + (0,) * (v.module.n - 1)
         if p in v.data:
             d_terms = LoopElem(x.n, x.pres, {key: b for key, b in
                                              x.terms.items() if key[0] == "d"})
-            out = out + act(d_terms, ModVector(v.module, {p: v.data[p]}))
-        return out
-    monkeypatch.setattr(opcheck, "act", broken)
+            act_into(acc, d_terms, ModVector(v.module, {p: v.data[p]}), c)
+    monkeypatch.setattr(tensmod, "act_into", broken)
 
 
 def double_d_terms_on_last_basis_vector(monkeypatch):
-    """Plant a defect in act that touches one basis vector only: the
-    derivation terms act twice on v_(d-1) (x) t^(2, 0, ..., 0).  On a
+    """Plant a defect in the action that touches one basis vector only:
+    the derivation terms act twice on v_(d-1) (x) t^(2, 0, ..., 0).  On a
     block that is the last coordinate of each column on that slice, so
     on a basis block only column d - 1 changes."""
     from loopwitt.loop import LoopElem
-    act = opcheck.act
+    act_into = tensmod.act_into
 
-    def broken(x, v):
-        out = act(x, v)
+    def broken(acc, x, v, c=ONE):
+        act_into(acc, x, v, c)
         p = (2,) + (0,) * (v.module.n - 1)
         d = v.module.d
-        last = {j: c for j, c in v.data.get(p, {}).items() if j % d == d - 1}
+        last = {j: y for j, y in v.data.get(p, {}).items() if j % d == d - 1}
         if last:
             d_terms = LoopElem(x.n, x.pres, {key: b for key, b in
                                              x.terms.items() if key[0] == "d"})
-            out = out + act(d_terms, ModVector(v.module, {p: last}))
-        return out
-    monkeypatch.setattr(opcheck, "act", broken)
+            act_into(acc, d_terms, ModVector(v.module, {p: last}), c)
+    monkeypatch.setattr(tensmod, "act_into", broken)
 
 
 class TestNegativeControls:

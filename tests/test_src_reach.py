@@ -91,6 +91,8 @@ def entered_functions(tmp_path, capsys):
         ["verify-all", "--config", str(rank_one)],
         ["bracket", "--config", str(cfg), "D(1,0;1,0)*(x-2)",
          "t(0,1)*(2*x^2 - 1/2) + D(0,1;-1,0)*1"],
+        # x^7 is at least twice the modulus degree: square-and-multiply
+        ["bracket", "--config", str(cfg), "t(1,0)*x^7", "D(0,1;0,1)*x"],
         ["bracket", "--config", str(laurent), "D(1,0;1,0)*(x^2 - 3)",
          "(1/2+1 i)*t(0,1)*x + t(1,0)*(1/2+1 i)"],
         ["irrep-info", "--config", str(cfg), "--matrices"],

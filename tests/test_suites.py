@@ -1,8 +1,12 @@
 import dataclasses
 import json
+import random
 
 import pytest
 
+from loopwitt import suites
+from loopwitt.loop import LoopElem
+from loopwitt.parsing import format_loop_elem
 from loopwitt.suites import (MIN_RADIUS, RUNNERS, ConfigError, RunConfig,
                              run_suites)
 
@@ -99,8 +103,9 @@ class TestSuiteRuns:
         assert rep.passed, rep.failures
 
     def test_bracket_soundness_brackets_x_and_y_once(self, monkeypatch):
-        # [x, y] and [y, x] for antisymmetry, then [y, z] and [z, x]: the
-        # Jacobi residual reuses [x, y]
+        # [x, y], [y, z] and [z, x], each once: the Jacobi residual reuses
+        # [x, y], and antisymmetry adds the pairs of [y, x] to it in one
+        # accumulator without collecting [y, x]
         from loopwitt.loop import LoopElem
         bracket = LoopElem.bracket
         calls = []
@@ -112,7 +117,57 @@ class TestSuiteRuns:
         monkeypatch.setattr(LoopElem, "bracket", counted)
         cfg = small_config(suites=["bracket-soundness"], cases_per_suite=7)
         (rep,) = run_suites(cfg)
-        assert rep.passed and len(calls) == 4 * 7
+        assert rep.passed and len(calls) == 3 * 7
+
+    def test_one_assoc_unital_run_compiles_the_unit_plan_once(
+            self, monkeypatch):
+        # 40 cases act with 120 other elements, more than a module's plan
+        # cache holds, and t^0 . v - v still reuses one compiled t^0
+        from loopwitt.tensmod import PLAN_CACHE_SIZE, TensorModule
+        compile_ = TensorModule._compile
+        units = []
+
+        def counted(self, x):
+            units.append(x is self.unit)
+            return compile_(self, x)
+
+        monkeypatch.setattr(TensorModule, "_compile", counted)
+        cfg = small_config(suites=["assoc-unital"], cases_per_suite=40)
+        (rep,) = run_suites(cfg)
+        assert rep.passed
+        assert len(units) - sum(units) > PLAN_CACHE_SIZE
+        assert sum(units) == 1
+
+    def test_one_module_axiom_case_acts_five_times_and_prunes_once(
+            self, monkeypatch):
+        # act_into for [x, y], x and y on the built y . v and x . v, and
+        # the two act calls that build them; only the residual and those
+        # two inner images become ModVectors
+        from loopwitt import tensmod
+        calls = {"act_into": 0, "act": 0, "signed_sum": 0, "ModVector": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        for name in ("act_into", "act", "signed_sum"):
+            monkeypatch.setattr(tensmod, name,
+                                counting(name, getattr(tensmod, name)))
+        monkeypatch.setattr(tensmod.ModVector, "__init__", counting(
+            "ModVector", tensmod.ModVector.__init__))
+        cfg = small_config(suites=["module-axiom"], cases_per_suite=1)
+        module = cfg.build_module()
+        rng = random.Random(5)
+        pool = suites.coefficient_pool(cfg.bpres)
+        x, r = suites.sample_homogeneous(rng, 2, cfg.bpres, pool)
+        y, s = suites.sample_homogeneous(rng, 2, cfg.bpres, pool)
+        v = module.basis_vector((0, 0), 1)
+        calls["ModVector"] = 0
+        assert tensmod.module_axiom_residual(x, y, v).is_zero()
+        assert calls == {"act_into": 5, "act": 2, "signed_sum": 1,
+                         "ModVector": 3}
 
     def test_unknown_suite_name_rejected_at_run(self):
         # verify-all --suite rebuilds the config, so it is validated
@@ -152,3 +207,78 @@ class TestDeterminism:
         (b,) = run_suites(other)
         assert a.passed and b.passed
         assert a.seed != b.seed
+
+
+def chained_loop_elem(rng, n, pres, pool):
+    """sample_loop_elem as a chain of LoopElem sums, its draws made with
+    randint and randrange: the reference for the one-dict sampler, term
+    order included."""
+    out = LoopElem.zero(n, pres)
+    for _ in range(rng.randint(1, 3)):
+        deg = tuple(rng.randint(-3, 3) for _ in range(n))
+        b = pool[rng.randrange(len(pool))]
+        if rng.random() < 0.5:
+            out = out + LoopElem.t_part(n, pres, deg, b)
+        else:
+            out = out + LoopElem.d_part(n, pres, rng.randint(1, n), deg, b)
+    return out
+
+
+class TestSamplerStream:
+    """The samplers draw with rng.choice; the draws, and so every report
+    at a fixed seed, are pinned here."""
+
+    PINNED = {
+        42: {"b": ["1", "1", "(-2+x)", "(x)"],
+             "u": ["-1/1 -1/1", "1/1 0/1+1/1 i", "1/1 0/1+1/1 i"],
+             "deg": ["(0, -3)", "(-3, -3)", "(-2, -2)"],
+             "vector": ["(1, 0):0=-1/1 (1, 0):1=0/1+1/1 i",
+                        "(-1, 0):0=1/2 (-1, 0):1=0/1+1/1 i "
+                        "(-1, 1):0=1/1 (-1, 1):1=-1/1"],
+             "loop_elem": ["D(1,0;-3,-1)*(-2+x) + t(0,-1)*(-2+x) "
+                           "+ t(3,-1)*1",
+                           "D(0,1;-3,1)*(-2+x) + D(0,1;0,1)*1 + t(1,-2)*1",
+                           "D(1,0;3,-1)*1"]},
+        7: {"b": ["(-2+x)", "(x)", "(x^2)", "1"],
+            "u": ["1/1 0/1+1/1 i", "1/1 2/1", "0/1+1/1 i 1/1"],
+            "deg": ["(1, -2)", "(-3, -3)", "(0, 0)"],
+            "vector": ["(-1, 0):0=1/1 (-1, 0):1=0/1+1/1 i",
+                       "(-2, -1):0=0/1+1/1 i (-2, -1):1=1/1 "
+                       "(-1, 0):0=0/1+1/1 i (-1, 0):1=1/1"],
+            "loop_elem": ["D(1,0;-2,1)*1 + D(1,0;1,0)*1 + t(1,3)*(x)",
+                          "t(1,1)*(x)",
+                          "D(0,1;-1,0)*(1+2*x) + t(-2,0)*(1+2*x) "
+                          "+ t(2,-3)*(1+2*x)"]},
+    }
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_first_draws_are_pinned(self, seed, polyquot):
+        module = RunConfig(n=2, mu=(1,), bpres=polyquot,
+                           window_radius=3).build_module()
+        pool = suites.coefficient_pool(polyquot)
+        rng = random.Random(seed)
+        got = {
+            "b": [str(suites.sample_b(rng, pool)) for _ in range(4)],
+            "u": [" ".join(map(str, suites.sample_u(rng, 2)))
+                  for _ in range(3)],
+            "deg": [str(suites.sample_deg(rng, 2, 3)) for _ in range(3)],
+            "vector": [" ".join(
+                f"{m}:{j}={x}" for m, vec in sorted(
+                    suites.sample_interior_vector(
+                        rng, module, (1, 1)).data.items())
+                for j, x in sorted(vec.items())) for _ in range(2)],
+            "loop_elem": [format_loop_elem(suites.sample_loop_elem(
+                rng, 2, polyquot, pool)) for _ in range(3)],
+        }
+        assert got == self.PINNED[seed]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_loop_elem_matches_the_chained_sum(self, n, any_pres):
+        # with the trivial pool 1 + (-1) cancels, so some keys are dropped
+        # and drawn again; the term order must still match
+        pool = suites.coefficient_pool(any_pres)
+        for seed in range(300):
+            got = suites.sample_loop_elem(random.Random(seed), n, any_pres,
+                                          pool)
+            want = chained_loop_elem(random.Random(seed), n, any_pres, pool)
+            assert list(got.terms.items()) == list(want.terms.items())
