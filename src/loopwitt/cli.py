@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 from typing import List, Optional
 
@@ -145,7 +146,10 @@ def cmd_export(args) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_SUITE_FAILURE
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first main call (not
+    at import) and reused: parse_args keeps no state between calls."""
     p = argparse.ArgumentParser(
         prog="loopwitt",
         description="Exact identity checks for loop algebras of the "

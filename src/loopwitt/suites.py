@@ -12,15 +12,15 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import opcheck
 from .coeff import BElem, BPresentation
-from .glnrep import (DIM_CAP, build_irrep, burnside_dim, highest_weight_theta,
-                     norton_irreducible, weyl_dim)
+from .glnrep import (DIM_CAP, Irrep, build_irrep, burnside_dim,
+                     highest_weight_theta, norton_irreducible, weyl_dim)
 from .linalg import SpanBasis, sparse_sum, to_columns
 from .loop import (Key, LoopElem, bracket_sum,
                    diff_derivation_bracket_residual,
@@ -76,6 +76,10 @@ class RunConfig:
     seed: int = 42
     suites: Tuple[str, ...] = ()
     cases_per_suite: int = 200
+    # (mu, c, n) and its irrep, built on first use; dataclasses.replace
+    # starts the copy without one
+    _irrep: Optional[Tuple] = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -173,9 +177,16 @@ class RunConfig:
 
     # -- derived objects ----------------------------------------------
 
+    def irrep(self) -> Irrep:
+        """V(mu, c), built once through this module's build_irrep binding
+        and shared by every suite of the config."""
+        key = (self.mu, self.c, self.n)
+        if self._irrep is None or self._irrep[0] != key:
+            self._irrep = (key, build_irrep(*key))
+        return self._irrep[1]
+
     def build_module(self) -> TensorModule:
-        rep = build_irrep(self.mu, self.c, self.n)
-        return TensorModule(rep, self.alpha, self.bpres,
+        return TensorModule(self.irrep(), self.alpha, self.bpres,
                             Window(self.n, self.window_radius))
 
 
@@ -193,7 +204,9 @@ class IdentityReport:
         return not self.failures
 
     def to_dict(self) -> Dict:
-        return asdict(self)
+        return {"suite": self.suite, "config": self.config,
+                "cases": self.cases, "failures": self.failures,
+                "seed": self.seed, "wall_time": self.wall_time}
 
 
 # -- deterministic sampling -------------------------------------------
@@ -256,7 +269,7 @@ def sample_loop_elem(rng: random.Random, n: int, pres: BPresentation,
             key = ("d", rng.choice(range(1, n + 1)), deg)
         b = terms[key] + b if key in terms else b
         if b.is_zero():
-            del terms[key]
+            terms.pop(key, None)
         else:
             terms[key] = b
     return LoopElem(n, pres, terms)
@@ -313,16 +326,17 @@ def run_gl_relations(cfg: RunConfig) -> Outcome:
     """The n^4 commutation relations, one case each, then the Weyl
     dimension, the identity scalar, irreducibility and the highest
     weight.  The (k, l, i, j) relation residual is minus the (i, j, k, l)
-    one, so each unordered pair of generators is evaluated once and a
-    nonzero residual fails both orders, reported in lexicographic order
-    of (i, j, k, l).  Norton's test spins under the E_ij themselves,
-    which are already weight-homogeneous."""
-    rep = build_irrep(cfg.mu, cfg.c, cfg.n)
+    one, so the (i, j, i, j) residual is zero for any matrices and each
+    pair of distinct generators is evaluated once; a nonzero residual
+    fails both orders, reported in lexicographic order of (i, j, k, l).
+    Norton's test spins under the E_ij themselves, which are already
+    weight-homogeneous."""
+    rep = cfg.irrep()
     rng4 = range(1, cfg.n + 1)
     gens = list(product(rng4, rng4))
     failed = set()
     for a, p in enumerate(gens):
-        for q in gens[a:]:
+        for q in gens[a + 1:]:
             if rep.relation_residual(*p, *q):
                 failed |= {p + q, q + p}
     failures = [{"check": "gl-relation", "indices": list(p + q)}
@@ -506,11 +520,13 @@ RUNNERS = {
 
 def run_suites(cfg: RunConfig) -> List[IdentityReport]:
     """Run the configured suites, which RunConfig has validated, and
-    report each with the wall time of its runner."""
+    report each with the wall time of its runner; the reports share one
+    config dict."""
+    config = cfg.to_dict()
     reports = []
     for name in cfg.suites:
         t0 = time.perf_counter()
         cases, failures = RUNNERS[name](cfg)
-        reports.append(IdentityReport(name, cfg.to_dict(), cases, failures,
+        reports.append(IdentityReport(name, config, cases, failures,
                                       cfg.seed, time.perf_counter() - t0))
     return reports

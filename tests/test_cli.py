@@ -1,11 +1,18 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import loopwitt
 from loopwitt import suites
 from loopwitt.cli import (EXIT_CONFIG_ERROR, EXIT_INTERNAL_ERROR, EXIT_OK,
-                          EXIT_SUITE_FAILURE, main)
+                          EXIT_SUITE_FAILURE, build_parser, main)
 from loopwitt.glnrep import DIM_CAP
 from loopwitt.parsing import EXPONENT_CAP
 from loopwitt.tensmod import WINDOW_CAP
@@ -299,6 +306,99 @@ class TestExportAndDeterminism:
         assert run_once() == run_once()
 
 
+def _comparable(argv, code, out, err):
+    """Exit code and output of one call, with the report wall times
+    stripped: the only part of a report that may differ between runs."""
+    if argv[0] == "verify-all" and code in (EXIT_OK, EXIT_SUITE_FAILURE):
+        out = json.dumps(strip_times(json.loads(out)), sort_keys=True)
+    return code, out, err
+
+
+def _in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse exits on a usage error
+            code = exc.code
+    return _comparable(argv, code, out.getvalue(), err.getvalue())
+
+
+def _python(*args):
+    """Run a fresh Python process that imports this loopwitt."""
+    src = str(Path(loopwitt.__file__).parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
+
+
+def _fresh_process(argv):
+    run = _python("-m", "loopwitt.cli", *argv)
+    return _comparable(argv, run.returncode, run.stdout, run.stderr)
+
+
+class TestParserReuse:
+    """main builds its parser once per process; back-to-back calls in one
+    process print what each call prints in a process of its own."""
+
+    def calls(self, tmp_path):
+        cfg = write_config(tmp_path, cases_per_suite=2,
+                           suites=["bracket-soundness", "module-axiom"])
+        return {
+            "mixed": [
+                ["irrep-info", "--config", cfg, "--json"],
+                ["bracket", "--config", cfg, "D(1,0;1,0)*1", "t(0,1)*1"],
+                ["verify-all", "--config", cfg, "--json", "--seed", "7"],
+                ["module-info", "--config", cfg],
+                ["export", "--config", cfg, "--out",
+                 str(tmp_path / "out")],
+                ["irrep-info", "--config", cfg, "--matrices"],
+            ],
+            # --suite must not leak into the next call
+            "suite-then-plain": [
+                ["verify-all", "--config", cfg, "--json",
+                 "--suite", "gl-relations"],
+                ["verify-all", "--config", cfg, "--json"],
+            ],
+            "usage-error-then-valid": [
+                ["verify-all", "--config", cfg, "--bogus"],
+                ["verify-all", "--config", cfg, "--json"],
+            ],
+        }
+
+    @pytest.mark.parametrize("sequence", ["mixed", "suite-then-plain",
+                                          "usage-error-then-valid"])
+    def test_back_to_back_calls_match_fresh_processes(self, tmp_path,
+                                                      sequence):
+        argvs = self.calls(tmp_path)[sequence]
+        got = [_in_process(argv) for argv in argvs]
+        assert got == [_fresh_process(argv) for argv in argvs]
+        codes = [code for code, _, _ in got]
+        if sequence == "usage-error-then-valid":
+            assert codes == [EXIT_CONFIG_ERROR, EXIT_OK]
+        else:
+            assert codes == [EXIT_OK] * len(argvs)
+        if sequence == "suite-then-plain":
+            suites_run = [[r["suite"] for r in json.loads(out)]
+                          for _, out, _ in got]
+            assert suites_run == [["gl-relations"],
+                                  ["bracket-soundness", "module-axiom"]]
+
+    def test_parser_is_built_on_the_first_call_only(self, tmp_path):
+        build_parser.cache_clear()
+        for argv in self.calls(tmp_path)["usage-error-then-valid"]:
+            _in_process(argv)
+        info = build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_import_builds_no_parser(self):
+        run = _python("-c", "import loopwitt.cli as c; "
+                            "print(c.build_parser.cache_info().misses)")
+        assert (run.returncode, run.stdout) == (0, "0\n")
+
+
 # flags that no command reads, or (verify-all --out) that did the
 # same as export
 @pytest.mark.parametrize("argv", [
@@ -414,7 +514,9 @@ _B_DOCS = st.one_of(
         {"kind": "polyquot", "modulus": ["-8", "12", "-6", "1"],
          "eval_point": "2"},
         {"kind": "polyquot", "modulus": ["1", "0", "1"], "eval_point": "i"},
-        {"kind": "polyquot", "modulus": ["0", "0", "1"]}]),
+        {"kind": "polyquot", "modulus": ["0", "0", "1"]},
+        # degree 1: the coefficient pool holds 0 (x - 2 at 2)
+        {"kind": "polyquot", "modulus": ["-2", "1"], "eval_point": "2"}]),
     st.fixed_dictionaries({"kind": st.just("laurent"),
                            "eval_point": st.sampled_from(_SCALARS[1:])}),
 )

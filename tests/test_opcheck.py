@@ -646,8 +646,9 @@ class TestNegativeControls:
 class TestGlRelationsSuite:
     @pytest.mark.parametrize("mu", [(), (1,), (1, 0), (1, 0, 0)])
     def test_each_generator_pair_is_evaluated_once(self, mu, monkeypatch):
-        # [E_kl, E_ij] residual = -[E_ij, E_kl] residual, so gl-relations
-        # evaluates n^2 (n^2 + 1) / 2 residuals for its n^4 relation cases
+        # [E_kl, E_ij] residual = -[E_ij, E_kl] residual, and the (i, j, i,
+        # j) residual is therefore zero, so gl-relations evaluates
+        # n^2 (n^2 - 1) / 2 residuals for its n^4 relation cases
         from loopwitt import suites
         from loopwitt.glnrep import Irrep
         residual = Irrep.relation_residual
@@ -663,4 +664,5 @@ class TestGlRelationsSuite:
                                suites=("gl-relations",))
         (report,) = suites.run_suites(cfg)
         assert report.passed and report.cases == n ** 4 + 4
-        assert len(calls) == len(set(calls)) == n * n * (n * n + 1) // 2
+        assert len(calls) == len(set(calls)) == n * n * (n * n - 1) // 2
+        assert all(idx[:2] != idx[2:] for idx in calls)

@@ -13,14 +13,17 @@ stripped.  The digests below pin the CLI output at seed 42:
 * `verify-all --json` with gl-relations and irreducibility for the
   d = 8..15 modules of the gl-cert benchmark ladder, with c = 3/2;
 * the same for the d = 27..64 modules of the gl-build workload, up to
-  `DIM_CAP`, where the null spaces and Norton spins are largest.
+  `DIM_CAP`, where the null spaces and Norton spins are largest;
+* `verify-all --json` (default suites, 5 cases) at n = 2 over
+  F[x]/(x^2) @ 0 and F[x]/(x - 2) @ 2, whose coefficient pools hold 0.
 
 The grid and gl-build digests were computed with the tensor-power
 construction of `build_irrep`, before it was replaced by the
 Gelfand-Tsetlin one; the gl-cert digests with the Burnside closure as
 the only irreducibility certificate, before Norton's test; the gl-build
 `verify-all` digests before elimination moved to sparse vectors; the
-`--matrices` digests with every E_ij built as a dense list.  To print
+`--matrices` digests with every E_ij built as a dense list; the
+zero-pool digests with every sampled loop element a chain of sums.  To print
 the digests of the current code: `python3 tests/test_reports_pinned.py`.
 """
 
@@ -35,6 +38,11 @@ import pytest
 from loopwitt.cli import main
 
 GRID_MU = {1: [], 2: [1], 3: [1, 0]}
+ZERO_POOL_B = {
+    "x^2": {"kind": "polyquot", "modulus": ["0", "0", "1"],
+            "eval_point": "0"},
+    "x-2": {"kind": "polyquot", "modulus": ["-2", "1"], "eval_point": "2"},
+}
 B_SPECS = {
     "trivial": {"kind": "trivial"},
     "polyquot": {"kind": "polyquot",
@@ -73,6 +81,10 @@ def _calls():
                 {"n": n, "mu": mu, "c": "3/2", "seed": 42,
                  "cases_per_suite": 1,
                  "suites": ["gl-relations", "irreducibility"]})
+    for kind, b in ZERO_POOL_B.items():
+        out[f"zero-pool/2/{kind}"] = (
+            ["verify-all", "--json"],
+            {"n": 2, "mu": [1], "B": b, "seed": 42, "cases_per_suite": 5})
     return out
 
 
@@ -181,6 +193,10 @@ PINNED = {
         "9842418bf5896b7a1cb96b0ceb765ba2bd16de3cde8480b3d2cce65c6d30956e",
     "verify-all/3/trivial":
         "ca41e93597e5b2772682a6bc5801d4404cf140fbb18097d5c40517cf3763393e",
+    "zero-pool/2/x-2":
+        "0532e5598efac2205fbdc338ea108483f90d6c5be32ceb940179063e1d337a17",
+    "zero-pool/2/x^2":
+        "b4d024a0363bc33f899cf53b09192f59aa95a9a95a5885a5f25cf23fe4655da2",
 }
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import loopwitt
-from loopwitt.cli import main
+from loopwitt.cli import build_parser, main
 
 SRC = Path(loopwitt.__file__).parent
 
@@ -108,6 +108,8 @@ def entered_functions(tmp_path, capsys):
 
     sys.setprofile(profile)
     try:
+        # main builds its parser on the first call of a process only
+        build_parser.cache_clear()
         codes = [main(argv) for argv in runs]
     finally:
         sys.setprofile(None)

@@ -4,9 +4,12 @@ import random
 
 import pytest
 
+from conftest import make_laurent, make_polyquot_cube
 from loopwitt import suites
+from loopwitt.coeff import BPresentation
 from loopwitt.loop import LoopElem
 from loopwitt.parsing import format_loop_elem
+from loopwitt.scalars import GaussRat
 from loopwitt.suites import (MIN_RADIUS, RUNNERS, ConfigError, RunConfig,
                              run_suites)
 
@@ -187,6 +190,60 @@ class TestSuiteRuns:
         assert isinstance(doc["wall_time"], float)
 
 
+class TestOneIrrepPerConfig:
+    """A RunConfig builds V(mu, c) once, through suites.build_irrep (the
+    binding that tests and the benchmark tracer patch), and its suites
+    share it."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        build = suites.build_irrep
+        calls = []
+
+        def counted(mu, c, n):
+            calls.append((mu, c, n))
+            return build(mu, c, n)
+
+        monkeypatch.setattr(suites, "build_irrep", counted)
+        return calls
+
+    def test_bindings(self):
+        from loopwitt import cli, glnrep
+        assert suites.build_irrep is cli.build_irrep is glnrep.build_irrep
+
+    @pytest.mark.parametrize("flags", [[], ["--suite", "gl-relations",
+                                            "--suite", "irreducibility"]])
+    def test_gl_certificate_builds_one_irrep(self, builds, tmp_path, capsys,
+                                             flags):
+        from loopwitt.cli import main
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "n": 3, "mu": [1, 0], "cases_per_suite": 1,
+            "suites": ["gl-relations", "irreducibility"]}))
+        assert main(["verify-all", "--config", str(path)] + flags) == 0
+        assert len(builds) == 1
+
+    def test_default_suites_at_rank_one_build_one_irrep(self, builds):
+        cfg = small_config(n=1, mu=[], suites=[], cases_per_suite=1)
+        assert len(run_suites(cfg)) == 6
+        assert len(builds) == 1
+
+    def test_replaced_config_builds_its_own(self, builds):
+        cfg = small_config()
+        rep = cfg.irrep()
+        other = dataclasses.replace(cfg, suites=("gl-relations",))
+        assert cfg.irrep() is rep
+        assert other.irrep() is not rep
+        assert len(builds) == 2
+
+    def test_changed_module_parameters_rebuild(self, builds):
+        cfg = small_config()
+        rep = cfg.irrep()
+        cfg.mu = (2,)
+        assert cfg.irrep().d == 3 and rep.d == 2
+        assert len(builds) == 2
+
+
 class TestDeterminism:
     def test_identical_config_gives_identical_reports(self):
         def run_once():
@@ -207,6 +264,19 @@ class TestDeterminism:
         (b,) = run_suites(other)
         assert a.passed and b.passed
         assert a.seed != b.seed
+
+
+PRESENTATIONS = {
+    "trivial": lambda: BPresentation("trivial"),
+    "polyquot": make_polyquot_cube,
+    "laurent": make_laurent,
+    # F[x]/(x^2) at 0 and F[x]/(x - 2) at 2: their pools hold 0
+    "x^2": lambda: BPresentation("polyquot", eval_point=GaussRat(0),
+                                 modulus=[GaussRat(0), GaussRat(0),
+                                          GaussRat(1)]),
+    "x-2": lambda: BPresentation("polyquot", eval_point=GaussRat(2),
+                                 modulus=[GaussRat(-2), GaussRat(1)]),
+}
 
 
 def chained_loop_elem(rng, n, pres, pool):
@@ -273,12 +343,14 @@ class TestSamplerStream:
         assert got == self.PINNED[seed]
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_loop_elem_matches_the_chained_sum(self, n, any_pres):
+    @pytest.mark.parametrize("kind", list(PRESENTATIONS))
+    def test_loop_elem_matches_the_chained_sum(self, n, kind):
         # with the trivial pool 1 + (-1) cancels, so some keys are dropped
-        # and drawn again; the term order must still match
-        pool = suites.coefficient_pool(any_pres)
+        # and drawn again; the term order must still match.  The x^2 and
+        # x-2 pools hold 0, drawn for keys not yet seen too
+        pres = PRESENTATIONS[kind]()
+        pool = suites.coefficient_pool(pres)
         for seed in range(300):
-            got = suites.sample_loop_elem(random.Random(seed), n, any_pres,
-                                          pool)
-            want = chained_loop_elem(random.Random(seed), n, any_pres, pool)
+            got = suites.sample_loop_elem(random.Random(seed), n, pres, pool)
+            want = chained_loop_elem(random.Random(seed), n, pres, pool)
             assert list(got.terms.items()) == list(want.terms.items())
