@@ -6,14 +6,18 @@ weight pattern first.  E_kk, E_k,k+1 and E_k+1,k act by the explicit
 rational formulas of Molev, "Gelfand-Tsetlin bases for classical Lie
 algebras" (arXiv:math/0211289, Thm 2.3); every other E_ij is a
 commutator of those.  The diagonal part is shifted so the identity
-matrix acts by the scalar c.  Everything stays in GaussRat arithmetic.
+matrix acts by the scalar c.  The construction runs in GaussRat
+arithmetic.
 
 Every E_ij is built and kept as Columns, Irrep.columns, and the checks
-run on them: the commutation relations as sparse products, the identity
-scalar as a sparse sum and Norton's spins as sparse matrix-vector
-products.  The E_ij of V(mu) are very sparse in this basis, about 1.5 %
-nonzero at d = 64.  Irrep.E densifies one for printing, and the
-Burnside closure takes dense matrices.
+run on their Gaussian-integer forms: Irrep.int_view holds every N_ij =
+D E_ij over one common denominator D, the commutation relations are
+sparse products of the N_ij in plain ints, the identity scalar is their
+sparse sum, and Norton's spins run over the Gaussian integers
+(linalg.spin).  A GaussRat is made only for a nonzero residual entry or
+a result that leaves the check.  The E_ij of V(mu) are very sparse in
+this basis, about 1.5 % nonzero at d = 64.  Irrep.E densifies one for
+printing, and the Burnside closure takes dense matrices.
 
 Irreducibility is certified by Norton's test, `norton_irreducible`,
 O(g d^3) for g generators; when it does not decide, the Burnside
@@ -25,11 +29,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, product
 from math import prod
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Tuple, Union
 
-from .linalg import (Columns, Entries, Mat, SpanBasis, dense, entries,
-                     identity, mat_mul, null_space, product_entries,
-                     sparse_sum, spin, to_columns, transposed)
+from .linalg import (Columns, Entries, IntMatrix, Mat, SpanBasis, dense,
+                     denominator, entries, gauss_entries, identity,
+                     int_entries_into, int_matrix, int_product_into,
+                     mat_mul, null_space, product_entries, sparse_sum, spin,
+                     to_columns, transposed)
 from .scalars import GaussRat, ZERO
 
 DIM_CAP = 64
@@ -66,6 +72,7 @@ class Irrep:
         self.d = d
         self._columns = matrices
         self.hw_index = hw_index
+        self._ints = None
 
     def columns(self, i: int, j: int) -> Columns:
         return self._columns[i - 1][j - 1]
@@ -74,21 +81,52 @@ class Irrep:
         """E_ij as a dense matrix, for printing and Burnside."""
         return dense(self.columns(i, j), self.d)
 
+    def int_view(self) -> Tuple[int, List[List[IntMatrix]]]:
+        """D and every N_ij = D E_ij as a Gaussian-integer matrix (0-based),
+        for D the least common denominator of all the E_ij.  Built on
+        first use from `columns`, so it reads the E_ij the checks see."""
+        if self._ints is None:
+            rng = range(1, self.n + 1)
+            cols = [[self.columns(i, j) for j in rng] for i in rng]
+            den = denominator(x for row in cols for a in row
+                              for col in a for _, x in col)
+            self._ints = den, [[int_matrix(a, den) for a in row]
+                               for row in cols]
+        return self._ints
+
     def relation_residual(self, i: int, j: int, k: int, l: int) -> Entries:
         """The nonzero entries of [E_ij, E_kl] - delta_jk E_il + delta_li
-        E_kj; must be empty."""
-        a, b = self.columns(i, j), self.columns(k, l)
-        plus, minus = [product_entries(a, b)], [product_entries(b, a)]
+        E_kj; must be empty.  D^2 times it, N_ij N_kl - N_kl N_ij -
+        delta_jk D N_il + delta_li D N_kj, is summed in plain ints, real
+        and imaginary parts apart, and only a nonzero entry is divided
+        back by D^2."""
+        den, ints = self.int_view()
+        (ar, ai), (br, bi) = ints[i - 1][j - 1], ints[k - 1][l - 1]
+        re, im = {}, {}
+        for acc, left, right, f in (
+                (re, ar, br, 1), (re, br, ar, -1), (re, ai, bi, -1),
+                (re, bi, ai, 1), (im, ar, bi, 1), (im, bi, ar, -1),
+                (im, ai, br, 1), (im, br, ai, -1)):
+            if left and right:
+                int_product_into(acc, left, right, f)
         if j == k:
-            minus.append(entries(self.columns(i, l)))
+            int_entries_into(re, im, ints[i - 1][l - 1], -den)
         if l == i:
-            plus.append(entries(self.columns(k, j)))
-        return sparse_sum(chain(*plus), chain(*minus))
+            int_entries_into(re, im, ints[k - 1][j - 1], den)
+        return self._entries(re, im, den * den)
+
+    def _entries(self, re: dict, im: dict, den: int) -> Entries:
+        """The nonzero (re + im i) / den, keyed (row, col)."""
+        return {divmod(key, self.d): x
+                for key, x in gauss_entries(re, im, den).items()}
 
     def trace_part(self) -> Entries:
         """The nonzero entries of E_11 + ... + E_nn."""
-        return sparse_sum(chain.from_iterable(
-            entries(self.columns(i, i)) for i in range(1, self.n + 1)))
+        den, ints = self.int_view()
+        re, im = {}, {}
+        for k in range(self.n):
+            int_entries_into(re, im, ints[k][k], 1)
+        return self._entries(re, im, den)
 
     def weight_table(self) -> List[Tuple[Tuple[GaussRat, ...], int]]:
         """Joint diagonal eigenvalue tuples with multiplicities.
@@ -240,10 +278,12 @@ def hw_shifted(a: Columns, hw: int) -> Columns:
                                               for k in range(d))), d)
 
 
-def norton_irreducible(mats: Sequence[Columns], theta: Columns) -> bool:
+def norton_irreducible(mats: Sequence[Union[Columns, IntMatrix]],
+                       theta: Columns) -> bool:
     """Norton's irreducibility test (Parker 1984; Holt and Rees, "Testing
     modules for irreducibility", 1994), for theta in the unital algebra A
-    generated by mats; every matrix is a square column view.
+    generated by mats; every matrix is square, Columns, or an IntMatrix,
+    which stands for any nonzero multiple of itself.
 
     True proves that A is all of M_d(Q(i)), i.e. burnside_dim(mats) ==
     d^2: ker theta is one-dimensional, spanned by v; v spins to the whole
@@ -259,7 +299,10 @@ def norton_irreducible(mats: Sequence[Columns], theta: Columns) -> bool:
     also lies in the unital algebra of the shifted ones (`hw_shifted`)."""
     d = len(theta)
     kernel = null_space(theta, d)
-    if len(kernel) != 1 or spin(kernel[0], mats).dim != d:
+    if len(kernel) != 1:
+        return False
+    gens = [int_matrix(m) for m in mats]
+    if spin(kernel[0], gens).dim != d:
         return False
     [co_vector] = null_space(transposed(theta, d), d)
-    return spin(co_vector, mats, transpose=True).dim == d
+    return spin(co_vector, gens, transpose=True).dim == d

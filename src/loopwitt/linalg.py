@@ -1,4 +1,4 @@
-"""Exact linear algebra over GaussRat.
+"""Exact linear algebra over GaussRat, run over the Gaussian integers.
 
 Vec is the one vector format: a dict from index to entry that holds the
 nonzero entries only, so a zero vector is the empty dict.  Columns is
@@ -8,15 +8,24 @@ it and checked in it.  A sum of sparse terms, vector or matrix entries,
 is collected by `sparse_sum`, so a matrix sum is Entries, the nonzero
 entries keyed by (row, col), and `to_columns` turns it back into
 Columns.  A dense Mat, a list of row lists, comes only from `dense`, for
-two uses: printing the E_ij and the Burnside closure.  Elimination is
-elementary Gaussian elimination with no pivoting strategy (sizes stay
-small, d <= 64) on sparse vectors, so a zero is never visited.
+two uses: printing the E_ij and the Burnside closure.
+
+Vec and Columns are the API; the work runs in their Gaussian-integer
+forms, IntVec and IntMatrix, with every denominator cleared once, so no
+GaussRat is made until a result leaves.  Elimination is fraction free in
+the manner of Bareiss (Math. Comp. 22, 1968), with no pivoting strategy,
+on sparse vectors, so a zero is never visited: SpanBasis keeps each row
+as a primitive Gaussian-integer vector and reduces by v <- a v - c row,
+a the row's pivot entry.  `spin` scales each generator to Gaussian
+integers once, so its images stay integer too.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+from math import gcd, lcm
 from typing import (Dict, Hashable, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple, TypeVar)
+                    Sequence, Tuple, TypeVar, Union)
 
 from .scalars import GaussRat, ONE, ZERO
 
@@ -28,6 +37,14 @@ Column = List[Tuple[int, GaussRat]]
 Columns = List[Column]
 Entry = Tuple[Tuple[int, int], GaussRat]
 Entries = Dict[Tuple[int, int], GaussRat]
+# a Gaussian-integer vector: its real and its imaginary parts, each a
+# dict from index to nonzero int
+IntVec = Tuple[Dict[int, int], Dict[int, int]]
+# per column, its (row, int) pairs
+IntColumns = List[List[Tuple[int, int]]]
+# a Gaussian-integer matrix: the IntColumns of its real part and of its
+# imaginary part, None for a real matrix
+IntMatrix = Tuple[IntColumns, Optional[IntColumns]]
 
 
 def zeros(rows: int, cols: int) -> Mat:
@@ -115,101 +132,301 @@ def to_columns(a: Entries, cols: int) -> Columns:
     return out
 
 
-def col_apply(a: Columns, v: Vec) -> Vec:
-    """a v: the sum of v[c] times column c."""
-    return sparse_sum((row, e * x) for c, x in v.items() for row, e in a[c])
+def denominator(xs: Iterable[GaussRat]) -> int:
+    """The least D > 0 with every D x a Gaussian integer."""
+    return lcm(*{x.parts()[2] for x in xs})
 
 
-def col_apply_transpose(a: Columns, v: Vec) -> Vec:
-    """a^T v: entry c is column c of a dotted with v."""
-    return sparse_sum((c, e * v[row]) for c, col in enumerate(a)
-                      for row, e in col if row in v)
+def int_matrix(a: Union[Columns, IntMatrix], den: Optional[int] = None
+               ) -> IntMatrix:
+    """den a as a Gaussian-integer matrix; den defaults to the least
+    common denominator of a's entries.  An IntMatrix is returned as it
+    is."""
+    if isinstance(a, tuple):
+        return a
+    if den is None:
+        den = denominator(x for col in a for _, x in col)
+    re, im = [], []
+    for col in a:
+        re_col, im_col = [], []
+        for row, x in col:
+            p, q, r = x.parts()
+            if p:
+                re_col.append((row, p * (den // r)))
+            if q:
+                im_col.append((row, q * (den // r)))
+        re.append(re_col)
+        im.append(im_col)
+    return re, im if any(im) else None
+
+
+def int_vec(v: Vec) -> Tuple[IntVec, int]:
+    """D v as an IntVec, and D, the least common denominator of v."""
+    den = denominator(v.values())
+    re, im = {}, {}
+    for j, x in v.items():
+        p, q, r = x.parts()
+        if p:
+            re[j] = p * (den // r)
+        if q:
+            im[j] = q * (den // r)
+    return (re, im), den
+
+
+def primitive(v: IntVec) -> IntVec:
+    """v divided by the gcd of all its parts."""
+    re, im = v
+    g = gcd(*re.values(), *im.values())
+    if g <= 1:
+        return v
+    return ({j: x // g for j, x in re.items()},
+            {j: x // g for j, x in im.items()})
+
+
+def monic(v: IntVec, piv: int) -> Vec:
+    """v divided by its entry at piv, as a Vec: x / p = x conj(p) / |p|^2."""
+    re, im = v
+    pr, pi = re.get(piv, 0), im.get(piv, 0)
+    norm = pr * pr + pi * pi
+    out = {}
+    for j in sorted(re.keys() | im.keys()):
+        x, y = re.get(j, 0), im.get(j, 0)
+        out[j] = GaussRat.from_parts(x * pr + y * pi, y * pr - x * pi, norm)
+    return out
+
+
+def gauss_entries(re: Dict[Key, int], im: Dict[Key, int], den: int
+                  ) -> Dict[Key, GaussRat]:
+    """The nonzero (re + im i) / den, by key."""
+    if not (any(re.values()) or any(im.values())):
+        return {}
+    keys = {key for part in (re, im) for key, x in part.items() if x}
+    return {key: GaussRat.from_parts(re.get(key, 0), im.get(key, 0), den)
+            for key in sorted(keys)}
+
+
+def add_into(acc: Dict[Key, int], part: Dict[Key, int], f: int) -> None:
+    """acc += f part, entry by entry; cancelled entries stay, as zeros."""
+    for key, x in part.items():
+        acc[key] = acc.get(key, 0) + f * x
+
+
+def int_entries_into(re: Dict[int, int], im: Dict[int, int], a: IntMatrix,
+                     f: int) -> None:
+    """re + im i += f a, for square a, keyed row * d + col."""
+    for acc, part in zip((re, im), a):
+        d = len(part or ())
+        for col, pairs in enumerate(part or ()):
+            for row, x in pairs:
+                key = row * d + col
+                acc[key] = acc.get(key, 0) + f * x
+
+
+def int_product_into(acc: Dict[int, int], a: IntColumns, b: IntColumns,
+                     f: int) -> None:
+    """acc += f a b, for square a and b, keyed row * d + col.  Column c
+    of a b is sum_t b[t][c] (column t of a), so no zero is ever
+    visited."""
+    d = len(b)
+    for col, b_col in enumerate(b):
+        for t, x in b_col:
+            x *= f
+            for row, y in a[t]:
+                key = row * d + col
+                acc[key] = acc.get(key, 0) + y * x
+
+
+def _apply_into(acc: Dict[int, int], a: IntColumns, v: Dict[int, int],
+                f: int) -> None:
+    """acc += f a v, entry by entry: f v[c] times column c, for each c."""
+    for c, x in v.items():
+        x *= f
+        for row, e in a[c]:
+            acc[row] = acc.get(row, 0) + e * x
+
+
+def int_apply(a: IntMatrix, v: IntVec) -> IntVec:
+    """a v over Z[i]."""
+    (ar, ai), (vr, vi) = a, v
+    re, im = {}, {}
+    _apply_into(re, ar, vr, 1)
+    if vi:
+        _apply_into(im, ar, vi, 1)
+    if ai:
+        _apply_into(re, ai, vi, -1)
+        _apply_into(im, ai, vr, 1)
+    return ({j: x for j, x in re.items() if x},
+            {j: x for j, x in im.items() if x})
+
+
+def _scaled_minus(v: IntVec, a: Tuple[int, int], c: Tuple[int, int],
+                  row: IntVec) -> IntVec:
+    """a v - c row for Gaussian integers a and c, each a (re, im) pair."""
+    (vr, vi), (ar, ai), (cr, ci), (rr, ri) = v, a, c, row
+    re, im = {}, {}
+    for acc, part, f in ((re, vr, ar), (re, vi, -ai), (im, vi, ar),
+                         (im, vr, ai), (re, rr, -cr), (re, ri, ci),
+                         (im, ri, -cr), (im, rr, -ci)):
+        if f:
+            add_into(acc, part, f)
+    return ({j: x for j, x in re.items() if x},
+            {j: x for j, x in im.items() if x})
 
 
 class SpanBasis:
     """Incremental echelon basis of a subspace of GaussRat^N.
 
-    Rows are sparse, kept in echelon form with leading coefficient 1, in
-    insertion order; each row is zero at the pivots of the rows before
-    it.  A row's pivot is its lowest index.
+    Each row is a primitive Gaussian-integer vector, an IntVec whose
+    parts have gcd 1, in insertion order; each row is zero at the pivots
+    of the rows before it.  A row's pivot is its lowest index.  `rows`
+    gives the rows as Vecs with leading coefficient 1.  Every row is a
+    nonzero multiple of the row that elimination over Q(i) would keep,
+    so dimensions, pivots and those leading-1 rows are the same.
     """
 
     def __init__(self, length: int):
         self.length = length
-        self.rows: List[Vec] = []
+        self.int_rows: List[IntVec] = []
         self.pivots: List[int] = []
+        # the row of each pivot, the rows that hold each index, and per
+        # row the later rows whose pivots it holds
+        self._row_at: Dict[int, int] = {}
+        self._holders: Dict[int, List[int]] = {}
+        self._later: List[List[int]] = []
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
-    def _reduce(self, v: Vec, coeffs: Optional[dict] = None) -> Vec:
-        """v minus the combination of the rows that clears every pivot;
-        each nonzero coefficient goes into coeffs, keyed by the pivot."""
-        v = dict(v)
-        for row, piv in zip(self.rows, self.pivots):
-            c = v.get(piv)
-            if c is None:
+    @property
+    def rows(self) -> List[Vec]:
+        return [monic(row, piv) for row, piv in zip(self.int_rows,
+                                                     self.pivots)]
+
+    def _reduce(self, v: IntVec, steps: Optional[list] = None) -> IntVec:
+        """A nonzero multiple of v minus the combination of the rows that
+        clears every pivot.  Row k, with pivot entry a, clears v's entry c
+        at its pivot by v <- a' v - c' row, where a' = a / g and c' = c / g
+        for g the gcd of the parts of a and c; each step goes into steps
+        as (k, c, a').  The rows are applied in insertion order, but only
+        those whose pivots v holds: a heap holds their indices, and row k
+        can only add entries at the pivots of the rows in _later[k]."""
+        re, im = dict(v[0]), dict(v[1])
+        row_at = self._row_at
+        heap = sorted({row_at[j] for part in (re, im) for j in part
+                       if j in row_at})
+        last = -1
+        while heap:
+            k = heappop(heap)
+            if k == last:
                 continue
-            if coeffs is not None:
-                coeffs[piv] = c
-            for j, x in row.items():
-                if j in v:
-                    y = v[j] - c * x
-                    if y:
-                        v[j] = y
-                    else:
-                        del v[j]
+            last = k
+            piv = self.pivots[k]
+            cr, ci = re.get(piv, 0), im.get(piv, 0) if im else 0
+            if not (cr or ci):
+                continue
+            for m in self._later[k]:
+                heappush(heap, m)
+            rr, ri = self.int_rows[k]
+            ar, ai = rr.get(piv, 0), ri.get(piv, 0) if ri else 0
+            g = gcd(ar, ai, cr, ci)
+            if steps is not None:
+                steps.append((k, (cr, ci), (ar // g, ai // g)))
+            ar, ai, cr, ci = ar // g, ai // g, cr // g, ci // g
+            if ai or ci or im or ri:
+                re, im = _scaled_minus((re, im), (ar, ai), (cr, ci),
+                                       (rr, ri))
+                continue
+            # everything real: scale and subtract in place
+            if ar != 1:
+                re = {j: ar * x for j, x in re.items()}
+            for j, x in rr.items():
+                y = re.get(j, 0) - cr * x
+                if y:
+                    re[j] = y
                 else:
-                    v[j] = -c * x
-        return v
+                    del re[j]
+        return re, im
 
-    def insert(self, v: Vec) -> bool:
-        """Insert a vector; returns True if it enlarged the span."""
+    def insert(self, v: Union[Vec, IntVec]) -> bool:
+        """Insert a Vec, whose denominators are cleared first, or an
+        IntVec; returns True if it enlarged the span."""
+        if isinstance(v, dict):
+            v, _ = int_vec(v)
         red = self._reduce(v)
-        if not red:
+        if not (red[0] or red[1]):
             return False
-        piv = min(red)
-        inv = red[piv].inverse()
-        self.rows.append({j: inv * x for j, x in red.items()})
+        support = red[0].keys() | red[1].keys()
+        piv = min(support)
+        new = len(self.pivots)
+        for k in self._holders.get(piv, ()):
+            self._later[k].append(new)
+        for j in support:
+            self._holders.setdefault(j, []).append(new)
         self.pivots.append(piv)
+        self.int_rows.append(primitive(red))
+        self._row_at[piv] = new
+        self._later.append([])
         return True
 
     def coords(self, v: Vec) -> Vec:
-        """Coordinates of v in the echelon rows, keyed by row index."""
-        coeffs = {}
-        if self._reduce(v, coeffs):
+        """Coordinates of v in the leading-1 rows, keyed by row index.
+        Before step k, the vector being reduced is P v minus rows, P the
+        product of D and the a' so far, so row k's coordinate is c / P."""
+        w, den = int_vec(v)
+        steps = []
+        if any(self._reduce(w, steps)):
             raise ValueError("vector is not in the span")
-        return {k: coeffs[piv] for k, piv in enumerate(self.pivots)
-                if piv in coeffs}
+        out = {}
+        scale = GaussRat(den)
+        for k, c, a in steps:
+            out[k] = GaussRat(*c) / scale
+            scale = scale * GaussRat(*a)
+        return out
 
 
 def null_space(a: Columns, rows: int) -> List[Vec]:
     """A basis of {x : a x = 0}, for a with `rows` rows.
 
-    Column j of a, followed by the unit vector e_j, goes into one
-    SpanBasis.  An echelon row whose pivot falls in the unit part is
-    sum_j x_j (column j, e_j) with a x = 0, so its unit part is a kernel
-    vector; there are as many such rows as columns minus the rank."""
+    Column j of D a, for D the least common denominator of a, followed by
+    the unit vector e_j, goes into one SpanBasis.  An echelon row whose
+    pivot falls in the unit part is sum_j x_j (D column j, e_j) with
+    a x = 0, so its unit part is a kernel vector; there are as many such
+    rows as columns minus the rank.  Scaling the first `rows` coordinates
+    by D moves no pivot and no unit part, so the kernel vectors are those
+    of a itself."""
+    re, im = int_matrix(a)
     span = SpanBasis(rows + len(a))
-    for j, col in enumerate(a):
-        span.insert(dict([*col, (rows + j, ONE)]))
-    return [{j - rows: x for j, x in row.items() if j >= rows}
-            for row, piv in zip(span.rows, span.pivots) if piv >= rows]
+    for j, col in enumerate(re):
+        span.insert((dict([*col, (rows + j, 1)]), dict(im[j]) if im else {}))
+    return [{j - rows: x for j, x in monic(row, piv).items()}
+            for row, piv in zip(span.int_rows, span.pivots) if piv >= rows]
 
 
-def spin(v: Vec, mats: Sequence[Columns], transpose: bool = False
-         ) -> SpanBasis:
+def spin(v: Vec, mats: Sequence[Union[Columns, IntMatrix]],
+         transpose: bool = False) -> SpanBasis:
     """The smallest subspace that contains v and is invariant under every
     square matrix of mats, or under their transposes if transpose is
-    set; the search stops once it fills the whole space."""
-    apply = col_apply_transpose if transpose else col_apply
-    span = SpanBasis(len(mats[0]))
-    frontier = [v] if span.insert(v) else []
+    set; the search stops once it fills the whole space.
+
+    A generator is Columns, scaled here to Gaussian integers once, or an
+    IntMatrix, some nonzero multiple of a generator already scaled.  A
+    subspace is invariant under M exactly when it is invariant under
+    lambda M, for lambda != 0, so the spin is the same.  Each image that
+    enlarges the span is divided by the gcd of its parts before it is
+    spun in turn."""
+    gens = [int_matrix(m) for m in mats]
+    d = len(gens[0][0])
+    if transpose:
+        gens = [(transposed(re, d), im and transposed(im, d))
+                for re, im in gens]
+    span = SpanBasis(d)
+    start, _ = int_vec(v)
+    frontier = [start] if span.insert(start) else []
     while frontier and span.dim < span.length:
         w = frontier.pop()
-        for m in mats:
-            image = apply(m, w)
+        for m in gens:
+            image = int_apply(m, w)
             if span.insert(image):
-                frontier.append(image)
+                frontier.append(primitive(image))
     return span

@@ -6,7 +6,9 @@ arithmetic is exact integer arithmetic and equality is structural.
 Every result passes through ``_norm``, which skips the gcd when q = 1;
 sums over a common denominator and products with a real factor or an
 int take shorter paths, and x * ONE and ONE * x are x itself.  ``re``
-and ``im`` read the parts back as Fractions.  Configs and reports write
+and ``im`` read the parts back as Fractions; ``parts`` gives the ints
+(a, b, q) and ``from_parts`` makes (a + b*i)/q from any ints, for the
+Gaussian-integer elimination in ``linalg``.  Configs and reports write
 "p/q" for real values and "p/q+r/s i" (or "p/q-r/s i") otherwise, each
 part in lowest terms.
 """
@@ -56,6 +58,15 @@ class GaussRat:
     @property
     def im(self) -> Fraction:
         return Fraction(self._b, self._q)
+
+    def parts(self):
+        """(a, b, q), the ints with self = (a + b i)/q in canonical form."""
+        return self._a, self._b, self._q
+
+    @staticmethod
+    def from_parts(a: int, b: int, q: int) -> "GaussRat":
+        """(a + b i)/q for ints a, b and q > 0."""
+        return _norm(a, b, q)
 
     _coerce = staticmethod(_coerce)
 

@@ -330,7 +330,7 @@ def run_gl_relations(cfg: RunConfig) -> Outcome:
     pair of distinct generators is evaluated once; a nonzero residual
     fails both orders, reported in lexicographic order of (i, j, k, l).
     Norton's test spins under the E_ij themselves, which are already
-    weight-homogeneous."""
+    weight-homogeneous, as the D E_ij of the irrep's integer view."""
     rep = cfg.irrep()
     rng4 = range(1, cfg.n + 1)
     gens = list(product(rng4, rng4))
@@ -350,7 +350,8 @@ def run_gl_relations(cfg: RunConfig) -> Outcome:
     if rep.trace_part() != want:
         failures.append({"check": "identity-scalar"})
     cases += 1
-    mats = [rep.columns(*g) for g in gens]
+    _, ints = rep.int_view()
+    mats = [ints[i - 1][j - 1] for i, j in gens]
     theta = highest_weight_theta([rep.columns(i, i) for i in rng4],
                                  rep.hw_index)
     bd = (rep.d * rep.d if norton_irreducible(mats, theta)

@@ -103,6 +103,66 @@ def rank(vectors):
     return domain_matrix(rows, length).rank() if length else 0
 
 
+class RationalSpanBasis:
+    """Echelon rows over Q(i) by GaussRat elimination, each row scaled to
+    leading coefficient 1: the elimination that linalg.SpanBasis ran
+    before it moved to the Gaussian integers, kept as the oracle of its
+    ranks, pivots, rows and coordinates."""
+
+    def __init__(self, length):
+        self.length = length
+        self.rows = []
+        self.pivots = []
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    def _reduce(self, v, coeffs=None):
+        v = dict(v)
+        for row, piv in zip(self.rows, self.pivots):
+            c = v.get(piv)
+            if c is None:
+                continue
+            if coeffs is not None:
+                coeffs[piv] = c
+            for j, x in row.items():
+                y = v.get(j, 0) - c * x
+                if y:
+                    v[j] = y
+                else:
+                    v.pop(j, None)
+        return v
+
+    def insert(self, v):
+        red = self._reduce(v)
+        if not red:
+            return False
+        piv = min(red)
+        inv = red[piv].inverse()
+        self.rows.append({j: inv * x for j, x in sorted(red.items())})
+        self.pivots.append(piv)
+        return True
+
+    def coords(self, v):
+        coeffs = {}
+        if self._reduce(v, coeffs):
+            raise ValueError("vector is not in the span")
+        return {k: coeffs[piv] for k, piv in enumerate(self.pivots)
+                if piv in coeffs}
+
+
+def rational_null_space(a, rows):
+    """The kernel basis linalg.null_space returns, by RationalSpanBasis:
+    the unit parts of the echelon rows of the columns (column j, e_j)."""
+    from loopwitt.scalars import ONE
+    span = RationalSpanBasis(rows + len(a))
+    for j, col in enumerate(a):
+        span.insert(dict([*col, (rows + j, ONE)]))
+    return [{j - rows: x for j, x in row.items()}
+            for row, piv in zip(span.rows, span.pivots) if piv >= rows]
+
+
 def all_relations_hold(rep):
     """[E_ij, E_kl] = delta_jk E_il - delta_li E_kj for all i, j, k, l."""
     from itertools import product
@@ -114,6 +174,12 @@ def all_relations_hold(rep):
 def mat_vec(a, v):
     from loopwitt.scalars import ZERO
     return [sum((x * y for x, y in zip(row, v)), ZERO) for row in a]
+
+
+def col_apply(a, v):
+    """a v for Columns a and a Vec v, by GaussRat products and sums."""
+    from loopwitt.linalg import sparse_sum
+    return sparse_sum((row, e * x) for c, x in v.items() for row, e in a[c])
 
 
 def transpose(a):

@@ -198,6 +198,46 @@ def gl_generators(rep):
                                       rep.hw_index)
 
 
+class TestIntegerView:
+    def test_view_is_d_times_every_e_ij(self):
+        from loopwitt.linalg import sparse_sum
+        rep = build_irrep((1, 1), GaussRat(Fraction(3, 2), 1), 3)
+        den, ints = rep.int_view()
+        for i, j in product(range(1, 4), repeat=2):
+            re, im = ints[i - 1][j - 1]
+            for c, col in enumerate(rep.columns(i, j)):
+                got = sparse_sum([(r, GaussRat(x)) for r, x in re[c]] + [
+                    (r, GaussRat(0, x)) for r, x in (im[c] if im else [])])
+                assert got == {r: x * den for r, x in col}
+        # the diagonal carries c's imaginary part, the rest is real
+        assert ints[0][0][1] is not None and ints[0][1][1] is None
+
+    def test_view_follows_a_patch_of_columns_after_build(self,
+                                                         monkeypatch):
+        # the view is built on first use from Irrep.columns, so a patch
+        # made after build_irrep reaches relation_residual and trace_part
+        from loopwitt.glnrep import Irrep
+        rep = build_irrep((1, 0), GaussRat(Fraction(3, 2), 1), 3)
+        cols = Irrep.columns
+
+        def changed(self, i, j):
+            if (i, j) != (2, 1):
+                return cols(self, i, j)
+            m = dense(cols(self, i, j), self.d)
+            m[0][2] = m[0][2] + GaussRat(Fraction(1, 7), 1)
+            return columns(m)
+
+        monkeypatch.setattr(Irrep, "columns", changed)
+        for idx in product(range(1, 4), repeat=4):
+            got = rep.relation_residual(*idx)
+            want = dense_relation_residual(rep, *idx)
+            assert got == {(r, c): x for r, row in enumerate(want)
+                           for c, x in enumerate(row) if x}
+        assert not all_relations_hold(rep)
+        den, ints = rep.int_view()
+        assert den % 7 == 0
+
+
 class TestNorton:
     """norton_irreducible returns True only when burnside_dim == d^2."""
 

@@ -1,11 +1,14 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (columns, domain_matrix, mat_vec, rank, sparse,
-                      transpose)
-from loopwitt.linalg import (SpanBasis, col_apply, col_apply_transpose,
-                             dense, entries, null_space, product_entries,
-                             sparse_sum, spin, to_columns, transposed)
+from conftest import (RationalSpanBasis, col_apply, columns, domain_matrix,
+                      mat_vec, rank, rational_null_space, sparse, transpose)
+from loopwitt.linalg import (SpanBasis, dense, entries, gauss_entries,
+                             int_apply, int_matrix, int_vec, null_space,
+                             product_entries, sparse_sum, spin, to_columns,
+                             transposed)
 from loopwitt.scalars import GaussRat, I, ZERO
 
 
@@ -71,14 +74,18 @@ class TestColumnView:
                           product_entries(columns(a), columns(b))) == {}
 
     def test_square_apply_and_its_transpose(self):
-        a = [vec(1, 2, 0), vec(0, I, 3), vec(4, 0, 0)]
-        v = vec(1, 1 + I, 0)
-        assert col_apply(columns(a), sparse(v)) == sparse(mat_vec(a, v))
-        assert col_apply_transpose(columns(a), sparse(v)) == sparse(
-            mat_vec(transpose(a), v))
+        # over Z[i]: 2 a and its transpose, scaled once, applied to 2 v
+        a = [vec(GaussRat(1, 2) / 2, 2, 0), vec(0, I, 3), vec(4, 0, 0)]
+        v = vec(1, 1 + I, GaussRat(1) / 2)
+        w, den = int_vec(sparse(v))
+        assert den == 2
+        for m, want in ((columns(a), mat_vec(a, v)),
+                        (transposed(columns(a), 3), mat_vec(transpose(a), v))):
+            got = int_apply(int_matrix(m, 2), w)
+            assert gauss_entries(*got, 4) == sparse(want)
         # a cancelling sum stores nothing
-        assert col_apply(columns([vec(1, 1), vec(1, 1)]),
-                         sparse(vec(1, -1))) == {}
+        assert int_apply(int_matrix(columns([vec(1, 1), vec(1, 1)])),
+                         ({0: 1, 1: -1}, {})) == ({}, {})
 
 
 class TestNullSpaceAndSpin:
@@ -225,3 +232,73 @@ class TestEliminationAgainstSympy:
             both = want.hstack(domain_matrix(got.rows + plain.rows,
                                              d).transpose())
             assert both.rank() == got.dim
+
+
+# -- the Gaussian-integer core against GaussRat elimination ------------
+
+# denominators from 1 to large primes, so that clearing them makes big
+# Gaussian integers, mixed within one vector
+DENOMINATORS = st.sampled_from([1, 2, 3, 4, 9, 10 ** 9 + 7, 2 ** 61 - 1])
+SMALL = st.integers(-4, 4)
+GAUSS_RAT = st.one_of(
+    st.builds(lambda a, q, b, r: GaussRat(Fraction(a, q), Fraction(b, r)),
+              SMALL, DENOMINATORS, SMALL, DENOMINATORS),
+    st.builds(lambda b, r: GaussRat(0, Fraction(b, r)), SMALL, DENOMINATORS),
+    st.builds(lambda a, q: GaussRat(Fraction(a, q)), SMALL, DENOMINATORS))
+
+
+@st.composite
+def vector_lists(draw):
+    """A length up to 7 and up to 8 sparse Vecs of that length: random
+    ones, zero ones, and combinations of earlier ones, so that some
+    inserts are rejected and their coordinates exist."""
+    length = draw(st.integers(1, 7))
+    out = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["random", "random", "zero", "combo"]))
+        if kind == "combo" and out:
+            picks = draw(st.lists(st.tuples(
+                st.integers(0, len(out) - 1), GAUSS_RAT), min_size=1,
+                max_size=3))
+            v = sparse_sum((j, c * x) for k, c in picks
+                           for j, x in out[k].items())
+        elif kind == "zero":
+            v = {}
+        else:
+            v = {j: x for j, x in draw(st.dictionaries(
+                st.integers(0, length - 1), GAUSS_RAT, max_size=length
+                )).items() if x}
+        out.append(v)
+    return length, out
+
+
+class TestIntegerCoreAgainstRationalElimination:
+    @settings(max_examples=150, deadline=None)
+    @given(vector_lists())
+    def test_span_basis_matches_the_rational_oracle(self, drawn):
+        length, vectors = drawn
+        span, oracle = SpanBasis(length), RationalSpanBasis(length)
+        for v in vectors:
+            assert span.insert(v) == oracle.insert(v)
+        assert span.dim == oracle.dim
+        assert span.pivots == oracle.pivots
+        assert span.rows == oracle.rows
+        for v in vectors:
+            assert span.coords(v) == oracle.coords(v)
+        for j in range(length):
+            unit = {j: GaussRat(1)}
+            try:
+                want = oracle.coords(unit)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    span.coords(unit)
+            else:
+                assert span.coords(unit) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(vector_lists())
+    def test_null_space_matches_the_rational_oracle(self, drawn):
+        # the vectors are the columns of a length x len(vectors) matrix
+        length, vectors = drawn
+        a = [sorted(v.items()) for v in vectors]
+        assert null_space(a, length) == rational_null_space(a, length)

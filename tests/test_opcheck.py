@@ -643,6 +643,38 @@ class TestNegativeControls:
         assert want and got == want
 
 
+    def test_imaginary_change_fails_gl_relations_at_complex_c(self,
+                                                              monkeypatch):
+        # at c = 3/2 + i the E_ii, and so the integer view, have
+        # imaginary parts; an entry of E_12 changed by i through
+        # Irrep.columns fails exactly the relations whose dense residual
+        # is nonzero
+        from itertools import product
+        from loopwitt import suites
+        from loopwitt.glnrep import Irrep
+        from loopwitt.scalars import I
+        cols = Irrep.columns
+
+        def changed(self, i, j):
+            if (i, j) != (1, 2):
+                return cols(self, i, j)
+            m = dense(cols(self, i, j), self.d)
+            m[1][0] = m[1][0] + I
+            return columns(m)
+
+        monkeypatch.setattr(Irrep, "columns", changed)
+        cfg = suites.RunConfig(n=3, mu=(1, 0), c=GaussRat(Fraction(3, 2), 1),
+                               seed=42, cases_per_suite=1,
+                               suites=("gl-relations",))
+        (report,) = suites.run_suites(cfg)
+        got = [f["indices"] for f in report.failures
+               if f["check"] == "gl-relation"]
+        rep = build_irrep((1, 0), cfg.c, 3)
+        want = [list(idx) for idx in product(range(1, 4), repeat=4)
+                if not mat_is_zero(dense_relation_residual(rep, *idx))]
+        assert want and got == want
+
+
 class TestGlRelationsSuite:
     @pytest.mark.parametrize("mu", [(), (1,), (1, 0), (1, 0, 0)])
     def test_each_generator_pair_is_evaluated_once(self, mu, monkeypatch):

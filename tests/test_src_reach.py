@@ -28,6 +28,9 @@ NOT_REACHED = {
     "glnrep.burnside_dim.<locals>.grows": "inside burnside_dim",
     "linalg.SpanBasis.coords":
         "the benchmark tracer wraps it by name; tests use it as an oracle",
+    "linalg.SpanBasis.rows":
+        "the echelon rows with leading coefficient 1, for library users; "
+        "tests compare them with sympy",
     "linalg.identity": "only burnside_dim calls it",
     "linalg.mat_mul":
         "only burnside_dim calls it, and the benchmark tracer counts it by "
@@ -35,6 +38,8 @@ NOT_REACHED = {
     "loop.LoopElem.__eq__": "value equality for library users",
     "coeff.BElem.__eq__": "value equality; LoopElem.__eq__ compares terms",
     "scalars.GaussRat.__truediv__": "field API for library users",
+    "scalars.GaussRat.inverse":
+        "field API; the elimination runs over Z[i] and inverts no GaussRat",
     "scalars.GaussRat.__rtruediv__": "field API for library users",
     "scalars.GaussRat.conj": "field API for library users",
     "scalars.GaussRat.__rsub__": "field API: a number minus a GaussRat",
@@ -55,8 +60,9 @@ RANK_ONE = {"n": 1, "mu": [], "window_radius": 5, "cases_per_suite": 1,
             "suites": ["rank-one"]}
 LAURENT = {"n": 2, "mu": [1], "B": {"kind": "laurent", "eval_point": "3"}}
 # at n >= 3 build_irrep makes the E_ij with |i - j| >= 2 as sparse
-# commutators, collected back into columns by linalg.to_columns
-GL3 = {"n": 3, "mu": [1, 0]}
+# commutators, collected back into columns by linalg.to_columns; a
+# non-real c makes the E_ii, and so gl-relations' spins, non-real
+GL3 = {"n": 3, "mu": [1, 0], "c": "1/2+1 i", "suites": ["gl-relations"]}
 
 
 def defined_functions():
@@ -97,6 +103,7 @@ def entered_functions(tmp_path, capsys):
          "(1/2+1 i)*t(0,1)*x + t(1,0)*(1/2+1 i)"],
         ["irrep-info", "--config", str(cfg), "--matrices"],
         ["irrep-info", "--config", str(gl3)],
+        ["verify-all", "--config", str(gl3)],
         ["module-info", "--config", str(cfg)],
         ["export", "--config", str(cfg), "--out", str(tmp_path / "out")],
     ]
