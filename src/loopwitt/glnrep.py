@@ -14,7 +14,7 @@ run on their Gaussian-integer forms: Irrep.int_view holds every N_ij =
 D E_ij over one common denominator D, the commutation relations are
 sparse products of the N_ij in plain ints, the identity scalar is their
 sparse sum, and Norton's spins run over the Gaussian integers
-(linalg.spin).  A GaussRat is made only for a nonzero residual entry or
+(linalg.int_spin).  A GaussRat is made only for a nonzero residual entry or
 a result that leaves the check.  The E_ij of V(mu) are very sparse in
 this basis, about 1.5 % nonzero at d = 64.  Irrep.E densifies one for
 printing, and the Burnside closure takes dense matrices.
@@ -29,13 +29,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, product
 from math import prod
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 from .linalg import (Columns, Entries, IntMatrix, Mat, SpanBasis, dense,
                      denominator, entries, gauss_entries, identity,
                      int_entries_into, int_matrix, int_product_into,
-                     mat_mul, null_space, product_entries, sparse_sum, spin,
-                     to_columns, transposed)
+                     int_spin, mat_mul, null_space, product_entries,
+                     sparse_sum, to_columns, transposed)
 from .scalars import GaussRat, ZERO
 
 DIM_CAP = 64
@@ -84,15 +84,19 @@ class Irrep:
     def int_view(self) -> Tuple[int, List[List[IntMatrix]]]:
         """D and every N_ij = D E_ij as a Gaussian-integer matrix (0-based),
         for D the least common denominator of all the E_ij.  Built on
-        first use from `columns`, so it reads the E_ij the checks see."""
-        if self._ints is None:
+        first use from `columns`, so it reads the E_ij the checks see,
+        and kept for the `_columns` it was built from: a copy of the
+        irrep given new `_columns` builds its own, but a patch of
+        `columns` reaches the view only if made before its first use."""
+        if self._ints is None or self._ints[0] is not self._columns:
             rng = range(1, self.n + 1)
             cols = [[self.columns(i, j) for j in rng] for i in rng]
             den = denominator(x for row in cols for a in row
                               for col in a for _, x in col)
-            self._ints = den, [[int_matrix(a, den) for a in row]
-                               for row in cols]
-        return self._ints
+            self._ints = self._columns, (den, [[int_matrix(a, den)
+                                                for a in row]
+                                               for row in cols])
+        return self._ints[1]
 
     def relation_residual(self, i: int, j: int, k: int, l: int) -> Entries:
         """The nonzero entries of [E_ij, E_kl] - delta_jk E_il + delta_li
@@ -278,12 +282,12 @@ def hw_shifted(a: Columns, hw: int) -> Columns:
                                               for k in range(d))), d)
 
 
-def norton_irreducible(mats: Sequence[Union[Columns, IntMatrix]],
-                       theta: Columns) -> bool:
+def norton_irreducible(mats: Sequence[IntMatrix], theta: Columns) -> bool:
     """Norton's irreducibility test (Parker 1984; Holt and Rees, "Testing
     modules for irreducibility", 1994), for theta in the unital algebra A
-    generated by mats; every matrix is square, Columns, or an IntMatrix,
-    which stands for any nonzero multiple of itself.
+    generated by mats; every matrix is square, mats are Gaussian-integer
+    matrices (`int_matrix`), each standing for any nonzero multiple of
+    itself, and theta is Columns.
 
     True proves that A is all of M_d(Q(i)), i.e. burnside_dim(mats) ==
     d^2: ker theta is one-dimensional, spanned by v; v spins to the whole
@@ -299,10 +303,7 @@ def norton_irreducible(mats: Sequence[Union[Columns, IntMatrix]],
     also lies in the unital algebra of the shifted ones (`hw_shifted`)."""
     d = len(theta)
     kernel = null_space(theta, d)
-    if len(kernel) != 1:
-        return False
-    gens = [int_matrix(m) for m in mats]
-    if spin(kernel[0], gens).dim != d:
+    if len(kernel) != 1 or int_spin(kernel[0], mats).dim != d:
         return False
     [co_vector] = null_space(transposed(theta, d), d)
-    return spin(co_vector, gens, transpose=True).dim == d
+    return int_spin(co_vector, mats, transpose=True).dim == d

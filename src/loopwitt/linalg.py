@@ -12,17 +12,19 @@ two uses: printing the E_ij and the Burnside closure.
 
 Vec and Columns are the API; the work runs in their Gaussian-integer
 forms, IntVec and IntMatrix, with every denominator cleared once, so no
-GaussRat is made until a result leaves.  Elimination is fraction free in
-the manner of Bareiss (Math. Comp. 22, 1968), with no pivoting strategy,
-on sparse vectors, so a zero is never visited: SpanBasis keeps each row
-as a primitive Gaussian-integer vector and reduces by v <- a v - c row,
-a the row's pivot entry.  `spin` scales each generator to Gaussian
-integers once, so its images stay integer too.
+GaussRat is made until a result leaves.  Elimination is fraction free,
+with no pivoting strategy, on sparse vectors, so a zero is never
+visited: SpanBasis keeps each row as a primitive Gaussian-integer
+vector, divided by the gcd of its parts, and reduces by v <- a v - c
+row, a the row's pivot entry.  Unlike Bareiss's method, no step divides
+v by an earlier pivot, so within one reduction v's entries may grow by
+the product of the a; only the rows kept are made primitive.  `spin`
+scales each generator to Gaussian integers once, so its images stay
+integer too.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
 from math import gcd, lcm
 from typing import (Dict, Hashable, Iterable, Iterator, List, Optional,
                     Sequence, Tuple, TypeVar, Union)
@@ -137,13 +139,9 @@ def denominator(xs: Iterable[GaussRat]) -> int:
     return lcm(*{x.parts()[2] for x in xs})
 
 
-def int_matrix(a: Union[Columns, IntMatrix], den: Optional[int] = None
-               ) -> IntMatrix:
+def int_matrix(a: Columns, den: Optional[int] = None) -> IntMatrix:
     """den a as a Gaussian-integer matrix; den defaults to the least
-    common denominator of a's entries.  An IntMatrix is returned as it
-    is."""
-    if isinstance(a, tuple):
-        return a
+    common denominator of a's entries."""
     if den is None:
         den = denominator(x for col in a for _, x in col)
     re, im = [], []
@@ -288,11 +286,6 @@ class SpanBasis:
         self.length = length
         self.int_rows: List[IntVec] = []
         self.pivots: List[int] = []
-        # the row of each pivot, the rows that hold each index, and per
-        # row the later rows whose pivots it holds
-        self._row_at: Dict[int, int] = {}
-        self._holders: Dict[int, List[int]] = {}
-        self._later: List[List[int]] = []
 
     @property
     def dim(self) -> int:
@@ -305,48 +298,20 @@ class SpanBasis:
 
     def _reduce(self, v: IntVec, steps: Optional[list] = None) -> IntVec:
         """A nonzero multiple of v minus the combination of the rows that
-        clears every pivot.  Row k, with pivot entry a, clears v's entry c
-        at its pivot by v <- a' v - c' row, where a' = a / g and c' = c / g
-        for g the gcd of the parts of a and c; each step goes into steps
-        as (k, c, a').  The rows are applied in insertion order, but only
-        those whose pivots v holds: a heap holds their indices, and row k
-        can only add entries at the pivots of the rows in _later[k]."""
-        re, im = dict(v[0]), dict(v[1])
-        row_at = self._row_at
-        heap = sorted({row_at[j] for part in (re, im) for j in part
-                       if j in row_at})
-        last = -1
-        while heap:
-            k = heappop(heap)
-            if k == last:
-                continue
-            last = k
-            piv = self.pivots[k]
-            cr, ci = re.get(piv, 0), im.get(piv, 0) if im else 0
+        clears every pivot.  The rows are applied in insertion order;
+        row k, with pivot entry a, clears v's entry c at its pivot by
+        v <- a' v - c' row, where a' = a / g and c' = c / g for g the gcd
+        of the parts of a and c; each step goes into steps as (k, c, a')."""
+        for k, (piv, row) in enumerate(zip(self.pivots, self.int_rows)):
+            cr, ci = v[0].get(piv, 0), v[1].get(piv, 0)
             if not (cr or ci):
                 continue
-            for m in self._later[k]:
-                heappush(heap, m)
-            rr, ri = self.int_rows[k]
-            ar, ai = rr.get(piv, 0), ri.get(piv, 0) if ri else 0
+            ar, ai = row[0].get(piv, 0), row[1].get(piv, 0)
             g = gcd(ar, ai, cr, ci)
             if steps is not None:
                 steps.append((k, (cr, ci), (ar // g, ai // g)))
-            ar, ai, cr, ci = ar // g, ai // g, cr // g, ci // g
-            if ai or ci or im or ri:
-                re, im = _scaled_minus((re, im), (ar, ai), (cr, ci),
-                                       (rr, ri))
-                continue
-            # everything real: scale and subtract in place
-            if ar != 1:
-                re = {j: ar * x for j, x in re.items()}
-            for j, x in rr.items():
-                y = re.get(j, 0) - cr * x
-                if y:
-                    re[j] = y
-                else:
-                    del re[j]
-        return re, im
+            v = _scaled_minus(v, (ar // g, ai // g), (cr // g, ci // g), row)
+        return v
 
     def insert(self, v: Union[Vec, IntVec]) -> bool:
         """Insert a Vec, whose denominators are cleared first, or an
@@ -356,17 +321,8 @@ class SpanBasis:
         red = self._reduce(v)
         if not (red[0] or red[1]):
             return False
-        support = red[0].keys() | red[1].keys()
-        piv = min(support)
-        new = len(self.pivots)
-        for k in self._holders.get(piv, ()):
-            self._later[k].append(new)
-        for j in support:
-            self._holders.setdefault(j, []).append(new)
-        self.pivots.append(piv)
+        self.pivots.append(min(red[0].keys() | red[1].keys()))
         self.int_rows.append(primitive(red))
-        self._row_at[piv] = new
-        self._later.append([])
         return True
 
     def coords(self, v: Vec) -> Vec:
@@ -403,19 +359,22 @@ def null_space(a: Columns, rows: int) -> List[Vec]:
             for row, piv in zip(span.int_rows, span.pivots) if piv >= rows]
 
 
-def spin(v: Vec, mats: Sequence[Union[Columns, IntMatrix]],
-         transpose: bool = False) -> SpanBasis:
+def spin(v: Vec, mats: Sequence[Columns], transpose: bool = False
+         ) -> SpanBasis:
     """The smallest subspace that contains v and is invariant under every
     square matrix of mats, or under their transposes if transpose is
-    set; the search stops once it fills the whole space.
+    set; the search stops once it fills the whole space.  Each generator
+    is scaled to Gaussian integers once, for `int_spin`."""
+    return int_spin(v, [int_matrix(m) for m in mats], transpose)
 
-    A generator is Columns, scaled here to Gaussian integers once, or an
-    IntMatrix, some nonzero multiple of a generator already scaled.  A
-    subspace is invariant under M exactly when it is invariant under
-    lambda M, for lambda != 0, so the spin is the same.  Each image that
-    enlarges the span is divided by the gcd of its parts before it is
-    spun in turn."""
-    gens = [int_matrix(m) for m in mats]
+
+def int_spin(v: Vec, gens: Sequence[IntMatrix], transpose: bool = False
+             ) -> SpanBasis:
+    """`spin` under Gaussian-integer generators, each some nonzero
+    multiple of a generator over Q(i).  A subspace is invariant under M
+    exactly when it is invariant under lambda M, for lambda != 0, so the
+    spin is the same.  Each image that enlarges the span is divided by
+    the gcd of its parts before it is spun in turn."""
     d = len(gens[0][0])
     if transpose:
         gens = [(transposed(re, d), im and transposed(im, d))

@@ -30,7 +30,7 @@ from typing import Callable, List, Sequence, Tuple
 from .coeff import BElem
 from .glnrep import (burnside_dim, highest_weight_theta, hw_shifted,
                      norton_irreducible)
-from .linalg import Columns, dense
+from .linalg import Columns, dense, int_matrix
 from .loop import (Degree, LoopElem, _add_deg, diff_derivation,
                    poly_derivation)
 from .scalars import GaussRat, ONE, ZERO
@@ -253,7 +253,8 @@ def bottom_slice_algebra_dim(module: TensorModule) -> int:
                       [zero], [zero]) for spec in specs]
     hw = module.rep.hw_index
     theta = highest_weight_theta(mats[:n * n:n + 1], hw)
-    if norton_irreducible([hw_shifted(m, hw) for m in mats], theta):
+    if norton_irreducible([int_matrix(hw_shifted(m, hw)) for m in mats],
+                          theta):
         return d * d
     return burnside_dim([dense(m, d) for m in mats])
 

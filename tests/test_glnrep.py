@@ -8,13 +8,13 @@ from conftest import (all_relations_hold, columns, dense_relation_residual,
 from loopwitt import glnrep
 from loopwitt.glnrep import (build_irrep, burnside_dim, gt_patterns,
                              partition, weyl_dim)
-from loopwitt.linalg import dense, identity, mat_mul, zeros
+from loopwitt.linalg import dense, identity, int_matrix, mat_mul, zeros
 from loopwitt.scalars import GaussRat, ONE, ZERO
 
 
 def norton_irreducible(mats, theta):
     """Norton's test on dense matrices, through their column views."""
-    return glnrep.norton_irreducible([columns(m) for m in mats],
+    return glnrep.norton_irreducible([int_matrix(columns(m)) for m in mats],
                                      columns(theta))
 
 
@@ -236,6 +236,20 @@ class TestIntegerView:
         assert not all_relations_hold(rep)
         den, ints = rep.int_view()
         assert den % 7 == 0
+
+    def test_a_copy_with_new_columns_builds_its_own_view(self):
+        # the view is kept for the _columns it was built from, so a copy
+        # given new _columns after the view exists does not reuse it
+        import copy
+        rep = build_irrep((1, 0), GaussRat(Fraction(3, 2)), 3)
+        den, _ = rep.int_view()
+        out = copy.copy(rep)
+        out._columns = [[[[(r, x / 5) for r, x in col] for col in a]
+                         for a in row] for row in rep._columns]
+        assert out.int_view()[0] == 5 * den
+        assert rep.int_view()[0] == den
+        assert not all_relations_hold(out)
+        assert out.relation_residual(1, 2, 2, 1)
 
 
 class TestNorton:
