@@ -15,7 +15,11 @@ stripped.  The digests below pin the CLI output at seed 42:
 * the same for the d = 27..64 modules of the gl-build workload, up to
   `DIM_CAP`, where the null spaces and Norton spins are largest;
 * `verify-all --json` (default suites, 5 cases) at n = 2 over
-  F[x]/(x^2) @ 0 and F[x]/(x - 2) @ 2, whose coefficient pools hold 0.
+  F[x]/(x^2) @ 0 and F[x]/(x - 2) @ 2, whose coefficient pools hold 0;
+* `verify-all --json` (default suites, 5 cases) for two configs with
+  non-real c and alpha, at n = 2 over laurent @ 3 and at n = 3 over
+  polyquot (x-2)^3 @ 2, so the imaginary parts of the residuals and of
+  the Gaussian-integer elimination reach a digest.
 
 The grid and gl-build digests were computed with the tensor-power
 construction of `build_irrep`, before it was replaced by the
@@ -56,6 +60,10 @@ GL_BUILD_MODULES = [(3, [2, 2]), (3, [4, 1]), (4, [2, 1, 0]),
 # d = 8, 10, 15, 10, 15
 GL_CERT_MODULES = [(3, [1, 1]), (3, [3, 0]), (3, [2, 1]), (4, [2, 0, 0]),
                    (4, [1, 0, 1])]
+# (n, mu, c, alpha, B) with non-real entries
+COMPLEX_CONFIGS = [(2, [1], "1/2+1 i", ["1/3+1/2 i", "-2/3"], "laurent"),
+                   (3, [1, 0], "3/2-1/2 i", ["1/3", "-1/2 i", "2/3+1 i"],
+                    "polyquot")]
 
 
 def _calls():
@@ -85,6 +93,11 @@ def _calls():
         out[f"zero-pool/2/{kind}"] = (
             ["verify-all", "--json"],
             {"n": 2, "mu": [1], "B": b, "seed": 42, "cases_per_suite": 5})
+    for n, mu, c, alpha, kind in COMPLEX_CONFIGS:
+        out[f"complex/{n}/{kind}"] = (
+            ["verify-all", "--json"],
+            {"n": n, "mu": mu, "c": c, "alpha": alpha, "B": B_SPECS[kind],
+             "seed": 42, "cases_per_suite": 5})
     return out
 
 
@@ -107,6 +120,10 @@ def report_digest(args, doc, tmp_dir) -> str:
 
 
 PINNED = {
+    "complex/2/laurent":
+        "2af32a1933fbbc4aa360bc378349b1774c2095e4b873d0b634ba56a49eba5bb6",
+    "complex/3/polyquot":
+        "5dc6593445f8c0183d0cfbece5abc378af26ccc6bc01e22b3b376406f00a9963",
     "gl-build/3/[2, 2]":
         "c8a4e3a27a1fdcaa01d4cbfcd4b8c188e1e223c6bc72172c2526e797926e269b",
     "gl-build/3/[4, 1]":
