@@ -18,9 +18,9 @@ visited: SpanBasis keeps each row as a primitive Gaussian-integer
 vector, divided by the gcd of its parts, and reduces by v <- a v - c
 row, a the row's pivot entry.  Unlike Bareiss's method, no step divides
 v by an earlier pivot, so within one reduction v's entries may grow by
-the product of the a; only the rows kept are made primitive.  `spin`
-scales each generator to Gaussian integers once, so its images stay
-integer too.
+the product of the a; only the rows kept are made primitive.
+`int_spin` takes its generators already scaled to Gaussian integers, so
+its images stay integer too.
 """
 
 from __future__ import annotations
@@ -359,22 +359,15 @@ def null_space(a: Columns, rows: int) -> List[Vec]:
             for row, piv in zip(span.int_rows, span.pivots) if piv >= rows]
 
 
-def spin(v: Vec, mats: Sequence[Columns], transpose: bool = False
-         ) -> SpanBasis:
-    """The smallest subspace that contains v and is invariant under every
-    square matrix of mats, or under their transposes if transpose is
-    set; the search stops once it fills the whole space.  Each generator
-    is scaled to Gaussian integers once, for `int_spin`."""
-    return int_spin(v, [int_matrix(m) for m in mats], transpose)
-
-
 def int_spin(v: Vec, gens: Sequence[IntMatrix], transpose: bool = False
              ) -> SpanBasis:
-    """`spin` under Gaussian-integer generators, each some nonzero
-    multiple of a generator over Q(i).  A subspace is invariant under M
-    exactly when it is invariant under lambda M, for lambda != 0, so the
-    spin is the same.  Each image that enlarges the span is divided by
-    the gcd of its parts before it is spun in turn."""
+    """The smallest subspace that contains v and is invariant under every
+    Gaussian-integer matrix of gens, or under their transposes if
+    transpose is set; the search stops once it fills the whole space.
+    Invariance under M and under lambda M, lambda != 0, agree, so gens
+    may be any multiples of matrices over Q(i) (`int_matrix`).  Each
+    image that enlarges the span is divided by the gcd of its parts
+    before it is spun in turn."""
     d = len(gens[0][0])
     if transpose:
         gens = [(transposed(re, d), im and transposed(im, d))

@@ -16,8 +16,9 @@ residual is pruned once.  These, the shift-difference subspace and the
 rank-one identities are checked as exact zero residuals by applying
 operator combinations to slice basis blocks, all d basis vectors of a
 slice in one call (tensmod.TensorModule.basis_block).  A residual is the
-Columns of op_matrix, zero when no column has an entry; only the
-Burnside fallback densifies.
+signed sum on the bottom slice's basis block, a ModVector that must be
+zero; only the algebra of the bottom slice takes the operators' Columns
+from op_matrix, and only its Burnside fallback densifies.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable, List, Sequence, Tuple
 from .coeff import BElem
 from .glnrep import (burnside_dim, highest_weight_theta, hw_shifted,
                      norton_irreducible)
-from .linalg import Columns, dense, int_matrix
+from .linalg import dense, int_matrix
 from .loop import (Degree, LoopElem, _add_deg, diff_derivation,
                    poly_derivation)
 from .scalars import GaussRat, ONE, ZERO
@@ -110,7 +111,7 @@ BRACKET_ROWS = {
 
 
 def bracket_identity(name: str, s1: OpSpec, s2: OpSpec,
-                     module: TensorModule) -> Columns:
+                     module: TensorModule) -> ModVector:
     """Residual of the bracket identity of row ``name`` on the bottom slice:
     [X(u1,r1), X(u2,r2)] - Y(w, r1+r2) + (u1,r2) Y(u2,r2) - (u2,r1) Y(u1,r1)
     with w = (u1,r2) u2 - (u2,r1) u1; the row names the families X and Y."""
@@ -130,41 +131,38 @@ def bracket_identity(name: str, s1: OpSpec, s2: OpSpec,
     ys = [(c, operator_terms(y_family, OpSpec(u, r, place(p1), place(p2)),
                              module))
           for (c, u, r), (p1, p2) in zip(rhs, placements)]
-
-    def residual(v: ModVector) -> ModVector:
-        terms = (x1(signed_sum(module, x2(v)))
-                 + _scaled(-ONE, x2(signed_sum(module, x1(v)))))
-        for c, y in ys:
-            terms += _scaled(c, y(v))
-        return signed_sum(module, terms)
-
-    return op_matrix(residual, module, [(0,) * module.n])
+    v = module.basis_block((0,) * module.n)
+    terms = (x1(signed_sum(module, x2(v)))
+             + _scaled(-ONE, x2(signed_sum(module, x1(v)))))
+    for c, y in ys:
+        terms += _scaled(c, y(v))
+    return signed_sum(module, terms)
 
 
 def product_bracket_residual(s1: OpSpec, s2: OpSpec,
-                             module: TensorModule) -> Columns:
+                             module: TensorModule) -> ModVector:
     return bracket_identity("product", s1, s2, module)
 
 
 def reduced_bracket_residual(s1: OpSpec, s2: OpSpec,
-                             module: TensorModule) -> Columns:
+                             module: TensorModule) -> ModVector:
     return bracket_identity("reduced", s1, s2, module)
 
 
 def evaluated_bracket_residual(s1: OpSpec, s2: OpSpec,
-                               module: TensorModule) -> Columns:
+                               module: TensorModule) -> ModVector:
     return bracket_identity("evaluated", s1, s2, module)
 
 
 def product_to_reduced_residual(s1: OpSpec, s2: OpSpec,
-                                module: TensorModule) -> Columns:
+                                module: TensorModule) -> ModVector:
     return bracket_identity("product-to-reduced", s1, s2, module)
 
 
 def scaled_product_bracket_residual(v: Tuple[GaussRat, ...], s: Degree,
                                     b: BElem, u: Tuple[GaussRat, ...],
                                     r: Degree, b2: BElem,
-                                    module: TensorModule) -> Columns:
+                                    module: TensorModule) -> ModVector:
     """[P(v,s,1,b), P(u,r,1,b2)] through the scaled-product row."""
     one = module.pres.one()
     return bracket_identity("scaled-product", OpSpec(v, s, one, b),
@@ -172,30 +170,23 @@ def scaled_product_bracket_residual(v: Tuple[GaussRat, ...], s: Degree,
 
 
 def zero_mode_scalar_residual(u: Tuple[GaussRat, ...], b: BElem,
-                              module: TensorModule) -> Columns:
+                              module: TensorModule) -> ModVector:
     """D(u,0)b on the degree-zero slice minus psi(b)(u,alpha) Id."""
     n = module.n
     x = LoopElem.d_vec(n, module.pres, u, (0,) * n, b)
     scal = b.psi() * _pair(u, module.alpha)
-
-    def op(v: ModVector) -> ModVector:
-        return signed_sum(module, [(ONE, x, v), (-scal, None, v)])
-
-    return op_matrix(op, module, [(0,) * n])
+    v = module.basis_block((0,) * n)
+    return signed_sum(module, [(ONE, x, v), (-scal, None, v)])
 
 
 def coefficient_collapse_residual(u: Tuple[GaussRat, ...], r: Degree,
-                                  b: BElem, module: TensorModule) -> Columns:
+                                  b: BElem, module: TensorModule) -> ModVector:
     """D(u,r)b minus psi(b) D(u,r) as operators; must vanish."""
     n = module.n
     xb = LoopElem.d_vec(n, module.pres, u, r, b)
     x1 = LoopElem.d_vec(n, module.pres, u, r)
-    pb = b.psi()
-
-    def op(v: ModVector) -> ModVector:
-        return signed_sum(module, [(ONE, xb, v), (-pb, x1, v)])
-
-    return op_matrix(op, module, [(0,) * n])
+    v = module.basis_block((0,) * n)
+    return signed_sum(module, [(ONE, xb, v), (-b.psi(), x1, v)])
 
 
 def evaluated_preserves_differences(spec: OpSpec,
@@ -249,8 +240,8 @@ def bottom_slice_algebra_dim(module: TensorModule) -> int:
     units = [tuple(int(t == i) for t in range(n)) for i in range(n)]
     gens = [(ei, ej) for ei in units for ej in units] + [(units[0], zero)]
     specs = [OpSpec(tuple(map(GaussRat, u)), r, one, one) for u, r in gens]
-    mats = [op_matrix(as_operator("product", spec, module), module,
-                      [zero], [zero]) for spec in specs]
+    mats = [op_matrix(as_operator("product", spec, module), module, zero)
+            for spec in specs]
     hw = module.rep.hw_index
     theta = highest_weight_theta(mats[:n * n:n + 1], hw)
     if norton_irreducible([int_matrix(hw_shifted(m, hw)) for m in mats],
@@ -298,16 +289,16 @@ def rank_one_commutation_check(module: TensorModule) -> List[str]:
     failures = []
     pres = module.pres
     A = diff_derivation(pres, -1).scale(-1)  # d_0 - d_(-1)
+    v = module.basis_vector((0,), 0)
+
+    def apply_pow(x: LoopElem, shift: int, w: ModVector, power: int):
+        for _ in range(power):
+            w = act(x, w) + w.scale(GaussRat(shift))
+        return w
+
     for k in range(3):
         B = poly_derivation(pres, k + 1, -1)
         for p in (1, 2, 3):
-            v = module.basis_vector((0,) * 1, 0)
-
-            def apply_pow(x: LoopElem, shift: int, w: ModVector, power: int):
-                for _ in range(power):
-                    w = act(x, w) + w.scale(GaussRat(shift))
-                return w
-
             left = apply_pow(A, -k, act(B, v), p)
             right = act(B, apply_pow(A, 0, v, p))
             if left != right:

@@ -21,7 +21,7 @@ from . import opcheck
 from .coeff import BElem, BPresentation
 from .glnrep import (DIM_CAP, Irrep, build_irrep, burnside_dim,
                      highest_weight_theta, norton_irreducible, weyl_dim)
-from .linalg import SpanBasis, sparse_sum, to_columns
+from .linalg import SpanBasis, sparse_sum
 from .loop import (Key, LoopElem, bracket_sum,
                    diff_derivation_bracket_residual,
                    poly_derivation_bracket_residual)
@@ -30,7 +30,8 @@ from .scalars import GaussRat, parse_gauss
 # act is unused here; perfbench's test checks its trace wrapper binds here
 from .tensmod import (WINDOW_CAP, ModVector, TensorModule, Window,
                       act,  # noqa: F401
-                      assoc_unital_residuals, module_axiom_residual)
+                      assoc_unital_residuals, module_axiom_residual,
+                      op_matrix)
 
 
 class ConfigError(ValueError):
@@ -411,8 +412,8 @@ def run_operator_suite(cfg: RunConfig) -> Outcome:
     failures = []
     cases = 0
 
-    def record(check: str, cols, case: int):
-        if any(cols):
+    def record(check: str, res: ModVector, case: int):
+        if not res.is_zero():
             failures.append({"case": case, "check": check})
 
     for case in range(cfg.cases_per_suite):
@@ -443,10 +444,10 @@ def run_operator_suite(cfg: RunConfig) -> Outcome:
     # subspace-level checks on a smaller sample; the bottom slice must
     # map onto the d-dimensional quotient by the shift differences
     cases += 1
-    d = module.d
-    quotient = SpanBasis(d)
-    sums = module.basis_block((0,) * cfg.n).slice_sum()
-    for col in to_columns({(j % d, j // d): x for j, x in sums.items()}, d):
+    zero = (0,) * cfg.n
+    quotient = SpanBasis(module.d)
+    for col in op_matrix(lambda v: ModVector(module, {zero: v.slice_sum()}),
+                         module, zero):
         quotient.insert(dict(col))
     if quotient.dim != module.d:
         failures.append({"check": "difference-codimension",

@@ -32,10 +32,10 @@ so it never silently truncates.  act is that core plus one prune, and
 signed_sum adds the terms (c, x, w), c (x . w) or c w when x is None,
 into one accumulator and prunes once: the module residuals below sum
 their outer actions that way, with only the inner images built as
-ModVectors.  op_matrix gives the matrix of any operator on module
-vectors as Columns, the one matrix format of linalg, applying the
-operator once per source slice to its basis block.  All of them visit
-only the stored entries of a block.
+ModVectors.  op_matrix gives the matrix of an operator that maps one
+slice into itself as Columns, the one matrix format of linalg,
+applying the operator once to the slice's basis block.  All of them
+visit only the stored entries of a block.
 """
 
 from __future__ import annotations
@@ -343,25 +343,16 @@ def assoc_unital_residuals(r: Degree, s: Degree, b: BElem, b2: BElem,
 Op = Callable[[ModVector], ModVector]
 
 
-def op_matrix(op: Op, module: TensorModule, src: Iterable[Degree],
-              dst: Optional[Iterable[Degree]] = None) -> Columns:
-    """Columns of a linear operator on module vectors, applied once per
-    src slice to its basis block: columns in (src slice, basis index)
-    order, rows in (dst slice, basis index) order.  dst=None takes the
-    sorted support of the images; an image outside dst raises
+def op_matrix(op: Op, module: TensorModule, m: Degree) -> Columns:
+    """The d x d Columns of a linear operator that maps slice m into
+    itself, applied once to the basis block of m: column k is the image
+    of v_k (x) t^m.  An image on any other slice raises
     OutOfWindowError."""
     d = module.d
-    images = [op(module.basis_block(m)) for m in src]
-    if dst is None:
-        dst = sorted({m for w in images for m in w.data})
-    offset = {tuple(m): k * d for k, m in enumerate(dst)}
-    out: Columns = []
-    for w in images:
-        for m in w.data:
-            if m not in offset:
-                raise OutOfWindowError(
-                    f"operator maps into slice {m}, outside the destination")
-        out += to_columns({(offset[m] + j % d, j // d): x
-                           for m, vec in w.data.items()
-                           for j, x in vec.items()}, d)
-    return out
+    image = op(module.basis_block(m))
+    for p in image.data:
+        if p != m:
+            raise OutOfWindowError(
+                f"operator maps slice {m} into slice {p}")
+    return to_columns({(j % d, j // d): x
+                       for j, x in image.data.get(m, {}).items()}, d)

@@ -365,25 +365,32 @@ def reference_evaluated(spec, module):
     return lambda v: act(d_elem, v).scale(p1) - act(zero_mode, v)
 
 
-def reference_op_matrix(op, module, src, dst=None):
-    """Columns of op applied to each basis vector of the src slices, one
-    call per column: the oracle of tensmod.op_matrix, which applies op
-    once per slice to its basis block."""
-    from loopwitt.tensmod import OutOfWindowError
+def reference_block(op, module, m):
+    """op applied to each basis vector of slice m, one call per column,
+    the images put together as one block: the oracle of op applied once
+    to module.basis_block(m)."""
+    from loopwitt.tensmod import ModVector
     d = module.d
-    images = [op(module.basis_vector(m, k)) for m in src for k in range(d)]
-    if dst is None:
-        dst = sorted({m for w in images for m in w.data})
-    offset = {tuple(m): k * d for k, m in enumerate(dst)}
+    data = {}
+    for k in range(d):
+        for p, vec in op(module.basis_vector(m, k)).data.items():
+            data.setdefault(p, {}).update(
+                (k * d + j, x) for j, x in vec.items())
+    return ModVector(module, data)
+
+
+def reference_op_matrix(op, module, m):
+    """Columns of op applied to each basis vector of slice m, one call
+    per column: the oracle of tensmod.op_matrix, which applies op once
+    to the slice's basis block.  An image off slice m raises
+    OutOfWindowError."""
+    from loopwitt.tensmod import OutOfWindowError
     out = []
-    for w in images:
-        for m in w.data:
-            if m not in offset:
-                raise OutOfWindowError(
-                    f"operator maps into slice {m}, outside the destination")
-        out.append([(offset[m] + row, x)
-                    for m in sorted(w.data, key=offset.__getitem__)
-                    for row, x in sorted(w.data[m].items())])
+    for k in range(module.d):
+        w = op(module.basis_vector(m, k))
+        if set(w.data) - {m}:
+            raise OutOfWindowError(f"operator maps slice {m} elsewhere")
+        out.append(sorted(w.data.get(m, {}).items()))
     return out
 
 
@@ -474,4 +481,4 @@ def reference_bracket_identity(name, s1, s2, module):
             out = out + y(v).scale(c)
         return out
 
-    return reference_op_matrix(residual, module, [(0,) * module.n])
+    return reference_block(residual, module, (0,) * module.n)

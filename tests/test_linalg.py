@@ -7,7 +7,7 @@ from conftest import (RationalSpanBasis, col_apply, columns, domain_matrix,
                       mat_vec, rank, rational_null_space, sparse, transpose)
 from loopwitt.linalg import (SpanBasis, dense, entries, gauss_entries,
                              int_apply, int_matrix, int_vec, null_space,
-                             product_entries, sparse_sum, spin, to_columns,
+                             int_spin, product_entries, sparse_sum, to_columns,
                              transposed)
 from loopwitt.scalars import GaussRat, I, ZERO
 
@@ -109,22 +109,25 @@ class TestNullSpaceAndSpin:
             assert col_apply(columns(a), x) == {}
 
     def test_spin_of_a_cyclic_vector_fills_the_space(self):
-        shift = columns([vec(0, 0, 0), vec(1, 0, 0), vec(0, 1, 0)])
-        assert spin({0: GaussRat(1)}, [shift]).dim == 3
+        shift = int_matrix(columns([vec(0, 0, 0), vec(1, 0, 0),
+                                    vec(0, 1, 0)]))
+        assert int_spin({0: GaussRat(1)}, [shift]).dim == 3
         # the transpose shifts the other way
-        assert spin({0: GaussRat(1)}, [shift], transpose=True).dim == 1
-        assert spin({2: GaussRat(1)}, [shift], transpose=True).dim == 3
+        assert int_spin({0: GaussRat(1)}, [shift], transpose=True).dim == 1
+        assert int_spin({2: GaussRat(1)}, [shift], transpose=True).dim == 3
 
     def test_spin_stays_in_an_invariant_subspace(self):
         shift = columns([vec(0, 0, 0), vec(1, 0, 0), vec(0, 1, 0)])
         diag = columns([vec(1, 0, 0), vec(0, 2, 0), vec(0, 0, 3)])
-        span = spin({1: GaussRat(1)}, [shift, diag])
+        span = int_spin({1: GaussRat(1)}, [int_matrix(shift),
+                                           int_matrix(diag)])
         assert span.dim == 2
         assert rank(span.rows + [vec(0, 5, I)]) == 2
         assert rank(span.rows + [vec(1, 0, 0)]) == 3
 
     def test_spin_of_zero_is_zero(self):
-        assert spin({}, [columns([vec(1, 1), vec(0, 1)])]).dim == 0
+        gen = int_matrix(columns([vec(1, 1), vec(0, 1)]))
+        assert int_spin({}, [gen]).dim == 0
 
 
 # -- elimination against sympy, which shares no code with linalg ------
@@ -185,7 +188,8 @@ class TestEliminationAgainstSympy:
     def test_spin_is_the_krylov_span(self, mats_and_v, transpose):
         mats, [v] = mats_and_v
         d = len(v)
-        got = spin(sparse(v), [columns(a) for a in mats], transpose)
+        got = int_spin(sparse(v), [int_matrix(columns(a)) for a in mats],
+                       transpose)
         gens = [domain_matrix(a, d) for a in mats]
         if transpose:
             gens = [m.transpose() for m in gens]
@@ -207,9 +211,10 @@ class TestEliminationAgainstSympy:
              True)
     def test_spin_is_unchanged_by_scalar_shifts(self, shifts_and_v,
                                                 transpose):
-        # spin(v, [M_k - c_k I]) = spin(v, [M_k]): each generator is drawn
-        # with a shift c_k, and where the flag is set it is c_k I itself,
-        # which the shift makes zero; d = 1 is the first example
+        # the spin under the M_k - c_k I is the one under the M_k: each
+        # generator is drawn with a shift c_k, and where the flag is set
+        # it is c_k I itself, which the shift makes zero; d = 1 is the
+        # first example
         shifts, [v] = shifts_and_v
         d = len(v)
         mats, shifted = [], []
@@ -221,8 +226,10 @@ class TestEliminationAgainstSympy:
             shifted.append([[x - c if r == k else x
                              for k, x in enumerate(row)]
                             for r, row in enumerate(a)])
-        got = spin(sparse(v), [columns(a) for a in shifted], transpose)
-        plain = spin(sparse(v), [columns(a) for a in mats], transpose)
+        got = int_spin(sparse(v), [int_matrix(columns(a)) for a in shifted],
+                       transpose)
+        plain = int_spin(sparse(v), [int_matrix(columns(a)) for a in mats],
+                         transpose)
         gens = [domain_matrix(a, d) for a in mats]
         if transpose:
             gens = [m.transpose() for m in gens]

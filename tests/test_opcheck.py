@@ -4,15 +4,18 @@ from fractions import Fraction
 import pytest
 
 from conftest import (columns, dense_relation_residual, direct_sum_irrep,
-                      mat_is_zero, rank, reference_evaluated,
+                      mat_is_zero, rank, reference_act, reference_block,
+                      reference_bracket_identity, reference_evaluated,
                       reference_op_matrix, shift_difference_generators,
                       window_coords)
 from loopwitt import opcheck, tensmod
 from loopwitt.glnrep import build_irrep
 from loopwitt.linalg import dense
+from loopwitt.loop import LoopElem
 from loopwitt.opcheck import OpSpec
 from loopwitt.scalars import GaussRat, ONE, ZERO
-from loopwitt.tensmod import ModVector, TensorModule, Window, op_matrix
+from loopwitt.tensmod import (ModVector, OutOfWindowError, TensorModule,
+                              Window, op_matrix)
 
 HALF = GaussRat(Fraction(1, 2))
 
@@ -32,9 +35,8 @@ def deg(n, j, val=1):
 
 
 def bottom_block(family, spec, module):
-    zero = [(0,) * module.n]
-    return op_matrix(opcheck.as_operator(family, spec, module), module, zero,
-                     zero)
+    return op_matrix(opcheck.as_operator(family, spec, module), module,
+                     (0,) * module.n)
 
 
 def sample_specs(pres, n, rng, count):
@@ -54,49 +56,67 @@ def sample_specs(pres, n, rng, count):
 
 
 class TestBlockOpMatrix:
-    """op_matrix, one operator call per source slice on its basis block,
-    against reference_op_matrix, one call per basis vector."""
+    """op_matrix, one operator call on a slice's basis block, against
+    reference_op_matrix, one call per basis vector."""
 
     @pytest.mark.parametrize("n,mu", [(1, ()), (2, (2,)), (3, (1, 0))])
     def test_operator_families_match_the_reference(self, n, mu, any_pres):
+        # product and reduced preserve the weight; evaluated moves the
+        # slice unless r = 0, and then both raise
         pres = any_pres
         module = make_module(pres, n=n, mu=mu, radius=2)
         zero = (0,) * n
-        src = [zero, (1,) + zero[1:]]
-        dst = list(reversed(module.window.slices()))
         for spec in sample_specs(pres, n, random.Random(n), 3):
             for family in ("product", "reduced", "evaluated"):
                 op = opcheck.as_operator(family, spec, module)
-                for to in (None, dst):
-                    got = op_matrix(op, module, src, to)
-                    assert len(got) == 2 * module.d
-                    assert got == reference_op_matrix(op, module, src, to)
+                for m in (zero, (1,) + zero[1:]):
+                    if family == "evaluated" and any(spec.r):
+                        with pytest.raises(OutOfWindowError):
+                            op_matrix(op, module, m)
+                        with pytest.raises(OutOfWindowError):
+                            reference_op_matrix(op, module, m)
+                        continue
+                    got = op_matrix(op, module, m)
+                    assert len(got) == module.d
+                    assert got == reference_op_matrix(op, module, m)
 
     @pytest.mark.parametrize("n,mu", [(1, ()), (2, (2,)), (3, (1, 0))])
     def test_residual_operators_match_the_reference(self, n, mu, any_pres,
                                                     monkeypatch):
-        # every op_matrix call the residuals make, with its own dst and
-        # with dst=None, against the reference on the same operator
+        # each residual block against its reference, one basis vector at
+        # a time, and every op_matrix call of the bottom slice's algebra
+        # against the reference on the same operator
         pres = any_pres
         module = make_module(pres, n=n, mu=mu, radius=2)
+        zero = (0,) * n
         calls = []
 
-        def checked(op, module, src, dst=None):
-            got = op_matrix(op, module, src, dst)
-            assert got == reference_op_matrix(op, module, src, dst)
-            assert (op_matrix(op, module, src)
-                    == reference_op_matrix(op, module, src))
+        def checked(op, module, m):
+            got = op_matrix(op, module, m)
+            assert got == reference_op_matrix(op, module, m)
             calls.append(len(got))
             return got
 
         monkeypatch.setattr(opcheck, "op_matrix", checked)
         s1, s2 = sample_specs(pres, n, random.Random(7 * n), 2)
         b = pres.one() if pres.kind == "trivial" else pres.generator()
-        opcheck.zero_mode_scalar_residual(s1.u, b, module)
-        opcheck.coefficient_collapse_residual(s1.u, s1.r, b, module)
-        opcheck.reduced_bracket_residual(s1, s2, module)
+        x = LoopElem.d_vec(n, pres, s1.u, zero, b)
+        scal = b.psi() * sum((a * c for a, c in zip(s1.u, module.alpha)),
+                             ZERO)
+        assert opcheck.zero_mode_scalar_residual(
+            s1.u, b, module) == reference_block(
+            lambda v: reference_act(x, v) - v.scale(scal), module, zero)
+        xb = LoopElem.d_vec(n, pres, s1.u, s1.r, b)
+        x1 = LoopElem.d_vec(n, pres, s1.u, s1.r)
+        assert opcheck.coefficient_collapse_residual(
+            s1.u, s1.r, b, module) == reference_block(
+            lambda v: reference_act(xb, v)
+            - reference_act(x1, v).scale(b.psi()), module, zero)
+        assert opcheck.reduced_bracket_residual(
+            s1, s2, module) == reference_bracket_identity(
+            "reduced", s1, s2, module)
         opcheck.bottom_slice_algebra_dim(module)
-        assert calls == [module.d] * (3 + n * n + 1)
+        assert calls == [module.d] * (n * n + 1)
 
 
 class TestOperatorFamilies:
@@ -208,21 +228,19 @@ class TestBracketIdentities:
         rng = random.Random(31 + n)
         for _ in range(6):
             s1, s2 = sample_specs(any_pres, n, rng, 2)
-            assert not any(
-                opcheck.product_bracket_residual(s1, s2, module))
-            assert not any(
-                opcheck.reduced_bracket_residual(s1, s2, module))
-            assert not any(
-                opcheck.evaluated_bracket_residual(s1, s2, module))
-            assert not any(
-                opcheck.product_to_reduced_residual(s1, s2, module))
+            assert opcheck.product_bracket_residual(s1, s2, module).is_zero()
+            assert opcheck.reduced_bracket_residual(s1, s2, module).is_zero()
+            assert opcheck.evaluated_bracket_residual(
+                s1, s2, module).is_zero()
+            assert opcheck.product_to_reduced_residual(
+                s1, s2, module).is_zero()
 
     def test_scaled_product_bracket(self, laurent):
         module = make_module(laurent)
         t = laurent.generator()
         res = opcheck.scaled_product_bracket_residual(
             e(2, 0), (1, 0), t, e(2, 1), (0, 1), laurent.one(), module)
-        assert not any(res)
+        assert res.is_zero()
 
     def test_bracket_with_zero_shifts_is_trivial(self, trivial):
         # two zero-shift operators are scalars on every slice, so their
@@ -230,7 +248,7 @@ class TestBracketIdentities:
         module = make_module(trivial)
         s1 = OpSpec(e(2, 0), (0, 0), trivial.one(), trivial.one())
         s2 = OpSpec(e(2, 1), (0, 0), trivial.one(), trivial.one())
-        assert not any(opcheck.product_bracket_residual(s1, s2, module))
+        assert opcheck.product_bracket_residual(s1, s2, module).is_zero()
 
 
 class TestScalarAndCollapse:
@@ -242,22 +260,22 @@ class TestScalarAndCollapse:
         for b in pool:
             res = opcheck.zero_mode_scalar_residual(
                 (GaussRat(1), GaussRat(-2)), b, module)
-            assert not any(res)
+            assert res.is_zero()
 
     def test_ideal_member_acts_by_zero(self, polyquot):
         # b in the kernel of evaluation makes the zero mode vanish
         module = make_module(polyquot)
         x = polyquot.generator()
         b = x - polyquot.from_scalar(GaussRat(2))
-        assert not any(opcheck.zero_mode_scalar_residual(
-            e(2, 0), b, module))
+        assert opcheck.zero_mode_scalar_residual(
+            e(2, 0), b, module).is_zero()
 
     def test_coefficient_collapse(self, any_pres):
         module = make_module(any_pres)
         b = (any_pres.generator() if any_pres.kind != "trivial"
              else any_pres.one() * GaussRat(3))
-        assert not any(opcheck.coefficient_collapse_residual(
-            e(2, 0), (1, -1), b, module))
+        assert opcheck.coefficient_collapse_residual(
+            e(2, 0), (1, -1), b, module).is_zero()
 
 
 class TestShiftDifferences:

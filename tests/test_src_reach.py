@@ -32,9 +32,6 @@ NOT_REACHED = {
         "the echelon rows with leading coefficient 1, for library users; "
         "tests compare them with sympy",
     "linalg.identity": "only burnside_dim calls it",
-    "linalg.spin":
-        "the Columns entry point for library users; Norton's test spins "
-        "through int_spin, and tests compare spin with sympy",
     "linalg.mat_mul":
         "only burnside_dim calls it, and the benchmark tracer counts it by "
         "name",
