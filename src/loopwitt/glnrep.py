@@ -85,18 +85,16 @@ class Irrep:
         """D and every N_ij = D E_ij as a Gaussian-integer matrix (0-based),
         for D the least common denominator of all the E_ij.  Built on
         first use from `columns`, so it reads the E_ij the checks see,
-        and kept for the `_columns` it was built from: a copy of the
-        irrep given new `_columns` builds its own, but a patch of
-        `columns` reaches the view only if made before its first use."""
-        if self._ints is None or self._ints[0] is not self._columns:
+        and kept: a patch of `columns` reaches the view only if made
+        before its first use."""
+        if self._ints is None:
             rng = range(1, self.n + 1)
             cols = [[self.columns(i, j) for j in rng] for i in rng]
             den = denominator(x for row in cols for a in row
                               for col in a for _, x in col)
-            self._ints = self._columns, (den, [[int_matrix(a, den)
-                                                for a in row]
-                                               for row in cols])
-        return self._ints[1]
+            self._ints = den, [[int_matrix(a, den) for a in row]
+                               for row in cols]
+        return self._ints
 
     def relation_residual(self, i: int, j: int, k: int, l: int) -> Entries:
         """The nonzero entries of [E_ij, E_kl] - delta_jk E_il + delta_li

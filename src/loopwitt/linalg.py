@@ -276,10 +276,10 @@ class SpanBasis:
 
     Each row is a primitive Gaussian-integer vector, an IntVec whose
     parts have gcd 1, in insertion order; each row is zero at the pivots
-    of the rows before it.  A row's pivot is its lowest index.  `rows`
-    gives the rows as Vecs with leading coefficient 1.  Every row is a
-    nonzero multiple of the row that elimination over Q(i) would keep,
-    so dimensions, pivots and those leading-1 rows are the same.
+    of the rows before it.  A row's pivot is its lowest index.  Every row
+    is a nonzero multiple of the row that elimination over Q(i) would
+    keep, so dimensions and pivots are the same, and `monic` turns a row
+    into that leading-1 row.
     """
 
     def __init__(self, length: int):
@@ -290,11 +290,6 @@ class SpanBasis:
     @property
     def dim(self) -> int:
         return len(self.pivots)
-
-    @property
-    def rows(self) -> List[Vec]:
-        return [monic(row, piv) for row, piv in zip(self.int_rows,
-                                                     self.pivots)]
 
     def _reduce(self, v: IntVec, steps: Optional[list] = None) -> IntVec:
         """A nonzero multiple of v minus the combination of the rows that

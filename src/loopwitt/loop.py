@@ -38,13 +38,15 @@ def _add_deg(r: Degree, s: Degree) -> Degree:
 
 
 class LoopElem:
-    __slots__ = ("n", "pres", "terms")
+    __slots__ = ("n", "pres", "terms", "_plan")
 
     def __init__(self, n: int, pres: BPresentation,
                  terms: Dict[Key, BElem] = None):
         self.n = n
         self.pres = pres
         self.terms = {}
+        # (module, plan) of the module it last acted in: TensorModule.plan
+        self._plan = None
         for key, coeff in (terms or {}).items():
             if not coeff.is_zero():
                 self.terms[key] = coeff

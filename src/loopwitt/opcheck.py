@@ -313,11 +313,8 @@ def rank_one_quotient_annihilation_check(module: TensorModule) -> List[str]:
     if module.n != 1:
         raise ValueError("rank-one check needs n = 1")
     failures = []
-    d = module.d
-    v = module.basis_block((0,))
+    v = module.basis_vector((0,), 0)
     for i in (-1, 0, 1):
-        sums = act(poly_derivation(module.pres, 2, i), v).slice_sum()
-        # one failure per column with a nonzero slice sum
-        for _ in {j // d for j in sums}:
+        if act(poly_derivation(module.pres, 2, i), v).slice_sum():
             failures.append(f"(t-1)^2 t^{i} d image not in differences")
     return failures

@@ -14,15 +14,14 @@ identity on slice m.  Sums, scaling and slice sums act on the stored
 entries, so they act on each column, and no zero is ever stored.
 
 Only the scalar (u, m+alpha) depends on the source slice m, so the
-action compiles each element once per module into a plan: for each
+action compiles each element into a plan for its module: for each
 degree r, the constant kappa_r = sum psi(b) of the t-parts plus
 sum_i psi_i alpha_i, the pairs (i, psi_i) of the derivation terms, and
 the Columns of M_r = sum_ij psi_i r_j E_ji, summed from the irrep's
 Irrep.columns.  On slice m it computes s = kappa_r + sum_i psi_i m_i
 once and then s v + M_r v, mapping each stored entry k d + i through
-column i of M_r into column k.  The plans, keyed by element identity,
-live on the TensorModule and are freed with it; it keeps the
-PLAN_CACHE_SIZE most recently used plans.
+column i of M_r into column k.  An element keeps the plan of the last
+module it acted in, and the plan is freed with it.
 
 The action has one core, act_into(acc, x, v, c), which adds c (x . v)
 into an accumulator, a map from degree to an unpruned Vec.  It raises
@@ -64,9 +63,6 @@ DegreePlan = Tuple[Degree, GaussRat, List[Tuple[int, GaussRat]],
 
 # bound on the slice count (2R+1)^n of a configured window
 WINDOW_CAP = 10 ** 6
-# plans a module keeps; the least recently used goes first, so that
-# elements acted with once do not pile up over a long suite
-PLAN_CACHE_SIZE = 64
 
 
 class Window:
@@ -113,8 +109,6 @@ class TensorModule:
         self.window = window
         # t^0, the unit of the function part, whose plan stays cached
         self.unit = LoopElem.t_part(rep.n, pres, (0,) * rep.n)
-        # what act_into compiles, by id(x), least recently used first
-        self._plans: Dict[int, Tuple[LoopElem, List[DegreePlan]]] = {}
 
     @property
     def n(self) -> int:
@@ -134,16 +128,11 @@ class TensorModule:
                                            for k in range(self.d)}})
 
     def plan(self, x: LoopElem) -> List[DegreePlan]:
-        """x compiled for act_into, once per module while its entry is
-        kept.  The entry holds x, so its id is not reused while the entry
-        exists."""
-        entry = self._plans.pop(id(x), None)
-        if entry is None:
-            if len(self._plans) >= PLAN_CACHE_SIZE:
-                del self._plans[next(iter(self._plans))]
-            entry = (x, self._compile(x))
-        self._plans[id(x)] = entry
-        return entry[1]
+        """x compiled for act_into, kept on x: compiled again only when x
+        last acted in another module."""
+        if x._plan is None or x._plan[0] is not self:
+            x._plan = (self, self._compile(x))
+        return x._plan[1]
 
     def _compile(self, x: LoopElem) -> List[DegreePlan]:
         if x.n != self.n:

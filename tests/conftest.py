@@ -75,6 +75,13 @@ def sparse(v):
     return {j: x for j, x in enumerate(v) if x}
 
 
+def monic_rows(span):
+    """The echelon rows of a linalg.SpanBasis as Vecs with leading
+    coefficient 1."""
+    from loopwitt.linalg import monic
+    return [monic(row, piv) for row, piv in zip(span.int_rows, span.pivots)]
+
+
 def to_sympy(x):
     """A GaussRat as an exact sympy number."""
     import sympy

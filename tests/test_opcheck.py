@@ -513,6 +513,29 @@ class TestNegativeControls:
             "difference-submodule", "evaluated-bracket",
             "quotient-intertwiner"}
 
+    def test_squared_degree_in_the_d_scalar_fails_rank_one(self,
+                                                           monkeypatch):
+        # each D(e_i, r) term adds r_i^2 to its scalar: zero modes keep
+        # theirs, so d_r no longer acts by r c + s + alpha, f(A - k) . B
+        # and B . f(A) part, and (t-1)^2 t^i d leaves the differences;
+        # the brackets run in the loop algebra and still hold
+        from loopwitt.suites import RunConfig, run_suites
+        compile_ = TensorModule._compile
+
+        def broken(self, x):
+            return [(r, kappa + sum(r[i] ** 2 for i, _ in d_terms), d_terms,
+                     cols) for r, kappa, d_terms, cols in compile_(self, x)]
+
+        monkeypatch.setattr(TensorModule, "_compile", broken)
+        cfg = RunConfig(n=1, mu=(), seed=42, cases_per_suite=6,
+                        window_radius=5, suites=("rank-one",))
+        (report,) = run_suites(cfg)
+        assert {f["check"] for f in report.failures} == {
+            "commutation", "quotient-annihilation", "scalar-shift"}
+        assert [f["witness"] for f in report.failures
+                if f["check"] == "quotient-annihilation"] == [
+            f"(t-1)^2 t^{i} d image not in differences" for i in (-1, 0, 1)]
+
     def test_negated_off_diagonal_irrep_fails_every_bracket(self, trivial,
                                                             monkeypatch):
         # at n = 2 this is conjugation by diag(1, -1), an automorphism,

@@ -28,9 +28,6 @@ NOT_REACHED = {
     "glnrep.burnside_dim.<locals>.grows": "inside burnside_dim",
     "linalg.SpanBasis.coords":
         "the benchmark tracer wraps it by name; tests use it as an oracle",
-    "linalg.SpanBasis.rows":
-        "the echelon rows with leading coefficient 1, for library users; "
-        "tests compare them with sympy",
     "linalg.identity": "only burnside_dim calls it",
     "linalg.mat_mul":
         "only burnside_dim calls it, and the benchmark tracer counts it by "

@@ -124,9 +124,9 @@ class TestSuiteRuns:
 
     def test_one_assoc_unital_run_compiles_the_unit_plan_once(
             self, monkeypatch):
-        # 40 cases act with 120 other elements, more than a module's plan
-        # cache holds, and t^0 . v - v still reuses one compiled t^0
-        from loopwitt.tensmod import PLAN_CACHE_SIZE, TensorModule
+        # 40 cases act with 120 other elements, and t^0 . v - v reuses
+        # the one plan kept on the module's t^0
+        from loopwitt.tensmod import TensorModule
         compile_ = TensorModule._compile
         units = []
 
@@ -138,7 +138,6 @@ class TestSuiteRuns:
         cfg = small_config(suites=["assoc-unital"], cases_per_suite=40)
         (rep,) = run_suites(cfg)
         assert rep.passed
-        assert len(units) - sum(units) > PLAN_CACHE_SIZE
         assert sum(units) == 1
 
     def test_one_module_axiom_case_acts_five_times_and_prunes_once(

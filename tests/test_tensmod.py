@@ -1,4 +1,6 @@
+import gc
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,10 +12,9 @@ from loopwitt.glnrep import build_irrep
 from loopwitt.linalg import dense, identity
 from loopwitt.loop import LoopElem
 from loopwitt.scalars import GaussRat, ZERO
-from loopwitt.tensmod import (PLAN_CACHE_SIZE, ModVector, OutOfWindowError,
-                              TensorModule, Window, act,
-                              assoc_unital_residuals, module_axiom_residual,
-                              op_matrix)
+from loopwitt.tensmod import (ModVector, OutOfWindowError, TensorModule,
+                              Window, act, assoc_unital_residuals,
+                              module_axiom_residual, op_matrix)
 
 HALF = GaussRat(Fraction(1, 2))
 
@@ -213,16 +214,54 @@ class TestActOracle:
                 v = oracle_vector(rng, module)
                 assert act(x, v) == reference_act(x, v)
 
-    def test_plan_cache_keeps_the_newest_elements(self, laurent):
+    def test_an_element_compiles_once_per_module(self, laurent,
+                                                  monkeypatch):
         module = make_module(laurent)
+        compiled = count_compiles(monkeypatch)
         rng = random.Random(3)
-        pool = oracle_pool(laurent)
-        elems = [oracle_elem(rng, 2, laurent, pool)
-                 for _ in range(PLAN_CACHE_SIZE + 5)]
-        for x in elems + elems[:5]:  # the first five were dropped
+        x = oracle_elem(rng, 2, laurent, oracle_pool(laurent))
+        for _ in range(2):
             v = oracle_vector(rng, module)
             assert act(x, v) == reference_act(x, v)
-        assert len(module._plans) == PLAN_CACHE_SIZE
+        assert compiled == [x]
+
+    def test_an_element_moving_between_modules_recompiles(self, laurent,
+                                                         monkeypatch):
+        # the plan kept is that of the last module, so each move compiles
+        modules = [make_module(laurent),
+                   make_module(laurent, alpha=[GaussRat(1), GaussRat(-2)])]
+        compiled = count_compiles(monkeypatch)
+        rng = random.Random(4)
+        x = oracle_elem(rng, 2, laurent, oracle_pool(laurent))
+        for module in modules + modules:
+            v = oracle_vector(rng, module)
+            assert act(x, v) == reference_act(x, v)
+        assert compiled == [x] * 4
+
+    def test_a_module_keeps_no_reference_to_its_elements(self, laurent):
+        # the plan lives on the element, so it is freed with it
+        module = make_module(laurent)
+        rng = random.Random(5)
+        x = oracle_elem(rng, 2, laurent, oracle_pool(laurent))
+        refs = sys.getrefcount(x)
+        act(x, oracle_vector(rng, module))
+        assert sys.getrefcount(x) == refs
+        # no (x, plan) entry anywhere
+        assert not any(isinstance(r, tuple) for r in gc.get_referrers(x))
+        assert x._plan[0] is module
+
+
+def count_compiles(monkeypatch):
+    """The elements TensorModule._compile is called with, from now on."""
+    compile_ = TensorModule._compile
+    compiled = []
+
+    def counted(self, x):
+        compiled.append(x)
+        return compile_(self, x)
+
+    monkeypatch.setattr(TensorModule, "_compile", counted)
+    return compiled
 
 
 def oracle_block(rng, module, width, zero_column=None):
