@@ -245,8 +245,8 @@ class TestActOracle:
         x = oracle_elem(rng, 2, laurent, oracle_pool(laurent))
         refs = sys.getrefcount(x)
         act(x, oracle_vector(rng, module))
+        # acting adds no reference to x, such as a cache entry (x, plan)
         assert sys.getrefcount(x) == refs
-        # no (x, plan) entry anywhere
         assert not any(isinstance(r, tuple) for r in gc.get_referrers(x))
         assert x._plan[0] is module
 
