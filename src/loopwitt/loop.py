@@ -45,7 +45,8 @@ class LoopElem:
         self.n = n
         self.pres = pres
         self.terms = {}
-        # (module, plan) of the module it last acted in: TensorModule.plan
+        # (weak reference to the module, plan) of the module it last
+        # acted in: TensorModule.plan
         self._plan = None
         for key, coeff in (terms or {}).items():
             if not coeff.is_zero():

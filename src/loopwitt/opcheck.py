@@ -12,13 +12,18 @@ R adds -D(u,0)b1b2 acting on v, and Q is one loop element acting on v.
 Every bracket identity among them, the scalar action of the zero modes
 and the collapse of B coefficients through psi is one signed sum of
 such terms, with only the inner images of the brackets built, so each
-residual is pruned once.  These, the shift-difference subspace and the
-rank-one identities are checked as exact zero residuals by applying
-operator combinations to slice basis blocks, all d basis vectors of a
-slice in one call (tensmod.TensorModule.basis_block).  A residual is the
-signed sum on the bottom slice's basis block, a ModVector that must be
-zero; only the algebra of the bottom slice takes the operators' Columns
-from op_matrix, and only its Burnside fallback densifies.
+residual is collected once.  These and the rank-one identities are
+checked as exact zero residuals by applying operator combinations to
+slice basis blocks, all d basis vectors of a slice in one call
+(tensmod.TensorModule.basis_block).  A residual is the signed sum on the
+bottom slice's basis block, a ModVector that must be zero.  The
+shift-difference subspace is one signed sum as well: Q acts once on a
+block of difference vectors, one group of d columns per interior slice
+(tensmod.TensorModule.difference_block), whose slice sum must vanish,
+and the quotient intertwining is the slice sum of R - Q.  All of it runs
+in the action's Gaussian integers, so a passing check makes no GaussRat
+per slice; only the algebra of the bottom slice takes the operators'
+Columns from op_matrix, and only its Burnside fallback densifies.
 """
 
 from __future__ import annotations
@@ -66,20 +71,20 @@ def operator_terms(family, spec: OpSpec, module: TensorModule) -> TermOp:
     """The operator of family "product", "reduced" or "evaluated", giving
     its image as terms: the outer actions are left to the signed sum, and
     the evaluated operator is a single loop element, so it acts once."""
+    if family not in ("product", "reduced", "evaluated"):
+        raise ValueError(f"unknown operator family {family!r}")
     n = module.n
     pres = module.pres
     d_elem = LoopElem.d_vec(n, pres, spec.u, spec.r, spec.b2)
+    shift_back = LoopElem.t_part(n, pres, _neg_deg(spec.r), spec.b1)
+    if family == "product":
+        return lambda v: [(ONE, shift_back, act(d_elem, v))]
     zero_mode = LoopElem.d_vec(n, pres, spec.u, (0,) * n, spec.b1 * spec.b2)
     if family == "evaluated":
         q = d_elem.scale(spec.b1.psi()) - zero_mode
         return lambda v: [(ONE, q, v)]
-    shift_back = LoopElem.t_part(n, pres, _neg_deg(spec.r), spec.b1)
-    if family == "product":
-        return lambda v: [(ONE, shift_back, act(d_elem, v))]
-    if family == "reduced":
-        return lambda v: [(ONE, shift_back, act(d_elem, v)),
-                          (-ONE, zero_mode, v)]
-    raise ValueError(f"unknown operator family {family!r}")
+    return lambda v: [(ONE, shift_back, act(d_elem, v)),
+                      (-ONE, zero_mode, v)]
 
 
 def as_operator(family, spec: OpSpec, module: TensorModule) -> Op:
@@ -193,29 +198,28 @@ def evaluated_preserves_differences(spec: OpSpec,
                                     module: TensorModule) -> bool:
     """The evaluated operator Q of ``spec`` maps each shift difference
     e_k t^m - e_k t^0 (m != 0, image in the window) to slice sum zero.
-    act is exactly linear and handles each source slice on its own, so
-    Q(e_k t^m - e_k t^0) = Q(e_k t^m) - Q(e_k t^0), and the slice sums
-    of Q on each interior slice's basis block, one column per k, are
-    checked against those of the bottom slice's."""
-    op = as_operator("evaluated", spec, module)
-    margin = tuple(abs(a) for a in spec.r)
-    zero = (0,) * module.n
-    bottom = op(module.basis_block(zero)).slice_sum()
-    return all(op(module.basis_block(m)).slice_sum() == bottom
-               for m in module.window.interior(margin) if m != zero)
+    Q acts once, on the block whose column group g holds the d
+    differences of the g-th interior slice m_g != 0
+    (TensorModule.difference_block), and every column of the slice sum
+    of the image must vanish.  act is exactly linear and handles each
+    source slice on its own, so the verdict is that of comparing the
+    slice sums of Q on each interior slice's basis block with those of
+    the bottom slice's, and a passing sweep makes no GaussRat."""
+    block = module.difference_block(tuple(abs(a) for a in spec.r))
+    return not as_operator("evaluated", spec, module)(block).slice_sum()
 
 
 def quotient_intertwining_check(specs: Sequence[OpSpec],
                                 module: TensorModule) -> bool:
     """The projection modulo shift differences, the slice sum,
     intertwines the reduced family on the bottom slice with the
-    evaluated family on the quotient."""
-    zero = (0,) * module.n
-    v = module.basis_block(zero)
+    evaluated family on the quotient: R - Q on the bottom slice's basis
+    block, one signed sum, has slice sum zero."""
+    v = module.basis_block((0,) * module.n)
     for spec in specs:
-        red = as_operator("reduced", spec, module)
-        ev = as_operator("evaluated", spec, module)
-        if red(v).slice_sum() != ev(v).slice_sum():
+        red = operator_terms("reduced", spec, module)
+        ev = operator_terms("evaluated", spec, module)
+        if signed_sum(module, red(v) + _scaled(-ONE, ev(v))).slice_sum():
             return False
     return True
 

@@ -7,46 +7,44 @@ Z^n and truncated to the box |m_i| <= R.  The loop-algebra action is
     t^r b  . v(x)t^m = psi(b) v (x) t^(m+r)
 
 extended linearly.  A ModVector holds a block of module vectors over
-the same slices: each slice m keeps one sparse linalg.Vec, whose entry
-k d + i is coordinate i of column k.  An ordinary vector is a block
-whose only column is column 0; TensorModule.basis_block(m) is the d x d
-identity on slice m.  Sums, scaling and slice sums act on the stored
-entries, so they act on each column, and no zero is ever stored.
+the same slices, entry k d + i of a slice being coordinate i of column
+k, in Gaussian integers: one denominator D and, per slice, a
+linalg.IntVec of D times the entries, nonzero parts only.  GaussRat
+comes in through the constructor and out through .data, slice_sum and
+op_matrix; the action and the block arithmetic make none.
 
-Only the scalar (u, m+alpha) depends on the source slice m, so the
-action compiles each element into a plan for its module: for each
-degree r, the constant kappa_r = sum psi(b) of the t-parts plus
-sum_i psi_i alpha_i, the pairs (i, psi_i) of the derivation terms, and
-the Columns of M_r = sum_ij psi_i r_j E_ji, summed from the irrep's
-Irrep.columns.  On slice m it computes s = kappa_r + sum_i psi_i m_i
-once and then s v + M_r v, mapping each stored entry k d + i through
-column i of M_r into column k.  An element keeps the plan of the last
-module it acted in, and the plan is freed with it.
+An element is compiled once per module into a plan: per degree r, the
+constant kappa_r = sum psi(b) of the t-parts plus sum_i psi_i alpha_i,
+the derivation coefficients psi_i and M_r = sum_ij psi_i r_j E_ji from
+Irrep.int_view, all over one denominator P.  A source slice m then costs
+one Gaussian integer P s = P kappa_r + sum_i P psi_i m_i and
+P s v + P M_r v.  The element keeps the plan, with a weak reference to
+its module.
 
-The action has one core, act_into(acc, x, v, c), which adds c (x . v)
-into an accumulator, a map from degree to an unpruned Vec.  It raises
-OutOfWindowError exactly when the image of one degree of x on one
-source slice of v is nonzero and lands outside the window, whatever c,
-so it never silently truncates.  act is that core plus one prune, and
-signed_sum adds the terms (c, x, w), c (x . w) or c w when x is None,
-into one accumulator and prunes once: the module residuals below sum
-their outer actions that way, with only the inner images built as
-ModVectors.  op_matrix gives the matrix of an operator that maps one
-slice into itself as Columns, the one matrix format of linalg,
-applying the operator once to the slice's basis block.  All of them
-visit only the stored entries of a block.
+The one core, act_into(acc, x, v, c), adds c (x . v) into an
+accumulator that maps a denominator to unpruned slices over it: with
+c = (a + b i)/q the term goes in over D P q, and collect brings the
+denominators to their least common multiple once and prunes.  It raises
+OutOfWindowError exactly when the image of one degree of x on one source
+slice is nonzero and leaves the window, whatever c.  act is act_into
+plus collect; signed_sum adds terms (c, x, w), c (x . w) or c w for x
+None, into one accumulator, and the module residuals and ModVector +, -
+and scale are such sums.  op_matrix applies an operator that maps a
+slice into itself once, to the slice's basis block.
 """
 
 from __future__ import annotations
 
-from itertools import chain, product
-from math import prod
+import weakref
+from itertools import product
+from math import lcm, prod
 from operator import add
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .coeff import BElem, BPresentation
 from .glnrep import Irrep
-from .linalg import Columns, Vec, entries, sparse_sum, to_columns
+from .linalg import (Columns, IntColumns, IntMatrix, IntVec, Vec, add_into,
+                     gauss_entries, int_entries_into, to_columns)
 from .loop import Degree, LoopElem
 from .scalars import GaussRat, ONE
 
@@ -55,10 +53,15 @@ class OutOfWindowError(ValueError):
     pass
 
 
-# one degree r of a compiled element: r, kappa_r, the pairs (i - 1, psi_i)
-# of its derivation terms, and the sparse columns of M_r (None if zero)
-DegreePlan = Tuple[Degree, GaussRat, List[Tuple[int, GaussRat]],
-                   Optional[Columns]]
+# one degree r of a compiled element over the plan's one denominator P:
+# r, kappa_r, the pairs (i - 1, P psi_i as (re, im)) of its derivation
+# terms, and (P, the Gaussian-integer columns of P M_r or None if zero)
+DegreePlan = Tuple[Degree, GaussRat, List[Tuple[int, Tuple[int, int]]],
+                   Tuple[int, Optional[IntMatrix]]]
+# the same with P kappa_r too: r, P, P kappa_r as (re, im), the pairs
+# and P M_r or None
+IntDegreePlan = Tuple[Degree, int, int, int,
+                      List[Tuple[int, Tuple[int, int]]], Optional[IntMatrix]]
 
 
 # bound on the slice count (2R+1)^n of a configured window
@@ -98,6 +101,23 @@ class Window:
         return tuple(reversed(out))
 
 
+def _int_columns(part: Dict[int, int], d: int) -> IntColumns:
+    """The columns of the nonzero entries of part, keyed row * d + col."""
+    out: IntColumns = [[] for _ in range(d)]
+    for key in sorted(part):
+        if part[key]:
+            row, col = divmod(key, d)
+            out[col].append((row, part[key]))
+    return out
+
+
+def _over(x: GaussRat, den: int) -> Tuple[int, int]:
+    """den x as (re, im), for den a multiple of x's denominator."""
+    a, b, q = x.parts()
+    f = den // q
+    return a * f, b * f
+
+
 class TensorModule:
     def __init__(self, rep: Irrep, alpha: Sequence[GaussRat],
                  pres: BPresentation, window: Window):
@@ -124,15 +144,36 @@ class TensorModule:
     def basis_block(self, m: Degree) -> "ModVector":
         """The d basis vectors of slice m as one block: column k is
         v_k (x) t^m."""
-        return ModVector(self, {tuple(m): {k * (self.d + 1): ONE
-                                           for k in range(self.d)}})
+        m = tuple(m)
+        if not self.window.contains(m):
+            raise OutOfWindowError(f"degree {m} outside window")
+        d = self.d
+        return ModVector._of(self, 1, {m: ({k * (d + 1): 1
+                                            for k in range(d)}, {})})
 
-    def plan(self, x: LoopElem) -> List[DegreePlan]:
-        """x compiled for act_into, kept on x: compiled again only when x
-        last acted in another module."""
-        if x._plan is None or x._plan[0] is not self:
-            x._plan = (self, self._compile(x))
-        return x._plan[1]
+    def difference_block(self, margin: Sequence[int]) -> "ModVector":
+        """The shift differences of every nonzero slice of
+        window.interior(margin) as one block: column g d + k is
+        v_k (x) t^(m_g) - v_k (x) t^0, for m_g the g-th such slice."""
+        d = self.d
+        zero = (0,) * self.n
+        # column c holds 1 or -1 at entry c d + c % d
+        ints: Dict[Degree, IntVec] = {
+            m: ({c * d + c % d: 1 for c in range(g * d, g * d + d)}, {})
+            for g, m in enumerate(m for m in self.window.interior(margin)
+                                  if m != zero)}
+        if ints:
+            ints[zero] = ({c * d + c % d: -1 for c in range(len(ints) * d)},
+                          {})
+        return ModVector._of(self, 1, ints)
+
+    def plan(self, x: LoopElem) -> List[IntDegreePlan]:
+        """x compiled for act_into and put over one denominator, kept on
+        x: compiled again only when x last acted in another module."""
+        kept = x._plan
+        if kept is None or kept[0]() is not self:
+            kept = x._plan = (weakref.ref(self), _lowered(self._compile(x)))
+        return kept[1]
 
     def _compile(self, x: LoopElem) -> List[DegreePlan]:
         if x.n != self.n:
@@ -151,58 +192,121 @@ class TensorModule:
                 terms.append((i - 1, pb))
                 pb = pb * self.alpha[i - 1]
             kappa[r] = kappa[r] + pb if r in kappa else pb
-        return [(r, kappa[r], terms, self._m_columns(r, terms))
-                for r, terms in d_terms.items()]
+        # one denominator P for the whole plan: every kappa_r's and
+        # psi_i's, times the irrep's when some M_r is nonzero
+        shifted = {r for r, terms in d_terms.items() if terms and any(r)}
+        den = lcm(*(k.parts()[2] for k in kappa.values()),
+                  *(pb.parts()[2] for terms in d_terms.values()
+                    for _, pb in terms))
+        if shifted:
+            den *= self.rep.int_view()[0]
+        out = []
+        for r, terms in d_terms.items():
+            terms = [(i, _over(pb, den)) for i, pb in terms]
+            out.append((r, kappa[r], terms, (
+                den, self._m_columns(r, terms) if r in shifted else None)))
+        return out
 
-    def _m_columns(self, r: Degree, d_terms: List[Tuple[int, GaussRat]]
-                   ) -> Optional[Columns]:
-        """The Columns of M_r = sum_ij psi_i r_j E_ji, or None when M_r is
-        zero."""
-        m = sparse_sum((key, pb * rj * e) for i, pb in d_terms
-                       for j, rj in enumerate(r) if rj
-                       for key, e in entries(self.rep.columns(j + 1, i + 1)))
-        return to_columns(m, self.d) if m else None
+    def _m_columns(self, r: Degree, d_terms: List[Tuple[int, Tuple[int, int]]]
+                   ) -> Optional[IntMatrix]:
+        """P M_r = sum_ij P psi_i r_j E_ji in Gaussian integers, or None
+        when it is zero, from the P psi_i of d_terms, for P a multiple of
+        the irrep's denominator D times each psi_i's: P M_r is
+        sum_ij (P psi_i / D) r_j N_ji over the N_ji = D E_ji of
+        Irrep.int_view."""
+        e_den, ints = self.rep.int_view()
+        re: Dict[int, int] = {}
+        im: Dict[int, int] = {}
+        for i, (a, b) in d_terms:
+            a //= e_den
+            b //= e_den
+            for j, rj in enumerate(r):
+                if not rj:
+                    continue
+                nr, ni = ints[j][i]
+                # (a + b i) r_j (nr + ni i)
+                if a:
+                    int_entries_into(re, im, (nr, ni), a * rj)
+                if b:
+                    int_entries_into(im, re, (nr, None), b * rj)
+                    if ni:
+                        int_entries_into(re, im, (ni, None), -b * rj)
+        if not (any(re.values()) or any(im.values())):
+            return None
+        return (_int_columns(re, self.d),
+                _int_columns(im, self.d) if any(im.values()) else None)
+
+
+def _lowered(compiled: List[DegreePlan]) -> List[IntDegreePlan]:
+    """The compiled degrees with kappa_r over their denominator P too."""
+    out = []
+    for r, kappa, d_terms, (den, cols) in compiled:
+        a, b, q = kappa.parts()
+        if den % q:
+            raise ValueError(f"kappa_{r} is not over the plan's denominator")
+        out.append((r, den, a * (den // q), b * (den // q), d_terms, cols))
+    return out
 
 
 class ModVector:
-    """Sparse block of a truncated module: degree -> Vec, whose entry
-    k d + i is coordinate i of column k.  Only nonzero entries and
-    nonempty slices are kept."""
+    """Sparse block of a truncated module: den, one denominator, and
+    ints, degree -> IntVec of den times the entries, whose entry k d + i
+    is coordinate i of column k.  Only nonzero parts and nonempty slices
+    are kept.  The constructor takes degree -> Vec over GaussRat."""
 
-    __slots__ = ("module", "data")
+    __slots__ = ("module", "den", "ints")
 
     def __init__(self, module: TensorModule, data: Dict[Degree, Vec] = None):
         self.module = module
-        self.data = {}
-        for m, vec in (data or {}).items():
-            vec = {j: x for j, x in vec.items() if x}
-            if vec:
+        self.den = 1
+        self.ints = {}
+        if not data:
+            return
+        den = lcm(*{x.parts()[2] for vec in data.values()
+                    for x in vec.values()})
+        for m, vec in data.items():
+            re, im = {}, {}
+            for j, x in vec.items():
+                a, b, q = x.parts()
+                if a:
+                    re[j] = a * (den // q)
+                if b:
+                    im[j] = b * (den // q)
+            if re or im:
                 if not module.window.contains(m):
                     raise OutOfWindowError(f"degree {m} outside window")
-                self.data[m] = vec
+                self.ints[m] = (re, im)
+        if self.ints:
+            self.den = den
+
+    @classmethod
+    def _of(cls, module: TensorModule, den: int,
+            ints: Dict[Degree, IntVec]) -> "ModVector":
+        """The block with the given denominator and slices, taken as
+        they are: nonzero parts and nonempty slices only."""
+        out = cls(module)
+        out.den = den
+        out.ints = ints
+        return out
+
+    @property
+    def data(self) -> Dict[Degree, Vec]:
+        """The block over GaussRat: degree -> Vec."""
+        return {m: gauss_entries(re, im, self.den)
+                for m, (re, im) in self.ints.items()}
 
     def __add__(self, other: "ModVector") -> "ModVector":
-        out = dict(self.data)
-        for m, v in other.data.items():
-            if m in out:
-                out[m] = sparse_sum(chain(out[m].items(), v.items()))
-            else:
-                out[m] = v
-        return ModVector(self.module, out)
-
-    def __neg__(self) -> "ModVector":
-        return self.scale(-ONE)
+        return signed_sum(self.module, [(ONE, None, self), (ONE, None, other)])
 
     def __sub__(self, other: "ModVector") -> "ModVector":
-        return self + (-other)
+        return signed_sum(self.module,
+                          [(ONE, None, self), (-ONE, None, other)])
 
     def scale(self, c: GaussRat) -> "ModVector":
-        return ModVector(self.module,
-                         {m: {j: c * x for j, x in v.items()}
-                          for m, v in self.data.items()})
+        return signed_sum(self.module, [(c, None, self)])
 
     def is_zero(self) -> bool:
-        return not self.data
+        return not self.ints
 
     def __eq__(self, other):
         return isinstance(other, ModVector) and (self - other).is_zero()
@@ -211,7 +315,9 @@ class ModVector:
         """Sum of all slice coordinate vectors: the image of v in the
         quotient of the window by the shift differences
         v_k(x)t^m - v_k(x)t^0, m != 0, as bottom-slice coordinates; for
-        a block, entry k d + i is coordinate i of column k's image.
+        a block, entry k d + i is coordinate i of column k's image.  It
+        is summed in Gaussian integers, and only its nonzero entries
+        become GaussRat.
 
         Order the coordinates with the nonzero slices first and slice 0
         last.  Then the differences are a reduced echelon basis: each has
@@ -219,33 +325,60 @@ class ModVector:
         v clears every nonzero-slice component and leaves the slice sum
         at slice 0, so v lies in the span of the differences iff its
         slice sum is zero, and the quotient has dimension d."""
-        return sparse_sum(chain.from_iterable(
-            v.items() for v in self.data.values()))
+        re: Dict[int, int] = {}
+        im: Dict[int, int] = {}
+        for vr, vi in self.ints.values():
+            for j, y in vr.items():
+                re[j] = re.get(j, 0) + y
+            for j, y in vi.items():
+                im[j] = im.get(j, 0) + y
+        return gauss_entries(re, im, self.den)
 
 
-# degree -> Vec, unpruned: an entry or a slice may hold zeros
-Acc = Dict[Degree, Vec]
+# denominator -> degree -> unpruned IntVec over that denominator: an
+# entry or a slice may hold zeros
+Acc = Dict[int, Dict[Degree, IntVec]]
 # c (x . w), or c w when x is None
 Term = Tuple[GaussRat, Optional[LoopElem], ModVector]
 
 
-def _add_image(out: Vec, s: GaussRat, cols: Optional[Columns], vec: Vec,
-               d: int):
-    """Add s vec + M vec into out, unpruned; cols are M's Columns, or
-    None for M = 0."""
-    if s:
-        for j, y in vec.items():
-            y = s * y
-            out[j] = out[j] + y if j in out else y
-    if cols is not None:
-        # entry j is coordinate j % d of column j // d, and M maps it
-        # into that column
-        for j, y in vec.items():
-            base = j - j % d
-            for row, e in cols[j % d]:
-                k = base + row
-                e = e * y
-                out[k] = out[k] + e if k in out else e
+def _add_part(acc: Dict[int, int], part: Dict[int, int], f: int,
+              mat: Optional[IntColumns], d: int, g: int):
+    """acc += f part + g mat part, unpruned, for mat None or the columns
+    of a d x d matrix M: entry j of part is coordinate j % d of column
+    j // d, and M maps it into that column."""
+    if mat is None:
+        if f:
+            for j, y in part.items():
+                acc[j] = acc.get(j, 0) + f * y
+        return
+    for j, y in part.items():
+        if f:
+            acc[j] = acc.get(j, 0) + f * y
+        i = j % d
+        base = j - i
+        y *= g
+        for row, e in mat[i]:
+            k = base + row
+            acc[k] = acc.get(k, 0) + e * y
+
+
+def _add_image(out: IntVec, sr: int, si: int, cols: Optional[IntMatrix],
+               vec: IntVec, d: int, g: int = 1):
+    """Add s vec + g M vec into out, unpruned, for the Gaussian integer
+    s = sr + si i, an int g and cols = (mr, mi) the parts of M, or None
+    for M = 0: (sr + g mr) vr - (si + g mi) vi into the real part and
+    (si + g mi) vr + (sr + g mr) vi into the imaginary part."""
+    ore, oim = out
+    vr, vi = vec
+    mr, mi = cols or (None, None)
+    _add_part(ore, vr, sr, mr, d, g)
+    if vi:
+        _add_part(oim, vi, sr, mr, d, g)
+    if si or mi:
+        _add_part(oim, vr, si, mi, d, g)
+        if vi:
+            _add_part(ore, vi, -si, mi, d, -g)
 
 
 def act_into(acc: Acc, x: LoopElem, v: ModVector, c: GaussRat = ONE):
@@ -254,56 +387,99 @@ def act_into(acc: Acc, x: LoopElem, v: ModVector, c: GaussRat = ONE):
     OutOfWindowError when it leaves the window and is nonzero, whatever
     c; with c = 0 nothing else is computed."""
     module = v.module
+    plan = module.plan(x)
+    if not plan:
+        return
     d = module.d
     radius = module.window.radius
-    # (m, the slice, the slice scaled by c or None when c = 0)
-    if c is ONE or c == ONE:
-        slices = [(m, vec, vec) for m, vec in v.data.items()]
-    else:
-        slices = [(m, vec, {j: c * y for j, y in vec.items()} if c else None)
-                  for m, vec in v.data.items()]
-    for r, kappa, d_terms, cols in module.plan(x):
+    cr, ci, cq = GaussRat._coerce(c).parts()
+    # (m, the slice, the slice that is added): the numerator g = cr of a
+    # real c scales each image as it is added, while a non-real c's
+    # multiplies the slices first
+    g = 1 if ci else cr
+    slices = [(m, vec, vec) for m, vec in v.ints.items()]
+    if ci:
+        for k, (m, vec, _) in enumerate(slices):
+            cvec: IntVec = ({}, {})
+            _add_image(cvec, cr, ci, None, vec, d)
+            slices[k] = (m, vec, cvec)
+    for r, den, kr, ki, d_terms, cols in plan:
+        shifts = any(r)
+        bucket = None
         for m, vec, cvec in slices:
-            s = kappa
-            for i, pb in d_terms:
+            # P s = P kappa_r + sum_i P psi_i m_i
+            sr, si = kr, ki
+            for i, (pr, pi) in d_terms:
                 if m[i]:
-                    s = s + pb * m[i]
-            target = tuple(map(add, m, r))
-            if max(map(abs, target)) > radius:
-                image: Vec = {}
-                _add_image(image, s, cols, vec, d)
-                if any(image.values()):
+                    sr += pr * m[i]
+                    si += pi * m[i]
+            target = tuple(map(add, m, r)) if shifts else m
+            if shifts and max(map(abs, target)) > radius:
+                image: IntVec = ({}, {})
+                _add_image(image, sr, si, cols, vec, d)
+                if any(image[0].values()) or any(image[1].values()):
                     raise OutOfWindowError(
                         f"action leaves the window at {target}")
-            elif cvec is not None:
-                out = acc.get(target)
+            elif g:
+                if bucket is None:
+                    bucket = acc.setdefault(v.den * den * cq, {})
+                out = bucket.get(target)
                 if out is None:
-                    out = acc[target] = {}
-                _add_image(out, s, cols, cvec, d)
+                    out = bucket[target] = ({}, {})
+                _add_image(out, g * sr, g * si, cols, cvec, d, g)
+
+
+def collect(module: TensorModule, acc: Acc) -> ModVector:
+    """The sum an accumulator holds, as a ModVector: every denominator
+    brought to their least common multiple, and pruned.  acc is emptied
+    on the way, slice by slice, so that the sum and the accumulator are
+    never both held in full."""
+    den = lcm(*acc)
+    sums: Dict[Degree, IntVec] = acc.pop(den) if len(acc) == 1 else {}
+    for q in list(acc):
+        f = den // q
+        for m, (re, im) in acc.pop(q).items():
+            if m in sums:
+                add_into(sums[m][0], re, f)
+                add_into(sums[m][1], im, f)
+            else:
+                sums[m] = (re, im) if f == 1 else (
+                    {j: f * y for j, y in re.items()},
+                    {j: f * y for j, y in im.items()})
+    ints: Dict[Degree, IntVec] = {}
+    for m in list(sums):
+        re, im = sums.pop(m)
+        re = {j: y for j, y in re.items() if y}
+        im = {j: y for j, y in im.items() if y} if im else {}
+        if re or im:
+            ints[m] = (re, im)
+    return ModVector._of(module, den if ints else 1, ints)
 
 
 def act(x: LoopElem, v: ModVector) -> ModVector:
     """Action of a loop-algebra element on a block of module vectors,
-    column by column: act_into and one prune."""
+    column by column: act_into and one collect."""
     acc: Acc = {}
     act_into(acc, x, v)
-    return ModVector(v.module, acc)
+    return collect(v.module, acc)
 
 
 def signed_sum(module: TensorModule, terms: Iterable[Term]) -> ModVector:
     """The sum of the terms (c, x, w), each c (x . w) or, when x is None,
-    c w, added into one accumulator and pruned once."""
+    c w, added into one accumulator and collected once."""
     acc: Acc = {}
     for c, x, w in terms:
         if x is not None:
             act_into(acc, x, w, c)
-        elif c:
-            for m, vec in w.data.items():
-                out = acc.get(m)
+        elif c and w.ints:
+            cr, ci, cq = GaussRat._coerce(c).parts()
+            bucket = acc.setdefault(w.den * cq, {})
+            for m, vec in w.ints.items():
+                out = bucket.get(m)
                 if out is None:
-                    out = acc[m] = {}
-                _add_image(out, c, None, vec, module.d)
-    return ModVector(module, acc)
+                    out = bucket[m] = ({}, {})
+                _add_image(out, cr, ci, None, vec, module.d)
+    return collect(module, acc)
 
 
 def module_axiom_residual(x: LoopElem, y: LoopElem, v: ModVector) -> ModVector:
@@ -339,7 +515,7 @@ def op_matrix(op: Op, module: TensorModule, m: Degree) -> Columns:
     OutOfWindowError."""
     d = module.d
     image = op(module.basis_block(m))
-    for p in image.data:
+    for p in image.ints:
         if p != m:
             raise OutOfWindowError(
                 f"operator maps slice {m} into slice {p}")

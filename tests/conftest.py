@@ -386,6 +386,22 @@ def reference_block(op, module, m):
     return ModVector(module, data)
 
 
+def reference_preserves_differences(spec, module):
+    """The shift-difference sweep one slice at a time: the slice sums of
+    the evaluated operator Q on the basis block of each interior slice
+    m != 0 against those on the bottom slice's basis block.  By
+    linearity this is Q(e_k t^m - e_k t^0) having slice sum zero for
+    every k: the oracle of opcheck.evaluated_preserves_differences, which
+    acts once on one block of all the differences."""
+    from loopwitt.opcheck import as_operator
+    op = as_operator("evaluated", spec, module)
+    margin = tuple(abs(a) for a in spec.r)
+    zero = (0,) * module.n
+    bottom = op(module.basis_block(zero)).slice_sum()
+    return all(op(module.basis_block(m)).slice_sum() == bottom
+               for m in module.window.interior(margin) if m != zero)
+
+
 def reference_op_matrix(op, module, m):
     """Columns of op applied to each basis vector of slice m, one call
     per column: the oracle of tensmod.op_matrix, which applies op once

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (columns, dense_relation_residual, direct_sum_irrep,
-                      mat_is_zero, rank, reference_act, reference_block,
-                      reference_bracket_identity, reference_evaluated,
-                      reference_op_matrix, shift_difference_generators,
-                      window_coords)
+from conftest import (block_column, columns, dense_relation_residual,
+                      direct_sum_irrep, mat_is_zero, rank, reference_act,
+                      reference_block, reference_bracket_identity,
+                      reference_evaluated, reference_op_matrix,
+                      reference_preserves_differences,
+                      shift_difference_generators, window_coords)
 from loopwitt import opcheck, tensmod
 from loopwitt.glnrep import build_irrep
 from loopwitt.linalg import dense
@@ -714,6 +715,86 @@ class TestNegativeControls:
         want = [list(idx) for idx in product(range(1, 4), repeat=4)
                 if not mat_is_zero(dense_relation_residual(rep, *idx))]
         assert want and got == want
+
+
+class TestDifferenceSweep:
+    """evaluated_preserves_differences, the evaluated operator applied
+    once to a block of every shift difference, against
+    reference_preserves_differences, the slice-by-slice sweep it
+    replaced, on clean modules and under the planted single-slice
+    defects."""
+
+    DEFECTS = {
+        "slice-1": lambda mp: double_d_terms_on_slice(mp, 1),
+        "slice-2": lambda mp: double_d_terms_on_slice(mp, 2),
+        "last-basis-vector": double_d_terms_on_last_basis_vector,
+    }
+
+    @pytest.mark.parametrize("defect", [None, *DEFECTS])
+    @pytest.mark.parametrize("n,mu", [(1, ()), (2, (1,)), (3, (1, 0))])
+    def test_same_verdict_as_the_per_slice_sweep(self, n, mu, defect,
+                                                 any_pres, monkeypatch):
+        module = make_module(any_pres, n=n, mu=mu)
+        specs = sample_specs(any_pres, n, random.Random(40 + n), 6)
+        if defect is not None:
+            self.DEFECTS[defect](monkeypatch)
+        got = [opcheck.evaluated_preserves_differences(spec, module)
+               for spec in specs]
+        assert got == [reference_preserves_differences(spec, module)
+                       for spec in specs]
+        # each defect shows on some spec, and a clean module passes all
+        assert all(got) == (defect is None)
+
+    def test_block_holds_every_difference(self, trivial):
+        module = make_module(trivial, n=2, mu=(1,), radius=2)
+        block = module.difference_block((1, 0))
+        slices = [m for m in module.window.interior((1, 0)) if m != (0, 0)]
+        d = module.d
+        assert len(slices) == 14
+        for g, m in enumerate(slices):
+            for k in range(d):
+                assert block_column(block, g * d + k) == (
+                    module.basis_vector(m, k)
+                    - module.basis_vector((0, 0), k))
+        assert not block.slice_sum()
+
+    def test_gauss_rat_work_does_not_grow_with_the_window(self, polyquot,
+                                                          monkeypatch):
+        # a passing sweep makes no GaussRat per slice: its GaussRat
+        # arithmetic, counted by wrapping the methods as the benchmark's
+        # tracer does, and every GaussRat made (scalars._norm) are those
+        # of building Q and its plan, at any radius
+        from collections import Counter
+        from loopwitt import scalars
+        rep = build_irrep((1,), GaussRat(Fraction(3, 2)), 2)
+        rep.int_view()
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for attr in ("__add__", "__radd__", "__sub__", "__rsub__",
+                     "__neg__", "__mul__", "__rmul__", "inverse",
+                     "__truediv__", "__rtruediv__"):
+            monkeypatch.setattr(GaussRat, attr,
+                                counting(attr, GaussRat.__dict__[attr]))
+        monkeypatch.setattr(scalars, "_norm",
+                            counting("_norm", scalars._norm))
+        got = []
+        for radius in (3, 5):
+            module = TensorModule(rep, [HALF, GaussRat(Fraction(-1, 3))],
+                                  polyquot, Window(2, radius))
+            # built afresh, so that no psi is cached from the last radius
+            spec = OpSpec((GaussRat(1), GaussRat(0, 1)), (1, 0),
+                          polyquot.generator(), polyquot.one() * 2)
+            counts.clear()
+            assert opcheck.evaluated_preserves_differences(spec, module)
+            got.append(dict(counts))
+        assert got[0] == got[1]
+        assert got[0]["__mul__"] and got[0]["_norm"]
 
 
 class TestGlRelationsSuite:

@@ -25,7 +25,7 @@ from loopwitt.opcheck import OpSpec
 from loopwitt.scalars import GaussRat, ONE, ZERO
 from loopwitt.tensmod import (ModVector, OutOfWindowError, TensorModule,
                               Window, assoc_unital_residuals, act_into,
-                              module_axiom_residual, signed_sum)
+                              collect, module_axiom_residual, signed_sum)
 
 MU = {1: (), 2: (1,), 3: (1, 0)}
 SCALARS = [ZERO, GaussRat(1), GaussRat(-2), GaussRat(Fraction(1, 2)),
@@ -197,6 +197,64 @@ class TestAgainstModVectorArithmetic:
                        for name in opcheck.BRACKET_ROWS)
 
 
+def two_degrees(rng, module, b_pool):
+    """A sum of two homogeneous terms at two different degrees, so that
+    its plan has two entries."""
+    x, r = homogeneous(rng, module, b_pool)
+    while True:
+        y, s = homogeneous(rng, module, b_pool)
+        if s != r:
+            return x + y
+
+
+def multi_degree_mismatches(n, kind):
+    """How many of 12 cases of module_axiom_residual and of signed_sum,
+    on elements with terms at two degrees, differ from the residual and
+    the sum in ModVector arithmetic.  The irrep has every off-diagonal
+    E_ij doubled, so the residuals are nonzero for n >= 2."""
+    pres = presentation(kind)
+    rep = doubled_off_diagonal(build_irrep(MU[n], GaussRat(Fraction(3, 2)),
+                                           n))
+    alpha = [GaussRat(Fraction(1, 3)), GaussRat(-1, 1), GaussRat(0)][:n]
+    module = TensorModule(rep, alpha, pres, Window(n, 3))
+    # psi(b) != 0 throughout, so no degree drops out of a plan
+    b_pool = [pres.one(), pres.from_scalar(GaussRat(-2, 1))]
+    if kind != "trivial":
+        b_pool.append(pres.generator())
+    rng = random.Random(17 * n + len(kind))
+    axiom = terms = 0
+    for _ in range(12):
+        x = two_degrees(rng, module, b_pool)
+        y = two_degrees(rng, module, b_pool)
+        v = vector(rng, module, (2,) * n)
+        axiom += module_axiom_residual(x, y, v) != reference_module_axiom(
+            x, y, v)
+        c = rng.choice(SCALARS[1:])
+        want = reference_act(x, v).scale(c) - reference_act(y, v)
+        terms += signed_sum(module, [(c, x, v), (-ONE, y, v)]) != want
+    return axiom, terms
+
+
+class TestMultiDegreePlans:
+    """The module suites act only with elements of one degree, so these
+    cases reach the plans with two entries.  A plan cut to its first
+    degree fails them."""
+
+    @pytest.mark.parametrize("kind", ["trivial", "polyquot", "laurent"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_module_axiom_and_signed_sum(self, n, kind):
+        assert multi_degree_mismatches(n, kind) == (0, 0)
+
+    @pytest.mark.parametrize("kind", ["trivial", "polyquot", "laurent"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_first_degree_only_plan_fails_them(self, n, kind, monkeypatch):
+        plan = TensorModule.plan
+        monkeypatch.setattr(TensorModule, "plan",
+                            lambda self, x: plan(self, x)[:1])
+        axiom, terms = multi_degree_mismatches(n, kind)
+        assert axiom and terms
+
+
 class TestWindow:
     """An image of one degree on one source slice that leaves the window
     raises when it is nonzero, whatever the term's coefficient, and is
@@ -221,7 +279,7 @@ class TestWindow:
         act_into(acc, x, v, coeff)
         got = signed_sum(module, [(coeff, x, v), (-coeff, None, v)])
         assert got == v.scale(GaussRat(2) * coeff)
-        assert ModVector(module, acc) == v.scale(GaussRat(3) * coeff)
+        assert collect(module, acc) == v.scale(GaussRat(3) * coeff)
 
     @pytest.mark.parametrize("coeff", SCALARS)
     def test_a_nonzero_image_outside_raises(self, coeff):

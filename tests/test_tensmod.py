@@ -1,20 +1,23 @@
 import gc
 import random
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (block_column, cartan_eigenvalue, make_polyquot_cube,
-                      reference_act)
+from conftest import (block_column, cartan_eigenvalue, make_laurent,
+                      make_polyquot_cube, reference_act, reference_op_matrix)
+from loopwitt.coeff import BPresentation
 from loopwitt.glnrep import build_irrep
 from loopwitt.linalg import dense, identity
 from loopwitt.loop import LoopElem
-from loopwitt.scalars import GaussRat, ZERO
+from loopwitt.scalars import GaussRat, ONE, ZERO
 from loopwitt.tensmod import (ModVector, OutOfWindowError, TensorModule,
-                              Window, act, assoc_unital_residuals,
-                              module_axiom_residual, op_matrix)
+                              Window, _lowered, act, act_into,
+                              assoc_unital_residuals, module_axiom_residual,
+                              op_matrix, signed_sum)
 
 HALF = GaussRat(Fraction(1, 2))
 
@@ -248,7 +251,22 @@ class TestActOracle:
         # acting adds no reference to x, such as a cache entry (x, plan)
         assert sys.getrefcount(x) == refs
         assert not any(isinstance(r, tuple) for r in gc.get_referrers(x))
-        assert x._plan[0] is module
+        assert x._plan[0]() is module
+
+    def test_a_module_dies_with_its_last_reference(self, laurent):
+        # the unit's plan holds its module through a weak reference, so
+        # no cycle keeps the module alive once the unit has acted
+        gc.disable()
+        try:
+            module = make_module(laurent)
+            assert act(module.unit, module.basis_block((0, 0))) == (
+                module.basis_block((0, 0)))
+            assert module.unit._plan[0]() is module
+            ref = weakref.ref(module)
+            del module
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 def count_compiles(monkeypatch):
@@ -427,8 +445,8 @@ class TestModVectorContract:
                 2, pres, (0, 0), pres.from_scalar(cartan_eigenvalue(
                     module, 1, m)))
         c = data.draw(st.sampled_from(ORACLE_SCALARS))
-        results = [v + w, v - w, v - v, -v, v.scale(c), act(x, v),
-                   act(x, v + w)]
+        results = [v + w, v - w, v - v, v.scale(-ONE), v.scale(c),
+                   act(x, v), act(x, v + w)]
         assert all(no_zero_stored(r) for r in results)
         assert all(all(r.slice_sum().values()) for r in results + [v, w])
         assert (v - v).data == {} and v.scale(ZERO).data == {}
@@ -540,3 +558,187 @@ class TestOperatorMatrices:
                   + LoopElem.t_part(2, trivial, (-1, 0))):
             with pytest.raises(OutOfWindowError):
                 op_matrix(acting(x), module, (0, 0))
+
+
+# -- the Gaussian-integer core against GaussRat arithmetic ---------------
+
+BIG = 2 ** 61 - 1
+CORE_MU = {1: (), 2: (1,), 3: (1, 0)}
+CORE_PRES = {
+    "trivial": BPresentation("trivial"),
+    "polyquot": make_polyquot_cube(),
+    "laurent": make_laurent(),
+    # psi(x) = 0, so every term with coefficient x drops out of a plan
+    "x^2 @ 0": BPresentation("polyquot", modulus=[ZERO, ZERO, ONE],
+                             eval_point=ZERO),
+}
+
+
+def gauss_rationals():
+    """Real and non-real Gaussian rationals, each part with a small or a
+    large numerator and a denominator up to 2^61 - 1."""
+    nums = st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG))
+    dens = st.one_of(st.integers(1, 6), st.just(BIG), st.integers(1, BIG))
+    part = st.builds(Fraction, nums, dens)
+    return st.builds(GaussRat, part, st.one_of(st.just(Fraction(0)), part))
+
+
+@st.composite
+def core_modules(draw, kind, radius=2):
+    """A module over the given B, with c and alpha drawn."""
+    n = draw(st.sampled_from(sorted(CORE_MU)))
+    rep = build_irrep(CORE_MU[n], draw(gauss_rationals()), n)
+    alpha = [draw(gauss_rationals()) for _ in range(n)]
+    return TensorModule(rep, alpha, CORE_PRES[kind], Window(n, radius))
+
+
+@st.composite
+def core_elems(draw, module, bound=1, max_terms=3, zero_degree=False):
+    """One to max_terms terms of degree |r_i| <= bound (r = 0 if
+    zero_degree), each coefficient a drawn scalar, times x half the time
+    for a B with a generator."""
+    n, pres = module.n, module.pres
+    terms = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        r = tuple(0 if zero_degree else draw(st.integers(-bound, bound))
+                  for _ in range(n))
+        i = draw(st.integers(0, n))
+        b = pres.from_scalar(draw(gauss_rationals()))
+        if pres.kind != "trivial" and draw(st.booleans()):
+            b = b * pres.generator()
+        terms[("t", 0, r) if i == 0 else ("d", i, r)] = b
+    return LoopElem(n, pres, terms)
+
+
+@st.composite
+def core_vectors(draw, module, margin=1):
+    """A block of width one or two on one to three slices of the
+    interior with the given margin, some coordinates zero."""
+    d = module.d
+    width = draw(st.integers(1, 2))
+    slices = draw(st.lists(st.sampled_from(
+        module.window.interior((margin,) * module.n)), min_size=1,
+        max_size=3, unique=True))
+    return ModVector(module, {
+        m: {j: draw(gauss_rationals()) for j in range(width * d)
+            if draw(st.booleans())} for m in slices})
+
+
+def combination(terms):
+    """sum_k c_k w_k over GaussRat blocks w_k (degree -> Vec), with the
+    zero entries and empty slices dropped."""
+    out = {}
+    for c, w in terms:
+        for m, vec in w.items():
+            slot = out.setdefault(m, {})
+            for j, x in vec.items():
+                slot[j] = slot[j] + c * x if j in slot else c * x
+    out = {m: {j: x for j, x in vec.items() if x} for m, vec in out.items()}
+    return {m: vec for m, vec in out.items() if vec}
+
+
+def slice_total(w):
+    """The slice sum of a GaussRat block, zero entries dropped."""
+    return combination([(ONE, {(): vec}) for vec in w.values()]).get((), {})
+
+
+def stores_no_zero(v):
+    """Every stored slice of v holds a nonzero part, and no stored part
+    is zero."""
+    return all((re or im) and all(re.values()) and all(im.values())
+               for re, im in v.ints.values())
+
+
+CORE = settings(max_examples=10, deadline=None)
+
+
+class TestIntegerCoreOracle:
+    """The Gaussian-integer action and block arithmetic against
+    reference_act and GaussRat arithmetic on the entries, for non-real
+    c, alpha and entries with denominators up to 2^61 - 1."""
+
+    @pytest.mark.parametrize("kind", sorted(CORE_PRES))
+    @CORE
+    @given(st.data())
+    def test_act_and_slice_sum(self, kind, data):
+        module = data.draw(core_modules(kind))
+        x = data.draw(core_elems(module))
+        v = data.draw(core_vectors(module))
+        got, want = act(x, v), reference_act(x, v)
+        assert got.data == want.data and stores_no_zero(got)
+        assert got.slice_sum() == slice_total(want.data)
+        assert v.slice_sum() == slice_total(v.data)
+
+    @pytest.mark.parametrize("kind", sorted(CORE_PRES))
+    @CORE
+    @given(st.data())
+    def test_signed_sum(self, kind, data):
+        module = data.draw(core_modules(kind))
+        terms = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            c = data.draw(st.one_of(st.just(ZERO), gauss_rationals()))
+            x = data.draw(st.one_of(st.none(), core_elems(module)))
+            terms.append((c, x, data.draw(core_vectors(module))))
+        got = signed_sum(module, terms)
+        assert got.data == combination(
+            [(c, (reference_act(x, w) if x else w).data)
+             for c, x, w in terms])
+        assert stores_no_zero(got)
+
+    @pytest.mark.parametrize("kind", sorted(CORE_PRES))
+    @CORE
+    @given(st.data())
+    def test_block_arithmetic(self, kind, data):
+        module = data.draw(core_modules(kind))
+        v = data.draw(core_vectors(module))
+        w = data.draw(core_vectors(module))
+        c = data.draw(st.one_of(st.just(ZERO), gauss_rationals()))
+        for got, want in ((v + w, [(ONE, v.data), (ONE, w.data)]),
+                          (v - w, [(ONE, v.data), (-ONE, w.data)]),
+                          (v.scale(c), [(c, v.data)])):
+            assert got.data == combination(want) and stores_no_zero(got)
+        assert (v == w) == (v.data == w.data)
+        assert v == ModVector(module, v.data) and v == v.scale(ONE)
+        assert (v - v).is_zero() and v.scale(ZERO).is_zero()
+
+    @pytest.mark.parametrize("kind", sorted(CORE_PRES))
+    @CORE
+    @given(st.data())
+    def test_op_matrix(self, kind, data):
+        module = data.draw(core_modules(kind))
+        x = data.draw(core_elems(module, zero_degree=True))
+        m = data.draw(st.sampled_from(module.window.slices()))
+        assert op_matrix(lambda w: act(x, w), module, m) == (
+            reference_op_matrix(lambda w: reference_act(x, w), module, m))
+
+    @pytest.mark.parametrize("kind", sorted(CORE_PRES))
+    @CORE
+    @given(st.data())
+    def test_leaving_the_window_raises_at_any_coefficient(self, kind, data):
+        # one term, so its degree's image is the term's image; c = 0
+        # still raises when that image is nonzero outside the window
+        module = data.draw(core_modules(kind))
+        x = data.draw(core_elems(module, bound=2, max_terms=1))
+        v = data.draw(core_vectors(module, margin=0))
+        c = data.draw(st.one_of(st.just(ZERO), gauss_rationals()))
+        try:
+            reference_act(x, v)
+        except OutOfWindowError:
+            with pytest.raises(OutOfWindowError):
+                act_into({}, x, v, c)
+        else:
+            acc = {}
+            act_into(acc, x, v, c)
+            assert signed_sum(module, [(c, x, v)]) == act(x, v).scale(c)
+
+    def test_lowering_puts_kappa_over_the_plan_denominator(self):
+        # _compile gives psi_i and M_r over the plan's denominator P and
+        # kappa_r as a GaussRat, which the plan puts over P too
+        cols = ([[(0, 1)]], None)
+        seventh = GaussRat(Fraction(2, 7), 1)
+        plan = _lowered([((1,), GaussRat(Fraction(7, 3)), [(0, (12, 42))],
+                          (42, cols)), ((0,), seventh, [], (42, None))])
+        assert plan == [((1,), 42, 98, 0, [(0, (12, 42))], cols),
+                        ((0,), 42, 12, 42, [], None)]
+        with pytest.raises(ValueError):
+            _lowered([((0,), GaussRat(Fraction(1, 5)), [], (42, None))])
