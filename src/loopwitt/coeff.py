@@ -176,7 +176,12 @@ class BElem:
     __rmul__ = __mul__
 
     def scale(self, c: GaussRat) -> "BElem":
-        return BElem(self.pres, {e: c * x for e, x in self.rep.items()})
+        """c b, carrying c psi(b) when psi(b) is cached and c b is not
+        zero: psi is linear.  Products evaluate psi afresh."""
+        out = BElem(self.pres, {e: c * x for e, x in self.rep.items()})
+        if self._psi is not None and out.rep:
+            out._psi = self._psi * c
+        return out
 
     def __eq__(self, other):
         return (isinstance(other, BElem) and self.pres == other.pres

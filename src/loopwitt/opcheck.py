@@ -12,7 +12,10 @@ R adds -D(u,0)b1b2 acting on v, and Q is one loop element acting on v.
 Every bracket identity among them, the scalar action of the zero modes
 and the collapse of B coefficients through psi is one signed sum of
 such terms, with only the inner images of the brackets built, so each
-residual is collected once.  These and the rank-one identities are
+residual is collected once.  The operators come from an OperatorTable,
+one per spec pair (s1, s2): every loop element the bracket rows of an
+operator-suite case use is built there once, under a short key, and so
+compiled into its action plan once.  These and the rank-one identities are
 checked as exact zero residuals by applying operator combinations to
 slice basis blocks, all d basis vectors of a slice in one call
 (tensmod.TensorModule.basis_block).  A residual is the signed sum on the
@@ -67,29 +70,123 @@ def _neg_deg(r: Degree) -> Degree:
     return tuple(-a for a in r)
 
 
-def operator_terms(family, spec: OpSpec, module: TensorModule) -> TermOp:
-    """The operator of family "product", "reduced" or "evaluated", giving
-    its image as terms: the outer actions are left to the signed sum, and
-    the evaluated operator is a single loop element, so it acts once."""
-    if family not in ("product", "reduced", "evaluated"):
-        raise ValueError(f"unknown operator family {family!r}")
-    n = module.n
-    pres = module.pres
-    d_elem = LoopElem.d_vec(n, pres, spec.u, spec.r, spec.b2)
-    shift_back = LoopElem.t_part(n, pres, _neg_deg(spec.r), spec.b1)
-    if family == "product":
-        return lambda v: [(ONE, shift_back, act(d_elem, v))]
-    zero_mode = LoopElem.d_vec(n, pres, spec.u, (0,) * n, spec.b1 * spec.b2)
-    if family == "evaluated":
-        q = d_elem.scale(spec.b1.psi()) - zero_mode
-        return lambda v: [(ONE, q, v)]
-    return lambda v: [(ONE, shift_back, act(d_elem, v)),
-                      (-ONE, zero_mode, v)]
+class OperatorTable:
+    """The operator elements of the spec pair (s1, s2), each built once
+    and so compiled once: a table lives for one case of the operator
+    suite, and every bracket row of that case reads its X and Y
+    operators from it.
+
+    An element is named by a short key (operand, part, digits).  The
+    operand is "1" for (u1, r1), "2" for (u2, r2) and "w" for
+    (w, r1 + r2), w = (u1,r2) u2 - (u2,r1) u1.  The part is "d" for
+    D(u,r) b, "t" for t^(-r) b, "z" for the zero mode D(u,0) b and "q"
+    for the evaluated element psi(b') D(u,r) b - D(u,0) b' b.  The
+    digits name b as in BRACKET_ROWS: digit k stands for b_k of
+    X(u1,r1,b1,b2) and X(u2,r2,b3,b4), so "123" is b1 b2 b3; a zero
+    mode's digits are sorted, and a "q" key holds the digits of b' and
+    of b.  The table of one spec is that of the pair (spec, spec)."""
+
+    def __init__(self, s1: OpSpec, s2: OpSpec, module: TensorModule):
+        self.pair = (s1, s2)
+        self.module = module
+        self._bs = {"1": s1.b1, "2": s1.b2, "3": s2.b1, "4": s2.b2}
+        self._elems = {}
+        self._coefficients = None
+        self._w = None
+
+    @classmethod
+    def of(cls, s1: OpSpec, s2: OpSpec, module: TensorModule,
+           table: "OperatorTable" = None) -> "OperatorTable":
+        """table, or a fresh table of (s1, s2) when it is None.  A table
+        of another pair or module raises ValueError: its digits would
+        name other B elements."""
+        if table is None:
+            return cls(s1, s2, module)
+        if (s1, s2) != table.pair or module is not table.module:
+            raise ValueError("operator table of another spec pair")
+        return table
+
+    def coefficients(self) -> Tuple[GaussRat, GaussRat]:
+        """(u1,r2) and (u2,r1), computed on first use: a table of one
+        spec never needs them."""
+        if self._coefficients is None:
+            s1, s2 = self.pair
+            self._coefficients = (_pair(s1.u, s2.r), _pair(s2.u, s1.r))
+        return self._coefficients
+
+    def _operand(self, name: str) -> Tuple[Tuple[GaussRat, ...], Degree]:
+        s1, s2 = self.pair
+        if name == "1":
+            return s1.u, s1.r
+        if name == "2":
+            return s2.u, s2.r
+        if self._w is None:
+            c12, c21 = self.coefficients()
+            self._w = (tuple(c12 * b - c21 * a for a, b in zip(s1.u, s2.u)),
+                       _add_deg(s1.r, s2.r))
+        return self._w
+
+    def _b(self, digits: str) -> BElem:
+        """The product of the digits' b_k, with psi evaluated once, so
+        that each derivation term b u_i built from it carries psi(b) u_i
+        (BElem.scale)."""
+        b = self._bs.get(digits)
+        if b is None:
+            b = self._bs[digits] = reduce(mul, map(self._bs.get, digits))
+            b.psi()
+        return b
+
+    def _elem(self, key: Tuple[str, ...]) -> LoopElem:
+        x = self._elems.get(key)
+        if x is None:
+            x = self._elems[key] = self._build(*key)
+        return x
+
+    def _build(self, operand: str, part: str, *digits: str) -> LoopElem:
+        n, pres = self.module.n, self.module.pres
+        u, r = self._operand(operand)
+        if part == "q":
+            p1, p2 = digits
+            return (self._elem((operand, "d", p2)).scale(self._b(p1).psi())
+                    - self._elem(_zero_key(operand, p1 + p2)))
+        b = self._b(digits[0])
+        if part == "d":
+            return LoopElem.d_vec(n, pres, u, r, b)
+        if part == "t":
+            return LoopElem.t_part(n, pres, _neg_deg(r), b)
+        return LoopElem.d_vec(n, pres, u, (0,) * n, b)
+
+    def terms(self, family: str, operand: str = "1",
+              places: Tuple[str, str] = ("1", "2")) -> TermOp:
+        """The operator of family "product", "reduced" or "evaluated" on
+        the operand with the placement (p1, p2) = places, by default
+        X(u1,r1,b1,b2), giving its image as terms: the outer actions are
+        left to the signed sum, and the evaluated operator is a single
+        loop element, so it acts once."""
+        p1, p2 = places
+        if family == "evaluated":
+            q = self._elem((operand, "q", p1, p2))
+            return lambda v: [(ONE, q, v)]
+        if family not in ("product", "reduced"):
+            raise ValueError(f"unknown operator family {family!r}")
+        d_elem = self._elem((operand, "d", p2))
+        shift_back = self._elem((operand, "t", p1))
+        if family == "product":
+            return lambda v: [(ONE, shift_back, act(d_elem, v))]
+        zero_mode = self._elem(_zero_key(operand, p1 + p2))
+        return lambda v: [(ONE, shift_back, act(d_elem, v)),
+                          (-ONE, zero_mode, v)]
+
+
+def _zero_key(operand: str, digits: str) -> Tuple[str, str, str]:
+    """The key of the zero mode D(u,0) b for b the product of digits,
+    which B's commutativity lets us sort."""
+    return (operand, "z", "".join(sorted(digits)))
 
 
 def as_operator(family, spec: OpSpec, module: TensorModule) -> Op:
     """The operator of ``family`` on module vectors: its terms summed."""
-    terms = operator_terms(family, spec, module)
+    terms = OperatorTable(spec, spec, module).terms(family)
     return lambda v: signed_sum(module, terms(v))
 
 
@@ -116,26 +213,21 @@ BRACKET_ROWS = {
 
 
 def bracket_identity(name: str, s1: OpSpec, s2: OpSpec,
-                     module: TensorModule) -> ModVector:
+                     module: TensorModule,
+                     table: OperatorTable = None) -> ModVector:
     """Residual of the bracket identity of row ``name`` on the bottom slice:
     [X(u1,r1), X(u2,r2)] - Y(w, r1+r2) + (u1,r2) Y(u2,r2) - (u2,r1) Y(u1,r1)
-    with w = (u1,r2) u2 - (u2,r1) u1; the row names the families X and Y."""
+    with w = (u1,r2) u2 - (u2,r1) u1; the row names the families X and Y.
+    The operators come from ``table``, the operator table of (s1, s2),
+    or from a fresh one."""
     x_family, y_family, placements = BRACKET_ROWS[name]
-    u1, r1, u2, r2 = s1.u, s1.r, s2.u, s2.r
-    c12 = _pair(u1, r2)
-    c21 = _pair(u2, r1)
-    w = tuple(c12 * b - c21 * a for a, b in zip(u1, u2))
-    bs = {"1": s1.b1, "2": s1.b2, "3": s2.b1, "4": s2.b2}
-
-    def place(digits: str) -> BElem:
-        return reduce(mul, (bs[k] for k in digits))
-
-    x1 = operator_terms(x_family, s1, module)
-    x2 = operator_terms(x_family, s2, module)
-    rhs = [(-ONE, w, _add_deg(r1, r2)), (c12, u2, r2), (-c21, u1, r1)]
-    ys = [(c, operator_terms(y_family, OpSpec(u, r, place(p1), place(p2)),
-                             module))
-          for (c, u, r), (p1, p2) in zip(rhs, placements)]
+    table = OperatorTable.of(s1, s2, module, table)
+    c12, c21 = table.coefficients()
+    x1 = table.terms(x_family)
+    x2 = table.terms(x_family, "2", ("3", "4"))
+    rhs = [(-ONE, "w"), (c12, "2"), (-c21, "1")]
+    ys = [(c, table.terms(y_family, operand, places))
+          for (c, operand), places in zip(rhs, placements)]
     v = module.basis_block((0,) * module.n)
     terms = (x1(signed_sum(module, x2(v)))
              + _scaled(-ONE, x2(signed_sum(module, x1(v)))))
@@ -145,33 +237,40 @@ def bracket_identity(name: str, s1: OpSpec, s2: OpSpec,
 
 
 def product_bracket_residual(s1: OpSpec, s2: OpSpec,
-                             module: TensorModule) -> ModVector:
-    return bracket_identity("product", s1, s2, module)
+                             module: TensorModule,
+                             table: OperatorTable = None) -> ModVector:
+    return bracket_identity("product", s1, s2, module, table)
 
 
 def reduced_bracket_residual(s1: OpSpec, s2: OpSpec,
-                             module: TensorModule) -> ModVector:
-    return bracket_identity("reduced", s1, s2, module)
+                             module: TensorModule,
+                             table: OperatorTable = None) -> ModVector:
+    return bracket_identity("reduced", s1, s2, module, table)
 
 
 def evaluated_bracket_residual(s1: OpSpec, s2: OpSpec,
-                               module: TensorModule) -> ModVector:
-    return bracket_identity("evaluated", s1, s2, module)
+                               module: TensorModule,
+                               table: OperatorTable = None) -> ModVector:
+    return bracket_identity("evaluated", s1, s2, module, table)
 
 
 def product_to_reduced_residual(s1: OpSpec, s2: OpSpec,
-                                module: TensorModule) -> ModVector:
-    return bracket_identity("product-to-reduced", s1, s2, module)
+                                module: TensorModule,
+                                table: OperatorTable = None) -> ModVector:
+    return bracket_identity("product-to-reduced", s1, s2, module, table)
 
 
 def scaled_product_bracket_residual(v: Tuple[GaussRat, ...], s: Degree,
                                     b: BElem, u: Tuple[GaussRat, ...],
                                     r: Degree, b2: BElem,
-                                    module: TensorModule) -> ModVector:
-    """[P(v,s,1,b), P(u,r,1,b2)] through the scaled-product row."""
+                                    module: TensorModule,
+                                    table: OperatorTable = None
+                                    ) -> ModVector:
+    """[P(v,s,1,b), P(u,r,1,b2)] through the scaled-product row; a table
+    must be that of the pair (OpSpec(v,s,1,b), OpSpec(u,r,1,b2))."""
     one = module.pres.one()
     return bracket_identity("scaled-product", OpSpec(v, s, one, b),
-                            OpSpec(u, r, one, b2), module)
+                            OpSpec(u, r, one, b2), module, table)
 
 
 def zero_mode_scalar_residual(u: Tuple[GaussRat, ...], b: BElem,
@@ -194,8 +293,8 @@ def coefficient_collapse_residual(u: Tuple[GaussRat, ...], r: Degree,
     return signed_sum(module, [(ONE, xb, v), (-b.psi(), x1, v)])
 
 
-def evaluated_preserves_differences(spec: OpSpec,
-                                    module: TensorModule) -> bool:
+def evaluated_preserves_differences(spec: OpSpec, module: TensorModule,
+                                    table: OperatorTable = None) -> bool:
     """The evaluated operator Q of ``spec`` maps each shift difference
     e_k t^m - e_k t^0 (m != 0, image in the window) to slice sum zero.
     Q acts once, on the block whose column group g holds the d
@@ -204,21 +303,28 @@ def evaluated_preserves_differences(spec: OpSpec,
     of the image must vanish.  act is exactly linear and handles each
     source slice on its own, so the verdict is that of comparing the
     slice sums of Q on each interior slice's basis block with those of
-    the bottom slice's, and a passing sweep makes no GaussRat."""
+    the bottom slice's, and a passing sweep makes no GaussRat.  Q comes
+    from ``table``, the operator table of (spec, spec), or a fresh one."""
+    q = OperatorTable.of(spec, spec, module, table).terms("evaluated")
     block = module.difference_block(tuple(abs(a) for a in spec.r))
-    return not as_operator("evaluated", spec, module)(block).slice_sum()
+    return not signed_sum(module, q(block)).slice_sum()
 
 
-def quotient_intertwining_check(specs: Sequence[OpSpec],
-                                module: TensorModule) -> bool:
+def quotient_intertwining_check(
+        specs: Sequence[OpSpec], module: TensorModule,
+        tables: Sequence[OperatorTable] = None) -> bool:
     """The projection modulo shift differences, the slice sum,
     intertwines the reduced family on the bottom slice with the
     evaluated family on the quotient: R - Q on the bottom slice's basis
-    block, one signed sum, has slice sum zero."""
+    block, one signed sum, has slice sum zero.  The operators come from
+    ``tables``, the operator table of (spec, spec) for each spec, or
+    from fresh ones."""
     v = module.basis_block((0,) * module.n)
-    for spec in specs:
-        red = operator_terms("reduced", spec, module)
-        ev = operator_terms("evaluated", spec, module)
+    for k, spec in enumerate(specs):
+        table = OperatorTable.of(spec, spec, module,
+                                 tables[k] if tables else None)
+        red = table.terms("reduced")
+        ev = table.terms("evaluated")
         if signed_sum(module, red(v) + _scaled(-ONE, ev(v))).slice_sum():
             return False
     return True

@@ -424,14 +424,18 @@ def run_operator_suite(cfg: RunConfig) -> Outcome:
         b1, b2, b3, b4 = (sample_b(rng, pool) for _ in range(4))
         s1 = opcheck.OpSpec(u, r, b1, b2)
         s2 = opcheck.OpSpec(v, s, b3, b4)
+        # the four rows of the pair (s1, s2) share its operator elements
+        table = opcheck.OperatorTable(s1, s2, module)
         record("product-bracket",
-               opcheck.product_bracket_residual(s1, s2, module), case)
+               opcheck.product_bracket_residual(s1, s2, module, table), case)
         record("reduced-bracket",
-               opcheck.reduced_bracket_residual(s1, s2, module), case)
+               opcheck.reduced_bracket_residual(s1, s2, module, table), case)
         record("evaluated-bracket",
-               opcheck.evaluated_bracket_residual(s1, s2, module), case)
+               opcheck.evaluated_bracket_residual(s1, s2, module, table),
+               case)
         record("product-to-reduced",
-               opcheck.product_to_reduced_residual(s1, s2, module), case)
+               opcheck.product_to_reduced_residual(s1, s2, module, table),
+               case)
         record("scaled-product-bracket",
                opcheck.scaled_product_bracket_residual(
                    v, s, b1, u, r, b2, module), case)
@@ -456,12 +460,15 @@ def run_operator_suite(cfg: RunConfig) -> Outcome:
                                 sample_deg(rng, cfg.n, SHIFT_BOUND),
                                 sample_b(rng, pool), sample_b(rng, pool))
                  for _ in range(5)]
+    # the sweep and the intertwining share each spec's Q
+    tables = [opcheck.OperatorTable(spec, spec, module) for spec in sub_specs]
     for k, spec in enumerate(sub_specs):
         cases += 1
-        if not opcheck.evaluated_preserves_differences(spec, module):
+        if not opcheck.evaluated_preserves_differences(spec, module,
+                                                       tables[k]):
             failures.append({"check": "difference-submodule", "spec": k})
     cases += 1
-    if not opcheck.quotient_intertwining_check(sub_specs, module):
+    if not opcheck.quotient_intertwining_check(sub_specs, module, tables):
         failures.append({"check": "quotient-intertwiner"})
     return cases, failures
 

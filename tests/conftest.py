@@ -455,6 +455,17 @@ def reference_assoc_unital(r, s, b, b2, v):
     return assoc, unit
 
 
+def doubled_off_diagonal(rep):
+    """rep with every off-diagonal E_ij doubled: no representation for
+    n >= 2, so the identities give nonzero residuals on it."""
+    from loopwitt.glnrep import Irrep
+    rng = range(1, rep.n + 1)
+    return Irrep(rep.n, rep.mu, rep.c, rep.d,
+                 [[rep.columns(i, j) if i == j
+                   else [[(r, 2 * x) for r, x in c] for c in rep.columns(i, j)]
+                   for j in rng] for i in rng], rep.hw_index)
+
+
 def reference_operator(family, spec, module):
     """The product, reduced or evaluated operator as separate actions:
     P = t^(-r) b1 . (D(u,r)b2 . v), R = P - D(u,0)b1b2 . v and

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import I as SYM_I, Poly, QQ_I, Rational, expand, symbols
 
-from loopwitt.coeff import BPresentation
-from loopwitt.scalars import GaussRat, ZERO
+from loopwitt.coeff import BElem, BPresentation
+from loopwitt.scalars import GaussRat, ONE, ZERO
 
 from conftest import make_laurent, make_polyquot_cube, make_polyquot_square
 
@@ -114,6 +114,61 @@ class TestEvaluation:
         for a, b in product(sample, repeat=2):
             assert (a * b).psi() == a.psi() * b.psi()
             assert (a + b).psi() == a.psi() + b.psi()
+
+
+SCALE_PRESENTATIONS = {
+    "trivial": BPresentation("trivial"),
+    "polyquot": make_polyquot_cube(),
+    "laurent": make_laurent(),
+    "x^2 @ 0": BPresentation("polyquot", modulus=[ZERO, ZERO, ONE],
+                             eval_point=ZERO),
+}
+
+
+@st.composite
+def gauss(draw):
+    re = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 4)))
+    im = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+    return GaussRat(re, im)
+
+
+@st.composite
+def elements(draw, pres):
+    """An element with up to three terms, exponents in range for pres."""
+    lo, hi = {"trivial": (0, 0), "polyquot": (0, 4),
+              "laurent": (-2, 2)}[pres.kind]
+    exps = draw(st.lists(st.integers(lo, hi), max_size=3, unique=True))
+    return pres.from_poly({e: draw(gauss()) for e in exps})
+
+
+class TestScaleCarriesPsi:
+    """b.scale(c) carries c psi(b) when psi(b) is cached, since psi is
+    linear; products evaluate psi afresh, so that assoc-unital still
+    tests that psi is multiplicative."""
+
+    @pytest.mark.parametrize("kind", sorted(SCALE_PRESENTATIONS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_scaled_psi_is_c_times_psi(self, kind, data):
+        pres = SCALE_PRESENTATIONS[kind]
+        b = data.draw(elements(pres))
+        cached = b.psi()
+        # c = 0 and non-real c on every draw, and one drawn c
+        for c in (ZERO, GaussRat(0, 1), GaussRat(Fraction(3, 2), -1),
+                  data.draw(gauss())):
+            scaled = b.scale(c)
+            assert scaled.psi() == c * cached
+            assert scaled.psi() == BElem(pres, dict(scaled.rep)).psi()
+
+    @pytest.mark.parametrize("kind", sorted(SCALE_PRESENTATIONS))
+    def test_products_evaluate_psi_afresh(self, kind):
+        pres = SCALE_PRESENTATIONS[kind]
+        b = pres.from_scalar(GaussRat(2, 1))
+        if kind != "trivial":
+            b = b + pres.generator()
+        b.psi()
+        assert (b * b)._psi is None
+        assert (b * b).psi() == b.psi() * b.psi()
 
 
 class TestNilpotency:

@@ -4,19 +4,21 @@ from fractions import Fraction
 import pytest
 
 from conftest import (block_column, columns, dense_relation_residual,
-                      direct_sum_irrep, mat_is_zero, rank, reference_act,
-                      reference_block, reference_bracket_identity,
-                      reference_evaluated, reference_op_matrix,
+                      direct_sum_irrep, doubled_off_diagonal, mat_is_zero,
+                      rank, reference_act, reference_block,
+                      reference_bracket_identity, reference_evaluated,
+                      reference_op_matrix,
                       reference_preserves_differences,
                       shift_difference_generators, window_coords)
-from loopwitt import opcheck, tensmod
+from loopwitt import opcheck, suites, tensmod
 from loopwitt.glnrep import build_irrep
 from loopwitt.linalg import dense
 from loopwitt.loop import LoopElem
-from loopwitt.opcheck import OpSpec
+from loopwitt.opcheck import OperatorTable, OpSpec
 from loopwitt.scalars import GaussRat, ONE, ZERO
 from loopwitt.tensmod import (ModVector, OutOfWindowError, TensorModule,
                               Window, op_matrix)
+from test_tensmod import count_compiles
 
 HALF = GaussRat(Fraction(1, 2))
 
@@ -250,6 +252,144 @@ class TestBracketIdentities:
         s1 = OpSpec(e(2, 0), (0, 0), trivial.one(), trivial.one())
         s2 = OpSpec(e(2, 1), (0, 0), trivial.one(), trivial.one())
         assert opcheck.product_bracket_residual(s1, s2, module).is_zero()
+
+
+def suite_pair(module, rng):
+    """The spec pair (s1, s2) of one operator-suite case, drawn as
+    suites.run_operator_suite draws it."""
+    n, pool = module.n, suites.coefficient_pool(module.pres)
+    u, v = suites.sample_u(rng, n), suites.sample_u(rng, n)
+    r = suites.sample_deg(rng, n, suites.SHIFT_BOUND)
+    s = suites.sample_deg(rng, n, suites.SHIFT_BOUND)
+    b1, b2, b3, b4 = (suites.sample_b(rng, pool) for _ in range(4))
+    return OpSpec(u, r, b1, b2), OpSpec(v, s, b3, b4)
+
+
+PAIR_ROWS = {
+    "product": opcheck.product_bracket_residual,
+    "reduced": opcheck.reduced_bracket_residual,
+    "evaluated": opcheck.evaluated_bracket_residual,
+    "product-to-reduced": opcheck.product_to_reduced_residual,
+}
+
+
+def scaled_pair(s1, s2, module):
+    """The spec pair of the scaled-product row on (s1, s2)'s draws, as
+    run_operator_suite calls it: [P(v,s,1,b1), P(u,r,1,b2)]."""
+    one = module.pres.one()
+    return OpSpec(s2.u, s2.r, one, s1.b1), OpSpec(s1.u, s1.r, one, s1.b2)
+
+
+def scaled_row(s1, s2, module, table=None):
+    return opcheck.scaled_product_bracket_residual(
+        s2.u, s2.r, s1.b1, s1.u, s1.r, s1.b2, module, table)
+
+
+class TestOperatorTable:
+    """One OperatorTable per spec pair: every operator element of an
+    operator-suite case built and compiled once, with the residuals of
+    rows that build their own tables."""
+
+    @pytest.mark.parametrize("kind", ["trivial", "polyquot", "laurent"])
+    def test_a_case_compiles_each_table_element_once(self, kind, request,
+                                                     monkeypatch):
+        module = make_module(request.getfixturevalue(kind), n=2)
+        compiled = count_compiles(monkeypatch)
+        for seed in range(3):
+            s1, s2 = suite_pair(module, random.Random(seed))
+            table = OperatorTable(s1, s2, module)
+            compiled.clear()
+            for row in PAIR_ROWS.values():
+                assert row(s1, s2, module, table).is_zero()
+            elems = list(table._elems.values())
+            assert len({id(x) for x in compiled}) == len(compiled)
+            assert {id(x) for x in compiled} == {id(x) for x in elems}
+            # without the table, the rows build and compile again
+            compiled.clear()
+            for row in PAIR_ROWS.values():
+                row(s1, s2, module)
+            assert len(compiled) > len(elems)
+
+    @pytest.mark.parametrize("kind", ["trivial", "polyquot", "laurent"])
+    def test_the_sweep_and_the_intertwining_share_q(self, kind, request,
+                                                    monkeypatch):
+        module = make_module(request.getfixturevalue(kind), n=2)
+        specs = sample_specs(module.pres, 2, random.Random(5), 5)
+        tables = [OperatorTable(spec, spec, module) for spec in specs]
+        compiled = count_compiles(monkeypatch)
+        for spec, table in zip(specs, tables):
+            assert opcheck.evaluated_preserves_differences(spec, module,
+                                                           table)
+        assert opcheck.quotient_intertwining_check(specs, module, tables)
+        assert len({id(x) for x in compiled}) == len(compiled)
+        for table in tables:
+            q = table._elems[("1", "q", "1", "2")]
+            assert sum(x is q for x in compiled) == 1
+
+    @pytest.mark.parametrize("c,alpha", [
+        (GaussRat(1), None),
+        (GaussRat(Fraction(3, 2), 1),
+         [GaussRat(Fraction(1, 3), 1), GaussRat(0, -1), GaussRat(2)])],
+        ids=["real", "non-real"])
+    @pytest.mark.parametrize("broken", [False, True],
+                             ids=["irrep", "broken-irrep"])
+    @pytest.mark.parametrize("n,mu", [(1, ()), (2, (1,)), (3, (1, 0))])
+    def test_shared_tables_give_the_fresh_and_reference_residuals(
+            self, n, mu, broken, c, alpha, any_pres):
+        # on the broken irrep the residuals are nonzero, so the
+        # comparisons are not all between zeros
+        rep = build_irrep(mu, c, n)
+        if broken:
+            rep = doubled_off_diagonal(rep)
+        module = TensorModule(rep, (alpha or [HALF] * 3)[:n], any_pres,
+                              Window(n, 3))
+        rng, order = random.Random(17 * n + broken), random.Random(n)
+        nonzero = 0
+        for _ in range(4):
+            s1, s2 = suite_pair(module, rng)
+            table = OperatorTable(s1, s2, module)
+            scaled = scaled_pair(s1, s2, module)
+            scaled_table = OperatorTable(*scaled, module)
+            rows = [(name, (s1, s2), lambda t=None, row=row:
+                     row(s1, s2, module, t), table)
+                    for name, row in PAIR_ROWS.items()]
+            rows.append(("scaled-product", scaled,
+                         lambda t=None: scaled_row(s1, s2, module, t),
+                         scaled_table))
+            order.shuffle(rows)
+            for name, pair, row, shared in rows:
+                got = row(shared)
+                assert got == row(), name
+                assert got == reference_bracket_identity(
+                    name, *pair, module), name
+                nonzero += not got.is_zero()
+        assert (nonzero > 0) == (broken and n > 1)
+
+    def test_a_table_of_another_pair_raises(self, polyquot):
+        module = make_module(polyquot, n=2)
+        rng = random.Random(9)
+        s1, s2 = suite_pair(module, rng)
+        t1, t2 = suite_pair(module, rng)
+        other = OperatorTable(t1, t2, module)
+        for row in PAIR_ROWS.values():
+            with pytest.raises(ValueError):
+                row(s1, s2, module, other)
+            with pytest.raises(ValueError):
+                row(s2, s1, module, OperatorTable(s1, s2, module))
+        # the scaled-product row takes no table of the case's pair
+        with pytest.raises(ValueError):
+            scaled_row(s1, s2, module, OperatorTable(s1, s2, module))
+        with pytest.raises(ValueError):
+            opcheck.evaluated_preserves_differences(
+                s1, module, OperatorTable(s2, s2, module))
+        with pytest.raises(ValueError):
+            opcheck.quotient_intertwining_check(
+                [s1, s2], module, [OperatorTable(s2, s2, module)] * 2)
+        # nor a table of the same pair on another module
+        with pytest.raises(ValueError):
+            opcheck.product_bracket_residual(
+                s1, s2, module,
+                OperatorTable(s1, s2, make_module(polyquot, n=2)))
 
 
 class TestScalarAndCollapse:

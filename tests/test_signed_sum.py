@@ -13,13 +13,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (make_laurent, make_polyquot_cube, reference_act,
+from conftest import (doubled_off_diagonal, make_laurent,
+                      make_polyquot_cube, reference_act,
                       reference_assoc_unital, reference_block,
                       reference_bracket_identity, reference_module_axiom,
                       reference_operator)
 from loopwitt import opcheck
 from loopwitt.coeff import BPresentation
-from loopwitt.glnrep import Irrep, build_irrep
+from loopwitt.glnrep import build_irrep
 from loopwitt.loop import LoopElem
 from loopwitt.opcheck import OpSpec
 from loopwitt.scalars import GaussRat, ONE, ZERO
@@ -36,14 +37,6 @@ def presentation(kind):
     return {"trivial": BPresentation("trivial"),
             "polyquot": make_polyquot_cube(),
             "laurent": make_laurent()}[kind]
-
-
-def doubled_off_diagonal(rep):
-    rng = range(1, rep.n + 1)
-    return Irrep(rep.n, rep.mu, rep.c, rep.d,
-                 [[rep.columns(i, j) if i == j
-                   else [[(r, 2 * x) for r, x in c] for c in rep.columns(i, j)]
-                   for j in rng] for i in rng], rep.hw_index)
 
 
 def pool(pres):
