@@ -7,17 +7,17 @@ rational formulas of Molev, "Gelfand-Tsetlin bases for classical Lie
 algebras" (arXiv:math/0211289, Thm 2.3); every other E_ij is a
 commutator of those.  The diagonal part is shifted so the identity
 matrix acts by the scalar c.  The construction runs in GaussRat
-arithmetic.
+arithmetic, in linalg.Columns, Irrep.columns, which the weight table
+and the highest-weight check read.
 
-Every E_ij is built and kept as Columns, Irrep.columns, and the checks
-run on their Gaussian-integer forms: Irrep.int_view holds every N_ij =
-D E_ij over one common denominator D, the commutation relations are
-sparse products of the N_ij in plain ints, the identity scalar is their
-sparse sum, and Norton's spins run over the Gaussian integers
-(linalg.int_spin).  A GaussRat is made only for a nonzero residual entry or
-a result that leaves the check.  The E_ij of V(mu) are very sparse in
-this basis, about 1.5 % nonzero at d = 64.  Irrep.E densifies one for
-printing, and the Burnside closure takes dense matrices.
+Every check runs on the Gaussian-integer form: Irrep.int_view holds
+every N_ij = D E_ij as a linalg.IntMatrix over one common denominator
+D.  The commutation relations are sparse products of the N_ij in plain
+ints, the identity scalar is their sparse sum, and Norton's theta, its
+kernel and spins take and return integer forms only.  A GaussRat is
+made only for a nonzero residual entry.  The E_ij of V(mu) are very
+sparse in this basis, about 1.5 % nonzero at d = 64.  Irrep.E densifies
+one from the integer view, for printing and for the Burnside closure.
 
 Irreducibility is certified by Norton's test, `norton_irreducible`,
 O(g d^3) for g generators; when it does not decide, the Burnside
@@ -28,11 +28,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, product
-from math import prod
+from math import lcm, prod
 from typing import List, Sequence, Tuple
 
 from .linalg import (Columns, Entries, IntMatrix, Mat, SpanBasis, dense,
-                     denominator, entries, gauss_entries, identity,
+                     denominator, gauss_entries, identity, int_columns,
                      int_entries_into, int_matrix, int_product_into,
                      int_spin, mat_mul, null_space, product_entries,
                      sparse_sum, to_columns, transposed)
@@ -78,8 +78,10 @@ class Irrep:
         return self._columns[i - 1][j - 1]
 
     def E(self, i: int, j: int) -> Mat:
-        """E_ij as a dense matrix, for printing and Burnside."""
-        return dense(self.columns(i, j), self.d)
+        """E_ij as a dense matrix, from the integer view, for printing and
+        Burnside."""
+        den, ints = self.int_view()
+        return dense(ints[i - 1][j - 1], self.d, den)
 
     def int_view(self) -> Tuple[int, List[List[IntMatrix]]]:
         """D and every N_ij = D E_ij as a Gaussian-integer matrix (0-based),
@@ -252,40 +254,46 @@ def burnside_dim(mats: List[Mat]) -> int:
     return span.dim
 
 
-def highest_weight_theta(diagonals: Sequence[Columns], hw: int) -> Columns:
-    """Norton's theta for a highest weight module, from the column views
-    of the matrices by which E_11, ..., E_nn act, each up to an added
-    scalar: sum_i (n - i) E_ii minus its diagonal entry at the highest
-    weight vector hw times I.  Every positive root e_i - e_j (i < j)
-    pairs to j - i > 0 with (n - 1, ..., 0), so on V(mu) the highest
-    weight is the unique maximiser and ker theta is the one-dimensional
-    highest weight space.  theta lies in the unital algebra the
-    diagonals generate."""
-    n, d = len(diagonals), len(diagonals[0])
-    theta = sparse_sum((key, GaussRat(n - 1 - i) * x)
-                       for i, m in enumerate(diagonals)
-                       for key, x in entries(m))
-    return hw_shifted(to_columns(theta, d), hw)
+def highest_weight_theta(diagonals: Sequence[Tuple[int, IntMatrix]],
+                         hw: int) -> Tuple[int, IntMatrix]:
+    """Norton's theta for a highest weight module, from the matrices by
+    which E_11, ..., E_nn act, each up to an added scalar and each given
+    as (den, den times it): sum_i (n - i) E_ii minus its diagonal entry
+    at the highest weight vector hw times I, as (L, L theta) for L the
+    lcm of the dens.  Every positive root e_i - e_j (i < j) pairs to
+    j - i > 0 with (n - 1, ..., 0), so on V(mu) the highest weight is the
+    unique maximiser and ker theta is the one-dimensional highest weight
+    space.  theta lies in the unital algebra the diagonals generate."""
+    n, d = len(diagonals), len(diagonals[0][1][0])
+    den = lcm(*(q for q, _ in diagonals))
+    re, im = {}, {}
+    for i, (q, m) in enumerate(diagonals):
+        int_entries_into(re, im, m, (n - 1 - i) * (den // q))
+    return den, hw_shifted(int_columns(re, im, d), hw)
 
 
-def hw_shifted(a: Columns, hw: int) -> Columns:
-    """a minus its diagonal entry at the highest weight vector hw times I;
-    a square column view.  A subspace is invariant under a exactly when
-    it is invariant under a - cI, so both spin any vector alike."""
-    top = dict(a[hw]).get(hw)
-    if not top:
+def hw_shifted(a: IntMatrix, hw: int) -> IntMatrix:
+    """a minus its diagonal entry at the highest weight vector hw times I,
+    for a square IntMatrix a; over any denominator, the entry is that
+    of den a.  A subspace is invariant under a exactly when it is
+    invariant under a - cI, so both spin any vector alike."""
+    top = [dict(part[hw]).get(hw, 0) if part else 0 for part in a]
+    if not any(top):
         return a
-    d = len(a)
-    return to_columns(sparse_sum(entries(a), (((k, k), top)
-                                              for k in range(d))), d)
+    d = len(a[0])
+    re, im = {}, {}
+    int_entries_into(re, im, a, 1)
+    for acc, x in zip((re, im), top):
+        for k in range(0, d * d, d + 1):
+            acc[k] = acc.get(k, 0) - x
+    return int_columns(re, im, d)
 
 
-def norton_irreducible(mats: Sequence[IntMatrix], theta: Columns) -> bool:
+def norton_irreducible(mats: Sequence[IntMatrix], theta: IntMatrix) -> bool:
     """Norton's irreducibility test (Parker 1984; Holt and Rees, "Testing
     modules for irreducibility", 1994), for theta in the unital algebra A
-    generated by mats; every matrix is square, mats are Gaussian-integer
-    matrices (`int_matrix`), each standing for any nonzero multiple of
-    itself, and theta is Columns.
+    generated by mats; every matrix is a square IntMatrix, standing for
+    any nonzero multiple of itself, theta too.
 
     True proves that A is all of M_d(Q(i)), i.e. burnside_dim(mats) ==
     d^2: ker theta is one-dimensional, spanned by v; v spins to the whole
@@ -299,9 +307,9 @@ def norton_irreducible(mats: Sequence[IntMatrix], theta: Columns) -> bool:
     Shifting each matrix by a scalar, m - cI, changes neither A, which
     is unital, nor any spin, so theta built from the unshifted matrices
     also lies in the unital algebra of the shifted ones (`hw_shifted`)."""
-    d = len(theta)
+    d = len(theta[0])
     kernel = null_space(theta, d)
     if len(kernel) != 1 or int_spin(kernel[0], mats).dim != d:
         return False
-    [co_vector] = null_space(transposed(theta, d), d)
+    [co_vector] = null_space(transposed(theta), d)
     return int_spin(co_vector, mats, transpose=True).dim == d

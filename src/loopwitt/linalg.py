@@ -1,26 +1,29 @@
-"""Exact linear algebra over GaussRat, run over the Gaussian integers.
+"""Exact linear algebra over Q(i), run over the Gaussian integers.
 
-Vec is the one vector format: a dict from index to entry that holds the
-nonzero entries only, so a zero vector is the empty dict.  Columns is
-the one matrix format: per column, its nonzero (row, entry) pairs, rows
-increasing.  The gl(n) matrices and the operator matrices are built in
-it and checked in it.  A sum of sparse terms, vector or matrix entries,
-is collected by `sparse_sum`, so a matrix sum is Entries, the nonzero
-entries keyed by (row, col), and `to_columns` turns it back into
-Columns.  A dense Mat, a list of row lists, comes only from `dense`, for
-two uses: printing the E_ij and the Burnside closure.
+Every check reads one matrix format, IntMatrix: a Gaussian-integer
+matrix as the sparse columns of its real part and of its imaginary part,
+standing for itself over one denominator D kept beside it.  An
+IntVec is a Gaussian-integer vector, its real and imaginary parts each a
+dict from index to nonzero int.  `int_columns` collects integer entries
+into an IntMatrix, `int_apply` applies one, and `null_space` and
+`int_spin` take and return integer forms only.
 
-Vec and Columns are the API; the work runs in their Gaussian-integer
-forms, IntVec and IntMatrix, with every denominator cleared once, so no
-GaussRat is made until a result leaves.  Elimination is fraction free,
-with no pivoting strategy, on sparse vectors, so a zero is never
-visited: SpanBasis keeps each row as a primitive Gaussian-integer
-vector, divided by the gcd of its parts, and reduces by v <- a v - c
-row, a the row's pivot entry.  Unlike Bareiss's method, no step divides
-v by an earlier pivot, so within one reduction v's entries may grow by
-the product of the a; only the rows kept are made primitive.
-`int_spin` takes its generators already scaled to Gaussian integers, so
-its images stay integer too.
+GaussRat appears at the boundary.  Vec, a dict from index to nonzero
+GaussRat, and Columns, per column its nonzero (row, GaussRat) pairs,
+rows increasing, are the formats `glnrep.build_irrep` builds V(mu, c)
+in: a sum of sparse terms is collected by `sparse_sum` into Entries,
+keyed (row, col), and `to_columns` turns it back into Columns.
+`int_matrix` clears Columns to an IntMatrix over a given D, and `dense`
+turns an IntMatrix over D into a dense GaussRat Mat, for printing the
+E_ij and for the Burnside closure.
+
+Elimination is fraction free, with no pivoting strategy, on sparse
+vectors, so a zero is never visited: SpanBasis keeps each row as a
+primitive Gaussian-integer vector, divided by the gcd of its parts, and
+reduces by v <- a v - c row, a the row's pivot entry.  Unlike Bareiss's
+method, no step divides v by an earlier pivot, so within one reduction
+v's entries may grow by the product of the a; only the rows kept are
+made primitive.
 """
 
 from __future__ import annotations
@@ -75,29 +78,23 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return out
 
 
-def dense(a: Columns, rows: int) -> Mat:
-    """The dense matrix of a, which has `rows` rows."""
-    out = zeros(rows, len(a))
-    for col, pairs in enumerate(a):
-        for row, x in pairs:
+def dense(a: IntMatrix, rows: int, den: int) -> Mat:
+    """The dense GaussRat matrix a / den, for a with `rows` rows."""
+    re, im = a
+    out = zeros(rows, len(re))
+    for col, pairs in enumerate(re):
+        for row, x in gauss_entries(dict(pairs), dict(im[col]) if im else {},
+                                    den).items():
             out[row][col] = x
     return out
 
 
-def transposed(a: Columns, rows: int) -> Columns:
-    """The column view of the transpose of a, which has `rows` rows."""
-    out: Columns = [[] for _ in range(rows)]
-    for col, pairs in enumerate(a):
-        for row, x in pairs:
-            out[row].append((col, x))
-    return out
-
-
-def entries(a: Columns) -> Iterator[Entry]:
-    """The nonzero entries of a, keyed (row, col)."""
-    for col, pairs in enumerate(a):
-        for row, x in pairs:
-            yield (row, col), x
+def transposed(a: IntMatrix) -> IntMatrix:
+    """The transpose of a square IntMatrix."""
+    d = len(a[0])
+    re, im = ({col * d + row: x for col, pairs in enumerate(part or ())
+               for row, x in pairs} for part in a)
+    return int_columns(re, im, d)
 
 
 def product_entries(a: Columns, b: Columns) -> Iterator[Entry]:
@@ -139,11 +136,9 @@ def denominator(xs: Iterable[GaussRat]) -> int:
     return lcm(*{x.parts()[2] for x in xs})
 
 
-def int_matrix(a: Columns, den: Optional[int] = None) -> IntMatrix:
-    """den a as a Gaussian-integer matrix; den defaults to the least
-    common denominator of a's entries."""
-    if den is None:
-        den = denominator(x for col in a for _, x in col)
+def int_matrix(a: Columns, den: int) -> IntMatrix:
+    """den a as a Gaussian-integer matrix, for den a multiple of the
+    denominator of each entry of a."""
     re, im = [], []
     for col in a:
         re_col, im_col = [], []
@@ -181,16 +176,20 @@ def primitive(v: IntVec) -> IntVec:
             {j: x // g for j, x in im.items()})
 
 
-def monic(v: IntVec, piv: int) -> Vec:
-    """v divided by its entry at piv, as a Vec: x / p = x conj(p) / |p|^2."""
-    re, im = v
-    pr, pi = re.get(piv, 0), im.get(piv, 0)
-    norm = pr * pr + pi * pi
-    out = {}
-    for j in sorted(re.keys() | im.keys()):
-        x, y = re.get(j, 0), im.get(j, 0)
-        out[j] = GaussRat.from_parts(x * pr + y * pi, y * pr - x * pi, norm)
-    return out
+def int_columns(re: Dict[int, int], im: Dict[int, int], d: int
+                ) -> IntMatrix:
+    """The d x d IntMatrix whose entry (row, col) is re + im i at key
+    row * d + col; zero entries are dropped, and a zero imaginary part
+    is None."""
+    out = []
+    for part in (re, im):
+        cols: IntColumns = [[] for _ in range(d)]
+        for key in sorted(part):
+            if part[key]:
+                row, col = divmod(key, d)
+                cols[col].append((row, part[key]))
+        out.append(cols)
+    return out[0], out[1] if any(out[1]) else None
 
 
 def gauss_entries(re: Dict[Key, int], im: Dict[Key, int], den: int
@@ -278,8 +277,7 @@ class SpanBasis:
     parts have gcd 1, in insertion order; each row is zero at the pivots
     of the rows before it.  A row's pivot is its lowest index.  Every row
     is a nonzero multiple of the row that elimination over Q(i) would
-    keep, so dimensions and pivots are the same, and `monic` turns a row
-    into that leading-1 row.
+    keep, so dimensions and pivots are the same.
     """
 
     def __init__(self, length: int):
@@ -336,40 +334,37 @@ class SpanBasis:
         return out
 
 
-def null_space(a: Columns, rows: int) -> List[Vec]:
-    """A basis of {x : a x = 0}, for a with `rows` rows.
+def null_space(a: IntMatrix, rows: int) -> List[IntVec]:
+    """A basis of {x : a x = 0}, for a with `rows` rows, of primitive
+    Gaussian-integer vectors.  A kernel vector of a is one of any
+    nonzero multiple of a, so a may stand over any denominator.
 
-    Column j of D a, for D the least common denominator of a, followed by
-    the unit vector e_j, goes into one SpanBasis.  An echelon row whose
-    pivot falls in the unit part is sum_j x_j (D column j, e_j) with
-    a x = 0, so its unit part is a kernel vector; there are as many such
-    rows as columns minus the rank.  Scaling the first `rows` coordinates
-    by D moves no pivot and no unit part, so the kernel vectors are those
-    of a itself."""
-    re, im = int_matrix(a)
-    span = SpanBasis(rows + len(a))
+    Column j of a, followed by the unit vector e_j, goes into one
+    SpanBasis.  An echelon row whose pivot falls in the unit part is
+    sum_j x_j (column j, e_j) with a x = 0, so it is its unit part, a
+    kernel vector, and primitive; there are as many such rows as columns
+    minus the rank."""
+    re, im = a
+    span = SpanBasis(rows + len(re))
     for j, col in enumerate(re):
         span.insert((dict([*col, (rows + j, 1)]), dict(im[j]) if im else {}))
-    return [{j - rows: x for j, x in monic(row, piv).items()}
+    return [tuple({j - rows: x for j, x in part.items()} for part in row)
             for row, piv in zip(span.int_rows, span.pivots) if piv >= rows]
 
 
-def int_spin(v: Vec, gens: Sequence[IntMatrix], transpose: bool = False
+def int_spin(v: IntVec, gens: Sequence[IntMatrix], transpose: bool = False
              ) -> SpanBasis:
     """The smallest subspace that contains v and is invariant under every
-    Gaussian-integer matrix of gens, or under their transposes if
-    transpose is set; the search stops once it fills the whole space.
-    Invariance under M and under lambda M, lambda != 0, agree, so gens
-    may be any multiples of matrices over Q(i) (`int_matrix`).  Each
-    image that enlarges the span is divided by the gcd of its parts
-    before it is spun in turn."""
+    matrix of gens, or under their transposes if transpose is set; the
+    search stops once it fills the whole space.  Invariance under M and
+    under lambda M, lambda != 0, agree, so gens may stand over any
+    denominators.  Each image that enlarges the span is divided by the
+    gcd of its parts before it is spun in turn."""
     d = len(gens[0][0])
     if transpose:
-        gens = [(transposed(re, d), im and transposed(im, d))
-                for re, im in gens]
+        gens = [transposed(m) for m in gens]
     span = SpanBasis(d)
-    start, _ = int_vec(v)
-    frontier = [start] if span.insert(start) else []
+    frontier = [v] if span.insert(v) else []
     while frontier and span.dim < span.length:
         w = frontier.pop()
         for m in gens:

@@ -25,8 +25,10 @@ block of difference vectors, one group of d columns per interior slice
 (tensmod.TensorModule.difference_block), whose slice sum must vanish,
 and the quotient intertwining is the slice sum of R - Q.  All of it runs
 in the action's Gaussian integers, so a passing check makes no GaussRat
-per slice; only the algebra of the bottom slice takes the operators'
-Columns from op_matrix, and only its Burnside fallback densifies.
+per slice.  The algebra of the bottom slice reads its generators from
+op_matrix as Gaussian-integer matrices, each over its own denominator,
+and Norton's test runs on them as they are; only its Burnside fallback
+densifies.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Callable, List, Sequence, Tuple
 from .coeff import BElem
 from .glnrep import (burnside_dim, highest_weight_theta, hw_shifted,
                      norton_irreducible)
-from .linalg import dense, int_matrix
+from .linalg import dense
 from .loop import (Degree, LoopElem, _add_deg, diff_derivation,
                    poly_derivation)
 from .scalars import GaussRat, ONE, ZERO
@@ -343,7 +345,8 @@ def bottom_slice_algebra_dim(module: TensorModule) -> int:
     weight-homogeneous E_ji, the E_ii shifted by a scalar, and a zero
     matrix for the zero mode (every one is zero when d = 1).  The spins,
     and the unital algebra that theta lies in, are those of the
-    unshifted generators; Burnside still gets the unshifted matrices."""
+    unshifted generators.  Burnside gets the unshifted matrices, each
+    times its denominator, which generate the same unital algebra."""
     n, d = module.n, module.d
     one = module.pres.one()
     zero = (0,) * n
@@ -353,11 +356,10 @@ def bottom_slice_algebra_dim(module: TensorModule) -> int:
     mats = [op_matrix(as_operator("product", spec, module), module, zero)
             for spec in specs]
     hw = module.rep.hw_index
-    theta = highest_weight_theta(mats[:n * n:n + 1], hw)
-    if norton_irreducible([int_matrix(hw_shifted(m, hw)) for m in mats],
-                          theta):
+    _, theta = highest_weight_theta(mats[:n * n:n + 1], hw)
+    if norton_irreducible([hw_shifted(m, hw) for _, m in mats], theta):
         return d * d
-    return burnside_dim([dense(m, d) for m in mats])
+    return burnside_dim([dense(m, d, 1) for _, m in mats])
 
 
 # -- rank-one checks --------------------------------------------------

@@ -89,6 +89,14 @@ class RunConfig:
             raise ConfigError("mu must have length n-1")
         if any(m < 0 for m in self.mu):
             raise ConfigError("mu entries must be nonnegative")
+        # the window cap bounds n by 12 (3^13 > WINDOW_CAP) before the
+        # Weyl formula's O(n^2) products run
+        if self.window_radius < 1:
+            raise ConfigError("window_radius must be >= 1")
+        if (2 * self.window_radius + 1) ** self.n > WINDOW_CAP:
+            raise ConfigError(f"window_radius {self.window_radius} at n = "
+                              f"{self.n} gives (2R+1)^n slices, above the "
+                              f"cap {WINDOW_CAP}")
         d = weyl_dim(self.mu, self.n)
         if d > DIM_CAP:
             raise ConfigError(f"mu {list(self.mu)} gives dimension {d}, "
@@ -97,12 +105,6 @@ class RunConfig:
             self.alpha = tuple(GaussRat(Fraction(1, 2)) for _ in range(self.n))
         if len(self.alpha) != self.n:
             raise ConfigError("alpha must have length n")
-        if self.window_radius < 1:
-            raise ConfigError("window_radius must be >= 1")
-        if (2 * self.window_radius + 1) ** self.n > WINDOW_CAP:
-            raise ConfigError(f"window_radius {self.window_radius} at n = "
-                              f"{self.n} gives (2R+1)^n slices, above the "
-                              f"cap {WINDOW_CAP}")
         if not self.suites:
             self.suites = tuple(self.default_suites())
         for s in self.suites:
@@ -351,10 +353,10 @@ def run_gl_relations(cfg: RunConfig) -> Outcome:
     if rep.trace_part() != want:
         failures.append({"check": "identity-scalar"})
     cases += 1
-    _, ints = rep.int_view()
+    den, ints = rep.int_view()
     mats = [ints[i - 1][j - 1] for i, j in gens]
-    theta = highest_weight_theta([rep.columns(i, i) for i in rng4],
-                                 rep.hw_index)
+    _, theta = highest_weight_theta([(den, ints[k][k]) for k in range(cfg.n)],
+                                    rep.hw_index)
     bd = (rep.d * rep.d if norton_irreducible(mats, theta)
           else burnside_dim([rep.E(*g) for g in gens]))
     if bd != rep.d * rep.d:
@@ -450,9 +452,10 @@ def run_operator_suite(cfg: RunConfig) -> Outcome:
     cases += 1
     zero = (0,) * cfg.n
     quotient = SpanBasis(module.d)
-    for col in op_matrix(lambda v: ModVector(module, {zero: v.slice_sum()}),
-                         module, zero):
-        quotient.insert(dict(col))
+    _, (re, im) = op_matrix(
+        lambda v: ModVector(module, {zero: v.slice_sum()}), module, zero)
+    for k, col in enumerate(re):
+        quotient.insert((dict(col), dict(im[k]) if im else {}))
     if quotient.dim != module.d:
         failures.append({"check": "difference-codimension",
                          "got": quotient.dim})

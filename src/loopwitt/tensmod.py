@@ -10,14 +10,15 @@ extended linearly.  A ModVector holds a block of module vectors over
 the same slices, entry k d + i of a slice being coordinate i of column
 k, in Gaussian integers: one denominator D and, per slice, a
 linalg.IntVec of D times the entries, nonzero parts only.  GaussRat
-comes in through the constructor and out through .data, slice_sum and
-op_matrix; the action and the block arithmetic make none.
+comes in through the constructor and out through .data and slice_sum;
+the action, the block arithmetic and op_matrix make none.
 
-An element is compiled once per module into a plan: per degree r, the
+An element is compiled once per module into its plan, in Gaussian
+integers over one denominator P: per degree r, P kappa_r for the
 constant kappa_r = sum psi(b) of the t-parts plus sum_i psi_i alpha_i,
-the derivation coefficients psi_i and M_r = sum_ij psi_i r_j E_ji from
-Irrep.int_view, all over one denominator P.  A source slice m then costs
-one Gaussian integer P s = P kappa_r + sum_i P psi_i m_i and
+the P psi_i of the derivation terms, and P M_r for
+M_r = sum_ij psi_i r_j E_ji, from Irrep.int_view.  A source slice m then
+costs one Gaussian integer P s = P kappa_r + sum_i P psi_i m_i and
 P s v + P M_r v.  The element keeps the plan, with a weak reference to
 its module.
 
@@ -30,7 +31,8 @@ slice is nonzero and leaves the window, whatever c.  act is act_into
 plus collect; signed_sum adds terms (c, x, w), c (x . w) or c w for x
 None, into one accumulator, and the module residuals and ModVector +, -
 and scale are such sums.  op_matrix applies an operator that maps a
-slice into itself once, to the slice's basis block.
+slice into itself once, to the slice's basis block, and reads the
+image's integers as a linalg.IntMatrix over the image's denominator.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .coeff import BElem, BPresentation
 from .glnrep import Irrep
-from .linalg import (Columns, IntColumns, IntMatrix, IntVec, Vec, add_into,
-                     gauss_entries, int_entries_into, to_columns)
+from .linalg import (IntColumns, IntMatrix, IntVec, Vec, add_into,
+                     gauss_entries, int_columns, int_entries_into)
 from .loop import Degree, LoopElem
 from .scalars import GaussRat, ONE
 
@@ -54,12 +56,8 @@ class OutOfWindowError(ValueError):
 
 
 # one degree r of a compiled element over the plan's one denominator P:
-# r, kappa_r, the pairs (i - 1, P psi_i as (re, im)) of its derivation
-# terms, and (P, the Gaussian-integer columns of P M_r or None if zero)
-DegreePlan = Tuple[Degree, GaussRat, List[Tuple[int, Tuple[int, int]]],
-                   Tuple[int, Optional[IntMatrix]]]
-# the same with P kappa_r too: r, P, P kappa_r as (re, im), the pairs
-# and P M_r or None
+# r, P, P kappa_r as (re, im), the pairs (i - 1, P psi_i as (re, im)) of
+# its derivation terms, and P M_r as an IntMatrix, or None if zero
 IntDegreePlan = Tuple[Degree, int, int, int,
                       List[Tuple[int, Tuple[int, int]]], Optional[IntMatrix]]
 
@@ -99,16 +97,6 @@ class Window:
             index, q = divmod(index, 2 * (self.radius - g) + 1)
             out.append(q - self.radius + g)
         return tuple(reversed(out))
-
-
-def _int_columns(part: Dict[int, int], d: int) -> IntColumns:
-    """The columns of the nonzero entries of part, keyed row * d + col."""
-    out: IntColumns = [[] for _ in range(d)]
-    for key in sorted(part):
-        if part[key]:
-            row, col = divmod(key, d)
-            out[col].append((row, part[key]))
-    return out
 
 
 def _over(x: GaussRat, den: int) -> Tuple[int, int]:
@@ -172,10 +160,10 @@ class TensorModule:
         x: compiled again only when x last acted in another module."""
         kept = x._plan
         if kept is None or kept[0]() is not self:
-            kept = x._plan = (weakref.ref(self), _lowered(self._compile(x)))
+            kept = x._plan = (weakref.ref(self), self._compile(x))
         return kept[1]
 
-    def _compile(self, x: LoopElem) -> List[DegreePlan]:
+    def _compile(self, x: LoopElem) -> List[IntDegreePlan]:
         if x.n != self.n:
             raise ValueError("rank mismatch")
         if x.pres != self.pres:
@@ -203,8 +191,8 @@ class TensorModule:
         out = []
         for r, terms in d_terms.items():
             terms = [(i, _over(pb, den)) for i, pb in terms]
-            out.append((r, kappa[r], terms, (
-                den, self._m_columns(r, terms) if r in shifted else None)))
+            out.append((r, den, *_over(kappa[r], den), terms,
+                        self._m_columns(r, terms) if r in shifted else None))
         return out
 
     def _m_columns(self, r: Degree, d_terms: List[Tuple[int, Tuple[int, int]]]
@@ -233,19 +221,7 @@ class TensorModule:
                         int_entries_into(re, im, (ni, None), -b * rj)
         if not (any(re.values()) or any(im.values())):
             return None
-        return (_int_columns(re, self.d),
-                _int_columns(im, self.d) if any(im.values()) else None)
-
-
-def _lowered(compiled: List[DegreePlan]) -> List[IntDegreePlan]:
-    """The compiled degrees with kappa_r over their denominator P too."""
-    out = []
-    for r, kappa, d_terms, (den, cols) in compiled:
-        a, b, q = kappa.parts()
-        if den % q:
-            raise ValueError(f"kappa_{r} is not over the plan's denominator")
-        out.append((r, den, a * (den // q), b * (den // q), d_terms, cols))
-    return out
+        return int_columns(re, im, self.d)
 
 
 class ModVector:
@@ -508,16 +484,19 @@ def assoc_unital_residuals(r: Degree, s: Degree, b: BElem, b2: BElem,
 Op = Callable[[ModVector], ModVector]
 
 
-def op_matrix(op: Op, module: TensorModule, m: Degree) -> Columns:
-    """The d x d Columns of a linear operator that maps slice m into
-    itself, applied once to the basis block of m: column k is the image
-    of v_k (x) t^m.  An image on any other slice raises
-    OutOfWindowError."""
-    d = module.d
+def op_matrix(op: Op, module: TensorModule, m: Degree
+              ) -> Tuple[int, IntMatrix]:
+    """(den, den A) for the d x d matrix A of a linear operator that maps
+    slice m into itself, applied once to the basis block of m: column k
+    of A is the image of v_k (x) t^m, and den is the image's
+    denominator.  An image on any other slice raises OutOfWindowError."""
     image = op(module.basis_block(m))
     for p in image.ints:
         if p != m:
             raise OutOfWindowError(
                 f"operator maps slice {m} into slice {p}")
-    return to_columns({(j % d, j // d): x
-                       for j, x in image.data.get(m, {}).items()}, d)
+    # entry k d + i of the slice is A's entry (i, k)
+    d = module.d
+    re, im = ({(j % d) * d + j // d: x for j, x in part.items()}
+              for part in image.ints.get(m, ({}, {})))
+    return image.den, int_columns(re, im, d)

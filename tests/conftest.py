@@ -75,11 +75,73 @@ def sparse(v):
     return {j: x for j, x in enumerate(v) if x}
 
 
+def monic(v, piv):
+    """An IntVec v divided by its entry at piv, as a Vec:
+    x / p = x conj(p) / |p|^2."""
+    re, im = v
+    pr, pi = re.get(piv, 0), im.get(piv, 0)
+    norm = pr * pr + pi * pi
+    out = {}
+    for j in sorted(re.keys() | im.keys()):
+        x, y = re.get(j, 0), im.get(j, 0)
+        out[j] = GaussRat.from_parts(x * pr + y * pi, y * pr - x * pi, norm)
+    return out
+
+
 def monic_rows(span):
     """The echelon rows of a linalg.SpanBasis as Vecs with leading
     coefficient 1."""
-    from loopwitt.linalg import monic
     return [monic(row, piv) for row, piv in zip(span.int_rows, span.pivots)]
+
+
+def monic_vecs(vectors):
+    """IntVecs, such as linalg.null_space's kernel vectors, each as the
+    Vec with entry 1 at its lowest index."""
+    return [monic(v, min(v[0].keys() | v[1].keys())) for v in vectors]
+
+
+def int_of(v):
+    """A Vec cleared to a Gaussian-integer IntVec."""
+    from loopwitt.linalg import int_vec
+    return int_vec(v)[0]
+
+
+def entries(a):
+    """The nonzero entries of Columns a, keyed (row, col)."""
+    for col, pairs in enumerate(a):
+        for row, x in pairs:
+            yield (row, col), x
+
+
+def int_form(a):
+    """(D, D a) for Columns a, D the least common denominator of its
+    entries: the (den, IntMatrix) form the checks read."""
+    from loopwitt.linalg import denominator, int_matrix
+    den = denominator(x for col in a for _, x in col)
+    return den, int_matrix(a, den)
+
+
+def int_mat(a):
+    """A dense matrix over Q(i) as an IntMatrix, a nonzero multiple of
+    it: what Norton's test and the spins take."""
+    return int_form(columns(a))[1]
+
+
+def dense_of(a, rows):
+    """The dense matrix of Columns a, which has `rows` rows."""
+    from loopwitt.scalars import ZERO
+    out = [[ZERO] * len(a) for _ in range(rows)]
+    for col, pairs in enumerate(a):
+        for row, x in pairs:
+            out[row][col] = x
+    return out
+
+
+def rational_columns(form):
+    """The Columns over Q(i) of (den, den a), for a square: a itself."""
+    from loopwitt.linalg import dense
+    den, a = form
+    return columns(dense(a, len(a[0]), den))
 
 
 def to_sympy(x):
@@ -157,6 +219,34 @@ class RationalSpanBasis:
             raise ValueError("vector is not in the span")
         return {k: coeffs[piv] for k, piv in enumerate(self.pivots)
                 if piv in coeffs}
+
+
+def rational_hw_shifted(a, hw):
+    """a minus its diagonal entry at the highest weight vector hw times I;
+    a square column view.  A subspace is invariant under a exactly when
+    it is invariant under a - cI, so both spin any vector alike.  The
+    GaussRat oracle of glnrep.hw_shifted."""
+    from loopwitt.linalg import sparse_sum, to_columns
+    top = dict(a[hw]).get(hw)
+    if not top:
+        return a
+    d = len(a)
+    return to_columns(sparse_sum(entries(a), (((k, k), top)
+                                              for k in range(d))), d)
+
+
+def rational_highest_weight_theta(diagonals, hw):
+    """Norton's theta for a highest weight module, from the column views
+    of the matrices by which E_11, ..., E_nn act, each up to an added
+    scalar: sum_i (n - i) E_ii minus its diagonal entry at the highest
+    weight vector hw times I.  The GaussRat oracle of
+    glnrep.highest_weight_theta."""
+    from loopwitt.linalg import sparse_sum, to_columns
+    n, d = len(diagonals), len(diagonals[0])
+    theta = sparse_sum((key, GaussRat(n - 1 - i) * x)
+                       for i, m in enumerate(diagonals)
+                       for key, x in entries(m))
+    return rational_hw_shifted(to_columns(theta, d), hw)
 
 
 def rational_null_space(a, rows):

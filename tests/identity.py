@@ -1,0 +1,128 @@
+"""Byte-identity of the CLI output between two revisions.
+
+    python3 tests/identity.py --base REV
+
+checks REV out into a temporary directory (`git worktree add --detach`),
+runs one fixed corpus of CLI calls once against REV's src/ and once
+against the working tree's src/, each side in its own subprocess, and
+removes the worktree.  It strips `wall_time` from every verify-all
+report, prints one sha256 digest per call, names every call whose
+output or exit code differs, and exits 1 if any call differs, 0 if none
+does.
+
+The corpus is `test_reports_pinned._calls()`, the calls whose digests
+are pinned, plus `verify-all --json` on the 9-config grid (n in
+{1, 2, 3} x {trivial, polyquot, laurent}, default suites, 5 cases) at
+seed 7.  `compare(base_src, head_src, calls)` is the step that runs it
+on two src/ directories.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import Dict, List, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Runs in a subprocess whose PYTHONPATH is one src/ directory: reads the
+# calls, name -> [CLI arguments without --config, config document], from
+# stdin and prints name -> [exit code, sha256 of stdout] as one JSON line.
+# A verify-all report is hashed without its wall_time fields, as
+# test_reports_pinned hashes it.
+RUNNER = r"""
+import contextlib, hashlib, io, json, os, sys, tempfile
+from loopwitt.cli import main
+calls = json.load(sys.stdin)
+out = {}
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "config.json")
+    for name, (args, doc) in sorted(calls.items()):
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(args + ["--config", path])
+        text = buf.getvalue()
+        if args[0] == "verify-all" and "--json" in args and text:
+            body = [{k: v for k, v in r.items() if k != "wall_time"}
+                    for r in json.loads(text)]
+            text = json.dumps(body, sort_keys=True, indent=2)
+        out[name] = [code, hashlib.sha256(text.encode()).hexdigest()]
+print(json.dumps(out))
+"""
+
+Call = Tuple[List[str], Dict]
+
+
+def corpus() -> Dict[str, Call]:
+    """The pinned calls plus the 9-config grid at seed 7."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    from test_reports_pinned import B_SPECS, GRID_MU, _calls
+    calls = _calls()
+    for n, mu in GRID_MU.items():
+        for kind, b in B_SPECS.items():
+            calls[f"seed7/verify-all/{n}/{kind}"] = (
+                ["verify-all", "--json"],
+                {"n": n, "mu": mu, "B": b, "seed": 7, "cases_per_suite": 5})
+    return calls
+
+
+def run_calls(src: Path, calls: Dict[str, Call]) -> Dict[str, List]:
+    """name -> [exit code, digest] for each call, run against the
+    loopwitt package in the directory src."""
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+    with tempfile.TemporaryDirectory() as cwd:
+        done = subprocess.run([sys.executable, "-c", RUNNER],
+                              input=json.dumps(calls), env=env, cwd=cwd,
+                              capture_output=True, text=True)
+    if done.returncode:
+        raise RuntimeError(f"corpus run against {src} failed:\n"
+                           f"{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def compare(base_src: Path, head_src: Path, calls: Dict[str, Call],
+            out=None) -> List[str]:
+    """Run the calls against both src/ directories, print a digest per
+    call, and return the names of the calls that differ."""
+    base, head = run_calls(base_src, calls), run_calls(head_src, calls)
+    differ = []
+    for name in sorted(calls):
+        (code, digest), (head_code, head_digest) = base[name], head[name]
+        if (code, digest) == (head_code, head_digest):
+            print(f"{digest} exit {code} {name}", file=out)
+        else:
+            differ.append(name)
+            print(f"DIFFERS {name}: base {digest} exit {code}, head "
+                  f"{head_digest} exit {head_code}", file=out)
+    print(f"{len(calls)} calls, {len(differ)} differ", file=out)
+    return differ
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--base", required=True,
+                        help="the revision to compare the working tree to")
+    args = parser.parse_args(argv)
+    calls = corpus()
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "base"
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--quiet",
+                        "--detach", str(tree), args.base], check=True)
+        try:
+            differ = compare(tree / "src", ROOT / "src", calls)
+        finally:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove",
+                            "--force", str(tree)], check=True)
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

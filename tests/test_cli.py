@@ -427,8 +427,11 @@ class TestConfigLimits:
                      "--suite", "gl-relations"]) == EXIT_OK
 
     def test_mu_above_dim_cap_is_config_error(self, tmp_path, capsys):
-        # the fourth exterior power of C^8: dimension 70, tensor power 4
-        cfg = write_config(tmp_path, n=8, mu=[0, 0, 0, 1, 0, 0, 0])
+        # the fourth exterior power of C^8: dimension 70, tensor power 4;
+        # radius 1 keeps the window (3^8 slices) below its cap, which is
+        # checked first
+        cfg = write_config(tmp_path, n=8, mu=[0, 0, 0, 1, 0, 0, 0],
+                           window_radius=1)
         code = main(["irrep-info", "--config", cfg])
         assert code == EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
@@ -437,15 +440,20 @@ class TestConfigLimits:
     @pytest.mark.parametrize("command", [["verify-all"], ["module-info"]])
     @pytest.mark.parametrize("doc", [
         {"n": 12, "mu": [0] * 11, "cases_per_suite": 1},  # 7^12 slices
-        {"n": 3, "mu": [1, 0], "window_radius": 100000}])
+        {"n": 3, "mu": [1, 0], "window_radius": 100000},
+        # mu defaults to 4999 ones, whose Weyl dimension has thousands
+        # of digits
+        {"n": 5000}])
     def test_window_above_cap_is_config_error(self, tmp_path, capsys,
                                               monkeypatch, command, doc):
-        # rejected before any irrep or window is built
+        # rejected before any irrep or window is built, and before the
+        # Weyl dimension is computed
         def never(*args):
             raise AssertionError("built past the config check")
 
         monkeypatch.setattr(suites, "build_irrep", never)
         monkeypatch.setattr(suites, "Window", never)
+        monkeypatch.setattr(suites, "weyl_dim", never)
         path = tmp_path / "big.json"
         path.write_text(json.dumps(doc))
         assert main(command + ["--config", str(path)]) == EXIT_CONFIG_ERROR

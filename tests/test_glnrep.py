@@ -3,25 +3,31 @@ from itertools import permutations, product
 
 import pytest
 
-from conftest import (all_relations_hold, columns, dense_relation_residual,
-                      direct_sum_irrep, mat_is_zero)
+from hypothesis import given, settings, strategies as st
+
+from conftest import (all_relations_hold, columns, dense_of,
+                      dense_relation_residual, direct_sum_irrep, int_form,
+                      int_mat, mat_is_zero, rational_columns,
+                      rational_highest_weight_theta, rational_hw_shifted)
 from loopwitt import glnrep
 from loopwitt.glnrep import (build_irrep, burnside_dim, gt_patterns,
                              partition, weyl_dim)
-from loopwitt.linalg import dense, identity, int_matrix, mat_mul, zeros
+from loopwitt.linalg import dense, identity, mat_mul, zeros
 from loopwitt.scalars import GaussRat, ONE, ZERO
+from test_linalg import GAUSS_RAT
 
 
 def norton_irreducible(mats, theta):
-    """Norton's test on dense matrices, through their column views."""
-    return glnrep.norton_irreducible([int_matrix(columns(m)) for m in mats],
-                                     columns(theta))
+    """Norton's test on dense matrices, through their integer forms."""
+    return glnrep.norton_irreducible([int_mat(m) for m in mats],
+                                     int_mat(theta))
 
 
 def highest_weight_theta(diagonals, hw):
     """Norton's theta from dense diagonals, as a dense matrix."""
-    return dense(glnrep.highest_weight_theta(
-        [columns(m) for m in diagonals], hw), len(diagonals[0]))
+    den, theta = glnrep.highest_weight_theta(
+        [int_form(columns(m)) for m in diagonals], hw)
+    return dense(theta, len(diagonals[0]), den)
 
 
 class TestWeylDimension:
@@ -223,7 +229,7 @@ class TestIntegerView:
         def changed(self, i, j):
             if (i, j) != (2, 1):
                 return cols(self, i, j)
-            m = dense(cols(self, i, j), self.d)
+            m = dense_of(cols(self, i, j), self.d)
             m[0][2] = m[0][2] + GaussRat(Fraction(1, 7), 1)
             return columns(m)
 
@@ -301,12 +307,59 @@ class TestNorton:
         top = a[hw][hw]
         want = [[x - top if r == k else x for k, x in enumerate(row)]
                 for r, row in enumerate(a)]
-        assert glnrep.hw_shifted(columns(a), hw) == columns(want)
+        assert glnrep.hw_shifted(int_mat(a), hw) == int_mat(want)
         # a zero entry leaves the matrix itself; a scalar matrix goes to
         # zero and keeps its d empty columns
-        b = columns([[ZERO, ONE], [ONE, ZERO]])
+        b = int_mat([[ZERO, ONE], [ONE, ZERO]])
         assert glnrep.hw_shifted(b, 1) is b
-        assert glnrep.hw_shifted(columns(identity(3)), hw) == [[], [], []]
+        assert glnrep.hw_shifted(int_mat(identity(3)), hw) == (
+            [[], [], []], None)
+
+
+@st.composite
+def square_columns(draw, d):
+    """The Columns of a sparse d x d matrix over Q(i), non-real entries
+    and denominators up to 2^61 - 1 included."""
+    filled = draw(st.dictionaries(
+        st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)), GAUSS_RAT,
+        max_size=2 * d))
+    return [[(r, filled[r, c]) for r in range(d) if filled.get((r, c))]
+            for c in range(d)]
+
+
+def scaled(form, k):
+    """(k den, k den a) for (den, den a): the same matrix a over a
+    larger denominator."""
+    den, (re, im) = form
+    return den * k, tuple(part and [[(r, k * x) for r, x in col]
+                                    for col in part] for part in (re, im))
+
+
+class TestIntegerFormsAgainstGaussRat:
+    """theta and the hw shift over Z[i] equal the GaussRat oracles of
+    conftest, over their denominators, whatever denominator each input
+    stands over."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda d: st.tuples(
+        st.lists(st.tuples(square_columns(d), st.integers(1, 3)),
+                 min_size=1, max_size=3),
+        st.integers(0, d - 1))))
+    def test_theta(self, drawn):
+        diagonals, hw = drawn
+        got = glnrep.highest_weight_theta(
+            [scaled(int_form(a), k) for a, k in diagonals], hw)
+        assert rational_columns(got) == rational_highest_weight_theta(
+            [a for a, _ in diagonals], hw)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda d: st.tuples(
+        square_columns(d), st.integers(1, 3), st.integers(0, d - 1))))
+    def test_hw_shift(self, drawn):
+        a, k, hw = drawn
+        den, m = scaled(int_form(a), k)
+        assert rational_columns((den, glnrep.hw_shifted(m, hw))) == (
+            rational_hw_shifted(a, hw))
 
 
 class TestBurnside:

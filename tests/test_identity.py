@@ -1,0 +1,38 @@
+"""tests/identity.py, the byte-identity check between two revisions, on
+two calls: the same src/ on both sides is identical, and a copy of src/
+with one changed report field is named."""
+
+import shutil
+from pathlib import Path
+
+import identity
+import loopwitt
+from test_reports_pinned import CALLS, PINNED
+
+SRC = Path(loopwitt.__file__).resolve().parent.parent
+TWO = {name: CALLS[name]
+       for name in ("verify-all/1/trivial", "module-info/1/trivial")}
+
+
+def test_the_same_src_is_identical(capsys):
+    assert identity.compare(SRC, SRC, TWO) == []
+    out = capsys.readouterr().out
+    # the digests are those test_reports_pinned pins
+    for name in TWO:
+        assert f"{PINNED[name]} exit 0 {name}" in out
+    assert "2 calls, 0 differ" in out
+
+
+def test_a_changed_report_field_is_named(tmp_path, capsys):
+    changed = tmp_path / "src"
+    shutil.copytree(SRC / "loopwitt", changed / "loopwitt",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = changed / "loopwitt" / "suites.py"
+    text = path.read_text()
+    assert text.count('"cases": self.cases,') == 1
+    path.write_text(text.replace('"cases": self.cases,',
+                                 '"cases": self.cases + 1,'))
+    assert identity.compare(SRC, changed, TWO) == ["verify-all/1/trivial"]
+    out = capsys.readouterr().out
+    assert "DIFFERS verify-all/1/trivial" in out
+    assert "2 calls, 1 differ" in out

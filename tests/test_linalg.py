@@ -4,12 +4,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (RationalSpanBasis, col_apply, columns, domain_matrix,
-                      mat_vec, monic_rows, rank, rational_null_space, sparse,
+                      entries, int_form, int_mat, int_of, mat_vec, monic_rows,
+                      monic_vecs, rank, rational_null_space, sparse,
                       transpose)
-from loopwitt.linalg import (SpanBasis, dense, entries, gauss_entries,
-                             int_apply, int_matrix, int_vec, null_space,
-                             int_spin, product_entries, sparse_sum, to_columns,
-                             transposed)
+from loopwitt.linalg import (SpanBasis, dense, gauss_entries, int_apply,
+                             int_columns, int_matrix, int_vec, null_space,
+                             int_spin, primitive, product_entries,
+                             sparse_sum, to_columns, transposed)
 from loopwitt.scalars import GaussRat, I, ZERO
 
 
@@ -52,8 +53,6 @@ class TestColumnView:
         a = [vec(1, 2, 0), vec(0, I, 3)]
         assert columns(a) == [[(0, GaussRat(1))], [(0, GaussRat(2)), (1, I)],
                               [(1, GaussRat(3))]]
-        assert dense(columns(a), 2) == a
-        assert dense(transposed(columns(a), 2), 3) == transpose(a)
         assert dict(entries(columns(a))) == {
             (r, c): x for r, row in enumerate(a) for c, x in enumerate(row)
             if x}
@@ -61,6 +60,24 @@ class TestColumnView:
         assert to_columns(dict(reversed(list(entries(columns(a))))),
                           3) == columns(a)
         assert to_columns({}, 2) == [[], []]
+
+    def test_integer_form_and_back(self):
+        # a over D = 6, non-real entries included
+        a = [vec(GaussRat(Fraction(1, 2), 1), 2, 0),
+             vec(0, GaussRat(0, Fraction(1, 3)), 3), vec(4, 0, 0)]
+        m = int_matrix(columns(a), 6)
+        assert m == ([[(0, 3), (2, 24)], [(0, 12)], [(1, 18)]],
+                     [[(0, 6)], [(1, 2)], []])
+        assert dense(m, 3, 6) == a
+        assert dense(transposed(m), 3, 6) == transpose(a)
+        # the same matrix from its entries keyed row * d + col, in any
+        # order; zeros are dropped, and a zero imaginary part is None
+        re, im = ({r * 3 + c: x for c, col in enumerate(part) for r, x in col}
+                  for part in m)
+        assert int_columns(dict(reversed(re.items())), im, 3) == m
+        assert int_columns(re, {4: 0}, 3) == (m[0], None)
+        assert int_columns({0: 0}, {}, 2) == ([[], []], None)
+        assert transposed((m[0], None))[1] is None
 
     def test_products_and_sums_match_the_dense_oracle(self):
         a = [vec(1, 2, 0), vec(0, I, 3), vec(0, 0, 1)]
@@ -81,12 +98,12 @@ class TestColumnView:
         v = vec(1, 1 + I, GaussRat(1) / 2)
         w, den = int_vec(sparse(v))
         assert den == 2
-        for m, want in ((columns(a), mat_vec(a, v)),
-                        (transposed(columns(a), 3), mat_vec(transpose(a), v))):
-            got = int_apply(int_matrix(m, 2), w)
-            assert gauss_entries(*got, 4) == sparse(want)
+        m = int_matrix(columns(a), 2)
+        for got, want in ((m, mat_vec(a, v)),
+                          (transposed(m), mat_vec(transpose(a), v))):
+            assert gauss_entries(*int_apply(got, w), 4) == sparse(want)
         # a cancelling sum stores nothing
-        assert int_apply(int_matrix(columns([vec(1, 1), vec(1, 1)])),
+        assert int_apply(int_mat([vec(1, 1), vec(1, 1)]),
                          ({0: 1, 1: -1}, {})) == ({}, {})
 
 
@@ -104,32 +121,31 @@ class TestNullSpaceAndSpin:
         ([vec(1, I, 0), vec(0, 1, 1), vec(1, 1 + I, 1)], 1),
     ])
     def test_null_space(self, a, dim):
-        kernel = null_space(columns(a), len(a))
+        kernel = null_space(int_mat(a), len(a))
         assert len(kernel) == dim == len(a[0]) - rank(a)
-        assert rank(kernel) == dim
-        for x in kernel:
+        assert all(primitive(x) == x for x in kernel)
+        assert rank(monic_vecs(kernel)) == dim
+        for x in monic_vecs(kernel):
             assert col_apply(columns(a), x) == {}
 
     def test_spin_of_a_cyclic_vector_fills_the_space(self):
-        shift = int_matrix(columns([vec(0, 0, 0), vec(1, 0, 0),
-                                    vec(0, 1, 0)]))
-        assert int_spin({0: GaussRat(1)}, [shift]).dim == 3
+        shift = int_mat([vec(0, 0, 0), vec(1, 0, 0), vec(0, 1, 0)])
+        assert int_spin(({0: 1}, {}), [shift]).dim == 3
         # the transpose shifts the other way
-        assert int_spin({0: GaussRat(1)}, [shift], transpose=True).dim == 1
-        assert int_spin({2: GaussRat(1)}, [shift], transpose=True).dim == 3
+        assert int_spin(({0: 1}, {}), [shift], transpose=True).dim == 1
+        assert int_spin(({}, {2: 1}), [shift], transpose=True).dim == 3
 
     def test_spin_stays_in_an_invariant_subspace(self):
-        shift = columns([vec(0, 0, 0), vec(1, 0, 0), vec(0, 1, 0)])
-        diag = columns([vec(1, 0, 0), vec(0, 2, 0), vec(0, 0, 3)])
-        span = int_spin({1: GaussRat(1)}, [int_matrix(shift),
-                                           int_matrix(diag)])
+        shift = int_mat([vec(0, 0, 0), vec(1, 0, 0), vec(0, 1, 0)])
+        diag = int_mat([vec(1, 0, 0), vec(0, 2, 0), vec(0, 0, 3)])
+        span = int_spin(({1: 1}, {}), [shift, diag])
         assert span.dim == 2
         assert rank(monic_rows(span) + [vec(0, 5, I)]) == 2
         assert rank(monic_rows(span) + [vec(1, 0, 0)]) == 3
 
     def test_spin_of_zero_is_zero(self):
-        gen = int_matrix(columns([vec(1, 1), vec(0, 1)]))
-        assert int_spin({}, [gen]).dim == 0
+        gen = int_mat([vec(1, 1), vec(0, 1)])
+        assert int_spin(({}, {}), [gen]).dim == 0
 
 
 # -- elimination against sympy, which shares no code with linalg ------
@@ -175,7 +191,7 @@ class TestEliminationAgainstSympy:
         for row in a:
             span.insert(sparse(row))
         assert span.dim == want
-        kernel = null_space(columns(a), rows)
+        kernel = monic_vecs(null_space(int_mat(a), rows))
         assert len(kernel) == cols - want
         if kernel:
             assert rank(kernel) == len(kernel)
@@ -190,7 +206,7 @@ class TestEliminationAgainstSympy:
     def test_spin_is_the_krylov_span(self, mats_and_v, transpose):
         mats, [v] = mats_and_v
         d = len(v)
-        got = int_spin(sparse(v), [int_matrix(columns(a)) for a in mats],
+        got = int_spin(int_of(sparse(v)), [int_mat(a) for a in mats],
                        transpose)
         gens = [domain_matrix(a, d) for a in mats]
         if transpose:
@@ -228,9 +244,9 @@ class TestEliminationAgainstSympy:
             shifted.append([[x - c if r == k else x
                              for k, x in enumerate(row)]
                             for r, row in enumerate(a)])
-        got = int_spin(sparse(v), [int_matrix(columns(a)) for a in shifted],
+        got = int_spin(int_of(sparse(v)), [int_mat(a) for a in shifted],
                        transpose)
-        plain = int_spin(sparse(v), [int_matrix(columns(a)) for a in mats],
+        plain = int_spin(int_of(sparse(v)), [int_mat(a) for a in mats],
                          transpose)
         gens = [domain_matrix(a, d) for a in mats]
         if transpose:
@@ -310,4 +326,6 @@ class TestIntegerCoreAgainstRationalElimination:
         # the vectors are the columns of a length x len(vectors) matrix
         length, vectors = drawn
         a = [sorted(v.items()) for v in vectors]
-        assert null_space(a, length) == rational_null_space(a, length)
+        kernel = null_space(int_form(a)[1], length)
+        assert all(primitive(x) == x for x in kernel)
+        assert monic_vecs(kernel) == rational_null_space(a, length)

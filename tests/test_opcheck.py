@@ -3,16 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (block_column, columns, dense_relation_residual,
-                      direct_sum_irrep, doubled_off_diagonal, mat_is_zero,
-                      rank, reference_act, reference_block,
+from conftest import (block_column, columns, dense_of,
+                      dense_relation_residual, direct_sum_irrep,
+                      doubled_off_diagonal, mat_is_zero, rank,
+                      rational_columns, reference_act, reference_block,
                       reference_bracket_identity, reference_evaluated,
                       reference_op_matrix,
                       reference_preserves_differences,
                       shift_difference_generators, window_coords)
 from loopwitt import opcheck, suites, tensmod
 from loopwitt.glnrep import build_irrep
-from loopwitt.linalg import dense
 from loopwitt.loop import LoopElem
 from loopwitt.opcheck import OperatorTable, OpSpec
 from loopwitt.scalars import GaussRat, ONE, ZERO
@@ -38,8 +38,9 @@ def deg(n, j, val=1):
 
 
 def bottom_block(family, spec, module):
-    return op_matrix(opcheck.as_operator(family, spec, module), module,
-                     (0,) * module.n)
+    """The bottom-slice matrix of an operator family, as Columns."""
+    return rational_columns(op_matrix(
+        opcheck.as_operator(family, spec, module), module, (0,) * module.n))
 
 
 def sample_specs(pres, n, rng, count):
@@ -79,7 +80,7 @@ class TestBlockOpMatrix:
                         with pytest.raises(OutOfWindowError):
                             reference_op_matrix(op, module, m)
                         continue
-                    got = op_matrix(op, module, m)
+                    got = rational_columns(op_matrix(op, module, m))
                     assert len(got) == module.d
                     assert got == reference_op_matrix(op, module, m)
 
@@ -96,8 +97,8 @@ class TestBlockOpMatrix:
 
         def checked(op, module, m):
             got = op_matrix(op, module, m)
-            assert got == reference_op_matrix(op, module, m)
-            calls.append(len(got))
+            assert rational_columns(got) == reference_op_matrix(op, module, m)
+            calls.append(len(got[1][0]))
             return got
 
         monkeypatch.setattr(opcheck, "op_matrix", checked)
@@ -145,7 +146,7 @@ class TestOperatorFamilies:
         scal = GaussRat(2) * HALF + HALF  # (u, alpha)
         want = [[scal if i == j else ZERO for j in range(module.d)]
                 for i in range(module.d)]
-        assert dense(got, module.d) == want
+        assert dense_of(got, module.d) == want
 
     def test_reduced_zero_shift_vanishes(self, trivial):
         module = make_module(trivial)
@@ -512,6 +513,78 @@ class TestIrreducibility:
         assert all(r.passed for r in suites.run_suites(cfg))
 
 
+def count_norms(monkeypatch):
+    """The argument tuples of every scalars._norm call from now on: one
+    per GaussRat made."""
+    from loopwitt import scalars
+    calls = []
+    norm = scalars._norm
+
+    def counted(*args):
+        calls.append(args)
+        return norm(*args)
+    monkeypatch.setattr(scalars, "_norm", counted)
+    return calls
+
+
+class TestIntegerPathMakesNoGaussRat:
+    """Norton's test and its inputs run in Z[i]: on passing modules,
+    theta, the hw shift, the kernel and the spins make no GaussRat, and
+    reading an operator's matrix makes none beyond applying it."""
+
+    @pytest.fixture(params=[Fraction(3, 2), (Fraction(3, 2), -1)],
+                    ids=["real-c", "complex-c"])
+    def rep(self, request):
+        c = request.param
+        rep = build_irrep((2, 1), GaussRat(*c) if isinstance(c, tuple)
+                          else GaussRat(c), 3)
+        rep.int_view()
+        return rep
+
+    def test_gl_relations_certificate(self, rep, monkeypatch):
+        from loopwitt.glnrep import (highest_weight_theta, hw_shifted,
+                                     norton_irreducible)
+        from loopwitt.linalg import null_space
+        calls = count_norms(monkeypatch)
+        den, ints = rep.int_view()
+        hw = rep.hw_index
+        _, theta = highest_weight_theta([(den, ints[k][k]) for k in range(3)],
+                                        hw)
+        mats = [m for row in ints for m in row]
+        assert all(hw_shifted(m, hw) for m in mats)
+        assert len(null_space(theta, rep.d)) == 1
+        assert norton_irreducible(mats, theta)
+        assert calls == []
+
+    def test_bottom_slice_generators(self, rep, trivial, monkeypatch):
+        from loopwitt.glnrep import (highest_weight_theta, hw_shifted,
+                                     norton_irreducible)
+        module = TensorModule(rep, [GaussRat(Fraction(1, 3), 1)] * 3,
+                              trivial, Window(3, 1))
+        zero, one = (0, 0, 0), trivial.one()
+        # the generators of bottom_slice_algebra_dim, in its order
+        specs = [OpSpec(e(3, i), deg(3, j), one, one)
+                 for i in range(3) for j in range(3)]
+        specs.append(OpSpec(e(3, 0), zero, one, one))
+        calls = count_norms(monkeypatch)
+        forms = []
+        for spec in specs:
+            op = opcheck.as_operator("product", spec, module)
+            op(module.basis_block(zero))  # compiles the plans
+            calls.clear()
+            op(module.basis_block(zero))
+            applied = len(calls)
+            calls.clear()
+            forms.append(op_matrix(op, module, zero))
+            assert len(calls) <= applied
+        calls.clear()
+        hw = rep.hw_index
+        _, theta = highest_weight_theta(forms[:9:4], hw)
+        assert norton_irreducible([hw_shifted(m, hw) for _, m in forms],
+                                  theta)
+        assert calls == []
+
+
 class TestRankOne:
     @pytest.mark.parametrize("c", [GaussRat(0), GaussRat(1),
                                    GaussRat(Fraction(3, 2))])
@@ -659,20 +732,23 @@ class TestNegativeControls:
         # each D(e_i, r) term adds r_i^2 to its scalar: zero modes keep
         # theirs, so d_r no longer acts by r c + s + alpha, f(A - k) . B
         # and B . f(A) part, and (t-1)^2 t^i d leaves the differences;
-        # the brackets run in the loop algebra and still hold
+        # the brackets run in the loop algebra and still hold; the plan
+        # holds P kappa_r, so the defect adds P r_i^2
+        from collections import Counter
         from loopwitt.suites import RunConfig, run_suites
         compile_ = TensorModule._compile
 
         def broken(self, x):
-            return [(r, kappa + sum(r[i] ** 2 for i, _ in d_terms), d_terms,
-                     cols) for r, kappa, d_terms, cols in compile_(self, x)]
+            return [(r, den, kr + den * sum(r[i] ** 2 for i, _ in d_terms),
+                     ki, d_terms, cols)
+                    for r, den, kr, ki, d_terms, cols in compile_(self, x)]
 
         monkeypatch.setattr(TensorModule, "_compile", broken)
         cfg = RunConfig(n=1, mu=(), seed=42, cases_per_suite=6,
                         window_radius=5, suites=("rank-one",))
         (report,) = run_suites(cfg)
-        assert {f["check"] for f in report.failures} == {
-            "commutation", "quotient-annihilation", "scalar-shift"}
+        assert Counter(f["check"] for f in report.failures) == {
+            "scalar-shift": 48, "commutation": 6, "quotient-annihilation": 3}
         assert [f["witness"] for f in report.failures
                 if f["check"] == "quotient-annihilation"] == [
             f"(t-1)^2 t^{i} d image not in differences" for i in (-1, 0, 1)]
@@ -782,7 +858,7 @@ class TestNegativeControls:
             rng = range(1, n + 1)
             E = [[rep.columns(i, j) for j in rng] for i in rng]
             for i in range(n):
-                m = dense(E[i][i], rep.d)
+                m = dense_of(E[i][i], rep.d)
                 for k in range(rep.d):
                     m[k][k] = m[k][k] + GaussRat(Fraction(1, n))
                 E[i][i] = columns(m)
@@ -808,7 +884,7 @@ class TestNegativeControls:
         def changed(self, i, j):
             if (i, j) != (1, 2):
                 return cols(self, i, j)
-            m = dense(cols(self, i, j), self.d)
+            m = dense_of(cols(self, i, j), self.d)
             m[1][0] = m[1][0] + 1
             return columns(m)
 
@@ -840,7 +916,7 @@ class TestNegativeControls:
         def changed(self, i, j):
             if (i, j) != (1, 2):
                 return cols(self, i, j)
-            m = dense(cols(self, i, j), self.d)
+            m = dense_of(cols(self, i, j), self.d)
             m[1][0] = m[1][0] + I
             return columns(m)
 

@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (block_column, cartan_eigenvalue, make_laurent,
-                      make_polyquot_cube, reference_act, reference_op_matrix)
+                      make_polyquot_cube, rational_columns, reference_act,
+                      reference_op_matrix)
 from loopwitt.coeff import BPresentation
 from loopwitt.glnrep import build_irrep
-from loopwitt.linalg import dense, identity
+from loopwitt.linalg import dense
 from loopwitt.loop import LoopElem
 from loopwitt.scalars import GaussRat, ONE, ZERO
 from loopwitt.tensmod import (ModVector, OutOfWindowError, TensorModule,
-                              Window, _lowered, act, act_into,
+                              Window, act, act_into,
                               assoc_unital_residuals, module_axiom_residual,
                               op_matrix, signed_sum)
 
@@ -516,21 +517,21 @@ class TestOperatorMatrices:
     def test_unit_function_is_identity_block(self, trivial):
         module = make_module(trivial)
         x = LoopElem.t_part(2, trivial, (0, 0))
-        assert (dense(op_matrix(acting(x), module, (0, 0)), module.d)
-                == identity(module.d))
+        assert op_matrix(acting(x), module, (0, 0)) == (
+            1, ([[(k, 1)] for k in range(module.d)], None))
         # the zero operator has d empty columns
-        assert (op_matrix(lambda v: v - v, module, (0, 0))
-                == [[] for _ in range(module.d)])
+        assert op_matrix(lambda v: v - v, module, (0, 0)) == (
+            1, ([[] for _ in range(module.d)], None))
 
     def test_zero_mode_block_is_scalar(self, trivial):
         module = make_module(trivial)
         x = LoopElem.d_part(2, trivial, 1, (0, 0))
         m = (2, -1)
-        got = op_matrix(acting(x), module, m)
+        den, got = op_matrix(acting(x), module, m)
         scal = GaussRat(2) + HALF
         want = [[scal if i == j else ZERO for j in range(module.d)]
                 for i in range(module.d)]
-        assert dense(got, module.d) == want
+        assert den == 2 and dense(got, module.d, den) == want
 
     def test_shift_block_is_identity(self, trivial):
         # t^(1,1) moves the basis block of slice (0, 0) onto that of (1, 1)
@@ -708,7 +709,7 @@ class TestIntegerCoreOracle:
         module = data.draw(core_modules(kind))
         x = data.draw(core_elems(module, zero_degree=True))
         m = data.draw(st.sampled_from(module.window.slices()))
-        assert op_matrix(lambda w: act(x, w), module, m) == (
+        assert rational_columns(op_matrix(lambda w: act(x, w), module, m)) == (
             reference_op_matrix(lambda w: reference_act(x, w), module, m))
 
     @pytest.mark.parametrize("kind", sorted(CORE_PRES))
@@ -731,14 +732,17 @@ class TestIntegerCoreOracle:
             act_into(acc, x, v, c)
             assert signed_sum(module, [(c, x, v)]) == act(x, v).scale(c)
 
-    def test_lowering_puts_kappa_over_the_plan_denominator(self):
-        # _compile gives psi_i and M_r over the plan's denominator P and
-        # kappa_r as a GaussRat, which the plan puts over P too
-        cols = ([[(0, 1)]], None)
-        seventh = GaussRat(Fraction(2, 7), 1)
-        plan = _lowered([((1,), GaussRat(Fraction(7, 3)), [(0, (12, 42))],
-                          (42, cols)), ((0,), seventh, [], (42, None))])
-        assert plan == [((1,), 42, 98, 0, [(0, (12, 42))], cols),
-                        ((0,), 42, 12, 42, [], None)]
-        with pytest.raises(ValueError):
-            _lowered([((0,), GaussRat(Fraction(1, 5)), [], (42, None))])
+    def test_compile_puts_every_part_over_one_denominator(self, trivial):
+        # P = 14, the lcm of psi_1 = 3/2, kappa_1 = psi_1 alpha_1 = 1/2
+        # and kappa_0 = 2/7 + i, times the irrep's denominator 1; the
+        # plan holds P kappa_r, the P psi_i and P M_r = P psi_1 r_1 E_11
+        rep = build_irrep((), GaussRat(1), 1)
+        module = TensorModule(rep, [GaussRat(Fraction(1, 3))], trivial,
+                              Window(1, 2))
+        x = LoopElem(1, trivial, {
+            ("d", 1, (1,)): trivial.from_scalar(GaussRat(Fraction(3, 2))),
+            ("t", 0, (0,)): trivial.from_scalar(
+                GaussRat(Fraction(2, 7), 1))})
+        assert sorted(module._compile(x)) == [
+            ((0,), 14, 4, 14, [], None),
+            ((1,), 14, 7, 0, [(0, (21, 0))], ([[(0, 21)]], None))]
