@@ -12,9 +12,11 @@ R adds -D(u,0)b1b2 acting on v, and Q is one loop element acting on v.
 Every bracket identity among them, the scalar action of the zero modes
 and the collapse of B coefficients through psi is one signed sum of
 such terms, with only the inner images of the brackets built, so each
-residual is collected once.  The operators come from an OperatorTable,
-one per spec pair (s1, s2): every loop element the bracket rows of an
-operator-suite case use is built there once, under a short key, and so
+residual is collected once.  The bracket and subspace checks take their
+operators from an OperatorTable and from nowhere else: the table of a
+spec pair (s1, s2) for the bracket rows of an operator-suite case, that
+of (spec, spec) for the subspace checks of one spec.  Every loop element
+a table hands out is built there once, under a short key, and so
 compiled into its action plan once.  These and the rank-one identities are
 checked as exact zero residuals by applying operator combinations to
 slice basis blocks, all d basis vectors of a slice in one call
@@ -25,10 +27,10 @@ block of difference vectors, one group of d columns per interior slice
 (tensmod.TensorModule.difference_block), whose slice sum must vanish,
 and the quotient intertwining is the slice sum of R - Q.  All of it runs
 in the action's Gaussian integers, so a passing check makes no GaussRat
-per slice.  The algebra of the bottom slice reads its generators from
-op_matrix as Gaussian-integer matrices, each over its own denominator,
-and Norton's test runs on them as they are; only its Burnside fallback
-densifies.
+per slice.  The algebra of the bottom slice builds its generators
+through act, with no table, and reads them from op_matrix as
+Gaussian-integer matrices, each over its own denominator; Norton's test
+runs on them as they are, and only its Burnside fallback densifies.
 """
 
 from __future__ import annotations
@@ -45,8 +47,7 @@ from .linalg import dense
 from .loop import (Degree, LoopElem, _add_deg, diff_derivation,
                    poly_derivation)
 from .scalars import GaussRat, ONE, ZERO
-from .tensmod import (ModVector, Op, Term, TensorModule, act, op_matrix,
-                      signed_sum)
+from .tensmod import ModVector, Term, TensorModule, act, op_matrix, signed_sum
 
 # an operator giving its image of v as the terms of a signed sum
 TermOp = Callable[[ModVector], List[Term]]
@@ -75,8 +76,8 @@ def _neg_deg(r: Degree) -> Degree:
 class OperatorTable:
     """The operator elements of the spec pair (s1, s2), each built once
     and so compiled once: a table lives for one case of the operator
-    suite, and every bracket row of that case reads its X and Y
-    operators from it.
+    suite, whose bracket rows read their X and Y operators from it, or
+    for one sampled spec, whose sweep and intertwining read R and Q.
 
     An element is named by a short key (operand, part, digits).  The
     operand is "1" for (u1, r1), "2" for (u2, r2) and "w" for
@@ -93,40 +94,12 @@ class OperatorTable:
         self.module = module
         self._bs = {"1": s1.b1, "2": s1.b2, "3": s2.b1, "4": s2.b2}
         self._elems = {}
-        self._coefficients = None
-        self._w = None
-
-    @classmethod
-    def of(cls, s1: OpSpec, s2: OpSpec, module: TensorModule,
-           table: "OperatorTable" = None) -> "OperatorTable":
-        """table, or a fresh table of (s1, s2) when it is None.  A table
-        of another pair or module raises ValueError: its digits would
-        name other B elements."""
-        if table is None:
-            return cls(s1, s2, module)
-        if (s1, s2) != table.pair or module is not table.module:
-            raise ValueError("operator table of another spec pair")
-        return table
-
-    def coefficients(self) -> Tuple[GaussRat, GaussRat]:
-        """(u1,r2) and (u2,r1), computed on first use: a table of one
-        spec never needs them."""
-        if self._coefficients is None:
-            s1, s2 = self.pair
-            self._coefficients = (_pair(s1.u, s2.r), _pair(s2.u, s1.r))
-        return self._coefficients
-
-    def _operand(self, name: str) -> Tuple[Tuple[GaussRat, ...], Degree]:
-        s1, s2 = self.pair
-        if name == "1":
-            return s1.u, s1.r
-        if name == "2":
-            return s2.u, s2.r
-        if self._w is None:
-            c12, c21 = self.coefficients()
-            self._w = (tuple(c12 * b - c21 * a for a, b in zip(s1.u, s2.u)),
-                       _add_deg(s1.r, s2.r))
-        return self._w
+        # the row coefficients (u1,r2), (u2,r1) and the operands
+        c12, c21 = self.coefficients = (_pair(s1.u, s2.r), _pair(s2.u, s1.r))
+        self._operands = {
+            "1": (s1.u, s1.r), "2": (s2.u, s2.r),
+            "w": (tuple(c12 * b - c21 * a for a, b in zip(s1.u, s2.u)),
+                  _add_deg(s1.r, s2.r))}
 
     def _b(self, digits: str) -> BElem:
         """The product of the digits' b_k, with psi evaluated once, so
@@ -138,7 +111,10 @@ class OperatorTable:
             b.psi()
         return b
 
-    def _elem(self, key: Tuple[str, ...]) -> LoopElem:
+    def _elem(self, operand: str, part: str, *digits: str) -> LoopElem:
+        if part == "z":  # B is commutative, so a zero mode's b is sorted
+            digits = ("".join(sorted(digits[0])),)
+        key = (operand, part) + digits
         x = self._elems.get(key)
         if x is None:
             x = self._elems[key] = self._build(*key)
@@ -146,11 +122,11 @@ class OperatorTable:
 
     def _build(self, operand: str, part: str, *digits: str) -> LoopElem:
         n, pres = self.module.n, self.module.pres
-        u, r = self._operand(operand)
+        u, r = self._operands[operand]
         if part == "q":
             p1, p2 = digits
-            return (self._elem((operand, "d", p2)).scale(self._b(p1).psi())
-                    - self._elem(_zero_key(operand, p1 + p2)))
+            return (self._elem(operand, "d", p2).scale(self._b(p1).psi())
+                    - self._elem(operand, "z", p1 + p2))
         b = self._b(digits[0])
         if part == "d":
             return LoopElem.d_vec(n, pres, u, r, b)
@@ -167,29 +143,17 @@ class OperatorTable:
         loop element, so it acts once."""
         p1, p2 = places
         if family == "evaluated":
-            q = self._elem((operand, "q", p1, p2))
+            q = self._elem(operand, "q", p1, p2)
             return lambda v: [(ONE, q, v)]
         if family not in ("product", "reduced"):
             raise ValueError(f"unknown operator family {family!r}")
-        d_elem = self._elem((operand, "d", p2))
-        shift_back = self._elem((operand, "t", p1))
+        d_elem = self._elem(operand, "d", p2)
+        shift_back = self._elem(operand, "t", p1)
         if family == "product":
             return lambda v: [(ONE, shift_back, act(d_elem, v))]
-        zero_mode = self._elem(_zero_key(operand, p1 + p2))
+        zero_mode = self._elem(operand, "z", p1 + p2)
         return lambda v: [(ONE, shift_back, act(d_elem, v)),
                           (-ONE, zero_mode, v)]
-
-
-def _zero_key(operand: str, digits: str) -> Tuple[str, str, str]:
-    """The key of the zero mode D(u,0) b for b the product of digits,
-    which B's commutativity lets us sort."""
-    return (operand, "z", "".join(sorted(digits)))
-
-
-def as_operator(family, spec: OpSpec, module: TensorModule) -> Op:
-    """The operator of ``family`` on module vectors: its terms summed."""
-    terms = OperatorTable(spec, spec, module).terms(family)
-    return lambda v: signed_sum(module, terms(v))
 
 
 def _scaled(c: GaussRat, terms: List[Term]) -> List[Term]:
@@ -214,17 +178,14 @@ BRACKET_ROWS = {
 }
 
 
-def bracket_identity(name: str, s1: OpSpec, s2: OpSpec,
-                     module: TensorModule,
-                     table: OperatorTable = None) -> ModVector:
+def bracket_identity(name: str, table: OperatorTable) -> ModVector:
     """Residual of the bracket identity of row ``name`` on the bottom slice:
     [X(u1,r1), X(u2,r2)] - Y(w, r1+r2) + (u1,r2) Y(u2,r2) - (u2,r1) Y(u1,r1)
-    with w = (u1,r2) u2 - (u2,r1) u1; the row names the families X and Y.
-    The operators come from ``table``, the operator table of (s1, s2),
-    or from a fresh one."""
+    with w = (u1,r2) u2 - (u2,r1) u1; the row names the families X and Y,
+    and ``table``, the operator table of (s1, s2), holds them."""
     x_family, y_family, placements = BRACKET_ROWS[name]
-    table = OperatorTable.of(s1, s2, module, table)
-    c12, c21 = table.coefficients()
+    module = table.module
+    c12, c21 = table.coefficients
     x1 = table.terms(x_family)
     x2 = table.terms(x_family, "2", ("3", "4"))
     rhs = [(-ONE, "w"), (c12, "2"), (-c21, "1")]
@@ -238,41 +199,30 @@ def bracket_identity(name: str, s1: OpSpec, s2: OpSpec,
     return signed_sum(module, terms)
 
 
-def product_bracket_residual(s1: OpSpec, s2: OpSpec,
-                             module: TensorModule,
-                             table: OperatorTable = None) -> ModVector:
-    return bracket_identity("product", s1, s2, module, table)
+def product_bracket_residual(table: OperatorTable) -> ModVector:
+    return bracket_identity("product", table)
 
 
-def reduced_bracket_residual(s1: OpSpec, s2: OpSpec,
-                             module: TensorModule,
-                             table: OperatorTable = None) -> ModVector:
-    return bracket_identity("reduced", s1, s2, module, table)
+def reduced_bracket_residual(table: OperatorTable) -> ModVector:
+    return bracket_identity("reduced", table)
 
 
-def evaluated_bracket_residual(s1: OpSpec, s2: OpSpec,
-                               module: TensorModule,
-                               table: OperatorTable = None) -> ModVector:
-    return bracket_identity("evaluated", s1, s2, module, table)
+def evaluated_bracket_residual(table: OperatorTable) -> ModVector:
+    return bracket_identity("evaluated", table)
 
 
-def product_to_reduced_residual(s1: OpSpec, s2: OpSpec,
-                                module: TensorModule,
-                                table: OperatorTable = None) -> ModVector:
-    return bracket_identity("product-to-reduced", s1, s2, module, table)
+def product_to_reduced_residual(table: OperatorTable) -> ModVector:
+    return bracket_identity("product-to-reduced", table)
 
 
-def scaled_product_bracket_residual(v: Tuple[GaussRat, ...], s: Degree,
-                                    b: BElem, u: Tuple[GaussRat, ...],
-                                    r: Degree, b2: BElem,
-                                    module: TensorModule,
-                                    table: OperatorTable = None
-                                    ) -> ModVector:
-    """[P(v,s,1,b), P(u,r,1,b2)] through the scaled-product row; a table
-    must be that of the pair (OpSpec(v,s,1,b), OpSpec(u,r,1,b2))."""
-    one = module.pres.one()
-    return bracket_identity("scaled-product", OpSpec(v, s, one, b),
-                            OpSpec(u, r, one, b2), module, table)
+def scaled_product_bracket_residual(table: OperatorTable) -> ModVector:
+    """[P(v,s,1,b1), P(u,r,1,b2)] through the scaled-product row, for the
+    table of the case's pair ((u,r,b1,b2), (v,s,b3,b4)); the row's own
+    pair gets its own table."""
+    (s1, s2), one = table.pair, table.module.pres.one()
+    return bracket_identity("scaled-product", OperatorTable(
+        OpSpec(s2.u, s2.r, one, s1.b1), OpSpec(s1.u, s1.r, one, s1.b2),
+        table.module))
 
 
 def zero_mode_scalar_residual(u: Tuple[GaussRat, ...], b: BElem,
@@ -295,36 +245,31 @@ def coefficient_collapse_residual(u: Tuple[GaussRat, ...], r: Degree,
     return signed_sum(module, [(ONE, xb, v), (-b.psi(), x1, v)])
 
 
-def evaluated_preserves_differences(spec: OpSpec, module: TensorModule,
-                                    table: OperatorTable = None) -> bool:
-    """The evaluated operator Q of ``spec`` maps each shift difference
-    e_k t^m - e_k t^0 (m != 0, image in the window) to slice sum zero.
-    Q acts once, on the block whose column group g holds the d
-    differences of the g-th interior slice m_g != 0
-    (TensorModule.difference_block), and every column of the slice sum
-    of the image must vanish.  act is exactly linear and handles each
-    source slice on its own, so the verdict is that of comparing the
-    slice sums of Q on each interior slice's basis block with those of
-    the bottom slice's, and a passing sweep makes no GaussRat.  Q comes
-    from ``table``, the operator table of (spec, spec), or a fresh one."""
-    q = OperatorTable.of(spec, spec, module, table).terms("evaluated")
+def evaluated_preserves_differences(table: OperatorTable) -> bool:
+    """The evaluated operator Q of the table's spec, that of the pair
+    (spec, spec), maps each shift difference e_k t^m - e_k t^0 (m != 0,
+    image in the window) to slice sum zero.  Q acts once, on the block
+    whose column group g holds the d differences of the g-th interior
+    slice m_g != 0 (TensorModule.difference_block), and every column of
+    the slice sum of the image must vanish.  act is exactly linear and
+    handles each source slice on its own, so the verdict is that of
+    comparing the slice sums of Q on each interior slice's basis block
+    with those of the bottom slice's, and a passing sweep makes no
+    GaussRat."""
+    module, spec = table.module, table.pair[0]
     block = module.difference_block(tuple(abs(a) for a in spec.r))
-    return not signed_sum(module, q(block)).slice_sum()
+    return not signed_sum(module, table.terms("evaluated")(block)).slice_sum()
 
 
-def quotient_intertwining_check(
-        specs: Sequence[OpSpec], module: TensorModule,
-        tables: Sequence[OperatorTable] = None) -> bool:
+def quotient_intertwining_check(tables: Sequence[OperatorTable]) -> bool:
     """The projection modulo shift differences, the slice sum,
     intertwines the reduced family on the bottom slice with the
-    evaluated family on the quotient: R - Q on the bottom slice's basis
-    block, one signed sum, has slice sum zero.  The operators come from
-    ``tables``, the operator table of (spec, spec) for each spec, or
-    from fresh ones."""
-    v = module.basis_block((0,) * module.n)
-    for k, spec in enumerate(specs):
-        table = OperatorTable.of(spec, spec, module,
-                                 tables[k] if tables else None)
+    evaluated family on the quotient: for the spec of each table, that
+    of (spec, spec), R - Q on the bottom slice's basis block, one signed
+    sum, has slice sum zero."""
+    for table in tables:
+        module = table.module
+        v = module.basis_block((0,) * module.n)
         red = table.terms("reduced")
         ev = table.terms("evaluated")
         if signed_sum(module, red(v) + _scaled(-ONE, ev(v))).slice_sum():
@@ -336,6 +281,8 @@ def bottom_slice_algebra_dim(module: TensorModule) -> int:
     """Burnside dimension of the algebra generated on the bottom slice by
     the weight-preserving product operators P(e_i, e_j, 1, 1) for all
     i, j and the zero mode P(e_1, 0, 1, 1); equals d^2 iff irreducible.
+    Each generator is t^(-r) . (D(u,r) . v), two actions of its own two
+    loop elements.
 
     Norton's test decides the d^2 case first.  On the bottom slice
     P(e_i, e_j, 1, 1) acts as alpha_i I + E_ji, so theta is built from
@@ -347,14 +294,17 @@ def bottom_slice_algebra_dim(module: TensorModule) -> int:
     and the unital algebra that theta lies in, are those of the
     unshifted generators.  Burnside gets the unshifted matrices, each
     times its denominator, which generate the same unital algebra."""
-    n, d = module.n, module.d
-    one = module.pres.one()
+    n, d, pres = module.n, module.d, module.pres
+    one = pres.one()  # one coefficient, so that psi(1) is evaluated once
     zero = (0,) * n
     units = [tuple(int(t == i) for t in range(n)) for i in range(n)]
     gens = [(ei, ej) for ei in units for ej in units] + [(units[0], zero)]
-    specs = [OpSpec(tuple(map(GaussRat, u)), r, one, one) for u, r in gens]
-    mats = [op_matrix(as_operator("product", spec, module), module, zero)
-            for spec in specs]
+    mats = []
+    for u, r in gens:
+        d_elem = LoopElem.d_vec(n, pres, tuple(map(GaussRat, u)), r, one)
+        shift_back = LoopElem.t_part(n, pres, _neg_deg(r), one)
+        mats.append(op_matrix(lambda v: act(shift_back, act(d_elem, v)),
+                              module, zero))
     hw = module.rep.hw_index
     _, theta = highest_weight_theta(mats[:n * n:n + 1], hw)
     if norton_irreducible([hw_shifted(m, hw) for _, m in mats], theta):

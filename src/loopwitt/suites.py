@@ -57,6 +57,21 @@ MIN_RADIUS = {
 }
 
 
+def _window_ruled_out(n: int, radius: int) -> Optional[str]:
+    """Why the window of this radius cannot be built at rank n, or None.
+    Its (2R+1)^n slices are counted one factor at a time, 2R+1 >= 3, so
+    a rank above 12 is refused after at most 13 products."""
+    if radius < 1:
+        return "window_radius must be >= 1"
+    slices = 1
+    for _ in range(n):
+        slices *= 2 * radius + 1
+        if slices > WINDOW_CAP:
+            return (f"window_radius {radius} at n = {n} gives (2R+1)^n "
+                    f"slices, above the cap {WINDOW_CAP}")
+    return None
+
+
 def _ruled_out(suite: str, n: int, radius: int) -> Optional[str]:
     """Why the suite cannot run at rank n in this window, or None."""
     if radius < MIN_RADIUS[suite]:
@@ -89,14 +104,11 @@ class RunConfig:
             raise ConfigError("mu must have length n-1")
         if any(m < 0 for m in self.mu):
             raise ConfigError("mu entries must be nonnegative")
-        # the window cap bounds n by 12 (3^13 > WINDOW_CAP) before the
-        # Weyl formula's O(n^2) products run
-        if self.window_radius < 1:
-            raise ConfigError("window_radius must be >= 1")
-        if (2 * self.window_radius + 1) ** self.n > WINDOW_CAP:
-            raise ConfigError(f"window_radius {self.window_radius} at n = "
-                              f"{self.n} gives (2R+1)^n slices, above the "
-                              f"cap {WINDOW_CAP}")
+        # the window cap bounds n by 12 (3^13 > WINDOW_CAP), in at most
+        # 13 products, before the Weyl formula's O(n^2) products run;
+        # from_dict checks it before it builds the default mu
+        if reason := _window_ruled_out(self.n, self.window_radius):
+            raise ConfigError(reason)
         d = weyl_dim(self.mu, self.n)
         if d > DIM_CAP:
             raise ConfigError(f"mu {list(self.mu)} gives dimension {d}, "
@@ -139,6 +151,10 @@ class RunConfig:
                                   f"got {json.dumps(x)}")
         try:
             n = doc.get("n", 2)
+            radius = doc.get("window_radius", 3)
+            # bounds n before mu's default of n - 1 ones is built
+            if reason := _window_ruled_out(n, radius):
+                raise ConfigError(reason)
             mu = tuple(doc.get("mu", [1] * max(0, n - 1)))
             c = parse_gauss(str(doc.get("c", "1/1")))
             alpha = tuple(parse_gauss(str(a)) for a in doc.get("alpha", []))
@@ -150,7 +166,7 @@ class RunConfig:
             pres = BPresentation(kind, modulus=modulus, eval_point=eval_point)
             return RunConfig(
                 n=n, mu=mu, c=c, alpha=alpha, bpres=pres,
-                window_radius=doc.get("window_radius", 3),
+                window_radius=radius,
                 seed=doc.get("seed", 42),
                 suites=tuple(doc.get("suites", [])),
                 cases_per_suite=doc.get("cases_per_suite", 200),
@@ -424,23 +440,19 @@ def run_operator_suite(cfg: RunConfig) -> Outcome:
         r = sample_deg(rng, cfg.n, SHIFT_BOUND)
         s = sample_deg(rng, cfg.n, SHIFT_BOUND)
         b1, b2, b3, b4 = (sample_b(rng, pool) for _ in range(4))
-        s1 = opcheck.OpSpec(u, r, b1, b2)
-        s2 = opcheck.OpSpec(v, s, b3, b4)
-        # the four rows of the pair (s1, s2) share its operator elements
-        table = opcheck.OperatorTable(s1, s2, module)
+        # the rows of the case read every operator from its pair's table
+        table = opcheck.OperatorTable(opcheck.OpSpec(u, r, b1, b2),
+                                      opcheck.OpSpec(v, s, b3, b4), module)
         record("product-bracket",
-               opcheck.product_bracket_residual(s1, s2, module, table), case)
+               opcheck.product_bracket_residual(table), case)
         record("reduced-bracket",
-               opcheck.reduced_bracket_residual(s1, s2, module, table), case)
+               opcheck.reduced_bracket_residual(table), case)
         record("evaluated-bracket",
-               opcheck.evaluated_bracket_residual(s1, s2, module, table),
-               case)
+               opcheck.evaluated_bracket_residual(table), case)
         record("product-to-reduced",
-               opcheck.product_to_reduced_residual(s1, s2, module, table),
-               case)
+               opcheck.product_to_reduced_residual(table), case)
         record("scaled-product-bracket",
-               opcheck.scaled_product_bracket_residual(
-                   v, s, b1, u, r, b2, module), case)
+               opcheck.scaled_product_bracket_residual(table), case)
         record("zero-mode-scalar",
                opcheck.zero_mode_scalar_residual(u, b1, module), case)
         record("coefficient-collapse",
@@ -459,19 +471,18 @@ def run_operator_suite(cfg: RunConfig) -> Outcome:
     if quotient.dim != module.d:
         failures.append({"check": "difference-codimension",
                          "got": quotient.dim})
-    sub_specs = [opcheck.OpSpec(sample_u(rng, cfg.n),
-                                sample_deg(rng, cfg.n, SHIFT_BOUND),
-                                sample_b(rng, pool), sample_b(rng, pool))
-                 for _ in range(5)]
-    # the sweep and the intertwining share each spec's Q
-    tables = [opcheck.OperatorTable(spec, spec, module) for spec in sub_specs]
-    for k, spec in enumerate(sub_specs):
+    # the sweep and the intertwining share each sampled spec's table
+    specs = (opcheck.OpSpec(sample_u(rng, cfg.n),
+                            sample_deg(rng, cfg.n, SHIFT_BOUND),
+                            sample_b(rng, pool), sample_b(rng, pool))
+             for _ in range(5))
+    tables = [opcheck.OperatorTable(spec, spec, module) for spec in specs]
+    for k, table in enumerate(tables):
         cases += 1
-        if not opcheck.evaluated_preserves_differences(spec, module,
-                                                       tables[k]):
+        if not opcheck.evaluated_preserves_differences(table):
             failures.append({"check": "difference-submodule", "spec": k})
     cases += 1
-    if not opcheck.quotient_intertwining_check(sub_specs, module, tables):
+    if not opcheck.quotient_intertwining_check(tables):
         failures.append({"check": "quotient-intertwiner"})
     return cases, failures
 

@@ -448,11 +448,19 @@ def reference_act(x, v):
     return ModVector(module, acc)
 
 
+def as_operator(family, spec, module):
+    """The operator of ``family`` on module vectors: the terms of the
+    table of (spec, spec) summed."""
+    from loopwitt.opcheck import OperatorTable
+    from loopwitt.tensmod import signed_sum
+    terms = OperatorTable(spec, spec, module).terms(family)
+    return lambda v: signed_sum(module, terms(v))
+
+
 def reference_evaluated(spec, module):
     """The evaluated operator Q(u,r,b1,b2) = psi(b1) D(u,r)b2 - D(u,0)b1b2
     as two actions, a scale and a subtraction: the oracle of
-    opcheck.as_operator("evaluated"), which acts once with one loop
-    element."""
+    as_operator("evaluated"), which acts once with one loop element."""
     from loopwitt.loop import LoopElem
     from loopwitt.tensmod import act
     n, pres = module.n, module.pres
@@ -483,7 +491,6 @@ def reference_preserves_differences(spec, module):
     linearity this is Q(e_k t^m - e_k t^0) having slice sum zero for
     every k: the oracle of opcheck.evaluated_preserves_differences, which
     acts once on one block of all the differences."""
-    from loopwitt.opcheck import as_operator
     op = as_operator("evaluated", spec, module)
     margin = tuple(abs(a) for a in spec.r)
     zero = (0,) * module.n

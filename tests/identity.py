@@ -13,7 +13,9 @@ does.
 The corpus is `test_reports_pinned._calls()`, the calls whose digests
 are pinned, plus `verify-all --json` on the 9-config grid (n in
 {1, 2, 3} x {trivial, polyquot, laurent}, default suites, 5 cases) at
-seed 7.  `compare(base_src, head_src, calls)` is the step that runs it
+seed 7, and on two gl(4) configs (mu = (1, 0, 0), radius 2, default
+suites, 3 cases), the only calls whose operator suite runs at n = 4:
+laurent with real c and alpha, polyquot with non-real ones.  `compare(base_src, head_src, calls)` is the step that runs it
 on two src/ directories.
 """
 
@@ -62,7 +64,8 @@ Call = Tuple[List[str], Dict]
 
 
 def corpus() -> Dict[str, Call]:
-    """The pinned calls plus the 9-config grid at seed 7."""
+    """The pinned calls, the 9-config grid at seed 7 and two gl(4)
+    configs."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     from test_reports_pinned import B_SPECS, GRID_MU, _calls
     calls = _calls()
@@ -71,6 +74,13 @@ def corpus() -> Dict[str, Call]:
             calls[f"seed7/verify-all/{n}/{kind}"] = (
                 ["verify-all", "--json"],
                 {"n": n, "mu": mu, "B": b, "seed": 7, "cases_per_suite": 5})
+    for kind, c, alpha in (
+            ("laurent", "3/2", ["1/3", "-1", "2", "1/2"]),
+            ("polyquot", "3/2+1 i", ["1/3+1/2 i", "-1 i", "2", "1/2"])):
+        calls[f"n4/verify-all/{kind}"] = (
+            ["verify-all", "--json"],
+            {"n": 4, "mu": [1, 0, 0], "c": c, "alpha": alpha,
+             "B": B_SPECS[kind], "window_radius": 2, "cases_per_suite": 3})
     return calls
 
 

@@ -443,7 +443,11 @@ class TestConfigLimits:
         {"n": 3, "mu": [1, 0], "window_radius": 100000},
         # mu defaults to 4999 ones, whose Weyl dimension has thousands
         # of digits
-        {"n": 5000}])
+        {"n": 5000},
+        # refused before the power (2R+1)^n or mu's default of n - 1
+        # ones is built, neither of which fits in memory
+        {"n": 10 ** 18, "mu": []},
+        {"n": 10 ** 19}])
     def test_window_above_cap_is_config_error(self, tmp_path, capsys,
                                               monkeypatch, command, doc):
         # rejected before any irrep or window is built, and before the

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (block_column, columns, dense_of,
+from conftest import (as_operator, block_column, columns, dense_of,
                       dense_relation_residual, direct_sum_irrep,
                       doubled_off_diagonal, mat_is_zero, rank,
                       rational_columns, reference_act, reference_block,
@@ -40,7 +40,7 @@ def deg(n, j, val=1):
 def bottom_block(family, spec, module):
     """The bottom-slice matrix of an operator family, as Columns."""
     return rational_columns(op_matrix(
-        opcheck.as_operator(family, spec, module), module, (0,) * module.n))
+        as_operator(family, spec, module), module, (0,) * module.n))
 
 
 def sample_specs(pres, n, rng, count):
@@ -72,7 +72,7 @@ class TestBlockOpMatrix:
         zero = (0,) * n
         for spec in sample_specs(pres, n, random.Random(n), 3):
             for family in ("product", "reduced", "evaluated"):
-                op = opcheck.as_operator(family, spec, module)
+                op = as_operator(family, spec, module)
                 for m in (zero, (1,) + zero[1:]):
                     if family == "evaluated" and any(spec.r):
                         with pytest.raises(OutOfWindowError):
@@ -117,7 +117,7 @@ class TestBlockOpMatrix:
             lambda v: reference_act(xb, v)
             - reference_act(x1, v).scale(b.psi()), module, zero)
         assert opcheck.reduced_bracket_residual(
-            s1, s2, module) == reference_bracket_identity(
+            OperatorTable(s1, s2, module)) == reference_bracket_identity(
             "reduced", s1, s2, module)
         opcheck.bottom_slice_algebra_dim(module)
         assert calls == [module.d] * (n * n + 1)
@@ -128,7 +128,7 @@ class TestOperatorFamilies:
         module = make_module(trivial)
         spec = OpSpec(e(2, 0), (0, 0), trivial.one(), trivial.one())
         with pytest.raises(ValueError):
-            opcheck.as_operator("twisted", spec, module)
+            OperatorTable(spec, spec, module).terms("twisted")
 
     def test_product_family_preserves_weight(self, trivial):
         module = make_module(trivial)
@@ -173,7 +173,7 @@ class TestEvaluatedElement:
 
     @staticmethod
     def assert_matches(spec, module, rng, blocks=3):
-        got = opcheck.as_operator("evaluated", spec, module)
+        got = as_operator("evaluated", spec, module)
         want = reference_evaluated(spec, module)
         margin = tuple(map(abs, spec.r))
         for _ in range(blocks):
@@ -231,20 +231,20 @@ class TestBracketIdentities:
         module = make_module(any_pres, n=n, mu=mu)
         rng = random.Random(31 + n)
         for _ in range(6):
-            s1, s2 = sample_specs(any_pres, n, rng, 2)
-            assert opcheck.product_bracket_residual(s1, s2, module).is_zero()
-            assert opcheck.reduced_bracket_residual(s1, s2, module).is_zero()
-            assert opcheck.evaluated_bracket_residual(
-                s1, s2, module).is_zero()
-            assert opcheck.product_to_reduced_residual(
-                s1, s2, module).is_zero()
+            table = OperatorTable(*sample_specs(any_pres, n, rng, 2), module)
+            assert opcheck.product_bracket_residual(table).is_zero()
+            assert opcheck.reduced_bracket_residual(table).is_zero()
+            assert opcheck.evaluated_bracket_residual(table).is_zero()
+            assert opcheck.product_to_reduced_residual(table).is_zero()
 
     def test_scaled_product_bracket(self, laurent):
+        # [P(e_1,(1,0),1,t), P(e_2,(0,1),1,1)], from the case pair
+        # ((e_2,(0,1),t,1), (e_1,(1,0),b3,b4)) whatever b3, b4
         module = make_module(laurent)
-        t = laurent.generator()
-        res = opcheck.scaled_product_bracket_residual(
-            e(2, 0), (1, 0), t, e(2, 1), (0, 1), laurent.one(), module)
-        assert res.is_zero()
+        t, one = laurent.generator(), laurent.one()
+        table = OperatorTable(OpSpec(e(2, 1), (0, 1), t, one),
+                              OpSpec(e(2, 0), (1, 0), t, t), module)
+        assert opcheck.scaled_product_bracket_residual(table).is_zero()
 
     def test_bracket_with_zero_shifts_is_trivial(self, trivial):
         # two zero-shift operators are scalars on every slice, so their
@@ -252,7 +252,8 @@ class TestBracketIdentities:
         module = make_module(trivial)
         s1 = OpSpec(e(2, 0), (0, 0), trivial.one(), trivial.one())
         s2 = OpSpec(e(2, 1), (0, 0), trivial.one(), trivial.one())
-        assert opcheck.product_bracket_residual(s1, s2, module).is_zero()
+        assert opcheck.product_bracket_residual(
+            OperatorTable(s1, s2, module)).is_zero()
 
 
 def suite_pair(module, rng):
@@ -275,21 +276,28 @@ PAIR_ROWS = {
 
 
 def scaled_pair(s1, s2, module):
-    """The spec pair of the scaled-product row on (s1, s2)'s draws, as
-    run_operator_suite calls it: [P(v,s,1,b1), P(u,r,1,b2)]."""
+    """The spec pair of the scaled-product row on the table of (s1, s2):
+    [P(v,s,1,b1), P(u,r,1,b2)]."""
     one = module.pres.one()
     return OpSpec(s2.u, s2.r, one, s1.b1), OpSpec(s1.u, s1.r, one, s1.b2)
 
 
-def scaled_row(s1, s2, module, table=None):
-    return opcheck.scaled_product_bracket_residual(
-        s2.u, s2.r, s1.b1, s1.u, s1.r, s1.b2, module, table)
+def tables_made(monkeypatch):
+    """The OperatorTables constructed from now on."""
+    made = []
+    init = OperatorTable.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        made.append(self)
+    monkeypatch.setattr(OperatorTable, "__init__", recorded)
+    return made
 
 
 class TestOperatorTable:
     """One OperatorTable per spec pair: every operator element of an
     operator-suite case built and compiled once, with the residuals of
-    rows that build their own tables."""
+    the reference."""
 
     @pytest.mark.parametrize("kind", ["trivial", "polyquot", "laurent"])
     def test_a_case_compiles_each_table_element_once(self, kind, request,
@@ -297,19 +305,50 @@ class TestOperatorTable:
         module = make_module(request.getfixturevalue(kind), n=2)
         compiled = count_compiles(monkeypatch)
         for seed in range(3):
-            s1, s2 = suite_pair(module, random.Random(seed))
-            table = OperatorTable(s1, s2, module)
+            table = OperatorTable(*suite_pair(module, random.Random(seed)),
+                                  module)
             compiled.clear()
             for row in PAIR_ROWS.values():
-                assert row(s1, s2, module, table).is_zero()
+                assert row(table).is_zero()
             elems = list(table._elems.values())
             assert len({id(x) for x in compiled}) == len(compiled)
             assert {id(x) for x in compiled} == {id(x) for x in elems}
-            # without the table, the rows build and compile again
-            compiled.clear()
-            for row in PAIR_ROWS.values():
-                row(s1, s2, module)
-            assert len(compiled) > len(elems)
+
+    @pytest.mark.parametrize("kind", ["trivial", "polyquot", "laurent"])
+    @pytest.mark.parametrize("n,mu", [(1, ()), (2, (1,)), (3, (1, 0))])
+    def test_a_suite_case_compiles_each_element_once(self, n, mu, kind,
+                                                     request, monkeypatch):
+        # one case runs all seven checks: the four pair rows on the
+        # case's table, the scaled-product row on its own pair's table,
+        # and the zero-mode and collapse checks on three loop elements of
+        # their own; the five sampled specs get a table each, read by the
+        # sweep and the intertwining (14 cases with the codimension)
+        made = tables_made(monkeypatch)
+        compiled = count_compiles(monkeypatch)
+        cfg = suites.RunConfig(n=n, mu=mu, cases_per_suite=1,
+                               bpres=request.getfixturevalue(kind),
+                               suites=("operator-suite",))
+        assert suites.run_operator_suite(cfg) == (14, [])
+        assert len(made) == 2 + 5
+        assert len({id(x) for x in compiled}) == len(compiled)
+        in_tables = [x for table in made for x in table._elems.values()]
+        for x in in_tables:
+            assert sum(y is x for y in compiled) == 1
+        assert len(compiled) == len(in_tables) + 3
+
+    @pytest.mark.parametrize("kind", ["trivial", "polyquot", "laurent"])
+    @pytest.mark.parametrize("n,mu", [(1, ()), (2, (1,)), (3, (1, 0))])
+    def test_the_bottom_slice_generators_need_no_table(self, n, mu, kind,
+                                                       request, monkeypatch):
+        # each of the n^2 + 1 generators t^(-r) . (D(u,r) . v) compiles
+        # its two loop elements
+        module = make_module(request.getfixturevalue(kind), n=n, mu=mu)
+        made = tables_made(monkeypatch)
+        compiled = count_compiles(monkeypatch)
+        assert opcheck.bottom_slice_algebra_dim(module) == module.d ** 2
+        assert len({id(x) for x in compiled}) == len(compiled)
+        assert len(compiled) == 2 * (n * n + 1)
+        assert made == []
 
     @pytest.mark.parametrize("kind", ["trivial", "polyquot", "laurent"])
     def test_the_sweep_and_the_intertwining_share_q(self, kind, request,
@@ -318,10 +357,9 @@ class TestOperatorTable:
         specs = sample_specs(module.pres, 2, random.Random(5), 5)
         tables = [OperatorTable(spec, spec, module) for spec in specs]
         compiled = count_compiles(monkeypatch)
-        for spec, table in zip(specs, tables):
-            assert opcheck.evaluated_preserves_differences(spec, module,
-                                                           table)
-        assert opcheck.quotient_intertwining_check(specs, module, tables)
+        for table in tables:
+            assert opcheck.evaluated_preserves_differences(table)
+        assert opcheck.quotient_intertwining_check(tables)
         assert len({id(x) for x in compiled}) == len(compiled)
         for table in tables:
             q = table._elems[("1", "q", "1", "2")]
@@ -335,10 +373,11 @@ class TestOperatorTable:
     @pytest.mark.parametrize("broken", [False, True],
                              ids=["irrep", "broken-irrep"])
     @pytest.mark.parametrize("n,mu", [(1, ()), (2, (1,)), (3, (1, 0))])
-    def test_shared_tables_give_the_fresh_and_reference_residuals(
-            self, n, mu, broken, c, alpha, any_pres):
+    def test_tables_give_the_reference_residuals(self, n, mu, broken, c,
+                                                 alpha, any_pres):
         # on the broken irrep the residuals are nonzero, so the
-        # comparisons are not all between zeros
+        # comparisons are not all between zeros; the rows run in a
+        # shuffled order, so the table builds its elements in any order
         rep = build_irrep(mu, c, n)
         if broken:
             rep = doubled_off_diagonal(rep)
@@ -349,48 +388,16 @@ class TestOperatorTable:
         for _ in range(4):
             s1, s2 = suite_pair(module, rng)
             table = OperatorTable(s1, s2, module)
-            scaled = scaled_pair(s1, s2, module)
-            scaled_table = OperatorTable(*scaled, module)
-            rows = [(name, (s1, s2), lambda t=None, row=row:
-                     row(s1, s2, module, t), table)
-                    for name, row in PAIR_ROWS.items()]
-            rows.append(("scaled-product", scaled,
-                         lambda t=None: scaled_row(s1, s2, module, t),
-                         scaled_table))
+            rows = [(name, (s1, s2), row) for name, row in PAIR_ROWS.items()]
+            rows.append(("scaled-product", scaled_pair(s1, s2, module),
+                         opcheck.scaled_product_bracket_residual))
             order.shuffle(rows)
-            for name, pair, row, shared in rows:
-                got = row(shared)
-                assert got == row(), name
+            for name, pair, row in rows:
+                got = row(table)
                 assert got == reference_bracket_identity(
                     name, *pair, module), name
                 nonzero += not got.is_zero()
         assert (nonzero > 0) == (broken and n > 1)
-
-    def test_a_table_of_another_pair_raises(self, polyquot):
-        module = make_module(polyquot, n=2)
-        rng = random.Random(9)
-        s1, s2 = suite_pair(module, rng)
-        t1, t2 = suite_pair(module, rng)
-        other = OperatorTable(t1, t2, module)
-        for row in PAIR_ROWS.values():
-            with pytest.raises(ValueError):
-                row(s1, s2, module, other)
-            with pytest.raises(ValueError):
-                row(s2, s1, module, OperatorTable(s1, s2, module))
-        # the scaled-product row takes no table of the case's pair
-        with pytest.raises(ValueError):
-            scaled_row(s1, s2, module, OperatorTable(s1, s2, module))
-        with pytest.raises(ValueError):
-            opcheck.evaluated_preserves_differences(
-                s1, module, OperatorTable(s2, s2, module))
-        with pytest.raises(ValueError):
-            opcheck.quotient_intertwining_check(
-                [s1, s2], module, [OperatorTable(s2, s2, module)] * 2)
-        # nor a table of the same pair on another module
-        with pytest.raises(ValueError):
-            opcheck.product_bracket_residual(
-                s1, s2, module,
-                OperatorTable(s1, s2, make_module(polyquot, n=2)))
 
 
 class TestScalarAndCollapse:
@@ -463,13 +470,15 @@ class TestShiftDifferences:
         module = make_module(any_pres)
         rng = random.Random(5)
         for spec in sample_specs(any_pres, 2, rng, 4):
-            assert opcheck.evaluated_preserves_differences(spec, module)
+            assert opcheck.evaluated_preserves_differences(
+                OperatorTable(spec, spec, module))
 
     def test_quotient_intertwines_reduced_and_evaluated(self, any_pres):
         module = make_module(any_pres)
         rng = random.Random(17)
         specs = sample_specs(any_pres, 2, rng, 4)
-        assert opcheck.quotient_intertwining_check(specs, module)
+        assert opcheck.quotient_intertwining_check(
+            [OperatorTable(spec, spec, module) for spec in specs])
 
 
 class TestIrreducibility:
@@ -569,7 +578,7 @@ class TestIntegerPathMakesNoGaussRat:
         calls = count_norms(monkeypatch)
         forms = []
         for spec in specs:
-            op = opcheck.as_operator("product", spec, module)
+            op = as_operator("product", spec, module)
             op(module.basis_block(zero))  # compiles the plans
             calls.clear()
             op(module.basis_block(zero))
@@ -954,8 +963,8 @@ class TestDifferenceSweep:
         specs = sample_specs(any_pres, n, random.Random(40 + n), 6)
         if defect is not None:
             self.DEFECTS[defect](monkeypatch)
-        got = [opcheck.evaluated_preserves_differences(spec, module)
-               for spec in specs]
+        got = [opcheck.evaluated_preserves_differences(
+                   OperatorTable(spec, spec, module)) for spec in specs]
         assert got == [reference_preserves_differences(spec, module)
                        for spec in specs]
         # each defect shows on some spec, and a clean module passes all
@@ -1007,7 +1016,8 @@ class TestDifferenceSweep:
             spec = OpSpec((GaussRat(1), GaussRat(0, 1)), (1, 0),
                           polyquot.generator(), polyquot.one() * 2)
             counts.clear()
-            assert opcheck.evaluated_preserves_differences(spec, module)
+            assert opcheck.evaluated_preserves_differences(
+                OperatorTable(spec, spec, module))
             got.append(dict(counts))
         assert got[0] == got[1]
         assert got[0]["__mul__"] and got[0]["_norm"]

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (doubled_off_diagonal, make_laurent,
+from conftest import (as_operator, doubled_off_diagonal, make_laurent,
                       make_polyquot_cube, reference_act,
                       reference_assoc_unital, reference_block,
                       reference_bracket_identity, reference_module_axiom,
@@ -22,7 +22,7 @@ from loopwitt import opcheck
 from loopwitt.coeff import BPresentation
 from loopwitt.glnrep import build_irrep
 from loopwitt.loop import LoopElem
-from loopwitt.opcheck import OpSpec
+from loopwitt.opcheck import OperatorTable, OpSpec
 from loopwitt.scalars import GaussRat, ONE, ZERO
 from loopwitt.tensmod import (ModVector, OutOfWindowError, TensorModule,
                               Window, assoc_unital_residuals, act_into,
@@ -141,7 +141,7 @@ class TestAgainstModVectorArithmetic:
         sp = spec(rng, module, b_pool)
         for m in [(0,) * module.n, module.window.interior((1,) * module.n)[0]]:
             for family in ("product", "reduced", "evaluated"):
-                got = opcheck.as_operator(family, sp, module)(
+                got = as_operator(family, sp, module)(
                     module.basis_block(m))
                 assert got == reference_block(reference_operator(
                     family, sp, module), module, m), family
@@ -152,9 +152,9 @@ class TestAgainstModVectorArithmetic:
         module, rng, b_pool = setup
         s1, s2 = spec(rng, module, b_pool), spec(rng, module, b_pool)
         for name in opcheck.BRACKET_ROWS:
-            assert opcheck.bracket_identity(
-                name, s1, s2, module) == reference_bracket_identity(
-                name, s1, s2, module), name
+            table = OperatorTable(s1, s2, module)
+            assert opcheck.bracket_identity(name, table) == (
+                reference_bracket_identity(name, s1, s2, module)), name
 
     @settings(max_examples=30, deadline=None)
     @given(setups())
@@ -186,8 +186,9 @@ class TestAgainstModVectorArithmetic:
         assert not module_axiom_residual(x, y, v).is_zero()
         s1 = OpSpec((ONE, ZERO), (0, 1), pres.one(), pres.one())
         s2 = OpSpec((ZERO, ONE), (1, 0), pres.one(), pres.one())
-        assert not any(opcheck.bracket_identity(name, s1, s2, module).is_zero()
-                       for name in opcheck.BRACKET_ROWS)
+        assert not any(opcheck.bracket_identity(
+            name, OperatorTable(s1, s2, module)).is_zero()
+            for name in opcheck.BRACKET_ROWS)
 
 
 def two_degrees(rng, module, b_pool):
