@@ -12,16 +12,13 @@ R adds -D(u,0)b1b2 acting on v, and Q is one loop element acting on v.
 Every bracket identity among them, the scalar action of the zero modes
 and the collapse of B coefficients through psi is one signed sum of
 such terms, with only the inner images of the brackets built, so each
-residual is collected once.  The bracket and subspace checks take their
-operators from an OperatorTable and from nowhere else: the table of a
-spec pair (s1, s2) for the bracket rows of an operator-suite case, that
-of (spec, spec) for the subspace checks of one spec.  Every loop element
-a table hands out is built there once, under a short key, and so
-compiled into its action plan once.  These and the rank-one identities are
-checked as exact zero residuals by applying operator combinations to
-slice basis blocks, all d basis vectors of a slice in one call
-(tensmod.TensorModule.basis_block).  A residual is the signed sum on the
-bottom slice's basis block, a ModVector that must be zero.  The
+residual is collected once.  The seven checks of an operator-suite case
+read every loop element from the OperatorTable of the case's spec pair,
+and the sweep and the intertwining from that of each sampled spec; a
+table builds, and so compiles, each element once, keyed by the value of
+its B coefficient.  A residual is exact: the signed sum on the bottom
+slice's basis block, all d basis vectors in one call
+(tensmod.TensorModule.basis_block), a ModVector that must be zero.  The
 shift-difference subspace is one signed sum as well: Q acts once on a
 block of difference vectors, one group of d columns per interior slice
 (tensmod.TensorModule.difference_block), whose slice sum must vanish,
@@ -74,25 +71,30 @@ def _neg_deg(r: Degree) -> Degree:
 
 
 class OperatorTable:
-    """The operator elements of the spec pair (s1, s2), each built once
-    and so compiled once: a table lives for one case of the operator
-    suite, whose bracket rows read their X and Y operators from it, or
-    for one sampled spec, whose sweep and intertwining read R and Q.
+    """The loop elements of the spec pair (s1, s2), each built once and
+    so compiled once: a table lives for one case of the operator suite,
+    all seven of whose checks read it, or for one sampled spec, as the
+    table of (spec, spec), whose sweep and intertwining read R and Q.
 
-    An element is named by a short key (operand, part, digits).  The
-    operand is "1" for (u1, r1), "2" for (u2, r2) and "w" for
-    (w, r1 + r2), w = (u1,r2) u2 - (u2,r1) u1.  The part is "d" for
-    D(u,r) b, "t" for t^(-r) b, "z" for the zero mode D(u,0) b and "q"
-    for the evaluated element psi(b') D(u,r) b - D(u,0) b' b.  The
-    digits name b as in BRACKET_ROWS: digit k stands for b_k of
-    X(u1,r1,b1,b2) and X(u2,r2,b3,b4), so "123" is b1 b2 b3; a zero
-    mode's digits are sorted, and a "q" key holds the digits of b' and
-    of b.  The table of one spec is that of the pair (spec, spec)."""
+    An element is keyed (operand, part, digits).  The operand is "1" for
+    (u1, r1), "2" for (u2, r2) and "w" for (w, r1 + r2),
+    w = (u1,r2) u2 - (u2,r1) u1.  The part is "d" for D(u,r) b, "t" for
+    t^(-r) b, "z" for the zero mode D(u,0) b and "q" for the evaluated
+    element psi(b') D(u,r) b - D(u,0) b' b, whose key holds the digits of
+    b' and of b.  The digits name b by value: digit k of BRACKET_ROWS,
+    b_k, becomes the first digit whose b equals b_k, or "0" if b_k = 1,
+    and they are sorted with the units dropped, as B is commutative."""
 
     def __init__(self, s1: OpSpec, s2: OpSpec, module: TensorModule):
         self.pair = (s1, s2)
         self.module = module
-        self._bs = {"1": s1.b1, "2": s1.b2, "3": s2.b1, "4": s2.b2}
+        # b by key: "" is 1, and digit k is b_k if no b_j, j < k, equals it
+        self._bs = {"": module.pres.one()}
+        self._digits = {"0": "0"}
+        for k, b in zip("1234", (s1.b1, s1.b2, s2.b1, s2.b2)):
+            same = next((j for j, c in self._bs.items() if c == b), k)
+            self._bs.setdefault(same, b)
+            self._digits[k] = same or "0"
         self._elems = {}
         # the row coefficients (u1,r2), (u2,r1) and the operands
         c12, c21 = self.coefficients = (_pair(s1.u, s2.r), _pair(s2.u, s1.r))
@@ -101,33 +103,33 @@ class OperatorTable:
             "w": (tuple(c12 * b - c21 * a for a, b in zip(s1.u, s2.u)),
                   _add_deg(s1.r, s2.r))}
 
-    def _b(self, digits: str) -> BElem:
-        """The product of the digits' b_k, with psi evaluated once, so
-        that each derivation term b u_i built from it carries psi(b) u_i
-        (BElem.scale)."""
-        b = self._bs.get(digits)
+    def _b(self, key: str) -> BElem:
+        """The product of the key's b_k, psi evaluated once, so that each
+        term b u_i built from it carries psi(b) u_i (BElem.scale)."""
+        b = self._bs.get(key)
         if b is None:
-            b = self._bs[digits] = reduce(mul, map(self._bs.get, digits))
+            b = self._bs[key] = reduce(mul, map(self._bs.get, key))
             b.psi()
         return b
 
-    def _elem(self, operand: str, part: str, *digits: str) -> LoopElem:
-        if part == "z":  # B is commutative, so a zero mode's b is sorted
-            digits = ("".join(sorted(digits[0])),)
-        key = (operand, part) + digits
+    def elem(self, operand: str, part: str, *digits: str) -> LoopElem:
+        """The element (operand, part, digits), built on first use."""
+        key = (operand, part) + tuple(
+            "".join(sorted(map(self._digits.get, p))).lstrip("0")
+            for p in digits)
         x = self._elems.get(key)
         if x is None:
             x = self._elems[key] = self._build(*key)
         return x
 
-    def _build(self, operand: str, part: str, *digits: str) -> LoopElem:
+    def _build(self, operand: str, part: str, *keys: str) -> LoopElem:
         n, pres = self.module.n, self.module.pres
         u, r = self._operands[operand]
         if part == "q":
-            p1, p2 = digits
-            return (self._elem(operand, "d", p2).scale(self._b(p1).psi())
-                    - self._elem(operand, "z", p1 + p2))
-        b = self._b(digits[0])
+            k1, k2 = keys
+            return (self.elem(operand, "d", k2).scale(self._b(k1).psi())
+                    - self.elem(operand, "z", k1 + k2))
+        b = self._b(keys[0])
         if part == "d":
             return LoopElem.d_vec(n, pres, u, r, b)
         if part == "t":
@@ -143,15 +145,15 @@ class OperatorTable:
         loop element, so it acts once."""
         p1, p2 = places
         if family == "evaluated":
-            q = self._elem(operand, "q", p1, p2)
+            q = self.elem(operand, "q", p1, p2)
             return lambda v: [(ONE, q, v)]
         if family not in ("product", "reduced"):
             raise ValueError(f"unknown operator family {family!r}")
-        d_elem = self._elem(operand, "d", p2)
-        shift_back = self._elem(operand, "t", p1)
+        d_elem = self.elem(operand, "d", p2)
+        shift_back = self.elem(operand, "t", p1)
         if family == "product":
             return lambda v: [(ONE, shift_back, act(d_elem, v))]
-        zero_mode = self._elem(operand, "z", p1 + p2)
+        zero_mode = self.elem(operand, "z", p1 + p2)
         return lambda v: [(ONE, shift_back, act(d_elem, v)),
                           (-ONE, zero_mode, v)]
 
@@ -161,33 +163,38 @@ def _scaled(c: GaussRat, terms: List[Term]) -> List[Term]:
 
 
 # One row per bracket identity: the X family of the left-hand side, the Y
-# family of the right-hand side, and the (b1, b2) placement of each of the
-# three right-hand terms Y(w, r1+r2), Y(u2, r2), Y(u1, r1).  Digits k
-# stand for the B coefficient b_k of the operands X(u1,r1,b1,b2) and
-# X(u2,r2,b3,b4).  The placements are invisible on the module: every
-# family scales by psi(b1) psi(b2), and each row's placements multiply to
-# b1 b2 b3 b4, so swapping rows of placements makes no check fail.
+# family of the right-hand side, the (b1, b2) placements of X(u1, r1) and
+# X(u2, r2), and those of Y(w, r1+r2), Y(u2, r2), Y(u1, r1).  Digit k is
+# b_k of the table's pair (u1,r1,b1,b2), (u2,r2,b3,b4), and "0" is 1.
+# The Y placements are invisible on the module: every family scales by
+# psi(b1) psi(b2), and each row's Y placements multiply to the product of
+# its X placements, so swapping them makes no check fail.  The
+# scaled-product row is minus the identity of [P(u2,r2,1,b1),
+# P(u1,r1,1,b2)] with every Y at (1, b1 b2): the bracket and w change sign.
+_PAIR = (("1", "2"), ("3", "4"))
 _PRODUCT_PLACES = (("13", "24"), ("123", "4"), ("134", "2"))
 _SHIFTED_PLACES = (("13", "24"), ("3", "124"), ("1", "234"))
 BRACKET_ROWS = {
-    "product": ("product", "product", _PRODUCT_PLACES),
-    "reduced": ("reduced", "reduced", _SHIFTED_PLACES),
-    "evaluated": ("evaluated", "evaluated", _SHIFTED_PLACES),
-    "product-to-reduced": ("product", "reduced", _PRODUCT_PLACES),
-    "scaled-product": ("product", "product", (("13", "24"),) * 3),
+    "product": ("product", "product", _PAIR, _PRODUCT_PLACES),
+    "reduced": ("reduced", "reduced", _PAIR, _SHIFTED_PLACES),
+    "evaluated": ("evaluated", "evaluated", _PAIR, _SHIFTED_PLACES),
+    "product-to-reduced": ("product", "reduced", _PAIR, _PRODUCT_PLACES),
+    "scaled-product": ("product", "product", (("0", "2"), ("0", "1")),
+                       (("0", "12"),) * 3),
 }
 
 
 def bracket_identity(name: str, table: OperatorTable) -> ModVector:
     """Residual of the bracket identity of row ``name`` on the bottom slice:
     [X(u1,r1), X(u2,r2)] - Y(w, r1+r2) + (u1,r2) Y(u2,r2) - (u2,r1) Y(u1,r1)
-    with w = (u1,r2) u2 - (u2,r1) u1; the row names the families X and Y,
-    and ``table``, the operator table of (s1, s2), holds them."""
-    x_family, y_family, placements = BRACKET_ROWS[name]
+    with w = (u1,r2) u2 - (u2,r1) u1; the row names the families X and Y
+    and their placements, and ``table``, the operator table of (s1, s2),
+    holds them."""
+    x_family, y_family, (p1, p2), placements = BRACKET_ROWS[name]
     module = table.module
     c12, c21 = table.coefficients
-    x1 = table.terms(x_family)
-    x2 = table.terms(x_family, "2", ("3", "4"))
+    x1 = table.terms(x_family, "1", p1)
+    x2 = table.terms(x_family, "2", p2)
     rhs = [(-ONE, "w"), (c12, "2"), (-c21, "1")]
     ys = [(c, table.terms(y_family, operand, places))
           for (c, operand), places in zip(rhs, placements)]
@@ -216,33 +223,24 @@ def product_to_reduced_residual(table: OperatorTable) -> ModVector:
 
 
 def scaled_product_bracket_residual(table: OperatorTable) -> ModVector:
-    """[P(v,s,1,b1), P(u,r,1,b2)] through the scaled-product row, for the
-    table of the case's pair ((u,r,b1,b2), (v,s,b3,b4)); the row's own
-    pair gets its own table."""
-    (s1, s2), one = table.pair, table.module.pres.one()
-    return bracket_identity("scaled-product", OperatorTable(
-        OpSpec(s2.u, s2.r, one, s1.b1), OpSpec(s1.u, s1.r, one, s1.b2),
-        table.module))
+    return bracket_identity("scaled-product", table)
 
 
-def zero_mode_scalar_residual(u: Tuple[GaussRat, ...], b: BElem,
-                              module: TensorModule) -> ModVector:
-    """D(u,0)b on the degree-zero slice minus psi(b)(u,alpha) Id."""
-    n = module.n
-    x = LoopElem.d_vec(n, module.pres, u, (0,) * n, b)
-    scal = b.psi() * _pair(u, module.alpha)
-    v = module.basis_block((0,) * n)
-    return signed_sum(module, [(ONE, x, v), (-scal, None, v)])
+def zero_mode_scalar_residual(table: OperatorTable) -> ModVector:
+    """D(u1,0)b1 on the degree-zero slice minus psi(b1)(u1,alpha) Id."""
+    module, spec = table.module, table.pair[0]
+    scal = spec.b1.psi() * _pair(spec.u, module.alpha)
+    v = module.basis_block((0,) * module.n)
+    return signed_sum(module, [(ONE, table.elem("1", "z", "1"), v),
+                               (-scal, None, v)])
 
 
-def coefficient_collapse_residual(u: Tuple[GaussRat, ...], r: Degree,
-                                  b: BElem, module: TensorModule) -> ModVector:
-    """D(u,r)b minus psi(b) D(u,r) as operators; must vanish."""
-    n = module.n
-    xb = LoopElem.d_vec(n, module.pres, u, r, b)
-    x1 = LoopElem.d_vec(n, module.pres, u, r)
-    v = module.basis_block((0,) * n)
-    return signed_sum(module, [(ONE, xb, v), (-b.psi(), x1, v)])
+def coefficient_collapse_residual(table: OperatorTable) -> ModVector:
+    """D(u1,r1)b1 minus psi(b1) D(u1,r1) as operators; must vanish."""
+    module, spec = table.module, table.pair[0]
+    v = module.basis_block((0,) * module.n)
+    return signed_sum(module, [(ONE, table.elem("1", "d", "1"), v),
+                               (-spec.b1.psi(), table.elem("1", "d", "0"), v)])
 
 
 def evaluated_preserves_differences(table: OperatorTable) -> bool:

@@ -581,14 +581,27 @@ def reference_operator(family, spec, module):
     return lambda v: act(shift_back, act(d_elem, v)) - act(zero_mode, v)
 
 
-def reference_bracket_identity(name, s1, s2, module):
+# The scaled-product row as BRACKET_ROWS held it before it read the
+# case's own table: the pair rows' X placements and every Y at
+# (b1 b3, b2 b4).  On the pair ((u2,r2,1,b1), (u1,r1,1,b2)) of a case
+# ((u1,r1,b1,b2), (u2,r2,b3,b4)) it is [P(u2,r2,1,b1), P(u1,r1,1,b2)]
+# with every Y at (1, b1 b2).
+OLD_SCALED_ROW = ("product", "product", (("1", "2"), ("3", "4")),
+                  (("13", "24"),) * 3)
+
+
+def reference_bracket_identity(row, s1, s2, module):
     """[X(u1,r1), X(u2,r2)] - Y(w, r1+r2) + (u1,r2) Y(u2,r2)
-    - (u2,r1) Y(u1,r1) on the bottom slice, one basis vector at a time."""
+    - (u2,r1) Y(u1,r1) on the bottom slice, one basis vector at a time,
+    for the row of BRACKET_ROWS named ``row``, or the row ``row`` itself:
+    digit k of a placement is b_k of (s1, s2), and digit "0" is 1."""
     from functools import reduce
     from operator import mul
     from loopwitt.opcheck import BRACKET_ROWS, OpSpec
     from loopwitt.scalars import ZERO
-    x_family, y_family, placements = BRACKET_ROWS[name]
+    if isinstance(row, str):
+        row = BRACKET_ROWS[row]
+    x_family, y_family, x_places, y_places = row
 
     def pair(u, s):
         return sum((a * b for a, b in zip(u, s)), ZERO)
@@ -596,15 +609,19 @@ def reference_bracket_identity(name, s1, s2, module):
     c12, c21 = pair(s1.u, s2.r), pair(s2.u, s1.r)
     w = tuple(c12 * b - c21 * a for a, b in zip(s1.u, s2.u))
     rs = tuple(a + b for a, b in zip(s1.r, s2.r))
-    bs = {"1": s1.b1, "2": s1.b2, "3": s2.b1, "4": s2.b2}
-    x1 = reference_operator(x_family, s1, module)
-    x2 = reference_operator(x_family, s2, module)
-    ys = [(c, reference_operator(y_family, OpSpec(
-              u, r, reduce(mul, (bs[k] for k in p1)),
-              reduce(mul, (bs[k] for k in p2))), module))
-          for (c, u, r), (p1, p2) in zip(
+    bs = {"0": module.pres.one(), "1": s1.b1, "2": s1.b2, "3": s2.b1,
+          "4": s2.b2}
+
+    def operator(family, u, r, places):
+        b1, b2 = (reduce(mul, (bs[k] for k in p)) for p in places)
+        return reference_operator(family, OpSpec(u, r, b1, b2), module)
+
+    x1, x2 = (operator(x_family, s.u, s.r, p)
+              for s, p in zip((s1, s2), x_places))
+    ys = [(c, operator(y_family, u, r, places))
+          for (c, u, r), places in zip(
               [(-1, w, rs), (c12, s2.u, s2.r), (-c21, s1.u, s1.r)],
-              placements)]
+              y_places)]
 
     def residual(v):
         out = x1(x2(v)) - x2(x1(v))

@@ -2,21 +2,28 @@
 
     python3 tests/identity.py --base REV
 
-checks REV out into a temporary directory (`git worktree add --detach`),
-runs one fixed corpus of CLI calls once against REV's src/ and once
-against the working tree's src/, each side in its own subprocess, and
-removes the worktree.  It strips `wall_time` from every verify-all
-report, prints one sha256 digest per call, names every call whose
-output or exit code differs, and exits 1 if any call differs, 0 if none
-does.
+extracts REV's src/ into a temporary directory (`git archive REV src`,
+which writes nothing under .git), runs one fixed corpus of CLI calls
+once against REV's src/ and once against the working tree's src/, each
+side in its own subprocess, and deletes the directory.  It strips
+`wall_time` from every verify-all report, prints one sha256 digest per
+call, names every call whose output or exit code differs, and exits 1
+if any call differs, 0 if none does.
 
 The corpus is `test_reports_pinned._calls()`, the calls whose digests
-are pinned, plus `verify-all --json` on the 9-config grid (n in
-{1, 2, 3} x {trivial, polyquot, laurent}, default suites, 5 cases) at
-seed 7, and on two gl(4) configs (mu = (1, 0, 0), radius 2, default
-suites, 3 cases), the only calls whose operator suite runs at n = 4:
-laurent with real c and alpha, polyquot with non-real ones.  `compare(base_src, head_src, calls)` is the step that runs it
-on two src/ directories.
+are pinned, plus these, all at seed 7:
+* `verify-all --json` on the 9-config grid (n in {1, 2, 3} x {trivial,
+  polyquot, laurent}, default suites, 5 cases);
+* `verify-all --json` at n = 1, radius 5, on the three grid B (default
+  suites, 5 cases), the only calls that run rank-one, whose smallest
+  radius is 5;
+* `verify-all --json` on two gl(4) configs (mu = (1, 0, 0), radius 2,
+  default suites, 3 cases), the only calls whose operator suite runs at
+  n = 4: laurent with real c and alpha, polyquot with non-real ones;
+* `bracket` on the expressions of test_src_reach, at n = 2 on the three
+  grid B; trivial B rejects every one of them, as each holds x.
+`extract_src(rev, dest)` and `compare(base_src, head_src, calls)` are
+the two steps.
 """
 
 from __future__ import annotations
@@ -64,10 +71,10 @@ Call = Tuple[List[str], Dict]
 
 
 def corpus() -> Dict[str, Call]:
-    """The pinned calls, the 9-config grid at seed 7 and two gl(4)
-    configs."""
+    """The pinned calls and the calls at seed 7."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     from test_reports_pinned import B_SPECS, GRID_MU, _calls
+    from test_src_reach import BRACKETS
     calls = _calls()
     for n, mu in GRID_MU.items():
         for kind, b in B_SPECS.items():
@@ -81,6 +88,14 @@ def corpus() -> Dict[str, Call]:
             ["verify-all", "--json"],
             {"n": 4, "mu": [1, 0, 0], "c": c, "alpha": alpha,
              "B": B_SPECS[kind], "window_radius": 2, "cases_per_suite": 3})
+    for kind, b in B_SPECS.items():
+        calls[f"radius5/verify-all/1/{kind}"] = (
+            ["verify-all", "--json"],
+            {"n": 1, "mu": [], "B": b, "seed": 7, "window_radius": 5,
+             "cases_per_suite": 5})
+        for k, pair in enumerate(BRACKETS):
+            calls[f"bracket/{kind}/{k}"] = (
+                ["bracket", *pair], {"n": 2, "mu": [1], "B": b, "seed": 7})
     return calls
 
 
@@ -96,6 +111,15 @@ def run_calls(src: Path, calls: Dict[str, Call]) -> Dict[str, List]:
         raise RuntimeError(f"corpus run against {src} failed:\n"
                            f"{done.stderr}")
     return json.loads(done.stdout)
+
+
+def extract_src(rev: str, dest: Path) -> Path:
+    """Extract the src/ of revision rev under dest and return its path;
+    `git archive` reads the repository and writes nothing under .git."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
+                             capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    return Path(dest) / "src"
 
 
 def compare(base_src: Path, head_src: Path, calls: Dict[str, Call],
@@ -123,14 +147,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     calls = corpus()
     with tempfile.TemporaryDirectory() as tmp:
-        tree = Path(tmp) / "base"
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--quiet",
-                        "--detach", str(tree), args.base], check=True)
-        try:
-            differ = compare(tree / "src", ROOT / "src", calls)
-        finally:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove",
-                            "--force", str(tree)], check=True)
+        differ = compare(extract_src(args.base, Path(tmp)), ROOT / "src",
+                         calls)
     return 1 if differ else 0
 
 

@@ -1,9 +1,13 @@
 """tests/identity.py, the byte-identity check between two revisions, on
 two calls: the same src/ on both sides is identical, and a copy of src/
-with one changed report field is named."""
+with one changed report field is named; and its base src/, extracted
+without touching .git."""
 
 import shutil
+import subprocess
 from pathlib import Path
+
+import pytest
 
 import identity
 import loopwitt
@@ -36,3 +40,19 @@ def test_a_changed_report_field_is_named(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "DIFFERS verify-all/1/trivial" in out
     assert "2 calls, 1 differ" in out
+
+
+@pytest.mark.skipif(not (identity.ROOT / ".git").exists(),
+                    reason="needs a git checkout")
+def test_the_base_src_is_extracted_without_a_worktree(tmp_path):
+    worktrees = identity.ROOT / ".git" / "worktrees"
+
+    def registered():
+        return sorted(worktrees.iterdir()) if worktrees.exists() else []
+
+    before = registered()
+    src = identity.extract_src("HEAD", tmp_path)
+    assert (src / "loopwitt" / "cli.py").read_bytes() == subprocess.run(
+        ["git", "-C", str(identity.ROOT), "show", "HEAD:src/loopwitt/cli.py"],
+        capture_output=True, check=True).stdout
+    assert registered() == before

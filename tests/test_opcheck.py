@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (as_operator, block_column, columns, dense_of,
-                      dense_relation_residual, direct_sum_irrep,
+from conftest import (OLD_SCALED_ROW, as_operator, block_column, columns,
+                      dense_of, dense_relation_residual, direct_sum_irrep,
                       doubled_off_diagonal, mat_is_zero, rank,
                       rational_columns, reference_act, reference_block,
                       reference_bracket_identity, reference_evaluated,
@@ -107,13 +107,13 @@ class TestBlockOpMatrix:
         x = LoopElem.d_vec(n, pres, s1.u, zero, b)
         scal = b.psi() * sum((a * c for a, c in zip(s1.u, module.alpha)),
                              ZERO)
-        assert opcheck.zero_mode_scalar_residual(
-            s1.u, b, module) == reference_block(
+        table = OperatorTable(OpSpec(s1.u, s1.r, b, s1.b2), s2, module)
+        assert opcheck.zero_mode_scalar_residual(table) == reference_block(
             lambda v: reference_act(x, v) - v.scale(scal), module, zero)
         xb = LoopElem.d_vec(n, pres, s1.u, s1.r, b)
         x1 = LoopElem.d_vec(n, pres, s1.u, s1.r)
         assert opcheck.coefficient_collapse_residual(
-            s1.u, s1.r, b, module) == reference_block(
+            table) == reference_block(
             lambda v: reference_act(xb, v)
             - reference_act(x1, v).scale(b.psi()), module, zero)
         assert opcheck.reduced_bracket_residual(
@@ -238,7 +238,7 @@ class TestBracketIdentities:
             assert opcheck.product_to_reduced_residual(table).is_zero()
 
     def test_scaled_product_bracket(self, laurent):
-        # [P(e_1,(1,0),1,t), P(e_2,(0,1),1,1)], from the case pair
+        # [P(e_2,(0,1),1,1), P(e_1,(1,0),1,t)], on the case pair
         # ((e_2,(0,1),t,1), (e_1,(1,0),b3,b4)) whatever b3, b4
         module = make_module(laurent)
         t, one = laurent.generator(), laurent.one()
@@ -273,13 +273,29 @@ PAIR_ROWS = {
     "evaluated": opcheck.evaluated_bracket_residual,
     "product-to-reduced": opcheck.product_to_reduced_residual,
 }
+ROWS = {**PAIR_ROWS, "scaled-product": opcheck.scaled_product_bracket_residual}
 
 
 def scaled_pair(s1, s2, module):
-    """The spec pair of the scaled-product row on the table of (s1, s2):
-    [P(v,s,1,b1), P(u,r,1,b2)]."""
+    """The spec pair ((u2,r2,1,b1), (u1,r1,1,b2)) on which OLD_SCALED_ROW
+    gives minus the scaled-product row of the table of (s1, s2)."""
     one = module.pres.one()
     return OpSpec(s2.u, s2.r, one, s1.b1), OpSpec(s1.u, s1.r, one, s1.b2)
+
+
+REFERENCE_C_ALPHA = [
+    (GaussRat(1), None),
+    (GaussRat(Fraction(3, 2), 1),
+     [GaussRat(Fraction(1, 3), 1), GaussRat(0, -1), GaussRat(2)])]
+
+
+def reference_module(n, mu, broken, c, alpha, pres):
+    """The module of the irrep of (mu, c), or of the broken irrep, every
+    off-diagonal E_ij doubled, at alpha or at 1/2 throughout."""
+    rep = build_irrep(mu, c, n)
+    if broken:
+        rep = doubled_off_diagonal(rep)
+    return TensorModule(rep, (alpha or [HALF] * 3)[:n], pres, Window(n, 3))
 
 
 def tables_made(monkeypatch):
@@ -318,23 +334,22 @@ class TestOperatorTable:
     @pytest.mark.parametrize("n,mu", [(1, ()), (2, (1,)), (3, (1, 0))])
     def test_a_suite_case_compiles_each_element_once(self, n, mu, kind,
                                                      request, monkeypatch):
-        # one case runs all seven checks: the four pair rows on the
-        # case's table, the scaled-product row on its own pair's table,
-        # and the zero-mode and collapse checks on three loop elements of
-        # their own; the five sampled specs get a table each, read by the
-        # sweep and the intertwining (14 cases with the codimension)
+        # one case runs all seven checks on the case's table, and the
+        # five sampled specs get a table each, read by the sweep and the
+        # intertwining (14 cases with the codimension); nothing else is
+        # compiled
         made = tables_made(monkeypatch)
         compiled = count_compiles(monkeypatch)
         cfg = suites.RunConfig(n=n, mu=mu, cases_per_suite=1,
                                bpres=request.getfixturevalue(kind),
                                suites=("operator-suite",))
         assert suites.run_operator_suite(cfg) == (14, [])
-        assert len(made) == 2 + 5
+        assert len(made) == 1 + 5
         assert len({id(x) for x in compiled}) == len(compiled)
         in_tables = [x for table in made for x in table._elems.values()]
         for x in in_tables:
             assert sum(y is x for y in compiled) == 1
-        assert len(compiled) == len(in_tables) + 3
+        assert len(compiled) == len(in_tables)
 
     @pytest.mark.parametrize("kind", ["trivial", "polyquot", "laurent"])
     @pytest.mark.parametrize("n,mu", [(1, ()), (2, (1,)), (3, (1, 0))])
@@ -362,14 +377,33 @@ class TestOperatorTable:
         assert opcheck.quotient_intertwining_check(tables)
         assert len({id(x) for x in compiled}) == len(compiled)
         for table in tables:
-            q = table._elems[("1", "q", "1", "2")]
+            q = table.elem("1", "q", "1", "2")
             assert sum(x is q for x in compiled) == 1
 
-    @pytest.mark.parametrize("c,alpha", [
-        (GaussRat(1), None),
-        (GaussRat(Fraction(3, 2), 1),
-         [GaussRat(Fraction(1, 3), 1), GaussRat(0, -1), GaussRat(2)])],
-        ids=["real", "non-real"])
+    @pytest.mark.parametrize("n,mu", [(1, ()), (2, (1,)), (3, (1, 0))])
+    def test_equal_coefficients_share_their_elements(self, n, mu, any_pres,
+                                                     monkeypatch):
+        # b1 = b3 = 1 and b2 = b4 = b != b^2, each a B element of its own:
+        # the seven checks of the case compile no element twice, though
+        # placements such as "123" and "4", or "0" and "1", name equal b
+        module = make_module(any_pres, n=n, mu=mu)
+        b = (any_pres.generator() if any_pres.kind != "trivial"
+             else any_pres.from_scalar(GaussRat(2)))
+        s1 = OpSpec((GaussRat(1), GaussRat(2), GaussRat(3))[:n],
+                    (1, -1, 1)[:n], any_pres.one(), b)
+        s2 = OpSpec((GaussRat(3), GaussRat(1), GaussRat(-1))[:n],
+                    (-2, 1, 0)[:n], any_pres.from_scalar(GaussRat(1)),
+                    b * any_pres.one())
+        table = OperatorTable(s1, s2, module)
+        compiled = count_compiles(monkeypatch)
+        for check in [*ROWS.values(), opcheck.zero_mode_scalar_residual,
+                      opcheck.coefficient_collapse_residual]:
+            assert check(table).is_zero()
+        assert not any(x == y for k, x in enumerate(compiled)
+                       for y in compiled[:k])
+
+    @pytest.mark.parametrize("c,alpha", REFERENCE_C_ALPHA,
+                             ids=["real", "non-real"])
     @pytest.mark.parametrize("broken", [False, True],
                              ids=["irrep", "broken-irrep"])
     @pytest.mark.parametrize("n,mu", [(1, ()), (2, (1,)), (3, (1, 0))])
@@ -378,26 +412,49 @@ class TestOperatorTable:
         # on the broken irrep the residuals are nonzero, so the
         # comparisons are not all between zeros; the rows run in a
         # shuffled order, so the table builds its elements in any order
-        rep = build_irrep(mu, c, n)
-        if broken:
-            rep = doubled_off_diagonal(rep)
-        module = TensorModule(rep, (alpha or [HALF] * 3)[:n], any_pres,
-                              Window(n, 3))
+        module = reference_module(n, mu, broken, c, alpha, any_pres)
         rng, order = random.Random(17 * n + broken), random.Random(n)
         nonzero = 0
         for _ in range(4):
             s1, s2 = suite_pair(module, rng)
             table = OperatorTable(s1, s2, module)
-            rows = [(name, (s1, s2), row) for name, row in PAIR_ROWS.items()]
-            rows.append(("scaled-product", scaled_pair(s1, s2, module),
-                         opcheck.scaled_product_bracket_residual))
+            rows = list(ROWS.items())
             order.shuffle(rows)
-            for name, pair, row in rows:
+            for name, row in rows:
                 got = row(table)
                 assert got == reference_bracket_identity(
-                    name, *pair, module), name
+                    name, s1, s2, module), name
                 nonzero += not got.is_zero()
         assert (nonzero > 0) == (broken and n > 1)
+
+    @pytest.mark.parametrize("c,alpha", REFERENCE_C_ALPHA,
+                             ids=["real", "non-real"])
+    @pytest.mark.parametrize("broken", [False, True],
+                             ids=["irrep", "broken-irrep"])
+    @pytest.mark.parametrize("n,mu", [(1, ()), (2, (1,)), (3, (1, 0))])
+    def test_the_scaled_row_is_minus_its_old_identity(self, n, mu, broken,
+                                                      c, alpha, any_pres):
+        # the row brackets the old row's two operators the other way
+        # round, which negates w as well
+        module = reference_module(n, mu, broken, c, alpha, any_pres)
+        rng = random.Random(19 * n + broken)
+        nonzero = 0
+        for _ in range(3):
+            s1, s2 = suite_pair(module, rng)
+            got = opcheck.scaled_product_bracket_residual(
+                OperatorTable(s1, s2, module))
+            assert got == reference_bracket_identity(
+                OLD_SCALED_ROW, *scaled_pair(s1, s2, module),
+                module).scale(-ONE)
+            nonzero += not got.is_zero()
+        assert (nonzero > 0) == (broken and n > 1)
+
+
+def spec_table(u, r, b, module):
+    """The table of (spec, spec), spec = (u, r, b, b): the zero-mode and
+    collapse checks read D(u,0)b, D(u,r)b and D(u,r) from it."""
+    spec = OpSpec(u, r, b, b)
+    return OperatorTable(spec, spec, module)
 
 
 class TestScalarAndCollapse:
@@ -407,8 +464,8 @@ class TestScalarAndCollapse:
         if any_pres.kind != "trivial":
             pool.append(any_pres.generator())
         for b in pool:
-            res = opcheck.zero_mode_scalar_residual(
-                (GaussRat(1), GaussRat(-2)), b, module)
+            res = opcheck.zero_mode_scalar_residual(spec_table(
+                (GaussRat(1), GaussRat(-2)), (0, 0), b, module))
             assert res.is_zero()
 
     def test_ideal_member_acts_by_zero(self, polyquot):
@@ -417,14 +474,14 @@ class TestScalarAndCollapse:
         x = polyquot.generator()
         b = x - polyquot.from_scalar(GaussRat(2))
         assert opcheck.zero_mode_scalar_residual(
-            e(2, 0), b, module).is_zero()
+            spec_table(e(2, 0), (0, 0), b, module)).is_zero()
 
     def test_coefficient_collapse(self, any_pres):
         module = make_module(any_pres)
         b = (any_pres.generator() if any_pres.kind != "trivial"
              else any_pres.one() * GaussRat(3))
         assert opcheck.coefficient_collapse_residual(
-            e(2, 0), (1, -1), b, module).is_zero()
+            spec_table(e(2, 0), (1, -1), b, module)).is_zero()
 
 
 class TestShiftDifferences:
@@ -717,9 +774,9 @@ class TestNegativeControls:
                                            (2, (1,), "polyquot")])
     def test_dropped_last_rhs_term_fails_every_bracket(self, n, mu, pres,
                                                        request, monkeypatch):
-        for name, (x, y, places) in list(opcheck.BRACKET_ROWS.items()):
+        for name, (x, y, xp, places) in list(opcheck.BRACKET_ROWS.items()):
             monkeypatch.setitem(opcheck.BRACKET_ROWS, name,
-                                (x, y, places[:2]))
+                                (x, y, xp, places[:2]))
         got = operator_suite_failures(n, mu, request.getfixturevalue(pres))
         assert BRACKET_CHECKS <= got
 

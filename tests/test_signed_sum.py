@@ -165,13 +165,13 @@ class TestAgainstModVectorArithmetic:
         u, r, b = sp.u, sp.r, sp.b1
         x = LoopElem.d_vec(n, module.pres, u, (0,) * n, b)
         scal = b.psi() * sum((a * c for a, c in zip(u, module.alpha)), ZERO)
-        assert opcheck.zero_mode_scalar_residual(
-            u, b, module) == reference_block(
+        table = OperatorTable(sp, sp, module)
+        assert opcheck.zero_mode_scalar_residual(table) == reference_block(
             lambda v: reference_act(x, v) - v.scale(scal), module, zero)
         xb = LoopElem.d_vec(n, module.pres, u, r, b)
         x1 = LoopElem.d_vec(n, module.pres, u, r)
         assert opcheck.coefficient_collapse_residual(
-            u, r, b, module) == reference_block(
+            table) == reference_block(
             lambda v: reference_act(xb, v) - reference_act(x1, v).scale(
                 b.psi()), module, zero)
 

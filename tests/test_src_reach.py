@@ -36,7 +36,6 @@ NOT_REACHED = {
         "only burnside_dim calls it, and the benchmark tracer counts it by "
         "name",
     "loop.LoopElem.__eq__": "value equality for library users",
-    "coeff.BElem.__eq__": "value equality; LoopElem.__eq__ compares terms",
     "scalars.GaussRat.__truediv__": "field API for library users",
     "scalars.GaussRat.__rtruediv__": "field API for library users",
     "scalars.GaussRat.conj": "field API for library users",
@@ -66,6 +65,14 @@ LAURENT = {"n": 2, "mu": [1], "B": {"kind": "laurent", "eval_point": "3"},
 # commutators, collected back into columns by linalg.to_columns; a
 # non-real c makes the E_ii, and so gl-relations' spins, non-real
 GL3 = {"n": 3, "mu": [1, 0], "c": "1/2+1 i", "suites": ["gl-relations"]}
+# the bracket runs' expression pairs: the first two over CONFIG's B, the
+# third over LAURENT's
+BRACKETS = [
+    ("D(1,0;1,0)*(x-2)", "t(0,1)*(2*x^2 - 1/2) + D(0,1;-1,0)*1"),
+    # x^7 is at least twice the modulus degree: square-and-multiply
+    ("t(1,0)*x^7", "D(0,1;0,1)*x"),
+    ("D(1,0;1,0)*(x^2 - 3)", "(1/2+1 i)*t(0,1)*x + t(1,0)*(1/2+1 i)"),
+]
 
 
 def defined_functions():
@@ -98,12 +105,9 @@ def entered_functions(tmp_path, capsys):
     runs = [
         ["verify-all", "--config", str(cfg)],
         ["verify-all", "--config", str(rank_one)],
-        ["bracket", "--config", str(cfg), "D(1,0;1,0)*(x-2)",
-         "t(0,1)*(2*x^2 - 1/2) + D(0,1;-1,0)*1"],
-        # x^7 is at least twice the modulus degree: square-and-multiply
-        ["bracket", "--config", str(cfg), "t(1,0)*x^7", "D(0,1;0,1)*x"],
-        ["bracket", "--config", str(laurent), "D(1,0;1,0)*(x^2 - 3)",
-         "(1/2+1 i)*t(0,1)*x + t(1,0)*(1/2+1 i)"],
+        ["bracket", "--config", str(cfg), *BRACKETS[0]],
+        ["bracket", "--config", str(cfg), *BRACKETS[1]],
+        ["bracket", "--config", str(laurent), *BRACKETS[2]],
         ["verify-all", "--config", str(laurent)],
         ["irrep-info", "--config", str(cfg), "--matrices"],
         ["irrep-info", "--config", str(gl3)],
