@@ -6,18 +6,21 @@ weight pattern first.  E_kk, E_k,k+1 and E_k+1,k act by the explicit
 rational formulas of Molev, "Gelfand-Tsetlin bases for classical Lie
 algebras" (arXiv:math/0211289, Thm 2.3); every other E_ij is a
 commutator of those.  The diagonal part is shifted so the identity
-matrix acts by the scalar c.  The construction runs in GaussRat
-arithmetic, in linalg.Columns, Irrep.columns, which the weight table
-and the highest-weight check read.
+matrix acts by the scalar c.
 
-Every check runs on the Gaussian-integer form: Irrep.int_view holds
-every N_ij = D E_ij as a linalg.IntMatrix over one common denominator
-D.  The commutation relations are sparse products of the N_ij in plain
-ints, the identity scalar is their sparse sum, and Norton's theta, its
-kernel and spins take and return integer forms only.  A GaussRat is
-made only for a nonzero residual entry.  The E_ij of V(mu) are very
-sparse in this basis, about 1.5 % nonzero at d = 64.  Irrep.E densifies
-one from the integer view, for printing and for the Burnside closure.
+The construction runs in Gaussian integers: each of Molev's matrices
+goes over its own least denominator, each commutator over the product
+of its factors' denominators divided by the gcd, and every E_ij at last
+over D, the lcm of them all.  An Irrep holds only that pair,
+Irrep.int_view: D and every N_ij = D E_ij as a linalg.IntMatrix.  Every
+check runs on it, over any common denominator.  The commutation
+relations are sparse products of the N_ij in plain ints, the identity
+scalar is their sparse sum, the weights and the highest-weight check
+read the N_ii and N_i,i+1, and Norton's theta, its kernel and spins
+take and return integer forms only.  A GaussRat is made only for a
+nonzero residual entry and for the weight table.  The E_ij of V(mu) are
+very sparse in this basis, about 1.5 % nonzero at d = 64.  Irrep.E
+densifies one, for printing and for the Burnside closure.
 
 Irreducibility is certified by Norton's test, `norton_irreducible`,
 O(g d^3) for g generators; when it does not decide, the Burnside
@@ -26,17 +29,17 @@ closure `burnside_dim`, O(g d^6), gives the dimension of the algebra.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import chain, product
-from math import lcm, prod
-from typing import List, Sequence, Tuple
+from math import gcd, lcm, prod
+from typing import Dict, List, Sequence, Tuple
 
-from .linalg import (Columns, Entries, IntMatrix, Mat, SpanBasis, dense,
-                     denominator, gauss_entries, identity, int_columns,
-                     int_entries_into, int_matrix, int_product_into,
-                     int_spin, mat_mul, null_space, product_entries,
-                     sparse_sum, to_columns, transposed)
-from .scalars import GaussRat, ZERO
+from .linalg import (Entries, IntMatrix, Mat, SpanBasis, dense,
+                     gauss_entries, identity, int_columns, int_entries_into,
+                     int_product_into, int_spin, mat_mul, null_space,
+                     transposed)
+from .scalars import GaussRat
 
 DIM_CAP = 64
 
@@ -61,41 +64,27 @@ def weyl_dim(mu: Sequence[int], n: int) -> int:
 
 
 class Irrep:
-    """V(mu, c): dimension d, the Columns of every E_ij (1-based via
-    columns(i, j)), scalar c and the index of the highest weight vector."""
+    """V(mu, c): every N_ij = D E_ij as a Gaussian-integer matrix, ints,
+    0-based, over one common denominator D, den; the scalar c and the
+    index of the highest weight vector.  d comes from the matrices."""
 
-    def __init__(self, n: int, mu: Tuple[int, ...], c: GaussRat, d: int,
-                 matrices: List[List[Columns]], hw_index: int):
+    def __init__(self, n: int, mu: Tuple[int, ...], c: GaussRat, den: int,
+                 ints: List[List[IntMatrix]], hw_index: int):
         self.n = n
         self.mu = mu
         self.c = c
-        self.d = d
-        self._columns = matrices
+        self.d = len(ints[0][0][0])
         self.hw_index = hw_index
-        self._ints = None
-
-    def columns(self, i: int, j: int) -> Columns:
-        return self._columns[i - 1][j - 1]
+        self._ints = den, ints
 
     def E(self, i: int, j: int) -> Mat:
-        """E_ij as a dense matrix, from the integer view, for printing and
-        Burnside."""
-        den, ints = self.int_view()
+        """E_ij as a dense matrix, for printing and Burnside."""
+        den, ints = self._ints
         return dense(ints[i - 1][j - 1], self.d, den)
 
     def int_view(self) -> Tuple[int, List[List[IntMatrix]]]:
-        """D and every N_ij = D E_ij as a Gaussian-integer matrix (0-based),
-        for D the least common denominator of all the E_ij.  Built on
-        first use from `columns`, so it reads the E_ij the checks see,
-        and kept: a patch of `columns` reaches the view only if made
-        before its first use."""
-        if self._ints is None:
-            rng = range(1, self.n + 1)
-            cols = [[self.columns(i, j) for j in rng] for i in rng]
-            den = denominator(x for row in cols for a in row
-                              for col in a for _, x in col)
-            self._ints = den, [[int_matrix(a, den) for a in row]
-                               for row in cols]
+        """D and every N_ij = D E_ij.  Every check works over any common
+        denominator; build_irrep gives the least one."""
         return self._ints
 
     def relation_residual(self, i: int, j: int, k: int, l: int) -> Entries:
@@ -104,7 +93,7 @@ class Irrep:
         delta_jk D N_il + delta_li D N_kj, is summed in plain ints, real
         and imaginary parts apart, and only a nonzero entry is divided
         back by D^2."""
-        den, ints = self.int_view()
+        den, ints = self._ints
         (ar, ai), (br, bi) = ints[i - 1][j - 1], ints[k - 1][l - 1]
         re, im = {}, {}
         for acc, left, right, f in (
@@ -126,7 +115,7 @@ class Irrep:
 
     def trace_part(self) -> Entries:
         """The nonzero entries of E_11 + ... + E_nn."""
-        den, ints = self.int_view()
+        den, ints = self._ints
         re, im = {}, {}
         for k in range(self.n):
             int_entries_into(re, im, ints[k][k], 1)
@@ -136,13 +125,12 @@ class Irrep:
         """Joint diagonal eigenvalue tuples with multiplicities.
 
         The Gelfand-Tsetlin basis consists of joint eigenvectors of the
-        E_ii, so the eigenvalues can be read off the diagonal matrices.
+        E_ii, so the eigenvalues can be read off the diagonals of the N_ii.
         """
-        diagonals = [self.columns(i, i) for i in range(1, self.n + 1)]
-        counts = {}
-        for k in range(self.d):
-            w = tuple(dict(m[k]).get(k, ZERO) for m in diagonals)
-            counts[w] = counts.get(w, 0) + 1
+        den, ints = self._ints
+        counts = Counter(
+            tuple(GaussRat.from_parts(*diagonal_entry(ints[i][i], k), den)
+                  for i in range(self.n)) for k in range(self.d))
         return sorted(counts.items(), key=lambda kv: [str(x) for x in kv[0]])
 
 
@@ -176,6 +164,15 @@ def _moved(p: Pattern, k: int, i: int, step: int) -> Pattern:
     return p[:k] + (tuple(row),) + p[k + 1:]
 
 
+def _least(den: int, re: Dict[int, int], im: Dict[int, int]
+           ) -> Tuple[int, Dict[int, int], Dict[int, int]]:
+    """The matrix (re + im i) / den, keyed row * d + col, as (den, re, im)
+    divided by the gcd of den and every entry, zero entries dropped."""
+    g = gcd(den, *re.values(), *im.values())
+    return (den // g, *({key: x // g for key, x in part.items() if x}
+                        for part in (re, im)))
+
+
 def build_irrep(mu: Sequence[int], c: GaussRat, n: int) -> Irrep:
     mu = tuple(mu)
     d_expected = weyl_dim(mu, n)
@@ -188,45 +185,51 @@ def build_irrep(mu: Sequence[int], c: GaussRat, n: int) -> Irrep:
         raise AssertionError(
             f"{d} Gelfand-Tsetlin patterns != Weyl dimension {d_expected}")
     index = {p: col for col, p in enumerate(patterns)}
+    # every E_ij as (q, re, im) over its least denominator q
+    E: List[List[tuple]] = [[None] * n for _ in range(n)]
 
-    # make the identity matrix act by c instead of by |lambda|
+    # make the identity matrix act by c = (a + b i)/q instead of by
+    # |lambda|: E_kk = sum p_k - sum p_k-1 + (c - |lambda|)/n, over nq
     c = GaussRat._coerce(c)
-    shift = (c - sum(lam)) * GaussRat(Fraction(1, n))
-    E: List[List[Columns]] = [[None] * n for _ in range(n)]
+    a, b, q = c.parts()
     for k in range(1, n + 1):
-        diagonal = (GaussRat(sum(p[k]) - sum(p[k - 1])) + shift
-                    for p in patterns)
-        E[k - 1][k - 1] = [[(col, x)] if x else []
-                           for col, x in enumerate(diagonal)]
+        re = {col * (d + 1): (sum(p[k]) - sum(p[k - 1])) * n * q + a
+              - sum(lam) * q for col, p in enumerate(patterns)}
+        im = {col * (d + 1): b for col in range(d)}
+        E[k - 1][k - 1] = _least(n * q, re, im)
 
     # Molev's formulas in l_ki = lambda_ki - i + 1 (here i is 0-based):
-    # E_k,k+1 moves lambda_ki up, E_k+1,k moves it down.  The moved
-    # patterns of one column are distinct, and the numerator vanishes
-    # only where the move breaks interlacing, so each column is its
-    # targets with nonzero entries, sorted
+    # E_k,k+1 moves lambda_ki up, E_k+1,k moves it down.  The numerator
+    # vanishes only where the move breaks interlacing, so every entry
+    # is nonzero; the entries go over the lcm of their denominators
     for k in range(1, n):
-        up, down = [], []
-        for p in patterns:
+        up, down = {}, {}
+        for col, p in enumerate(patterns):
             l = [[x - i for i, x in enumerate(row)] for row in p]
-            up_col, down_col = [], []
             for i, x in enumerate(l[k]):
                 den = prod(x - y for j, y in enumerate(l[k]) if j != i)
                 target = index.get(_moved(p, k, i, 1))
                 if target is not None:
-                    num = -prod(x - y for y in l[k + 1])
-                    up_col.append((target, GaussRat(Fraction(num, den))))
+                    up[target * d + col] = Fraction(
+                        -prod(x - y for y in l[k + 1]), den)
                 target = index.get(_moved(p, k, i, -1))
                 if target is not None:
-                    num = prod(x - y for y in l[k - 1])
-                    down_col.append((target, GaussRat(Fraction(num, den))))
-            up.append(sorted(up_col))
-            down.append(sorted(down_col))
-        E[k - 1][k], E[k][k - 1] = up, down
+                    down[target * d + col] = Fraction(
+                        prod(x - y for y in l[k - 1]), den)
+        for (i, j), entries in (((k - 1, k), up), ((k, k - 1), down)):
+            q = lcm(*(x.denominator for x in entries.values()))
+            E[i][j] = q, {key: x.numerator * (q // x.denominator)
+                          for key, x in entries.items()}, {}
 
-    # E_ij = [E_i,j-1, E_j-1,j] for j > i+1, and its mirror for i > j+1
-    def bracket(a: Columns, b: Columns) -> Columns:
-        return to_columns(
-            sparse_sum(product_entries(a, b), product_entries(b, a)), d)
+    # E_ij = [E_i,j-1, E_j-1,j] for j > i+1, and its mirror for i > j+1;
+    # both factors are real, and (x/p)(y/q) - (y/q)(x/p) = (xy - yx)/pq
+    def bracket(x: tuple, y: tuple) -> tuple:
+        (p, xr, _), (q, yr, _) = x, y
+        xc, yc = int_columns(xr, {}, d)[0], int_columns(yr, {}, d)[0]
+        acc = {}
+        int_product_into(acc, xc, yc, 1)
+        int_product_into(acc, yc, xc, -1)
+        return _least(p * q, acc, {})
 
     for gap in range(2, n):
         for i in range(n - gap):
@@ -234,8 +237,12 @@ def build_irrep(mu: Sequence[int], c: GaussRat, n: int) -> Irrep:
             E[i][j] = bracket(E[i][j - 1], E[j - 1][j])
             E[j][i] = bracket(E[j][j - 1], E[j - 1][i])
 
-    return Irrep(n, mu, c, d, E, hw_index=0)
-
+    # every N_ij over D, the lcm of all the q
+    den = lcm(*(q for row in E for q, _, _ in row))
+    ints = [[int_columns(*({key: x * (den // q) for key, x in part.items()}
+                           for part in (re, im)), d)
+             for q, re, im in row] for row in E]
+    return Irrep(n, mu, c, den, ints, hw_index=0)
 
 def burnside_dim(mats: List[Mat]) -> int:
     """Dimension of the unital matrix algebra generated by mats."""
@@ -272,12 +279,17 @@ def highest_weight_theta(diagonals: Sequence[Tuple[int, IntMatrix]],
     return den, hw_shifted(int_columns(re, im, d), hw)
 
 
+def diagonal_entry(a: IntMatrix, k: int) -> Tuple[int, int]:
+    """Entry (k, k) of a square IntMatrix as its (re, im) parts."""
+    return tuple(dict(part[k]).get(k, 0) if part else 0 for part in a)
+
+
 def hw_shifted(a: IntMatrix, hw: int) -> IntMatrix:
     """a minus its diagonal entry at the highest weight vector hw times I,
     for a square IntMatrix a; over any denominator, the entry is that
     of den a.  A subspace is invariant under a exactly when it is
     invariant under a - cI, so both spin any vector alike."""
-    top = [dict(part[hw]).get(hw, 0) if part else 0 for part in a]
+    top = diagonal_entry(a, hw)
     if not any(top):
         return a
     d = len(a[0])

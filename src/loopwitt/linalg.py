@@ -8,14 +8,11 @@ dict from index to nonzero int.  `int_columns` collects integer entries
 into an IntMatrix, `int_apply` applies one, and `null_space` and
 `int_spin` take and return integer forms only.
 
-GaussRat appears at the boundary.  Vec, a dict from index to nonzero
-GaussRat, and Columns, per column its nonzero (row, GaussRat) pairs,
-rows increasing, are the formats `glnrep.build_irrep` builds V(mu, c)
-in: a sum of sparse terms is collected by `sparse_sum` into Entries,
-keyed (row, col), and `to_columns` turns it back into Columns.
-`int_matrix` clears Columns to an IntMatrix over a given D, and `dense`
-turns an IntMatrix over D into a dense GaussRat Mat, for printing the
-E_ij and for the Burnside closure.
+GaussRat appears at the boundary.  Vec is a dict from index to nonzero
+GaussRat, which `int_vec` clears to an IntVec; `sparse_sum` collects a
+sum of sparse terms by key, and `dense` turns an IntMatrix over D into
+a dense GaussRat Mat, for printing the E_ij and for the Burnside
+closure.
 
 Elimination is fraction free, with no pivoting strategy, on sparse
 vectors, so a zero is never visited: SpanBasis keeps each row as a
@@ -29,18 +26,14 @@ made primitive.
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import (Dict, Hashable, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple, TypeVar, Union)
+from typing import (Dict, Hashable, Iterable, List, Optional, Sequence,
+                    Tuple, TypeVar, Union)
 
 from .scalars import GaussRat, ONE, ZERO
 
 # a sparse vector: index -> nonzero entry
 Vec = Dict[int, GaussRat]
 Mat = List[List[GaussRat]]
-# a sparse column: its nonzero (row, entry) pairs, rows increasing
-Column = List[Tuple[int, GaussRat]]
-Columns = List[Column]
-Entry = Tuple[Tuple[int, int], GaussRat]
 Entries = Dict[Tuple[int, int], GaussRat]
 # a Gaussian-integer vector: its real and its imaginary parts, each a
 # dict from index to nonzero int
@@ -97,15 +90,6 @@ def transposed(a: IntMatrix) -> IntMatrix:
     return int_columns(re, im, d)
 
 
-def product_entries(a: Columns, b: Columns) -> Iterator[Entry]:
-    """The terms of the product a b, keyed (row, col).  Column c of a b is
-    sum_t b[t][c] (column t of a), so no zero is ever visited."""
-    for col, b_col in enumerate(b):
-        for t, x in b_col:
-            for row, y in a[t]:
-                yield (row, col), y * x
-
-
 Key = TypeVar("Key", bound=Hashable)
 
 
@@ -123,39 +107,9 @@ def sparse_sum(plus: Iterable[Tuple[Key, GaussRat]],
     return {key: x for key, x in out.items() if x}
 
 
-def to_columns(a: Entries, cols: int) -> Columns:
-    """The Columns of the matrix whose nonzero entries are a."""
-    out: Columns = [[] for _ in range(cols)]
-    for row, col in sorted(a):
-        out[col].append((row, a[row, col]))
-    return out
-
-
-def denominator(xs: Iterable[GaussRat]) -> int:
-    """The least D > 0 with every D x a Gaussian integer."""
-    return lcm(*{x.parts()[2] for x in xs})
-
-
-def int_matrix(a: Columns, den: int) -> IntMatrix:
-    """den a as a Gaussian-integer matrix, for den a multiple of the
-    denominator of each entry of a."""
-    re, im = [], []
-    for col in a:
-        re_col, im_col = [], []
-        for row, x in col:
-            p, q, r = x.parts()
-            if p:
-                re_col.append((row, p * (den // r)))
-            if q:
-                im_col.append((row, q * (den // r)))
-        re.append(re_col)
-        im.append(im_col)
-    return re, im if any(im) else None
-
-
 def int_vec(v: Vec) -> Tuple[IntVec, int]:
     """D v as an IntVec, and D, the least common denominator of v."""
-    den = denominator(v.values())
+    den = lcm(*{x.parts()[2] for x in v.values()})
     re, im = {}, {}
     for j, x in v.items():
         p, q, r = x.parts()

@@ -380,7 +380,8 @@ def run_gl_relations(cfg: RunConfig) -> Outcome:
                          "want": rep.d * rep.d})
     cases += 1
     for i in range(1, cfg.n):
-        if rep.columns(i, i + 1)[rep.hw_index]:
+        re, im = ints[i - 1][i]
+        if re[rep.hw_index] or im and im[rep.hw_index]:
             failures.append({"check": "highest-weight", "raising": i})
     return cases, failures
 

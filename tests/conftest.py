@@ -55,16 +55,98 @@ def any_pres(request):
     return make_laurent()
 
 
+def irrep_of(rep, mats):
+    """An Irrep labelled like rep whose E_ij is the dense matrix
+    mats[i - 1][j - 1], over the least common denominator of them all:
+    the way a test plants a changed gl(n) module."""
+    from loopwitt.glnrep import Irrep
+    den, ints = reference_int_view([[columns(m) for m in row]
+                                    for row in mats])
+    return Irrep(rep.n, rep.mu, rep.c, den, ints, rep.hw_index)
+
+
+def changed_irrep(rep, change):
+    """rep with every E_ij replaced by change(i, j, E_ij), for 1-based i
+    and j and dense matrices."""
+    rng = range(1, rep.n + 1)
+    return irrep_of(rep, [[change(i, j, rep.E(i, j)) for j in rng]
+                          for i in rng])
+
+
+def reference_build_irrep(mu, c, n):
+    """Every E_ij of V(mu, c) as Columns over Q(i), 0-based, built in
+    GaussRat arithmetic from Molev's formulas and sparse commutators: the
+    construction of glnrep.build_irrep before it ran in Gaussian
+    integers, kept as its oracle."""
+    from fractions import Fraction
+    from math import prod
+    from loopwitt.glnrep import gt_patterns, partition
+    from loopwitt.linalg import sparse_sum
+    lam = partition(mu)
+    patterns = gt_patterns(lam)
+    d = len(patterns)
+    index = {p: col for col, p in enumerate(patterns)}
+
+    def moved(p, k, i, step):
+        row = list(p[k])
+        row[i] += step
+        return index.get(p[:k] + (tuple(row),) + p[k + 1:])
+
+    shift = (c - sum(lam)) * GaussRat(Fraction(1, n))
+    E = [[None] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        diagonal = (GaussRat(sum(p[k]) - sum(p[k - 1])) + shift
+                    for p in patterns)
+        E[k - 1][k - 1] = [[(col, x)] if x else []
+                           for col, x in enumerate(diagonal)]
+    for k in range(1, n):
+        up, down = [], []
+        for p in patterns:
+            l = [[x - i for i, x in enumerate(row)] for row in p]
+            up_col, down_col = [], []
+            for i, x in enumerate(l[k]):
+                den = prod(x - y for j, y in enumerate(l[k]) if j != i)
+                target = moved(p, k, i, 1)
+                if target is not None:
+                    num = -prod(x - y for y in l[k + 1])
+                    up_col.append((target, GaussRat(Fraction(num, den))))
+                target = moved(p, k, i, -1)
+                if target is not None:
+                    num = prod(x - y for y in l[k - 1])
+                    down_col.append((target, GaussRat(Fraction(num, den))))
+            up.append(sorted(up_col))
+            down.append(sorted(down_col))
+        E[k - 1][k], E[k][k - 1] = up, down
+
+    def bracket(a, b):
+        return to_columns(
+            sparse_sum(product_entries(a, b), product_entries(b, a)), d)
+
+    for gap in range(2, n):
+        for i in range(n - gap):
+            j = i + gap
+            E[i][j] = bracket(E[i][j - 1], E[j - 1][j])
+            E[j][i] = bracket(E[j][j - 1], E[j - 1][i])
+    return E
+
+
+def reference_int_view(E):
+    """D and every D E_ij as an IntMatrix, for Columns E_ij and D the
+    least common denominator of them all: the oracle of Irrep.int_view."""
+    den = denominator(x for row in E for a in row for col in a
+                      for _, x in col)
+    return den, [[int_matrix(a, den) for a in row] for row in E]
+
+
 def direct_sum_irrep(a, b):
     """The block-diagonal gl(n) module a (+) b, labelled like a; its
     highest weight vector is a's.  The columns of b follow those of a,
     with their rows offset by a.d."""
-    from loopwitt.glnrep import Irrep
+    from loopwitt.scalars import ZERO
     rng = range(1, a.n + 1)
-    E = [[a.columns(i, j) + [[(r + a.d, x) for r, x in col]
-                             for col in b.columns(i, j)]
-          for j in rng] for i in rng]
-    return Irrep(a.n, a.mu, a.c, a.d + b.d, E, a.hw_index)
+    return irrep_of(a, [[[row + [ZERO] * b.d for row in a.E(i, j)]
+                         + [[ZERO] * a.d + row for row in b.E(i, j)]
+                         for j in rng] for i in rng])
 
 
 # -- oracles the library itself does not need --------------------------
@@ -113,12 +195,52 @@ def entries(a):
             yield (row, col), x
 
 
+def denominator(xs):
+    """The least D > 0 with every D x a Gaussian integer."""
+    from math import lcm
+    return lcm(*{x.parts()[2] for x in xs})
+
+
+def int_matrix(a, den):
+    """den a as a Gaussian-integer matrix, for Columns a and den a
+    multiple of the denominator of each entry of a."""
+    re, im = [], []
+    for col in a:
+        re_col, im_col = [], []
+        for row, x in col:
+            p, q, r = x.parts()
+            if p:
+                re_col.append((row, p * (den // r)))
+            if q:
+                im_col.append((row, q * (den // r)))
+        re.append(re_col)
+        im.append(im_col)
+    return re, im if any(im) else None
+
+
 def int_form(a):
     """(D, D a) for Columns a, D the least common denominator of its
     entries: the (den, IntMatrix) form the checks read."""
-    from loopwitt.linalg import denominator, int_matrix
     den = denominator(x for col in a for _, x in col)
     return den, int_matrix(a, den)
+
+
+def to_columns(a, cols):
+    """The Columns of the matrix whose nonzero entries are a, keyed
+    (row, col)."""
+    out = [[] for _ in range(cols)]
+    for row, col in sorted(a):
+        out[col].append((row, a[row, col]))
+    return out
+
+
+def product_entries(a, b):
+    """The terms of the product a b of Columns, keyed (row, col).  Column
+    c of a b is sum_t b[t][c] (column t of a)."""
+    for col, b_col in enumerate(b):
+        for t, x in b_col:
+            for row, y in a[t]:
+                yield (row, col), y * x
 
 
 def int_mat(a):
@@ -226,7 +348,7 @@ def rational_hw_shifted(a, hw):
     a square column view.  A subspace is invariant under a exactly when
     it is invariant under a - cI, so both spin any vector alike.  The
     GaussRat oracle of glnrep.hw_shifted."""
-    from loopwitt.linalg import sparse_sum, to_columns
+    from loopwitt.linalg import sparse_sum
     top = dict(a[hw]).get(hw)
     if not top:
         return a
@@ -241,7 +363,7 @@ def rational_highest_weight_theta(diagonals, hw):
     scalar: sum_i (n - i) E_ii minus its diagonal entry at the highest
     weight vector hw times I.  The GaussRat oracle of
     glnrep.highest_weight_theta."""
-    from loopwitt.linalg import sparse_sum, to_columns
+    from loopwitt.linalg import sparse_sum
     n, d = len(diagonals), len(diagonals[0])
     theta = sparse_sum((key, GaussRat(n - 1 - i) * x)
                        for i, m in enumerate(diagonals)
@@ -555,12 +677,7 @@ def reference_assoc_unital(r, s, b, b2, v):
 def doubled_off_diagonal(rep):
     """rep with every off-diagonal E_ij doubled: no representation for
     n >= 2, so the identities give nonzero residuals on it."""
-    from loopwitt.glnrep import Irrep
-    rng = range(1, rep.n + 1)
-    return Irrep(rep.n, rep.mu, rep.c, rep.d,
-                 [[rep.columns(i, j) if i == j
-                   else [[(r, 2 * x) for r, x in c] for c in rep.columns(i, j)]
-                   for j in rng] for i in rng], rep.hw_index)
+    return changed_irrep(rep, lambda i, j, m: m if i == j else mat_add(m, m))
 
 
 def reference_operator(family, spec, module):

@@ -6,9 +6,10 @@ extracts REV's src/ into a temporary directory (`git archive REV src`,
 which writes nothing under .git), runs one fixed corpus of CLI calls
 once against REV's src/ and once against the working tree's src/, each
 side in its own subprocess, and deletes the directory.  It strips
-`wall_time` from every verify-all report, prints one sha256 digest per
-call, names every call whose output or exit code differs, and exits 1
-if any call differs, 0 if none does.
+`wall_time` from every verify-all report, hashes stdout and stderr
+apart, prints the sha256 digest of each call's stdout, names every call
+whose stdout, stderr or exit code differs, and exits 1 if any call
+differs, 0 if none does.
 
 The corpus is `test_reports_pinned._calls()`, the calls whose digests
 are pinned, plus these, all at seed 7:
@@ -21,7 +22,13 @@ are pinned, plus these, all at seed 7:
   default suites, 3 cases), the only calls whose operator suite runs at
   n = 4: laurent with real c and alpha, polyquot with non-real ones;
 * `bracket` on the expressions of test_src_reach, at n = 2 on the three
-  grid B; trivial B rejects every one of them, as each holds x.
+  grid B; trivial B rejects every one of them, as each holds x;
+* `irrep-info --json`, `irrep-info --matrices --json` and `verify-all
+  --json --suite gl-relations --suite irreducibility` (1 case) at c = 0
+  and at c = 1/2 + i, on gl(1) with mu = (), the five gl-cert modules
+  and gl(5) with mu = (1, 0, 0, 0): the pinned irrep-info calls all run
+  at c = 3/2, so only these reach a zero entry of the integer diagonal
+  shift or an imaginary part of the E_ii.
 `extract_src(rev, dest)` and `compare(base_src, head_src, calls)` are
 the two steps.
 """
@@ -41,9 +48,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # Runs in a subprocess whose PYTHONPATH is one src/ directory: reads the
 # calls, name -> [CLI arguments without --config, config document], from
-# stdin and prints name -> [exit code, sha256 of stdout] as one JSON line.
-# A verify-all report is hashed without its wall_time fields, as
-# test_reports_pinned hashes it.
+# stdin and prints name -> [exit code, sha256 of stdout, sha256 of
+# stderr] as one JSON line.  A verify-all report is hashed without its
+# wall_time fields, as test_reports_pinned hashes it.
 RUNNER = r"""
 import contextlib, hashlib, io, json, os, sys, tempfile
 from loopwitt.cli import main
@@ -54,16 +61,16 @@ with tempfile.TemporaryDirectory() as tmp:
     for name, (args, doc) in sorted(calls.items()):
         with open(path, "w") as f:
             json.dump(doc, f)
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf), \
-                contextlib.redirect_stderr(io.StringIO()):
+        buf, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
             code = main(args + ["--config", path])
         text = buf.getvalue()
         if args[0] == "verify-all" and "--json" in args and text:
             body = [{k: v for k, v in r.items() if k != "wall_time"}
                     for r in json.loads(text)]
             text = json.dumps(body, sort_keys=True, indent=2)
-        out[name] = [code, hashlib.sha256(text.encode()).hexdigest()]
+        out[name] = [code] + [hashlib.sha256(t.encode()).hexdigest()
+                              for t in (text, err.getvalue())]
 print(json.dumps(out))
 """
 
@@ -73,7 +80,7 @@ Call = Tuple[List[str], Dict]
 def corpus() -> Dict[str, Call]:
     """The pinned calls and the calls at seed 7."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
-    from test_reports_pinned import B_SPECS, GRID_MU, _calls
+    from test_reports_pinned import B_SPECS, GL_CERT_MODULES, GRID_MU, _calls
     from test_src_reach import BRACKETS
     calls = _calls()
     for n, mu in GRID_MU.items():
@@ -96,12 +103,22 @@ def corpus() -> Dict[str, Call]:
         for k, pair in enumerate(BRACKETS):
             calls[f"bracket/{kind}/{k}"] = (
                 ["bracket", *pair], {"n": 2, "mu": [1], "B": b, "seed": 7})
+    gl_calls = {"irrep-info": ["irrep-info", "--json"],
+                "matrices": ["irrep-info", "--matrices", "--json"],
+                "verify-all": ["verify-all", "--json", "--suite",
+                               "gl-relations", "--suite", "irreducibility"]}
+    for c in ("0", "1/2+1 i"):
+        for n, mu in [(1, []), *GL_CERT_MODULES, (5, [1, 0, 0, 0])]:
+            for label, args in gl_calls.items():
+                calls[f"c={c}/{label}/{n}/{mu}"] = (
+                    args, {"n": n, "mu": mu, "c": c, "seed": 7,
+                           "cases_per_suite": 1})
     return calls
 
 
 def run_calls(src: Path, calls: Dict[str, Call]) -> Dict[str, List]:
-    """name -> [exit code, digest] for each call, run against the
-    loopwitt package in the directory src."""
+    """name -> [exit code, stdout digest, stderr digest] for each call,
+    run against the loopwitt package in the directory src."""
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
     with tempfile.TemporaryDirectory() as cwd:
         done = subprocess.run([sys.executable, "-c", RUNNER],
@@ -124,18 +141,19 @@ def extract_src(rev: str, dest: Path) -> Path:
 
 def compare(base_src: Path, head_src: Path, calls: Dict[str, Call],
             out=None) -> List[str]:
-    """Run the calls against both src/ directories, print a digest per
-    call, and return the names of the calls that differ."""
+    """Run the calls against both src/ directories, print the stdout
+    digest of each call, and return the names of the calls whose exit
+    code, stdout or stderr differ."""
     base, head = run_calls(base_src, calls), run_calls(head_src, calls)
     differ = []
     for name in sorted(calls):
-        (code, digest), (head_code, head_digest) = base[name], head[name]
-        if (code, digest) == (head_code, head_digest):
+        (code, digest, err), got = base[name], head[name]
+        if [code, digest, err] == got:
             print(f"{digest} exit {code} {name}", file=out)
         else:
             differ.append(name)
-            print(f"DIFFERS {name}: base {digest} exit {code}, head "
-                  f"{head_digest} exit {head_code}", file=out)
+            print(f"DIFFERS {name}: base {digest} stderr {err} exit {code}, "
+                  f"head {got[1]} stderr {got[2]} exit {got[0]}", file=out)
     print(f"{len(calls)} calls, {len(differ)} differ", file=out)
     return differ
 

@@ -1,16 +1,17 @@
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import count, permutations, product, takewhile
 
 import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import (all_relations_hold, columns, dense_of,
-                      dense_relation_residual, direct_sum_irrep, int_form,
-                      int_mat, mat_is_zero, rational_columns,
-                      rational_highest_weight_theta, rational_hw_shifted)
+from conftest import (all_relations_hold, columns, dense_relation_residual,
+                      direct_sum_irrep, int_form, int_mat, mat_is_zero,
+                      rational_columns, rational_highest_weight_theta,
+                      rational_hw_shifted, reference_build_irrep,
+                      reference_int_view)
 from loopwitt import glnrep
-from loopwitt.glnrep import (build_irrep, burnside_dim, gt_patterns,
+from loopwitt.glnrep import (DIM_CAP, build_irrep, burnside_dim, gt_patterns,
                              partition, weyl_dim)
 from loopwitt.linalg import dense, identity, mat_mul, zeros
 from loopwitt.scalars import GaussRat, ONE, ZERO
@@ -163,14 +164,16 @@ SPARSE_VIEW_CASES = sparse_view_cases()
 
 @pytest.mark.parametrize("name", sorted(SPARSE_VIEW_CASES))
 def test_sparse_view_matches_dense(name):
-    """Every E_ij is d columns of nonzero entries, rows increasing, and
+    """Every N_ij is d columns of nonzero entries, rows increasing, and
     every sparse relation residual equals the dense-commutator oracle."""
     rep = SPARSE_VIEW_CASES[name]()
     rng = range(1, rep.n + 1)
-    for i, j in product(rng, repeat=2):
-        cols = rep.columns(i, j)
-        assert len(cols) == rep.d
-        assert columns(rep.E(i, j)) == cols
+    _, ints = rep.int_view()
+    for part in (part for row in ints for m in row for part in m if part):
+        assert len(part) == rep.d
+        for col in part:
+            assert all(x for _, x in col)
+            assert [r for r, _ in col] == sorted({r for r, _ in col})
     for i, j, k, l in product(rng, repeat=4):
         res = rep.relation_residual(i, j, k, l)
         assert [[res.get((r, c), ZERO) for c in range(rep.d)]
@@ -204,44 +207,69 @@ def gl_generators(rep):
                                       rep.hw_index)
 
 
+def modules_up_to(cap, n_max):
+    """(mu, n) for every gl(n) module with n <= n_max and d <= cap; the
+    dimension grows with each entry of mu."""
+    out = []
+    for n in range(1, n_max + 1):
+        mus = [()]
+        for k in range(n - 1):
+            pad = (0,) * (n - 2 - k)
+            mus = [mu + (m,) for mu in mus for m in takewhile(
+                lambda m, mu=mu: weyl_dim(mu + (m,) + pad, n) <= cap,
+                count())]
+        out += [(mu, n) for mu in mus]
+    return out
+
+
 class TestIntegerView:
     def test_view_is_d_times_every_e_ij(self):
         from loopwitt.linalg import sparse_sum
-        rep = build_irrep((1, 1), GaussRat(Fraction(3, 2), 1), 3)
+        scalar = GaussRat(Fraction(3, 2), 1)
+        rep = build_irrep((1, 1), scalar, 3)
+        reference = reference_build_irrep((1, 1), scalar, 3)
         den, ints = rep.int_view()
         for i, j in product(range(1, 4), repeat=2):
             re, im = ints[i - 1][j - 1]
-            for c, col in enumerate(rep.columns(i, j)):
+            for c, col in enumerate(reference[i - 1][j - 1]):
                 got = sparse_sum([(r, GaussRat(x)) for r, x in re[c]] + [
                     (r, GaussRat(0, x)) for r, x in (im[c] if im else [])])
                 assert got == {r: x * den for r, x in col}
         # the diagonal carries c's imaginary part, the rest is real
         assert ints[0][0][1] is not None and ints[0][1][1] is None
 
-    def test_view_follows_a_patch_of_columns_after_build(self,
-                                                         monkeypatch):
-        # the view is built on first use from Irrep.columns, so a patch
-        # made after build_irrep reaches relation_residual and trace_part
-        from loopwitt.glnrep import Irrep
-        rep = build_irrep((1, 0), GaussRat(Fraction(3, 2), 1), 3)
-        cols = Irrep.columns
+    @pytest.mark.parametrize("c", [
+        GaussRat(Fraction(3, 2)), GaussRat(Fraction(1, 2), 1), GaussRat(0),
+        GaussRat(Fraction(-7, 3), Fraction(-2, 5))], ids=str)
+    def test_build_matches_the_gauss_rat_construction(self, c):
+        # the same least D and the same N_ij as the GaussRat construction
+        # cleared, on every module up to DIM_CAP at n <= 5
+        modules = modules_up_to(DIM_CAP, 5)
+        assert len(modules) == 141
+        for mu, n in modules:
+            assert build_irrep(mu, c, n).int_view() == reference_int_view(
+                reference_build_irrep(mu, c, n)), (mu, n)
 
-        def changed(self, i, j):
-            if (i, j) != (2, 1):
-                return cols(self, i, j)
-            m = dense_of(cols(self, i, j), self.d)
-            m[0][2] = m[0][2] + GaussRat(Fraction(1, 7), 1)
-            return columns(m)
+    def test_build_makes_no_gauss_rat(self, monkeypatch):
+        # every GaussRat is made by scalars._norm; at a non-real c the
+        # d = 64 modules make none, and the weight table one per
+        # diagonal entry
+        from loopwitt import scalars
+        calls = []
+        norm = scalars._norm
 
-        monkeypatch.setattr(Irrep, "columns", changed)
-        for idx in product(range(1, 4), repeat=4):
-            got = rep.relation_residual(*idx)
-            want = dense_relation_residual(rep, *idx)
-            assert got == {(r, c): x for r, row in enumerate(want)
-                           for c, x in enumerate(row) if x}
-        assert not all_relations_hold(rep)
-        den, ints = rep.int_view()
-        assert den % 7 == 0
+        def counted(*args):
+            calls.append(args)
+            return norm(*args)
+
+        c = GaussRat(Fraction(1, 2), 1)
+        monkeypatch.setattr(scalars, "_norm", counted)
+        for mu, n in [((1, 1, 1), 4), ((3, 3), 3)]:
+            rep = build_irrep(mu, c, n)
+            assert rep.d == DIM_CAP and calls == []
+            rep.weight_table()
+            assert len(calls) == n * rep.d
+            calls.clear()
 
 
 class TestNorton:
@@ -360,6 +388,51 @@ class TestIntegerFormsAgainstGaussRat:
         den, m = scaled(int_form(a), k)
         assert rational_columns((den, glnrep.hw_shifted(m, hw))) == (
             rational_hw_shifted(a, hw))
+
+
+@pytest.mark.parametrize("c", ["3/2", "1/2+1 i"])
+def test_any_common_denominator_gives_the_same_output(c, tmp_path, capsys,
+                                                      monkeypatch):
+    # an Irrep over (2D, 2 N_ij) is the same module: the reports of the
+    # default suites and the printed E_ij are byte-identical to those
+    # over the least D, at real and at non-real c
+    import json
+    from loopwitt import cli, suites
+    from loopwitt.glnrep import Irrep
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "n": 3, "mu": [1, 0], "c": c, "alpha": ["1/3", "-1/2 i", "2/3"],
+        "B": {"kind": "polyquot", "modulus": ["-8", "12", "-6", "1"],
+              "eval_point": "2"}, "seed": 7, "cases_per_suite": 2}))
+
+    def outputs():
+        out = []
+        for args in (["verify-all", "--json"],
+                     ["irrep-info", "--matrices", "--json"]):
+            assert cli.main(args + ["--config", str(path)]) == 0
+            text = capsys.readouterr().out
+            if args[0] == "verify-all":
+                text = json.dumps([{k: v for k, v in r.items()
+                                    if k != "wall_time"}
+                                   for r in json.loads(text)])
+            out.append(text)
+        return out
+
+    want = outputs()
+    build, calls = glnrep.build_irrep, []
+
+    def doubled(mu, c, n):
+        rep = build(mu, c, n)
+        den, ints = rep.int_view()
+        calls.append(n)
+        return Irrep(n, rep.mu, rep.c, 2 * den,
+                     [[scaled((den, m), 2)[1] for m in row] for row in ints],
+                     rep.hw_index)
+
+    for module in (cli, suites):
+        monkeypatch.setattr(module, "build_irrep", doubled)
+    assert outputs() == want
+    assert calls == [3, 3]
 
 
 class TestBurnside:

@@ -1,7 +1,7 @@
 """tests/identity.py, the byte-identity check between two revisions, on
 two calls: the same src/ on both sides is identical, and a copy of src/
-with one changed report field is named; and its base src/, extracted
-without touching .git."""
+with one changed report field or one changed error message is named;
+and its base src/, extracted without touching .git."""
 
 import shutil
 import subprocess
@@ -27,19 +27,39 @@ def test_the_same_src_is_identical(capsys):
     assert "2 calls, 0 differ" in out
 
 
-def test_a_changed_report_field_is_named(tmp_path, capsys):
+def changed_src(tmp_path, module, old, new):
+    """A copy of src/ with the one occurrence of old in loopwitt/module
+    replaced by new."""
     changed = tmp_path / "src"
     shutil.copytree(SRC / "loopwitt", changed / "loopwitt",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    path = changed / "loopwitt" / "suites.py"
+    path = changed / "loopwitt" / module
     text = path.read_text()
-    assert text.count('"cases": self.cases,') == 1
-    path.write_text(text.replace('"cases": self.cases,',
-                                 '"cases": self.cases + 1,'))
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    return changed
+
+
+def test_a_changed_report_field_is_named(tmp_path, capsys):
+    changed = changed_src(tmp_path, "suites.py", '"cases": self.cases,',
+                          '"cases": self.cases + 1,')
     assert identity.compare(SRC, changed, TWO) == ["verify-all/1/trivial"]
     out = capsys.readouterr().out
     assert "DIFFERS verify-all/1/trivial" in out
     assert "2 calls, 1 differ" in out
+
+
+def test_a_changed_error_message_is_named(tmp_path, capsys):
+    # trivial B rejects the bracket with exit 2 and empty stdout, so only
+    # stderr tells the message apart
+    name = "bracket/trivial/0"
+    calls = {name: identity.corpus()[name],
+             "module-info/1/trivial": CALLS["module-info/1/trivial"]}
+    changed = changed_src(tmp_path, "coeff.py", "trivial B has only scalars",
+                          "trivial B holds only scalars")
+    assert identity.compare(SRC, changed, calls) == [name]
+    out = capsys.readouterr().out
+    assert f"DIFFERS {name}" in out and "2 calls, 1 differ" in out
 
 
 @pytest.mark.skipif(not (identity.ROOT / ".git").exists(),

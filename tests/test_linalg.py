@@ -4,13 +4,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (RationalSpanBasis, col_apply, columns, domain_matrix,
-                      entries, int_form, int_mat, int_of, mat_vec, monic_rows,
-                      monic_vecs, rank, rational_null_space, sparse,
-                      transpose)
+                      entries, int_form, int_mat, int_matrix, int_of,
+                      mat_vec, monic_rows, monic_vecs, product_entries, rank,
+                      rational_null_space, sparse, to_columns, transpose)
 from loopwitt.linalg import (SpanBasis, dense, gauss_entries, int_apply,
-                             int_columns, int_matrix, int_vec, null_space,
-                             int_spin, primitive, product_entries,
-                             sparse_sum, to_columns, transposed)
+                             int_columns, int_vec, null_space, int_spin,
+                             primitive, sparse_sum, transposed)
 from loopwitt.scalars import GaussRat, I, ZERO
 
 

@@ -3,16 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (OLD_SCALED_ROW, as_operator, block_column, columns,
-                      dense_of, dense_relation_residual, direct_sum_irrep,
-                      doubled_off_diagonal, mat_is_zero, rank,
-                      rational_columns, reference_act, reference_block,
+from conftest import (OLD_SCALED_ROW, as_operator, block_column,
+                      changed_irrep, dense_of, dense_relation_residual,
+                      direct_sum_irrep, doubled_off_diagonal, mat_is_zero,
+                      rank, rational_columns, reference_act, reference_block,
                       reference_bracket_identity, reference_evaluated,
                       reference_op_matrix,
                       reference_preserves_differences,
                       shift_difference_generators, window_coords)
 from loopwitt import opcheck, suites, tensmod
 from loopwitt.glnrep import build_irrep
+from loopwitt.linalg import zeros
 from loopwitt.loop import LoopElem
 from loopwitt.opcheck import OperatorTable, OpSpec
 from loopwitt.scalars import GaussRat, ONE, ZERO
@@ -697,14 +698,22 @@ def operator_suite_failures(n, mu, pres):
     return suite_failures("operator-suite", n, mu, bpres=pres)
 
 
+def plant(monkeypatch, change):
+    """Make the suites build every gl(n) module with each E_ij replaced
+    by change(i, j, E_ij), dense, and return that builder."""
+    build = suites.build_irrep
+
+    def changed(mu, c, n):
+        return changed_irrep(build(mu, c, n), change)
+    monkeypatch.setattr(suites, "build_irrep", changed)
+    return changed
+
+
 def drop_e_terms(monkeypatch, keep_diagonal):
-    """Plant a defect in act's sum_ij u_i r_j E_ji term: act reads E_ji
-    through Irrep.columns, and no other reader runs in the suites below."""
-    from loopwitt.glnrep import Irrep
-    cols = Irrep.columns
-    monkeypatch.setattr(
-        Irrep, "columns", lambda self, i, j: cols(self, i, j)
-        if keep_diagonal and i == j else [[] for _ in range(self.d)])
+    """Plant a defect in act's sum_ij u_i r_j E_ji term: the off-diagonal
+    E_ij, or all of them, are zero."""
+    plant(monkeypatch, lambda i, j, m: m if keep_diagonal and i == j
+          else zeros(len(m), len(m)))
 
 
 def double_d_terms_on_slice(monkeypatch, first):
@@ -823,11 +832,8 @@ class TestNegativeControls:
                                                             monkeypatch):
         # at n = 2 this is conjugation by diag(1, -1), an automorphism,
         # so the control needs n = 3
-        from loopwitt.glnrep import Irrep
-        cols = Irrep.columns
-        monkeypatch.setattr(
-            Irrep, "columns", lambda self, i, j: cols(self, i, j) if i == j
-            else [[(r, -x) for r, x in col] for col in cols(self, i, j)])
+        plant(monkeypatch, lambda i, j, m: m if i == j
+              else [[-x for x in row] for row in m])
         assert BRACKET_CHECKS <= operator_suite_failures(3, (1, 0), trivial)
 
     def test_clean_run_has_no_failures(self, trivial):
@@ -915,88 +921,57 @@ class TestNegativeControls:
         # adding 1/n to every diagonal entry of E_11..E_nn keeps every
         # commutation relation, the dimension, Burnside and the highest
         # weight; only the identity then acts by c + 1
-        from loopwitt import suites
-        from loopwitt.glnrep import Irrep
-        build = suites.build_irrep
-
-        def shifted(mu, c, n):
-            rep = build(mu, c, n)
-            rng = range(1, n + 1)
-            E = [[rep.columns(i, j) for j in rng] for i in rng]
-            for i in range(n):
-                m = dense_of(E[i][i], rep.d)
-                for k in range(rep.d):
-                    m[k][k] = m[k][k] + GaussRat(Fraction(1, n))
-                E[i][i] = columns(m)
-            return Irrep(n, rep.mu, rep.c, rep.d, E, rep.hw_index)
-
-        monkeypatch.setattr(suites, "build_irrep", shifted)
         for n, mu in ((1, ()), (2, (1,)), (3, (1, 1))):
-            assert suite_failures("gl-relations", n, mu) == {
-                "identity-scalar"}
+            shift = GaussRat(Fraction(1, n))
+            with monkeypatch.context() as mp:
+                plant(mp, lambda i, j, m: [
+                    [x + shift if i == j and r == k else x
+                     for k, x in enumerate(row)] for r, row in enumerate(m)])
+                assert suite_failures("gl-relations", n, mu) == {
+                    "identity-scalar"}
 
     @pytest.mark.parametrize("mu", [(1, 0), (2, 1), (1,), (2,), (1, 0, 0)])
     def test_changed_off_diagonal_entry_fails_gl_relations(self, mu,
                                                            monkeypatch):
-        # one off-diagonal entry of E_12 at n = len(mu) + 1, changed
-        # through Irrep.columns: gl-relations reports exactly the
-        # relations whose dense commutator residual is nonzero, both
-        # orders of each failing pair, in lexicographic order
-        from itertools import product
-        from loopwitt import suites
-        from loopwitt.glnrep import Irrep
-        cols = Irrep.columns
-
-        def changed(self, i, j):
-            if (i, j) != (1, 2):
-                return cols(self, i, j)
-            m = dense_of(cols(self, i, j), self.d)
-            m[1][0] = m[1][0] + 1
-            return columns(m)
-
-        monkeypatch.setattr(Irrep, "columns", changed)
+        # one off-diagonal entry of E_12 at n = len(mu) + 1, changed:
+        # gl-relations reports exactly the relations whose dense
+        # commutator residual is nonzero, both orders of each failing
+        # pair, in lexicographic order
         n = len(mu) + 1
-        cfg = suites.RunConfig(n=n, mu=mu, seed=42, cases_per_suite=1,
-                               suites=("gl-relations",))
-        (report,) = suites.run_suites(cfg)
-        got = [f["indices"] for f in report.failures
-               if f["check"] == "gl-relation"]
-        rep = build_irrep(mu, cfg.c, n)
-        want = [list(idx) for idx in product(range(1, n + 1), repeat=4)
-                if not mat_is_zero(dense_relation_residual(rep, *idx))]
-        assert want and got == want
-
+        assert changed_entry_failures(monkeypatch, n, mu, GaussRat(1),
+                                      GaussRat(1))
 
     def test_imaginary_change_fails_gl_relations_at_complex_c(self,
                                                               monkeypatch):
         # at c = 3/2 + i the E_ii, and so the integer view, have
-        # imaginary parts; an entry of E_12 changed by i through
-        # Irrep.columns fails exactly the relations whose dense residual
-        # is nonzero
-        from itertools import product
-        from loopwitt import suites
-        from loopwitt.glnrep import Irrep
+        # imaginary parts; an entry of E_12 changed by i fails exactly
+        # the relations whose dense residual is nonzero
         from loopwitt.scalars import I
-        cols = Irrep.columns
+        assert changed_entry_failures(monkeypatch, 3, (1, 0),
+                                      GaussRat(Fraction(3, 2), 1), I)
 
-        def changed(self, i, j):
-            if (i, j) != (1, 2):
-                return cols(self, i, j)
-            m = dense_of(cols(self, i, j), self.d)
-            m[1][0] = m[1][0] + I
-            return columns(m)
 
-        monkeypatch.setattr(Irrep, "columns", changed)
-        cfg = suites.RunConfig(n=3, mu=(1, 0), c=GaussRat(Fraction(3, 2), 1),
-                               seed=42, cases_per_suite=1,
-                               suites=("gl-relations",))
-        (report,) = suites.run_suites(cfg)
-        got = [f["indices"] for f in report.failures
-               if f["check"] == "gl-relation"]
-        rep = build_irrep((1, 0), cfg.c, 3)
-        want = [list(idx) for idx in product(range(1, 4), repeat=4)
-                if not mat_is_zero(dense_relation_residual(rep, *idx))]
-        assert want and got == want
+def changed_entry_failures(monkeypatch, n, mu, c, delta):
+    """Plant E_12 with entry (1, 0) changed by delta and run gl-relations
+    at c: whether it fails exactly the relations, in lexicographic
+    order, whose dense residual on the changed module is nonzero."""
+    from itertools import product
+
+    def changed(i, j, m):
+        if (i, j) == (1, 2):
+            m[1][0] = m[1][0] + delta
+        return m
+
+    build = plant(monkeypatch, changed)
+    cfg = suites.RunConfig(n=n, mu=mu, c=c, seed=42, cases_per_suite=1,
+                           suites=("gl-relations",))
+    (report,) = suites.run_suites(cfg)
+    got = [f["indices"] for f in report.failures
+           if f["check"] == "gl-relation"]
+    rep = build(mu, c, n)
+    want = [list(idx) for idx in product(range(1, n + 1), repeat=4)
+            if not mat_is_zero(dense_relation_residual(rep, *idx))]
+    return want != [] and got == want
 
 
 class TestDifferenceSweep:

@@ -62,8 +62,8 @@ RANK_ONE = {"n": 1, "mu": [], "window_radius": 5, "cases_per_suite": 1,
 LAURENT = {"n": 2, "mu": [1], "B": {"kind": "laurent", "eval_point": "3"},
            "cases_per_suite": 2}
 # at n >= 3 build_irrep makes the E_ij with |i - j| >= 2 as sparse
-# commutators, collected back into columns by linalg.to_columns; a
-# non-real c makes the E_ii, and so gl-relations' spins, non-real
+# integer commutators, by linalg.int_product_into; a non-real c makes
+# the E_ii, and so gl-relations' spins, non-real
 GL3 = {"n": 3, "mu": [1, 0], "c": "1/2+1 i", "suites": ["gl-relations"]}
 # the bracket runs' expression pairs: the first two over CONFIG's B, the
 # third over LAURENT's
