@@ -125,13 +125,15 @@ class Irrep:
         """Joint diagonal eigenvalue tuples with multiplicities.
 
         The Gelfand-Tsetlin basis consists of joint eigenvectors of the
-        E_ii, so the eigenvalues can be read off the diagonals of the N_ii.
+        E_ii, so the eigenvalues can be read off the diagonals of the N_ii:
+        counted as integer tuples, then made GaussRat once per weight.
         """
         den, ints = self._ints
-        counts = Counter(
-            tuple(GaussRat.from_parts(*diagonal_entry(ints[i][i], k), den)
-                  for i in range(self.n)) for k in range(self.d))
-        return sorted(counts.items(), key=lambda kv: [str(x) for x in kv[0]])
+        counts = Counter(tuple(diagonal_entry(ints[i][i], k)
+                               for i in range(self.n)) for k in range(self.d))
+        table = [(tuple(GaussRat.from_parts(*x, den) for x in w), mult)
+                 for w, mult in counts.items()]
+        return sorted(table, key=lambda kv: [str(x) for x in kv[0]])
 
 
 Pattern = Tuple[Tuple[int, ...], ...]

@@ -9,10 +9,9 @@ into an IntMatrix, `int_apply` applies one, and `null_space` and
 `int_spin` take and return integer forms only.
 
 GaussRat appears at the boundary.  Vec is a dict from index to nonzero
-GaussRat, which `int_vec` clears to an IntVec; `sparse_sum` collects a
-sum of sparse terms by key, and `dense` turns an IntMatrix over D into
-a dense GaussRat Mat, for printing the E_ij and for the Burnside
-closure.
+GaussRat, which `int_vec` clears to an IntVec, and `dense` turns an
+IntMatrix over D into a dense GaussRat Mat, for printing the E_ij and
+for the Burnside closure.
 
 Elimination is fraction free, with no pivoting strategy, on sparse
 vectors, so a zero is never visited: SpanBasis keeps each row as a
@@ -26,8 +25,8 @@ made primitive.
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import (Dict, Hashable, Iterable, List, Optional, Sequence,
-                    Tuple, TypeVar, Union)
+from typing import (Dict, Hashable, List, Optional, Sequence, Tuple,
+                    TypeVar, Union)
 
 from .scalars import GaussRat, ONE, ZERO
 
@@ -91,20 +90,6 @@ def transposed(a: IntMatrix) -> IntMatrix:
 
 
 Key = TypeVar("Key", bound=Hashable)
-
-
-def sparse_sum(plus: Iterable[Tuple[Key, GaussRat]],
-               minus: Iterable[Tuple[Key, GaussRat]] = ()
-               ) -> Dict[Key, GaussRat]:
-    """The terms of plus minus the terms of minus, collected by key, with
-    the entries that cancel dropped: a Vec for int keys, Entries for
-    (row, col) keys."""
-    out: Dict[Key, GaussRat] = {}
-    for key, x in plus:
-        out[key] = out[key] + x if key in out else x
-    for key, x in minus:
-        out[key] = out[key] - x if key in out else -x
-    return {key: x for key, x in out.items() if x}
 
 
 def int_vec(v: Vec) -> Tuple[IntVec, int]:

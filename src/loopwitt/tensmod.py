@@ -9,9 +9,10 @@ Z^n and truncated to the box |m_i| <= R.  The loop-algebra action is
 extended linearly.  A ModVector holds a block of module vectors over
 the same slices, entry k d + i of a slice being coordinate i of column
 k, in Gaussian integers: one denominator D and, per slice, a
-linalg.IntVec of D times the entries, nonzero parts only.  GaussRat
-comes in through the constructor and out through .data and slice_sum;
-the action, the block arithmetic and op_matrix make none.
+linalg.IntVec of D times the entries, nonzero parts only.  It is
+built in Gaussian integers from the start, and GaussRat comes out only
+through .data; the action, the block arithmetic, the slice sum and
+op_matrix make none.
 
 An element is compiled once per module into its plan, in Gaussian
 integers over one denominator P: per degree r, P kappa_r for the
@@ -127,7 +128,11 @@ class TensorModule:
         return self.rep.d
 
     def basis_vector(self, m: Degree, k: int) -> "ModVector":
-        return ModVector(self, {tuple(m): {k: ONE}})
+        """v_k (x) t^m, a block of one column."""
+        m = tuple(m)
+        if not self.window.contains(m):
+            raise OutOfWindowError(f"degree {m} outside window")
+        return ModVector(self, 1, {m: ({k: 1}, {})})
 
     def basis_block(self, m: Degree) -> "ModVector":
         """The d basis vectors of slice m as one block: column k is
@@ -136,8 +141,8 @@ class TensorModule:
         if not self.window.contains(m):
             raise OutOfWindowError(f"degree {m} outside window")
         d = self.d
-        return ModVector._of(self, 1, {m: ({k * (d + 1): 1
-                                            for k in range(d)}, {})})
+        diagonal = {k * (d + 1): 1 for k in range(d)}
+        return ModVector(self, 1, {m: (diagonal, {})})
 
     def difference_block(self, margin: Sequence[int]) -> "ModVector":
         """The shift differences of every nonzero slice of
@@ -153,7 +158,7 @@ class TensorModule:
         if ints:
             ints[zero] = ({c * d + c % d: -1 for c in range(len(ints) * d)},
                           {})
-        return ModVector._of(self, 1, ints)
+        return ModVector(self, 1, ints)
 
     def plan(self, x: LoopElem) -> List[IntDegreePlan]:
         """x compiled for act_into and put over one denominator, kept on
@@ -227,43 +232,16 @@ class TensorModule:
 class ModVector:
     """Sparse block of a truncated module: den, one denominator, and
     ints, degree -> IntVec of den times the entries, whose entry k d + i
-    is coordinate i of column k.  Only nonzero parts and nonempty slices
-    are kept.  The constructor takes degree -> Vec over GaussRat."""
+    is coordinate i of column k.  The constructor takes the block as it
+    is: nonzero parts and nonempty slices only."""
 
     __slots__ = ("module", "den", "ints")
 
-    def __init__(self, module: TensorModule, data: Dict[Degree, Vec] = None):
+    def __init__(self, module: TensorModule, den: int = 1,
+                 ints: Optional[Dict[Degree, IntVec]] = None):
         self.module = module
-        self.den = 1
-        self.ints = {}
-        if not data:
-            return
-        den = lcm(*{x.parts()[2] for vec in data.values()
-                    for x in vec.values()})
-        for m, vec in data.items():
-            re, im = {}, {}
-            for j, x in vec.items():
-                a, b, q = x.parts()
-                if a:
-                    re[j] = a * (den // q)
-                if b:
-                    im[j] = b * (den // q)
-            if re or im:
-                if not module.window.contains(m):
-                    raise OutOfWindowError(f"degree {m} outside window")
-                self.ints[m] = (re, im)
-        if self.ints:
-            self.den = den
-
-    @classmethod
-    def _of(cls, module: TensorModule, den: int,
-            ints: Dict[Degree, IntVec]) -> "ModVector":
-        """The block with the given denominator and slices, taken as
-        they are: nonzero parts and nonempty slices only."""
-        out = cls(module)
-        out.den = den
-        out.ints = ints
-        return out
+        self.den = den
+        self.ints = {} if ints is None else ints
 
     @property
     def data(self) -> Dict[Degree, Vec]:
@@ -287,13 +265,11 @@ class ModVector:
     def __eq__(self, other):
         return isinstance(other, ModVector) and (self - other).is_zero()
 
-    def slice_sum(self) -> Vec:
+    def slice_sum(self) -> "ModVector":
         """Sum of all slice coordinate vectors: the image of v in the
         quotient of the window by the shift differences
-        v_k(x)t^m - v_k(x)t^0, m != 0, as bottom-slice coordinates; for
-        a block, entry k d + i is coordinate i of column k's image.  It
-        is summed in Gaussian integers, and only its nonzero entries
-        become GaussRat.
+        v_k(x)t^m - v_k(x)t^0, m != 0, as a block on slice 0 over den;
+        for a block, entry k d + i is coordinate i of column k's image.
 
         Order the coordinates with the nonzero slices first and slice 0
         last.  Then the differences are a reduced echelon basis: each has
@@ -304,11 +280,10 @@ class ModVector:
         re: Dict[int, int] = {}
         im: Dict[int, int] = {}
         for vr, vi in self.ints.values():
-            for j, y in vr.items():
-                re[j] = re.get(j, 0) + y
-            for j, y in vi.items():
-                im[j] = im.get(j, 0) + y
-        return gauss_entries(re, im, self.den)
+            add_into(re, vr, 1)
+            add_into(im, vi, 1)
+        return collect(self.module, {self.den: {(0,) * self.module.n:
+                                                (re, im)}})
 
 
 # denominator -> degree -> unpruned IntVec over that denominator: an
@@ -429,7 +404,7 @@ def collect(module: TensorModule, acc: Acc) -> ModVector:
         im = {j: y for j, y in im.items() if y} if im else {}
         if re or im:
             ints[m] = (re, im)
-    return ModVector._of(module, den if ints else 1, ints)
+    return ModVector(module, den if ints else 1, ints)
 
 
 def act(x: LoopElem, v: ModVector) -> ModVector:

@@ -55,6 +55,59 @@ def any_pres(request):
     return make_laurent()
 
 
+def sparse_sum(plus, minus=()):
+    """The terms (key, GaussRat) of plus minus those of minus, collected
+    by key, with the entries that cancel dropped: a Vec for int keys,
+    entries for (row, col) keys."""
+    out = {}
+    for key, x in plus:
+        out[key] = out[key] + x if key in out else x
+    for key, x in minus:
+        out[key] = out[key] - x if key in out else -x
+    return {key: x for key, x in out.items() if x}
+
+
+def mod_vector(module, data=None):
+    """The ModVector of a GaussRat block, degree -> Vec: its denominators
+    cleared to their least common multiple, zero entries and empty
+    slices dropped.  A nonzero slice outside the window raises
+    OutOfWindowError."""
+    from math import lcm
+    from loopwitt.tensmod import ModVector, OutOfWindowError
+    data = data or {}
+    den = lcm(*{x.parts()[2] for vec in data.values() for x in vec.values()})
+    ints = {}
+    for m, vec in data.items():
+        re, im = {}, {}
+        for j, x in vec.items():
+            a, b, q = x.parts()
+            if a:
+                re[j] = a * (den // q)
+            if b:
+                im[j] = b * (den // q)
+        if re or im:
+            if not module.window.contains(m):
+                raise OutOfWindowError(f"degree {m} outside window")
+            ints[m] = (re, im)
+    return ModVector(module, den if ints else 1, ints)
+
+
+def reference_sample_interior_vector(rng, module, margin):
+    """suites.sample_interior_vector as it drew in GaussRat: each
+    coordinate rng.choice(suites._SCALAR_POOL), a slice drawn twice
+    summed by sparse_sum.  The oracle of the integer sampler."""
+    from itertools import chain
+    from loopwitt.suites import _SCALAR_POOL
+    window = module.window
+    data = {}
+    for _ in range(rng.choice((1, 2))):
+        m = window.interior_slice(
+            margin, rng.choice(range(window.interior_count(margin))))
+        vec = [(k, rng.choice(_SCALAR_POOL)) for k in range(module.d)]
+        data[m] = sparse_sum(chain(data.get(m, {}).items(), vec))
+    return mod_vector(module, data)
+
+
 def irrep_of(rep, mats):
     """An Irrep labelled like rep whose E_ij is the dense matrix
     mats[i - 1][j - 1], over the least common denominator of them all:
@@ -81,7 +134,6 @@ def reference_build_irrep(mu, c, n):
     from fractions import Fraction
     from math import prod
     from loopwitt.glnrep import gt_patterns, partition
-    from loopwitt.linalg import sparse_sum
     lam = partition(mu)
     patterns = gt_patterns(lam)
     d = len(patterns)
@@ -348,7 +400,6 @@ def rational_hw_shifted(a, hw):
     a square column view.  A subspace is invariant under a exactly when
     it is invariant under a - cI, so both spin any vector alike.  The
     GaussRat oracle of glnrep.hw_shifted."""
-    from loopwitt.linalg import sparse_sum
     top = dict(a[hw]).get(hw)
     if not top:
         return a
@@ -363,7 +414,6 @@ def rational_highest_weight_theta(diagonals, hw):
     scalar: sum_i (n - i) E_ii minus its diagonal entry at the highest
     weight vector hw times I.  The GaussRat oracle of
     glnrep.highest_weight_theta."""
-    from loopwitt.linalg import sparse_sum
     n, d = len(diagonals), len(diagonals[0])
     theta = sparse_sum((key, GaussRat(n - 1 - i) * x)
                        for i, m in enumerate(diagonals)
@@ -397,7 +447,6 @@ def mat_vec(a, v):
 
 def col_apply(a, v):
     """a v for Columns a and a Vec v, by GaussRat products and sums."""
-    from loopwitt.linalg import sparse_sum
     return sparse_sum((row, e * x) for c, x in v.items() for row, e in a[c])
 
 
@@ -522,7 +571,7 @@ def reference_act(x, v):
     entry.  Raises OutOfWindowError on any single term that leaves the
     window."""
     from loopwitt.scalars import ZERO
-    from loopwitt.tensmod import ModVector, OutOfWindowError
+    from loopwitt.tensmod import OutOfWindowError
     module = v.module
     if x.n != module.n:
         raise ValueError("rank mismatch")
@@ -567,7 +616,7 @@ def reference_act(x, v):
                             key = idx - k + row
                             out[key] = out.get(key, ZERO) + e * w
             put(target, out)
-    return ModVector(module, acc)
+    return mod_vector(module, acc)
 
 
 def as_operator(family, spec, module):
@@ -596,14 +645,13 @@ def reference_block(op, module, m):
     """op applied to each basis vector of slice m, one call per column,
     the images put together as one block: the oracle of op applied once
     to module.basis_block(m)."""
-    from loopwitt.tensmod import ModVector
     d = module.d
     data = {}
     for k in range(d):
         for p, vec in op(module.basis_vector(m, k)).data.items():
             data.setdefault(p, {}).update(
                 (k * d + j, x) for j, x in vec.items())
-    return ModVector(module, data)
+    return mod_vector(module, data)
 
 
 def reference_preserves_differences(spec, module):
@@ -638,11 +686,10 @@ def reference_op_matrix(op, module, m):
 
 def block_column(v, k):
     """Column k of a block of module vectors, as a module vector."""
-    from loopwitt.tensmod import ModVector
     d = v.module.d
-    return ModVector(v.module, {m: {j - k * d: x for j, x in vec.items()
-                                    if j // d == k}
-                                for m, vec in v.data.items()})
+    return mod_vector(v.module, {m: {j - k * d: x for j, x in vec.items()
+                                     if j // d == k}
+                                 for m, vec in v.data.items()})
 
 
 # -- the residuals in ModVector arithmetic --------------------------------

@@ -21,6 +21,11 @@ are pinned, plus these, all at seed 7:
 * `verify-all --json` on two gl(4) configs (mu = (1, 0, 0), radius 2,
   default suites, 3 cases), the only calls whose operator suite runs at
   n = 4: laurent with real c and alpha, polyquot with non-real ones;
+* `verify-all --json --suite module-axiom --suite assoc-unital` (20
+  cases) at gl(4), mu = (1, 1, 1), radius 2, on laurent with
+  c = 1/2 + i and non-real alpha, the widest sampled vector (d = 64),
+  and at n = 1, radius 2, on the three grid B, where margin 2 leaves
+  one interior slice, so a second draw adds onto the first;
 * `bracket` on the expressions of test_src_reach, at n = 2 on the three
   grid B; trivial B rejects every one of them, as each holds x;
 * `irrep-info --json`, `irrep-info --matrices --json` and `verify-all
@@ -95,7 +100,19 @@ def corpus() -> Dict[str, Call]:
             ["verify-all", "--json"],
             {"n": 4, "mu": [1, 0, 0], "c": c, "alpha": alpha,
              "B": B_SPECS[kind], "window_radius": 2, "cases_per_suite": 3})
+    module_suites = ["verify-all", "--json", "--suite", "module-axiom",
+                     "--suite", "assoc-unital"]
+    calls["n4/module-suites/laurent"] = (
+        module_suites,
+        {"n": 4, "mu": [1, 1, 1], "c": "1/2+1 i",
+         "alpha": ["1/3+1/2 i", "-1 i", "2", "1/2"],
+         "B": B_SPECS["laurent"], "window_radius": 2, "seed": 7,
+         "cases_per_suite": 20})
     for kind, b in B_SPECS.items():
+        calls[f"radius2/module-suites/1/{kind}"] = (
+            module_suites,
+            {"n": 1, "mu": [], "B": b, "seed": 7, "window_radius": 2,
+             "cases_per_suite": 20})
         calls[f"radius5/verify-all/1/{kind}"] = (
             ["verify-all", "--json"],
             {"n": 1, "mu": [], "B": b, "seed": 7, "window_radius": 5,

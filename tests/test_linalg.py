@@ -6,10 +6,11 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import (RationalSpanBasis, col_apply, columns, domain_matrix,
                       entries, int_form, int_mat, int_matrix, int_of,
                       mat_vec, monic_rows, monic_vecs, product_entries, rank,
-                      rational_null_space, sparse, to_columns, transpose)
+                      rational_null_space, sparse, sparse_sum, to_columns,
+                      transpose)
 from loopwitt.linalg import (SpanBasis, dense, gauss_entries, int_apply,
                              int_columns, int_vec, null_space, int_spin,
-                             primitive, sparse_sum, transposed)
+                             primitive, transposed)
 from loopwitt.scalars import GaussRat, I, ZERO
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (as_operator, doubled_off_diagonal, make_laurent,
-                      make_polyquot_cube, reference_act,
+                      make_polyquot_cube, mod_vector, reference_act,
                       reference_assoc_unital, reference_block,
                       reference_bracket_identity, reference_module_axiom,
                       reference_operator)
@@ -82,7 +82,7 @@ def vector(rng, module, margin):
     """A block of width one or two on one or two interior slices."""
     interior = module.window.interior(margin)
     width = rng.randint(1, 2)
-    return ModVector(module, {
+    return mod_vector(module, {
         rng.choice(interior): {j: rng.choice(SCALARS)
                                for j in range(width * module.d)}
         for _ in range(rng.randint(1, 2))})

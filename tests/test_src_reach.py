@@ -47,9 +47,13 @@ NOT_REACHED = {
     "coeff.BPresentation.__repr__": "interactive display",
     "coeff.BElem.__repr__": "interactive display",
     "coeff.BElem.__hash__": "lets B elements key dicts and sets",
+    "scalars.GaussRat.__hash__":
+        "lets scalars key dicts and sets; the weight table counts integer "
+        "tuples, and no other src/ code hashes a GaussRat",
     "tensmod.ModVector.data":
-        "the block over GaussRat, for library users; the benchmark tracer "
-        "reads it (perfbench/tracing.py _in_slices)",
+        "the one GaussRat view of a block, for library users and the "
+        "tests' oracles; the benchmark tracer reads it "
+        "(perfbench/tracing.py _in_slices)",
 }
 
 CONFIG = {"n": 2, "mu": [1], "B": {"kind": "polyquot",

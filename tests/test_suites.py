@@ -1,10 +1,12 @@
 import dataclasses
+import itertools
 import json
 import random
 
 import pytest
 
-from conftest import make_laurent, make_polyquot_cube
+from conftest import (make_laurent, make_polyquot_cube,
+                      reference_sample_interior_vector)
 from loopwitt import suites
 from loopwitt.coeff import BPresentation
 from loopwitt.loop import LoopElem
@@ -353,3 +355,36 @@ class TestSamplerStream:
             got = suites.sample_loop_elem(random.Random(seed), n, pres, pool)
             want = chained_loop_elem(random.Random(seed), n, pres, pool)
             assert list(got.terms.items()) == list(want.terms.items())
+
+    # every margin (|r_i| + |s_i|) the module suites draw, at radius 2
+    @pytest.mark.parametrize("n,mu", [(1, ()), (2, (1,)), (3, (1, 0)),
+                                      (4, (1, 0, 0))])
+    def test_interior_vector_matches_the_gauss_rat_draw(self, n, mu):
+        module = RunConfig(n=n, mu=mu, window_radius=2).build_module()
+        for margin in itertools.product(range(2 * suites.SHIFT_BOUND + 1),
+                                        repeat=n):
+            for seed in range(200):
+                rng, ref = random.Random(seed), random.Random(seed)
+                got = suites.sample_interior_vector(rng, module, margin)
+                want = reference_sample_interior_vector(ref, module, margin)
+                assert got.data == want.data, (margin, seed)
+                assert rng.getstate() == ref.getstate()
+
+    def test_interior_vector_makes_no_gauss_rat(self, monkeypatch):
+        # every GaussRat is made by scalars._norm
+        from loopwitt import scalars
+        calls = []
+        norm = scalars._norm
+
+        def counted(*args):
+            calls.append(args)
+            return norm(*args)
+
+        module = RunConfig(n=4, mu=(1, 1, 1),
+                           window_radius=2).build_module()
+        monkeypatch.setattr(scalars, "_norm", counted)
+        rng = random.Random(7)
+        # margin 2 leaves one slice, so a second draw adds onto it
+        for margin in [(0, 0, 0, 0), (2, 1, 0, 2)] + [(2, 2, 2, 2)] * 8:
+            suites.sample_interior_vector(rng, module, margin)
+        assert calls == []

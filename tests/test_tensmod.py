@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (block_column, cartan_eigenvalue, make_laurent,
-                      make_polyquot_cube, rational_columns, reference_act,
-                      reference_op_matrix)
+                      make_polyquot_cube, mod_vector, rational_columns,
+                      reference_act, reference_op_matrix)
 from loopwitt.coeff import BPresentation
 from loopwitt.glnrep import build_irrep
 from loopwitt.linalg import dense
@@ -80,8 +80,11 @@ class TestModuleShape:
 
     def test_vectors_outside_window_rejected(self, trivial):
         module = make_module(trivial, radius=1)
-        with pytest.raises(OutOfWindowError):
-            ModVector(module, {(2, 0): {0: GaussRat(1)}})
+        for m in ((2, 0), (-1, 2)):
+            with pytest.raises(OutOfWindowError):
+                module.basis_vector(m, 0)
+            with pytest.raises(OutOfWindowError):
+                module.basis_block(m)
 
 
 class TestAction:
@@ -113,7 +116,7 @@ class TestAction:
             coords[k] = HALF
             ev = [row[k] for row in module.rep.E(2, 1)]  # column k
             coords = [a + b for a, b in zip(coords, ev)]
-            assert got == ModVector(module, {(0, 1): dict(enumerate(coords))})
+            assert got == mod_vector(module, {(0, 1): dict(enumerate(coords))})
 
     def test_strict_mode_raises_at_boundary(self, trivial):
         module = make_module(trivial, radius=1)
@@ -181,7 +184,7 @@ def oracle_vector(rng, module):
     """One to three slices of the radius-1 interior, some coordinates
     zero."""
     interior = module.window.interior((1,) * module.n)
-    return ModVector(module, {
+    return mod_vector(module, {
         rng.choice(interior): {k: rng.choice(ORACLE_SCALARS)
                                for k in range(module.d)}
         for _ in range(rng.randint(1, 3))})
@@ -294,7 +297,7 @@ def oracle_block(rng, module, width, zero_column=None):
         data[rng.choice(interior)] = {
             j: rng.choice(ORACLE_SCALARS) for j in range(width * d)
             if j // d != zero_column}
-    return ModVector(module, data)
+    return mod_vector(module, data)
 
 
 class TestBlockAction:
@@ -317,8 +320,8 @@ class TestBlockAction:
                 # every stored entry, and every slice sum, lies in the
                 # first width columns
                 assert all(j < width * module.d
-                           for vec in [*got.data.values(), got.slice_sum()]
-                           for j in vec)
+                           for w in (got, got.slice_sum())
+                           for vec in w.data.values() for j in vec)
                 for k in range(width):
                     col = block_column(v, k)
                     assert block_column(got, k) == act(x, col)
@@ -343,7 +346,7 @@ class TestBlockAction:
         got = act(x, v)
         assert all(j < module.d for vec in got.data.values() for j in vec)
         assert got == reference_act(x, v)
-        assert act(x, v - v).slice_sum() == {}
+        assert act(x, v - v).slice_sum().is_zero()
 
     def test_basis_block_columns_are_the_basis_vectors(self, trivial):
         module = make_module(trivial, n=3, mu=(1, 0))
@@ -361,15 +364,15 @@ class TestBlockAction:
         x = LoopElem.t_part(2, trivial, (0, 1), trivial.from_scalar(ZERO))
         got = act(x, module.basis_block((0, 0)))
         assert got.is_zero() and got.data == {}
-        assert got.slice_sum() == {}
+        assert got.slice_sum().is_zero()
 
     def test_only_the_last_column_leaving_raises(self, trivial):
         module = make_module(trivial, mu=(2,), radius=2)
         d = module.d
         x = LoopElem.t_part(2, trivial, (1, 0))
         edge = {d * d - 1: GaussRat(1)}
-        v = ModVector(module, {(2, 0): edge,
-                               (0, 0): {j: GaussRat(1) for j in range(d * d)}})
+        v = mod_vector(module, {
+            (2, 0): edge, (0, 0): {j: GaussRat(1) for j in range(d * d)}})
         with pytest.raises(OutOfWindowError):
             act(x, v)
         for k in range(d - 1):
@@ -405,30 +408,25 @@ def cancelling_blocks(draw, module):
             v[slices[-1]][j] = -sum((v[m][j] for m in slices[:-1]), ZERO)
     w = {m: {j: -x if j // d in cancel else draw(scalar)
              for j, x in vec.items()} for m, vec in v.items()}
-    return ModVector(module, v), ModVector(module, w), cancel
+    return mod_vector(module, v), mod_vector(module, w), cancel
 
 
 class TestModVectorContract:
-    def test_constructor_drops_zero_entries_and_empty_slices(self, trivial):
+    def test_constructor_takes_the_block_as_it_is(self, trivial):
         module = make_module(trivial, radius=1)
+        ints = {(0, 0): ({1: 4}, {}), (1, 0): ({}, {0: -1})}
+        v = ModVector(module, 2, ints)
+        assert v.den == 2 and v.ints is ints
+        assert v.data == {(0, 0): {1: GaussRat(2)},
+                          (1, 0): {0: GaussRat(0, Fraction(-1, 2))}}
+        empty = ModVector(module)
+        assert empty.is_zero() and empty.den == 1 and empty.data == {}
+        assert module.basis_vector((1, -1), 1).ints == {(1, -1): ({1: 1}, {})}
+        # the tests' GaussRat helper clears a block to that form, zero
+        # entries and empty slices dropped
         data = {(0, 0): {0: ZERO, 1: GaussRat(2)}, (1, 0): {0: ZERO},
                 (0, 1): {}}
-        v = ModVector(module, data)
-        assert v.data == {(0, 0): {1: GaussRat(2)}}
-        # the data is copied, not shared
-        data[(0, 0)][0] = GaussRat(1)
-        assert v.data == {(0, 0): {1: GaussRat(2)}}
-        assert ModVector(module, {(1, 1): {0: ZERO, 3: ZERO}}).is_zero()
-        assert ModVector(module).data == {}
-
-    def test_constructor_rejects_a_slice_outside_the_window(self, trivial):
-        module = make_module(trivial, radius=1)
-        with pytest.raises(OutOfWindowError):
-            ModVector(module, {(0, 0): {0: GaussRat(1)},
-                               (0, 2): {3: GaussRat(1)}})
-        # a slice with nothing stored is dropped before the window check,
-        # as act drops an image that cancels
-        assert ModVector(module, {(0, 2): {3: ZERO}}).is_zero()
+        assert mod_vector(module, data).ints == {(0, 0): ({1: 2}, {})}
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -449,11 +447,12 @@ class TestModVectorContract:
         results = [v + w, v - w, v - v, v.scale(-ONE), v.scale(c),
                    act(x, v), act(x, v + w)]
         assert all(no_zero_stored(r) for r in results)
-        assert all(all(r.slice_sum().values()) for r in results + [v, w])
+        assert all(no_zero_stored(r.slice_sum()) for r in results + [v, w])
         assert (v - v).data == {} and v.scale(ZERO).data == {}
         assert all(j // d not in cancel
                    for vec in (v + w).data.values() for j in vec)
-        assert all(j // d not in cancel for j in v.slice_sum())
+        assert all(j // d not in cancel
+                   for vec in v.slice_sum().data.values() for j in vec)
 
 
 def random_homogeneous(rng, n, pres, pool):
@@ -620,7 +619,7 @@ def core_vectors(draw, module, margin=1):
     slices = draw(st.lists(st.sampled_from(
         module.window.interior((margin,) * module.n)), min_size=1,
         max_size=3, unique=True))
-    return ModVector(module, {
+    return mod_vector(module, {
         m: {j: draw(gauss_rationals()) for j in range(width * d)
             if draw(st.booleans())} for m in slices})
 
@@ -638,9 +637,10 @@ def combination(terms):
     return {m: vec for m, vec in out.items() if vec}
 
 
-def slice_total(w):
-    """The slice sum of a GaussRat block, zero entries dropped."""
-    return combination([(ONE, {(): vec}) for vec in w.values()]).get((), {})
+def slice_total(w, n):
+    """The slice sum of a GaussRat block as a block on slice 0, zero
+    entries dropped."""
+    return combination([(ONE, {(0,) * n: vec}) for vec in w.values()])
 
 
 def stores_no_zero(v):
@@ -667,8 +667,10 @@ class TestIntegerCoreOracle:
         v = data.draw(core_vectors(module))
         got, want = act(x, v), reference_act(x, v)
         assert got.data == want.data and stores_no_zero(got)
-        assert got.slice_sum() == slice_total(want.data)
-        assert v.slice_sum() == slice_total(v.data)
+        for w, total in ((got, want.data), (v, v.data)):
+            s = w.slice_sum()
+            assert s.data == slice_total(total, module.n)
+            assert (s.is_zero() or s.den == w.den) and stores_no_zero(s)
 
     @pytest.mark.parametrize("kind", sorted(CORE_PRES))
     @CORE
@@ -699,7 +701,7 @@ class TestIntegerCoreOracle:
                           (v.scale(c), [(c, v.data)])):
             assert got.data == combination(want) and stores_no_zero(got)
         assert (v == w) == (v.data == w.data)
-        assert v == ModVector(module, v.data) and v == v.scale(ONE)
+        assert v == mod_vector(module, v.data) and v == v.scale(ONE)
         assert (v - v).is_zero() and v.scale(ZERO).is_zero()
 
     @pytest.mark.parametrize("kind", sorted(CORE_PRES))
