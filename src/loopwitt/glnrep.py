@@ -20,23 +20,25 @@ read the N_ii and N_i,i+1, and Norton's theta, its kernel and spins
 take and return integer forms only.  A GaussRat is made only for a
 nonzero residual entry and for the weight table.  The E_ij of V(mu) are
 very sparse in this basis, about 1.5 % nonzero at d = 64.  Irrep.E
-densifies one, for printing and for the Burnside closure.
+densifies one, for printing only.
 
 Irreducibility is certified by Norton's test, `norton_irreducible`,
 O(g d^3) for g generators; when it does not decide, the Burnside
 closure `burnside_dim`, O(g d^6), gives the dimension of the algebra.
+Both take the same IntMatrix generators, and the closure multiplies
+them in plain ints too (linalg.mat_mul).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
 from math import gcd, lcm, prod
 from typing import Dict, List, Sequence, Tuple
 
 from .linalg import (Entries, IntMatrix, Mat, SpanBasis, dense,
-                     gauss_entries, identity, int_columns, int_entries_into,
+                     gauss_entries, int_columns, int_entries_into,
                      int_product_into, int_spin, mat_mul, null_space,
                      transposed)
 from .scalars import GaussRat
@@ -78,7 +80,7 @@ class Irrep:
         self._ints = den, ints
 
     def E(self, i: int, j: int) -> Mat:
-        """E_ij as a dense matrix, for printing and Burnside."""
+        """E_ij as a dense matrix, for printing."""
         den, ints = self._ints
         return dense(ints[i - 1][j - 1], self.d, den)
 
@@ -246,17 +248,24 @@ def build_irrep(mu: Sequence[int], c: GaussRat, n: int) -> Irrep:
              for q, re, im in row] for row in E]
     return Irrep(n, mu, c, den, ints, hw_index=0)
 
-def burnside_dim(mats: List[Mat]) -> int:
-    """Dimension of the unital matrix algebra generated by mats."""
+
+def burnside_dim(mats: Sequence[IntMatrix]) -> int:
+    """Dimension of the unital matrix algebra generated by mats, square
+    IntMatrix forms.  Nonzero multiples of the generators generate the
+    same algebra, so each may stand over any denominator; every product
+    is flattened, keyed row * d + col, into the span of the algebra."""
     if not mats:
         raise ValueError("need at least one matrix")
-    d = len(mats[0])
+    d = len(mats[0][0])
     span = SpanBasis(d * d)
 
-    def grows(m: Mat) -> bool:
-        return span.insert({k: x for k, x in enumerate(chain(*m)) if x})
+    def grows(m: IntMatrix) -> bool:
+        re, im = {}, {}
+        int_entries_into(re, im, m, 1)
+        return span.insert((re, im))
 
-    frontier = [m for m in [identity(d), *mats] if grows(m)]
+    unit = ([[(k, 1)] for k in range(d)], None)
+    frontier = [m for m in [unit, *mats] if grows(m)]
     while frontier:
         frontier = [p for p in (mat_mul(f, g) for f in frontier for g in mats)
                     if grows(p)]

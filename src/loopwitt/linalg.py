@@ -5,13 +5,13 @@ matrix as the sparse columns of its real part and of its imaginary part,
 standing for itself over one denominator D kept beside it.  An
 IntVec is a Gaussian-integer vector, its real and imaginary parts each a
 dict from index to nonzero int.  `int_columns` collects integer entries
-into an IntMatrix, `int_apply` applies one, and `null_space` and
-`int_spin` take and return integer forms only.
+into an IntMatrix, `int_apply` applies one, `mat_mul` multiplies two,
+and `null_space` and `int_spin` take and return integer forms only.
 
 GaussRat appears at the boundary.  Vec is a dict from index to nonzero
-GaussRat, which `int_vec` clears to an IntVec, and `dense` turns an
-IntMatrix over D into a dense GaussRat Mat, for printing the E_ij and
-for the Burnside closure.
+GaussRat, which `int_vec` clears to an IntVec for `SpanBasis.coords`,
+and `dense` turns an IntMatrix over D into a dense GaussRat Mat, for
+printing the E_ij.
 
 Elimination is fraction free, with no pivoting strategy, on sparse
 vectors, so a zero is never visited: SpanBasis keeps each row as a
@@ -25,10 +25,9 @@ made primitive.
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import (Dict, Hashable, List, Optional, Sequence, Tuple,
-                    TypeVar, Union)
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple, TypeVar
 
-from .scalars import GaussRat, ONE, ZERO
+from .scalars import GaussRat, ZERO
 
 # a sparse vector: index -> nonzero entry
 Vec = Dict[int, GaussRat]
@@ -46,28 +45,6 @@ IntMatrix = Tuple[IntColumns, Optional[IntColumns]]
 
 def zeros(rows: int, cols: int) -> Mat:
     return [[ZERO] * cols for _ in range(rows)]
-
-
-def identity(n: int) -> Mat:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    out = zeros(n, m)
-    for i in range(n):
-        arow = a[i]
-        orow = out[i]
-        for t in range(k):
-            c = arow[t]
-            if not c:
-                continue
-            brow = b[t]
-            for j in range(m):
-                if brow[j]:
-                    orow[j] = orow[j] + c * brow[j]
-    return out
 
 
 def dense(a: IntMatrix, rows: int, den: int) -> Mat:
@@ -172,6 +149,17 @@ def int_product_into(acc: Dict[int, int], a: IntColumns, b: IntColumns,
                 acc[key] = acc.get(key, 0) + y * x
 
 
+def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """a b over Z[i], for square a and b."""
+    (ar, ai), (br, bi) = a, b
+    re, im = {}, {}
+    for acc, left, right, f in ((re, ar, br, 1), (re, ai, bi, -1),
+                                (im, ar, bi, 1), (im, ai, br, 1)):
+        if left and right:
+            int_product_into(acc, left, right, f)
+    return int_columns(re, im, len(br))
+
+
 def _apply_into(acc: Dict[int, int], a: IntColumns, v: Dict[int, int],
                 f: int) -> None:
     """acc += f a v, entry by entry: f v[c] times column c, for each c."""
@@ -245,11 +233,8 @@ class SpanBasis:
             v = _scaled_minus(v, (ar // g, ai // g), (cr // g, ci // g), row)
         return v
 
-    def insert(self, v: Union[Vec, IntVec]) -> bool:
-        """Insert a Vec, whose denominators are cleared first, or an
-        IntVec; returns True if it enlarged the span."""
-        if isinstance(v, dict):
-            v, _ = int_vec(v)
+    def insert(self, v: IntVec) -> bool:
+        """Insert v; returns True if it enlarged the span."""
         red = self._reduce(v)
         if not (red[0] or red[1]):
             return False
@@ -268,7 +253,7 @@ class SpanBasis:
         out = {}
         scale = GaussRat(den)
         for k, c, a in steps:
-            out[k] = GaussRat(*c) / scale
+            out[k] = GaussRat(*c) * scale.inverse()
             scale = scale * GaussRat(*a)
         return out
 

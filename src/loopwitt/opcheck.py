@@ -27,7 +27,7 @@ in the action's Gaussian integers, so a passing check makes no GaussRat
 per slice.  The algebra of the bottom slice builds its generators
 through act, with no table, and reads them from op_matrix as
 Gaussian-integer matrices, each over its own denominator; Norton's test
-runs on them as they are, and only its Burnside fallback densifies.
+and its Burnside fallback both run on them as they are.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from typing import Callable, List, Sequence, Tuple
 from .coeff import BElem
 from .glnrep import (burnside_dim, highest_weight_theta, hw_shifted,
                      norton_irreducible)
-from .linalg import dense
 from .loop import (Degree, LoopElem, _add_deg, diff_derivation,
                    poly_derivation)
 from .scalars import GaussRat, ONE, ZERO
@@ -309,7 +308,7 @@ def bottom_slice_algebra_dim(module: TensorModule) -> int:
     _, theta = highest_weight_theta(mats[:n * n:n + 1], hw)
     if norton_irreducible([hw_shifted(m, hw) for _, m in mats], theta):
         return d * d
-    return burnside_dim([dense(m, d, 1) for _, m in mats])
+    return burnside_dim([m for _, m in mats])
 
 
 # -- rank-one checks --------------------------------------------------

@@ -132,21 +132,6 @@ class GaussRat:
             return _norm(q, 0, a) if a > 0 else _norm(-q, 0, -a)
         return _norm(q * a, -q * b, a * a + b * b)
 
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
-    def conj(self) -> "GaussRat":
-        return _norm(self._a, -self._b, self._q)
-
     # -- comparison / hashing -----------------------------------------
 
     def __eq__(self, other):

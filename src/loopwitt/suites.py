@@ -57,6 +57,16 @@ MIN_RADIUS = {
 }
 
 
+# Bound on ((2R+1)^n - 1) d^2, the size of the operator suite's
+# shift-difference sweep at margin 0: Q acts at once on d columns for
+# each nonzero slice, and each column's image holds up to d entries per
+# slice.  The sweep's peak memory grows with it: 671 MB at n = 4,
+# mu = (1, 1, 1), radius 4 (26.9 million), while radius 7 (207 million)
+# ran out of a 3 GB address space; n = 6, mu = (1, 0, 0, 0, 0), radius 4
+# (19.1 million) ran to a report in 45 s.
+SWEEP_CAP = 3 * 10 ** 7
+
+
 def _window_ruled_out(n: int, radius: int) -> Optional[str]:
     """Why the window of this radius cannot be built at rank n, or None.
     Its (2R+1)^n slices are counted one factor at a time, 2R+1 >= 3, so
@@ -72,12 +82,18 @@ def _window_ruled_out(n: int, radius: int) -> Optional[str]:
     return None
 
 
-def _ruled_out(suite: str, n: int, radius: int) -> Optional[str]:
-    """Why the suite cannot run at rank n in this window, or None."""
+def _ruled_out(suite: str, n: int, radius: int, d: int) -> Optional[str]:
+    """Why the suite cannot run at rank n and dimension d in this window,
+    or None."""
     if radius < MIN_RADIUS[suite]:
         return f"{suite} suite requires window_radius >= {MIN_RADIUS[suite]}"
     if suite == "rank-one" and n != 1:
         return "rank-one suite requires n = 1"
+    sweep = ((2 * radius + 1) ** n - 1) * d * d
+    if suite == "operator-suite" and sweep > SWEEP_CAP:
+        return (f"operator-suite at n = {n}, d = {d}, window_radius "
+                f"{radius} sweeps ((2R+1)^n - 1) d^2 = {sweep} entries, "
+                f"above the cap {SWEEP_CAP}")
     return None
 
 
@@ -122,15 +138,17 @@ class RunConfig:
         for s in self.suites:
             if s not in RUNNERS:
                 raise ConfigError(f"unknown suite {s!r}")
-            if reason := _ruled_out(s, self.n, self.window_radius):
+            if reason := _ruled_out(s, self.n, self.window_radius, d):
                 raise ConfigError(reason)
         if self.cases_per_suite < 1:
             raise ConfigError("cases_per_suite must be >= 1")
 
     def default_suites(self) -> List[str]:
-        """Every suite the rank and the window radius allow."""
+        """Every suite the rank, the dimension and the window radius
+        allow."""
+        d = weyl_dim(self.mu, self.n)
         return [s for s in RUNNERS
-                if _ruled_out(s, self.n, self.window_radius) is None]
+                if _ruled_out(s, self.n, self.window_radius, d) is None]
 
     # -- serialization ------------------------------------------------
 
@@ -362,7 +380,8 @@ def run_gl_relations(cfg: RunConfig) -> Outcome:
     pair of distinct generators is evaluated once; a nonzero residual
     fails both orders, reported in lexicographic order of (i, j, k, l).
     Norton's test spins under the E_ij themselves, which are already
-    weight-homogeneous, as the D E_ij of the irrep's integer view."""
+    weight-homogeneous, as the D E_ij of the irrep's integer view, and
+    Burnside, when Norton does not certify, multiplies the same D E_ij."""
     rep = cfg.irrep()
     rng4 = range(1, cfg.n + 1)
     gens = list(product(rng4, rng4))
@@ -387,7 +406,7 @@ def run_gl_relations(cfg: RunConfig) -> Outcome:
     _, theta = highest_weight_theta([(den, ints[k][k]) for k in range(cfg.n)],
                                     rep.hw_index)
     bd = (rep.d * rep.d if norton_irreducible(mats, theta)
-          else burnside_dim([rep.E(*g) for g in gens]))
+          else burnside_dim(mats))
     if bd != rep.d * rep.d:
         failures.append({"check": "burnside", "got": bd,
                          "want": rep.d * rep.d})

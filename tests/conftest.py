@@ -471,10 +471,50 @@ def mat_is_zero(a):
     return all(not x for row in a for x in row)
 
 
+def identity(n):
+    from loopwitt.scalars import ONE, ZERO
+    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+
+
+def mat_mul(a, b):
+    """The product of dense matrices, by GaussRat products and sums, row
+    by row, skipping every zero factor: the oracle of linalg.mat_mul."""
+    from loopwitt.scalars import ZERO
+    out = []
+    for arow in a:
+        orow = [ZERO] * len(b[0])
+        for c, brow in zip(arow, b):
+            if c:
+                for j, x in enumerate(brow):
+                    if x:
+                        orow[j] = orow[j] + c * x
+        out.append(orow)
+    return out
+
+
+def reference_burnside_dim(mats):
+    """Dimension of the unital algebra generated by dense matrices over
+    Q(i), by the closure glnrep.burnside_dim ran before it moved to
+    IntMatrix forms: dense GaussRat products, each flattened row by row
+    and cleared of its denominators.  The oracle of burnside_dim."""
+    from itertools import chain
+    from loopwitt.linalg import SpanBasis
+    d = len(mats[0])
+    span = SpanBasis(d * d)
+
+    def grows(m):
+        return span.insert(int_of(sparse(list(chain(*m)))))
+
+    frontier = [m for m in [identity(d), *mats] if grows(m)]
+    while frontier:
+        frontier = [p for p in (mat_mul(f, g) for f in frontier for g in mats)
+                    if grows(p)]
+    return span.dim
+
+
 def dense_relation_residual(rep, i, j, k, l):
     """[E_ij, E_kl] - delta_jk E_il + delta_li E_kj from the dense E_ij,
     by dense products; the oracle of Irrep.relation_residual."""
-    from loopwitt.linalg import mat_mul
     a, b = rep.E(i, j), rep.E(k, l)
     res = mat_sub(mat_mul(a, b), mat_mul(b, a))
     if j == k:

@@ -472,6 +472,27 @@ class TestConfigLimits:
         with pytest.raises(suites.ConfigError, match="above the cap"):
             suites.RunConfig.from_dict(dict(doc, window_radius=radius + 1))
 
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_operator_suite_over_the_sweep_cap_is_config_error(
+            self, tmp_path, capsys, monkeypatch, flag):
+        # n = 4, mu = (1, 1, 1), radius 7 ran out of memory in the sweep;
+        # it is refused from n, d and the radius, before anything is built
+        def never(*args):
+            raise AssertionError("built past the config check")
+
+        monkeypatch.setattr(suites, "build_irrep", never)
+        monkeypatch.setattr(suites, "Window", never)
+        doc = {"n": 4, "mu": [1, 1, 1], "window_radius": 7}
+        argv = ["--suite", "operator-suite"] if flag else []
+        if not flag:
+            doc["suites"] = ["operator-suite"]
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify-all", "--config", str(path)] + argv) == (
+            EXIT_CONFIG_ERROR)
+        err = capsys.readouterr().err
+        assert f"above the cap {suites.SWEEP_CAP}" in err
+
     @pytest.mark.parametrize("suite",
                              ["module-axiom", "assoc-unital", "operator-suite"])
     def test_radius_below_suite_minimum_is_config_error(self, tmp_path,

@@ -5,15 +5,16 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import (all_relations_hold, columns, dense_relation_residual,
-                      direct_sum_irrep, int_form, int_mat, mat_is_zero,
-                      rational_columns, rational_highest_weight_theta,
-                      rational_hw_shifted, reference_build_irrep,
+from conftest import (all_relations_hold, columns, dense_of,
+                      dense_relation_residual, direct_sum_irrep, identity, int_form, int_mat,
+                      mat_is_zero, mat_mul, rational_columns,
+                      rational_highest_weight_theta, rational_hw_shifted,
+                      reference_build_irrep, reference_burnside_dim,
                       reference_int_view, sparse_sum)
 from loopwitt import glnrep
-from loopwitt.glnrep import (DIM_CAP, build_irrep, burnside_dim, gt_patterns,
-                             partition, weyl_dim)
-from loopwitt.linalg import dense, identity, mat_mul, zeros
+from loopwitt.glnrep import (DIM_CAP, build_irrep, gt_patterns, partition,
+                             weyl_dim)
+from loopwitt.linalg import dense, zeros
 from loopwitt.scalars import GaussRat, ONE, ZERO
 from test_linalg import GAUSS_RAT
 
@@ -22,6 +23,12 @@ def norton_irreducible(mats, theta):
     """Norton's test on dense matrices, through their integer forms."""
     return glnrep.norton_irreducible([int_mat(m) for m in mats],
                                      int_mat(theta))
+
+
+def burnside_dim(mats):
+    """The Burnside dimension of dense matrices, through their integer
+    forms."""
+    return glnrep.burnside_dim([int_mat(m) for m in mats])
 
 
 def highest_weight_theta(diagonals, hw):
@@ -307,14 +314,19 @@ class TestNorton:
 
     @pytest.mark.parametrize("n,mu,mu2", [
         (2, (1,), (2,)), (2, (1,), (0,)), (3, (1, 0), (0, 1)),
-        (3, (1, 0), (1, 0))])
+        (3, (1, 0), (1, 0)), (3, (1, 0), (2, 0))])
     def test_direct_sum_is_not_certified(self, n, mu, mu2):
+        # Burnside on the N_ij of the planted sum agrees with the GaussRat
+        # closure on its dense E_ij
         c = GaussRat(Fraction(3, 2))
         a, b = build_irrep(mu, c, n), build_irrep(mu2, c, n)
-        mats, theta = gl_generators(direct_sum_irrep(a, b))
+        rep = direct_sum_irrep(a, b)
+        mats, theta = gl_generators(rep)
         assert not norton_irreducible(mats, theta)
         want = a.d ** 2 + b.d ** 2 if mu != mu2 else a.d ** 2
-        assert burnside_dim(mats) == want
+        _, ints = rep.int_view()
+        assert glnrep.burnside_dim([m for row in ints for m in row]) == (
+            reference_burnside_dim(mats)) == want
 
     def test_kernel_above_one_dimension_decides_nothing(self):
         # the natural module of gl(3) is irreducible, but theta = 0 and
@@ -344,11 +356,11 @@ class TestNorton:
 
 
 @st.composite
-def square_columns(draw, d):
-    """The Columns of a sparse d x d matrix over Q(i), non-real entries
-    and denominators up to 2^61 - 1 included."""
+def square_columns(draw, d, entries=GAUSS_RAT):
+    """The Columns of a sparse d x d matrix over Q(i), by default with
+    non-real entries and denominators up to 2^61 - 1 included."""
     filled = draw(st.dictionaries(
-        st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)), GAUSS_RAT,
+        st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)), entries,
         max_size=2 * d))
     return [[(r, filled[r, c]) for r in range(d) if filled.get((r, c))]
             for c in range(d)]
@@ -456,3 +468,40 @@ class TestBurnside:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             burnside_dim([])
+
+
+# real and non-real entries with numerators and denominators up to 3
+SMALL_GAUSS_RAT = st.builds(
+    lambda a, q, b, r: GaussRat(Fraction(a, q), Fraction(b, r)),
+    st.integers(-3, 3), st.integers(1, 3), st.sampled_from([0, 0, -2, 1, 3]),
+    st.integers(1, 3))
+# the modules of the benchmark's gl-cert workload, d = 3 to 15
+GL_CERT = [(3, (1, 0)), (3, (2, 0)), (3, (1, 1)), (3, (3, 0)), (3, (2, 1)),
+           (4, (1, 0, 0)), (4, (2, 0, 0)), (4, (1, 0, 1))]
+
+
+class TestBurnsideAgainstGaussRat:
+    """burnside_dim on IntMatrix forms gives the dimension of the GaussRat
+    closure of conftest on the same generators, dense: on the N_ij of
+    built modules (planted ones in TestNorton) and on sparse generator
+    sets."""
+
+    @pytest.mark.parametrize("n,mu", GL_CERT,
+                             ids=[f"n{n}-mu{list(mu)}" for n, mu in GL_CERT])
+    def test_gl_cert_modules(self, n, mu):
+        rep = build_irrep(mu, GaussRat(Fraction(3, 2), 1), n)
+        _, ints = rep.int_view()
+        mats, _ = gl_generators(rep)
+        assert glnrep.burnside_dim([m for row in ints for m in row]) == (
+            reference_burnside_dim(mats)) == rep.d ** 2
+
+    # non-real generators with large denominators, or dense ones, make
+    # the reduced vectors' entries grow to millions of bits, in both
+    # closures; so the sets are sparse, their entries small and d <= 4
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda d: st.lists(
+        square_columns(d, SMALL_GAUSS_RAT), min_size=1, max_size=3)))
+    def test_sparse_generators(self, gens):
+        d = len(gens[0])
+        assert glnrep.burnside_dim([int_form(a)[1] for a in gens]) == (
+            reference_burnside_dim([dense_of(a, d) for a in gens]))

@@ -5,12 +5,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import (RationalSpanBasis, col_apply, columns, domain_matrix,
                       entries, int_form, int_mat, int_matrix, int_of,
-                      mat_vec, monic_rows, monic_vecs, product_entries, rank,
-                      rational_null_space, sparse, sparse_sum, to_columns,
-                      transpose)
+                      mat_mul as dense_mat_mul, mat_vec, monic_rows,
+                      monic_vecs, product_entries, rank, rational_null_space,
+                      sparse, sparse_sum, to_columns, transpose)
 from loopwitt.linalg import (SpanBasis, dense, gauss_entries, int_apply,
-                             int_columns, int_vec, null_space, int_spin,
-                             primitive, transposed)
+                             int_columns, int_vec, mat_mul, null_space,
+                             int_spin, primitive, transposed)
 from loopwitt.scalars import GaussRat, I, ZERO
 
 
@@ -22,7 +22,7 @@ class TestSpanBasis:
     def test_coords_in_echelon_rows(self):
         span = SpanBasis(4)
         for v in (vec(0, 2, 1, 0), vec(1, 1, 0, I), vec(1, 3, 1, I)):
-            span.insert(sparse(v))
+            span.insert(int_of(sparse(v)))
         assert span.dim == 2
         v = vec(3, -1, -2, 3 * I)
         c = span.coords(sparse(v))
@@ -33,14 +33,14 @@ class TestSpanBasis:
 
     def test_coords_outside_the_span_rejected(self):
         span = SpanBasis(2)
-        span.insert(sparse(vec(1, 1)))
+        span.insert(int_of(sparse(vec(1, 1))))
         with pytest.raises(ValueError):
             span.coords(sparse(vec(1, 0)))
 
     def test_rows_are_sparse_with_the_pivot_first(self):
         span = SpanBasis(5)
         for v in (vec(0, 0, 2, 0, 4), vec(0, 3, 0, 0, 0), vec(0, 3, 2, 0, 4)):
-            span.insert(sparse(v))
+            span.insert(int_of(sparse(v)))
         assert span.pivots == [2, 1]
         rows = monic_rows(span)
         assert rows == [{2: GaussRat(1), 4: GaussRat(2)}, {1: GaussRat(1)}]
@@ -91,11 +91,20 @@ class TestColumnView:
         # a b - a b cancels to the empty result
         assert sparse_sum(product_entries(columns(a), columns(b)),
                           product_entries(columns(a), columns(b))) == {}
+        # over Z[i], real and non-real factors in either place; i i = -1
+        # cancels the imaginary part of a a
+        for x, y in ((a, b), (b, a), (a, a), (b, b)):
+            assert mat_mul(int_mat(x), int_mat(y)) == int_mat(
+                dense_mat_mul(x, y))
+        assert mat_mul(int_mat([vec(I, 0), vec(0, 1)]),
+                       int_mat([vec(I, 0), vec(0, 1)])) == (
+            [[(0, -1)], [(1, 1)]], None)
 
     def test_square_apply_and_its_transpose(self):
         # over Z[i]: 2 a and its transpose, scaled once, applied to 2 v
-        a = [vec(GaussRat(1, 2) / 2, 2, 0), vec(0, I, 3), vec(4, 0, 0)]
-        v = vec(1, 1 + I, GaussRat(1) / 2)
+        a = [vec(GaussRat(Fraction(1, 2), 1), 2, 0), vec(0, I, 3),
+             vec(4, 0, 0)]
+        v = vec(1, 1 + I, Fraction(1, 2))
         w, den = int_vec(sparse(v))
         assert den == 2
         m = int_matrix(columns(a), 2)
@@ -189,7 +198,7 @@ class TestEliminationAgainstSympy:
         want = domain_matrix(a, cols).rank()
         span = SpanBasis(cols)
         for row in a:
-            span.insert(sparse(row))
+            span.insert(int_of(sparse(row)))
         assert span.dim == want
         kernel = monic_vecs(null_space(int_mat(a), rows))
         assert len(kernel) == cols - want
@@ -304,7 +313,7 @@ class TestIntegerCoreAgainstRationalElimination:
         length, vectors = drawn
         span, oracle = SpanBasis(length), RationalSpanBasis(length)
         for v in vectors:
-            assert span.insert(v) == oracle.insert(v)
+            assert span.insert(int_of(v)) == oracle.insert(v)
         assert span.dim == oracle.dim
         assert span.pivots == oracle.pivots
         assert monic_rows(span) == oracle.rows

@@ -56,9 +56,9 @@ class TestArithmetic:
     def test_conjugate_product(self):
         assert (ONE + I) * (ONE - I) == GaussRat(2)
 
-    def test_division_by_pure_imaginary(self):
+    def test_inverse_of_pure_imaginary(self):
         # 1 / (2i) = -i/2
-        assert ONE / GaussRat(0, 2) == GaussRat(0, Fraction(-1, 2))
+        assert GaussRat(0, 2).inverse() == GaussRat(0, Fraction(-1, 2))
 
     def test_add_zero_identity(self):
         x = GaussRat(Fraction(3, 7), Fraction(-2, 5))
@@ -69,18 +69,10 @@ class TestArithmetic:
         assert 2 * GaussRat(3) == GaussRat(6)
         assert GaussRat(3) - 1 == GaussRat(2)
         assert 1 - GaussRat(3) == GaussRat(-2)
-        assert 1 / GaussRat(4) == GaussRat(Fraction(1, 4))
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            ONE / ZERO
-        with pytest.raises(ZeroDivisionError):
             ZERO.inverse()
-
-    def test_conjugation(self):
-        x = GaussRat(1, 2)
-        assert x.conj() == GaussRat(1, -2)
-        assert x * x.conj() == GaussRat(5)
 
     def test_immutability(self):
         x = GaussRat(1)
@@ -143,10 +135,9 @@ class TestAgainstFractionPairs:
     """Differential tests: GaussRat against a pair of Fractions."""
 
     @given(ref_pairs)
-    def test_construction_and_conj(self, x):
+    def test_construction_and_negation(self, x):
         g = GaussRat(*x)
         check(g, x)
-        check(g.conj(), (x[0], -x[1]))
         check(-g, (-x[0], -x[1]))
 
     @given(ref_pairs, ref_pairs)
@@ -157,11 +148,11 @@ class TestAgainstFractionPairs:
         check(g * h, ref_mul(x, y))
 
     @given(ref_pairs, ref_pairs)
-    def test_inverse_and_division(self, x, y):
+    def test_inverse(self, x, y):
         g, h = GaussRat(*x), GaussRat(*y)
         if any(y):
             check(h.inverse(), ref_inverse(y))
-            check(g / h, ref_mul(x, ref_inverse(y)))
+            check(g * h.inverse(), ref_mul(x, ref_inverse(y)))
         else:
             with pytest.raises(ZeroDivisionError):
                 h.inverse()
@@ -183,10 +174,6 @@ class TestAgainstFractionPairs:
             check(g * c, (x[0] * c, x[1] * c))
             check(c * g, (x[0] * c, x[1] * c))
             assert (g == c) == (x == (c, 0))
-            if c:
-                check(g / c, (x[0] / c, x[1] / c))
-            if any(x):
-                check(c / g, (c * ref_inverse(x)[0], c * ref_inverse(x)[1]))
 
     @given(ref_pairs, st.sampled_from([0, 1, -1, 2 ** 64 + 1, -(2 ** 70)])
            | st.integers(-BIG, BIG))

@@ -28,17 +28,11 @@ NOT_REACHED = {
     "glnrep.burnside_dim.<locals>.grows": "inside burnside_dim",
     "linalg.SpanBasis.coords":
         "the benchmark tracer wraps it by name; tests use it as an oracle",
-    "linalg.identity": "only burnside_dim calls it",
-    "linalg.int_vec":
-        "clears a Vec for SpanBasis.insert and coords; only burnside_dim "
-        "inserts Vecs",
+    "linalg.int_vec": "clears a Vec for SpanBasis.coords, its only caller",
     "linalg.mat_mul":
         "only burnside_dim calls it, and the benchmark tracer counts it by "
         "name",
     "loop.LoopElem.__eq__": "value equality for library users",
-    "scalars.GaussRat.__truediv__": "field API for library users",
-    "scalars.GaussRat.__rtruediv__": "field API for library users",
-    "scalars.GaussRat.conj": "field API for library users",
     "scalars.GaussRat.__rsub__": "field API: a number minus a GaussRat",
     "scalars.GaussRat.__setattr__":
         "guards immutability; runs only on a forbidden assignment",

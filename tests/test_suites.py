@@ -66,6 +66,27 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             small_config(n=1, mu=[], suites=["rank-one"], window_radius=3)
 
+    # the two widest operator-suite runs that reached a report, and the
+    # radius 7 run that ran out of memory: ((2R+1)^n - 1) d^2 is 26.9
+    # million, 19.1 million and 207 million
+    @pytest.mark.parametrize("mu,radius,accepted", [
+        ((1, 1, 1), 4, True), ((1, 0, 0, 0, 0), 4, True),
+        ((1, 1, 1), 5, False), ((1, 1, 1), 7, False)])
+    def test_operator_suite_sweep_is_capped(self, mu, radius, accepted):
+        n = len(mu) + 1
+        if accepted:
+            RunConfig(n=n, mu=mu, window_radius=radius,
+                      suites=("operator-suite",))
+        else:
+            with pytest.raises(ConfigError,
+                               match=f"above the cap {suites.SWEEP_CAP}"):
+                RunConfig(n=n, mu=mu, window_radius=radius,
+                          suites=("operator-suite",))
+        # the default suites leave out an operator suite over the cap
+        default = RunConfig(n=n, mu=mu, window_radius=radius).suites
+        assert ("operator-suite" in default) == accepted
+        assert "module-axiom" in default
+
     def test_alpha_length_checked(self):
         with pytest.raises(ConfigError):
             small_config(alpha=["1/2"])
