@@ -6,15 +6,16 @@ derivation carrying e_i at degree r; a general derivation with direction
 vector u at degree r is stored as the n entries with coefficients u_i.
 Zero coefficients are pruned, so equality to zero is structural.
 
-A bracket is one pass over the term pairs.  Each pair reads its
-structure constants first and costs no B product when they all vanish;
-otherwise the product b b' is formed once, unreduced, and added with
-each integer constant into one accumulator, a map from output key to
-exponent to coefficient.  Each output key's coefficient is reduced
-modulo the polyquot modulus once, at the end.  That is exact: the
-remainder modulo a monic m is linear and unique, so reducing the sum
-equals summing the reduced products.  ``bracket_sum`` adds several
-brackets, and optionally a start element, into one such accumulator:
+A bracket is one pass over the term pairs, in Gaussian integers.  Each
+pair reads its structure constants first and costs no B product when
+they all vanish; otherwise the product b b' is formed once, unreduced,
+and added with each integer constant into one accumulator: per output
+key, one bucket per denominator.  Each key's buckets are brought to
+their least common multiple, reduced modulo the polyquot modulus and
+put in lowest terms once, at the end.  That is exact: the remainder
+modulo a monic m is linear and unique, so reducing the sum equals
+summing the reduced products.  ``bracket_sum`` adds several brackets,
+and optionally a start element, into one such accumulator:
 ``jacobi_residual`` sums its three outer brackets that way, and the
 antisymmetry residual [x, y] + [y, x] adds [y, x] to [x, y] without
 collecting [y, x] on its own.
@@ -22,11 +23,12 @@ collecting [y, x] on its own.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, lcm
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .coeff import BElem, BPresentation
+from .coeff import BElem, BPresentation, Part, product
+from .linalg import add_into
 from .scalars import GaussRat
 
 Degree = Tuple[int, ...]
@@ -142,7 +144,8 @@ class LoopElem:
                       key=lambda kv: (kv[0][0], kv[0][1], kv[0][2]))
 
 
-Acc = Dict[Key, Dict[int, GaussRat]]  # key -> exponent -> unreduced coeff
+# key -> denominator -> the unreduced (re, im) parts over it, zeros kept
+Acc = Dict[Key, Dict[int, Tuple[Part, Part]]]
 
 
 def bracket_sum(pairs: Sequence[Tuple[LoopElem, LoopElem]],
@@ -153,7 +156,8 @@ def bracket_sum(pairs: Sequence[Tuple[LoopElem, LoopElem]],
     acc: Acc = {}
     if start is not None:
         first._check(start)
-        acc = {key: dict(b.rep) for key, b in start.terms.items()}
+        acc = {key: {b.den: (dict(b.re), dict(b.im))}
+               for key, b in start.terms.items()}
     for a, b in pairs:
         a._check(b)
         _accumulate(acc, a.terms, b.terms)
@@ -182,22 +186,24 @@ def _accumulate(acc: Acc, xs: Dict[Key, BElem], ys: Dict[Key, BElem]):
                     continue
                 if prod is None:
                     rs = _add_deg(r, s)
-                    prod = [(e1 + e2, c1 * c2)
-                            for e1, c1 in b1.rep.items()
-                            for e2, c2 in b2.rep.items()]
-                key = (kind, idx, rs)
-                p = acc.get(key)
-                if p is None:
-                    p = acc[key] = {}
-                for e, c in prod:
-                    c = c * k
-                    p[e] = p[e] + c if e in p else c
+                    den, p_re, p_im = prod = product(b1, b2)
+                out_re, out_im = acc.setdefault(
+                    (kind, idx, rs), {}).setdefault(den, ({}, {}))
+                add_into(out_re, p_re, k)
+                add_into(out_im, p_im, k)
 
 
 def _collect(n: int, pres: BPresentation, acc: Acc) -> LoopElem:
     """The element with acc's coefficients, each reduced once."""
-    return LoopElem(n, pres, {key: BElem(pres, pres.reduce(p))
-                              for key, p in acc.items()})
+    terms = {}
+    for key, buckets in acc.items():
+        den = lcm(*buckets)
+        re, im = buckets.pop(den, ({}, {}))
+        for q, (q_re, q_im) in buckets.items():
+            add_into(re, q_re, den // q)
+            add_into(im, q_im, den // q)
+        terms[key] = pres.element(*pres.reduce(den, re, im))
+    return LoopElem(n, pres, terms)
 
 
 # -- rank-one special elements ---------------------------------------

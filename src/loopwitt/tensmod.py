@@ -280,8 +280,10 @@ class ModVector:
         re: Dict[int, int] = {}
         im: Dict[int, int] = {}
         for vr, vi in self.ints.values():
-            add_into(re, vr, 1)
-            add_into(im, vi, 1)
+            for j, y in vr.items():
+                re[j] = re.get(j, 0) + y
+            for j, y in vi.items():
+                im[j] = im.get(j, 0) + y
         return collect(self.module, {self.den: {(0,) * self.module.n:
                                                 (re, im)}})
 

@@ -524,11 +524,183 @@ def dense_relation_residual(rep, i, j, k, l):
     return res
 
 
+def rational_reduce(modulus, p):
+    """p, exponent -> GaussRat, modulo the monic modulus (p itself for
+    None), in place: a term c x^e with e >= 2 deg m adds c (x^e mod m),
+    found by square-and-multiply, and the rest is reduced one degree at a
+    time, from the top.  BPresentation.reduce as it ran in GaussRat
+    before B moved to the Gaussian integers, kept as its oracle."""
+    from loopwitt.scalars import ONE, ZERO
+    if modulus is None:
+        return p
+    d = len(modulus) - 1
+
+    def reduce_low(p):
+        for top in range(max(p, default=0), d - 1, -1):
+            c = p.pop(top, ZERO)
+            if c:
+                for k in range(d):
+                    if modulus[k]:
+                        p[top - d + k] = (p.get(top - d + k, ZERO)
+                                          - c * modulus[k])
+        return p
+
+    def power(e):
+        out = {0: ONE}
+        for bit in bin(e)[2:]:
+            sq = {}
+            for e1, c1 in out.items():
+                for e2, c2 in out.items():
+                    sq[e1 + e2] = sq.get(e1 + e2, ZERO) + c1 * c2
+            if bit == "1":
+                sq = {k + 1: c for k, c in sq.items()}
+            out = {k: c for k, c in reduce_low(sq).items() if c}
+        return out
+
+    for e in [e for e in p if e >= 2 * d]:
+        c = p.pop(e)
+        for k, x in power(e).items():
+            p[k] = p.get(k, ZERO) + c * x
+    return reduce_low(p)
+
+
+class RationalB:
+    """A B element as BElem held it before it moved to the Gaussian
+    integers: rep maps exponent to nonzero GaussRat, and +, -, *, scale,
+    psi and str run in GaussRat.  The oracle of BElem."""
+
+    def __init__(self, pres, rep):
+        self.pres = pres
+        self.rep = {e: c for e, c in rep.items() if c}
+
+    @classmethod
+    def of(cls, b):
+        return cls(b.pres, b.rep)
+
+    @classmethod
+    def from_poly(cls, pres, coeffs):
+        return cls(pres, rational_reduce(
+            pres.modulus, {e: GaussRat._coerce(c) for e, c in coeffs.items()}))
+
+    def belem(self):
+        """The BElem of the same value, cleared to its least common
+        denominator without BElem arithmetic."""
+        from loopwitt.coeff import BElem
+        from loopwitt.linalg import int_vec
+        (re, im), den = int_vec(self.rep)
+        return BElem(self.pres, den, re, im)
+
+    def is_zero(self):
+        return not self.rep
+
+    def __add__(self, other):
+        out = dict(self.rep)
+        for e, c in other.rep.items():
+            out[e] = out[e] + c if e in out else c
+        return RationalB(self.pres, out)
+
+    def __neg__(self):
+        return RationalB(self.pres, {e: -c for e, c in self.rep.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, RationalB):
+            return self.scale(GaussRat._coerce(other))
+        out = {}
+        for e1, c1 in self.rep.items():
+            for e2, c2 in other.rep.items():
+                out[e1 + e2] = out.get(e1 + e2, GaussRat(0)) + c1 * c2
+        return RationalB(self.pres, rational_reduce(self.pres.modulus, out))
+
+    def scale(self, c):
+        return RationalB(self.pres, {e: c * x for e, x in self.rep.items()})
+
+    def psi(self):
+        """The sum of c a^e, each power by |e| products with a or a^-1."""
+        a = self.pres.eval_point
+        acc = GaussRat(0)
+        for e, c in self.rep.items():
+            p = a if e >= 0 else a.inverse()
+            for _ in range(abs(e)):
+                c = c * p
+            acc = acc + c
+        return acc
+
+    def __str__(self):
+        def scalar(c):
+            if c.im == 0:
+                f = c.re
+                return str(f.numerator) if f.denominator == 1 else f"{f}"
+            return f"({c})"
+
+        items = sorted(self.rep.items(), reverse=self.pres.kind == "laurent")
+        if not items:
+            return "0"
+        if len(items) == 1 and items[0][0] == 0:
+            return scalar(items[0][1])
+        parts = []
+        for e, c in items:
+            mono = "" if e == 0 else ("x" if e == 1 else f"x^{e}")
+            cs = scalar(c)
+            if mono and cs == "1":
+                piece = mono
+            elif mono and cs == "-1":
+                piece = f"-{mono}"
+            elif mono:
+                piece = f"{cs}*{mono}"
+            else:
+                piece = cs
+            parts.append(piece)
+        out = parts[0]
+        for piece in parts[1:]:
+            out += piece if piece.startswith("-") else f"+{piece}"
+        return f"({out})"
+
+
+def _rational_loop_elem(n, pres, acc):
+    """The LoopElem of key -> RationalB."""
+    from loopwitt.loop import LoopElem
+    return LoopElem(n, pres, {key: b.belem() for key, b in acc.items()})
+
+
+def rational_bracket_sum(pairs):
+    """The sum of [a, b] over the pairs in one GaussRat accumulator, key
+    -> exponent -> coefficient, each product b b' formed once, unreduced,
+    and each output coefficient reduced once at the end: loop.bracket_sum
+    as it ran before B moved to the Gaussian integers, kept as its
+    oracle."""
+    acc = {}
+    for x, y in pairs:
+        x._check(y)
+        for (k1, i, r), b1 in x.terms.items():
+            for (k2, j, s), b2 in y.terms.items():
+                if k1 == "d":
+                    outs = ((("d", j, s[i - 1]), ("d", i, -r[j - 1]))
+                            if k2 == "d" else (("t", 0, s[i - 1]),))
+                elif k2 == "d":
+                    outs = (("t", 0, -r[j - 1]),)
+                else:
+                    continue
+                prod = [(e1 + e2, c1 * c2) for e1, c1 in b1.rep.items()
+                        for e2, c2 in b2.rep.items()]
+                rs = tuple(a + b for a, b in zip(r, s))
+                for kind, idx, k in outs:
+                    p = acc.setdefault((kind, idx, rs), {})
+                    for e, c in prod:
+                        p[e] = p[e] + c * k if e in p else c * k
+    first = pairs[0][0]
+    return _rational_loop_elem(first.n, first.pres, {
+        key: RationalB(first.pres, rational_reduce(first.pres.modulus, p))
+        for key, p in acc.items()})
+
+
 def reference_bracket(x, y):
     """The bracket term pair by term pair: each product b b' is a reduced
-    B element, scaled by its structure constant and added to its output
-    key as it comes; the oracle of LoopElem.bracket."""
-    from loopwitt.loop import LoopElem
+    RationalB, scaled by its structure constant and added to its output
+    key as it comes; the oracle of LoopElem.bracket, run in GaussRat
+    with no BElem arithmetic."""
     x._check(y)
     acc = {}
 
@@ -537,7 +709,7 @@ def reference_bracket(x, y):
 
     for (k1, i, r), b1 in x.terms.items():
         for (k2, j, s), b2 in y.terms.items():
-            bb = b1 * b2
+            bb = RationalB.of(b1) * RationalB.of(b2)
             if bb.is_zero():
                 continue
             rs = tuple(a + b for a, b in zip(r, s))
@@ -554,15 +726,16 @@ def reference_bracket(x, y):
                 if r[j - 1]:
                     put(("t", 0, rs), bb * (-r[j - 1]))
             # [t^r, t^s] = 0
-    return LoopElem(x.n, x.pres, acc)
+    return _rational_loop_elem(x.n, x.pres, acc)
 
 
 def reference_jacobi(x, y, z):
-    """[x, [y, z]] + [y, [z, x]] + [z, [x, y]] as a sum of three
-    reference brackets; the oracle of LoopElem.jacobi_residual."""
-    return (reference_bracket(x, reference_bracket(y, z))
-            + reference_bracket(y, reference_bracket(z, x))
-            + reference_bracket(z, reference_bracket(x, y)))
+    """[x, [y, z]] + [y, [z, x]] + [z, [x, y]]: the three outer brackets
+    of reference brackets summed by rational_bracket_sum; the oracle of
+    LoopElem.jacobi_residual."""
+    return rational_bracket_sum([(x, reference_bracket(y, z)),
+                                 (y, reference_bracket(z, x)),
+                                 (z, reference_bracket(x, y))])
 
 
 def cartan_eigenvalue(module, i, m):

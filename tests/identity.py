@@ -28,6 +28,12 @@ are pinned, plus these, all at seed 7:
   one interior slice, so a second draw adds onto the first;
 * `bracket` on the expressions of test_src_reach, at n = 2 on the three
   grid B; trivial B rejects every one of them, as each holds x;
+* one `bracket` call and one `verify-all --json` call (bracket-soundness,
+  module-axiom, assoc-unital and operator-suite, 10 cases) at n = 2,
+  mu = (1), on each of two B that no other call reaches: polyquot
+  (x - (1/2+i))^2 at 1/2 + i, whose modulus is not integral, and
+  laurent at 2/3 + i, whose negative powers are non-real and not
+  integral;
 * `irrep-info --json`, `irrep-info --matrices --json` and `verify-all
   --json --suite gl-relations --suite irreducibility` (1 case) at c = 0
   and at c = 1/2 + i, on gl(1) with mu = (), the five gl-cert modules
@@ -120,6 +126,20 @@ def corpus() -> Dict[str, Call]:
         for k, pair in enumerate(BRACKETS):
             calls[f"bracket/{kind}/{k}"] = (
                 ["bracket", *pair], {"n": 2, "mu": [1], "B": b, "seed": 7})
+    for kind, b, pair in (
+            ("polyquot", {"kind": "polyquot",
+                          "modulus": ["-3/4+1 i", "-1-2 i", "1"],
+                          "eval_point": "1/2+1 i"},
+             ("D(1,0;1,0)*(x^3 - 1/2)", "t(1,0)*x^7 + D(0,1;1,0)*(1+1 i)*x")),
+            ("laurent", {"kind": "laurent", "eval_point": "2/3+1 i"},
+             ("D(1,0;1,0)*(x^-2 - 1/2)",
+              "t(0,1)*(3*x^-1 + x) + D(0,1;-1,0)*(1/2+1 i)*x^-3"))):
+        doc = {"n": 2, "mu": [1], "B": b, "seed": 7}
+        calls[f"non-real-point/bracket/{kind}"] = (["bracket", *pair], doc)
+        calls[f"non-real-point/verify-all/{kind}"] = (
+            ["verify-all", "--json", "--suite", "bracket-soundness",
+             "--suite", "module-axiom", "--suite", "assoc-unital",
+             "--suite", "operator-suite"], dict(doc, cases_per_suite=10))
     gl_calls = {"irrep-info": ["irrep-info", "--json"],
                 "matrices": ["irrep-info", "--matrices", "--json"],
                 "verify-all": ["verify-all", "--json", "--suite",

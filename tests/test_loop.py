@@ -292,7 +292,8 @@ class TestPlantedBracketDefects:
         # defect; the term-by-term oracle does, and so do the printed
         # coefficients that test_cli pins.
         monkeypatch.setattr(loop, "_collect", mutant(
-            loop._collect, "BElem(pres, pres.reduce(p))", "BElem(pres, p)"))
+            loop._collect, "pres.element(*pres.reduce(den, re, im))",
+            "pres.element(den, re, im)"))
         assert not any(soundness_failures().values())
         pres = make_polyquot_cube()
         assert noncanonical_results(pres, 2, 702) > 0

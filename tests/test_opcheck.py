@@ -5,8 +5,9 @@ import pytest
 
 from conftest import (OLD_SCALED_ROW, as_operator, block_column,
                       changed_irrep, dense_of, dense_relation_residual,
-                      direct_sum_irrep, doubled_off_diagonal, mat_is_zero,
-                      mod_vector, rank, rational_columns, reference_act,
+                      direct_sum_irrep, doubled_off_diagonal,
+                      make_polyquot_cube, mat_is_zero, mod_vector, rank,
+                      rational_columns, reference_act,
                       reference_block, reference_bracket_identity,
                       reference_evaluated, reference_op_matrix,
                       reference_preserves_differences,
@@ -1022,8 +1023,7 @@ class TestDifferenceSweep:
                     - module.basis_vector((0, 0), k))
         assert block.slice_sum().is_zero()
 
-    def test_gauss_rat_work_does_not_grow_with_the_window(self, polyquot,
-                                                          monkeypatch):
+    def test_gauss_rat_work_does_not_grow_with_the_window(self, monkeypatch):
         # a passing sweep makes no GaussRat per slice: its GaussRat
         # arithmetic, counted by wrapping the methods as the benchmark's
         # tracer does, and every GaussRat made (scalars._norm) are those
@@ -1048,11 +1048,14 @@ class TestDifferenceSweep:
                             counting("_norm", scalars._norm))
         got = []
         for radius in (3, 5):
+            # a presentation of its own, so that no power of the
+            # evaluation point is cached from the last radius, and a spec
+            # built afresh, so that no psi is
+            pres = make_polyquot_cube()
             module = TensorModule(rep, [HALF, GaussRat(Fraction(-1, 3))],
-                                  polyquot, Window(2, radius))
-            # built afresh, so that no psi is cached from the last radius
+                                  pres, Window(2, radius))
             spec = OpSpec((GaussRat(1), GaussRat(0, 1)), (1, 0),
-                          polyquot.generator(), polyquot.one() * 2)
+                          pres.generator(), pres.one() * 2)
             counts.clear()
             assert opcheck.evaluated_preserves_differences(
                 OperatorTable(spec, spec, module))

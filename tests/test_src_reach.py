@@ -28,7 +28,6 @@ NOT_REACHED = {
     "glnrep.burnside_dim.<locals>.grows": "inside burnside_dim",
     "linalg.SpanBasis.coords":
         "the benchmark tracer wraps it by name; tests use it as an oracle",
-    "linalg.int_vec": "clears a Vec for SpanBasis.coords, its only caller",
     "linalg.mat_mul":
         "only burnside_dim calls it, and the benchmark tracer counts it by "
         "name",
@@ -40,7 +39,6 @@ NOT_REACHED = {
     "scalars.GaussRat.__repr__": "interactive display",
     "coeff.BPresentation.__repr__": "interactive display",
     "coeff.BElem.__repr__": "interactive display",
-    "coeff.BElem.__hash__": "lets B elements key dicts and sets",
     "scalars.GaussRat.__hash__":
         "lets scalars key dicts and sets; the weight table counts integer "
         "tuples, and no other src/ code hashes a GaussRat",
@@ -56,7 +54,8 @@ CONFIG = {"n": 2, "mu": [1], "B": {"kind": "polyquot",
           "cases_per_suite": 2, "seed": 42}
 RANK_ONE = {"n": 1, "mu": [], "window_radius": 5, "cases_per_suite": 1,
             "suites": ["rank-one"]}
-# BElem.psi inverts the evaluation point for a negative exponent
+# BPresentation.eval_power inverts the evaluation point for a negative
+# exponent
 LAURENT = {"n": 2, "mu": [1], "B": {"kind": "laurent", "eval_point": "3"},
            "cases_per_suite": 2}
 # at n >= 3 build_irrep makes the E_ij with |i - j| >= 2 as sparse
