@@ -79,7 +79,12 @@ def cmd_bracket(args) -> int:
         y = parse_loop_expr(args.y, cfg.n, cfg.bpres)
     except ParseError as exc:
         raise ConfigError(f"expression error: {exc}")
-    print(format_loop_elem(x.bracket(y)))
+    xy = x.bracket(y)
+    try:
+        text = format_loop_elem(xy)
+    except ValueError:  # beyond Python's limit on the digits of str(int)
+        raise ConfigError("expression error: coefficient too long to print")
+    print(text)
     return EXIT_OK
 
 

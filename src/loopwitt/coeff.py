@@ -19,7 +19,7 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import Dict, List, Optional, Tuple
 
-from .linalg import add_into, gauss_entries, int_vec
+from .linalg import add_into, add_times, gauss_entries, int_vec
 from .scalars import GaussRat, ONE, ZERO
 
 Poly = List[GaussRat]  # coefficients, low to high, no trailing zeros
@@ -81,7 +81,7 @@ class BPresentation:
                     den *= D
                     re, im = ({e: D * x for e, x in p.items()} for p in [re, im])
                 # D c x^top - c x^(top - d) D m leaves 0 at x^top
-                _add_times(re, im, top - d, -cr, -ci, m_re, m_im)
+                add_times(re, im, top - d, -cr, -ci, m_re, m_im)
         return den, re, im
 
     def element(self, den: int, re: Part, im: Part) -> "BElem":
@@ -199,7 +199,7 @@ class BElem:
         if not b and q == 1 and a in (0, 1):
             return self if a else self.pres.zero()
         re, im = {}, {}
-        _add_times(re, im, 0, a, b, self.re, self.im)
+        add_times(re, im, 0, a, b, self.re, self.im)
         out = self.pres.element(self.den * q, re, im)
         if self._psi is not None and not out.is_zero():
             out._psi = self._psi * c
@@ -254,21 +254,8 @@ def product(x: BElem, y: BElem) -> Tuple[int, Part, Part]:
     """x y before reduction, as (den, re, im); zero parts may stay."""
     re, im = {}, {}
     for e in x.re.keys() | x.im.keys():
-        _add_times(re, im, e, x.re.get(e, 0), x.im.get(e, 0), y.re, y.im)
+        add_times(re, im, e, x.re.get(e, 0), x.im.get(e, 0), y.re, y.im)
     return x.den * y.den, re, im
-
-
-def _add_times(re: Part, im: Part, off: int, cr: int, ci: int,
-               p_re: Part, p_im: Part):
-    """re + im i += (cr + ci i) x^off (p_re + p_im i), unpruned."""
-    for k, y in p_re.items():
-        re[off + k] = re.get(off + k, 0) + cr * y
-        if ci:
-            im[off + k] = im.get(off + k, 0) + ci * y
-    for k, y in p_im.items():
-        im[off + k] = im.get(off + k, 0) + cr * y
-        if ci:
-            re[off + k] = re.get(off + k, 0) - ci * y
 
 
 def _format_scalar(c: GaussRat) -> str:

@@ -39,7 +39,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .linalg import (Entries, IntMatrix, Mat, SpanBasis, dense,
                      gauss_entries, int_columns, int_entries_into,
-                     int_product_into, int_spin, mat_mul, null_space,
+                     int_spin, mat_mul, mat_product_into, null_space,
                      transposed)
 from .scalars import GaussRat
 
@@ -96,14 +96,10 @@ class Irrep:
         and imaginary parts apart, and only a nonzero entry is divided
         back by D^2."""
         den, ints = self._ints
-        (ar, ai), (br, bi) = ints[i - 1][j - 1], ints[k - 1][l - 1]
+        a, b = ints[i - 1][j - 1], ints[k - 1][l - 1]
         re, im = {}, {}
-        for acc, left, right, f in (
-                (re, ar, br, 1), (re, br, ar, -1), (re, ai, bi, -1),
-                (re, bi, ai, 1), (im, ar, bi, 1), (im, bi, ar, -1),
-                (im, ai, br, 1), (im, br, ai, -1)):
-            if left and right:
-                int_product_into(acc, left, right, f)
+        mat_product_into(re, im, a, b, 1)
+        mat_product_into(re, im, b, a, -1)
         if j == k:
             int_entries_into(re, im, ints[i - 1][l - 1], -den)
         if l == i:
@@ -229,10 +225,10 @@ def build_irrep(mu: Sequence[int], c: GaussRat, n: int) -> Irrep:
     # both factors are real, and (x/p)(y/q) - (y/q)(x/p) = (xy - yx)/pq
     def bracket(x: tuple, y: tuple) -> tuple:
         (p, xr, _), (q, yr, _) = x, y
-        xc, yc = int_columns(xr, {}, d)[0], int_columns(yr, {}, d)[0]
+        xm, ym = int_columns(xr, {}, d), int_columns(yr, {}, d)
         acc = {}
-        int_product_into(acc, xc, yc, 1)
-        int_product_into(acc, yc, xc, -1)
+        mat_product_into(acc, {}, xm, ym, 1)
+        mat_product_into(acc, {}, ym, xm, -1)
         return _least(p * q, acc, {})
 
     for gap in range(2, n):

@@ -124,6 +124,20 @@ def add_into(acc: Dict[Key, int], part: Dict[Key, int], f: int) -> None:
         acc[key] = acc.get(key, 0) + f * x
 
 
+def add_times(re: Dict[int, int], im: Dict[int, int], off: int, cr: int,
+              ci: int, p_re: Dict[int, int], p_im: Dict[int, int]):
+    """re + im i += (cr + ci i) x^off (p_re + p_im i), unpruned, for
+    vectors keyed by index or Laurent polynomials keyed by exponent."""
+    for k, y in p_re.items():
+        re[off + k] = re.get(off + k, 0) + cr * y
+        if ci:
+            im[off + k] = im.get(off + k, 0) + ci * y
+    for k, y in p_im.items():
+        im[off + k] = im.get(off + k, 0) + cr * y
+        if ci:
+            re[off + k] = re.get(off + k, 0) - ci * y
+
+
 def int_entries_into(re: Dict[int, int], im: Dict[int, int], a: IntMatrix,
                      f: int) -> None:
     """re + im i += f a, for square a, keyed row * d + col."""
@@ -135,29 +149,30 @@ def int_entries_into(re: Dict[int, int], im: Dict[int, int], a: IntMatrix,
                 acc[key] = acc.get(key, 0) + f * x
 
 
-def int_product_into(acc: Dict[int, int], a: IntColumns, b: IntColumns,
-                     f: int) -> None:
-    """acc += f a b, for square a and b, keyed row * d + col.  Column c
-    of a b is sum_t b[t][c] (column t of a), so no zero is ever
-    visited."""
-    d = len(b)
-    for col, b_col in enumerate(b):
-        for t, x in b_col:
-            x *= f
-            for row, y in a[t]:
-                key = row * d + col
-                acc[key] = acc.get(key, 0) + y * x
+def mat_product_into(re: Dict[int, int], im: Dict[int, int], a: IntMatrix,
+                     b: IntMatrix, f: int) -> None:
+    """re + im i += f a b over Z[i], for square a and b, keyed
+    row * d + col: four real products, a zero imaginary part skipped.
+    Column c of a product is sum_t b[t][c] (column t of a), so no zero
+    is ever visited."""
+    (ar, ai), (br, bi) = a, b
+    d = len(br)
+    for acc, left, right, g in ((re, ar, br, f), (re, ai, bi, -f),
+                                (im, ar, bi, f), (im, ai, br, f)):
+        if left and right:
+            for col, r_col in enumerate(right):
+                for t, x in r_col:
+                    x *= g
+                    for row, y in left[t]:
+                        key = row * d + col
+                        acc[key] = acc.get(key, 0) + y * x
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """a b over Z[i], for square a and b."""
-    (ar, ai), (br, bi) = a, b
     re, im = {}, {}
-    for acc, left, right, f in ((re, ar, br, 1), (re, ai, bi, -1),
-                                (im, ar, bi, 1), (im, ai, br, 1)):
-        if left and right:
-            int_product_into(acc, left, right, f)
-    return int_columns(re, im, len(br))
+    mat_product_into(re, im, a, b, 1)
+    return int_columns(re, im, len(b[0]))
 
 
 def _apply_into(acc: Dict[int, int], a: IntColumns, v: Dict[int, int],
@@ -186,13 +201,9 @@ def int_apply(a: IntMatrix, v: IntVec) -> IntVec:
 def _scaled_minus(v: IntVec, a: Tuple[int, int], c: Tuple[int, int],
                   row: IntVec) -> IntVec:
     """a v - c row for Gaussian integers a and c, each a (re, im) pair."""
-    (vr, vi), (ar, ai), (cr, ci), (rr, ri) = v, a, c, row
     re, im = {}, {}
-    for acc, part, f in ((re, vr, ar), (re, vi, -ai), (im, vi, ar),
-                         (im, vr, ai), (re, rr, -cr), (re, ri, ci),
-                         (im, ri, -cr), (im, rr, -ci)):
-        if f:
-            add_into(acc, part, f)
+    add_times(re, im, 0, *a, *v)
+    add_times(re, im, 0, -c[0], -c[1], *row)
     return ({j: x for j, x in re.items() if x},
             {j: x for j, x in im.items() if x})
 

@@ -33,7 +33,7 @@ and its Burnside fallback both run on them as they are.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import mul
 from typing import Callable, List, Sequence, Tuple
 
@@ -42,7 +42,7 @@ from .glnrep import (burnside_dim, highest_weight_theta, hw_shifted,
                      norton_irreducible)
 from .loop import (Degree, LoopElem, _add_deg, diff_derivation,
                    poly_derivation)
-from .scalars import GaussRat, ONE, ZERO
+from .scalars import GaussRat, MINUS_ONE, ONE, ZERO
 from .tensmod import ModVector, Term, TensorModule, act, op_matrix, signed_sum
 
 # an operator giving its image of v as the terms of a signed sum
@@ -95,12 +95,20 @@ class OperatorTable:
             self._bs.setdefault(same, b)
             self._digits[k] = same or "0"
         self._elems = {}
-        # the row coefficients (u1,r2), (u2,r1) and the operands
-        c12, c21 = self.coefficients = (_pair(s1.u, s2.r), _pair(s2.u, s1.r))
-        self._operands = {
-            "1": (s1.u, s1.r), "2": (s2.u, s2.r),
-            "w": (tuple(c12 * b - c21 * a for a, b in zip(s1.u, s2.u)),
-                  _add_deg(s1.r, s2.r))}
+        self._operands = {"1": (s1.u, s1.r), "2": (s2.u, s2.r)}
+
+    # the row coefficients (u1,r2), (u2,r1) and the operand w are made on
+    # first read: the table of a sampled spec reads operand "1" only
+    @cached_property
+    def coefficients(self) -> Tuple[GaussRat, GaussRat]:
+        s1, s2 = self.pair
+        return _pair(s1.u, s2.r), _pair(s2.u, s1.r)
+
+    @cached_property
+    def _w(self) -> Tuple[Tuple[GaussRat, ...], Degree]:
+        (s1, s2), (c12, c21) = self.pair, self.coefficients
+        return (tuple(c12 * b - c21 * a for a, b in zip(s1.u, s2.u)),
+                _add_deg(s1.r, s2.r))
 
     def _b(self, key: str) -> BElem:
         """The product of the key's b_k, psi evaluated once, so that each
@@ -123,7 +131,7 @@ class OperatorTable:
 
     def _build(self, operand: str, part: str, *keys: str) -> LoopElem:
         n, pres = self.module.n, self.module.pres
-        u, r = self._operands[operand]
+        u, r = self._w if operand == "w" else self._operands[operand]
         if part == "q":
             k1, k2 = keys
             return (self.elem(operand, "d", k2).scale(self._b(k1).psi())
@@ -136,29 +144,26 @@ class OperatorTable:
         return LoopElem.d_vec(n, pres, u, (0,) * n, b)
 
     def terms(self, family: str, operand: str = "1",
-              places: Tuple[str, str] = ("1", "2")) -> TermOp:
-        """The operator of family "product", "reduced" or "evaluated" on
-        the operand with the placement (p1, p2) = places, by default
-        X(u1,r1,b1,b2), giving its image as terms: the outer actions are
-        left to the signed sum, and the evaluated operator is a single
-        loop element, so it acts once."""
+              places: Tuple[str, str] = ("1", "2"),
+              c: GaussRat = ONE) -> TermOp:
+        """c times the operator of family "product", "reduced" or
+        "evaluated" on the operand with the placement (p1, p2) = places,
+        by default X(u1,r1,b1,b2), giving its image as terms: the outer
+        actions are left to the signed sum, and the evaluated operator is
+        a single loop element, so it acts once."""
         p1, p2 = places
         if family == "evaluated":
             q = self.elem(operand, "q", p1, p2)
-            return lambda v: [(ONE, q, v)]
+            return lambda v: [(c, q, v)]
         if family not in ("product", "reduced"):
             raise ValueError(f"unknown operator family {family!r}")
         d_elem = self.elem(operand, "d", p2)
         shift_back = self.elem(operand, "t", p1)
         if family == "product":
-            return lambda v: [(ONE, shift_back, act(d_elem, v))]
-        zero_mode = self.elem(operand, "z", p1 + p2)
-        return lambda v: [(ONE, shift_back, act(d_elem, v)),
-                          (-ONE, zero_mode, v)]
-
-
-def _scaled(c: GaussRat, terms: List[Term]) -> List[Term]:
-    return [(c * a, x, w) for a, x, w in terms]
+            return lambda v: [(c, shift_back, act(d_elem, v))]
+        zero_mode, minus_c = self.elem(operand, "z", p1 + p2), -c
+        return lambda v: [(c, shift_back, act(d_elem, v)),
+                          (minus_c, zero_mode, v)]
 
 
 # One row per bracket identity: the X family of the left-hand side, the Y
@@ -194,14 +199,15 @@ def bracket_identity(name: str, table: OperatorTable) -> ModVector:
     c12, c21 = table.coefficients
     x1 = table.terms(x_family, "1", p1)
     x2 = table.terms(x_family, "2", p2)
-    rhs = [(-ONE, "w"), (c12, "2"), (-c21, "1")]
-    ys = [(c, table.terms(y_family, operand, places))
+    minus_x2 = table.terms(x_family, "2", p2, MINUS_ONE)
+    rhs = [(MINUS_ONE, "w"), (c12, "2"), (-c21, "1")]
+    ys = [table.terms(y_family, operand, places, c)
           for (c, operand), places in zip(rhs, placements)]
     v = module.basis_block((0,) * module.n)
     terms = (x1(signed_sum(module, x2(v)))
-             + _scaled(-ONE, x2(signed_sum(module, x1(v)))))
-    for c, y in ys:
-        terms += _scaled(c, y(v))
+             + minus_x2(signed_sum(module, x1(v))))
+    for y in ys:
+        terms += y(v)
     return signed_sum(module, terms)
 
 
@@ -269,8 +275,8 @@ def quotient_intertwining_check(tables: Sequence[OperatorTable]) -> bool:
         module = table.module
         v = module.basis_block((0,) * module.n)
         red = table.terms("reduced")
-        ev = table.terms("evaluated")
-        res = signed_sum(module, red(v) + _scaled(-ONE, ev(v)))
+        minus_ev = table.terms("evaluated", c=MINUS_ONE)
+        res = signed_sum(module, red(v) + minus_ev(v))
         if not res.slice_sum().is_zero():
             return False
     return True
@@ -300,7 +306,8 @@ def bottom_slice_algebra_dim(module: TensorModule) -> int:
     gens = [(ei, ej) for ei in units for ej in units] + [(units[0], zero)]
     mats = []
     for u, r in gens:
-        d_elem = LoopElem.d_vec(n, pres, tuple(map(GaussRat, u)), r, one)
+        d_elem = LoopElem.d_vec(n, pres, [ONE if a else ZERO for a in u], r,
+                                one)
         shift_back = LoopElem.t_part(n, pres, _neg_deg(r), one)
         mats.append(op_matrix(lambda v: act(shift_back, act(d_elem, v)),
                               module, zero))

@@ -108,15 +108,10 @@ def parse_b_elem(s: str, pres: BPresentation) -> BElem:
 
 
 def _balanced(s: str) -> bool:
-    depth = 0
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                return False
-    return depth == 0
+    try:
+        return _split_top(s, "") is not None
+    except ParseError:
+        return False
 
 
 _HEAD = re.compile(r"^(D|t)\((.*)\)$")

@@ -49,7 +49,7 @@ from .glnrep import Irrep
 from .linalg import (IntColumns, IntMatrix, IntVec, Vec, add_into,
                      gauss_entries, int_columns, int_entries_into)
 from .loop import Degree, LoopElem
-from .scalars import GaussRat, ONE
+from .scalars import GaussRat, MINUS_ONE, ONE
 
 
 class OutOfWindowError(ValueError):
@@ -254,7 +254,7 @@ class ModVector:
 
     def __sub__(self, other: "ModVector") -> "ModVector":
         return signed_sum(self.module,
-                          [(ONE, None, self), (-ONE, None, other)])
+                          [(ONE, None, self), (MINUS_ONE, None, other)])
 
     def scale(self, c: GaussRat) -> "ModVector":
         return signed_sum(self.module, [(c, None, self)])
@@ -439,7 +439,7 @@ def module_axiom_residual(x: LoopElem, y: LoopElem, v: ModVector) -> ModVector:
     """[x,y] . v - x . (y . v) + y . (x . v); must vanish.  The inner
     images y . v and x . v are built, the three outer actions summed."""
     return signed_sum(v.module, [(ONE, x.bracket(y), v),
-                                 (-ONE, x, act(y, v)),
+                                 (MINUS_ONE, x, act(y, v)),
                                  (ONE, y, act(x, v))])
 
 
@@ -453,8 +453,8 @@ def assoc_unital_residuals(r: Degree, s: Degree, b: BElem, b2: BElem,
     xs = LoopElem.t_part(n, module.pres, s, b2)
     xrs = LoopElem.t_part(n, module.pres,
                           tuple(a + c for a, c in zip(r, s)), b * b2)
-    assoc = signed_sum(module, [(ONE, xr, act(xs, v)), (-ONE, xrs, v)])
-    unit = signed_sum(module, [(ONE, module.unit, v), (-ONE, None, v)])
+    assoc = signed_sum(module, [(ONE, xr, act(xs, v)), (MINUS_ONE, xrs, v)])
+    unit = signed_sum(module, [(ONE, module.unit, v), (MINUS_ONE, None, v)])
     return assoc, unit
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from loopwitt import suites
 from loopwitt.cli import (EXIT_CONFIG_ERROR, EXIT_INTERNAL_ERROR, EXIT_OK,
                           EXIT_SUITE_FAILURE, build_parser, main)
 from loopwitt.glnrep import DIM_CAP
+from loopwitt.loop import LoopElem
 from loopwitt.parsing import EXPONENT_CAP
 from loopwitt.tensmod import WINDOW_CAP
 
@@ -126,6 +128,32 @@ class TestBracketCommand:
                      "D(1;0)*1"])
         assert code == EXIT_OK
         assert capsys.readouterr().out == want
+
+    def test_coefficient_too_long_to_print_is_config_error(self, tmp_path,
+                                                           capsys):
+        # modulo (x - 10^6)^6, x^10000 has coefficients of about 60,000
+        # digits, beyond the 4300 that Python converts to a string
+        modulus = [str(comb(6, k) * (-10 ** 6) ** (6 - k)) for k in range(7)]
+        cfg = write_config(tmp_path, n=1, mu=[], B={
+            "kind": "polyquot", "modulus": modulus, "eval_point": "1000000"})
+        code = main(["bracket", "--config", cfg, "D(1;1)*x^10000", "t(1)*1"])
+        assert code == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error: expression error:")
+        assert "too long to print" in err
+
+    def test_value_error_in_the_bracket_is_internal(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # only printing is caught: a fault of the bracket itself exits 3
+        def broken(x, y):
+            raise ValueError("planted")
+
+        monkeypatch.setattr(LoopElem, "bracket", broken)
+        cfg = write_config(tmp_path, n=1, mu=[])
+        code = main(["bracket", "--config", cfg, "D(1;1)*1", "t(1)*1"])
+        assert code == EXIT_INTERNAL_ERROR
+        assert capsys.readouterr().err == (
+            "internal error: ValueError: planted\n")
 
     @pytest.mark.parametrize("x", ["garbage", "D(a;0)*1", "", "   "],
                              ids=["garbage", "non-numeric-direction",

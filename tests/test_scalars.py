@@ -176,14 +176,40 @@ class TestAgainstFractionPairs:
             assert (g == c) == (x == (c, 0))
 
     @given(ref_pairs, st.sampled_from([0, 1, -1, 2 ** 64 + 1, -(2 ** 70)])
-           | st.integers(-BIG, BIG))
-    def test_int_factor_fast_path(self, x, k):
-        # x * k and k * x skip the coercion of k; x * GaussRat(k) does not
+           | st.integers(-BIG, BIG) | st.booleans())
+    def test_int_and_bool_factors(self, x, k):
+        # on either side, and the same triple as the factor GaussRat(k)
         g = GaussRat(*x)
         want = g * GaussRat(k)
         check(want, (x[0] * k, x[1] * k))
         for got in (g * k, k * g):
+            check(got, (x[0] * k, x[1] * k))
             assert (got._a, got._b, got._q) == (want._a, want._b, want._q)
+
+    @given(ref_pairs, big_parts)
+    def test_real_factor_and_real_inverse(self, x, f):
+        g, h = GaussRat(*x), GaussRat(f)
+        check(g * h, ref_mul(x, (f, 0)))
+        check(h * g, ref_mul((f, 0), x))
+        if f:
+            check(h.inverse(), ref_inverse((f, Fraction(0))))
+        else:
+            with pytest.raises(ZeroDivisionError,
+                               match="division by zero GaussRat"):
+                h.inverse()
+
+    @given(st.integers(1, BIG),
+           st.lists(st.integers(-BIG, BIG), min_size=4, max_size=4))
+    def test_sum_and_difference_over_one_denominator(self, q, nums):
+        # a real numerator of 1 mod q keeps q the canonical denominator
+        a, b, c, d = nums
+        x = (Fraction(a * q + 1, q), Fraction(b, q))
+        y = (Fraction(c * q + 1, q), Fraction(d, q))
+        g, h = GaussRat(*x), GaussRat(*y)
+        assert g._q == h._q == q
+        check(g + h, (x[0] + y[0], x[1] + y[1]))
+        check(g - h, (x[0] - y[0], x[1] - y[1]))
+        check(g - g, (0, 0))
 
     def test_bool_factor_takes_the_coerce_path(self, monkeypatch):
         seen = []
@@ -194,17 +220,10 @@ class TestAgainstFractionPairs:
         assert g * True == g and True * g == g
         assert g * False == ZERO
         assert seen == [True, True, False]
-        assert g * 3 == GaussRat(Fraction(9, 4), 15) and len(seen) == 3
-
-    def test_product_with_one_returns_the_other_factor(self):
-        x = GaussRat(Fraction(3, 4), -5)
-        assert x * ONE is x
-        assert ONE * x is x
-        assert ONE * ONE is ONE
 
     @pytest.mark.parametrize("k", [3, Fraction(1, 2), True])
     def test_product_of_one_and_a_number_is_a_gauss_rat(self, k):
-        # the shortcut runs after k is coerced, so it never hands back k
+        # k is coerced first, so the product never hands back k
         for got in (ONE * k, k * ONE):
             assert type(got) is GaussRat
             assert got == GaussRat(k)
@@ -217,8 +236,8 @@ class TestAgainstFractionPairs:
 
     @given(ref_pairs)
     def test_product_with_one_matches_the_general_path(self, x):
-        # GaussRat(1) equals ONE but is another object, so x * GaussRat(1)
-        # takes the general product
+        # ONE on either side is a product like any other: the same triple
+        # as a factor GaussRat(1), which equals ONE but is another object
         g = GaussRat(*x)
         assert GaussRat(1) is not ONE
         for got in (g * ONE, ONE * g):

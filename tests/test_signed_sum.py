@@ -18,14 +18,14 @@ from conftest import (as_operator, doubled_off_diagonal, make_laurent,
                       reference_assoc_unital, reference_block,
                       reference_bracket_identity, reference_module_axiom,
                       reference_operator)
-from loopwitt import opcheck
+from loopwitt import opcheck, scalars
 from loopwitt.coeff import BPresentation
 from loopwitt.glnrep import build_irrep
 from loopwitt.loop import LoopElem
 from loopwitt.opcheck import OperatorTable, OpSpec
-from loopwitt.scalars import GaussRat, ONE, ZERO
+from loopwitt.scalars import GaussRat, MINUS_ONE, ONE, ZERO
 from loopwitt.tensmod import (ModVector, OutOfWindowError, TensorModule,
-                              Window, assoc_unital_residuals, act_into,
+                              Window, act, assoc_unital_residuals, act_into,
                               collect, module_axiom_residual, signed_sum)
 
 MU = {1: (), 2: (1,), 3: (1, 0)}
@@ -247,6 +247,34 @@ class TestMultiDegreePlans:
                             lambda self, x: plan(self, x)[:1])
         axiom, terms = multi_degree_mismatches(n, kind)
         assert axiom and terms
+
+
+@pytest.mark.parametrize("kind", ["trivial", "polyquot", "laurent"])
+def test_unit_terms_make_no_gauss_rat(kind, monkeypatch):
+    # every GaussRat is made by scalars._norm: once x and y are compiled,
+    # a difference, an equality and a signed sum of +-1 terms run in ints
+    pres = presentation(kind)
+    rep = build_irrep(MU[2], GaussRat(Fraction(3, 2)), 2)
+    module = TensorModule(rep, [GaussRat(Fraction(1, 3)), GaussRat(-1)],
+                          pres, Window(2, 3))
+    b = pool(pres)[1]
+    x = LoopElem.d_part(2, pres, 1, (1, 0), b)
+    y = LoopElem.t_part(2, pres, (0, -1), b)
+    v = module.basis_block((0, 0))
+    xv, yv = act(x, v), act(y, v)
+    terms = [(ONE, x, v), (MINUS_ONE, y, v), (MINUS_ONE, None, xv),
+             (ONE, None, yv)]
+    norm = scalars._norm
+    made = []
+    monkeypatch.setattr(scalars, "_norm",
+                        lambda *parts: made.append(parts) or norm(*parts))
+    diff = xv - yv
+    equal = xv == xv
+    total = signed_sum(module, terms)
+    monkeypatch.undo()
+    assert made == []
+    assert equal and not diff.is_zero() and total.is_zero()
+    assert diff == reference_act(x, v) - reference_act(y, v)
 
 
 class TestWindow:
