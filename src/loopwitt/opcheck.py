@@ -6,8 +6,8 @@ Three operator families are materialized through the module action:
 * reduced    R(u,r,b1,b2) = P(u,r,b1,b2) - D(u,0) b1 b2
 * evaluated  Q(u,r,b1,b2) = psi(b1) D(u,r) b2 - D(u,0) b1 b2
 
-Each family gives its image of v as terms (c, x, w) of a
-tensmod.signed_sum: P is t^(-r) b1 acting on the built image D(u,r)b2 . v,
+OperatorTable.terms gives each family's image of v as terms (c, x, w) of
+a tensmod.signed_sum: P is t^(-r) b1 acting on the built image D(u,r)b2 . v,
 R adds -D(u,0)b1b2 acting on v, and Q is one loop element acting on v.
 Every bracket identity among them, the scalar action of the zero modes
 and the collapse of B coefficients through psi is one signed sum of
@@ -19,13 +19,13 @@ table builds, and so compiles, each element once, keyed by the value of
 its B coefficient.  A residual is exact: the signed sum on the bottom
 slice's basis block, all d basis vectors in one call
 (tensmod.TensorModule.basis_block), a ModVector that must be zero.  The
-shift-difference subspace is one signed sum as well: Q acts once on a
-block of difference vectors, one group of d columns per interior slice
-(tensmod.TensorModule.difference_block), whose slice sum must vanish,
-and the quotient intertwining is the slice sum of R - Q.  All of it runs
-in the action's Gaussian integers, so a passing check makes no GaussRat
-per slice.  The algebra of the bottom slice builds its generators
-through act, with no table, and reads them from op_matrix as
+shift-difference subspace is one signed sum as well: Q acts once on the
+basis blocks of every interior slice, slice 0 among them, one group of
+d columns per slice, and each group of the slice sum must equal the
+first; the quotient intertwining is the slice sum of R - Q.  All of it
+runs in the action's Gaussian integers, so a passing check makes no
+GaussRat per slice.  The algebra of the bottom slice builds its
+generators through act, with no table, and reads them from op_matrix as
 Gaussian-integer matrices, each over its own denominator; Norton's test
 and its Burnside fallback both run on them as they are.
 """
@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import mul
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .coeff import BElem
 from .glnrep import (burnside_dim, highest_weight_theta, hw_shifted,
@@ -44,9 +44,6 @@ from .loop import (Degree, LoopElem, _add_deg, diff_derivation,
                    poly_derivation)
 from .scalars import GaussRat, MINUS_ONE, ONE, ZERO
 from .tensmod import ModVector, Term, TensorModule, act, op_matrix, signed_sum
-
-# an operator giving its image of v as the terms of a signed sum
-TermOp = Callable[[ModVector], List[Term]]
 
 
 @dataclass(frozen=True)
@@ -143,27 +140,25 @@ class OperatorTable:
             return LoopElem.t_part(n, pres, _neg_deg(r), b)
         return LoopElem.d_vec(n, pres, u, (0,) * n, b)
 
-    def terms(self, family: str, operand: str = "1",
+    def terms(self, family: str, v: ModVector, operand: str = "1",
               places: Tuple[str, str] = ("1", "2"),
-              c: GaussRat = ONE) -> TermOp:
+              c: GaussRat = ONE) -> List[Term]:
         """c times the operator of family "product", "reduced" or
         "evaluated" on the operand with the placement (p1, p2) = places,
-        by default X(u1,r1,b1,b2), giving its image as terms: the outer
-        actions are left to the signed sum, and the evaluated operator is
-        a single loop element, so it acts once."""
+        by default X(u1,r1,b1,b2), applied to v as the terms of a signed
+        sum: the inner image D(u,r)b2 . v is built, the outer actions are
+        left to the signed sum, and the evaluated operator is a single
+        loop element, so it acts once."""
         p1, p2 = places
         if family == "evaluated":
-            q = self.elem(operand, "q", p1, p2)
-            return lambda v: [(c, q, v)]
+            return [(c, self.elem(operand, "q", p1, p2), v)]
         if family not in ("product", "reduced"):
             raise ValueError(f"unknown operator family {family!r}")
-        d_elem = self.elem(operand, "d", p2)
-        shift_back = self.elem(operand, "t", p1)
-        if family == "product":
-            return lambda v: [(c, shift_back, act(d_elem, v))]
-        zero_mode, minus_c = self.elem(operand, "z", p1 + p2), -c
-        return lambda v: [(c, shift_back, act(d_elem, v)),
-                          (minus_c, zero_mode, v)]
+        out = [(c, self.elem(operand, "t", p1),
+                act(self.elem(operand, "d", p2), v))]
+        if family == "reduced":
+            out.append((-c, self.elem(operand, "z", p1 + p2), v))
+        return out
 
 
 # One row per bracket identity: the X family of the left-hand side, the Y
@@ -197,17 +192,14 @@ def bracket_identity(name: str, table: OperatorTable) -> ModVector:
     x_family, y_family, (p1, p2), placements = BRACKET_ROWS[name]
     module = table.module
     c12, c21 = table.coefficients
-    x1 = table.terms(x_family, "1", p1)
-    x2 = table.terms(x_family, "2", p2)
-    minus_x2 = table.terms(x_family, "2", p2, MINUS_ONE)
-    rhs = [(MINUS_ONE, "w"), (c12, "2"), (-c21, "1")]
-    ys = [table.terms(y_family, operand, places, c)
-          for (c, operand), places in zip(rhs, placements)]
     v = module.basis_block((0,) * module.n)
-    terms = (x1(signed_sum(module, x2(v)))
-             + minus_x2(signed_sum(module, x1(v))))
-    for y in ys:
-        terms += y(v)
+    terms = table.terms(x_family, signed_sum(
+        module, table.terms(x_family, v, "2", p2)), "1", p1)
+    terms += table.terms(x_family, signed_sum(
+        module, table.terms(x_family, v, "1", p1)), "2", p2, MINUS_ONE)
+    rhs = [(MINUS_ONE, "w"), (c12, "2"), (-c21, "1")]
+    for (c, operand), places in zip(rhs, placements):
+        terms += table.terms(y_family, v, operand, places, c)
     return signed_sum(module, terms)
 
 
@@ -251,18 +243,25 @@ def coefficient_collapse_residual(table: OperatorTable) -> ModVector:
 def evaluated_preserves_differences(table: OperatorTable) -> bool:
     """The evaluated operator Q of the table's spec, that of the pair
     (spec, spec), maps each shift difference e_k t^m - e_k t^0 (m != 0,
-    image in the window) to slice sum zero.  Q acts once, on the block
-    whose column group g holds the d differences of the g-th interior
-    slice m_g != 0 (TensorModule.difference_block), and every column of
-    the slice sum of the image must vanish.  act is exactly linear and
-    handles each source slice on its own, so the verdict is that of
-    comparing the slice sums of Q on each interior slice's basis block
-    with those of the bottom slice's, and a passing sweep makes no
-    GaussRat."""
+    image in the window) to slice sum zero: by linearity, S(m) = S(0)
+    for every interior slice m, S(m) the slice sum of Q on the basis
+    block of m.  Q acts once, on the basis blocks of every interior
+    slice m_g as column group g, slice 0 among them
+    (TensorModule.basis_block), so entry j of the image's slice sum is
+    entry j % d^2 of S(m_g), g = j // d^2, and every group must equal the
+    first.  A passing sweep makes no GaussRat."""
     module, spec = table.module, table.pair[0]
-    block = module.difference_block(tuple(abs(a) for a in spec.r))
-    image = signed_sum(module, table.terms("evaluated")(block))
-    return image.slice_sum().is_zero()
+    slices = module.window.interior(tuple(abs(a) for a in spec.r))
+    block = module.basis_block(*slices)
+    sums = signed_sum(module, table.terms("evaluated", block)).slice_sum()
+    d2 = module.d ** 2
+    for part in (p for vec in sums.ints.values() for p in vec):
+        groups = [{} for _ in slices]
+        for j, y in part.items():
+            groups[j // d2][j % d2] = y
+        if any(g != groups[0] for g in groups):
+            return False
+    return True
 
 
 def quotient_intertwining_check(tables: Sequence[OperatorTable]) -> bool:
@@ -274,9 +273,8 @@ def quotient_intertwining_check(tables: Sequence[OperatorTable]) -> bool:
     for table in tables:
         module = table.module
         v = module.basis_block((0,) * module.n)
-        red = table.terms("reduced")
-        minus_ev = table.terms("evaluated", c=MINUS_ONE)
-        res = signed_sum(module, red(v) + minus_ev(v))
+        res = signed_sum(module, table.terms("reduced", v)
+                         + table.terms("evaluated", v, c=MINUS_ONE))
         if not res.slice_sum().is_zero():
             return False
     return True

@@ -134,30 +134,17 @@ class TensorModule:
             raise OutOfWindowError(f"degree {m} outside window")
         return ModVector(self, 1, {m: ({k: 1}, {})})
 
-    def basis_block(self, m: Degree) -> "ModVector":
-        """The d basis vectors of slice m as one block: column k is
-        v_k (x) t^m."""
-        m = tuple(m)
-        if not self.window.contains(m):
-            raise OutOfWindowError(f"degree {m} outside window")
+    def basis_block(self, *slices: Degree) -> "ModVector":
+        """The d basis vectors of each slice as one block: column g d + k
+        is v_k (x) t^(m_g), for m_g the g-th slice."""
         d = self.d
-        diagonal = {k * (d + 1): 1 for k in range(d)}
-        return ModVector(self, 1, {m: (diagonal, {})})
-
-    def difference_block(self, margin: Sequence[int]) -> "ModVector":
-        """The shift differences of every nonzero slice of
-        window.interior(margin) as one block: column g d + k is
-        v_k (x) t^(m_g) - v_k (x) t^0, for m_g the g-th such slice."""
-        d = self.d
-        zero = (0,) * self.n
-        # column c holds 1 or -1 at entry c d + c % d
-        ints: Dict[Degree, IntVec] = {
-            m: ({c * d + c % d: 1 for c in range(g * d, g * d + d)}, {})
-            for g, m in enumerate(m for m in self.window.interior(margin)
-                                  if m != zero)}
-        if ints:
-            ints[zero] = ({c * d + c % d: -1 for c in range(len(ints) * d)},
-                          {})
+        ints: Dict[Degree, IntVec] = {}
+        for g, m in enumerate(map(tuple, slices)):
+            if not self.window.contains(m):
+                raise OutOfWindowError(f"degree {m} outside window")
+            # column c holds 1 at entry c d + c % d
+            ints.setdefault(m, ({}, {}))[0].update(
+                (c * d + c % d, 1) for c in range(g * d, g * d + d))
         return ModVector(self, 1, ints)
 
     def plan(self, x: LoopElem) -> List[IntDegreePlan]:

@@ -837,8 +837,8 @@ def as_operator(family, spec, module):
     table of (spec, spec) summed."""
     from loopwitt.opcheck import OperatorTable
     from loopwitt.tensmod import signed_sum
-    terms = OperatorTable(spec, spec, module).terms(family)
-    return lambda v: signed_sum(module, terms(v))
+    table = OperatorTable(spec, spec, module)
+    return lambda v: signed_sum(module, table.terms(family, v))
 
 
 def reference_evaluated(spec, module):

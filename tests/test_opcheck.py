@@ -130,7 +130,8 @@ class TestOperatorFamilies:
         module = make_module(trivial)
         spec = OpSpec(e(2, 0), (0, 0), trivial.one(), trivial.one())
         with pytest.raises(ValueError):
-            OperatorTable(spec, spec, module).terms("twisted")
+            OperatorTable(spec, spec, module).terms(
+                "twisted", module.basis_block((0, 0)))
 
     def test_product_family_preserves_weight(self, trivial):
         module = make_module(trivial)
@@ -856,8 +857,10 @@ class TestNegativeControls:
                         if vec[0] or vec[1]}
             return out
         monkeypatch.setattr(ModVector, "slice_sum", broken)
+        # the sweep's slice sum holds one column group per interior
+        # slice, and the dropped coordinate is in group 0 only
         assert suite_failures("operator-suite", 2, (1,)) == {
-            "difference-codimension"}
+            "difference-codimension", "difference-submodule"}
 
     def test_dropped_off_diagonal_e_terms_fail(self, monkeypatch):
         # the diagonal part of a gl(n) representation is not one
@@ -984,7 +987,7 @@ def changed_entry_failures(monkeypatch, n, mu, c, delta):
 
 class TestDifferenceSweep:
     """evaluated_preserves_differences, the evaluated operator applied
-    once to a block of every shift difference, against
+    once to the basis blocks of every interior slice, against
     reference_preserves_differences, the slice-by-slice sweep it
     replaced, on clean modules and under the planted single-slice
     defects."""
@@ -1010,18 +1013,50 @@ class TestDifferenceSweep:
         # each defect shows on some spec, and a clean module passes all
         assert all(got) == (defect is None)
 
-    def test_block_holds_every_difference(self, trivial):
+    def test_block_holds_the_basis_of_every_slice(self, trivial):
         module = make_module(trivial, n=2, mu=(1,), radius=2)
-        block = module.difference_block((1, 0))
-        slices = [m for m in module.window.interior((1, 0)) if m != (0, 0)]
+        slices = module.window.interior((1, 0))
+        block = module.basis_block(*slices)
         d = module.d
-        assert len(slices) == 14
+        assert len(slices) == 15
         for g, m in enumerate(slices):
             for k in range(d):
                 assert block_column(block, g * d + k) == (
-                    module.basis_vector(m, k)
-                    - module.basis_vector((0, 0), k))
-        assert block.slice_sum().is_zero()
+                    module.basis_vector(m, k))
+        assert block_column(block, len(slices) * d).is_zero()
+        with pytest.raises(OutOfWindowError):
+            module.basis_block((0, 0), (3, 0))
+
+    def test_each_slice_holds_d_columns(self, trivial, monkeypatch):
+        # Q acts on no column twice: a block of the differences
+        # e_k t^m - e_k t^0 would hold 28 columns on slice 0, a -1 copy
+        # of those of each of the 14 nonzero slices
+        module = make_module(trivial, n=2, mu=(1,), radius=2)
+        spec = OpSpec(e(2, 0), (1, 0), trivial.one(), trivial.one())
+        d = module.d
+        act_into = tensmod.act_into
+        columns = []
+
+        def counting(acc, x, v, c=ONE):
+            columns.append({m: len({j // d for part in vec for j in part})
+                            for m, vec in v.ints.items()})
+            act_into(acc, x, v, c)
+
+        monkeypatch.setattr(tensmod, "act_into", counting)
+        assert opcheck.evaluated_preserves_differences(
+            OperatorTable(spec, spec, module))
+        assert columns == [dict.fromkeys(module.window.interior((1, 0)), d)]
+
+    def test_margin_beyond_the_radius_passes(self, trivial):
+        # no slice is interior, so there is no difference to map, and Q
+        # acts on no slice: on the bottom slice it would leave the window
+        module = make_module(trivial, n=2, mu=(1,), radius=2)
+        spec = OpSpec(e(2, 0), (3, 0), trivial.one(), trivial.one())
+        assert module.window.interior((3, 0)) == []
+        assert opcheck.evaluated_preserves_differences(
+            OperatorTable(spec, spec, module))
+        with pytest.raises(OutOfWindowError):
+            reference_preserves_differences(spec, module)
 
     def test_gauss_rat_work_does_not_grow_with_the_window(self, monkeypatch):
         # a passing sweep makes no GaussRat per slice: its GaussRat
