@@ -19,15 +19,16 @@ table builds, and so compiles, each element once, keyed by the value of
 its B coefficient.  A residual is exact: the signed sum on the bottom
 slice's basis block, all d basis vectors in one call
 (tensmod.TensorModule.basis_block), a ModVector that must be zero.  The
-shift-difference subspace is one signed sum as well: Q acts once on the
-basis blocks of every interior slice, slice 0 among them, one group of
-d columns per slice, and each group of the slice sum must equal the
-first; the quotient intertwining is the slice sum of R - Q.  All of it
-runs in the action's Gaussian integers, so a passing check makes no
-GaussRat per slice.  The algebra of the bottom slice builds its
-generators through act, with no table, and reads them from op_matrix as
-Gaussian-integer matrices, each over its own denominator; Norton's test
-and its Burnside fallback both run on them as they are.
+shift-difference subspace is one signed sum as well, folded, so each
+image goes onto slice 0 as it is made: Q acts once on the basis blocks
+of every interior slice, slice 0 among them, one group of d columns per
+slice, and each group of the slice sum must equal the first; the
+quotient intertwining and the rank-one quotient checks fold their own
+sums.  All of it runs in the action's Gaussian integers, so a passing
+check makes no GaussRat per slice.  The algebra of the bottom slice
+builds its generators through act, with no table, and reads them from
+op_matrix as Gaussian-integer matrices, each over its own denominator;
+Norton's test and its Burnside fallback both run on them as they are.
 """
 
 from __future__ import annotations
@@ -247,13 +248,14 @@ def evaluated_preserves_differences(table: OperatorTable) -> bool:
     for every interior slice m, S(m) the slice sum of Q on the basis
     block of m.  Q acts once, on the basis blocks of every interior
     slice m_g as column group g, slice 0 among them
-    (TensorModule.basis_block), so entry j of the image's slice sum is
-    entry j % d^2 of S(m_g), g = j // d^2, and every group must equal the
-    first.  A passing sweep makes no GaussRat."""
+    (TensorModule.basis_block), and its signed sum is folded, each
+    image added onto slice 0 as it is made, so entry j of the slice sum
+    is entry j % d^2 of S(m_g), g = j // d^2, and every group must equal
+    the first.  A passing sweep makes no GaussRat."""
     module, spec = table.module, table.pair[0]
     slices = module.window.interior(tuple(abs(a) for a in spec.r))
     block = module.basis_block(*slices)
-    sums = signed_sum(module, table.terms("evaluated", block)).slice_sum()
+    sums = signed_sum(module, table.terms("evaluated", block), fold=True)
     d2 = module.d ** 2
     for part in (p for vec in sums.ints.values() for p in vec):
         groups = [{} for _ in slices]
@@ -273,9 +275,9 @@ def quotient_intertwining_check(tables: Sequence[OperatorTable]) -> bool:
     for table in tables:
         module = table.module
         v = module.basis_block((0,) * module.n)
-        res = signed_sum(module, table.terms("reduced", v)
-                         + table.terms("evaluated", v, c=MINUS_ONE))
-        if not res.slice_sum().is_zero():
+        terms = (table.terms("reduced", v)
+                 + table.terms("evaluated", v, c=MINUS_ONE))
+        if not signed_sum(module, terms, fold=True).is_zero():
             return False
     return True
 
@@ -339,9 +341,9 @@ def rank_one_scalar_shift_check(module: TensorModule) -> List[str]:
             if got != want:
                 failures.append(f"d_{r} on slice {s}: wrong scalar")
         v0 = module.basis_vector((0,), 0)
-        got_q = act(diff_derivation(module.pres, r), v0).slice_sum()
-        want_q = v0.scale(c * r).slice_sum()
-        if got_q != want_q:
+        res = signed_sum(module, [(ONE, diff_derivation(module.pres, r), v0),
+                                  (-(c * r), None, v0)], fold=True)
+        if not res.is_zero():
             failures.append(f"quotient scalar of (t^{r}-1)d is not {r}c")
     return failures
 
@@ -381,7 +383,7 @@ def rank_one_quotient_annihilation_check(module: TensorModule) -> List[str]:
     failures = []
     v = module.basis_vector((0,), 0)
     for i in (-1, 0, 1):
-        image = act(poly_derivation(module.pres, 2, i), v)
-        if not image.slice_sum().is_zero():
+        x = poly_derivation(module.pres, 2, i)
+        if not signed_sum(module, [(ONE, x, v)], fold=True).is_zero():
             failures.append(f"(t-1)^2 t^{i} d image not in differences")
     return failures

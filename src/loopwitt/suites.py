@@ -59,13 +59,13 @@ MIN_RADIUS = {
 
 # Bound on ((2R+1)^n - 1) d^2, the size of the operator suite's
 # shift-difference sweep at margin 0: Q acts at once on d columns for
-# each interior slice, and each column's image holds up to d entries per
-# slice.  The sweep's peak memory grows with it: 539 MB at n = 4,
-# mu = (1, 1, 1), radius 4 (26.9 million), while radius 7 (207 million)
-# ran out of a 3 GB address space; n = 6, mu = (1, 0, 0, 0, 0), radius 4
-# (19.1 million) ran to a report in 49 s and peaked at 1.9 GB, as at
-# d = 6 the cost of each slice outweighs its d^2 entries (peak RSS of
-# the run, 2-core Xeon VM, Python 3.11.7).
+# each interior slice, and each column's folded slice sum holds up to d
+# entries.  The sweep's peak memory grows with it: 382 MB at n = 4,
+# mu = (1, 1, 1), radius 4 (26.9 million); radius 7 (207 million) ran
+# out of a 3 GB address space before the fold.  n = 6, mu = (1, 0, 0, 0,
+# 0), radius 4 (19.1 million) peaks at 1.2 GB, as a third of each d^2
+# group is nonzero at d = 6, 6 % at d = 64, and the block adds its
+# per-slice dicts (peak RSS of the run, 2-core Xeon VM, Python 3.11.7).
 SWEEP_CAP = 3 * 10 ** 7
 
 

@@ -31,9 +31,12 @@ OutOfWindowError exactly when the image of one degree of x on one source
 slice is nonzero and leaves the window, whatever c.  act is act_into
 plus collect; signed_sum adds terms (c, x, w), c (x . w) or c w for x
 None, into one accumulator, and the module residuals and ModVector +, -
-and scale are such sums.  op_matrix applies an operator that maps a
-slice into itself once, to the slice's basis block, and reads the
-image's integers as a linalg.IntMatrix over the image's denominator.
+and scale are such sums.  With fold, both add each image onto slice 0
+once its own target slice is checked, so the accumulator holds the
+slice sum, and slice_sum is that sum of the vector alone.  op_matrix
+applies an operator that maps a slice into itself once, to the slice's
+basis block, and reads the image's integers as a linalg.IntMatrix over
+the image's denominator.
 """
 
 from __future__ import annotations
@@ -253,10 +256,10 @@ class ModVector:
         return isinstance(other, ModVector) and (self - other).is_zero()
 
     def slice_sum(self) -> "ModVector":
-        """Sum of all slice coordinate vectors: the image of v in the
-        quotient of the window by the shift differences
-        v_k(x)t^m - v_k(x)t^0, m != 0, as a block on slice 0 over den;
-        for a block, entry k d + i is coordinate i of column k's image.
+        """Sum of all slice coordinate vectors, the folded signed sum of
+        v alone: the image of v in the quotient of the window by the
+        shift differences v_k(x)t^m - v_k(x)t^0, m != 0, as a block on
+        slice 0 over den, entry k d + i coordinate i of column k's image.
 
         Order the coordinates with the nonzero slices first and slice 0
         last.  Then the differences are a reduced echelon basis: each has
@@ -264,15 +267,7 @@ class ModVector:
         v clears every nonzero-slice component and leaves the slice sum
         at slice 0, so v lies in the span of the differences iff its
         slice sum is zero, and the quotient has dimension d."""
-        re: Dict[int, int] = {}
-        im: Dict[int, int] = {}
-        for vr, vi in self.ints.values():
-            for j, y in vr.items():
-                re[j] = re.get(j, 0) + y
-            for j, y in vi.items():
-                im[j] = im.get(j, 0) + y
-        return collect(self.module, {self.den: {(0,) * self.module.n:
-                                                (re, im)}})
+        return signed_sum(self.module, [(ONE, None, self)], fold=True)
 
 
 # denominator -> degree -> unpruned IntVec over that denominator: an
@@ -321,17 +316,19 @@ def _add_image(out: IntVec, sr: int, si: int, cols: Optional[IntMatrix],
             _add_part(ore, vi, -si, mi, d, -g)
 
 
-def act_into(acc: Acc, x: LoopElem, v: ModVector, c: GaussRat = ONE):
-    """Add c (x . v) into acc, unpruned, through the module's plan of x.
-    The image of one degree of x on one source slice of v raises
-    OutOfWindowError when it leaves the window and is nonzero, whatever
-    c; with c = 0 nothing else is computed."""
+def act_into(acc: Acc, x: LoopElem, v: ModVector, c: GaussRat = ONE, *,
+             fold: bool = False):
+    """Add c (x . v), or with fold its slice sum, into acc, unpruned,
+    through the module's plan of x.  The image of one degree of x on one
+    source slice of v raises OutOfWindowError when it leaves the window
+    and is nonzero, whatever c and fold; c = 0 computes nothing else."""
     module = v.module
     plan = module.plan(x)
     if not plan:
         return
     d = module.d
     radius = module.window.radius
+    onto = (0,) * module.n if fold else None
     cr, ci, cq = GaussRat._coerce(c).parts()
     # (m, the slice, the slice that is added): the numerator g = cr of a
     # real c scales each image as it is added, while a non-real c's
@@ -363,9 +360,9 @@ def act_into(acc: Acc, x: LoopElem, v: ModVector, c: GaussRat = ONE):
             elif g:
                 if bucket is None:
                     bucket = acc.setdefault(v.den * den * cq, {})
-                out = bucket.get(target)
+                out = bucket.get(onto or target)
                 if out is None:
-                    out = bucket[target] = ({}, {})
+                    out = bucket[onto or target] = ({}, {})
                 _add_image(out, g * sr, g * si, cols, cvec, d, g)
 
 
@@ -404,21 +401,22 @@ def act(x: LoopElem, v: ModVector) -> ModVector:
     return collect(v.module, acc)
 
 
-def signed_sum(module: TensorModule, terms: Iterable[Term]) -> ModVector:
+def signed_sum(module: TensorModule, terms: Iterable[Term], *,
+               fold: bool = False) -> ModVector:
     """The sum of the terms (c, x, w), each c (x . w) or, when x is None,
-    c w, added into one accumulator and collected once."""
+    c w, added into one accumulator and collected once, or with fold
+    their slice sum: every image and every slice of w onto slice 0."""
     acc: Acc = {}
+    onto = (0,) * module.n if fold else None
     for c, x, w in terms:
         if x is not None:
-            act_into(acc, x, w, c)
+            act_into(acc, x, w, c, fold=fold)
         elif c and w.ints:
             cr, ci, cq = GaussRat._coerce(c).parts()
             bucket = acc.setdefault(w.den * cq, {})
             for m, vec in w.ints.items():
-                out = bucket.get(m)
-                if out is None:
-                    out = bucket[m] = ({}, {})
-                _add_image(out, cr, ci, None, vec, module.d)
+                _add_image(bucket.setdefault(onto or m, ({}, {})), cr, ci,
+                           None, vec, module.d)
     return collect(module, acc)
 
 

@@ -882,6 +882,21 @@ def reference_preserves_differences(spec, module):
                for m in module.window.interior(margin) if m != zero)
 
 
+def reference_slice_sum(v):
+    """The slice sum of a block, slice by slice: the Gaussian integers of
+    every slice added onto slice 0 over v's denominator, then collected.
+    The oracle of the folded signed sum, tensmod.signed_sum(..., fold=True),
+    which adds each image onto slice 0 as it is made."""
+    from loopwitt.tensmod import collect
+    re, im = {}, {}
+    for vr, vi in v.ints.values():
+        for j, y in vr.items():
+            re[j] = re.get(j, 0) + y
+        for j, y in vi.items():
+            im[j] = im.get(j, 0) + y
+    return collect(v.module, {v.den: {(0,) * v.module.n: (re, im)}})
+
+
 def reference_op_matrix(op, module, m):
     """Columns of op applied to each basis vector of slice m, one call
     per column: the oracle of tensmod.op_matrix, which applies op once

@@ -17,7 +17,9 @@ are pinned, plus these, all at seed 7:
   polyquot, laurent}, default suites, 5 cases);
 * `verify-all --json` at n = 1, radius 5, on the three grid B (default
   suites, 5 cases), the only calls that run rank-one, whose smallest
-  radius is 5;
+  radius is 5, and once more on laurent with c = 1/2 + i and a non-real
+  alpha, where the rank-one scalar-shift check folds the non-real
+  multiplier c r of its quotient scalar;
 * `verify-all --json` on two gl(4) configs (mu = (1, 0, 0), radius 2,
   default suites, 3 cases), the only calls whose operator suite runs at
   n = 4: laurent with real c and alpha, polyquot with non-real ones;
@@ -123,6 +125,12 @@ def corpus() -> Dict[str, Call]:
             ["verify-all", "--json"],
             {"n": 1, "mu": [], "B": b, "seed": 7, "window_radius": 5,
              "cases_per_suite": 5})
+        if kind == "laurent":
+            calls["radius5/verify-all/1/laurent/non-real"] = (
+                ["verify-all", "--json"],
+                {"n": 1, "mu": [], "c": "1/2+1 i", "alpha": ["1/3+1/2 i"],
+                 "B": b, "seed": 7, "window_radius": 5,
+                 "cases_per_suite": 5})
         for k, pair in enumerate(BRACKETS):
             calls[f"bracket/{kind}/{k}"] = (
                 ["bracket", *pair], {"n": 2, "mu": [1], "B": b, "seed": 7})

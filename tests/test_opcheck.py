@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,8 +19,7 @@ from loopwitt.linalg import zeros
 from loopwitt.loop import LoopElem
 from loopwitt.opcheck import OperatorTable, OpSpec
 from loopwitt.scalars import GaussRat, ONE, ZERO
-from loopwitt.tensmod import (ModVector, OutOfWindowError, TensorModule,
-                              Window, op_matrix)
+from loopwitt.tensmod import OutOfWindowError, TensorModule, Window, op_matrix
 from test_tensmod import count_compiles
 
 HALF = GaussRat(Fraction(1, 2))
@@ -723,17 +723,19 @@ def drop_e_terms(monkeypatch, keep_diagonal):
 def double_d_terms_on_slice(monkeypatch, first):
     """Plant a defect in the action that touches one source slice only:
     the derivation terms act twice on slice (first, 0, ..., 0).  Every
-    action, act and each term of a signed sum, runs tensmod.act_into."""
+    action, act and each term of a signed sum, folded or not, runs
+    tensmod.act_into, and the defect folds when the action does."""
     from loopwitt.loop import LoopElem
     act_into = tensmod.act_into
 
-    def broken(acc, x, v, c=ONE):
-        act_into(acc, x, v, c)
+    def broken(acc, x, v, c=ONE, fold=False):
+        act_into(acc, x, v, c, fold=fold)
         p = (first,) + (0,) * (v.module.n - 1)
         if p in v.data:
             d_terms = LoopElem(x.n, x.pres, {key: b for key, b in
                                              x.terms.items() if key[0] == "d"})
-            act_into(acc, d_terms, mod_vector(v.module, {p: v.data[p]}), c)
+            act_into(acc, d_terms, mod_vector(v.module, {p: v.data[p]}), c,
+                     fold=fold)
     monkeypatch.setattr(tensmod, "act_into", broken)
 
 
@@ -745,15 +747,16 @@ def double_d_terms_on_last_basis_vector(monkeypatch):
     from loopwitt.loop import LoopElem
     act_into = tensmod.act_into
 
-    def broken(acc, x, v, c=ONE):
-        act_into(acc, x, v, c)
+    def broken(acc, x, v, c=ONE, fold=False):
+        act_into(acc, x, v, c, fold=fold)
         p = (2,) + (0,) * (v.module.n - 1)
         d = v.module.d
         last = {j: y for j, y in v.data.get(p, {}).items() if j % d == d - 1}
         if last:
             d_terms = LoopElem(x.n, x.pres, {key: b for key, b in
                                              x.terms.items() if key[0] == "d"})
-            act_into(acc, d_terms, mod_vector(v.module, {p: last}), c)
+            act_into(acc, d_terms, mod_vector(v.module, {p: last}), c,
+                     fold=fold)
     monkeypatch.setattr(tensmod, "act_into", broken)
 
 
@@ -845,18 +848,26 @@ class TestNegativeControls:
 
     def test_zeroed_slice_sum_coordinate_fails_difference_codimension(
             self, monkeypatch):
-        # coordinate 0 of the slice-0 block is dropped, so the bottom
-        # slice maps onto a quotient of dimension d - 1
-        slice_sum = ModVector.slice_sum
+        # coordinate 0 of every folded signed sum, a block on slice 0,
+        # is dropped, so the bottom slice maps onto a quotient of
+        # dimension d - 1; ModVector.slice_sum, which the codimension
+        # check reads, and the sweep both fold through signed_sum
+        signed_sum = tensmod.signed_sum
 
-        def broken(self):
-            out = slice_sum(self)
-            for part in out.ints.get((0,) * self.module.n, ()):
-                part.pop(0, None)
-            out.ints = {m: vec for m, vec in out.ints.items()
-                        if vec[0] or vec[1]}
+        def broken(module, terms, fold=False):
+            out = signed_sum(module, terms, fold=fold)
+            if fold:
+                for part in out.ints.get((0,) * module.n, ()):
+                    part.pop(0, None)
+                out.ints = {m: vec for m, vec in out.ints.items()
+                            if vec[0] or vec[1]}
             return out
-        monkeypatch.setattr(ModVector, "slice_sum", broken)
+        bindings = [mod for name, mod in sys.modules.items()
+                    if name.startswith("loopwitt.")
+                    and getattr(mod, "signed_sum", None) is signed_sum]
+        assert {tensmod, opcheck} <= set(bindings)
+        for mod in bindings:
+            monkeypatch.setattr(mod, "signed_sum", broken)
         # the sweep's slice sum holds one column group per interior
         # slice, and the dropped coordinate is in group 0 only
         assert suite_failures("operator-suite", 2, (1,)) == {
@@ -1037,15 +1048,18 @@ class TestDifferenceSweep:
         act_into = tensmod.act_into
         columns = []
 
-        def counting(acc, x, v, c=ONE):
-            columns.append({m: len({j // d for part in vec for j in part})
-                            for m, vec in v.ints.items()})
-            act_into(acc, x, v, c)
+        def counting(acc, x, v, c=ONE, fold=False):
+            columns.append((fold, {m: len({j // d for part in vec
+                                           for j in part})
+                                   for m, vec in v.ints.items()}))
+            act_into(acc, x, v, c, fold=fold)
 
         monkeypatch.setattr(tensmod, "act_into", counting)
         assert opcheck.evaluated_preserves_differences(
             OperatorTable(spec, spec, module))
-        assert columns == [dict.fromkeys(module.window.interior((1, 0)), d)]
+        # and Q folds its images onto slice 0 as it makes them
+        assert columns == [
+            (True, dict.fromkeys(module.window.interior((1, 0)), d))]
 
     def test_margin_beyond_the_radius_passes(self, trivial):
         # no slice is interior, so there is no difference to map, and Q

@@ -288,8 +288,9 @@ class TestWindow:
         rep = build_irrep((), GaussRat(c), 1)
         return TensorModule(rep, [GaussRat(-1)], pres, Window(1, 2))
 
+    @pytest.mark.parametrize("fold", [False, True])
     @pytest.mark.parametrize("coeff", SCALARS)
-    def test_a_zero_image_outside_is_silent(self, coeff):
+    def test_a_zero_image_outside_is_silent(self, coeff, fold):
         module = self.module(0)
         pres = module.pres
         # the degree-0 part lands inside the window, the degree-2 part
@@ -297,20 +298,25 @@ class TestWindow:
         x = (LoopElem.d_part(1, pres, 1, (2,))
              + LoopElem.t_part(1, pres, (0,), pres.from_scalar(GaussRat(3))))
         v = module.basis_vector((1,), 0)
+        # folded, the sums are those of v t^0 in place of v t^1
+        w = module.basis_vector((0,), 0) if fold else v
         acc = {}
-        act_into(acc, x, v, coeff)
-        got = signed_sum(module, [(coeff, x, v), (-coeff, None, v)])
-        assert got == v.scale(GaussRat(2) * coeff)
-        assert collect(module, acc) == v.scale(GaussRat(3) * coeff)
+        act_into(acc, x, v, coeff, fold=fold)
+        got = signed_sum(module, [(coeff, x, v), (-coeff, None, v)],
+                         fold=fold)
+        assert got == w.scale(GaussRat(2) * coeff)
+        assert collect(module, acc) == w.scale(GaussRat(3) * coeff)
 
+    @pytest.mark.parametrize("fold", [False, True])
     @pytest.mark.parametrize("coeff", SCALARS)
-    def test_a_nonzero_image_outside_raises(self, coeff):
+    def test_a_nonzero_image_outside_raises(self, coeff, fold):
+        # folded, the image would go onto slice 0, inside the window
         module = self.module(1)
         x = LoopElem.d_part(1, module.pres, 1, (2,))
         v = module.basis_vector((1,), 0)
         with pytest.raises(OutOfWindowError):
-            act_into({}, x, v, coeff)
+            act_into({}, x, v, coeff, fold=fold)
         with pytest.raises(OutOfWindowError):
-            signed_sum(module, [(ONE, None, v), (coeff, x, v)])
+            signed_sum(module, [(ONE, None, v), (coeff, x, v)], fold=fold)
         with pytest.raises(OutOfWindowError):
             reference_act(x, v)

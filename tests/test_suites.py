@@ -172,9 +172,9 @@ class TestSuiteRuns:
         calls = {"act_into": 0, "act": 0, "signed_sum": 0, "ModVector": 0}
 
         def counting(name, fn):
-            def wrapped(*args):
+            def wrapped(*args, **kwargs):
                 calls[name] += 1
-                return fn(*args)
+                return fn(*args, **kwargs)
             return wrapped
 
         for name in ("act_into", "act", "signed_sum"):

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (block_column, cartan_eigenvalue, make_laurent,
                       make_polyquot_cube, mod_vector, rational_columns,
-                      reference_act, reference_op_matrix)
+                      reference_act, reference_op_matrix,
+                      reference_slice_sum)
 from loopwitt.coeff import BPresentation
 from loopwitt.glnrep import build_irrep
 from loopwitt.linalg import dense
@@ -17,8 +18,8 @@ from loopwitt.loop import LoopElem
 from loopwitt.scalars import GaussRat, ONE, ZERO
 from loopwitt.tensmod import (ModVector, OutOfWindowError, TensorModule,
                               Window, act, act_into,
-                              assoc_unital_residuals, module_axiom_residual,
-                              op_matrix, signed_sum)
+                              assoc_unital_residuals, collect,
+                              module_axiom_residual, op_matrix, signed_sum)
 
 HALF = GaussRat(Fraction(1, 2))
 
@@ -687,6 +688,49 @@ class TestIntegerCoreOracle:
             [(c, (reference_act(x, w) if x else w).data)
              for c, x, w in terms])
         assert stores_no_zero(got)
+
+    @pytest.mark.parametrize("kind", sorted(CORE_PRES))
+    @CORE
+    @given(st.data())
+    def test_folded_signed_sum(self, kind, data):
+        # each image added onto slice 0 as it is made is the slice sum of
+        # the unfolded sum, to its denominator and integers: terms with
+        # and without x, real and non-real c, blocks over denominators up
+        # to 2^61 - 1, so that the accumulator holds several
+        module = data.draw(core_modules(kind))
+        terms = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            c = data.draw(st.one_of(st.just(ZERO), gauss_rationals()))
+            x = data.draw(st.one_of(st.none(), core_elems(module)))
+            terms.append((c, x, data.draw(core_vectors(module))))
+        got = signed_sum(module, terms, fold=True)
+        want = reference_slice_sum(signed_sum(module, terms))
+        assert (got.den, got.ints) == (want.den, want.ints)
+        assert stores_no_zero(got) and set(got.ints) <= {(0,) * module.n}
+
+    @pytest.mark.parametrize("kind", sorted(CORE_PRES))
+    @CORE
+    @given(st.data())
+    def test_folding_keeps_the_window_rule(self, kind, data):
+        # an image that leaves the window raises with the fold on exactly
+        # when it raises with the fold off, at any coefficient
+        module = data.draw(core_modules(kind))
+        x = data.draw(core_elems(module, bound=2))
+        v = data.draw(core_vectors(module, margin=0))
+        c = data.draw(st.one_of(st.just(ZERO), gauss_rationals()))
+        sums = []
+        for fold in (False, True):
+            acc = {}
+            try:
+                act_into(acc, x, v, c, fold=fold)
+            except OutOfWindowError:
+                sums.append(None)
+            else:
+                sums.append(collect(module, acc))
+        unfolded, folded = sums
+        assert (folded is None) == (unfolded is None)
+        if folded is not None:
+            assert folded == reference_slice_sum(unfolded)
 
     @pytest.mark.parametrize("kind", sorted(CORE_PRES))
     @CORE
